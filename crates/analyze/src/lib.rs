@@ -33,7 +33,6 @@
 //!   message enum.
 //! * `missing-dispatch-arm` — a message-enum variant with no explicit arm
 //!   anywhere in its owning crate.
-//! * `unpaired-batch` — a `*Batch` variant with no unbatched twin.
 //! * `milestone-parity` — a `TxMilestone`/`CtrlMilestone` variant not
 //!   stamped by all three stacks (core, rdma, baseline; stamps in the shared
 //!   `sim`/`chaos` engines count for every stack).
@@ -91,8 +90,6 @@ pub enum Lint {
     WildcardDispatch,
     /// Message-enum variant with no explicit arm in its owning crate.
     MissingDispatchArm,
-    /// `*Batch` variant with no unbatched twin.
-    UnpairedBatch,
     /// Milestone variant not stamped by all three stacks.
     MilestoneParity,
     /// Suppression pragma with unknown lint or empty justification.
@@ -103,7 +100,7 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in severity-agnostic catalog order.
-    pub const ALL: [Lint; 11] = [
+    pub const ALL: [Lint; 10] = [
         Lint::HashIter,
         Lint::WallClock,
         Lint::UnseededRng,
@@ -111,7 +108,6 @@ impl Lint {
         Lint::FloatState,
         Lint::WildcardDispatch,
         Lint::MissingDispatchArm,
-        Lint::UnpairedBatch,
         Lint::MilestoneParity,
         Lint::MalformedAllow,
         Lint::UnusedAllow,
@@ -127,7 +123,6 @@ impl Lint {
             Lint::FloatState => "float-state",
             Lint::WildcardDispatch => "wildcard-dispatch",
             Lint::MissingDispatchArm => "missing-dispatch-arm",
-            Lint::UnpairedBatch => "unpaired-batch",
             Lint::MilestoneParity => "milestone-parity",
             Lint::MalformedAllow => "malformed-allow",
             Lint::UnusedAllow => "unused-allow",

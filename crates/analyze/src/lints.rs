@@ -326,7 +326,7 @@ fn float_state(prep: &Prepared, findings: &mut Vec<Finding>) {
 }
 
 /// Cross-file protocol-surface lints: `wildcard-dispatch`,
-/// `missing-dispatch-arm`, `unpaired-batch`, `milestone-parity`.
+/// `missing-dispatch-arm`, `milestone-parity`.
 pub(crate) fn protocol_surface(preps: &[Prepared], findings: &mut Vec<Finding>) {
     // Message enums: any `*Msg` enum declared in a scanned crate. Key:
     // enum name → (owning crate, declaring file path, variants).
@@ -426,29 +426,6 @@ pub(crate) fn protocol_surface(preps: &[Prepared], findings: &mut Vec<Finding>) 
                         info.owner
                     ),
                 });
-            }
-        }
-        // `unpaired-batch`: every `XBatch` needs an unbatched twin `X` (or
-        // `XShard`, the broadcast form).
-        let variant_names: BTreeSet<&str> = info.variants.iter().map(|(v, _)| v.as_str()).collect();
-        for (v, line) in &info.variants {
-            if let Some(base) = v.strip_suffix("Batch") {
-                if base.is_empty() {
-                    continue;
-                }
-                let shard = format!("{base}Shard");
-                if !variant_names.contains(base) && !variant_names.contains(shard.as_str()) {
-                    findings.push(Finding {
-                        file: info.decl_file.to_owned(),
-                        line: *line,
-                        lint: Lint::UnpairedBatch,
-                        message: format!(
-                            "batched variant `{name}::{v}` has no unbatched twin \
-                             (`{base}` or `{shard}`) — batching must be an optimization, \
-                             not the only path"
-                        ),
-                    });
-                }
             }
         }
     }

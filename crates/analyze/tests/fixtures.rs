@@ -263,44 +263,6 @@ fn dispatch_outside_owning_crate_does_not_count_as_coverage() {
     assert!(missing[0].message.contains("FixMsg::Prepare"));
 }
 
-#[test]
-fn unpaired_batch_flags_batch_without_twin() {
-    let findings = analyze_at(
-        "crates/core/src/fixture.rs",
-        r#"
-        pub enum FixMsg { VoteBatch, Decide }
-        fn d(m: FixMsg) { match m { FixMsg::VoteBatch => {}, FixMsg::Decide => {} } }
-        "#,
-    );
-    assert_eq!(
-        findings
-            .iter()
-            .filter(|f| f.lint == Lint::UnpairedBatch)
-            .count(),
-        1
-    );
-}
-
-#[test]
-fn unpaired_batch_accepts_plain_and_shard_twins() {
-    let findings = analyze_at(
-        "crates/core/src/fixture.rs",
-        r#"
-        pub enum FixMsg { Prepare, PrepareBatch, DecisionShard, DecisionBatch }
-        fn d(m: FixMsg) {
-            match m {
-                FixMsg::Prepare | FixMsg::PrepareBatch => {}
-                FixMsg::DecisionShard | FixMsg::DecisionBatch => {}
-            }
-        }
-        "#,
-    );
-    assert!(
-        findings.is_empty(),
-        "twinned batches are clean: {findings:?}"
-    );
-}
-
 // --------------------------------------------------------- milestone parity
 
 fn parity_files(baseline_stamps: bool, shared_stamps: bool) -> Vec<SourceFile> {

@@ -16,8 +16,8 @@ pub struct ShardVote {
 
 /// Command replicated in a shard's Multi-Paxos log: a *batch* of prepared
 /// votes occupying one log slot (batched log appends — the batching pipeline
-/// of `ratc_core::batch` applied to the baseline). With batching disabled
-/// every command carries exactly one vote, which is the seed behaviour.
+/// of `ratc_core::batch` applied to the baseline). At `max_batch = 1` every
+/// command carries exactly one vote, which is the seed behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardCommand {
     /// The batched votes, in certification order.
@@ -59,12 +59,7 @@ pub enum BaselineMsg {
     },
     /// All votes of one chosen [`ShardCommand`] batch, reported to the
     /// transaction manager in a single message once the command is *chosen*
-    /// in the shard's Paxos log (a singleton batch when batching is
-    /// disabled).
-    // analyze:allow(unpaired-batch): baseline votes always travel batched —
-    // a singleton batch IS the unbatched path (one vote per Paxos command
-    // with batching off, pinned by the batching differential suite), so a
-    // separate `Vote` twin would be dead vocabulary.
+    /// in the shard's Paxos log (a batch of one at `max_batch = 1`).
     VoteBatch {
         /// The voting shard.
         shard: ShardId,

@@ -88,7 +88,7 @@ pub struct BaselineShardReplica {
     recovering: bool,
     /// Batched log appends (see `ratc_core::batch`): certified votes are
     /// coalesced here and proposed as one Multi-Paxos command per batch.
-    /// With batching disabled the batcher flushes on every push, i.e. one
+    /// At `max_batch = 1` the batcher flushes on every push, i.e. one
     /// command per transaction — the seed behaviour.
     batching: BatchingConfig,
     batcher: VoteBatcher<ShardVote>,
@@ -288,7 +288,7 @@ impl BaselineShardReplica {
         }
         self.in_flight.insert(tx, (payload.clone(), vote));
         // Batched log appends: coalesce certified votes into one Multi-Paxos
-        // command. Disabled batching flushes on every push (one command per
+        // command. At `max_batch = 1` every push flushes (one command per
         // transaction); a partially filled batch is flushed by the timer. A
         // flush-on-full is queue pressure, so an adaptive batcher grows its
         // target batch (`drain_full`); a timer flush of a partial batch means
@@ -314,15 +314,12 @@ impl BaselineShardReplica {
         if items.is_empty() {
             return;
         }
-        // Same flush telemetry as the other stacks' batchers. With batching
-        // disabled every push flushes a singleton immediately (the seed
-        // behaviour), which is not a batch formation event — don't stamp it.
-        if self.batching.enabled {
-            ctx.obs_gauge("obs_batch_occupancy", items.len() as f64);
-            if ctx.obs_enabled() {
-                for item in &items {
-                    ctx.obs_milestone(item.tx, TxMilestone::BatchFlush, items.len() as u64);
-                }
+        // Same flush telemetry as the other stacks' batchers (a flush of one
+        // is a flush, so the milestone set does not depend on the knobs).
+        ctx.obs_gauge("obs_batch_occupancy", items.len() as f64);
+        if ctx.obs_enabled() {
+            for item in &items {
+                ctx.obs_milestone(item.tx, TxMilestone::BatchFlush, items.len() as u64);
             }
         }
         if !self.phase1_started {
@@ -528,7 +525,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
         if tag == BATCH_TICK {
             self.batch_timer_armed = false;
             // A timer flush of a partial batch = idle pipeline: an adaptive
-            // batcher shrinks back toward the unbatched fast path.
+            // batcher shrinks back toward batches of one.
             let items = self.batcher.drain_idle();
             self.flush_proposals(items, ctx);
         } else if tag == RETRANSMIT_TICK {

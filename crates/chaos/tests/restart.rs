@@ -136,3 +136,69 @@ fn core_leader_restart_resumes_without_reconfiguration() {
         "no reconfiguration should have been needed"
     );
 }
+
+/// A coordinator that restarts with a `PREPARE` in flight loses its
+/// coordinator state, and the `PREPARE_ACK` that then arrives makes it a
+/// *recovery* coordinator of those transactions. That entry must be counted
+/// in flight like any other, or completing it underflows the admission
+/// window (a panic in debug builds, a window wedged for ever in release: the
+/// next transaction through the coordinator stays undecided).
+macro_rules! coordinator_restart_with_a_prepare_in_flight {
+    ($stack:expr, $build:ident, $batch:expr) => {{
+        use ratc_core::batch::BatchingConfig;
+        use ratc_harness::ClusterSpec;
+        use ratc_sim::SimDuration;
+        use ratc_types::{Decision, Key, Payload, ShardMap, TxId, Value, Version};
+
+        let s0 = ShardId::new(0);
+        let mut cluster = ClusterSpec::new($stack)
+            .with_shards(2)
+            .with_seed(17)
+            .with_batching(BatchingConfig::with_batch($batch))
+            .$build();
+        let mut payloads: Vec<Payload> = (0u64..)
+            .map(|i| Key::new(format!("k{i}")))
+            .filter(|k| cluster.sharding().shard_of(k) == s0)
+            .take(3)
+            .map(|key| {
+                Payload::builder()
+                    .read(key.clone(), Version::ZERO)
+                    .write(key, Value::from("v"))
+                    .commit_version(Version::new(1))
+                    .build()
+                    .expect("well-formed")
+            })
+            .collect();
+        let mut shard0_payload = || payloads.pop().expect("three payloads");
+        let coordinator = cluster.initial_members(s0)[1];
+        cluster.submit_via(TxId::new(1), shard0_payload(), coordinator);
+        cluster.submit_via(TxId::new(2), shard0_payload(), coordinator);
+        cluster.run_for(SimDuration::from_micros(50));
+        cluster.crash(coordinator);
+        assert!(cluster.restart(coordinator));
+        cluster.run_to_quiescence();
+
+        cluster.submit_via(TxId::new(3), shard0_payload(), coordinator);
+        cluster.run_to_quiescence();
+        assert_eq!(
+            cluster.history().decision(TxId::new(3)),
+            Some(Decision::Commit),
+            "{:?} batch {}: the admission window wedged",
+            $stack,
+            $batch
+        );
+        // Also checks (debug builds) that the in-flight counter is in
+        // lockstep with the coordinator map.
+        assert_eq!(cluster.replica(coordinator).undecided_coordinated(), 0);
+        assert!(cluster.client_violations().is_empty());
+    }};
+}
+
+#[test]
+fn coordinator_restart_with_a_prepare_in_flight_keeps_the_window_accounted() {
+    use ratc_harness::StackKind;
+    for batch in [1usize, 2] {
+        coordinator_restart_with_a_prepare_in_flight!(StackKind::Core, build_core, batch);
+        coordinator_restart_with_a_prepare_in_flight!(StackKind::Rdma, build_rdma, batch);
+    }
+}

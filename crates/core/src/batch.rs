@@ -1,18 +1,25 @@
-//! Batched certification pipeline: amortised PREPARE/ACCEPT rounds.
+//! The certification pipeline's transport: one PREPARE/ACCEPT exchange per
+//! batch of transactions, and a batch may hold one.
 //!
-//! The paper's protocol certifies one payload per PREPARE/ACCEPT exchange, so
-//! the message count at the shard leader — the metric the E2/E4 experiments
-//! measure — scales linearly with the transaction rate. This module provides
-//! the batching subsystem that amortises those rounds across many
+//! The paper's protocol certifies one payload per PREPARE/ACCEPT exchange
+//! (Figure 1). That exchange is what this module's messages carry when the
+//! batch size is 1 — `PREPARE_BATCH → PREPARE_ACK_BATCH → ACCEPT_BATCH →
+//! ACCEPT_ACK_BATCH → DECISION_BATCH` with one item each is the paper's
+//! `PREPARE → PREPARE_ACK → ACCEPT → ACCEPT_ACK → DECISION`, message for
+//! message and hop for hop — and there is no other commit path: a recovery
+//! coordinator's `PREPARE(t, ⊥)`, a retry and an out-of-band decision all
+//! travel as one-item batches. Larger batches amortise the rounds across many
 //! transactions, in the style of Chockler & Gotsman's multi-shot commit
-//! (certification decisions pipelined across contiguous slots):
+//! (certification decisions pipelined across contiguous slots), so the
+//! message count at the shard leader — the metric the E2/E4 experiments
+//! measure — stops scaling linearly with the transaction rate:
 //!
 //! * [`BatchingConfig`] — the size/delay knobs, surfaced by all three
 //!   deployment harnesses (`ratc-core`, `ratc-rdma`, `ratc-baseline`);
 //! * [`VoteBatcher`] — the coalescing buffer. A replica acting as transaction
-//!   coordinator pushes each `certify` request into it instead of sending a
-//!   `PREPARE` immediately; when the batch fills (or the delay expires) the
-//!   drained batch becomes one [`PrepareBatch`] per involved shard leader.
+//!   coordinator pushes each `certify` request into it; when the batch fills
+//!   (at `max_batch = 1`: on every push) or the delay expires, the drained
+//!   batch becomes one [`PrepareBatch`] per involved shard leader.
 //!   The leader certifies the whole batch in one pass, *assigning a
 //!   contiguous position range* to the fresh entries, and answers with a
 //!   single `PREPARE_ACK_BATCH`; the coordinator persists the batch at each
@@ -20,15 +27,18 @@
 //!   the RDMA stack), and distributes a single `DECISION_BATCH` per shard
 //!   once the batch completes. The baseline stack reuses the same batcher to
 //!   coalesce certified votes into one Multi-Paxos command per batch
-//!   (batched log appends).
+//!   (batched log appends);
+//! * [`Items`] — the item list of a batch message, which stores a batch of
+//!   one inline so the degenerate case allocates nothing.
 //!
-//! Per-transaction semantics are untouched: every batch item carries its own
-//! transaction, payload, vote, position and decision, so recovery
-//! coordinators, the `TxDecided` fast path, frontier gossip and checkpointed
-//! truncation all keep operating on individual transactions. A batch is pure
-//! transport-level coalescing — the certification order it produces is
+//! Per-transaction semantics are untouched by the batch size: every item
+//! carries its own transaction, payload, vote, position and decision, so
+//! recovery coordinators, the `TxDecided` fast path, frontier gossip and
+//! checkpointed truncation all operate on individual transactions. A batch is
+//! pure transport-level coalescing — the certification order it produces is
 //! exactly the order the items were submitted in, which is what the
-//! `ratc-spec::batching` differential suite checks end to end.
+//! `ratc-spec::batching` differential suite checks end to end (size 1 is its
+//! reference run).
 
 /// Re-exported so `BatchingConfig::with_delay` is usable without a direct
 /// `ratc-sim` dependency.
@@ -39,11 +49,9 @@ use serde::{Deserialize, Serialize};
 /// Knobs of the batching pipeline (surfaced on all three harnesses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchingConfig {
-    /// Whether the pipeline batches at all. Disabled, every transaction goes
-    /// through the paper's one-PREPARE-per-payload exchange unchanged.
-    pub enabled: bool,
     /// Maximum transactions coalesced into one batch; reaching it flushes
-    /// immediately.
+    /// immediately. At 1 every transaction is flushed as it is submitted:
+    /// the paper's one-PREPARE-per-payload exchange.
     pub max_batch: usize,
     /// How long a partially filled batch may wait for more transactions
     /// before it is flushed by the batch timer.
@@ -53,26 +61,26 @@ pub struct BatchingConfig {
     /// batch fills to target (queue pressure — the pipeline is producing
     /// faster than it drains) up to `max_batch`, and halves each time the
     /// flush timer fires on a partial batch (idle — waiting longer only adds
-    /// latency). Idle clusters therefore run the unbatched fast path with no
-    /// flush-timer tax, while sustained load converges to `max_batch`
-    /// amortisation. Self-clocking: no rate measurement, no extra timers.
+    /// latency). Idle clusters therefore run at target 1 with no flush-timer
+    /// tax, while sustained load converges to `max_batch` amortisation.
+    /// Self-clocking: no rate measurement, no extra timers.
     pub adaptive: bool,
 }
 
 impl Default for BatchingConfig {
-    /// Batching is off by default: the unbatched exchange is the paper's
-    /// protocol, and the latency-sensitive tests (5 message delays to a
-    /// decision) measure it. Experiments opt in per run.
+    /// Batches of one by default: that is the paper's protocol, and the
+    /// latency-sensitive tests (5 message delays to a decision) measure it.
+    /// Experiments opt into larger batches per run.
     fn default() -> Self {
         BatchingConfig::disabled()
     }
 }
 
 impl BatchingConfig {
-    /// Batching switched off (the seed behaviour).
+    /// No coalescing: every batch holds one transaction and is flushed as
+    /// soon as it is submitted (the seed behaviour).
     pub fn disabled() -> Self {
         BatchingConfig {
-            enabled: false,
             max_batch: 1,
             max_delay: SimDuration::from_micros(0),
             adaptive: false,
@@ -80,13 +88,12 @@ impl BatchingConfig {
     }
 
     /// Batching with the given maximum batch size and a 1 ms flush delay.
-    /// A `max_batch` of 1 (or 0) degenerates to the unbatched exchange.
+    /// A `max_batch` of 1 (or 0) is [`BatchingConfig::disabled`].
     pub fn with_batch(max_batch: usize) -> Self {
         if max_batch <= 1 {
             return BatchingConfig::disabled();
         }
         BatchingConfig {
-            enabled: true,
             max_batch,
             max_delay: SimDuration::from_millis(1),
             adaptive: false,
@@ -94,15 +101,13 @@ impl BatchingConfig {
     }
 
     /// Adaptive batching up to `max_batch` (see [`BatchingConfig::adaptive`]):
-    /// grows under queue pressure, shrinks toward the unbatched fast path
-    /// when idle. A `max_batch` of 1 (or 0) degenerates to the unbatched
-    /// exchange.
+    /// grows under queue pressure, shrinks toward batches of one when idle.
+    /// A `max_batch` of 1 (or 0) is [`BatchingConfig::disabled`].
     pub fn adaptive(max_batch: usize) -> Self {
         if max_batch <= 1 {
             return BatchingConfig::disabled();
         }
         BatchingConfig {
-            enabled: true,
             max_batch,
             max_delay: SimDuration::from_millis(1),
             adaptive: true,
@@ -189,9 +194,8 @@ impl<T> VoteBatcher<T> {
 
     /// Drains a batch flushed by the timer while still partial: under an
     /// adaptive config this is the idle signal, so the target halves (down
-    /// to 1, the unbatched fast path — at target 1 every push flushes
-    /// immediately and the flush timer never arms, so an idle cluster pays
-    /// no batching latency at all).
+    /// to 1, where every push flushes immediately and the flush timer never
+    /// arms, so an idle cluster pays no batching latency at all).
     pub fn drain_idle(&mut self) -> Vec<T> {
         if self.config.adaptive {
             self.target = (self.target / 2).max(1);
@@ -207,6 +211,87 @@ impl<T> VoteBatcher<T> {
     /// Whether no items are pending.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+}
+
+/// The items of one batch message, in order.
+///
+/// A batch of one — every transaction submitted at `max_batch = 1`, every
+/// retry and every recovery `PREPARE(t, ⊥)` — is stored inline, so the
+/// paper's single-transaction exchange allocates nothing for its item list;
+/// only the second item spills to the heap. The representation is private:
+/// senders build a list with [`Items::one`], [`Items::push`] or `collect`,
+/// handlers iterate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Items<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Items<T> {
+    /// An empty list (allocates nothing).
+    pub fn new() -> Self {
+        Items {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    /// A list of exactly one item, stored inline.
+    pub fn one(item: T) -> Self {
+        Items {
+            first: Some(item),
+            rest: Vec::new(),
+        }
+    }
+
+    /// Appends an item.
+    pub fn push(&mut self, item: T) {
+        if self.first.is_none() {
+            self.first = Some(item);
+        } else {
+            self.rest.push(item);
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Whether the list holds no item.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// Iterates over the items in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl<T> Default for Items<T> {
+    fn default() -> Self {
+        Items::new()
+    }
+}
+
+impl<T> IntoIterator for Items<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+impl<T> FromIterator<T> for Items<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        Items {
+            first: iter.next(),
+            rest: iter.collect(),
+        }
     }
 }
 
@@ -232,7 +317,7 @@ pub struct PrepareItem {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PrepareBatch {
     /// The batched transactions, in submission order.
-    pub items: Vec<PrepareItem>,
+    pub items: Items<PrepareItem>,
 }
 
 /// One prepared slot of a `PREPARE_ACK_BATCH` / `ACCEPT_BATCH`: position,
@@ -276,6 +361,46 @@ pub struct DecisionItem {
     pub decision: Decision,
 }
 
+/// What a coordinator distributes to one shard in one `DECISION_BATCH`: the
+/// decided slots and the truncation floor, which over several transactions
+/// is the minimum of theirs (always safe — receivers clamp to their own
+/// decided frontier anyway).
+#[derive(Debug, Default)]
+pub struct ShardDecisions {
+    /// Per-slot decisions, in completion order.
+    pub items: Items<DecisionItem>,
+    /// The minimum of the pushed floors.
+    pub truncate_to: Position,
+}
+
+impl ShardDecisions {
+    /// Adds the decision of the slot at `pos`, whose transaction observed
+    /// `floor` as the shard's cluster-wide decided frontier.
+    pub fn push(&mut self, pos: Position, decision: Decision, floor: Position) {
+        self.truncate_to = if self.items.is_empty() {
+            floor
+        } else {
+            self.truncate_to.min(floor)
+        };
+        self.items.push(DecisionItem { pos, decision });
+    }
+}
+
+/// The value for `key` in a short association list kept sorted by key,
+/// inserted as `V::default()` if absent. Coordinators group a flush by shard
+/// leader and a completion by shard with it: iteration is in key order, as
+/// with the `BTreeMap` it stands in for, without a node allocation per key.
+pub fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let idx = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(idx) => idx,
+        Err(idx) => {
+            list.insert(idx, (key, V::default()));
+            idx
+        }
+    };
+    &mut list[idx].1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,10 +408,10 @@ mod tests {
     #[test]
     fn disabled_config_degenerates_to_single_item_batches() {
         let config = BatchingConfig::disabled();
-        assert!(!config.enabled);
+        assert_eq!(config.max_batch, 1);
         let mut batcher: VoteBatcher<u64> = VoteBatcher::new(config);
         assert!(batcher.is_empty());
-        assert!(batcher.push(1), "a disabled batcher flushes on every push");
+        assert!(batcher.push(1), "a batcher of size 1 flushes on every push");
         assert_eq!(batcher.drain(), vec![1]);
         assert!(batcher.is_empty());
     }
@@ -329,7 +454,7 @@ mod tests {
         batcher.drain_idle();
         batcher.drain_idle();
         batcher.drain_idle();
-        assert_eq!(batcher.target(), 1, "floors at the unbatched fast path");
+        assert_eq!(batcher.target(), 1, "floors at batches of one");
     }
 
     #[test]
@@ -340,18 +465,47 @@ mod tests {
         batcher.drain_idle();
         batcher.drain_full();
         assert_eq!(batcher.target(), 4);
-        assert!(!BatchingConfig::adaptive(1).enabled);
+        assert_eq!(BatchingConfig::adaptive(1), BatchingConfig::disabled());
         assert!(BatchingConfig::adaptive(16).adaptive);
     }
 
     #[test]
     fn tiny_batch_sizes_disable_batching() {
-        assert!(!BatchingConfig::with_batch(0).enabled);
-        assert!(!BatchingConfig::with_batch(1).enabled);
+        assert_eq!(BatchingConfig::with_batch(0), BatchingConfig::disabled());
+        assert_eq!(BatchingConfig::with_batch(1), BatchingConfig::disabled());
         let config = BatchingConfig::with_batch(16);
-        assert!(config.enabled);
         assert_eq!(config.max_batch, 16);
         let delayed = config.with_delay(SimDuration::from_micros(250));
         assert_eq!(delayed.max_delay, SimDuration::from_micros(250));
+    }
+
+    #[test]
+    fn items_keep_order_across_the_inline_slot_and_the_spill() {
+        let mut items: Items<u64> = Items::new();
+        assert!(items.is_empty());
+        assert_eq!(items.len(), 0);
+        items.push(1);
+        assert_eq!(items, Items::one(1));
+        items.push(2);
+        items.push(3);
+        assert_eq!(items.len(), 3);
+        assert_eq!(items.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(items.clone().into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!((1..=3).collect::<Items<u64>>(), items);
+        assert!(Items::<u64>::default().is_empty());
+    }
+
+    #[test]
+    fn sorted_entry_groups_in_key_order_and_decisions_keep_the_minimum_floor() {
+        let mut per_shard: Vec<(u32, ShardDecisions)> = Vec::new();
+        let pos = Position::new;
+        sorted_entry(&mut per_shard, 2).push(pos(5), Decision::Commit, pos(4));
+        sorted_entry(&mut per_shard, 0).push(pos(9), Decision::Abort, pos(7));
+        sorted_entry(&mut per_shard, 2).push(pos(6), Decision::Abort, pos(3));
+        let keys: Vec<u32> = per_shard.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![0, 2]);
+        assert_eq!(per_shard[0].1.truncate_to, pos(7));
+        assert_eq!(per_shard[1].1.truncate_to, pos(3));
+        assert_eq!(per_shard[1].1.items.len(), 2);
     }
 }

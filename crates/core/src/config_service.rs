@@ -99,11 +99,6 @@ impl Actor<Msg> for ConfigServiceActor {
             // reconfiguration traffic is never addressed to it, and the
             // reply/notification variants below are messages *it* sends.
             Msg::Certify { .. }
-            | Msg::Prepare { .. }
-            | Msg::PrepareAck { .. }
-            | Msg::Accept { .. }
-            | Msg::AcceptAck { .. }
-            | Msg::DecisionShard { .. }
             | Msg::DecisionClient { .. }
             | Msg::Retry { .. }
             | Msg::DecisionAck { .. }

@@ -486,6 +486,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{Items, PrepareBatch, PrepareItem};
     use ratc_types::{Decision, Key, Value, Version};
 
     fn rw_payload(key: &str, read_version: u64, commit_version: u64) -> Payload {
@@ -613,11 +614,15 @@ mod tests {
         cluster.world.send_from(
             other,
             leader,
-            Msg::Prepare {
-                tx: TxId::new(1),
-                payload: None,
-                shards: vec![shard],
-                client,
+            Msg::PrepareBatch {
+                batch: PrepareBatch {
+                    items: Items::one(PrepareItem {
+                        tx: TxId::new(1),
+                        payload: None,
+                        shards: vec![shard],
+                        client,
+                    }),
+                },
             },
         );
         cluster.run_to_quiescence();
@@ -676,16 +681,20 @@ mod tests {
         cluster.world.send_from(
             f1,
             l1,
-            Msg::Prepare {
-                tx: TxId::new(1),
-                payload: Some(
-                    Payload::builder()
-                        .read(Key::new(k1.as_str()), ratc_types::Version::new(0))
-                        .build()
-                        .expect("well-formed"),
-                ),
-                shards: vec![s0, s1],
-                client,
+            Msg::PrepareBatch {
+                batch: PrepareBatch {
+                    items: Items::one(PrepareItem {
+                        tx: TxId::new(1),
+                        payload: Some(
+                            Payload::builder()
+                                .read(Key::new(k1.as_str()), ratc_types::Version::new(0))
+                                .build()
+                                .expect("well-formed"),
+                        ),
+                        shards: vec![s0, s1],
+                        client,
+                    }),
+                },
             },
         );
         cluster.run_to_quiescence();

@@ -26,9 +26,10 @@
 //! # Crate layout
 //!
 //! * [`messages`] — the protocol message vocabulary ([`Msg`]);
-//! * [`batch`] — the batched certification pipeline: the `VoteBatcher`
+//! * [`batch`] — the transport of the single commit path: the `VoteBatcher`
 //!   coalescing buffer, the size/delay knobs ([`BatchingConfig`]) and the
-//!   per-slot item types carried by the `*_BATCH` message variants;
+//!   per-slot item types carried by the `*_BATCH` message variants (a batch
+//!   of one is the paper's exchange);
 //! * [`log`] — the per-shard certification log (`txn`, `payload`, `vote`,
 //!   `dec`, `phase` arrays of the paper);
 //! * [`replica`] — the replica state machine: transaction processing,

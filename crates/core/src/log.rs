@@ -89,9 +89,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ratc_types::{
-    Decision, IndexedCertifier, Key, Payload, Position, ProcessId, ShardId, TxId, Version,
+    Decision, IndexedCertifier, Key, Payload, Position, ProcessId, ShardCertifier, ShardId, TxId,
+    Version,
 };
 use serde::{Deserialize, Serialize};
+
+use crate::batch::{PrepareItem, PreparedItem};
 
 /// The phase of a certification-order slot (the paper's `phase` array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -438,6 +441,89 @@ impl CertificationLog {
         self.slots[idx] = Some(entry);
         self.advance_frontier();
         true
+    }
+
+    /// The shard leader's step for one `PREPARE` item (lines 4–17; the RDMA
+    /// protocol's lines 77–90 are the same logic):
+    ///
+    /// * a transaction whose slot was folded into the checkpoint is decided —
+    ///   `Err` carries its final decision, which the leader answers directly
+    ///   (there is no slot left to re-ack, and re-certifying it as new would
+    ///   contradict the recorded decision);
+    /// * a transaction already in the certification order is re-acked from
+    ///   its stored slot (line 6; this serves recovery coordinators);
+    /// * otherwise the vote `f_s(L1, l) ⊓ g_s(L2, l)` is computed — by the
+    ///   certification index in O(|payload|), or by `fallback` over the
+    ///   set-based scans for a log without an index — and the transaction is
+    ///   appended at `next` (lines 8–16). The `⊥` payload of a recovery
+    ///   coordinator votes abort.
+    pub fn prepare(
+        &mut self,
+        item: PrepareItem,
+        fallback: &dyn ShardCertifier,
+    ) -> Result<PreparedItem, Decision> {
+        if let Some(decision) = self.truncated_decision(item.tx) {
+            return Err(decision);
+        }
+        if let Some(pos) = self.position_of(item.tx) {
+            let entry = self.get(pos).expect("position_of returned a retained slot");
+            return Ok(PreparedItem {
+                pos,
+                tx: item.tx,
+                payload: entry.payload.clone(),
+                vote: entry.vote,
+                shards: entry.shards.clone(),
+                client: entry.client,
+            });
+        }
+        let (vote, payload) = match item.payload {
+            Some(l) => {
+                let next = self.next();
+                let vote = self.vote_at(next, &l).unwrap_or_else(|| {
+                    let committed = self.committed_payloads_before(next);
+                    let prepared = self.prepared_payloads_before(next);
+                    fallback.vote(&committed, &prepared, &l)
+                });
+                (vote, l)
+            }
+            None => (Decision::Abort, Payload::empty()),
+        };
+        let pos = self.append(LogEntry {
+            tx: item.tx,
+            payload: payload.clone(),
+            vote,
+            dec: None,
+            phase: TxPhase::Prepared,
+            shards: item.shards.clone(),
+            client: item.client,
+        });
+        Ok(PreparedItem {
+            pos,
+            tx: item.tx,
+            payload,
+            vote,
+            shards: item.shards,
+            client: item.client,
+        })
+    }
+
+    /// A follower's step for one `ACCEPT` item (lines 23–24; line 94–95 of
+    /// the RDMA protocol): store the vote if the slot is still a hole in the
+    /// `start` phase. Returns `false` for an occupied or truncated slot (a
+    /// duplicate or stale item — idempotent, nothing to store).
+    pub fn accept(&mut self, item: PreparedItem) -> bool {
+        self.store_at(
+            item.pos,
+            LogEntry {
+                tx: item.tx,
+                payload: item.payload,
+                vote: item.vote,
+                dec: None,
+                phase: TxPhase::Prepared,
+                shards: item.shards,
+                client: item.client,
+            },
+        )
     }
 
     /// Records the final decision for the slot at `pos` (line 32). Deciding a

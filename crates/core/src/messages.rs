@@ -1,11 +1,18 @@
 //! Protocol messages (the message vocabulary of Figure 1).
 //!
-//! Compared with the paper's pseudocode, messages additionally carry two
-//! pieces of routing metadata that the paper keeps implicit in global
-//! functions: the set `shards(t)` (the paper's `shards : T → 2^S`) and the
-//! submitting client (`client : T → P`). Carrying them in `PREPARE`,
-//! `PREPARE_ACK` and `ACCEPT` lets any replica act as a recovery coordinator
-//! without a shared directory, and does not change the protocol's behaviour.
+//! The commit path is the paper's `PREPARE → PREPARE_ACK → ACCEPT →
+//! ACCEPT_ACK → DECISION` exchange, carried by the five `*Batch` variants:
+//! each holds a list of per-transaction items ([`crate::batch::Items`]), and
+//! a list of one *is* the paper's single-transaction message — there are no
+//! separate singleton variants. Batches larger than one amortise the exchange
+//! over many transactions (see [`crate::batch`]).
+//!
+//! Compared with the paper's pseudocode, items additionally carry two pieces
+//! of routing metadata that the paper keeps implicit in global functions: the
+//! set `shards(t)` (the paper's `shards : T → 2^S`) and the submitting client
+//! (`client : T → P`). Carrying them in `PREPARE`, `PREPARE_ACK` and `ACCEPT`
+//! lets any replica act as a recovery coordinator without a shared directory,
+//! and does not change the protocol's behaviour.
 //!
 //! For checkpointed log truncation (§6's garbage collection), replicas gossip
 //! their *decided frontier* on the existing exchanges: the leader's frontier
@@ -13,16 +20,11 @@
 //! coordinator folds them into a cluster-wide minimum that rides on
 //! `DECISION` back to the shard's members — zero additional messages on the
 //! commit path.
-//!
-//! The batched certification pipeline (see [`crate::batch`]) adds `*_BATCH`
-//! variants of the four commit-path messages, each carrying per-position
-//! items so one round certifies many transactions; frontier gossip rides the
-//! batched messages exactly as it rides the singles.
 
 use ratc_config::ShardConfiguration;
 use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, TxId};
 
-use crate::batch::{AcceptAckItem, DecisionItem, PrepareBatch, PreparedItem};
+use crate::batch::{AcceptAckItem, DecisionItem, Items, PrepareBatch, PreparedItem};
 use crate::log::CertificationLog;
 
 /// Messages of the message-passing atomic commit protocol.
@@ -41,90 +43,6 @@ pub enum Msg {
         payload: Payload,
         /// The client that issued the transaction.
         client: ProcessId,
-    },
-    /// `PREPARE(t, l)` from a coordinator to a shard leader (line 3 / 73).
-    /// `payload` is `None` for the `⊥` payload used in coordinator recovery.
-    Prepare {
-        /// Transaction identifier.
-        tx: TxId,
-        /// Shard-restricted payload, or `None` for `⊥`.
-        payload: Option<Payload>,
-        /// The shards that certify this transaction (`shards(t)`).
-        shards: Vec<ShardId>,
-        /// The client that issued the transaction (`client(t)`).
-        client: ProcessId,
-    },
-    /// `PREPARE_ACK(e, s, k, t, l, d)` from a shard leader back to the
-    /// coordinator (lines 7, 17).
-    PrepareAck {
-        /// The leader's epoch for its shard.
-        epoch: Epoch,
-        /// The leader's shard.
-        shard: ShardId,
-        /// Position assigned to the transaction in the certification order.
-        pos: Position,
-        /// Transaction identifier.
-        tx: TxId,
-        /// The payload stored by the leader (shard-restricted, possibly `ε`).
-        payload: Payload,
-        /// The leader's vote.
-        vote: Decision,
-        /// `shards(t)`, echoed for recovery coordinators.
-        shards: Vec<ShardId>,
-        /// `client(t)`, echoed for recovery coordinators.
-        client: ProcessId,
-        /// The leader's decided frontier, gossiped for log truncation.
-        frontier: Position,
-    },
-    /// `ACCEPT(e, k, t, l, d)` from the coordinator to the followers of a
-    /// shard (line 20).
-    Accept {
-        /// Epoch of the shard the followers must be in.
-        epoch: Epoch,
-        /// The shard being addressed.
-        shard: ShardId,
-        /// Position in the certification order.
-        pos: Position,
-        /// Transaction identifier.
-        tx: TxId,
-        /// Shard-restricted payload.
-        payload: Payload,
-        /// The leader's vote.
-        vote: Decision,
-        /// `shards(t)`, stored for recovery coordinators.
-        shards: Vec<ShardId>,
-        /// `client(t)`, stored for recovery coordinators.
-        client: ProcessId,
-    },
-    /// `ACCEPT_ACK(s, e, k, t, d)` from a follower back to the coordinator
-    /// (line 25).
-    AcceptAck {
-        /// The follower's shard.
-        shard: ShardId,
-        /// The follower's epoch.
-        epoch: Epoch,
-        /// Position in the certification order.
-        pos: Position,
-        /// Transaction identifier.
-        tx: TxId,
-        /// The vote being acknowledged.
-        vote: Decision,
-        /// The follower's decided frontier, gossiped for log truncation.
-        frontier: Position,
-    },
-    /// `DECISION(e, k, d)` from the coordinator to the members of a shard
-    /// (line 29).
-    DecisionShard {
-        /// The shard's epoch as known to the coordinator.
-        epoch: Epoch,
-        /// Position in the certification order.
-        pos: Position,
-        /// The final decision.
-        decision: Decision,
-        /// Cluster-wide minimum decided frontier the coordinator observed for
-        /// this shard: members may safely truncate their log below it (each
-        /// clamps to its own decided frontier anyway).
-        truncate_to: Position,
     },
     /// `DECISION(t, d)` from the coordinator to the client (line 27).
     DecisionClient {
@@ -172,19 +90,23 @@ pub enum Msg {
     },
 
     // ------------------------------------------------------------------
-    // Batched certification pipeline (see `crate::batch`)
+    // The PREPARE/ACCEPT exchange (see `crate::batch`; one item per message
+    // is the paper's exchange, more amortise it)
     // ------------------------------------------------------------------
-    /// `PREPARE_BATCH`: many `PREPARE`s coalesced by a coordinator's
-    /// `VoteBatcher` into one message per shard leader. The leader certifies
-    /// the items in order, assigning fresh entries a contiguous position
-    /// range.
+    /// `PREPARE(t, l)` from a coordinator to a shard leader (line 3 / 73),
+    /// one item per transaction the coordinator's `VoteBatcher` coalesced.
+    /// An item's payload is `None` for the `⊥` payload used in coordinator
+    /// recovery. The leader certifies the items in order, assigning fresh
+    /// entries a contiguous position range.
     PrepareBatch {
-        /// The coalesced batch, items in submission order.
+        /// The items, in submission order.
         batch: PrepareBatch,
     },
-    /// `PREPARE_ACK_BATCH`: the leader's votes for a whole batch, one
-    /// message back to the coordinator. Items carry individual positions and
-    /// votes; `TxDecided` replies for truncated transactions are sent
+    /// `PREPARE_ACK(e, s, k, t, l, d)` from a shard leader back to the
+    /// coordinator (lines 7, 17): the leader's votes for a whole
+    /// `PREPARE_BATCH`. Items carry individual positions, stored payloads and
+    /// votes (and echo `shards(t)` and `client(t)` for recovery
+    /// coordinators); `TxDecided` replies for truncated transactions are sent
     /// separately so that fast path stays per-transaction.
     PrepareAckBatch {
         /// The leader's epoch for its shard.
@@ -192,40 +114,45 @@ pub enum Msg {
         /// The leader's shard.
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
         /// The leader's decided frontier, gossiped for log truncation.
         frontier: Position,
     },
-    /// `ACCEPT_BATCH`: one message per follower persisting a whole batch of
-    /// votes (line 20, amortised).
+    /// `ACCEPT(e, k, t, l, d)` from the coordinator to the followers of a
+    /// shard (line 20): one message per follower persisting every vote of a
+    /// `PREPARE_ACK_BATCH`.
     AcceptBatch {
         /// Epoch of the shard the followers must be in.
         epoch: Epoch,
         /// The shard being addressed.
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
     },
-    /// `ACCEPT_ACK_BATCH`: a follower's acknowledgement of a whole batch
-    /// (line 25, amortised).
+    /// `ACCEPT_ACK(s, e, k, t, d)` from a follower back to the coordinator
+    /// (line 25), acknowledging every item of an `ACCEPT_BATCH`.
     AcceptAckBatch {
         /// The follower's shard.
         shard: ShardId,
         /// The follower's epoch.
         epoch: Epoch,
         /// Per-slot acknowledgements.
-        items: Vec<AcceptAckItem>,
+        items: Items<AcceptAckItem>,
         /// The follower's decided frontier, gossiped for log truncation.
         frontier: Position,
     },
-    /// `DECISION_BATCH`: the final decisions of every batch transaction that
-    /// completed together, one message per shard member (line 29, amortised).
+    /// `DECISION(e, k, d)` from the coordinator to the members of a shard
+    /// (line 29): the final decisions of every transaction that completed
+    /// together, one message per shard member.
     DecisionBatch {
         /// The shard's epoch as known to the coordinator.
         epoch: Epoch,
         /// Per-slot decisions.
-        items: Vec<DecisionItem>,
-        /// Cluster-wide minimum decided frontier (see [`Msg::DecisionShard`]).
+        items: Items<DecisionItem>,
+        /// Cluster-wide minimum decided frontier the coordinator observed for
+        /// this shard (over a batch: the minimum of the items' floors):
+        /// members may safely truncate their log below it (each clamps to
+        /// its own decided frontier anyway).
         truncate_to: Position,
     },
 
@@ -346,11 +273,6 @@ impl Msg {
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::Certify { .. } => "certify",
-            Msg::Prepare { .. } => "prepare",
-            Msg::PrepareAck { .. } => "prepare_ack",
-            Msg::Accept { .. } => "accept",
-            Msg::AcceptAck { .. } => "accept_ack",
-            Msg::DecisionShard { .. } => "decision_shard",
             Msg::DecisionClient { .. } => "decision_client",
             Msg::Retry { .. } => "retry",
             Msg::DecisionAck { .. } => "decision_ack",

@@ -22,11 +22,11 @@ use ratc_types::{
 };
 
 use crate::batch::{
-    AcceptAckItem, BatchingConfig, DecisionItem, PrepareBatch, PrepareItem, PreparedItem,
-    VoteBatcher,
+    sorted_entry, AcceptAckItem, BatchingConfig, DecisionItem, Items, PrepareBatch, PrepareItem,
+    PreparedItem, ShardDecisions, VoteBatcher,
 };
 use crate::flow::{AdmissionQueue, FlowControlConfig};
-use crate::log::{CertificationLog, LogEntry, TxPhase};
+use crate::log::{CertificationLog, TxPhase};
 use crate::messages::Msg;
 
 /// Timer tag used for the coordinator's re-transmission tick.
@@ -309,7 +309,7 @@ impl Replica {
         self.truncation
     }
 
-    /// Sets the batching-pipeline knobs (default: disabled).
+    /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
         self.batching = batching;
         self.batcher.set_config(batching);
@@ -474,37 +474,51 @@ impl Replica {
         }
     }
 
+    /// Sends `PREPARE` for `txs` (line 3 / 73): one `PREPARE_BATCH` per
+    /// involved shard leader — in leader order, items in `txs` order — with
+    /// each payload restricted to the leader's shard, or `⊥` when this
+    /// coordinator has no payload (a recovery coordinator). `only` limits the
+    /// prepares to those shards. Returns the number of messages sent.
     fn send_prepares(
         &self,
         ctx: &mut Context<'_, Msg>,
-        tx: TxId,
-        coord: &CoordState,
-        only_shards: Option<&[ShardId]>,
-    ) {
-        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
-        for shard in &coord.shards {
-            if let Some(filter) = only_shards {
-                if !filter.contains(shard) {
-                    continue;
-                }
-            }
-            let Some(leader) = self.leader.get(shard).copied() else {
+        txs: &[TxId],
+        only: Option<&[ShardId]>,
+    ) -> u64 {
+        let mut per_leader: Vec<(ProcessId, Items<PrepareItem>)> = Vec::new();
+        for &tx in txs {
+            let Some(coord) = self.coordinating.get(&tx) else {
                 continue;
             };
-            let restricted = coord
-                .payload
-                .as_ref()
-                .map(|p| p.restrict(*shard, self.sharding.as_ref()));
-            ctx.send(
-                leader,
-                Msg::Prepare {
+            for shard in &coord.shards {
+                if only.is_some_and(|filter| !filter.contains(shard)) {
+                    continue;
+                }
+                let Some(leader) = self.leader.get(shard).copied() else {
+                    continue;
+                };
+                let restricted = coord
+                    .payload
+                    .as_ref()
+                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
+                sorted_entry(&mut per_leader, leader).push(PrepareItem {
                     tx,
                     payload: restricted,
                     shards: coord.shards.clone(),
                     client: coord.client,
+                });
+            }
+        }
+        let sent = per_leader.len() as u64;
+        for (leader, items) in per_leader {
+            ctx.send(
+                leader,
+                Msg::PrepareBatch {
+                    batch: PrepareBatch { items },
                 },
             );
         }
+        sent
     }
 
     /// Line 26 precondition, evaluated without side effects: once, for every
@@ -571,89 +585,50 @@ impl Replica {
         self.drain_admission(ctx);
     }
 
-    /// Line 26: computes and distributes the final decision of `tx` once it
-    /// is complete, one `DECISION` per shard member.
-    fn check_completion(&mut self, tx: TxId, ctx: &mut Context<'_, Msg>) {
-        let Some((client, decision, targets)) = self.completion_of(tx) else {
-            return;
-        };
-        self.mark_decided(tx, decision, ctx);
-        ctx.send(client, Msg::DecisionClient { tx, decision });
-        for (shard, pos, truncate_to) in targets {
-            let epoch = self.epoch.get(&shard).copied().unwrap_or(Epoch::ZERO);
-            let members = self.members_of(shard).to_vec();
-            ctx.send_to_many(
-                members,
-                Msg::DecisionShard {
-                    epoch,
-                    pos,
-                    decision,
-                    truncate_to,
-                },
-            );
-        }
-    }
-
-    /// Batched line 26: completes every transaction of `txs` that is done and
-    /// coalesces their `DECISION`s into one `DECISION_BATCH` per shard (the
-    /// per-shard truncation floor is the minimum over the batch, which is
-    /// always safe — receivers clamp to their own decided frontier anyway).
-    /// Clients are still notified individually. Falls back to per-transaction
-    /// `DECISION`s when batching is disabled.
-    fn complete_batch(&mut self, txs: &[TxId], ctx: &mut Context<'_, Msg>) {
-        if !self.batching.enabled {
-            for &tx in txs {
-                self.check_completion(tx, ctx);
-            }
-            return;
-        }
-        let mut per_shard: BTreeMap<ShardId, (Vec<DecisionItem>, Position)> = BTreeMap::new();
-        let mut seen: BTreeSet<TxId> = BTreeSet::new();
-        for &tx in txs {
-            if !seen.insert(tx) {
-                continue;
-            }
+    /// Line 26: computes the final decision of every transaction of `txs`
+    /// that is complete, reports it to the client and distributes it with one
+    /// `DECISION_BATCH` per shard member (over several transactions the
+    /// per-shard truncation floor is the minimum of theirs, which is always
+    /// safe — receivers clamp to their own decided frontier anyway).
+    fn complete_batch(&mut self, txs: impl IntoIterator<Item = TxId>, ctx: &mut Context<'_, Msg>) {
+        let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
+        for tx in txs {
+            // A transaction listed twice is complete only once: deciding it
+            // makes its second `completion_of` come back empty.
             let Some((client, decision, targets)) = self.completion_of(tx) else {
                 continue;
             };
             self.mark_decided(tx, decision, ctx);
             ctx.send(client, Msg::DecisionClient { tx, decision });
             for (shard, pos, floor) in targets {
-                let entry = per_shard
-                    .entry(shard)
-                    .or_insert_with(|| (Vec::new(), Position::new(u64::MAX)));
-                entry.0.push(DecisionItem { pos, decision });
-                entry.1 = entry.1.min(floor);
+                sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
             }
         }
-        for (shard, (items, truncate_to)) in per_shard {
+        for (shard, decisions) in per_shard {
             let epoch = self.epoch.get(&shard).copied().unwrap_or(Epoch::ZERO);
             let members = self.members_of(shard).to_vec();
             ctx.send_to_many(
                 members,
                 Msg::DecisionBatch {
                     epoch,
-                    items,
-                    truncate_to,
+                    items: decisions.items,
+                    truncate_to: decisions.truncate_to,
                 },
             );
         }
     }
 
-    fn coord_entry(
-        &mut self,
-        tx: TxId,
-        client: ProcessId,
-        shards: Vec<ShardId>,
-    ) -> &mut CoordState {
-        let inserted = !self.coordinating.contains_key(&tx);
-        if inserted {
+    /// The coordinator state of `tx`, created (and counted in flight) if this
+    /// replica is not coordinating it yet — a recovery coordinator, which has
+    /// no payload.
+    fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
+        if !self.coordinating.contains_key(&tx) {
             self.in_flight += 1;
         }
         self.coordinating.entry(tx).or_insert_with(|| CoordState {
             client,
             payload: None,
-            shards,
+            shards: shards.to_vec(),
             progress: BTreeMap::new(),
             decided: false,
             decision: None,
@@ -703,8 +678,7 @@ impl Replica {
                     if self.backoff_due(tx, now) {
                         let attempt = self.retry_backoff.get(&tx).map(|b| b.attempt).unwrap_or(0);
                         ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                        let coord = self.coordinating.get(&tx).expect("in flight").clone();
-                        self.send_prepares(ctx, tx, &coord, None);
+                        self.resend_prepares(ctx, tx, None);
                         self.backoff_fired(tx, now);
                     }
                     self.arm_retry_timer(ctx);
@@ -754,27 +728,20 @@ impl Replica {
         }
         coord.payload = Some(payload);
         coord.client = client;
-        if self.batching.enabled {
-            // Coalesce into the pending batch instead of sending a PREPARE
-            // per shard now; the batch flushes when full or when the batch
-            // timer expires. The retry timer stays armed as a safety net (its
-            // re-sends use the unbatched path). A flush-on-full is queue
-            // pressure, so an adaptive batcher grows its target batch.
-            if self.batcher.push(tx) {
-                let txs = self.batcher.drain_full();
-                self.flush_prepare_batch(txs, ctx);
-            } else {
-                self.arm_batch_timer(ctx);
-            }
-            self.arm_retry_timer(ctx);
-            return;
+        // Into the pending batch, which flushes when it reaches its target
+        // (at `max_batch = 1`: now) or when the batch timer expires. A
+        // flush-on-full is queue pressure, so an adaptive batcher grows its
+        // target batch. The retry timer is the safety net either way.
+        if self.batcher.push(tx) {
+            let txs = self.batcher.drain_full();
+            self.flush_prepare_batch(txs, ctx);
+        } else {
+            self.arm_batch_timer(ctx);
         }
-        let coord = coord.clone();
-        self.send_prepares(ctx, tx, &coord, None);
         self.arm_retry_timer(ctx);
     }
 
-    // -- batched certification pipeline (see `crate::batch`) -----------------
+    // -- the PREPARE/ACCEPT exchange (see `crate::batch`) --------------------
 
     fn arm_batch_timer(&mut self, ctx: &mut Context<'_, Msg>) {
         if !self.batch_timer_armed && !self.batcher.is_empty() {
@@ -783,9 +750,8 @@ impl Replica {
         }
     }
 
-    /// Sends one `PREPARE_BATCH` per involved shard leader for a drained
-    /// batch, with each transaction's payload restricted per shard.
-    fn flush_prepare_batch(&mut self, txs: Vec<TxId>, ctx: &mut Context<'_, Msg>) {
+    /// Sends the `PREPARE`s of a drained batch (a flush of one is a flush).
+    fn flush_prepare_batch(&mut self, mut txs: Vec<TxId>, ctx: &mut Context<'_, Msg>) {
         if txs.is_empty() {
             return;
         }
@@ -796,117 +762,55 @@ impl Replica {
                 ctx.obs_milestone(tx, TxMilestone::BatchFlush, txs.len() as u64);
             }
         }
-        let mut per_leader: BTreeMap<ProcessId, Vec<PrepareItem>> = BTreeMap::new();
-        for tx in txs {
-            let Some(coord) = self.coordinating.get(&tx) else {
-                continue;
-            };
-            if coord.decided {
-                continue;
-            }
-            for shard in &coord.shards {
-                let Some(leader) = self.leader.get(shard).copied() else {
-                    continue;
-                };
-                let restricted = coord
-                    .payload
-                    .as_ref()
-                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
-                per_leader.entry(leader).or_default().push(PrepareItem {
-                    tx,
-                    payload: restricted,
-                    shards: coord.shards.clone(),
-                    client: coord.client,
-                });
-            }
-        }
-        for (leader, items) in per_leader {
-            ctx.add_counter("prepare_batches_sent", 1);
-            ctx.send(
-                leader,
-                Msg::PrepareBatch {
-                    batch: PrepareBatch { items },
-                },
-            );
-        }
+        // Decided while it waited in the batch (an out-of-band `TxDecided`).
+        txs.retain(|tx| self.coordinating.get(tx).is_some_and(|c| !c.decided));
+        let sent = self.send_prepares(ctx, &txs, None);
+        ctx.add_counter("prepare_batches_sent", sent);
     }
 
-    /// Batched lines 4–17: the shard leader certifies a whole batch in one
-    /// pass. Fresh transactions are appended at a contiguous position range
-    /// (in batch order); already-certified ones are re-acked inside the batch
-    /// reply, and truncated ones get the per-transaction `TxDecided` fast
-    /// path, exactly as in the unbatched exchange.
+    /// Re-sends `PREPARE` for one transaction outside the batcher — a retry,
+    /// or a recovery coordinator's `PREPARE(t, ⊥)` — as one-item batches.
+    fn resend_prepares(&self, ctx: &mut Context<'_, Msg>, tx: TxId, only: Option<&[ShardId]>) {
+        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
+        self.send_prepares(ctx, &[tx], only);
+    }
+
+    /// Lines 4–17: the shard leader certifies the items of a `PREPARE` in
+    /// order ([`CertificationLog::prepare`] per item). Fresh transactions are
+    /// appended at a contiguous position range; already-certified ones are
+    /// re-acked inside the same reply, and truncated ones get the
+    /// per-transaction `TxDecided` fast path.
     fn handle_prepare_batch(
         &mut self,
         from: ProcessId,
-        items: Vec<PrepareItem>,
+        items: Items<PrepareItem>,
         ctx: &mut Context<'_, Msg>,
     ) {
         if self.status != Status::Leader {
             return; // line 5 precondition
         }
         let epoch = self.epoch_of(self.shard);
-        let mut acks: Vec<PreparedItem> = Vec::with_capacity(items.len());
+        let first_fresh = self.log.next();
+        let mut acks: Items<PreparedItem> = Items::new();
         for item in items {
-            if let Some(decision) = self.log.truncated_decision(item.tx) {
-                ctx.send(
+            let (tx, client) = (item.tx, item.client);
+            match self.log.prepare(item, self.certifier.as_ref()) {
+                Ok(ack) => acks.push(ack),
+                Err(decision) => ctx.send(
                     from,
                     Msg::TxDecided {
-                        tx: item.tx,
+                        tx,
                         decision,
-                        client: item.client,
+                        client,
                     },
-                );
-                continue;
+                ),
             }
-            if let Some(pos) = self.log.position_of(item.tx) {
-                let entry = self
-                    .log
-                    .get(pos)
-                    .expect("position_of returned a retained slot");
-                acks.push(PreparedItem {
-                    pos,
-                    tx: item.tx,
-                    payload: entry.payload.clone(),
-                    vote: entry.vote,
-                    shards: entry.shards.clone(),
-                    client: entry.client,
-                });
-                continue;
-            }
-            let (vote, stored_payload) = match item.payload {
-                Some(l) => {
-                    let next = self.log.next();
-                    let vote = self.log.vote_at(next, &l).unwrap_or_else(|| {
-                        let committed = self.log.committed_payloads_before(next);
-                        let prepared = self.log.prepared_payloads_before(next);
-                        self.certifier.vote(&committed, &prepared, &l)
-                    });
-                    (vote, l)
-                }
-                None => (Decision::Abort, Payload::empty()),
-            };
-            let pos = self.log.append(LogEntry {
-                tx: item.tx,
-                payload: stored_payload.clone(),
-                vote,
-                dec: None,
-                phase: TxPhase::Prepared,
-                shards: item.shards.clone(),
-                client: item.client,
-            });
-            ctx.add_counter("leader_prepared", 1);
-            acks.push(PreparedItem {
-                pos,
-                tx: item.tx,
-                payload: stored_payload,
-                vote,
-                shards: item.shards,
-                client: item.client,
-            });
+        }
+        let appended = self.log.next().as_u64() - first_fresh.as_u64();
+        if appended > 0 {
+            ctx.add_counter("leader_prepared", appended);
         }
         if !acks.is_empty() {
-            ctx.add_counter("leader_prepared_batches", 1);
             ctx.send(
                 from,
                 Msg::PrepareAckBatch {
@@ -919,26 +823,25 @@ impl Replica {
         }
     }
 
-    /// Batched lines 18–20: the coordinator records the leader's votes for a
-    /// whole batch and persists it at every follower with one `ACCEPT_BATCH`
-    /// each.
+    /// Lines 18–20: the coordinator records the leader's votes and persists
+    /// them at every follower of the shard with one `ACCEPT` each.
     fn handle_prepare_ack_batch(
         &mut self,
         from: ProcessId,
         epoch: Epoch,
         shard: ShardId,
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
         frontier: Position,
         ctx: &mut Context<'_, Msg>,
     ) {
-        // Line 19 precondition, once for the whole batch: every item was
-        // certified by the same leader in the same epoch.
+        // Line 19 precondition, once for the whole message (every item was
+        // certified by the same leader in the same epoch): the coordinator's
+        // view of the shard's epoch matches the leader's.
         if self.epoch_of(shard) != epoch {
             return;
         }
-        let mut txs = Vec::with_capacity(items.len());
-        for item in &items {
-            let coord = self.coord_entry(item.tx, item.client, item.shards.clone());
+        for item in items.iter() {
+            let coord = self.coord_entry(item.tx, item.client, &item.shards);
             let progress = coord
                 .progress
                 .entry(shard)
@@ -949,8 +852,9 @@ impl Replica {
             progress.vote = Some(item.vote);
             progress.frontiers.insert(from, frontier);
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-            txs.push(item.tx);
         }
+        let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
+        // Line 20: persist the votes at the followers.
         let leader = self.leader.get(&shard).copied();
         let followers: Vec<ProcessId> = self
             .members_of(shard)
@@ -958,63 +862,52 @@ impl Replica {
             .copied()
             .filter(|p| Some(*p) != leader)
             .collect();
-        for follower in followers {
-            ctx.send(
-                follower,
-                Msg::AcceptBatch {
-                    epoch,
-                    shard,
-                    items: items.clone(),
-                },
-            );
-        }
-        for &tx in &txs {
+        ctx.send_to_many(
+            followers,
+            Msg::AcceptBatch {
+                epoch,
+                shard,
+                items,
+            },
+        );
+        // A late re-ack for a transaction whose decision was already learned
+        // out-of-band (`TxDecided`): tell this shard the decision now that
+        // its position is known.
+        for &tx in txs.iter() {
             self.flush_known_decision(tx, shard, ctx);
         }
-        // With f = 0 (no followers) the whole batch may already be complete.
-        self.complete_batch(&txs, ctx);
+        // With f = 0 (no followers) the transactions may already be complete.
+        self.complete_batch(txs, ctx);
     }
 
-    /// Batched lines 21–25: a follower stores a whole batch of votes and
-    /// acknowledges it with one message.
+    /// Lines 21–25: a follower stores the votes of an `ACCEPT`
+    /// ([`CertificationLog::accept`] per item) and acknowledges them with
+    /// one message.
     fn handle_accept_batch(
         &mut self,
         from: ProcessId,
         epoch: Epoch,
         shard: ShardId,
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
         ctx: &mut Context<'_, Msg>,
     ) {
-        // Line 22 precondition, once for the whole batch.
+        // Line 22 precondition, once for the whole message.
         if self.status != Status::Follower
             || shard != self.shard
             || self.epoch_of(self.shard) != epoch
         {
             return;
         }
-        let mut acks = Vec::with_capacity(items.len());
+        let mut acks: Items<AcceptAckItem> = Items::new();
         for item in items {
-            // Line 23–24 per item: store only if the slot is still a hole.
-            if self.log.phase(item.pos) == TxPhase::Start {
-                self.log.store_at(
-                    item.pos,
-                    LogEntry {
-                        tx: item.tx,
-                        payload: item.payload,
-                        vote: item.vote,
-                        dec: None,
-                        phase: TxPhase::Prepared,
-                        shards: item.shards,
-                        client: item.client,
-                    },
-                );
-            }
             acks.push(AcceptAckItem {
                 pos: item.pos,
                 tx: item.tx,
                 vote: item.vote,
             });
+            self.log.accept(item);
         }
+        // Line 25.
         ctx.send(
             from,
             Msg::AcceptAckBatch {
@@ -1026,19 +919,18 @@ impl Replica {
         );
     }
 
-    /// Batched line 26 bookkeeping: record a follower's acknowledgement of a
-    /// whole batch, then complete every transaction that is done.
+    /// Line 26 bookkeeping: record a follower's acknowledgements, then
+    /// complete every transaction that is done.
     fn handle_accept_ack_batch(
         &mut self,
         from: ProcessId,
         shard: ShardId,
         epoch: Epoch,
-        items: Vec<AcceptAckItem>,
+        items: Items<AcceptAckItem>,
         frontier: Position,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let mut txs = Vec::with_capacity(items.len());
-        for item in items {
+        for item in items.iter() {
             let Some(coord) = self.coordinating.get_mut(&item.tx) else {
                 continue;
             };
@@ -1056,280 +948,17 @@ impl Replica {
             if progress.vote.is_none() {
                 progress.vote = Some(item.vote);
             }
-            txs.push(item.tx);
         }
-        self.complete_batch(&txs, ctx);
+        self.complete_batch(items.iter().map(|item| item.tx), ctx);
     }
 
-    /// Batched lines 30–32: record the final decisions of a whole batch, then
-    /// truncate at the gossiped floor once.
+    /// Lines 30–32: record the final decisions of a `DECISION`, then fold the
+    /// decided prefix below the gossiped cluster-wide floor into the
+    /// checkpoint, once.
     fn handle_decision_batch(
         &mut self,
         epoch: Epoch,
-        items: Vec<DecisionItem>,
-        truncate_to: Position,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        if self.status == Status::Reconfiguring {
-            return; // line 31 precondition
-        }
-        if self.epoch_of(self.shard) < epoch {
-            return; // line 31 precondition
-        }
-        for item in &items {
-            self.log.decide(item.pos, item.decision);
-        }
-        self.maybe_truncate(truncate_to, ctx);
-    }
-
-    /// Lines 4–17: the shard leader prepares a transaction and votes on it.
-    fn handle_prepare(
-        &mut self,
-        from: ProcessId,
-        tx: TxId,
-        payload: Option<Payload>,
-        shards: Vec<ShardId>,
-        client: ProcessId,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        if self.status != Status::Leader {
-            return; // line 5 precondition
-        }
-        let epoch = self.epoch_of(self.shard);
-        // A transaction whose slot was folded into the checkpoint is decided:
-        // answer the recovery coordinator with the final decision directly
-        // (there is no slot left to re-ack, and re-certifying it as new would
-        // contradict the recorded decision).
-        if let Some(decision) = self.log.truncated_decision(tx) {
-            ctx.send(
-                from,
-                Msg::TxDecided {
-                    tx,
-                    decision,
-                    client,
-                },
-            );
-            return;
-        }
-        // Line 6: the transaction is already in the certification order —
-        // resend the stored PREPARE_ACK (this serves recovery coordinators).
-        if let Some(pos) = self.log.position_of(tx) {
-            let entry = self
-                .log
-                .get(pos)
-                .expect("position_of returned a retained slot");
-            ctx.send(
-                from,
-                Msg::PrepareAck {
-                    epoch,
-                    shard: self.shard,
-                    pos,
-                    tx,
-                    payload: entry.payload.clone(),
-                    vote: entry.vote,
-                    shards: entry.shards.clone(),
-                    client: entry.client,
-                    frontier: self.log.decided_frontier(),
-                },
-            );
-            return;
-        }
-        // Lines 8–16: append the transaction and compute the vote. The
-        // certification index answers `f_s(L1, l) ⊓ g_s(L2, l)` in
-        // O(|payload|); logs without an index fall back to the set-based
-        // scans of the paper's formulation.
-        let (vote, stored_payload) = match payload {
-            Some(l) => {
-                let next = self.log.next();
-                let vote = self.log.vote_at(next, &l).unwrap_or_else(|| {
-                    let committed = self.log.committed_payloads_before(next);
-                    let prepared = self.log.prepared_payloads_before(next);
-                    self.certifier.vote(&committed, &prepared, &l)
-                });
-                (vote, l)
-            }
-            None => (Decision::Abort, Payload::empty()),
-        };
-        let pos = self.log.append(LogEntry {
-            tx,
-            payload: stored_payload.clone(),
-            vote,
-            dec: None,
-            phase: TxPhase::Prepared,
-            shards: shards.clone(),
-            client,
-        });
-        ctx.add_counter("leader_prepared", 1);
-        ctx.send(
-            from,
-            Msg::PrepareAck {
-                epoch,
-                shard: self.shard,
-                pos,
-                tx,
-                payload: stored_payload,
-                vote,
-                shards,
-                client,
-                frontier: self.log.decided_frontier(),
-            },
-        );
-    }
-
-    /// Lines 18–20: the coordinator forwards the leader's vote to the
-    /// followers of the shard.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_prepare_ack(
-        &mut self,
-        from: ProcessId,
-        epoch: Epoch,
-        shard: ShardId,
-        pos: Position,
-        tx: TxId,
-        payload: Payload,
-        vote: Decision,
-        shards: Vec<ShardId>,
-        client: ProcessId,
-        frontier: Position,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        // Line 19 precondition: the coordinator's view of the shard's epoch
-        // matches the leader's.
-        if self.epoch_of(shard) != epoch {
-            return;
-        }
-        let coord = self.coord_entry(tx, client, shards.clone());
-        let progress = coord
-            .progress
-            .entry(shard)
-            .or_default()
-            .entry(epoch)
-            .or_default();
-        progress.pos = Some(pos);
-        progress.vote = Some(vote);
-        progress.frontiers.insert(from, frontier);
-        ctx.obs_milestone(tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-        // Line 20: persist the vote at the followers.
-        let leader = self.leader.get(&shard).copied();
-        let followers: Vec<ProcessId> = self
-            .members_of(shard)
-            .iter()
-            .copied()
-            .filter(|p| Some(*p) != leader)
-            .collect();
-        ctx.send_to_many(
-            followers,
-            Msg::Accept {
-                epoch,
-                shard,
-                pos,
-                tx,
-                payload,
-                vote,
-                shards,
-                client,
-            },
-        );
-        // A late re-ack for a transaction whose decision was already learned
-        // out-of-band (`TxDecided`): tell this shard the decision now that
-        // its position is known.
-        self.flush_known_decision(tx, shard, ctx);
-        // With f = 0 (no followers) the transaction may already be complete.
-        self.check_completion(tx, ctx);
-    }
-
-    /// Lines 21–25: a follower stores the vote and acknowledges.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_accept(
-        &mut self,
-        from: ProcessId,
-        epoch: Epoch,
-        shard: ShardId,
-        pos: Position,
-        tx: TxId,
-        payload: Payload,
-        vote: Decision,
-        shards: Vec<ShardId>,
-        client: ProcessId,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        // Line 22 precondition.
-        if self.status != Status::Follower
-            || shard != self.shard
-            || self.epoch_of(self.shard) != epoch
-        {
-            return;
-        }
-        // Line 23–24: store only if the slot is still a hole.
-        if self.log.phase(pos) == TxPhase::Start {
-            self.log.store_at(
-                pos,
-                LogEntry {
-                    tx,
-                    payload,
-                    vote,
-                    dec: None,
-                    phase: TxPhase::Prepared,
-                    shards,
-                    client,
-                },
-            );
-        }
-        // Line 25.
-        ctx.send(
-            from,
-            Msg::AcceptAck {
-                shard: self.shard,
-                epoch,
-                pos,
-                tx,
-                vote,
-                frontier: self.log.decided_frontier(),
-            },
-        );
-    }
-
-    /// Line 26 bookkeeping: record a follower's acknowledgement.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_accept_ack(
-        &mut self,
-        from: ProcessId,
-        shard: ShardId,
-        epoch: Epoch,
-        pos: Position,
-        tx: TxId,
-        vote: Decision,
-        frontier: Position,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some(coord) = self.coordinating.get_mut(&tx) else {
-            return;
-        };
-        let progress = coord
-            .progress
-            .entry(shard)
-            .or_default()
-            .entry(epoch)
-            .or_default();
-        progress.acks.insert(from);
-        progress.frontiers.insert(from, frontier);
-        if progress.pos.is_none() {
-            progress.pos = Some(pos);
-        }
-        if progress.vote.is_none() {
-            progress.vote = Some(vote);
-        }
-        self.check_completion(tx, ctx);
-    }
-
-    /// Lines 30–32: record the final decision for a certification-order slot,
-    /// then fold the decided prefix below the gossiped cluster-wide floor
-    /// into the checkpoint.
-    fn handle_decision_shard(
-        &mut self,
-        epoch: Epoch,
-        pos: Position,
-        decision: Decision,
+        items: Items<DecisionItem>,
         truncate_to: Position,
         ctx: &mut Context<'_, Msg>,
     ) {
@@ -1339,7 +968,9 @@ impl Replica {
         if self.epoch_of(self.shard) < epoch {
             return; // line 31 precondition: epoch[s0] ≥ e
         }
-        self.log.decide(pos, decision);
+        for item in items.iter() {
+            self.log.decide(item.pos, item.decision);
+        }
         self.maybe_truncate(truncate_to, ctx);
     }
 
@@ -1393,7 +1024,7 @@ impl Replica {
     /// shards that missed the original `DECISION` still hold the transaction
     /// as prepared, and without this their slots and `L2` locks would stay
     /// stranded forever. Shards whose `PREPARE_ACK` has not arrived yet are
-    /// flushed from `handle_prepare_ack` via `known_decision`.
+    /// flushed from `handle_prepare_ack_batch` via `known_decision`.
     fn handle_tx_decided(
         &mut self,
         tx: TxId,
@@ -1453,10 +1084,9 @@ impl Replica {
         let members = self.members_of(shard).to_vec();
         ctx.send_to_many(
             members,
-            Msg::DecisionShard {
+            Msg::DecisionBatch {
                 epoch,
-                pos,
-                decision,
+                items: Items::one(DecisionItem { pos, decision }),
                 truncate_to: Position::ZERO,
             },
         );
@@ -1477,12 +1107,11 @@ impl Replica {
         }
         let shards = entry.shards.clone();
         let client = entry.client;
-        self.coord_entry(tx, client, shards.clone());
-        let coord = self.coordinating.get(&tx).expect("just inserted").clone();
+        self.coord_entry(tx, client, &shards);
         // Line 73: send PREPARE(t, ⊥) to the leaders of all shards of t.
         // (`send_prepares` sends ⊥ because a recovery coordinator has no full
         // payload.)
-        self.send_prepares(ctx, tx, &coord, None);
+        self.resend_prepares(ctx, tx, None);
         self.arm_retry_timer(ctx);
         ctx.add_counter("retries_started", 1);
         ctx.ctrl_milestone(
@@ -1996,7 +1625,7 @@ impl Replica {
                 ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
                 self.backoff_fired(tx, now);
             }
-            let coord = self.coordinating.get(&tx).expect("pending").clone();
+            let coord = self.coordinating.get(&tx).expect("pending");
             // Resend only to shards that are not yet complete in the current epoch.
             let mut stale_shards = Vec::new();
             for shard in &coord.shards {
@@ -2021,7 +1650,7 @@ impl Replica {
                 }
             }
             if !stale_shards.is_empty() {
-                self.send_prepares(ctx, tx, &coord, Some(&stale_shards));
+                self.resend_prepares(ctx, tx, Some(&stale_shards));
             }
         }
         self.arm_retry_timer(ctx);
@@ -2036,51 +1665,6 @@ impl Actor<Msg> for Replica {
                 payload,
                 client,
             } => self.handle_certify(tx, payload, client, ctx),
-            Msg::Prepare {
-                tx,
-                payload,
-                shards,
-                client,
-            } => self.handle_prepare(from, tx, payload, shards, client, ctx),
-            Msg::PrepareAck {
-                epoch,
-                shard,
-                pos,
-                tx,
-                payload,
-                vote,
-                shards,
-                client,
-                frontier,
-            } => self.handle_prepare_ack(
-                from, epoch, shard, pos, tx, payload, vote, shards, client, frontier, ctx,
-            ),
-            Msg::Accept {
-                epoch,
-                shard,
-                pos,
-                tx,
-                payload,
-                vote,
-                shards,
-                client,
-            } => self.handle_accept(
-                from, epoch, shard, pos, tx, payload, vote, shards, client, ctx,
-            ),
-            Msg::AcceptAck {
-                shard,
-                epoch,
-                pos,
-                tx,
-                vote,
-                frontier,
-            } => self.handle_accept_ack(from, shard, epoch, pos, tx, vote, frontier, ctx),
-            Msg::DecisionShard {
-                epoch,
-                pos,
-                decision,
-                truncate_to,
-            } => self.handle_decision_shard(epoch, pos, decision, truncate_to, ctx),
             Msg::DecisionClient { .. } => {}
             Msg::Retry { tx } => self.handle_retry(tx, ctx),
             Msg::DecisionAck { tx } => self.handle_decision_ack(tx, ctx),
@@ -2161,7 +1745,7 @@ impl Actor<Msg> for Replica {
         } else if tag == BATCH_TICK {
             self.batch_timer_armed = false;
             // A timer flush of a partial batch = idle pipeline: an adaptive
-            // batcher shrinks back toward the unbatched fast path.
+            // batcher shrinks back toward batches of one.
             let txs = self.batcher.drain_idle();
             self.flush_prepare_batch(txs, ctx);
         } else if tag == PROBE_GRACE_TICK {

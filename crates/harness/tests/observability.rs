@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
 use ratc_sim::{ExecutionMode, LatencyUnit, PhaseBreakdown, TxMilestone};
-use ratc_types::{Key, Payload, TxId, Value, Version};
+use ratc_types::{Key, Payload, ShardId, ShardMap, TxId, Value, Version};
 
 const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
 
@@ -212,5 +212,106 @@ fn phase_breakdowns_sum_exactly_to_end_to_end_latency() {
                 );
             }
         }
+    }
+}
+
+/// One commit path: at the default `max_batch = 1` a single-shard
+/// transaction at f = 1 is the paper's exchange message for message — one
+/// `PREPARE`, `PREPARE_ACK`, `ACCEPT` (a write, on RDMA), `ACCEPT_ACK` (the
+/// NIC's, on RDMA) and one `DECISION` per shard member, decided after 5
+/// message delays — and it is stamped as a flush of one on every stack, so
+/// the milestone set does not depend on the batching knobs.
+#[test]
+fn a_lone_transaction_is_one_message_of_each_commit_path_type_per_receiver() {
+    // Hops to the decision and deliveries per message type (`certify` is
+    // injected by the client, so only deliveries are comparable).
+    let exchange = |stack: StackKind| -> (u32, Vec<(String, u64)>) {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(2)
+            .with_seed(5)
+            .with_observability()
+            .build();
+        let s0 = ShardId::new(0);
+        let key = (0u64..)
+            .map(|i| Key::new(format!("k{i}")))
+            .find(|k| cluster.sharding().shard_of(k) == s0)
+            .expect("hash sharding covers shard 0");
+        let payload = Payload::builder()
+            .read(key.clone(), Version::ZERO)
+            .write(key, Value::from("v"))
+            .commit_version(Version::new(1))
+            .build()
+            .expect("well-formed");
+        // Coordinated from outside the shard (a shard-1 follower; the TM on
+        // the baseline), so no leg of the exchange is a local shortcut.
+        let coordinator = if cluster.replicas_coordinate() {
+            cluster.roster_of(ShardId::new(1))[1]
+        } else {
+            cluster.coordinator_pool()[0]
+        };
+        let tx = TxId::new(1);
+        cluster.submit_via(tx, payload, coordinator);
+        cluster.run_to_quiescence();
+        let timeline = &cluster.timelines()[&tx];
+        let flushes: Vec<u64> = timeline
+            .events()
+            .iter()
+            .filter(|e| e.milestone == TxMilestone::BatchFlush)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(flushes, vec![1], "{stack}: one flush, of one");
+        let counters = cluster
+            .msg_type_counters()
+            .into_iter()
+            .map(|(label, c)| (label, c.delivered))
+            .collect();
+        (cluster.latencies()[&tx].hops, counters)
+    };
+    let delivered = |labels: &[(&str, u64)]| -> Vec<(String, u64)> {
+        let mut expected: Vec<(String, u64)> = labels
+            .iter()
+            .map(|(label, n)| ((*label).to_owned(), *n))
+            .collect();
+        expected.sort();
+        expected
+    };
+
+    let (hops, counters) = exchange(StackKind::Core);
+    assert_eq!(hops, 5);
+    assert_eq!(
+        counters,
+        delivered(&[
+            ("Certify", 1),
+            ("PrepareBatch", 1),
+            ("PrepareAckBatch", 1),
+            ("AcceptBatch", 1),
+            ("AcceptAckBatch", 1),
+            ("DecisionBatch", 2),
+            ("DecisionClient", 1),
+        ])
+    );
+
+    let (hops, counters) = exchange(StackKind::Rdma);
+    assert_eq!(hops, 5);
+    assert_eq!(
+        counters,
+        delivered(&[
+            ("Certify", 1),
+            ("PrepareBatch", 1),
+            ("PrepareAckBatch", 1),
+            ("AcceptBatch", 1),
+            ("DecisionBatch", 2),
+            ("DecisionClient", 1),
+        ])
+    );
+
+    // The baseline's exchange is 2PC over Paxos (its hop count from a cold
+    // start includes the proposers' phase 1); its 2PC legs are one each too.
+    let (_, counters) = exchange(StackKind::Baseline);
+    for leg in [("Prepare", 1), ("VoteBatch", 1), ("DecisionClient", 1)] {
+        assert!(
+            counters.contains(&(leg.0.to_owned(), leg.1)),
+            "{leg:?} not in {counters:?}"
+        );
     }
 }

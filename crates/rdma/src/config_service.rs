@@ -83,10 +83,6 @@ impl Actor<RdmaMsg> for GlobalConfigServiceActor {
             // fabric traffic is never addressed to it, and the reply /
             // notification variants below are messages *it* sends.
             RdmaMsg::Certify { .. }
-            | RdmaMsg::Prepare { .. }
-            | RdmaMsg::PrepareAck { .. }
-            | RdmaMsg::Accept { .. }
-            | RdmaMsg::DecisionShard { .. }
             | RdmaMsg::DecisionClient { .. }
             | RdmaMsg::Retry { .. }
             | RdmaMsg::TxDecided { .. }

@@ -1,14 +1,19 @@
 //! Messages of the RDMA-based protocol (Figures 7–8).
 //!
-//! `Accept` and `DecisionShard` are transported by RDMA writes
-//! (`Context::rdma_send`); everything else uses ordinary messages. As in
-//! `ratc-core`, messages carry `shards(t)` and `client(t)` so that any replica
-//! can act as a recovery coordinator.
+//! As in `ratc-core`, the commit path is carried by the `*Batch` variants: a
+//! message holds a list of per-transaction items (`ratc_core::batch::Items`),
+//! and a list of one *is* the paper's single-transaction message. The RDMA
+//! protocol is the message-passing one with the `ACCEPT` leg swapped for a
+//! write: `AcceptBatch` and `DecisionBatch` are transported by RDMA writes
+//! (`Context::rdma_send`) and there is no `ACCEPT_ACK` — the NIC-level
+//! acknowledgement plays that role; everything else uses ordinary messages.
+//! Items carry `shards(t)` and `client(t)` so that any replica can act as a
+//! recovery coordinator.
 
 use std::collections::BTreeMap;
 
 use ratc_config::GlobalConfiguration;
-use ratc_core::batch::{DecisionItem, PrepareBatch, PreparedItem};
+use ratc_core::batch::{DecisionItem, Items, PrepareBatch, PreparedItem};
 use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, TxId};
 
 use crate::replica::RdmaLog;
@@ -24,71 +29,6 @@ pub enum RdmaMsg {
         payload: Payload,
         /// Issuing client.
         client: ProcessId,
-    },
-    /// `PREPARE(t, l)` to a shard leader (line 76); `None` encodes `⊥`.
-    Prepare {
-        /// Transaction identifier.
-        tx: TxId,
-        /// Shard-restricted payload or `⊥`.
-        payload: Option<Payload>,
-        /// `shards(t)`.
-        shards: Vec<ShardId>,
-        /// `client(t)`.
-        client: ProcessId,
-    },
-    /// `PREPARE_ACK(e, s, k, t, l, d)` back to the coordinator (lines 80, 90).
-    PrepareAck {
-        /// The leader's (global) epoch.
-        epoch: Epoch,
-        /// The leader's shard.
-        shard: ShardId,
-        /// Certification-order position.
-        pos: Position,
-        /// Transaction identifier.
-        tx: TxId,
-        /// Stored payload.
-        payload: Payload,
-        /// The leader's vote.
-        vote: Decision,
-        /// `shards(t)`.
-        shards: Vec<ShardId>,
-        /// `client(t)`.
-        client: ProcessId,
-        /// The leader's decided frontier, gossiped for log truncation.
-        /// Followers acknowledge RDMA writes in hardware (no payload), so the
-        /// leader's frontier is the only one the coordinator learns; members
-        /// clamp the resulting truncation hint to their own decided frontier.
-        frontier: Position,
-    },
-    /// `ACCEPT(k, t, l, d)` written into a follower's memory by RDMA
-    /// (line 93). Note: no epoch and no acknowledgement message — the NIC-level
-    /// `ack-rdma` plays that role.
-    Accept {
-        /// The target shard (metadata for the log).
-        shard: ShardId,
-        /// Certification-order position.
-        pos: Position,
-        /// Transaction identifier.
-        tx: TxId,
-        /// Shard-restricted payload.
-        payload: Payload,
-        /// The leader's vote.
-        vote: Decision,
-        /// `shards(t)`.
-        shards: Vec<ShardId>,
-        /// `client(t)`.
-        client: ProcessId,
-    },
-    /// `DECISION(k, d)` written into a member's memory by RDMA (line 100).
-    DecisionShard {
-        /// Certification-order position.
-        pos: Position,
-        /// Final decision.
-        decision: Decision,
-        /// Truncation hint: the shard leader's decided frontier as observed
-        /// by the coordinator. Receivers clamp to their own frontier before
-        /// folding the prefix into their checkpoint.
-        truncate_to: Position,
     },
     /// `DECISION(t, d)` to the client (line 98).
     DecisionClient {
@@ -114,44 +54,54 @@ pub enum RdmaMsg {
     },
 
     // ------------------------------------------------------------------
-    // Batched certification pipeline (see `ratc_core::batch`)
+    // The PREPARE/ACCEPT exchange (see `ratc_core::batch`; one item per
+    // message is the paper's exchange, more amortise it)
     // ------------------------------------------------------------------
-    /// `PREPARE_BATCH`: many `PREPARE`s coalesced into one message per shard
-    /// leader (ordinary message, like `PREPARE`).
+    /// `PREPARE(t, l)` to a shard leader (line 76), one item per transaction
+    /// the coordinator coalesced; an item's `None` payload encodes `⊥`
+    /// (ordinary message).
     PrepareBatch {
-        /// The coalesced batch, items in submission order.
+        /// The items, in submission order.
         batch: PrepareBatch,
     },
-    /// `PREPARE_ACK_BATCH`: the leader's votes for a whole batch (ordinary
-    /// message back to the coordinator).
+    /// `PREPARE_ACK(e, s, k, t, l, d)` back to the coordinator (lines 80,
+    /// 90): the leader's votes for a whole `PREPARE_BATCH` (ordinary
+    /// message).
     PrepareAckBatch {
         /// The leader's (global) epoch.
         epoch: Epoch,
         /// The leader's shard.
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
         /// The leader's decided frontier, gossiped for log truncation.
+        /// Followers acknowledge RDMA writes in hardware (no payload), so the
+        /// leader's frontier is the only one the coordinator learns; members
+        /// clamp the resulting truncation hint to their own decided frontier.
         frontier: Position,
     },
-    /// `ACCEPT_BATCH`: a whole batch of votes packed into **one RDMA write**
-    /// per follower. Each item carries its own position, transaction, payload
-    /// and vote, so per-slot votes remain individually recoverable from the
-    /// memory region the batch landed in (a `flush` that drains a batch write
-    /// replays each slot exactly as it would a single `ACCEPT`).
+    /// `ACCEPT(k, t, l, d)` written into a follower's memory by **one RDMA
+    /// write** per follower (line 93). Note: no epoch and no acknowledgement
+    /// message — the NIC-level `ack-rdma` plays that role and acknowledges
+    /// every item at once. Each item carries its own position, transaction,
+    /// payload and vote, so per-slot votes remain individually recoverable
+    /// from the memory region the write landed in (a `flush` that drains it
+    /// replays each slot).
     AcceptBatch {
         /// The target shard (metadata for the log).
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
     },
-    /// `DECISION_BATCH`: the decisions of every batch transaction that
-    /// completed together, packed into one `DecisionShard`-style RDMA write
+    /// `DECISION(k, d)` written into a member's memory by RDMA (line 100):
+    /// the decisions of every transaction that completed together, one write
     /// per shard member.
     DecisionBatch {
         /// Per-slot decisions.
-        items: Vec<DecisionItem>,
-        /// Truncation hint, clamped by receivers to their own frontier.
+        items: Items<DecisionItem>,
+        /// Truncation hint: the shard leader's decided frontier as observed
+        /// by the coordinator. Receivers clamp to their own frontier before
+        /// folding the prefix into their checkpoint.
         truncate_to: Position,
     },
 
@@ -278,10 +228,6 @@ impl RdmaMsg {
     pub fn kind(&self) -> &'static str {
         match self {
             RdmaMsg::Certify { .. } => "certify",
-            RdmaMsg::Prepare { .. } => "prepare",
-            RdmaMsg::PrepareAck { .. } => "prepare_ack",
-            RdmaMsg::Accept { .. } => "accept",
-            RdmaMsg::DecisionShard { .. } => "decision_shard",
             RdmaMsg::DecisionClient { .. } => "decision_client",
             RdmaMsg::Retry { .. } => "retry",
             RdmaMsg::TxDecided { .. } => "tx_decided",

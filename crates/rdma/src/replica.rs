@@ -5,10 +5,11 @@ use std::sync::Arc;
 
 use ratc_config::{GlobalConfiguration, MembershipPlanner};
 use ratc_core::batch::{
-    BatchingConfig, DecisionItem, PrepareBatch, PrepareItem, PreparedItem, VoteBatcher,
+    sorted_entry, BatchingConfig, DecisionItem, Items, PrepareBatch, PrepareItem, PreparedItem,
+    ShardDecisions, VoteBatcher,
 };
 use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
-use ratc_core::log::{LogEntry, TxPhase};
+use ratc_core::log::TxPhase;
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
@@ -118,17 +119,10 @@ struct CoordState {
 /// What an outstanding RDMA write was for.
 #[derive(Debug, Clone)]
 enum PendingWrite {
-    Accept {
-        tx: TxId,
-        shard: ShardId,
-        follower: ProcessId,
-        epoch: Epoch,
-    },
-    /// A whole batch of votes packed into one write (see
-    /// `ratc_core::batch`): the hardware acknowledgement acknowledges every
-    /// slot of the batch at once.
+    /// The votes of one `ACCEPT` write (see `ratc_core::batch`): the
+    /// hardware acknowledgement acknowledges every slot of it at once.
     AcceptBatch {
-        txs: Vec<TxId>,
+        txs: Items<TxId>,
         shard: ShardId,
         follower: ProcessId,
         epoch: Epoch,
@@ -274,7 +268,7 @@ impl RdmaReplica {
         self.truncation = truncation;
     }
 
-    /// Sets the batching-pipeline knobs (default: disabled).
+    /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
         self.batching = batching;
         self.batcher.set_config(batching);
@@ -435,37 +429,68 @@ impl RdmaReplica {
         }
     }
 
-    fn send_prepares(
-        &self,
-        ctx: &mut Context<'_, RdmaMsg>,
-        tx: TxId,
-        coord: &CoordState,
-        only: Option<&[ShardId]>,
-    ) {
-        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
-        for shard in &coord.shards {
-            if let Some(filter) = only {
-                if !filter.contains(shard) {
-                    continue;
-                }
-            }
-            let Some(leader) = self.leader_of(*shard) else {
+    /// Sends `PREPARE` for `txs` (line 76): one `PREPARE_BATCH` per involved
+    /// shard leader — in leader order, items in `txs` order — with each
+    /// payload restricted to the leader's shard, or `⊥` when this
+    /// coordinator has no payload (a recovery coordinator). Returns the
+    /// number of messages sent.
+    fn send_prepares(&self, ctx: &mut Context<'_, RdmaMsg>, txs: &[TxId]) -> u64 {
+        let mut per_leader: Vec<(ProcessId, Items<PrepareItem>)> = Vec::new();
+        for &tx in txs {
+            let Some(coord) = self.coordinating.get(&tx) else {
                 continue;
             };
-            let restricted = coord
-                .payload
-                .as_ref()
-                .map(|p| p.restrict(*shard, self.sharding.as_ref()));
-            ctx.send(
-                leader,
-                RdmaMsg::Prepare {
+            for shard in &coord.shards {
+                let Some(leader) = self.leader_of(*shard) else {
+                    continue;
+                };
+                let restricted = coord
+                    .payload
+                    .as_ref()
+                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
+                sorted_entry(&mut per_leader, leader).push(PrepareItem {
                     tx,
                     payload: restricted,
                     shards: coord.shards.clone(),
                     client: coord.client,
+                });
+            }
+        }
+        let sent = per_leader.len() as u64;
+        for (leader, items) in per_leader {
+            ctx.send(
+                leader,
+                RdmaMsg::PrepareBatch {
+                    batch: PrepareBatch { items },
                 },
             );
         }
+        sent
+    }
+
+    /// Re-sends `PREPARE` for one transaction outside the batcher — a retry,
+    /// or a recovery coordinator's `PREPARE(t, ⊥)` — as one-item batches.
+    fn resend_prepares(&self, ctx: &mut Context<'_, RdmaMsg>, tx: TxId) {
+        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
+        self.send_prepares(ctx, &[tx]);
+    }
+
+    /// The coordinator state of `tx`, created (and counted in flight) if this
+    /// replica is not coordinating it yet — a recovery coordinator, which has
+    /// no payload.
+    fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
+        if !self.coordinating.contains_key(&tx) {
+            self.in_flight += 1;
+        }
+        self.coordinating.entry(tx).or_insert_with(|| CoordState {
+            client,
+            payload: None,
+            shards: shards.to_vec(),
+            progress: BTreeMap::new(),
+            decided: false,
+            decision: None,
+            known_decision: None,
+        })
     }
 
     /// Applies a message that was found in local memory (either polled by the
@@ -473,74 +498,26 @@ impl RdmaReplica {
     fn apply_rdma_payload(&mut self, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
         match msg {
             // Line 94–95: store unconditionally; followers cannot reject.
-            RdmaMsg::Accept {
-                shard: _,
-                pos,
-                tx,
-                payload,
-                vote,
-                shards,
-                client,
-            } if self.log.phase(pos) == TxPhase::Start => {
-                self.log.store_at(
-                    pos,
-                    LogEntry {
-                        tx,
-                        payload,
-                        vote,
-                        dec: None,
-                        phase: TxPhase::Prepared,
-                        shards,
-                        client,
-                    },
-                );
-            }
-            // A batch write: per-slot votes are recoverable individually, so
-            // replay each item exactly like a single `ACCEPT`.
+            // Per-slot votes are recoverable individually, so each item is
+            // replayed on its own; a duplicate write replaying an occupied
+            // slot is idempotent.
             RdmaMsg::AcceptBatch { shard: _, items } => {
                 for item in items {
-                    if self.log.phase(item.pos) == TxPhase::Start {
-                        self.log.store_at(
-                            item.pos,
-                            LogEntry {
-                                tx: item.tx,
-                                payload: item.payload,
-                                vote: item.vote,
-                                dec: None,
-                                phase: TxPhase::Prepared,
-                                shards: item.shards,
-                                client: item.client,
-                            },
-                        );
-                    }
+                    self.log.accept(item);
                 }
             }
             // Line 101–102, plus checkpointed truncation at the hinted floor.
-            RdmaMsg::DecisionShard {
-                pos,
-                decision,
-                truncate_to,
-            } => {
-                self.log.decide(pos, decision);
-                self.maybe_truncate(truncate_to, ctx);
-            }
             RdmaMsg::DecisionBatch { items, truncate_to } => {
-                for item in &items {
+                for item in items.iter() {
                     self.log.decide(item.pos, item.decision);
                 }
                 self.maybe_truncate(truncate_to, ctx);
             }
-            // An `ACCEPT` whose slot already left `Start` (the guard above
-            // rejected it): a duplicate RDMA write replaying an occupied
-            // slot — idempotent, nothing to store.
-            RdmaMsg::Accept { .. } => {}
-            // Explicit no-ops: only `ACCEPT`/`DECISION` (and their batches)
-            // are one-sided writes into follower memory; everything else in
-            // the vocabulary travels as a routed message and never reaches
+            // Explicit no-ops: only `ACCEPT` and `DECISION` are one-sided
+            // writes into follower memory; everything else in the vocabulary
+            // travels as a routed message and never reaches
             // `apply_rdma_payload`.
             RdmaMsg::Certify { .. }
-            | RdmaMsg::Prepare { .. }
-            | RdmaMsg::PrepareAck { .. }
             | RdmaMsg::DecisionClient { .. }
             | RdmaMsg::Retry { .. }
             | RdmaMsg::TxDecided { .. }
@@ -631,7 +608,7 @@ impl RdmaReplica {
 
     /// A shard peer gossiped its decided frontier: record it and truncate at
     /// the true cluster minimum (instead of waiting for a clamped leader
-    /// hint on the next `DecisionShard` write).
+    /// hint on the next `DECISION` write).
     fn handle_frontier_exchange(
         &mut self,
         from: ProcessId,
@@ -680,9 +657,8 @@ impl RdmaReplica {
             }
             let token = ctx.rdma_send(
                 member,
-                RdmaMsg::DecisionShard {
-                    pos,
-                    decision,
+                RdmaMsg::DecisionBatch {
+                    items: Items::one(DecisionItem { pos, decision }),
                     truncate_to: Position::ZERO,
                 },
             );
@@ -731,78 +707,27 @@ impl RdmaReplica {
         Some((coord.client, Decision::meet_all(votes), positions))
     }
 
-    /// Lines 96–100: completion check driven by RDMA acknowledgements.
-    fn check_completion(&mut self, tx: TxId, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some((client, decision, targets)) = self.completion_of(tx) else {
-            return;
-        };
-        if let Some(coord) = self.coordinating.get_mut(&tx) {
-            if !coord.decided {
-                self.in_flight -= 1;
-                // On this stack the accept quorum (the RDMA acknowledgement
-                // quorum on every shard) and the decision coincide.
-                ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
-                ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-                ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
-            }
-            coord.decided = true;
-            coord.decision = Some(decision);
-        }
-        self.retry_backoff.remove(&tx);
-        self.admission.remove(tx);
-        ctx.add_counter("coordinator_decisions", 1);
-        ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
-        for (shard, pos, truncate_to) in targets {
-            let members = self
-                .config
-                .as_ref()
-                .map(|c| c.members_of(shard).to_vec())
-                .unwrap_or_default();
-            for member in members {
-                if member == self.id {
-                    self.log.decide(pos, decision);
-                    self.maybe_truncate(truncate_to, ctx);
-                    self.maybe_gossip_frontier(ctx);
-                    continue;
-                }
-                let token = ctx.rdma_send(
-                    member,
-                    RdmaMsg::DecisionShard {
-                        pos,
-                        decision,
-                        truncate_to,
-                    },
-                );
-                self.pending_writes.insert(token, PendingWrite::Other);
-            }
-        }
-        // The decision frees an admission-window slot.
-        self.drain_admission(ctx);
-    }
-
-    /// Batched lines 96–100: completes every done transaction of `txs` and
-    /// packs their decisions into one `DecisionShard`-style `DECISION_BATCH`
-    /// write per shard member. Clients are still notified individually.
-    fn complete_batch(&mut self, txs: &[TxId], ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.batching.enabled {
-            for &tx in txs {
-                self.check_completion(tx, ctx);
-            }
-            return;
-        }
-        let mut per_shard: BTreeMap<ShardId, (Vec<DecisionItem>, Position)> = BTreeMap::new();
-        let mut seen: BTreeSet<TxId> = BTreeSet::new();
-        for &tx in txs {
-            if !seen.insert(tx) {
-                continue;
-            }
+    /// Lines 96–100: completion driven by RDMA acknowledgements. Decides
+    /// every transaction of `txs` that is complete, reports it to the client
+    /// and packs the decisions into one `DECISION` write per shard member.
+    fn complete_batch(
+        &mut self,
+        txs: impl IntoIterator<Item = TxId>,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) {
+        let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
+        for tx in txs {
+            // A transaction listed twice is complete only once: deciding it
+            // makes its second `completion_of` come back empty.
             let Some((client, decision, targets)) = self.completion_of(tx) else {
                 continue;
             };
             if let Some(coord) = self.coordinating.get_mut(&tx) {
                 if !coord.decided {
                     self.in_flight -= 1;
-                    // As in `check_completion`: quorum and decision coincide.
+                    // On this stack the accept quorum (the RDMA
+                    // acknowledgement quorum on every shard) and the
+                    // decision coincide.
                     ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
                     ctx.obs_milestone(tx, TxMilestone::Decided, 0);
                     ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
@@ -815,14 +740,10 @@ impl RdmaReplica {
             ctx.add_counter("coordinator_decisions", 1);
             ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
             for (shard, pos, floor) in targets {
-                let entry = per_shard
-                    .entry(shard)
-                    .or_insert_with(|| (Vec::new(), Position::new(u64::MAX)));
-                entry.0.push(DecisionItem { pos, decision });
-                entry.1 = entry.1.min(floor);
+                sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
             }
         }
-        for (shard, (items, truncate_to)) in per_shard {
+        for (shard, decisions) in per_shard {
             let members = self
                 .config
                 .as_ref()
@@ -830,18 +751,18 @@ impl RdmaReplica {
                 .unwrap_or_default();
             for member in members {
                 if member == self.id {
-                    for item in &items {
+                    for item in decisions.items.iter() {
                         self.log.decide(item.pos, item.decision);
                     }
-                    self.maybe_truncate(truncate_to, ctx);
+                    self.maybe_truncate(decisions.truncate_to, ctx);
                     self.maybe_gossip_frontier(ctx);
                     continue;
                 }
                 let token = ctx.rdma_send(
                     member,
                     RdmaMsg::DecisionBatch {
-                        items: items.clone(),
-                        truncate_to,
+                        items: decisions.items.clone(),
+                        truncate_to: decisions.truncate_to,
                     },
                 );
                 self.pending_writes.insert(token, PendingWrite::Other);
@@ -900,8 +821,7 @@ impl RdmaReplica {
                         let attempt = self.retry_backoff.get(&tx).map(|b| b.attempt).unwrap_or(0);
                         ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
                         ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
-                        let coord = self.coordinating.get(&tx).expect("in flight").clone();
-                        self.send_prepares(ctx, tx, &coord, None);
+                        self.resend_prepares(ctx, tx);
                         self.backoff_fired(tx, now);
                     }
                     self.arm_retry_timer(ctx);
@@ -958,22 +878,18 @@ impl RdmaReplica {
         }
         coord.payload = Some(payload);
         coord.client = client;
-        if self.batching.enabled {
-            if self.batcher.push(tx) {
-                let txs = self.batcher.drain_full();
-                self.flush_prepare_batch(txs, ctx);
-            } else {
-                self.arm_batch_timer(ctx);
-            }
-            self.arm_retry_timer(ctx);
-            return;
+        // Into the pending batch, which flushes when it reaches its target
+        // (at `max_batch = 1`: now) or when the batch timer expires.
+        if self.batcher.push(tx) {
+            let txs = self.batcher.drain_full();
+            self.flush_prepare_batch(txs, ctx);
+        } else {
+            self.arm_batch_timer(ctx);
         }
-        let coord = coord.clone();
-        self.send_prepares(ctx, tx, &coord, None);
         self.arm_retry_timer(ctx);
     }
 
-    // -- batched certification pipeline (see `ratc_core::batch`) -------------
+    // -- the PREPARE/ACCEPT exchange (see `ratc_core::batch`) ----------------
 
     fn arm_batch_timer(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
         if !self.batch_timer_armed && !self.batcher.is_empty() {
@@ -982,9 +898,8 @@ impl RdmaReplica {
         }
     }
 
-    /// Drains the pending batch into one `PREPARE_BATCH` per involved shard
-    /// leader.
-    fn flush_prepare_batch(&mut self, txs: Vec<TxId>, ctx: &mut Context<'_, RdmaMsg>) {
+    /// Sends the `PREPARE`s of a drained batch (a flush of one is a flush).
+    fn flush_prepare_batch(&mut self, mut txs: Vec<TxId>, ctx: &mut Context<'_, RdmaMsg>) {
         if txs.is_empty() {
             return;
         }
@@ -995,107 +910,38 @@ impl RdmaReplica {
                 ctx.obs_milestone(tx, TxMilestone::BatchFlush, txs.len() as u64);
             }
         }
-        let mut per_leader: BTreeMap<ProcessId, Vec<PrepareItem>> = BTreeMap::new();
-        for tx in txs {
-            let Some(coord) = self.coordinating.get(&tx) else {
-                continue;
-            };
-            if coord.decided {
-                continue;
-            }
-            for shard in &coord.shards {
-                let Some(leader) = self.leader_of(*shard) else {
-                    continue;
-                };
-                let restricted = coord
-                    .payload
-                    .as_ref()
-                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
-                per_leader.entry(leader).or_default().push(PrepareItem {
-                    tx,
-                    payload: restricted,
-                    shards: coord.shards.clone(),
-                    client: coord.client,
-                });
-            }
-        }
-        for (leader, items) in per_leader {
-            ctx.add_counter("prepare_batches_sent", 1);
-            ctx.send(
-                leader,
-                RdmaMsg::PrepareBatch {
-                    batch: PrepareBatch { items },
-                },
-            );
-        }
+        // Decided (or handed off) while it waited in the batch.
+        txs.retain(|tx| self.coordinating.get(tx).is_some_and(|c| !c.decided));
+        let sent = self.send_prepares(ctx, &txs);
+        ctx.add_counter("prepare_batches_sent", sent);
     }
 
-    /// Batched lines 77–90: the leader certifies a whole batch in one pass,
-    /// appending fresh entries at a contiguous position range. Truncated
-    /// transactions keep the per-transaction `TxDecided` fast path.
+    /// Lines 77–90: the leader certifies the items of a `PREPARE` in order.
+    /// Identical to the message-passing protocol's leader logic, so the
+    /// per-item step is shared with it (`CertificationLog::prepare`).
     fn handle_prepare_batch(
         &mut self,
         from: ProcessId,
-        items: Vec<PrepareItem>,
+        items: Items<PrepareItem>,
         ctx: &mut Context<'_, RdmaMsg>,
     ) {
         if self.status != RdmaStatus::Leader {
             return;
         }
-        let mut acks: Vec<PreparedItem> = Vec::with_capacity(items.len());
+        let mut acks: Items<PreparedItem> = Items::new();
         for item in items {
-            if let Some(decision) = self.log.truncated_decision(item.tx) {
-                ctx.send(
+            let (tx, client) = (item.tx, item.client);
+            match self.log.prepare(item, self.certifier.as_ref()) {
+                Ok(ack) => acks.push(ack),
+                Err(decision) => ctx.send(
                     from,
                     RdmaMsg::TxDecided {
-                        tx: item.tx,
+                        tx,
                         decision,
-                        client: item.client,
+                        client,
                     },
-                );
-                continue;
+                ),
             }
-            if let Some(pos) = self.log.position_of(item.tx) {
-                let entry = self.log.get(pos).expect("retained");
-                acks.push(PreparedItem {
-                    pos,
-                    tx: item.tx,
-                    payload: entry.payload.clone(),
-                    vote: entry.vote,
-                    shards: entry.shards.clone(),
-                    client: entry.client,
-                });
-                continue;
-            }
-            let (vote, stored_payload) = match item.payload {
-                Some(l) => {
-                    let next = self.log.next();
-                    let vote = self.log.vote_at(next, &l).unwrap_or_else(|| {
-                        let committed = self.log.committed_payloads_before(next);
-                        let prepared = self.log.prepared_payloads_before(next);
-                        self.certifier.vote(&committed, &prepared, &l)
-                    });
-                    (vote, l)
-                }
-                None => (Decision::Abort, Payload::empty()),
-            };
-            let pos = self.log.append(LogEntry {
-                tx: item.tx,
-                payload: stored_payload.clone(),
-                vote,
-                dec: None,
-                phase: TxPhase::Prepared,
-                shards: item.shards.clone(),
-                client: item.client,
-            });
-            acks.push(PreparedItem {
-                pos,
-                tx: item.tx,
-                payload: stored_payload,
-                vote,
-                shards: item.shards,
-                client: item.client,
-            });
         }
         if !acks.is_empty() {
             ctx.send(
@@ -1110,34 +956,24 @@ impl RdmaReplica {
         }
     }
 
-    /// Batched lines 91–93: persist a whole batch of votes with **one RDMA
-    /// write per follower**; the hardware acknowledgement of that write
-    /// acknowledges every slot of the batch at once.
+    /// Lines 91–93: persist the leader's votes with **one RDMA write per
+    /// follower**; the hardware acknowledgement of that write acknowledges
+    /// every slot it carries at once.
     fn handle_prepare_ack_batch(
         &mut self,
         epoch: Epoch,
         shard: ShardId,
-        items: Vec<PreparedItem>,
+        items: Items<PreparedItem>,
         frontier: Position,
         ctx: &mut Context<'_, RdmaMsg>,
     ) {
+        // Line 92 precondition: the coordinator is in the same (global) epoch
+        // the leader prepared the transactions in.
         if epoch != self.epoch {
             return;
         }
-        let mut txs = Vec::with_capacity(items.len());
-        for item in &items {
-            let coord = self
-                .coordinating
-                .entry(item.tx)
-                .or_insert_with(|| CoordState {
-                    client: item.client,
-                    payload: None,
-                    shards: item.shards.clone(),
-                    progress: BTreeMap::new(),
-                    decided: false,
-                    decision: None,
-                    known_decision: None,
-                });
+        for item in items.iter() {
+            let coord = self.coord_entry(item.tx, item.client, &item.shards);
             let progress = coord
                 .progress
                 .entry(shard)
@@ -1148,12 +984,14 @@ impl RdmaReplica {
             progress.vote = Some(item.vote);
             progress.leader_frontier = Some(frontier);
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-            txs.push(item.tx);
         }
+        let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
         let followers = self.followers_of(shard);
         let mut self_is_follower = false;
         for follower in followers {
             if follower == self.id {
+                // Writing into our own memory trivially succeeds: apply the
+                // entries locally and count the acknowledgement immediately.
                 self_is_follower = true;
                 continue;
             }
@@ -1176,196 +1014,27 @@ impl RdmaReplica {
         }
         if self_is_follower {
             self.apply_rdma_payload(RdmaMsg::AcceptBatch { shard, items }, ctx);
-            for &tx in &txs {
-                if let Some(coord) = self.coordinating.get_mut(&tx) {
-                    coord
-                        .progress
-                        .entry(shard)
-                        .or_default()
-                        .entry(epoch)
-                        .or_default()
-                        .acked
-                        .insert(self.id);
-                }
-            }
+            self.record_acks(&txs, shard, epoch, self.id);
         }
-        for &tx in &txs {
+        // A late re-ack for a transaction whose decision was already learned
+        // out-of-band (`TxDecided`): tell this shard the decision now that
+        // its position is known.
+        for &tx in txs.iter() {
             self.flush_known_decision(tx, shard, ctx);
         }
-        self.complete_batch(&txs, ctx);
+        self.complete_batch(txs, ctx);
     }
 
-    /// Lines 77–90: identical to the message-passing protocol's leader logic.
-    fn handle_prepare(
+    /// Records `follower`'s acknowledgement of every transaction of `txs`.
+    fn record_acks(
         &mut self,
-        from: ProcessId,
-        tx: TxId,
-        payload: Option<Payload>,
-        shards: Vec<ShardId>,
-        client: ProcessId,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        if self.status != RdmaStatus::Leader {
-            return;
-        }
-        // A truncated transaction is decided: answer with the recorded
-        // decision instead of re-certifying it as new (see `ratc-core`).
-        if let Some(decision) = self.log.truncated_decision(tx) {
-            ctx.send(
-                from,
-                RdmaMsg::TxDecided {
-                    tx,
-                    decision,
-                    client,
-                },
-            );
-            return;
-        }
-        if let Some(pos) = self.log.position_of(tx) {
-            let entry = self.log.get(pos).expect("retained");
-            ctx.send(
-                from,
-                RdmaMsg::PrepareAck {
-                    epoch: self.epoch,
-                    shard: self.shard,
-                    pos,
-                    tx,
-                    payload: entry.payload.clone(),
-                    vote: entry.vote,
-                    shards: entry.shards.clone(),
-                    client: entry.client,
-                    frontier: self.log.decided_frontier(),
-                },
-            );
-            return;
-        }
-        // The certification index answers the vote in O(|payload|); logs
-        // without an index fall back to the set-based scans.
-        let (vote, stored_payload) = match payload {
-            Some(l) => {
-                let next = self.log.next();
-                let vote = self.log.vote_at(next, &l).unwrap_or_else(|| {
-                    let committed = self.log.committed_payloads_before(next);
-                    let prepared = self.log.prepared_payloads_before(next);
-                    self.certifier.vote(&committed, &prepared, &l)
-                });
-                (vote, l)
-            }
-            None => (Decision::Abort, Payload::empty()),
-        };
-        let pos = self.log.append(LogEntry {
-            tx,
-            payload: stored_payload.clone(),
-            vote,
-            dec: None,
-            phase: TxPhase::Prepared,
-            shards: shards.clone(),
-            client,
-        });
-        ctx.send(
-            from,
-            RdmaMsg::PrepareAck {
-                epoch: self.epoch,
-                shard: self.shard,
-                pos,
-                tx,
-                payload: stored_payload,
-                vote,
-                shards,
-                client,
-                frontier: self.log.decided_frontier(),
-            },
-        );
-    }
-
-    /// Lines 91–93: persist the vote at the followers with RDMA writes.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_prepare_ack(
-        &mut self,
-        epoch: Epoch,
+        txs: &Items<TxId>,
         shard: ShardId,
-        pos: Position,
-        tx: TxId,
-        payload: Payload,
-        vote: Decision,
-        shards: Vec<ShardId>,
-        client: ProcessId,
-        frontier: Position,
-        ctx: &mut Context<'_, RdmaMsg>,
+        epoch: Epoch,
+        follower: ProcessId,
     ) {
-        // Line 92 precondition: the coordinator is in the same (global) epoch
-        // the leader prepared the transaction in.
-        if epoch != self.epoch {
-            return;
-        }
-        let inserted = !self.coordinating.contains_key(&tx);
-        let coord = self.coordinating.entry(tx).or_insert_with(|| CoordState {
-            client,
-            payload: None,
-            shards: shards.clone(),
-            progress: BTreeMap::new(),
-            decided: false,
-            decision: None,
-            known_decision: None,
-        });
-        if inserted {
-            self.in_flight += 1;
-        }
-        let progress = coord
-            .progress
-            .entry(shard)
-            .or_default()
-            .entry(epoch)
-            .or_default();
-        progress.pos = Some(pos);
-        progress.vote = Some(vote);
-        progress.leader_frontier = Some(frontier);
-        ctx.obs_milestone(tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-        let followers = self.followers_of(shard);
-        let mut self_is_follower = false;
-        for follower in followers {
-            if follower == self.id {
-                // Writing into our own memory trivially succeeds: apply the
-                // entry locally and count the acknowledgement immediately.
-                self_is_follower = true;
-                continue;
-            }
-            let token = ctx.rdma_send(
-                follower,
-                RdmaMsg::Accept {
-                    shard,
-                    pos,
-                    tx,
-                    payload: payload.clone(),
-                    vote,
-                    shards: shards.clone(),
-                    client,
-                },
-            );
-            self.pending_writes.insert(
-                token,
-                PendingWrite::Accept {
-                    tx,
-                    shard,
-                    follower,
-                    epoch,
-                },
-            );
-        }
-        if self_is_follower {
-            self.apply_rdma_payload(
-                RdmaMsg::Accept {
-                    shard,
-                    pos,
-                    tx,
-                    payload,
-                    vote,
-                    shards,
-                    client,
-                },
-                ctx,
-            );
-            if let Some(coord) = self.coordinating.get_mut(&tx) {
+        for tx in txs.iter() {
+            if let Some(coord) = self.coordinating.get_mut(tx) {
                 coord
                     .progress
                     .entry(shard)
@@ -1373,14 +1042,9 @@ impl RdmaReplica {
                     .entry(epoch)
                     .or_default()
                     .acked
-                    .insert(self.id);
+                    .insert(follower);
             }
         }
-        // A late re-ack for a transaction whose decision was already learned
-        // out-of-band (`TxDecided`): tell this shard the decision now that
-        // its position is known.
-        self.flush_known_decision(tx, shard, ctx);
-        self.check_completion(tx, ctx);
     }
 
     fn handle_retry(&mut self, tx: TxId, ctx: &mut Context<'_, RdmaMsg>) {
@@ -1396,21 +1060,8 @@ impl RdmaReplica {
         }
         let shards = entry.shards.clone();
         let client = entry.client;
-        let inserted = !self.coordinating.contains_key(&tx);
-        let coord = self.coordinating.entry(tx).or_insert_with(|| CoordState {
-            client,
-            payload: None,
-            shards,
-            progress: BTreeMap::new(),
-            decided: false,
-            decision: None,
-            known_decision: None,
-        });
-        if inserted {
-            self.in_flight += 1;
-        }
-        let coord = coord.clone();
-        self.send_prepares(ctx, tx, &coord, None);
+        self.coord_entry(tx, client, &shards);
+        self.resend_prepares(ctx, tx);
         self.arm_retry_timer(ctx);
     }
 
@@ -1445,8 +1096,7 @@ impl RdmaReplica {
                 ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
                 self.backoff_fired(tx, now);
             }
-            let coord = self.coordinating.get(&tx).expect("pending").clone();
-            self.send_prepares(ctx, tx, &coord, None);
+            self.resend_prepares(ctx, tx);
         }
         self.arm_retry_timer(ctx);
     }
@@ -2132,25 +1782,6 @@ impl Actor<RdmaMsg> for RdmaReplica {
                 payload,
                 client,
             } => self.handle_certify(tx, payload, client, ctx),
-            RdmaMsg::Prepare {
-                tx,
-                payload,
-                shards,
-                client,
-            } => self.handle_prepare(from, tx, payload, shards, client, ctx),
-            RdmaMsg::PrepareAck {
-                epoch,
-                shard,
-                pos,
-                tx,
-                payload,
-                vote,
-                shards,
-                client,
-                frontier,
-            } => self.handle_prepare_ack(
-                epoch, shard, pos, tx, payload, vote, shards, client, frontier, ctx,
-            ),
             RdmaMsg::PrepareBatch { batch } => self.handle_prepare_batch(from, batch.items, ctx),
             RdmaMsg::PrepareAckBatch {
                 epoch,
@@ -2223,12 +1854,9 @@ impl Actor<RdmaMsg> for RdmaReplica {
             RdmaMsg::CsGetReply { epoch, config } => self.handle_cs_get_reply(epoch, config, ctx),
             RdmaMsg::CsCasReply { ok, config } => self.handle_cs_cas_reply(ok, config, ctx),
             RdmaMsg::NaiveConfigChange { config } => self.handle_naive_config_change(config),
-            // Accept/DecisionShard (and their batch forms) only ever arrive
-            // through RDMA; requests to the configuration service are ignored
-            // by replicas.
-            RdmaMsg::Accept { .. }
-            | RdmaMsg::AcceptBatch { .. }
-            | RdmaMsg::DecisionShard { .. }
+            // `ACCEPT` and `DECISION` only ever arrive through RDMA; requests
+            // to the configuration service are ignored by replicas.
+            RdmaMsg::AcceptBatch { .. }
             | RdmaMsg::DecisionBatch { .. }
             | RdmaMsg::CsGetLast
             | RdmaMsg::CsGet { .. }
@@ -2248,43 +1876,14 @@ impl Actor<RdmaMsg> for RdmaReplica {
             return;
         };
         match pending {
-            PendingWrite::Accept {
-                tx,
-                shard,
-                follower,
-                epoch,
-            } => {
-                if let Some(coord) = self.coordinating.get_mut(&tx) {
-                    coord
-                        .progress
-                        .entry(shard)
-                        .or_default()
-                        .entry(epoch)
-                        .or_default()
-                        .acked
-                        .insert(follower);
-                }
-                self.check_completion(tx, ctx);
-            }
             PendingWrite::AcceptBatch {
                 txs,
                 shard,
                 follower,
                 epoch,
             } => {
-                for &tx in &txs {
-                    if let Some(coord) = self.coordinating.get_mut(&tx) {
-                        coord
-                            .progress
-                            .entry(shard)
-                            .or_default()
-                            .entry(epoch)
-                            .or_default()
-                            .acked
-                            .insert(follower);
-                    }
-                }
-                self.complete_batch(&txs, ctx);
+                self.record_acks(&txs, shard, epoch, follower);
+                self.complete_batch(txs, ctx);
             }
             PendingWrite::Other => {}
         }

@@ -1,11 +1,11 @@
 //! Differential testing of the batched certification pipeline.
 //!
 //! Batching (`ratc_core::batch`) is pure transport-level coalescing: a batch
-//! carries the same per-transaction payloads, votes and decisions the
-//! unbatched exchange would, and a leader certifies a batch in submission
-//! order. Replaying the *same* randomized workload through two clusters —
-//! one with batching disabled, one with a batch size — must therefore
-//! produce, at quiescence:
+//! carries the same per-transaction payloads, votes and decisions as batches
+//! of one (the paper's exchange) would, and a leader certifies a batch in
+//! submission order. Replaying the *same* randomized workload through two
+//! clusters — the reference at batch size 1 ("unbatched" below), the other
+//! at a batch size N — must therefore produce, at quiescence:
 //!
 //! * the **same history**: every transaction gets the same commit/abort
 //!   decision in both runs;

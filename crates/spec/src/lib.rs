@@ -24,7 +24,7 @@
 //!   a truncating log must agree vote-for-vote (and position-for-position)
 //!   with an untruncated mirror on randomized schedules;
 //! * [`batching`] — differential testing of the batched certification
-//!   pipeline: a batched and an unbatched cluster replaying the same
+//!   pipeline: a cluster at batch size N and one at size 1 replaying the same
 //!   workload must produce identical histories, votes and certification
 //!   orders, including runs interleaved with truncation and
 //!   reconfiguration;

@@ -16,6 +16,7 @@
 //! write is rejected, `p_c` never gathers its acknowledgements and only the
 //! abort is externalised.
 
+use ratc_core::batch::{Items, PrepareBatch, PrepareItem};
 use ratc_rdma::{RdmaCluster, RdmaClusterConfig, RdmaMsg, ReconfigMode, ScriptedPeer};
 use ratc_sim::SimDuration;
 use ratc_types::{Decision, Key, Payload, ShardId, ShardMap, TxId, Value, Version};
@@ -107,18 +108,23 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
             .record_certify(tx, payload.clone(), now);
     }
 
-    // Step 1 (Figure 4a): p_c prepares t at both leaders.
+    // Step 1 (Figure 4a): p_c prepares t at both leaders (one-item
+    // `PREPARE`s: the paper's single-transaction exchange).
     let shards = vec![s1, s2];
     for (leader, shard) in [(p1, s1), (p3, s2)] {
         let restricted = payload.restrict(shard, cluster.sharding());
         cluster.world.send_from(
             pc,
             leader,
-            RdmaMsg::Prepare {
-                tx,
-                payload: Some(restricted),
-                shards: shards.clone(),
-                client,
+            RdmaMsg::PrepareBatch {
+                batch: PrepareBatch {
+                    items: Items::one(PrepareItem {
+                        tx,
+                        payload: Some(restricted),
+                        shards: shards.clone(),
+                        client,
+                    }),
+                },
             },
         );
     }
@@ -131,38 +137,31 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
         .iter()
         .map(|(_, m)| m.clone())
         .collect();
+    // The prepared slot a leader acknowledged: exactly what `ACCEPT` persists
+    // at the followers.
     let prepare_ack = |shard: ShardId| {
         acks.iter().find_map(|m| match m {
-            RdmaMsg::PrepareAck {
-                shard: s,
-                pos,
-                payload,
-                vote,
-                ..
-            } if *s == shard => Some((*pos, payload.clone(), *vote)),
+            RdmaMsg::PrepareAckBatch {
+                shard: s, items, ..
+            } if *s == shard => items.iter().find(|item| item.tx == tx).cloned(),
             // analyze:allow(wildcard-dispatch): extraction filter over a
             // scripted peer's inbox, not a dispatch — non-PREPARE_ACK
             // traffic is deliberately skipped while reconstructing Fig. 4a.
             _ => None,
         })
     };
-    let (pos1, payload1, vote1) = prepare_ack(s1).expect("PREPARE_ACK from s1's leader");
-    let (pos2, payload2, vote2) = prepare_ack(s2).expect("PREPARE_ACK from s2's leader");
-    assert_eq!(vote1, Decision::Commit);
-    assert_eq!(vote2, Decision::Commit);
+    let prepared1 = prepare_ack(s1).expect("PREPARE_ACK from s1's leader");
+    let prepared2 = prepare_ack(s2).expect("PREPARE_ACK from s2's leader");
+    assert_eq!(prepared1.vote, Decision::Commit);
+    assert_eq!(prepared2.vote, Decision::Commit);
 
     // Step 2: p_c persists s1's commit vote at p2 by RDMA.
     cluster.world.rdma_send_from(
         pc,
         p2,
-        RdmaMsg::Accept {
+        RdmaMsg::AcceptBatch {
             shard: s1,
-            pos: pos1,
-            tx,
-            payload: payload1,
-            vote: vote1,
-            shards: shards.clone(),
-            client,
+            items: Items::one(prepared1),
         },
     );
     cluster.run_for(SimDuration::from_millis(2));
@@ -192,14 +191,9 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
     cluster.world.rdma_send_from(
         pc,
         p4,
-        RdmaMsg::Accept {
+        RdmaMsg::AcceptBatch {
             shard: s2,
-            pos: pos2,
-            tx,
-            payload: payload2,
-            vote: vote2,
-            shards,
-            client,
+            items: Items::one(prepared2),
         },
     );
     cluster.run_for(SimDuration::from_millis(2));

@@ -1450,8 +1450,11 @@ mod tests {
             unbatched.leader_msgs_per_txn,
             batch16.leader_msgs_per_txn
         );
-        assert_eq!(unbatched.prepare_batches, 0, "batch 1 must not batch");
-        assert!(batch16.prepare_batches > 0);
+        assert_eq!(
+            unbatched.prepare_batches, tx_count as u64,
+            "batch 1 sends one PREPARE per transaction"
+        );
+        assert!(batch16.prepare_batches > 0 && batch16.prepare_batches <= tx_count as u64 / 8);
     }
 
     /// Acceptance criterion of *adaptive* batching: under sustained load the
