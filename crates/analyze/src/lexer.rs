@@ -4,7 +4,7 @@
 //! a separate list of line comments (block comments are skipped, string and
 //! char literals are opaque single tokens, lifetimes are distinguished from
 //! char literals). It deliberately does **not** build an AST — the lint
-//! passes in [`crate::lints`] pattern-match over token windows, and the
+//! passes in `crate::lints` pattern-match over token windows, and the
 //! lightweight item parser in [`crate::parse`] recovers the two shapes the
 //! protocol-surface lints need (enum declarations and `match` expressions).
 

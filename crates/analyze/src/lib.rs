@@ -35,7 +35,8 @@
 //!   anywhere in its owning crate.
 //! * `milestone-parity` — a `TxMilestone`/`CtrlMilestone` variant not
 //!   stamped by all three stacks (core, rdma, baseline; stamps in the shared
-//!   `sim`/`chaos` engines count for every stack).
+//!   `sim`/`chaos` engines count for every stack, stamps in the shared
+//!   coordinator `crates/core/src/coord.rs` for core and rdma).
 //!
 //! Pragma hygiene:
 //!
@@ -196,6 +197,12 @@ pub(crate) const STACKS: [&str; 3] = ["core", "rdma", "baseline"];
 /// world and chaos harness stamp crash/fault lifecycle events on behalf of
 /// whichever stack is running).
 pub(crate) const SHARED_STAMPERS: [&str; 2] = ["sim", "chaos"];
+
+/// The file whose milestone stamps count for both RATC stacks: `core` and
+/// `rdma` each host the one coordinator written there, and every commit-path
+/// milestone is stamped by the coordinator.
+pub(crate) const SHARED_COORDINATOR: (&str, [&str; 2]) =
+    ("crates/core/src/coord.rs", ["core", "rdma"]);
 
 pub(crate) fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()
@@ -400,7 +407,7 @@ fn prepare(file: &SourceFile) -> Prepared {
 const SKIP_PREFIXES: [&str; 3] = ["crates/vendor/", "crates/bench/", "crates/analyze/"];
 
 /// Walks the workspace at `root` and collects every `crates/*/src/**/*.rs`
-/// (plus a root `src/` if present), excluding [`SKIP_PREFIXES`]. Files come
+/// (plus a root `src/` if present), excluding `SKIP_PREFIXES`. Files come
 /// back sorted by path so analysis order is deterministic.
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();

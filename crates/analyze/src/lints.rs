@@ -8,7 +8,8 @@ use std::collections::BTreeSet;
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{arm_is_wildcard, arm_variant_paths};
 use crate::{
-    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_STAMPERS, STACKS,
+    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_COORDINATOR,
+    SHARED_STAMPERS, STACKS,
 };
 
 /// Methods on `HashMap`/`HashSet` whose result order depends on hash state.
@@ -435,7 +436,9 @@ pub(crate) fn protocol_surface(preps: &[Prepared], findings: &mut Vec<Finding>) 
 
 /// `milestone-parity`: every `TxMilestone`/`CtrlMilestone` variant must be
 /// stamped (referenced outside tests) by each of the three stacks. Stamps
-/// in shared engine crates ([`SHARED_STAMPERS`]) count for every stack.
+/// in shared engine crates ([`SHARED_STAMPERS`]) count for every stack, and
+/// stamps in the shared coordinator file ([`SHARED_COORDINATOR`]) for both
+/// stacks that host it.
 fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
     for enum_name in ["TxMilestone", "CtrlMilestone"] {
         let Some((decl_file, variants)) = preps.iter().find_map(|p| {
@@ -456,6 +459,12 @@ fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
             if !STACKS.contains(&crate_name) && !SHARED_STAMPERS.contains(&crate_name) {
                 continue;
             }
+            let own = [crate_name];
+            let credited: &[&str] = if prep.path == SHARED_COORDINATOR.0 {
+                &SHARED_COORDINATOR.1
+            } else {
+                &own
+            };
             let t = &prep.toks;
             for i in 0..t.len() {
                 if t[i].is_ident(enum_name)
@@ -463,10 +472,12 @@ fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
                     && t.get(i + 2).is_some_and(|a| a.is_punct(':'))
                     && t.get(i + 3).is_some_and(|a| a.kind == TokKind::Ident)
                 {
-                    stamped_in
-                        .entry(crate_name)
-                        .or_default()
-                        .insert(t[i + 3].text.clone());
+                    for stack in credited {
+                        stamped_in
+                            .entry(*stack)
+                            .or_default()
+                            .insert(t[i + 3].text.clone());
+                    }
                 }
             }
         }

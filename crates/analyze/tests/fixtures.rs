@@ -310,6 +310,55 @@ fn milestone_parity_accepts_full_or_shared_stamping() {
     assert!(analyze_files(&parity_files(false, true)).is_empty());
 }
 
+/// `Decided` is stamped by the baseline and otherwise only in `coord_path`.
+fn coordinator_parity_files(coord_path: &str) -> Vec<SourceFile> {
+    let file = |path: &str, text: &str| SourceFile {
+        path: path.to_owned(),
+        text: text.to_owned(),
+    };
+    vec![
+        file(
+            "crates/obs/src/fix.rs",
+            "pub enum TxMilestone { Decided, Orphan }",
+        ),
+        file(coord_path, "fn s(c: &mut C) { c.m(TxMilestone::Decided); }"),
+        file("crates/rdma/src/fix.rs", "fn nothing() {}"),
+        file(
+            "crates/baseline/src/fix.rs",
+            "fn s(c: &mut C) { c.m(TxMilestone::Decided); }",
+        ),
+    ]
+}
+
+fn parity_messages(files: &[SourceFile]) -> Vec<String> {
+    analyze_files(files)
+        .into_iter()
+        .filter(|f| f.lint == Lint::MilestoneParity)
+        .map(|f| f.message)
+        .collect()
+}
+
+#[test]
+fn milestone_parity_credits_a_stamp_in_the_shared_coordinator_to_core_and_rdma() {
+    let shared = parity_messages(&coordinator_parity_files("crates/core/src/coord.rs"));
+    assert!(!shared.iter().any(|m| m.contains("Decided")), "{shared:?}");
+    // The same stamp in any other core file counts for core alone.
+    let elsewhere = parity_messages(&coordinator_parity_files("crates/core/src/replica.rs"));
+    assert!(
+        elsewhere
+            .iter()
+            .any(|m| m.contains("Decided") && m.contains("stack(s) rdma ")),
+        "{elsewhere:?}"
+    );
+}
+
+#[test]
+fn milestone_parity_still_reports_a_variant_stamped_nowhere_for_all_three_stacks() {
+    let findings = parity_messages(&coordinator_parity_files("crates/core/src/coord.rs"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].contains("Orphan") && findings[0].contains("core, rdma, baseline"));
+}
+
 // ------------------------------------------------------------------ pragmas
 
 #[test]

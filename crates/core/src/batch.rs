@@ -265,7 +265,7 @@ impl<T> Items<T> {
     }
 
     /// Iterates over the items in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.first.iter().chain(&self.rest)
     }
 }

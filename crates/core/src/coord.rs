@@ -1,0 +1,1299 @@
+//! The transaction coordinator: the one commit exchange both RATC stacks run.
+//!
+//! The paper has a single coordinator — `certify` → `PREPARE` to the shard
+//! leaders → collect their votes → persist the votes at the followers →
+//! decide and fan the decision out — and derives the RDMA protocol (§5) from
+//! the message-passing one (§3) by changing only *how* the votes reach the
+//! followers. [`Coordinator`] is that coordinator, written once. A replica of
+//! either stack hosts one and forwards the coordinator's messages, timers and
+//! acknowledgements to it; everything that differs between Figure 1 and
+//! Figures 7–8 sits behind the [`Replication`] trait the hosting replica
+//! implements.
+//!
+//! | method | Figure 1 (message passing) | Figures 7–8 (RDMA) |
+//! |---|---|---|
+//! | [`Coordinator::certify`] + batch flush | lines 1–3 | lines 74–76 |
+//! | [`Coordinator::on_prepare_ack`] | lines 18–20 (`ACCEPT` via [`Replication::persist_votes`]) | lines 91–93 (one write per follower) |
+//! | [`Coordinator::record_acks`] + completion | lines 26–29 (`ACCEPT_ACK` received) | lines 96–100 (`ack-rdma` received) |
+//! | [`Coordinator::take_over`] | lines 70–73 (`retry`) | lines 167–170 |
+//!
+//! Beyond the paper's pseudocode the coordinator also owns the policies every
+//! deployment needs and the two stacks used to spell separately: the
+//! admission window and its FIFO queue ([`crate::flow`]), per-transaction
+//! retry backoff, the batching pipeline ([`crate::batch`]), adoption of a
+//! decision a leader already truncated (`TxDecided`), the re-transmission
+//! tick, and the hand-off of stalled transactions by a coordinator that was
+//! excluded from the configuration.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use ratc_sim::{BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, ShardMap, TxId};
+
+use crate::batch::{
+    sorted_entry, BatchingConfig, Items, PrepareBatch, PrepareItem, PreparedItem, ShardDecisions,
+    VoteBatcher,
+};
+use crate::flow::{AdmissionQueue, FlowControlConfig};
+
+/// Timer tag of the coordinator's re-transmission tick
+/// ([`Coordinator::retry_tick`]).
+pub const RETRY_TICK: TimerTag = 1;
+
+/// Timer tag flushing a partially filled prepare batch
+/// ([`Coordinator::batch_tick`]).
+pub const BATCH_TICK: TimerTag = 2;
+
+/// Interval of the re-transmission tick.
+const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(20);
+
+/// Constructors for the messages the coordinator and the shard leader's
+/// `PREPARE` step send. `Msg` and `RdmaMsg` spell these variants identically;
+/// the trait lets the shared code build them without knowing the enum.
+pub trait CommitMsg: Sized {
+    /// `DECISION(t, d)` to the client.
+    fn decision_client(tx: TxId, decision: Decision) -> Self;
+    /// The `retry(k)` trigger: asks the receiver to take `tx` over.
+    fn retry(tx: TxId) -> Self;
+    /// A leader's answer to `PREPARE` for a transaction it already truncated.
+    fn tx_decided(tx: TxId, decision: Decision, client: ProcessId) -> Self;
+    /// `PREPARE` to a shard leader.
+    fn prepare_batch(batch: PrepareBatch) -> Self;
+    /// `PREPARE_ACK` from a shard leader: its votes and decided frontier.
+    fn prepare_ack_batch(
+        epoch: Epoch,
+        shard: ShardId,
+        items: Items<PreparedItem>,
+        frontier: Position,
+    ) -> Self;
+}
+
+/// Implements [`CommitMsg`] for a message enum that spells the five variants
+/// the way [`crate::Msg`] does, field for field (`ratc-rdma`'s `RdmaMsg` is
+/// the other one); the field types must be in scope where it is invoked.
+#[macro_export]
+macro_rules! impl_commit_msg {
+    ($msg:ident) => {
+        impl $crate::coord::CommitMsg for $msg {
+            fn decision_client(tx: TxId, decision: Decision) -> Self {
+                $msg::DecisionClient { tx, decision }
+            }
+
+            fn retry(tx: TxId) -> Self {
+                $msg::Retry { tx }
+            }
+
+            fn tx_decided(tx: TxId, decision: Decision, client: ProcessId) -> Self {
+                $msg::TxDecided {
+                    tx,
+                    decision,
+                    client,
+                }
+            }
+
+            fn prepare_batch(batch: PrepareBatch) -> Self {
+                $msg::PrepareBatch { batch }
+            }
+
+            fn prepare_ack_batch(
+                epoch: Epoch,
+                shard: ShardId,
+                items: Items<PreparedItem>,
+                frontier: Position,
+            ) -> Self {
+                $msg::PrepareAckBatch {
+                    epoch,
+                    shard,
+                    items,
+                    frontier,
+                }
+            }
+        }
+    };
+}
+
+/// A process's current view of one shard's configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardView<'a> {
+    /// The shard's epoch as this process knows it.
+    pub epoch: Epoch,
+    /// The shard's leader, if the process knows the shard at all.
+    pub leader: Option<ProcessId>,
+    /// The shard's members (leader included).
+    pub members: &'a [ProcessId],
+    /// The members that gossip their decided frontier to the coordinator on
+    /// their replies. The minimum of theirs is the position below which
+    /// every member may truncate its log; one not heard from pins it at zero.
+    pub gossipers: &'a [ProcessId],
+}
+
+impl ShardView<'_> {
+    /// The members other than the leader.
+    pub fn followers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let leader = self.leader;
+        self.members
+            .iter()
+            .copied()
+            .filter(move |p| Some(*p) != leader)
+    }
+}
+
+/// What differs between the two RATC stacks, as seen by the coordinator: how
+/// a process learns and refreshes shard configurations, and how votes and
+/// decisions reach a shard's replicas.
+pub trait Replication {
+    /// The stack's message vocabulary.
+    type Msg: CommitMsg;
+
+    /// This process's view of `shard`.
+    fn view(&self, shard: ShardId) -> ShardView<'_>;
+
+    /// Persists the leader's votes `items` at the followers of `shard` in its
+    /// current epoch. Each follower's acknowledgement reaches the coordinator
+    /// later through [`Coordinator::record_acks`]; a follower that has
+    /// acknowledged by the time this returns (the process itself, storing
+    /// into its own memory) is returned instead.
+    fn persist_votes(
+        &mut self,
+        shard: ShardId,
+        items: Items<PreparedItem>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) -> Option<ProcessId>;
+
+    /// Distributes final decisions (and their truncation floor) to every
+    /// member of `shard`.
+    fn distribute_decisions(
+        &mut self,
+        shard: ShardId,
+        decisions: ShardDecisions,
+        ctx: &mut Context<'_, Self::Msg>,
+    );
+
+    /// Asks the configuration service for the latest configuration of
+    /// `shards`: a stalled coordinator may be working from a stale view.
+    fn refresh_views(&mut self, shards: &BTreeSet<ShardId>, ctx: &mut Context<'_, Self::Msg>);
+}
+
+/// The data needed to distribute a completed transaction's decision: the
+/// client, the decision, and per-shard `(position, truncation floor)` targets.
+type Completion = (ProcessId, Decision, Vec<(ShardId, Position, Position)>);
+
+/// Progress of a coordinated transaction at one shard in one epoch.
+#[derive(Debug, Clone, Default)]
+struct ShardProgress {
+    pos: Option<Position>,
+    vote: Option<Decision>,
+    /// Followers that acknowledged storing the vote.
+    acks: BTreeSet<ProcessId>,
+    /// Decided frontiers gossiped by the shard's members on their replies
+    /// (see [`ShardView::gossipers`]).
+    frontiers: BTreeMap<ProcessId, Position>,
+}
+
+/// Coordinator-side state for one transaction.
+#[derive(Debug, Clone)]
+struct CoordState {
+    client: ProcessId,
+    /// The full payload if this coordinator received the original `certify`;
+    /// `None` for recovery coordinators (which only ever send `⊥`).
+    payload: Option<Payload>,
+    shards: Vec<ShardId>,
+    /// Progress per shard per epoch.
+    progress: BTreeMap<(ShardId, Epoch), ShardProgress>,
+    /// When the next re-drive is due (flow control only; `None`: at once).
+    backoff: Option<BackoffState>,
+    /// No longer driven by this coordinator. Without a `decision` the
+    /// transaction was handed off ([`Coordinator::hand_off`]).
+    decided: bool,
+    /// The final decision this coordinator computed or learned, kept so a
+    /// re-submitted `certify` of an already-decided transaction (e.g. the
+    /// client's `DECISION` was lost to a network fault) is answered directly
+    /// instead of silently swallowed.
+    decision: Option<Decision>,
+    /// A decision learned out-of-band from a `TxDecided` reply (the
+    /// transaction was truncated at some shard). Shards that still hold the
+    /// transaction as prepared must be told it, or their slots (and lock
+    /// tables) stay stranded forever.
+    known_decision: Option<Decision>,
+}
+
+impl CoordState {
+    fn new(client: ProcessId, payload: Option<Payload>, shards: Vec<ShardId>) -> Self {
+        CoordState {
+            client,
+            payload,
+            shards,
+            progress: BTreeMap::new(),
+            backoff: None,
+            decided: false,
+            decision: None,
+            known_decision: None,
+        }
+    }
+
+    fn progress_mut(&mut self, shard: ShardId, epoch: Epoch) -> &mut ShardProgress {
+        self.progress.entry((shard, epoch)).or_default()
+    }
+
+    /// Whether `shard` needs nothing more in the epoch of `view`: its vote is
+    /// in and every follower acknowledged it.
+    fn shard_complete(&self, shard: ShardId, view: &ShardView<'_>) -> bool {
+        self.progress
+            .get(&(shard, view.epoch))
+            .is_some_and(|p| p.vote.is_some() && view.followers().all(|f| p.acks.contains(&f)))
+    }
+}
+
+/// Everything a process needs to coordinate transactions (see the module
+/// documentation).
+pub struct Coordinator {
+    sharding: Arc<dyn ShardMap + Send + Sync>,
+    coordinating: BTreeMap<TxId, CoordState>,
+    /// Running count of undecided coordinated transactions — kept in O(1)
+    /// lockstep with `coordinating` so the admission check does not rescan
+    /// the map (which retains decided entries) on every certify and drain.
+    in_flight: usize,
+    /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
+    admission: AdmissionQueue<(Payload, ProcessId)>,
+    /// Flow-control knobs: coordinator admission window and retry backoff.
+    flow: FlowControlConfig,
+    batcher: VoteBatcher<TxId>,
+    retry_timer_armed: bool,
+    batch_timer_armed: bool,
+}
+
+impl Coordinator {
+    /// A coordinator with default flow control and batches of one.
+    pub fn new(sharding: Arc<dyn ShardMap + Send + Sync>) -> Self {
+        Coordinator {
+            sharding,
+            coordinating: BTreeMap::new(),
+            in_flight: 0,
+            admission: AdmissionQueue::new(),
+            flow: FlowControlConfig::default(),
+            batcher: VoteBatcher::new(BatchingConfig::default()),
+            retry_timer_armed: false,
+            batch_timer_armed: false,
+        }
+    }
+
+    /// Sets the batching-pipeline knobs (default: batches of one).
+    pub fn set_batching(&mut self, batching: BatchingConfig) {
+        self.batcher.set_config(batching);
+    }
+
+    /// Sets the flow-control knobs (default: enabled, window 64, exponential
+    /// backoff).
+    pub fn set_flow(&mut self, flow: FlowControlConfig) {
+        self.flow = flow;
+    }
+
+    /// The flow-control knobs.
+    pub fn flow(&self) -> FlowControlConfig {
+        self.flow
+    }
+
+    /// Number of transactions currently coordinated without a final decision.
+    pub fn undecided_coordinated(&self) -> usize {
+        debug_assert_eq!(
+            self.in_flight,
+            self.coordinating.values().filter(|c| !c.decided).count(),
+            "in-flight counter out of lockstep with coordinating map"
+        );
+        self.in_flight
+    }
+
+    /// The coordinated transactions that have no final decision.
+    pub fn undecided_transactions(&self) -> Vec<TxId> {
+        self.coordinating
+            .iter()
+            .filter(|(_, c)| !c.decided)
+            .map(|(tx, _)| *tx)
+            .collect()
+    }
+
+    /// Crash-restart: coordinator state is volatile, so all of it is lost;
+    /// clients (or recovery coordinators) re-drive undecided transactions.
+    /// Timers set before the crash never fire in the new incarnation.
+    pub fn reset(&mut self) {
+        self.coordinating.clear();
+        self.in_flight = 0;
+        self.admission.clear();
+        self.batcher = VoteBatcher::new(self.batcher.config());
+        self.retry_timer_armed = false;
+        self.batch_timer_armed = false;
+    }
+
+    /// Drops the state of a decided transaction and returns its shards; `None`
+    /// (and nothing dropped) while the transaction is unknown or in flight.
+    /// Neither the client (it has the decision) nor a recovery coordinator
+    /// will ask about it again once the decision is acknowledged end to end.
+    pub fn forget_decided(&mut self, tx: TxId) -> Option<Vec<ShardId>> {
+        if !self.coordinating.get(&tx)?.decided {
+            return None;
+        }
+        self.coordinating.remove(&tx).map(|coord| coord.shards)
+    }
+
+    // -- helpers -------------------------------------------------------------
+
+    fn arm_retry_timer<M>(&mut self, ctx: &mut Context<'_, M>) {
+        if !self.retry_timer_armed
+            && (self.undecided_coordinated() > 0 || !self.admission.is_empty())
+        {
+            ctx.set_timer(RETRY_INTERVAL, RETRY_TICK);
+            self.retry_timer_armed = true;
+        }
+    }
+
+    /// Per-transaction jitter salt: decorrelates this coordinator's retry
+    /// schedule for `tx` from every other transaction's without consuming
+    /// shared RNG state.
+    fn backoff_salt(tx: TxId, coordinator: ProcessId) -> u64 {
+        tx.as_u64() ^ coordinator.as_u64().rotate_left(17)
+    }
+
+    /// Whether the next retry of `coord` is due at `now` (always true without
+    /// flow control, or before the first deadline is armed).
+    fn backoff_due(&self, coord: &CoordState, now: u64) -> bool {
+        !self.flow.enabled || coord.backoff.is_none_or(|b| b.due(now))
+    }
+
+    /// Stamps a flow-controlled re-drive of `tx` (the `Retry` milestone and
+    /// the attempt gauge) and schedules the next one.
+    fn backoff_fired<M>(&mut self, tx: TxId, ctx: &mut Context<'_, M>) {
+        let Some(coord) = self.coordinating.get_mut(&tx) else {
+            return;
+        };
+        let now = ctx.now().as_micros();
+        let (policy, salt) = (self.flow.backoff, Self::backoff_salt(tx, ctx.self_id()));
+        let backoff = coord
+            .backoff
+            .get_or_insert_with(|| BackoffState::armed(&policy, salt, now));
+        ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(backoff.attempt));
+        ctx.obs_gauge("obs_backoff_attempt", f64::from(backoff.attempt));
+        backoff.fired(&policy, salt, now);
+    }
+
+    /// Admits queued submissions into freed window slots (oldest first).
+    fn drain_admission<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
+        while self.flow.admits(self.undecided_coordinated()) {
+            let Some((tx, (payload, client))) = self.admission.pop() else {
+                break;
+            };
+            self.certify(tx, payload, client, repl, ctx);
+        }
+    }
+
+    /// The coordinator state of `tx`, created (and counted in flight) if this
+    /// process is not coordinating it yet — a recovery coordinator, which has
+    /// no payload.
+    fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
+        self.coordinating.entry(tx).or_insert_with(|| {
+            self.in_flight += 1;
+            CoordState::new(client, None, shards.to_vec())
+        })
+    }
+
+    /// Sends `PREPARE` for `txs` (line 3 / 73 / 76): one `PREPARE_BATCH` per
+    /// involved shard leader — in leader order, items in `txs` order — with
+    /// each payload restricted to the leader's shard, or `⊥` when this
+    /// coordinator has no payload (a recovery coordinator). `only` limits the
+    /// prepares to those shards. Returns the number of messages sent.
+    fn send_prepares<R: Replication>(
+        &self,
+        txs: &[TxId],
+        only: Option<&[ShardId]>,
+        repl: &R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) -> u64 {
+        let mut per_leader: Vec<(ProcessId, Items<PrepareItem>)> = Vec::new();
+        for &tx in txs {
+            let Some(coord) = self.coordinating.get(&tx) else {
+                continue;
+            };
+            for shard in &coord.shards {
+                if only.is_some_and(|filter| !filter.contains(shard)) {
+                    continue;
+                }
+                let Some(leader) = repl.view(*shard).leader else {
+                    continue;
+                };
+                let restricted = coord
+                    .payload
+                    .as_ref()
+                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
+                sorted_entry(&mut per_leader, leader).push(PrepareItem {
+                    tx,
+                    payload: restricted,
+                    shards: coord.shards.clone(),
+                    client: coord.client,
+                });
+            }
+        }
+        let sent = per_leader.len() as u64;
+        for (leader, items) in per_leader {
+            ctx.send(leader, R::Msg::prepare_batch(PrepareBatch { items }));
+        }
+        sent
+    }
+
+    /// Re-sends `PREPARE` for one transaction outside the batcher — a retry,
+    /// or a recovery coordinator's `PREPARE(t, ⊥)` — as one-item batches.
+    fn resend_prepares<R: Replication>(
+        &self,
+        tx: TxId,
+        only: Option<&[ShardId]>,
+        repl: &R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
+        self.send_prepares(&[tx], only, repl, ctx);
+    }
+
+    /// Sends the `PREPARE`s of a drained batch (a flush of one is a flush).
+    fn flush_prepare_batch<R: Replication>(
+        &mut self,
+        mut txs: Vec<TxId>,
+        repl: &R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        if txs.is_empty() {
+            return;
+        }
+        ctx.obs_gauge("obs_batch_occupancy", txs.len() as f64);
+        if ctx.obs_enabled() {
+            for &tx in &txs {
+                ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
+                ctx.obs_milestone(tx, TxMilestone::BatchFlush, txs.len() as u64);
+            }
+        }
+        // Decided (an out-of-band `TxDecided`) or handed off while it waited
+        // in the batch.
+        txs.retain(|tx| self.coordinating.get(tx).is_some_and(|c| !c.decided));
+        let sent = self.send_prepares(&txs, None, repl, ctx);
+        ctx.add_counter("prepare_batches_sent", sent);
+    }
+
+    /// Line 26 / 96 precondition, evaluated without side effects: once, for
+    /// every shard of `tx`, the coordinator has the shard's vote and an
+    /// acknowledgement from every follower of the shard's current
+    /// configuration, returns the client, the final decision and the
+    /// per-shard `(position, truncation floor)` targets.
+    fn completion_of<R: Replication>(&self, tx: TxId, repl: &R) -> Option<Completion> {
+        let coord = self.coordinating.get(&tx)?;
+        if coord.decided {
+            return None;
+        }
+        let mut votes = Vec::new();
+        let mut positions = Vec::new();
+        for shard in &coord.shards {
+            let view = repl.view(*shard);
+            let progress = coord.progress.get(&(*shard, view.epoch))?;
+            let (vote, pos) = (progress.vote?, progress.pos?);
+            if !view.followers().all(|f| progress.acks.contains(&f)) {
+                return None;
+            }
+            let gossiped = |m| progress.frontiers.get(m).copied().unwrap_or(Position::ZERO);
+            let floor = view.gossipers.iter().map(gossiped).min();
+            votes.push(vote);
+            positions.push((*shard, pos, floor.unwrap_or(Position::ZERO)));
+        }
+        Some((coord.client, Decision::meet_all(votes), positions))
+    }
+
+    /// Lines 26–29 / 96–100: computes the final decision of every
+    /// transaction of `txs` that is complete, reports it to the client and
+    /// distributes it to the members of its shards, one
+    /// [`Replication::distribute_decisions`] per shard (over several
+    /// transactions the per-shard truncation floor is the minimum of theirs,
+    /// which is always safe — receivers clamp to their own decided frontier
+    /// anyway). The decisions free admission-window slots, so queued
+    /// submissions are admitted once they are all out.
+    fn complete<R: Replication>(
+        &mut self,
+        txs: impl IntoIterator<Item = TxId>,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
+        for tx in txs {
+            // A transaction listed twice is complete only once: deciding it
+            // makes its second `completion_of` come back empty.
+            let Some((client, decision, targets)) = self.completion_of(tx, repl) else {
+                continue;
+            };
+            if let Some(coord) = self.coordinating.get_mut(&tx) {
+                coord.decided = true;
+                coord.decision = Some(decision);
+                self.in_flight -= 1;
+            }
+            self.admission.remove(tx);
+            ctx.add_counter("coordinator_decisions", 1);
+            ctx.record_sample("coordinator_decision_hops", f64::from(ctx.hops()));
+            // The accept quorum and the decision coincide: the last required
+            // acknowledgement both completes the quorum and fixes the outcome.
+            ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
+            ctx.obs_milestone(tx, TxMilestone::Decided, 0);
+            ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+            ctx.send(client, R::Msg::decision_client(tx, decision));
+            for (shard, pos, floor) in targets {
+                sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
+            }
+        }
+        for (shard, decisions) in per_shard {
+            repl.distribute_decisions(shard, decisions, ctx);
+        }
+        self.drain_admission(repl, ctx);
+    }
+
+    /// Re-sends the decision of a transaction with an out-of-band decision to
+    /// the members of `shard`, if this coordinator knows the transaction's
+    /// position there in the shard's current epoch.
+    fn flush_known_decision<R: Replication>(
+        &self,
+        tx: TxId,
+        shard: ShardId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let epoch = repl.view(shard).epoch;
+        let Some((decision, pos)) = self.coordinating.get(&tx).and_then(|coord| {
+            let pos = coord.progress.get(&(shard, epoch))?.pos?;
+            Some((coord.known_decision?, pos))
+        }) else {
+            return;
+        };
+        let mut decisions = ShardDecisions::default();
+        decisions.push(pos, decision, Position::ZERO);
+        repl.distribute_decisions(shard, decisions, ctx);
+    }
+
+    // -- the exchange ----------------------------------------------------------
+
+    /// Lines 1–3 / 74–76: this process becomes the coordinator of `tx`.
+    pub fn certify<R: Replication>(
+        &mut self,
+        tx: TxId,
+        payload: Payload,
+        client: ProcessId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let shards = payload.shards(self.sharding.as_ref());
+        if shards.is_empty() {
+            // A transaction touching no objects commits vacuously.
+            ctx.send(client, R::Msg::decision_client(tx, Decision::Commit));
+            return;
+        }
+        match self.coordinating.get_mut(&tx) {
+            Some(coord) => {
+                // A re-submitted `certify` of a transaction this coordinator
+                // already decided (the client's `DECISION` was lost to a
+                // fault, or the client retried against the same coordinator):
+                // answer with the recorded decision instead of silently
+                // swallowing the request.
+                if let Some(decision) = coord.decision {
+                    ctx.send(client, R::Msg::decision_client(tx, decision));
+                    return;
+                }
+                // `decided` without a decision marks a coordination handed
+                // off to the members of a newer configuration (`hand_off`).
+                // If the client is re-driving the transaction, the hand-off
+                // `RETRY` was lost: coordinate it afresh.
+                if coord.decided {
+                    coord.decided = false;
+                    self.in_flight += 1;
+                }
+                coord.payload = Some(payload);
+                coord.client = client;
+                if self.flow.enabled {
+                    // A retry supersedes the in-flight attempt: the reply
+                    // address and payload are refreshed and the scheduled
+                    // backoff decides when to re-drive, instead of stacking
+                    // another PREPARE volley on top of the previous one.
+                    if coord.backoff.is_none_or(|b| b.due(ctx.now().as_micros())) {
+                        self.backoff_fired(tx, ctx);
+                        self.resend_prepares(tx, None, repl, ctx);
+                    }
+                    self.arm_retry_timer(ctx);
+                    return;
+                }
+            }
+            None => {
+                let mut backoff = None;
+                if self.flow.enabled {
+                    if !self.flow.admits(self.undecided_coordinated()) {
+                        // Admission window full: park the submission at the
+                        // edge; it is admitted when an in-flight transaction
+                        // decides.
+                        self.admission.enqueue(tx, (payload, client));
+                        ctx.add_counter("admission_queued", 1);
+                        ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
+                        self.arm_retry_timer(ctx);
+                        return;
+                    }
+                    let salt = Self::backoff_salt(tx, ctx.self_id());
+                    let now = ctx.now().as_micros();
+                    backoff = Some(BackoffState::armed(&self.flow.backoff, salt, now));
+                }
+                let mut coord = CoordState::new(client, Some(payload), shards);
+                coord.backoff = backoff;
+                self.coordinating.insert(tx, coord);
+                self.in_flight += 1;
+                ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
+                ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+            }
+        }
+        // Into the pending batch, which flushes when it reaches its target
+        // (at `max_batch = 1`: now) or when the batch timer expires. A
+        // flush-on-full is queue pressure, so an adaptive batcher grows its
+        // target batch. The retry timer is the safety net either way.
+        if self.batcher.push(tx) {
+            let txs = self.batcher.drain_full();
+            self.flush_prepare_batch(txs, repl, ctx);
+        } else if !self.batch_timer_armed {
+            ctx.set_timer(self.batcher.config().max_delay, BATCH_TICK);
+            self.batch_timer_armed = true;
+        }
+        self.arm_retry_timer(ctx);
+    }
+
+    /// The batch timer fired: flush the partial batch. A timer flush of a
+    /// partial batch = idle pipeline, so an adaptive batcher shrinks back
+    /// toward batches of one.
+    pub fn batch_tick<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
+        self.batch_timer_armed = false;
+        let txs = self.batcher.drain_idle();
+        self.flush_prepare_batch(txs, repl, ctx);
+    }
+
+    /// Lines 18–20 / 91–93: records the votes of the leader of `shard` and
+    /// persists them at the shard's followers.
+    #[allow(clippy::too_many_arguments)] // `PREPARE_ACK`'s sender and fields + the two handles
+    pub fn on_prepare_ack<R: Replication>(
+        &mut self,
+        from: ProcessId,
+        epoch: Epoch,
+        shard: ShardId,
+        items: Items<PreparedItem>,
+        frontier: Position,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        // Line 19 / 92 precondition, once for the whole message (every item
+        // was certified by the same leader in the same epoch): the
+        // coordinator's view of the shard's epoch matches the leader's.
+        if repl.view(shard).epoch != epoch {
+            return;
+        }
+        for item in items.iter() {
+            let progress = self
+                .coord_entry(item.tx, item.client, &item.shards)
+                .progress_mut(shard, epoch);
+            progress.pos = Some(item.pos);
+            progress.vote = Some(item.vote);
+            progress.frontiers.insert(from, frontier);
+            ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
+        }
+        let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
+        if let Some(follower) = repl.persist_votes(shard, items, ctx) {
+            for tx in txs.iter() {
+                if let Some(coord) = self.coordinating.get_mut(tx) {
+                    coord.progress_mut(shard, epoch).acks.insert(follower);
+                }
+            }
+        }
+        // A late re-ack for a transaction whose decision was already learned
+        // out-of-band (`TxDecided`): tell this shard the decision now that
+        // its position is known.
+        for &tx in txs.iter() {
+            self.flush_known_decision(tx, shard, repl, ctx);
+        }
+        // With f = 0 (no followers) the transactions may already be complete.
+        self.complete(txs, repl, ctx);
+    }
+
+    /// Line 26 / 96 bookkeeping: `follower` of `shard` acknowledged storing
+    /// the votes of `acks` in `epoch`; every transaction that is now done is
+    /// completed. An acknowledgement that carries the stored `(position,
+    /// vote)` (an `ACCEPT_ACK` message does, a hardware acknowledgement does
+    /// not) fills them in if the leader's own reply has not been recorded,
+    /// and `frontier` is the follower's decided frontier if it gossiped one.
+    #[allow(clippy::too_many_arguments)] // `ACCEPT_ACK`'s sender and fields + the two handles
+    pub fn record_acks<R, I>(
+        &mut self,
+        follower: ProcessId,
+        shard: ShardId,
+        epoch: Epoch,
+        acks: I,
+        frontier: Option<Position>,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) where
+        R: Replication,
+        I: Iterator<Item = (TxId, Option<(Position, Decision)>)> + Clone,
+    {
+        for (tx, stored) in acks.clone() {
+            let Some(coord) = self.coordinating.get_mut(&tx) else {
+                continue;
+            };
+            let progress = coord.progress_mut(shard, epoch);
+            progress.acks.insert(follower);
+            if let Some(frontier) = frontier {
+                progress.frontiers.insert(follower, frontier);
+            }
+            if let Some((pos, vote)) = stored {
+                progress.pos.get_or_insert(pos);
+                progress.vote.get_or_insert(vote);
+            }
+        }
+        self.complete(acks.map(|(tx, _)| tx), repl, ctx);
+    }
+
+    /// A shard leader answered a `PREPARE` for a transaction it has already
+    /// decided and truncated: adopt the decision, report it to the client
+    /// (duplicate identical decisions are benign there), and propagate it to
+    /// every shard whose certification position this coordinator knows —
+    /// shards that missed the original `DECISION` still hold the transaction
+    /// as prepared, and without this their slots and `L2` locks would stay
+    /// stranded forever. Shards whose `PREPARE_ACK` has not arrived yet are
+    /// flushed from [`Coordinator::on_prepare_ack`] via `known_decision`.
+    pub fn on_tx_decided<R: Replication>(
+        &mut self,
+        tx: TxId,
+        decision: Decision,
+        client: ProcessId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let mut notify_client = true;
+        if let Some(coord) = self.coordinating.get_mut(&tx) {
+            if coord.known_decision.is_some() {
+                return;
+            }
+            coord.known_decision = Some(decision);
+            notify_client = !coord.decided;
+            if !coord.decided {
+                self.in_flight -= 1;
+                // Decided out-of-band (the shard already truncated the
+                // transaction): no quorum was observed this incarnation.
+                ctx.obs_milestone(tx, TxMilestone::Decided, 0);
+                ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+            }
+            coord.decided = true;
+            coord.decision.get_or_insert(decision);
+            for shard in coord.shards.clone() {
+                self.flush_known_decision(tx, shard, repl, ctx);
+            }
+        }
+        self.admission.remove(tx);
+        if notify_client {
+            ctx.send(client, R::Msg::decision_client(tx, decision));
+        }
+        // An out-of-band decision also frees an admission slot.
+        self.drain_admission(repl, ctx);
+    }
+
+    /// Lines 70–73 / 167–170: become a recovery coordinator for `tx` if the
+    /// hosting member of `own_shard` holds it prepared (the line 71
+    /// precondition): `prepared` is what its log answers for `tx`, see
+    /// [`crate::log::CertificationLog::prepared_tx`].
+    pub fn take_over<R: Replication>(
+        &mut self,
+        tx: TxId,
+        prepared: Option<(ProcessId, Vec<ShardId>)>,
+        own_shard: ShardId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let Some((client, shards)) = prepared else {
+            return;
+        };
+        self.coord_entry(tx, client, &shards);
+        // Line 73: send PREPARE(t, ⊥) to the leaders of all shards of t
+        // (`⊥` because a recovery coordinator has no full payload).
+        self.resend_prepares(tx, None, repl, ctx);
+        self.arm_retry_timer(ctx);
+        ctx.add_counter("retries_started", 1);
+        ctx.ctrl_milestone(
+            CtrlMilestone::CoordinatorHandoff,
+            Some(own_shard),
+            tx.as_u64(),
+        );
+    }
+
+    /// Coordinator re-transmission: re-sends `PREPARE` for coordinated
+    /// transactions that have not completed (e.g. because a shard
+    /// reconfigured mid-flight or a message raced with an epoch change).
+    pub fn retry_tick<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
+        self.retry_timer_armed = false;
+        // Safety net: admit parked submissions even if a decision path was
+        // missed.
+        self.drain_admission(repl, ctx);
+        let now = ctx.now().as_micros();
+        // Flow control: only transactions whose backoff deadline has passed
+        // re-drive this tick — the fix for the per-tick full-pending volley
+        // of the congestive collapse. Without flow control every undecided
+        // transaction re-drives every tick (legacy).
+        let pending: Vec<TxId> = self
+            .coordinating
+            .iter()
+            .filter(|(_, c)| !c.decided && self.backoff_due(c, now))
+            .map(|(tx, _)| *tx)
+            .collect();
+        // A stalled coordinator may be working from a stale view: pushed
+        // configuration changes travel over faultable links, and a
+        // reconfiguration that excluded this process never tells it. Refresh
+        // the view of every shard a *due* pending transaction touches;
+        // backoff gates these polls too, so a backlogged coordinator does not
+        // flood the configuration service.
+        if !pending.is_empty() {
+            let stale: BTreeSet<ShardId> = pending
+                .iter()
+                .filter_map(|tx| self.coordinating.get(tx))
+                .flat_map(|coord| coord.shards.iter().copied())
+                .collect();
+            repl.refresh_views(&stale, ctx);
+        }
+        for tx in pending {
+            if self.flow.enabled {
+                self.backoff_fired(tx, ctx);
+            }
+            // Resend only to shards that are not yet complete in the current
+            // epoch.
+            let coord = &self.coordinating[&tx];
+            let incomplete: Vec<ShardId> = coord
+                .shards
+                .iter()
+                .copied()
+                .filter(|shard| !coord.shard_complete(*shard, &repl.view(*shard)))
+                .collect();
+            if !incomplete.is_empty() {
+                self.resend_prepares(tx, Some(&incomplete), repl, ctx);
+            }
+        }
+        self.arm_retry_timer(ctx);
+    }
+
+    /// Hands every undecided transaction to the leaders of its shards in the
+    /// current view and stops driving it here. For a process that learns it
+    /// is no longer part of the configuration and whose votes the members
+    /// therefore refuse: any leader whose certification log contains the
+    /// transaction takes over as recovery coordinator (line 70), and leaders
+    /// that never saw it ignore the request.
+    pub fn hand_off<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
+        for (tx, coord) in self.coordinating.iter_mut().filter(|(_, c)| !c.decided) {
+            for shard in &coord.shards {
+                if let Some(leader) = repl.view(*shard).leader {
+                    ctx.send(leader, R::Msg::retry(*tx));
+                }
+            }
+            // Stop retrying locally; the client's decision now comes from the
+            // member that takes the transaction over.
+            coord.decided = true;
+            coord.backoff = None;
+            self.in_flight -= 1;
+            ctx.ctrl_milestone(CtrlMilestone::CoordinatorHandoff, None, tx.as_u64());
+            ctx.add_counter("retries_handed_off", 1);
+        }
+        // Handed-off transactions free admission-window slots.
+        self.drain_admission(repl, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ratc_sim::{Actor, SimConfig, SimTime, World};
+    use ratc_types::{ExplicitSharding, Key, Version};
+
+    use super::*;
+    use crate::flow::FlowControlConfig;
+
+    /// The test vocabulary: the five shared variants plus the upcalls a
+    /// hosting replica would translate from its own messages.
+    #[derive(Debug, Clone)]
+    enum TestMsg {
+        Certify {
+            tx: TxId,
+            payload: Payload,
+            client: ProcessId,
+        },
+        DecisionClient {
+            tx: TxId,
+            decision: Decision,
+        },
+        Retry {
+            tx: TxId,
+        },
+        TxDecided {
+            tx: TxId,
+            decision: Decision,
+            client: ProcessId,
+        },
+        PrepareBatch {
+            batch: PrepareBatch,
+        },
+        PrepareAckBatch {
+            epoch: Epoch,
+            shard: ShardId,
+            items: Items<PreparedItem>,
+            frontier: Position,
+        },
+        /// The sender, a follower of `shard`, acknowledged the votes of `txs`.
+        Acks {
+            shard: ShardId,
+            txs: Vec<TxId>,
+        },
+        /// The host learned it is excluded from the configuration.
+        Excluded,
+    }
+
+    crate::impl_commit_msg!(TestMsg);
+
+    /// Records what the coordinator asks of the replication layer and
+    /// persists nothing: acknowledgements are the test's to inject.
+    #[derive(Default)]
+    struct Recorder {
+        views: BTreeMap<ShardId, (ProcessId, Vec<ProcessId>)>,
+        persisted: Vec<(ShardId, Vec<TxId>)>,
+        distributed: Vec<(ShardId, Vec<Decision>)>,
+        refreshed: Vec<BTreeSet<ShardId>>,
+    }
+
+    const EPOCH: Epoch = Epoch::ZERO;
+
+    impl Replication for Recorder {
+        type Msg = TestMsg;
+
+        fn view(&self, shard: ShardId) -> ShardView<'_> {
+            let (leader, members) = &self.views[&shard];
+            ShardView {
+                epoch: EPOCH,
+                leader: Some(*leader),
+                members,
+                gossipers: &[],
+            }
+        }
+
+        fn persist_votes(
+            &mut self,
+            shard: ShardId,
+            items: Items<PreparedItem>,
+            _ctx: &mut Context<'_, TestMsg>,
+        ) -> Option<ProcessId> {
+            self.persisted
+                .push((shard, items.iter().map(|i| i.tx).collect()));
+            None
+        }
+
+        fn distribute_decisions(
+            &mut self,
+            shard: ShardId,
+            decisions: ShardDecisions,
+            _ctx: &mut Context<'_, TestMsg>,
+        ) {
+            let decided = decisions.items.iter().map(|i| i.decision).collect();
+            self.distributed.push((shard, decided));
+        }
+
+        fn refresh_views(&mut self, shards: &BTreeSet<ShardId>, _ctx: &mut Context<'_, TestMsg>) {
+            self.refreshed.push(shards.clone());
+        }
+    }
+
+    /// A replica reduced to its coordinator.
+    struct Host {
+        coord: Coordinator,
+        repl: Recorder,
+    }
+
+    impl Actor<TestMsg> for Host {
+        fn on_message(&mut self, from: ProcessId, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+            let Host { coord, repl } = self;
+            match msg {
+                TestMsg::Certify {
+                    tx,
+                    payload,
+                    client,
+                } => coord.certify(tx, payload, client, repl, ctx),
+                TestMsg::PrepareAckBatch {
+                    epoch,
+                    shard,
+                    items,
+                    frontier,
+                } => coord.on_prepare_ack(from, epoch, shard, items, frontier, repl, ctx),
+                TestMsg::Acks { shard, txs } => {
+                    let acks = txs.iter().map(|tx| (*tx, None));
+                    coord.record_acks(from, shard, EPOCH, acks, None, repl, ctx)
+                }
+                TestMsg::TxDecided {
+                    tx,
+                    decision,
+                    client,
+                } => coord.on_tx_decided(tx, decision, client, repl, ctx),
+                TestMsg::Excluded => coord.hand_off(repl, ctx),
+                TestMsg::DecisionClient { .. }
+                | TestMsg::Retry { .. }
+                | TestMsg::PrepareBatch { .. } => {}
+            }
+        }
+
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, TestMsg>) {
+            assert_eq!(tag, RETRY_TICK, "batches of one never arm the batch timer");
+            self.coord.retry_tick(&mut self.repl, ctx);
+        }
+
+        fn on_restart(&mut self, _ctx: &mut Context<'_, TestMsg>) {
+            self.coord.reset();
+        }
+    }
+
+    /// Plays every leader, follower and the client: records, never answers.
+    #[derive(Default)]
+    struct Sink(Vec<TestMsg>);
+
+    impl Actor<TestMsg> for Sink {
+        fn on_message(&mut self, _from: ProcessId, msg: TestMsg, _ctx: &mut Context<'_, TestMsg>) {
+            self.0.push(msg);
+        }
+    }
+
+    /// Two shards of a leader and a follower each, a client, and the host.
+    struct Rig {
+        world: World<TestMsg>,
+        leaders: [ProcessId; 2],
+        followers: [ProcessId; 2],
+        client: ProcessId,
+        host: ProcessId,
+    }
+
+    fn shard(i: usize) -> ShardId {
+        ShardId::new(i as u32)
+    }
+
+    impl Rig {
+        fn new(flow: FlowControlConfig) -> Rig {
+            let mut world = World::new(SimConfig::default());
+            let mut sink = || world.add_actor(Sink::default());
+            let (leaders, followers, client) = ([sink(), sink()], [sink(), sink()], sink());
+            let sharding = ExplicitSharding::new(2, shard(0)).with(Key::new("b"), shard(1));
+            let mut coord = Coordinator::new(Arc::new(sharding));
+            coord.set_flow(flow);
+            let views = (0..2)
+                .map(|s| (shard(s), (leaders[s], vec![leaders[s], followers[s]])))
+                .collect();
+            let repl = Recorder {
+                views,
+                ..Recorder::default()
+            };
+            let host = world.add_actor(Host { coord, repl });
+            Rig {
+                world,
+                leaders,
+                followers,
+                client,
+                host,
+            }
+        }
+
+        /// Delivers everything in flight (well short of the 20 ms retry tick).
+        fn settle(&mut self) {
+            let until = self.world.now().as_micros() + 500;
+            self.world.run_until(SimTime::from_micros(until));
+        }
+
+        /// `certify(tx)` of a transaction reading `keys` ("a": shard 0,
+        /// "b": shard 1).
+        fn certify(&mut self, tx: u64, keys: &[&str]) {
+            let payload = keys
+                .iter()
+                .fold(Payload::builder(), |b, k| {
+                    b.read(Key::new(*k), Version::ZERO)
+                })
+                .build()
+                .expect("well-formed");
+            let certify = TestMsg::Certify {
+                tx: TxId::new(tx),
+                payload,
+                client: self.client,
+            };
+            self.world.send_from(self.client, self.host, certify);
+            self.settle();
+        }
+
+        /// The leader of shard `s` votes commit on `tx`.
+        fn vote(&mut self, s: usize, tx: u64) {
+            let item = PreparedItem {
+                pos: Position::new(tx),
+                tx: TxId::new(tx),
+                payload: Payload::empty(),
+                vote: Decision::Commit,
+                shards: vec![shard(s)],
+                client: self.client,
+            };
+            let ack = TestMsg::PrepareAckBatch {
+                epoch: EPOCH,
+                shard: shard(s),
+                items: Items::one(item),
+                frontier: Position::ZERO,
+            };
+            self.world.send_from(self.leaders[s], self.host, ack);
+            self.settle();
+        }
+
+        /// The follower of shard `s` acknowledges the vote on `tx`.
+        fn ack(&mut self, s: usize, tx: u64) {
+            let acks = TestMsg::Acks {
+                shard: shard(s),
+                txs: vec![TxId::new(tx)],
+            };
+            self.world.send_from(self.followers[s], self.host, acks);
+            self.settle();
+        }
+
+        fn send(&mut self, msg: TestMsg) {
+            self.world.send_from(self.leaders[0], self.host, msg);
+            self.settle();
+        }
+
+        fn host(&self) -> &Host {
+            self.world.actor::<Host>(self.host).expect("host")
+        }
+
+        /// The transactions `pid` was sent a `PREPARE` for, in order.
+        fn prepares_at(&self, pid: ProcessId) -> Vec<u64> {
+            let sink = self.world.actor::<Sink>(pid).expect("sink");
+            sink.0
+                .iter()
+                .filter_map(|msg| match msg {
+                    TestMsg::PrepareBatch { batch } => Some(batch.items.iter()),
+                    _ => None,
+                })
+                .flatten()
+                .map(|item| item.tx.as_u64())
+                .collect()
+        }
+    }
+
+    /// The class of bug PR 12 fixed: every way a transaction stops (or
+    /// resumes) being driven here must keep `in_flight` equal to the number
+    /// of undecided entries — `undecided_coordinated` debug-asserts the
+    /// lockstep, the table pins the count.
+    #[test]
+    fn in_flight_matches_the_undecided_count_after_every_exit() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        for tx in 1..=3 {
+            rig.certify(tx, &["a"]);
+        }
+        let decided_elsewhere = TestMsg::TxDecided {
+            tx: TxId::new(2),
+            decision: Decision::Abort,
+            client: rig.client,
+        };
+        type Step = Box<dyn Fn(&mut Rig)>;
+        let exits: Vec<(&str, Step, Vec<u64>)> = vec![
+            (
+                "vote without quorum",
+                Box::new(|r| r.vote(0, 1)),
+                vec![1, 2, 3],
+            ),
+            ("quorum decision", Box::new(|r| r.ack(0, 1)), vec![2, 3]),
+            (
+                "adopted TxDecided",
+                Box::new(move |r| r.send(decided_elsewhere.clone())),
+                vec![3],
+            ),
+            ("duplicate ack", Box::new(|r| r.ack(0, 1)), vec![3]),
+            ("hand-off", Box::new(|r| r.send(TestMsg::Excluded)), vec![]),
+            (
+                "client re-drive of the handed-off transaction",
+                Box::new(|r| r.certify(3, &["a"])),
+                vec![3],
+            ),
+            (
+                "reset",
+                Box::new(|r| {
+                    r.world.crash(r.host);
+                    assert!(r.world.restart(r.host));
+                    r.settle();
+                }),
+                vec![],
+            ),
+        ];
+        for (exit, step, undecided) in exits {
+            step(&mut rig);
+            let coord = &rig.host().coord;
+            let expected: Vec<TxId> = undecided.into_iter().map(TxId::new).collect();
+            assert_eq!(coord.undecided_transactions(), expected, "after {exit}");
+            assert_eq!(
+                coord.undecided_coordinated(),
+                expected.len(),
+                "after {exit}"
+            );
+        }
+        // The hand-off asked the shard's leader to take transaction 3 over.
+        let leader = rig.world.actor::<Sink>(rig.leaders[0]).expect("leader");
+        let retried = |m: &TestMsg| matches!(m, TestMsg::Retry { tx } if tx.as_u64() == 3);
+        assert_eq!(leader.0.iter().filter(|m| retried(m)).count(), 1);
+    }
+
+    #[test]
+    fn the_window_admits_parked_submissions_fifo_when_a_slot_frees() {
+        let mut rig = Rig::new(FlowControlConfig::default().with_window(1));
+        for tx in 1..=3 {
+            rig.certify(tx, &["a"]);
+        }
+        assert_eq!(
+            rig.prepares_at(rig.leaders[0]),
+            vec![1],
+            "2 and 3 are parked"
+        );
+        assert_eq!(rig.world.metrics().counter("admission_queued"), 2);
+        for (decided, admitted) in [(1, vec![1, 2]), (2, vec![1, 2, 3])] {
+            rig.vote(0, decided);
+            rig.ack(0, decided);
+            assert_eq!(rig.prepares_at(rig.leaders[0]), admitted);
+            assert_eq!(rig.host().coord.undecided_coordinated(), 1);
+        }
+        let client = rig.world.actor::<Sink>(rig.client).expect("client");
+        let decided = client.0.iter().map(|msg| match msg {
+            TestMsg::DecisionClient { tx, decision } => (tx.as_u64(), *decision),
+            other => panic!("the client only hears decisions, got {other:?}"),
+        });
+        let commits = vec![(1, Decision::Commit), (2, Decision::Commit)];
+        assert_eq!(decided.collect::<Vec<_>>(), commits);
+    }
+
+    #[test]
+    fn a_superseding_certify_before_its_backoff_deadline_sends_no_second_volley() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        rig.certify(1, &["a", "b"]);
+        rig.certify(1, &["a", "b"]);
+        assert_eq!(rig.prepares_at(rig.leaders[0]), vec![1]);
+        assert_eq!(rig.prepares_at(rig.leaders[1]), vec![1]);
+        assert_eq!(rig.host().coord.undecided_coordinated(), 1);
+    }
+
+    #[test]
+    fn the_retry_tick_re_prepares_only_shards_lacking_a_vote_or_an_ack() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        // Shard 0 is complete; shard 1 of transaction 1 has a vote but no
+        // acknowledgement, shard 1 of transaction 2 has neither.
+        for tx in [1, 2] {
+            rig.certify(tx, &["a", "b"]);
+            rig.vote(0, tx);
+            rig.ack(0, tx);
+        }
+        rig.vote(1, 1);
+        // Past the first backoff deadline (20 ms ± 25 %) and the tick after.
+        rig.world.run_until(SimTime::from_micros(60_000));
+        assert_eq!(rig.prepares_at(rig.leaders[0]), vec![1, 2], "not re-driven");
+        assert_eq!(rig.prepares_at(rig.leaders[1]), vec![1, 2, 1, 2]);
+        let both: BTreeSet<ShardId> = [shard(0), shard(1)].into();
+        assert_eq!(rig.host().repl.refreshed.first(), Some(&both));
+        assert!(rig.host().repl.distributed.is_empty(), "nothing decided");
+        assert_eq!(rig.host().repl.persisted.len(), 3, "one per vote");
+    }
+}

@@ -19,7 +19,7 @@
 //!   leader.
 //!
 //! The implementation follows the pseudocode of Figure 1 line by line; the
-//! mapping is documented on each handler of [`replica::Replica`]. The protocol
+//! mapping is documented on the handlers in [`replica`] and [`coord`]. The protocol
 //! runs on the deterministic simulation substrate of `ratc-sim` and is
 //! parametric in the certification policy (`ratc-types::CertificationPolicy`).
 //!
@@ -32,8 +32,12 @@
 //!   of one is the paper's exchange);
 //! * [`log`] — the per-shard certification log (`txn`, `payload`, `vote`,
 //!   `dec`, `phase` arrays of the paper);
-//! * [`replica`] — the replica state machine: transaction processing,
-//!   coordination and reconfiguration;
+//! * [`coord`] — the transaction coordinator, written once for this stack
+//!   and `ratc-rdma`: admission, batching, the `PREPARE`/vote/acknowledgement
+//!   exchange, completion, retry and hand-off, over a small `Replication`
+//!   trait naming what differs between the stacks;
+//! * [`replica`] — the replica state machine: shard member, host of a
+//!   coordinator, and reconfigurer;
 //! * [`config_service`] — the configuration-service actor (wrapping
 //!   `ratc-config`'s registry) that also pushes `CONFIG_CHANGE` notifications;
 //! * [`client`] — a client actor recording a TCS history and latency samples;
@@ -68,6 +72,7 @@
 pub mod batch;
 pub mod client;
 pub mod config_service;
+pub mod coord;
 pub mod flow;
 pub mod harness;
 pub mod invariants;

@@ -88,13 +88,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use ratc_sim::Context;
 use ratc_types::{
-    Decision, IndexedCertifier, Key, Payload, Position, ProcessId, ShardCertifier, ShardId, TxId,
-    Version,
+    Decision, Epoch, IndexedCertifier, Key, Payload, Position, ProcessId, ShardCertifier, ShardId,
+    TxId, Version,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{PrepareItem, PreparedItem};
+use crate::batch::{Items, PrepareItem, PreparedItem};
+use crate::coord::CommitMsg;
+use crate::replica::TruncationConfig;
 
 /// The phase of a certification-order slot (the paper's `phase` array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -507,6 +510,49 @@ impl CertificationLog {
         })
     }
 
+    /// The shard leader's step for a whole `PREPARE` (lines 4–17 / 77–90; the
+    /// caller has checked the line 5 precondition, `status = leader`): the
+    /// items are certified in order ([`CertificationLog::prepare`] per item).
+    /// Fresh transactions are appended at a contiguous position range;
+    /// already-certified ones are re-acked inside the same `PREPARE_ACK`, and
+    /// truncated ones get the per-transaction `TxDecided` fast path.
+    pub fn serve_prepare<M: CommitMsg>(
+        &mut self,
+        from: ProcessId,
+        items: Items<PrepareItem>,
+        shard: ShardId,
+        epoch: Epoch,
+        fallback: &dyn ShardCertifier,
+        ctx: &mut Context<'_, M>,
+    ) {
+        let first_fresh = self.next();
+        let mut acks: Items<PreparedItem> = Items::new();
+        for item in items {
+            let (tx, client) = (item.tx, item.client);
+            match self.prepare(item, fallback) {
+                Ok(ack) => acks.push(ack),
+                Err(decision) => ctx.send(from, M::tx_decided(tx, decision, client)),
+            }
+        }
+        let appended = self.next().as_u64() - first_fresh.as_u64();
+        if appended > 0 {
+            ctx.add_counter("leader_prepared", appended);
+        }
+        if !acks.is_empty() {
+            let frontier = self.decided_frontier();
+            ctx.send(from, M::prepare_ack_batch(epoch, shard, acks, frontier));
+        }
+    }
+
+    /// The slot of `tx` if this log holds it prepared and undecided (the
+    /// line 71 / 168 precondition of `retry`): `client(t)` and `shards(t)`,
+    /// what a recovery coordinator needs to take the transaction over. A
+    /// truncated slot is decided, so it answers `None` too.
+    pub fn prepared_tx(&self, tx: TxId) -> Option<(ProcessId, Vec<ShardId>)> {
+        let entry = self.get(self.position_of(tx)?)?;
+        (entry.phase == TxPhase::Prepared).then(|| (entry.client, entry.shards.clone()))
+    }
+
     /// A follower's step for one `ACCEPT` item (lines 23–24; line 94–95 of
     /// the RDMA protocol): store the vote if the slot is still a hole in the
     /// `start` phase. Returns `false` for an occupied or truncated slot (a
@@ -591,6 +637,21 @@ impl CertificationLog {
         }
         self.checkpoint.base = target;
         n
+    }
+
+    /// Truncates the log at `floor` (clamped to the own decided frontier)
+    /// once at least a batch of slots can be freed, per `policy`.
+    pub fn truncate_if_due<M>(
+        &mut self,
+        floor: Position,
+        policy: TruncationConfig,
+        ctx: &mut Context<'_, M>,
+    ) {
+        let target = floor.min(self.decided_frontier());
+        if policy.enabled && target.as_u64() >= self.base().as_u64() + policy.batch {
+            let freed = self.truncate_to(target);
+            ctx.add_counter("log_slots_truncated", freed as u64);
+        }
     }
 
     /// Decision-map compaction: the decision of `tx` has been acknowledged by

@@ -299,6 +299,8 @@ impl Msg {
     }
 }
 
+crate::impl_commit_msg!(Msg);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,8 @@
 use std::collections::BTreeSet;
 
 use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
-use ratc_sim::{decided_times_per_shard, CtrlMilestone, ExecutionMode};
-use ratc_types::{Key, Payload, ShardId, TxId, Value, Version};
+use ratc_sim::{decided_times_per_shard, CtrlMilestone, ExecutionMode, SimDuration};
+use ratc_types::{Key, Payload, ShardId, ShardMap, TxId, Value, Version};
 
 const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
 
@@ -261,5 +261,56 @@ fn blackout_windows_are_bracketed_by_ctrl_events() {
                 );
             }
         }
+    }
+}
+
+/// A recovery coordinator's takeover (`retry`, Figure 1 line 70) is visible
+/// the same way on both RATC stacks: counted in `retries_started` and stamped
+/// as a `CoordinatorHandoff` carrying the shard of the member that took over.
+/// The coordinator that crashes is a follower of shard 1 driving a
+/// transaction on shard 0 only, so shard 0 can decide without reconfiguring.
+#[test]
+fn a_recovery_coordinator_takeover_is_counted_and_stamped_on_both_ratc_stacks() {
+    for stack in [StackKind::Core, StackKind::Rdma] {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(2)
+            .with_seed(3)
+            .with_observability()
+            .build();
+        let (shard, other) = (ShardId::new(0), ShardId::new(1));
+        let leader = cluster.leader_of(shard).expect("shard 0 has a leader");
+        let coordinator = cluster
+            .members_of(other)
+            .into_iter()
+            .find(|p| Some(*p) != cluster.leader_of(other))
+            .expect("shard 1 has a follower");
+        let on_shard = (1..)
+            .find(|i| cluster.sharding().shard_of(&Key::new(format!("k{i}"))) == shard)
+            .expect("some key hashes to shard 0");
+        let tx = TxId::new(1);
+        cluster.submit_via(tx, payload(on_shard), coordinator);
+        while !cluster.prepared_transactions(shard).contains(&tx) {
+            cluster.run_for(SimDuration::from_micros(5));
+        }
+        assert_eq!(cluster.history().decision(tx), None, "{stack}: too late");
+        cluster.crash(coordinator);
+        cluster.retry(leader, tx);
+        cluster.run_to_quiescence();
+
+        assert!(
+            cluster.history().decision(tx).is_some(),
+            "{stack}: the recovery coordinator must decide {tx}"
+        );
+        assert!(
+            cluster.counter("retries_started") >= 1,
+            "{stack}: takeover not counted"
+        );
+        assert!(
+            cluster.ctrl_events().iter().any(|e| {
+                e.milestone == CtrlMilestone::CoordinatorHandoff && e.shard == Some(shard)
+            }),
+            "{stack}: takeover not stamped ({:?})",
+            cluster.ctrl_events()
+        );
     }
 }

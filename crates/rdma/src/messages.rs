@@ -255,3 +255,5 @@ impl RdmaMsg {
         }
     }
 }
+
+ratc_core::impl_commit_msg!(RdmaMsg);

@@ -1,21 +1,33 @@
 //! The RDMA replica state machine (Figures 7–8, line by line).
+//!
+//! The RDMA protocol is the message-passing one with the way votes reach the
+//! followers swapped, so this replica hosts the same
+//! [`Coordinator`] as `ratc-core`'s and shares the shard leader's `PREPARE`
+//! step with it. What this file adds over `ratc_core::replica`:
+//!
+//! * the [`Replication`] of Figures 7–8 — votes and decisions are one-sided
+//!   RDMA writes, a follower's acknowledgement is the NIC's `ack-rdma` (which
+//!   carries no payload, hence the member-to-member frontier exchange), and a
+//!   coordinator that is itself a follower stores into its own memory;
+//! * RDMA connections: opened by the `Connect` handshake, closed on probing
+//!   so a stale coordinator's writes can no longer land (§5);
+//! * *global* reconfiguration — one epoch and one configuration for the whole
+//!   system, disseminated with `CONFIG_PREPARE` — and the hand-off of
+//!   stalled transactions by a coordinator that finds itself excluded.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ratc_config::{GlobalConfiguration, MembershipPlanner};
-use ratc_core::batch::{
-    sorted_entry, BatchingConfig, DecisionItem, Items, PrepareBatch, PrepareItem, PreparedItem,
-    ShardDecisions, VoteBatcher,
-};
-use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
-use ratc_core::log::TxPhase;
+use ratc_core::batch::{BatchingConfig, Items, PrepareItem, PreparedItem, ShardDecisions};
+use ratc_core::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
+use ratc_core::flow::FlowControlConfig;
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_sim::{Actor, Context, CtrlMilestone, SimDuration, TimerTag};
 use ratc_types::{
-    CertificationPolicy, Decision, Epoch, IndexedCertifier, Payload, Position, ProcessId,
-    ShardCertifier, ShardId, ShardMap, TxId,
+    CertificationPolicy, Epoch, IndexedCertifier, Position, ProcessId, ShardCertifier, ShardId,
+    ShardMap, TxId,
 };
 
 use crate::messages::RdmaMsg;
@@ -23,12 +35,6 @@ use crate::messages::RdmaMsg;
 /// The certification log of the RDMA protocol. Identical in structure to the
 /// message-passing protocol's log, so the type is shared with `ratc-core`.
 pub type RdmaLog = ratc_core::log::CertificationLog;
-
-/// Timer tag used for the coordinator's re-transmission tick.
-const RETRY_TICK: TimerTag = 1;
-
-/// Timer tag used to flush a partially filled prepare batch.
-const BATCH_TICK: TimerTag = 2;
 
 /// Timer tag ending the probe grace period (see `handle_probe_ack`).
 const PROBE_GRACE_TICK: TimerTag = 3;
@@ -60,10 +66,6 @@ const PROBE_GRACE: SimDuration = SimDuration::from_micros(500);
 /// Interval after which a still-unfinished reconfiguration restarts probing.
 const RECON_RETRY: SimDuration = SimDuration::from_millis(50);
 
-/// The data needed to distribute a completed transaction's decision: the
-/// client, the decision, and per-shard `(position, truncation floor)` targets.
-type Completion = (ProcessId, Decision, Vec<(ShardId, Position, Position)>);
-
 /// How reconfiguration is performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigMode {
@@ -76,58 +78,18 @@ pub enum ReconfigMode {
     NaivePerShard,
 }
 
-/// Replica status (the paper's `status`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdmaStatus {
-    /// Shard leader in the current epoch.
-    Leader,
-    /// Shard follower in the current epoch.
-    Follower,
-    /// Probed for a higher epoch; transaction processing stopped.
-    Reconfiguring,
-}
+/// Replica status (the paper's `status`): the same three states as in the
+/// message-passing protocol, so the type is shared with `ratc-core`.
+pub use ratc_core::replica::Status as RdmaStatus;
 
-#[derive(Debug, Clone, Default)]
-struct ShardProgress {
-    pos: Option<Position>,
-    vote: Option<Decision>,
-    /// Followers whose RDMA acknowledgement has been received.
-    acked: BTreeSet<ProcessId>,
-    /// The shard leader's decided frontier, gossiped on `PREPARE_ACK` (RDMA
-    /// hardware acks carry no payload, so followers cannot gossip theirs).
-    leader_frontier: Option<Position>,
-}
-
+/// An outstanding `ACCEPT` write (see `ratc_core::batch`): the hardware
+/// acknowledgement acknowledges every slot of it at once.
 #[derive(Debug, Clone)]
-struct CoordState {
-    client: ProcessId,
-    payload: Option<Payload>,
-    shards: Vec<ShardId>,
-    /// Progress per shard per (global) epoch.
-    progress: BTreeMap<ShardId, BTreeMap<Epoch, ShardProgress>>,
-    decided: bool,
-    /// The final decision this coordinator computed or learned, kept so a
-    /// re-submitted `certify` of an already-decided transaction is answered
-    /// directly (the original `DECISION` may have been lost to a fault).
-    decision: Option<Decision>,
-    /// A decision learned out-of-band from a `TxDecided` reply (the
-    /// transaction was truncated at some shard); propagated to shards that
-    /// still hold the transaction as prepared (see `flush_known_decision`).
-    known_decision: Option<Decision>,
-}
-
-/// What an outstanding RDMA write was for.
-#[derive(Debug, Clone)]
-enum PendingWrite {
-    /// The votes of one `ACCEPT` write (see `ratc_core::batch`): the
-    /// hardware acknowledgement acknowledges every slot of it at once.
-    AcceptBatch {
-        txs: Items<TxId>,
-        shard: ShardId,
-        follower: ProcessId,
-        epoch: Epoch,
-    },
-    Other,
+struct AcceptWrite {
+    txs: Items<TxId>,
+    shard: ShardId,
+    follower: ProcessId,
+    epoch: Epoch,
 }
 
 #[derive(Debug, Clone)]
@@ -166,6 +128,13 @@ struct ReconState {
 
 /// A replica of the RDMA-based protocol.
 pub struct RdmaReplica {
+    coord: Coordinator,
+    member: Member,
+}
+
+/// The shard-member and reconfigurer roles of an [`RdmaReplica`], and the
+/// [`Replication`] its coordinator works through.
+struct Member {
     id: ProcessId,
     shard: ShardId,
     mode: ReconfigMode,
@@ -180,27 +149,11 @@ pub struct RdmaReplica {
     /// Pristine (empty) incremental certifier, cloned whenever an installed
     /// log needs an index rebuilt (see `handle_new_state`).
     index_factory: Box<dyn IndexedCertifier>,
-    sharding: Arc<dyn ShardMap + Send + Sync>,
     cs: ProcessId,
-    coordinating: BTreeMap<TxId, CoordState>,
-    pending_writes: BTreeMap<RdmaToken, PendingWrite>,
+    /// `ACCEPT` writes whose hardware acknowledgement is outstanding.
+    pending_writes: BTreeMap<RdmaToken, AcceptWrite>,
     recon: Option<ReconState>,
-    retry_interval: SimDuration,
-    retry_timer_armed: bool,
     truncation: TruncationConfig,
-    batching: BatchingConfig,
-    batcher: VoteBatcher<TxId>,
-    batch_timer_armed: bool,
-    /// Flow-control knobs: coordinator admission window and retry backoff.
-    flow: FlowControlConfig,
-    /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
-    admission: AdmissionQueue<(Payload, ProcessId)>,
-    /// Running count of undecided coordinated transactions — kept in O(1)
-    /// lockstep with `coordinating` so the admission check does not rescan
-    /// the map (which retains decided entries) on every certify and drain.
-    in_flight: usize,
-    /// Per-transaction retry-backoff schedules.
-    retry_backoff: BTreeMap<TxId, BackoffState>,
     /// Peers whose `Connect`/`ConnectAck` is still outstanding after a
     /// restart; the handshake is retried until this empties (or the retry
     /// cap gives up on permanently unreachable peers).
@@ -228,61 +181,52 @@ impl RdmaReplica {
         P: CertificationPolicy + ?Sized,
     {
         RdmaReplica {
-            id: ProcessId::new(u64::MAX),
-            shard,
-            mode,
-            status: RdmaStatus::Follower,
-            initialized: false,
-            epoch: Epoch::ZERO,
-            new_epoch: Epoch::ZERO,
-            config: None,
-            connections: BTreeSet::new(),
-            log: RdmaLog::with_certifier(policy.indexed_certifier(shard)),
-            certifier: policy.shard_certifier(shard),
-            index_factory: policy.indexed_certifier(shard),
-            sharding,
-            cs: ProcessId::new(u64::MAX),
-            coordinating: BTreeMap::new(),
-            pending_writes: BTreeMap::new(),
-            recon: None,
-            retry_interval: SimDuration::from_millis(20),
-            retry_timer_armed: false,
-            truncation: TruncationConfig::default(),
-            batching: BatchingConfig::default(),
-            batcher: VoteBatcher::new(BatchingConfig::default()),
-            batch_timer_armed: false,
-            flow: FlowControlConfig::default(),
-            admission: AdmissionQueue::new(),
-            in_flight: 0,
-            retry_backoff: BTreeMap::new(),
-            pending_connects: BTreeSet::new(),
-            connect_retry_armed: false,
-            connect_attempts: 0,
-            peer_frontiers: BTreeMap::new(),
-            last_gossiped_frontier: Position::ZERO,
+            coord: Coordinator::new(sharding),
+            member: Member {
+                id: ProcessId::new(u64::MAX),
+                shard,
+                mode,
+                status: RdmaStatus::Follower,
+                initialized: false,
+                epoch: Epoch::ZERO,
+                new_epoch: Epoch::ZERO,
+                config: None,
+                connections: BTreeSet::new(),
+                log: RdmaLog::with_certifier(policy.indexed_certifier(shard)),
+                certifier: policy.shard_certifier(shard),
+                index_factory: policy.indexed_certifier(shard),
+                cs: ProcessId::new(u64::MAX),
+                pending_writes: BTreeMap::new(),
+                recon: None,
+                truncation: TruncationConfig::default(),
+                pending_connects: BTreeSet::new(),
+                connect_retry_armed: false,
+                connect_attempts: 0,
+                peer_frontiers: BTreeMap::new(),
+                last_gossiped_frontier: Position::ZERO,
+            },
         }
     }
 
     /// Sets the checkpointed-truncation policy (default: enabled, batch 32).
     pub fn set_truncation(&mut self, truncation: TruncationConfig) {
-        self.truncation = truncation;
+        self.member.truncation = truncation;
     }
 
     /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
-        self.batching = batching;
-        self.batcher.set_config(batching);
+        self.coord.set_batching(batching);
     }
 
     /// Sets the flow-control knobs (default: enabled, window 64,
     /// exponential backoff).
     pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.flow = flow;
+        self.coord.set_flow(flow);
     }
 
     /// The flow-control configuration in force at this replica.
     pub fn flow(&self) -> FlowControlConfig {
-        self.flow
+        self.coord.flow()
     }
 
     /// Installs the initial configuration, own identifier and configuration
@@ -294,18 +238,19 @@ impl RdmaReplica {
         config: &GlobalConfiguration,
         in_initial_config: bool,
     ) {
-        self.id = id;
-        self.cs = cs;
-        self.epoch = config.epoch;
-        self.config = Some(config.clone());
+        let member = &mut self.member;
+        member.id = id;
+        member.cs = cs;
+        member.epoch = config.epoch;
+        member.config = Some(config.clone());
         if in_initial_config {
-            self.initialized = true;
-            self.status = if config.leader_of(self.shard) == Some(id) {
+            member.initialized = true;
+            member.status = if config.leader_of(member.shard) == Some(id) {
                 RdmaStatus::Leader
             } else {
                 RdmaStatus::Follower
             };
-            self.connections = config
+            member.connections = config
                 .all_processes()
                 .into_iter()
                 .filter(|p| *p != id)
@@ -317,180 +262,150 @@ impl RdmaReplica {
 
     /// This replica's shard.
     pub fn shard(&self) -> ShardId {
-        self.shard
+        self.member.shard
     }
 
     /// Current status.
     pub fn status(&self) -> RdmaStatus {
-        self.status
+        self.member.status
     }
 
     /// Current global epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.member.epoch
     }
 
     /// Whether the replica has ever been initialised.
     pub fn is_initialized(&self) -> bool {
-        self.initialized
+        self.member.initialized
     }
 
     /// The replica's certification log.
     pub fn log(&self) -> &RdmaLog {
-        &self.log
+        &self.member.log
     }
 
     /// The replica's current view of the global configuration.
     pub fn config(&self) -> Option<&GlobalConfiguration> {
-        self.config.as_ref()
+        self.member.config.as_ref()
     }
 
     /// Number of transactions this replica is currently coordinating without
     /// a final decision.
     pub fn undecided_coordinated(&self) -> usize {
-        debug_assert_eq!(
-            self.in_flight,
-            self.coordinating.values().filter(|c| !c.decided).count(),
-            "in-flight counter out of lockstep with coordinating map"
-        );
-        self.in_flight
+        self.coord.undecided_coordinated()
     }
 
     /// Whether this replica is currently driving a reconfiguration.
     pub fn reconfiguration_in_flight(&self) -> bool {
-        self.recon.is_some()
+        self.member.recon.is_some()
     }
 
     /// The transactions this replica coordinates that have no final decision.
     pub fn undecided_transactions(&self) -> Vec<TxId> {
-        self.coordinating
-            .iter()
-            .filter(|(_, c)| !c.decided)
-            .map(|(tx, _)| *tx)
-            .collect()
+        self.coord.undecided_transactions()
     }
+}
 
-    // -- helpers -------------------------------------------------------------
+impl Replication for Member {
+    type Msg = RdmaMsg;
 
-    fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
-        self.config.as_ref().and_then(|c| c.leader_of(shard))
-    }
-
-    fn followers_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.config
-            .as_ref()
-            .map(|c| c.followers_of(shard))
-            .unwrap_or_default()
-    }
-
-    fn arm_retry_timer(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.retry_timer_armed
-            && (self.undecided_coordinated() > 0 || !self.admission.is_empty())
-        {
-            ctx.set_timer(self.retry_interval, RETRY_TICK);
-            self.retry_timer_armed = true;
+    fn view(&self, shard: ShardId) -> ShardView<'_> {
+        let leader = self.config.as_ref().and_then(|c| c.leaders.get(&shard));
+        ShardView {
+            epoch: self.epoch,
+            leader: leader.copied(),
+            members: self.members_of(shard),
+            // Only the leader, on `PREPARE_ACK`: RDMA hardware acks carry no
+            // payload, so followers cannot gossip their decided frontier to
+            // the coordinator (they exchange them among themselves instead,
+            // see `handle_frontier_exchange`), and members clamp the hint to
+            // their own decided frontier.
+            gossipers: leader.map(std::slice::from_ref).unwrap_or(&[]),
         }
     }
 
-    /// Per-transaction jitter salt: decorrelates this coordinator's retry
-    /// schedule for `tx` from every other transaction's without consuming
-    /// shared RNG state.
-    fn backoff_salt(&self, tx: TxId) -> u64 {
-        tx.as_u64() ^ self.id.as_u64().rotate_left(17)
-    }
-
-    /// Records that a retry for `tx` fired at `now` and schedules the next.
-    fn backoff_fired(&mut self, tx: TxId, now: u64) {
-        let (policy, salt) = (self.flow.backoff, self.backoff_salt(tx));
-        self.retry_backoff
-            .entry(tx)
-            .or_insert_with(|| BackoffState::armed(&policy, salt, now))
-            .fired(&policy, salt, now);
-    }
-
-    /// Whether `tx`'s next retry is due at `now` (always true without flow
-    /// control, or before the first deadline is armed).
-    fn backoff_due(&self, tx: TxId, now: u64) -> bool {
-        !self.flow.enabled
-            || self
-                .retry_backoff
-                .get(&tx)
-                .map(|b| b.due(now))
-                .unwrap_or(true)
-    }
-
-    /// Admits queued submissions into freed window slots (oldest first).
-    fn drain_admission(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        while self.flow.admits(self.undecided_coordinated()) {
-            let Some((tx, (payload, client))) = self.admission.pop() else {
-                break;
-            };
-            self.handle_certify(tx, payload, client, ctx);
-        }
-    }
-
-    /// Sends `PREPARE` for `txs` (line 76): one `PREPARE_BATCH` per involved
-    /// shard leader — in leader order, items in `txs` order — with each
-    /// payload restricted to the leader's shard, or `⊥` when this
-    /// coordinator has no payload (a recovery coordinator). Returns the
-    /// number of messages sent.
-    fn send_prepares(&self, ctx: &mut Context<'_, RdmaMsg>, txs: &[TxId]) -> u64 {
-        let mut per_leader: Vec<(ProcessId, Items<PrepareItem>)> = Vec::new();
-        for &tx in txs {
-            let Some(coord) = self.coordinating.get(&tx) else {
+    /// Lines 91–93: persist the leader's votes with **one RDMA write per
+    /// follower**; the hardware acknowledgement of that write acknowledges
+    /// every slot it carries at once.
+    fn persist_votes(
+        &mut self,
+        shard: ShardId,
+        items: Items<PreparedItem>,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) -> Option<ProcessId> {
+        let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
+        let followers: Vec<ProcessId> = self.view(shard).followers().collect();
+        let mut self_is_follower = false;
+        for follower in followers {
+            if follower == self.id {
+                self_is_follower = true;
                 continue;
-            };
-            for shard in &coord.shards {
-                let Some(leader) = self.leader_of(*shard) else {
-                    continue;
-                };
-                let restricted = coord
-                    .payload
-                    .as_ref()
-                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
-                sorted_entry(&mut per_leader, leader).push(PrepareItem {
-                    tx,
-                    payload: restricted,
-                    shards: coord.shards.clone(),
-                    client: coord.client,
-                });
             }
-        }
-        let sent = per_leader.len() as u64;
-        for (leader, items) in per_leader {
-            ctx.send(
-                leader,
-                RdmaMsg::PrepareBatch {
-                    batch: PrepareBatch { items },
+            let token = ctx.rdma_send(
+                follower,
+                RdmaMsg::AcceptBatch {
+                    shard,
+                    items: items.clone(),
+                },
+            );
+            self.pending_writes.insert(
+                token,
+                AcceptWrite {
+                    txs: txs.clone(),
+                    shard,
+                    follower,
+                    epoch: self.epoch,
                 },
             );
         }
-        sent
-    }
-
-    /// Re-sends `PREPARE` for one transaction outside the batcher — a retry,
-    /// or a recovery coordinator's `PREPARE(t, ⊥)` — as one-item batches.
-    fn resend_prepares(&self, ctx: &mut Context<'_, RdmaMsg>, tx: TxId) {
-        ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
-        self.send_prepares(ctx, &[tx]);
-    }
-
-    /// The coordinator state of `tx`, created (and counted in flight) if this
-    /// replica is not coordinating it yet — a recovery coordinator, which has
-    /// no payload.
-    fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
-        if !self.coordinating.contains_key(&tx) {
-            self.in_flight += 1;
-        }
-        self.coordinating.entry(tx).or_insert_with(|| CoordState {
-            client,
-            payload: None,
-            shards: shards.to_vec(),
-            progress: BTreeMap::new(),
-            decided: false,
-            decision: None,
-            known_decision: None,
+        // Writing into our own memory trivially succeeds: apply the entries
+        // locally and report the acknowledgement immediately.
+        self_is_follower.then(|| {
+            self.apply_rdma_payload(RdmaMsg::AcceptBatch { shard, items }, ctx);
+            self.id
         })
+    }
+
+    /// Line 100: one `DECISION` write per shard member; this process's own
+    /// log is decided in place.
+    fn distribute_decisions(
+        &mut self,
+        shard: ShardId,
+        decisions: ShardDecisions,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) {
+        for member in self.members_of(shard).to_vec() {
+            let write = RdmaMsg::DecisionBatch {
+                items: decisions.items.clone(),
+                truncate_to: decisions.truncate_to,
+            };
+            if member == self.id {
+                self.apply_rdma_payload(write, ctx);
+                self.maybe_gossip_frontier(ctx);
+            } else {
+                ctx.rdma_send(member, write);
+            }
+        }
+    }
+
+    /// A global reconfiguration that excluded this process sends
+    /// CONFIG_PREPARE and NEW_STATE only to members of the new configuration,
+    /// so an excluded coordinator would retry into closed connections
+    /// forever. One poll covers every shard (the lazy CONFIG_CHANGE of
+    /// Figure 1, lines 67–69, lifted to the global protocol); the reply is
+    /// handled by `handle_stale_view_refresh`.
+    fn refresh_views(&mut self, _shards: &BTreeSet<ShardId>, ctx: &mut Context<'_, RdmaMsg>) {
+        ctx.send(self.cs, RdmaMsg::CsGetLast);
+    }
+}
+
+impl Member {
+    fn members_of(&self, shard: ShardId) -> &[ProcessId] {
+        self.config
+            .as_ref()
+            .map(|c| c.members_of(shard))
+            .unwrap_or(&[])
     }
 
     /// Applies a message that was found in local memory (either polled by the
@@ -511,7 +426,7 @@ impl RdmaReplica {
                 for item in items.iter() {
                     self.log.decide(item.pos, item.decision);
                 }
-                self.maybe_truncate(truncate_to, ctx);
+                self.log.truncate_if_due(truncate_to, self.truncation, ctx);
             }
             // Explicit no-ops: only `ACCEPT` and `DECISION` are one-sided
             // writes into follower memory; everything else in the vocabulary
@@ -560,16 +475,11 @@ impl RdmaReplica {
         }
         self.last_gossiped_frontier = frontier;
         let peers: Vec<ProcessId> = self
-            .config
-            .as_ref()
-            .map(|c| {
-                c.members_of(self.shard)
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != self.id)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .members_of(self.shard)
+            .iter()
+            .copied()
+            .filter(|p| *p != self.id)
+            .collect();
         ctx.add_counter("frontier_exchanges", peers.len() as u64);
         ctx.send_to_many(
             peers,
@@ -585,12 +495,7 @@ impl RdmaReplica {
     /// never heard from pins the floor at zero — safe, it just delays
     /// truncation until everyone has gossiped).
     fn cluster_frontier_floor(&self) -> Position {
-        let members = self
-            .config
-            .as_ref()
-            .map(|c| c.members_of(self.shard).to_vec())
-            .unwrap_or_default();
-        members
+        self.members_of(self.shard)
             .iter()
             .map(|m| {
                 if *m == self.id {
@@ -621,304 +526,12 @@ impl RdmaReplica {
         }
         self.peer_frontiers.insert(from, frontier);
         let floor = self.cluster_frontier_floor();
-        self.maybe_truncate(floor, ctx);
-    }
-
-    /// Writes `DECISION` for a transaction with an out-of-band decision
-    /// (learned via `TxDecided`) into the members of `shard`, if this
-    /// coordinator knows the transaction's position there in the current
-    /// epoch. Without this, shards that missed the original decision would
-    /// hold the transaction prepared (and its keys locked) forever.
-    fn flush_known_decision(&mut self, tx: TxId, shard: ShardId, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some(coord) = self.coordinating.get(&tx) else {
-            return;
-        };
-        let Some(decision) = coord.known_decision else {
-            return;
-        };
-        let Some(pos) = coord
-            .progress
-            .get(&shard)
-            .and_then(|m| m.get(&self.epoch))
-            .and_then(|p| p.pos)
-        else {
-            return;
-        };
-        let members = self
-            .config
-            .as_ref()
-            .map(|c| c.members_of(shard).to_vec())
-            .unwrap_or_default();
-        for member in members {
-            if member == self.id {
-                self.log.decide(pos, decision);
-                self.maybe_gossip_frontier(ctx);
-                continue;
-            }
-            let token = ctx.rdma_send(
-                member,
-                RdmaMsg::DecisionBatch {
-                    items: Items::one(DecisionItem { pos, decision }),
-                    truncate_to: Position::ZERO,
-                },
-            );
-            self.pending_writes.insert(token, PendingWrite::Other);
-        }
-    }
-
-    /// Truncates the log at `floor` (clamped to the own decided frontier by
-    /// the log itself) once at least a batch of slots can be freed.
-    fn maybe_truncate(&mut self, floor: Position, ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.truncation.enabled {
-            return;
-        }
-        let target = floor.min(self.log.decided_frontier());
-        if target.as_u64() >= self.log.base().as_u64() + self.truncation.batch {
-            let freed = self.log.truncate_to(target);
-            ctx.add_counter("log_slots_truncated", freed as u64);
-        }
-    }
-
-    /// Lines 96–100 precondition, evaluated without side effects: the
-    /// client, decision and per-shard `(position, truncation floor)` targets
-    /// of `tx`, once every shard has a vote and full RDMA acknowledgements.
-    fn completion_of(&self, tx: TxId) -> Option<Completion> {
-        let coord = self.coordinating.get(&tx)?;
-        if coord.decided {
-            return None;
-        }
-        let epoch = self.epoch;
-        let mut votes = Vec::new();
-        let mut positions = Vec::new();
-        for shard in &coord.shards {
-            let progress = coord.progress.get(shard).and_then(|m| m.get(&epoch))?;
-            let (vote, pos) = (progress.vote?, progress.pos?);
-            let required: BTreeSet<ProcessId> = self.followers_of(*shard).into_iter().collect();
-            if !required.is_subset(&progress.acked) {
-                return None;
-            }
-            votes.push(vote);
-            positions.push((
-                *shard,
-                pos,
-                progress.leader_frontier.unwrap_or(Position::ZERO),
-            ));
-        }
-        Some((coord.client, Decision::meet_all(votes), positions))
-    }
-
-    /// Lines 96–100: completion driven by RDMA acknowledgements. Decides
-    /// every transaction of `txs` that is complete, reports it to the client
-    /// and packs the decisions into one `DECISION` write per shard member.
-    fn complete_batch(
-        &mut self,
-        txs: impl IntoIterator<Item = TxId>,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
-        for tx in txs {
-            // A transaction listed twice is complete only once: deciding it
-            // makes its second `completion_of` come back empty.
-            let Some((client, decision, targets)) = self.completion_of(tx) else {
-                continue;
-            };
-            if let Some(coord) = self.coordinating.get_mut(&tx) {
-                if !coord.decided {
-                    self.in_flight -= 1;
-                    // On this stack the accept quorum (the RDMA
-                    // acknowledgement quorum on every shard) and the
-                    // decision coincide.
-                    ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
-                    ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-                    ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
-                }
-                coord.decided = true;
-                coord.decision = Some(decision);
-            }
-            self.retry_backoff.remove(&tx);
-            self.admission.remove(tx);
-            ctx.add_counter("coordinator_decisions", 1);
-            ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
-            for (shard, pos, floor) in targets {
-                sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
-            }
-        }
-        for (shard, decisions) in per_shard {
-            let members = self
-                .config
-                .as_ref()
-                .map(|c| c.members_of(shard).to_vec())
-                .unwrap_or_default();
-            for member in members {
-                if member == self.id {
-                    for item in decisions.items.iter() {
-                        self.log.decide(item.pos, item.decision);
-                    }
-                    self.maybe_truncate(decisions.truncate_to, ctx);
-                    self.maybe_gossip_frontier(ctx);
-                    continue;
-                }
-                let token = ctx.rdma_send(
-                    member,
-                    RdmaMsg::DecisionBatch {
-                        items: decisions.items.clone(),
-                        truncate_to: decisions.truncate_to,
-                    },
-                );
-                self.pending_writes.insert(token, PendingWrite::Other);
-            }
-        }
-        // The decisions free admission-window slots.
-        self.drain_admission(ctx);
-    }
-
-    // -- transaction path -----------------------------------------------------
-
-    fn handle_certify(
-        &mut self,
-        tx: TxId,
-        payload: Payload,
-        client: ProcessId,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let shards = payload.shards(self.sharding.as_ref());
-        if shards.is_empty() {
-            ctx.send(
-                client,
-                RdmaMsg::DecisionClient {
-                    tx,
-                    decision: Decision::Commit,
-                },
-            );
-            return;
-        }
-        if self.flow.enabled {
-            match self.coordinating.get_mut(&tx) {
-                Some(coord) if coord.decision.is_some() => {
-                    // Decided re-submission: answer with the recorded
-                    // decision instead of silently swallowing the request.
-                    let decision = coord.decision.expect("checked above");
-                    ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
-                    return;
-                }
-                Some(coord) => {
-                    // A retry supersedes the in-flight attempt: refresh the
-                    // reply address and payload and let the scheduled
-                    // backoff decide when to re-drive, instead of stacking
-                    // another PREPARE volley on top of the previous one.
-                    // `decided` without a decision marks a coordination
-                    // handed off to a newer configuration
-                    // (`handle_stale_view_refresh`); a client re-drive means
-                    // the handoff `RETRY` was lost — coordinate it afresh.
-                    if coord.decided {
-                        coord.decided = false;
-                        self.in_flight += 1;
-                    }
-                    coord.payload = Some(payload);
-                    coord.client = client;
-                    let now = ctx.now().as_micros();
-                    if self.backoff_due(tx, now) {
-                        let attempt = self.retry_backoff.get(&tx).map(|b| b.attempt).unwrap_or(0);
-                        ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                        ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
-                        self.resend_prepares(ctx, tx);
-                        self.backoff_fired(tx, now);
-                    }
-                    self.arm_retry_timer(ctx);
-                    return;
-                }
-                None => {
-                    if !self.flow.admits(self.undecided_coordinated()) {
-                        // Admission window full: park the submission at the
-                        // edge; it is admitted when an in-flight transaction
-                        // decides.
-                        self.admission.enqueue(tx, (payload, client));
-                        ctx.add_counter("admission_queued", 1);
-                        ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
-                        self.arm_retry_timer(ctx);
-                        return;
-                    }
-                    let (policy, salt) = (self.flow.backoff, self.backoff_salt(tx));
-                    self.retry_backoff.insert(
-                        tx,
-                        BackoffState::armed(&policy, salt, ctx.now().as_micros()),
-                    );
-                }
-            }
-        }
-        let inserted = !self.coordinating.contains_key(&tx);
-        let coord = self.coordinating.entry(tx).or_insert_with(|| CoordState {
-            client,
-            payload: Some(payload.clone()),
-            shards: shards.clone(),
-            progress: BTreeMap::new(),
-            decided: false,
-            decision: None,
-            known_decision: None,
-        });
-        if inserted {
-            self.in_flight += 1;
-            ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
-            ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
-        }
-        // A re-submitted `certify` of an already-decided transaction (the
-        // client's `DECISION` was lost to a fault): answer with the recorded
-        // decision instead of silently swallowing the request.
-        if let Some(decision) = coord.decision {
-            ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
-            return;
-        }
-        // `decided` without a decision marks a coordination handed off to the
-        // members of a newer configuration (`handle_stale_view_refresh`). If
-        // the client is re-driving the transaction, the handoff `RETRY` was
-        // lost: coordinate it afresh.
-        if coord.decided {
-            coord.decided = false;
-            self.in_flight += 1;
-        }
-        coord.payload = Some(payload);
-        coord.client = client;
-        // Into the pending batch, which flushes when it reaches its target
-        // (at `max_batch = 1`: now) or when the batch timer expires.
-        if self.batcher.push(tx) {
-            let txs = self.batcher.drain_full();
-            self.flush_prepare_batch(txs, ctx);
-        } else {
-            self.arm_batch_timer(ctx);
-        }
-        self.arm_retry_timer(ctx);
-    }
-
-    // -- the PREPARE/ACCEPT exchange (see `ratc_core::batch`) ----------------
-
-    fn arm_batch_timer(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.batch_timer_armed && !self.batcher.is_empty() {
-            ctx.set_timer(self.batching.max_delay, BATCH_TICK);
-            self.batch_timer_armed = true;
-        }
-    }
-
-    /// Sends the `PREPARE`s of a drained batch (a flush of one is a flush).
-    fn flush_prepare_batch(&mut self, mut txs: Vec<TxId>, ctx: &mut Context<'_, RdmaMsg>) {
-        if txs.is_empty() {
-            return;
-        }
-        ctx.obs_gauge("obs_batch_occupancy", txs.len() as f64);
-        if ctx.obs_enabled() {
-            for &tx in &txs {
-                ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
-                ctx.obs_milestone(tx, TxMilestone::BatchFlush, txs.len() as u64);
-            }
-        }
-        // Decided (or handed off) while it waited in the batch.
-        txs.retain(|tx| self.coordinating.get(tx).is_some_and(|c| !c.decided));
-        let sent = self.send_prepares(ctx, &txs);
-        ctx.add_counter("prepare_batches_sent", sent);
+        self.log.truncate_if_due(floor, self.truncation, ctx);
     }
 
     /// Lines 77–90: the leader certifies the items of a `PREPARE` in order.
-    /// Identical to the message-passing protocol's leader logic, so the
-    /// per-item step is shared with it (`CertificationLog::prepare`).
+    /// Identical to the message-passing protocol's leader logic, so the step
+    /// is shared with it (`CertificationLog::serve_prepare`).
     fn handle_prepare_batch(
         &mut self,
         from: ProcessId,
@@ -928,196 +541,27 @@ impl RdmaReplica {
         if self.status != RdmaStatus::Leader {
             return;
         }
-        let mut acks: Items<PreparedItem> = Items::new();
-        for item in items {
-            let (tx, client) = (item.tx, item.client);
-            match self.log.prepare(item, self.certifier.as_ref()) {
-                Ok(ack) => acks.push(ack),
-                Err(decision) => ctx.send(
-                    from,
-                    RdmaMsg::TxDecided {
-                        tx,
-                        decision,
-                        client,
-                    },
-                ),
-            }
-        }
-        if !acks.is_empty() {
-            ctx.send(
-                from,
-                RdmaMsg::PrepareAckBatch {
-                    epoch: self.epoch,
-                    shard: self.shard,
-                    items: acks,
-                    frontier: self.log.decided_frontier(),
-                },
-            );
-        }
-    }
-
-    /// Lines 91–93: persist the leader's votes with **one RDMA write per
-    /// follower**; the hardware acknowledgement of that write acknowledges
-    /// every slot it carries at once.
-    fn handle_prepare_ack_batch(
-        &mut self,
-        epoch: Epoch,
-        shard: ShardId,
-        items: Items<PreparedItem>,
-        frontier: Position,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        // Line 92 precondition: the coordinator is in the same (global) epoch
-        // the leader prepared the transactions in.
-        if epoch != self.epoch {
-            return;
-        }
-        for item in items.iter() {
-            let coord = self.coord_entry(item.tx, item.client, &item.shards);
-            let progress = coord
-                .progress
-                .entry(shard)
-                .or_default()
-                .entry(epoch)
-                .or_default();
-            progress.pos = Some(item.pos);
-            progress.vote = Some(item.vote);
-            progress.leader_frontier = Some(frontier);
-            ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-        }
-        let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
-        let followers = self.followers_of(shard);
-        let mut self_is_follower = false;
-        for follower in followers {
-            if follower == self.id {
-                // Writing into our own memory trivially succeeds: apply the
-                // entries locally and count the acknowledgement immediately.
-                self_is_follower = true;
-                continue;
-            }
-            let token = ctx.rdma_send(
-                follower,
-                RdmaMsg::AcceptBatch {
-                    shard,
-                    items: items.clone(),
-                },
-            );
-            self.pending_writes.insert(
-                token,
-                PendingWrite::AcceptBatch {
-                    txs: txs.clone(),
-                    shard,
-                    follower,
-                    epoch,
-                },
-            );
-        }
-        if self_is_follower {
-            self.apply_rdma_payload(RdmaMsg::AcceptBatch { shard, items }, ctx);
-            self.record_acks(&txs, shard, epoch, self.id);
-        }
-        // A late re-ack for a transaction whose decision was already learned
-        // out-of-band (`TxDecided`): tell this shard the decision now that
-        // its position is known.
-        for &tx in txs.iter() {
-            self.flush_known_decision(tx, shard, ctx);
-        }
-        self.complete_batch(txs, ctx);
-    }
-
-    /// Records `follower`'s acknowledgement of every transaction of `txs`.
-    fn record_acks(
-        &mut self,
-        txs: &Items<TxId>,
-        shard: ShardId,
-        epoch: Epoch,
-        follower: ProcessId,
-    ) {
-        for tx in txs.iter() {
-            if let Some(coord) = self.coordinating.get_mut(tx) {
-                coord
-                    .progress
-                    .entry(shard)
-                    .or_default()
-                    .entry(epoch)
-                    .or_default()
-                    .acked
-                    .insert(follower);
-            }
-        }
-    }
-
-    fn handle_retry(&mut self, tx: TxId, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some(pos) = self.log.position_of(tx) else {
-            return;
-        };
-        // A truncated slot is decided; nothing to recover.
-        let Some(entry) = self.log.get(pos) else {
-            return;
-        };
-        if entry.phase != TxPhase::Prepared {
-            return;
-        }
-        let shards = entry.shards.clone();
-        let client = entry.client;
-        self.coord_entry(tx, client, &shards);
-        self.resend_prepares(ctx, tx);
-        self.arm_retry_timer(ctx);
-    }
-
-    fn handle_retry_tick(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        self.retry_timer_armed = false;
-        // Safety net: admit parked submissions even if a decision path was
-        // missed (e.g. a handoff freed slots without deciding anything).
-        self.drain_admission(ctx);
-        let now = ctx.now().as_micros();
-        let pending: Vec<TxId> = self
-            .coordinating
-            .iter()
-            .filter(|(tx, c)| !c.decided && self.backoff_due(**tx, now))
-            .map(|(tx, _)| *tx)
-            .collect();
-        if pending.is_empty() {
-            self.arm_retry_timer(ctx);
-            return;
-        }
-        // A stalled coordinator may be working from a stale view: a global
-        // reconfiguration that excluded this process sends CONFIG_PREPARE and
-        // NEW_STATE only to members of the new configuration, so an excluded
-        // coordinator would retry into closed connections forever. Refresh
-        // the view from the configuration service (the lazy CONFIG_CHANGE of
-        // Figure 1, lines 67–69, lifted to the global protocol); the reply is
-        // handled by `handle_stale_view_refresh`.
-        ctx.send(self.cs, RdmaMsg::CsGetLast);
-        for tx in pending {
-            if self.flow.enabled {
-                let attempt = self.retry_backoff.get(&tx).map(|b| b.attempt).unwrap_or(0);
-                ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
-                self.backoff_fired(tx, now);
-            }
-            self.resend_prepares(ctx, tx);
-        }
-        self.arm_retry_timer(ctx);
+        self.log.serve_prepare(
+            from,
+            items,
+            self.shard,
+            self.epoch,
+            self.certifier.as_ref(),
+            ctx,
+        );
     }
 
     /// Handles a `get_last` reply that arrives outside an active
     /// reconfiguration: a coordinator checking whether it has been left
-    /// behind by a newer global configuration.
+    /// behind by a newer global configuration. Returns whether this process
+    /// is excluded from `config`, having adopted it as its coordinator view.
     ///
-    /// If this process is *not* a member of the newer configuration it will
+    /// A process that is *not* a member of the newer configuration will
     /// never receive `CONFIG_PREPARE`/`NEW_STATE`, and — by design — its RDMA
     /// writes are rejected by every member, so transactions it coordinates
-    /// can never complete. It therefore adopts the configuration as its
-    /// coordinator view and hands every stalled transaction to the new
-    /// leaders of the transaction's shards: any leader whose certification
-    /// log contains the transaction takes over as recovery coordinator
-    /// (line 70), and leaders that never saw it ignore the request.
-    fn handle_stale_view_refresh(
-        &mut self,
-        config: GlobalConfiguration,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
+    /// can never complete: the caller has its coordinator hand every stalled
+    /// transaction to the new leaders ([`Coordinator::hand_off`]).
+    fn handle_stale_view_refresh(&mut self, config: GlobalConfiguration) -> bool {
         // Members of the current configuration complete their transactions
         // through the normal path; only an *excluded* process must hand off.
         // The check is on membership, not on seeing a newer epoch: a process
@@ -1125,41 +569,16 @@ impl RdmaReplica {
         // otherwise retry new transactions into closed connections forever
         // (its RDMA writes are rejected by every member).
         if config.epoch < self.epoch || config.all_processes().contains(&self.id) {
-            return;
+            return false;
         }
         if config.epoch > self.epoch {
             self.epoch = config.epoch;
             if self.new_epoch < config.epoch {
                 self.new_epoch = config.epoch;
             }
-            self.config = Some(config.clone());
+            self.config = Some(config);
         }
-        let stalled: Vec<(TxId, Vec<ShardId>)> = self
-            .coordinating
-            .iter()
-            .filter(|(_, c)| !c.decided)
-            .map(|(tx, c)| (*tx, c.shards.clone()))
-            .collect();
-        for (tx, shards) in stalled {
-            for shard in shards {
-                if let Some(leader) = config.leader_of(shard) {
-                    ctx.send(leader, RdmaMsg::Retry { tx });
-                }
-            }
-            // Stop retrying locally; the client's decision now comes from the
-            // member that takes the transaction over.
-            if let Some(coord) = self.coordinating.get_mut(&tx) {
-                if !coord.decided {
-                    self.in_flight -= 1;
-                }
-                coord.decided = true;
-            }
-            self.retry_backoff.remove(&tx);
-            ctx.ctrl_milestone(CtrlMilestone::CoordinatorHandoff, None, tx.as_u64());
-            ctx.add_counter("retries_handed_off", 1);
-        }
-        // Handed-off transactions free admission-window slots.
-        self.drain_admission(ctx);
+        true
     }
 
     // -- reconfiguration ------------------------------------------------------
@@ -1209,9 +628,6 @@ impl RdmaReplica {
     ) {
         let naive = self.mode == ReconfigMode::NaivePerShard;
         let Some(recon) = self.recon.as_mut() else {
-            // Not reconfiguring: this is a stalled coordinator's view-refresh
-            // poll (see `handle_retry_tick`).
-            self.handle_stale_view_refresh(config, ctx);
             return;
         };
         if !matches!(recon.phase, ReconPhase::AwaitingGetLast) {
@@ -1776,84 +1192,70 @@ impl RdmaReplica {
 
 impl Actor<RdmaMsg> for RdmaReplica {
     fn on_message(&mut self, from: ProcessId, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
+        let RdmaReplica { coord, member } = self;
         match msg {
             RdmaMsg::Certify {
                 tx,
                 payload,
                 client,
-            } => self.handle_certify(tx, payload, client, ctx),
-            RdmaMsg::PrepareBatch { batch } => self.handle_prepare_batch(from, batch.items, ctx),
+            } => coord.certify(tx, payload, client, member, ctx),
+            RdmaMsg::PrepareBatch { batch } => member.handle_prepare_batch(from, batch.items, ctx),
             RdmaMsg::PrepareAckBatch {
                 epoch,
                 shard,
                 items,
                 frontier,
-            } => self.handle_prepare_ack_batch(epoch, shard, items, frontier, ctx),
+            } => coord.on_prepare_ack(from, epoch, shard, items, frontier, member, ctx),
             RdmaMsg::FrontierExchange { shard, frontier } => {
-                self.handle_frontier_exchange(from, shard, frontier, ctx)
+                member.handle_frontier_exchange(from, shard, frontier, ctx)
             }
             RdmaMsg::DecisionClient { .. } => {}
-            RdmaMsg::Retry { tx } => self.handle_retry(tx, ctx),
+            RdmaMsg::Retry { tx } => {
+                coord.take_over(tx, member.log.prepared_tx(tx), member.shard, member, ctx)
+            }
             RdmaMsg::TxDecided {
                 tx,
                 decision,
                 client,
-            } => {
-                let mut notify_client = true;
-                if let Some(coord) = self.coordinating.get_mut(&tx) {
-                    if coord.known_decision.is_some() {
-                        return;
-                    }
-                    coord.known_decision = Some(decision);
-                    notify_client = !coord.decided;
-                    if !coord.decided {
-                        self.in_flight -= 1;
-                        // Decision learned out-of-band from a recovery
-                        // coordinator's `TxDecided`.
-                        ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-                        ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
-                    }
-                    coord.decided = true;
-                    coord.decision.get_or_insert(decision);
-                    let shards = coord.shards.clone();
-                    for shard in shards {
-                        self.flush_known_decision(tx, shard, ctx);
-                    }
-                }
-                if notify_client {
-                    ctx.send(client, RdmaMsg::DecisionClient { tx, decision });
-                }
-                // An out-of-band decision also frees an admission slot.
-                self.retry_backoff.remove(&tx);
-                self.admission.remove(tx);
-                self.drain_admission(ctx);
-            }
+            } => coord.on_tx_decided(tx, decision, client, member, ctx),
             RdmaMsg::StartReconfigure {
                 suspected_shard,
                 spares,
                 target_size,
                 exclude,
-            } => self.handle_start_reconfigure(suspected_shard, spares, target_size, exclude, ctx),
-            RdmaMsg::Probe { epoch } => self.handle_probe(from, epoch, ctx),
+            } => {
+                member.handle_start_reconfigure(suspected_shard, spares, target_size, exclude, ctx)
+            }
+            RdmaMsg::Probe { epoch } => member.handle_probe(from, epoch, ctx),
             RdmaMsg::ProbeAck {
                 initialized,
                 epoch,
                 shard,
-            } => self.handle_probe_ack(from, initialized, epoch, shard, ctx),
-            RdmaMsg::ConfigPrepare { config } => self.handle_config_prepare(from, config, ctx),
-            RdmaMsg::ConfigPrepareAck { epoch } => self.handle_config_prepare_ack(from, epoch, ctx),
-            RdmaMsg::NewConfig { config } => self.handle_new_config(config, ctx),
+            } => member.handle_probe_ack(from, initialized, epoch, shard, ctx),
+            RdmaMsg::ConfigPrepare { config } => member.handle_config_prepare(from, config, ctx),
+            RdmaMsg::ConfigPrepareAck { epoch } => {
+                member.handle_config_prepare_ack(from, epoch, ctx)
+            }
+            RdmaMsg::NewConfig { config } => member.handle_new_config(config, ctx),
             RdmaMsg::NewState {
                 config,
                 leader,
                 log,
-            } => self.handle_new_state(config, leader, log, ctx),
-            RdmaMsg::Connect { epoch } => self.handle_connect(from, epoch, ctx, false),
-            RdmaMsg::ConnectAck { epoch } => self.handle_connect(from, epoch, ctx, true),
-            RdmaMsg::CsGetLastReply { config } => self.handle_cs_get_last_reply(config, ctx),
-            RdmaMsg::CsGetReply { epoch, config } => self.handle_cs_get_reply(epoch, config, ctx),
-            RdmaMsg::CsCasReply { ok, config } => self.handle_cs_cas_reply(ok, config, ctx),
-            RdmaMsg::NaiveConfigChange { config } => self.handle_naive_config_change(config),
+            } => member.handle_new_state(config, leader, log, ctx),
+            RdmaMsg::Connect { epoch } => member.handle_connect(from, epoch, ctx, false),
+            RdmaMsg::ConnectAck { epoch } => member.handle_connect(from, epoch, ctx, true),
+            RdmaMsg::CsGetLastReply { config } => {
+                if member.recon.is_some() {
+                    member.handle_cs_get_last_reply(config, ctx);
+                } else if member.handle_stale_view_refresh(config) {
+                    // Not reconfiguring: a stalled coordinator's view-refresh
+                    // poll (`Replication::refresh_views`) found it excluded.
+                    coord.hand_off(member, ctx);
+                }
+            }
+            RdmaMsg::CsGetReply { epoch, config } => member.handle_cs_get_reply(epoch, config, ctx),
+            RdmaMsg::CsCasReply { ok, config } => member.handle_cs_cas_reply(ok, config, ctx),
+            RdmaMsg::NaiveConfigChange { config } => member.handle_naive_config_change(config),
             // `ACCEPT` and `DECISION` only ever arrive through RDMA; requests
             // to the configuration service are ignored by replicas.
             RdmaMsg::AcceptBatch { .. }
@@ -1865,43 +1267,43 @@ impl Actor<RdmaMsg> for RdmaReplica {
     }
 
     fn on_rdma_deliver(&mut self, _from: ProcessId, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
-        self.apply_rdma_payload(msg, ctx);
+        self.member.apply_rdma_payload(msg, ctx);
         // Decisions may have advanced the decided frontier: gossip it to the
         // shard peers once it has moved by a full truncation batch.
-        self.maybe_gossip_frontier(ctx);
+        self.member.maybe_gossip_frontier(ctx);
     }
 
+    /// Lines 96–100 bookkeeping: the NIC acknowledged an `ACCEPT` write, and
+    /// with it every slot the write carried.
     fn on_rdma_ack(&mut self, token: RdmaToken, _to: ProcessId, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some(pending) = self.pending_writes.remove(&token) else {
-            return;
+        let RdmaReplica { coord, member } = self;
+        let Some(write) = member.pending_writes.remove(&token) else {
+            return; // a `DECISION` write: nothing waits on it
         };
-        match pending {
-            PendingWrite::AcceptBatch {
-                txs,
-                shard,
-                follower,
-                epoch,
-            } => {
-                self.record_acks(&txs, shard, epoch, follower);
-                self.complete_batch(txs, ctx);
-            }
-            PendingWrite::Other => {}
-        }
+        let acks = write.txs.iter().map(|tx| (*tx, None));
+        coord.record_acks(
+            write.follower,
+            write.shard,
+            write.epoch,
+            acks,
+            None,
+            member,
+            ctx,
+        );
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, RdmaMsg>) {
+        let RdmaReplica { coord, member } = self;
         if tag == RETRY_TICK {
-            self.handle_retry_tick(ctx);
+            coord.retry_tick(member, ctx);
         } else if tag == BATCH_TICK {
-            self.batch_timer_armed = false;
-            let txs = self.batcher.drain_idle();
-            self.flush_prepare_batch(txs, ctx);
+            coord.batch_tick(member, ctx);
         } else if tag == PROBE_GRACE_TICK {
-            self.handle_probe_grace_tick(ctx);
+            member.handle_probe_grace_tick(ctx);
         } else if tag == RECON_RETRY_TICK {
-            self.handle_recon_retry_tick(ctx);
+            member.handle_recon_retry_tick(ctx);
         } else if tag == CONNECT_RETRY_TICK {
-            self.handle_connect_retry_tick(ctx);
+            member.handle_connect_retry_tick(ctx);
         }
     }
 
@@ -1912,32 +1314,27 @@ impl Actor<RdmaMsg> for RdmaReplica {
     /// connections — lost with the NIC — are re-established by re-running the
     /// `Connect` handshake with every process of the current view.
     fn on_restart(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        self.coordinating.clear();
-        self.in_flight = 0;
-        self.pending_writes.clear();
-        self.recon = None;
-        self.retry_timer_armed = false;
-        self.batcher = VoteBatcher::new(self.batching);
-        self.batch_timer_armed = false;
-        self.admission.clear();
-        self.retry_backoff.clear();
-        self.peer_frontiers.clear();
+        self.coord.reset();
+        let member = &mut self.member;
+        member.pending_writes.clear();
+        member.recon = None;
+        member.peer_frontiers.clear();
         // Writes that reached the persistent region were acknowledged to
         // their senders — they count as persisted here, even across the
         // crash. Recover them before rebuilding the index (the `flush` of
         // §5, the same call leader promotion uses).
         let flushed = ctx.rdma_flush();
         for (_, msg) in flushed {
-            self.apply_rdma_payload(msg, ctx);
+            member.apply_rdma_payload(msg, ctx);
         }
-        self.last_gossiped_frontier = self.log.decided_frontier();
-        self.log.set_certifier(self.index_factory.clone_box());
-        self.connections.clear();
-        self.connect_retry_armed = false;
-        if let Some(config) = self.config.clone() {
-            self.begin_connect_round(config.all_processes(), ctx);
+        member.last_gossiped_frontier = member.log.decided_frontier();
+        member.log.set_certifier(member.index_factory.clone_box());
+        member.connections.clear();
+        member.connect_retry_armed = false;
+        if let Some(config) = member.config.clone() {
+            member.begin_connect_round(config.all_processes(), ctx);
         } else {
-            self.pending_connects.clear();
+            member.pending_connects.clear();
         }
         ctx.add_counter("replica_restarts", 1);
     }

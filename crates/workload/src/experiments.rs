@@ -53,7 +53,9 @@ pub struct LatencyResult {
     /// Median client-visible decision latency in message delays.
     pub median_hops: f64,
     /// Median decision latency at the coordinator (the co-located-client
-    /// number the paper quotes as 4); only meaningful for the RATC protocols.
+    /// number the paper quotes as 4). Both RATC stacks report it (their shared
+    /// coordinator samples it); the baseline has no co-located coordinator
+    /// and reports 0.
     pub median_coordinator_hops: f64,
     /// Mean client-visible decision latency in simulated microseconds.
     ///
@@ -1323,6 +1325,11 @@ mod tests {
         assert_eq!(baseline.median_hops, 7.0, "baseline decision latency");
         assert!(mp.median_coordinator_hops <= 4.5, "co-located latency ~4");
         let rdma = latency_experiment(StackKind::Rdma, 2, 20, 1);
+        assert!(
+            0.0 < rdma.median_coordinator_hops && rdma.median_coordinator_hops <= 4.5,
+            "RDMA co-located latency ~4, got {}",
+            rdma.median_coordinator_hops
+        );
         assert!(
             rdma.median_hops <= mp.median_hops,
             "RDMA must not be slower than message passing ({} vs {})",
