@@ -36,7 +36,8 @@
 //! * `milestone-parity` — a `TxMilestone`/`CtrlMilestone` variant not
 //!   stamped by all three stacks (core, rdma, baseline; stamps in the shared
 //!   `sim`/`chaos` engines count for every stack, stamps in the shared
-//!   coordinator `crates/core/src/coord.rs` for core and rdma).
+//!   coordinator and reconfigurer `crates/core/src/{coord,recon}.rs` for
+//!   core and rdma).
 //!
 //! Pragma hygiene:
 //!
@@ -198,11 +199,14 @@ pub(crate) const STACKS: [&str; 3] = ["core", "rdma", "baseline"];
 /// whichever stack is running).
 pub(crate) const SHARED_STAMPERS: [&str; 2] = ["sim", "chaos"];
 
-/// The file whose milestone stamps count for both RATC stacks: `core` and
-/// `rdma` each host the one coordinator written there, and every commit-path
-/// milestone is stamped by the coordinator.
-pub(crate) const SHARED_COORDINATOR: (&str, [&str; 2]) =
-    ("crates/core/src/coord.rs", ["core", "rdma"]);
+/// The files whose milestone stamps count for both RATC stacks: `core` and
+/// `rdma` each host the one coordinator and the one reconfigurer written
+/// there, which stamp every commit-path milestone and the reconfigurer's
+/// side of every reconfiguration.
+pub(crate) const SHARED_RATC: ([&str; 2], [&str; 2]) = (
+    ["crates/core/src/coord.rs", "crates/core/src/recon.rs"],
+    ["core", "rdma"],
+);
 
 pub(crate) fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()

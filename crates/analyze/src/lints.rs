@@ -8,8 +8,8 @@ use std::collections::BTreeSet;
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{arm_is_wildcard, arm_variant_paths};
 use crate::{
-    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_COORDINATOR,
-    SHARED_STAMPERS, STACKS,
+    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_RATC, SHARED_STAMPERS,
+    STACKS,
 };
 
 /// Methods on `HashMap`/`HashSet` whose result order depends on hash state.
@@ -437,8 +437,8 @@ pub(crate) fn protocol_surface(preps: &[Prepared], findings: &mut Vec<Finding>) 
 /// `milestone-parity`: every `TxMilestone`/`CtrlMilestone` variant must be
 /// stamped (referenced outside tests) by each of the three stacks. Stamps
 /// in shared engine crates ([`SHARED_STAMPERS`]) count for every stack, and
-/// stamps in the shared coordinator file ([`SHARED_COORDINATOR`]) for both
-/// stacks that host it.
+/// stamps in the shared coordinator and reconfigurer files ([`SHARED_RATC`])
+/// for both stacks that host them.
 fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
     for enum_name in ["TxMilestone", "CtrlMilestone"] {
         let Some((decl_file, variants)) = preps.iter().find_map(|p| {
@@ -460,8 +460,8 @@ fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
                 continue;
             }
             let own = [crate_name];
-            let credited: &[&str] = if prep.path == SHARED_COORDINATOR.0 {
-                &SHARED_COORDINATOR.1
+            let credited: &[&str] = if SHARED_RATC.0.contains(&prep.path.as_str()) {
+                &SHARED_RATC.1
             } else {
                 &own
             };

@@ -352,6 +352,36 @@ fn milestone_parity_credits_a_stamp_in_the_shared_coordinator_to_core_and_rdma()
     );
 }
 
+/// A `CtrlMilestone` stamped only by the shared reconfigurer satisfies core
+/// and rdma; the baseline, which hosts neither shared file, still owes it
+/// (in the live tree such variants carry a justified allow at their
+/// declaration).
+#[test]
+fn milestone_parity_credits_a_stamp_in_the_shared_reconfigurer_to_core_and_rdma() {
+    let file = |path: &str, text: &str| SourceFile {
+        path: path.to_owned(),
+        text: text.to_owned(),
+    };
+    let findings = parity_messages(&[
+        file(
+            "crates/obs/src/fix.rs",
+            "pub enum CtrlMilestone { ProbeStarted }",
+        ),
+        file(
+            "crates/core/src/recon.rs",
+            "fn s(c: &mut C) { c.m(CtrlMilestone::ProbeStarted); }",
+        ),
+        file("crates/core/src/replica.rs", "fn nothing() {}"),
+        file("crates/rdma/src/fix.rs", "fn nothing() {}"),
+        file("crates/baseline/src/fix.rs", "fn nothing() {}"),
+    ]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].contains("ProbeStarted") && findings[0].contains("stack(s) baseline "),
+        "{findings:?}"
+    );
+}
+
 #[test]
 fn milestone_parity_still_reports_a_variant_stamped_nowhere_for_all_three_stacks() {
     let findings = parity_messages(&coordinator_parity_files("crates/core/src/coord.rs"));

@@ -19,7 +19,7 @@
 //!   leader.
 //!
 //! The implementation follows the pseudocode of Figure 1 line by line; the
-//! mapping is documented on the handlers in [`replica`] and [`coord`]. The protocol
+//! mapping is documented on the handlers in [`replica`], [`coord`] and [`recon`]. The protocol
 //! runs on the deterministic simulation substrate of `ratc-sim` and is
 //! parametric in the certification policy (`ratc-types::CertificationPolicy`).
 //!
@@ -36,8 +36,13 @@
 //!   and `ratc-rdma`: admission, batching, the `PREPARE`/vote/acknowledgement
 //!   exchange, completion, retry and hand-off, over a small `Replication`
 //!   trait naming what differs between the stacks;
-//! * [`replica`] — the replica state machine: shard member, host of a
-//!   coordinator, and reconfigurer;
+//! * [`recon`] — the reconfigurer, written once for this stack and
+//!   `ratc-rdma`: `get_last`, probing with its grace period, the descent
+//!   through earlier epochs, membership planning, the compare-and-swap and
+//!   the retry tick, over a small `ReconHost` trait naming what differs
+//!   between the stacks;
+//! * [`replica`] — the replica state machine: shard member, and host of a
+//!   coordinator and of a reconfigurer;
 //! * [`config_service`] — the configuration-service actor (wrapping
 //!   `ratc-config`'s registry) that also pushes `CONFIG_CHANGE` notifications;
 //! * [`client`] — a client actor recording a TCS history and latency samples;
@@ -78,6 +83,7 @@ pub mod harness;
 pub mod invariants;
 pub mod log;
 pub mod messages;
+pub mod recon;
 pub mod replica;
 
 pub use batch::{BatchingConfig, PrepareBatch, VoteBatcher};

@@ -13,13 +13,18 @@
 //!   stack reaches a shard's replicas: per-shard epochs, `ACCEPT` /
 //!   `ACCEPT_ACK` and `DECISION` messages;
 //! * *reconfigurer*: any replica can probe a shard's configurations and
-//!   install a new one through the configuration service.
+//!   install a new one through the configuration service. This role is
+//!   hosted too: the [`Reconfigurer`] is the one of [`crate::recon`], and the
+//!   replica's [`ReconHost`] implementation tells it how Figure 1 spells the
+//!   configuration service's operations, `PROBE` and `NEW_CONFIG`. The
+//!   probed side of a reconfiguration (`PROBE`, `NEW_CONFIG`, `NEW_STATE`,
+//!   `CONFIG_CHANGE`) is the shard member's.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ratc_config::{MembershipPlanner, ShardConfiguration};
-use ratc_sim::{Actor, Context, CtrlMilestone, SimDuration, TimerTag};
+use ratc_config::ShardConfiguration;
+use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag};
 use ratc_types::{
     CertificationPolicy, Epoch, IndexedCertifier, Position, ProcessId, ShardCertifier, ShardId,
     ShardMap, TxId,
@@ -32,30 +37,7 @@ use crate::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
 use crate::flow::FlowControlConfig;
 use crate::log::CertificationLog;
 use crate::messages::Msg;
-
-/// Timer tag ending the probe grace period: once an initialised responder is
-/// known, the reconfigurer briefly waits for further in-flight probe replies
-/// before drafting spares (see `handle_probe_ack`).
-const PROBE_GRACE_TICK: TimerTag = 3;
-
-/// Timer tag re-driving a reconfiguration whose probes were lost (probe
-/// messages travel over faultable links; the configuration service does not).
-const RECON_RETRY_TICK: TimerTag = 4;
-
-/// How long a reconfigurer waits for more probe replies after the first
-/// initialised responder. A couple of network round trips: long enough for
-/// replies already in flight, short enough not to hurt recovery time.
-const PROBE_GRACE: SimDuration = SimDuration::from_micros(500);
-
-/// Interval after which a still-unfinished reconfiguration restarts its
-/// probing from scratch.
-const RECON_RETRY: SimDuration = SimDuration::from_millis(50);
-
-/// Probe restarts after which a reconfiguration is abandoned (10 simulated
-/// seconds): far beyond any recoverable outage in the test workloads, but
-/// bounds the event queue when a shard is unrecoverable, so
-/// `World::run`/`run_to_quiescence` still terminate.
-const RECON_RETRY_CAP: u32 = 200;
+use crate::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
 
 /// Policy for checkpointed log truncation (§6's garbage collection).
 ///
@@ -138,59 +120,15 @@ pub enum Status {
     Reconfiguring,
 }
 
-/// Phase of an in-flight reconfiguration driven by this replica.
-#[derive(Debug, Clone)]
-enum ReconPhase {
-    /// Waiting for `get_last(s)` from the configuration service.
-    AwaitingGetLast,
-    /// Probing the members of `probed_epoch`.
-    Probing,
-    /// Waiting for `get(s, e)` of the next epoch to probe.
-    AwaitingGet,
-    /// Waiting for the configuration service's compare-and-swap reply.
-    AwaitingCas {
-        /// The process selected as the new leader.
-        new_leader: ProcessId,
-    },
-}
-
-/// Reconfiguration state at the reconfiguring process (`reconfigure(s)` of
-/// Figure 1).
-#[derive(Debug, Clone)]
-struct ReconState {
-    shard: ShardId,
-    phase: ReconPhase,
-    recon_epoch: Epoch,
-    probed_epoch: Epoch,
-    probed_members: Vec<ProcessId>,
-    responders: Vec<ProcessId>,
-    /// Responders that reported themselves initialised, in arrival order.
-    initialized: Vec<ProcessId>,
-    /// The leader of the latest configuration returned by `get_last`:
-    /// preferred as the new leader if it responds initialised, so a warm
-    /// leader (and its certification log) is not discarded for a spare.
-    prev_leader: Option<ProcessId>,
-    /// The armed probe grace timer (see `handle_probe_ack`); cancelled when
-    /// probing restarts so a stale tick cannot finish the new round early.
-    grace_timer: Option<ratc_sim::actor::TimerId>,
-    /// How many times this reconfiguration has restarted probing; abandoned
-    /// after [`RECON_RETRY_CAP`] attempts so an unrecoverable shard does not
-    /// keep the event queue alive forever.
-    retries: u32,
-    descended_for_current: bool,
-    spares: Vec<ProcessId>,
-    target_size: usize,
-    exclude: Vec<ProcessId>,
-}
-
 /// A replica of one shard (the process `p_i` in shard `s_0` of Figure 1).
 pub struct Replica {
     coord: Coordinator,
+    recon: Reconfigurer,
     member: Member,
 }
 
-/// The shard-member and reconfigurer roles of a [`Replica`], and the
-/// [`Replication`] its coordinator works through.
+/// The shard-member role of a [`Replica`]: the [`Replication`] its
+/// coordinator and the [`ReconHost`] its reconfigurer work through.
 struct Member {
     id: ProcessId,
     shard: ShardId,
@@ -206,7 +144,6 @@ struct Member {
     /// log needs an index rebuilt (see `handle_new_state`).
     index_factory: Box<dyn IndexedCertifier>,
     cs: ProcessId,
-    recon: Option<ReconState>,
     truncation: TruncationConfig,
 }
 
@@ -221,6 +158,7 @@ impl Replica {
     {
         Replica {
             coord: Coordinator::new(sharding),
+            recon: Reconfigurer::default(),
             member: Member {
                 id: ProcessId::new(u64::MAX),
                 shard,
@@ -234,7 +172,6 @@ impl Replica {
                 certifier: policy.shard_certifier(shard),
                 index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
-                recon: None,
                 truncation: TruncationConfig::default(),
             },
         }
@@ -350,7 +287,7 @@ impl Replica {
 
     /// Whether this replica is currently driving a reconfiguration.
     pub fn reconfiguration_in_flight(&self) -> bool {
-        self.member.recon.is_some()
+        self.recon.in_flight()
     }
 }
 
@@ -410,6 +347,63 @@ impl Replication for Member {
         for &shard in shards {
             ctx.send(self.cs, Msg::CsGetLast { shard });
         }
+    }
+}
+
+/// Figure 1's reconfiguration is per shard: the configuration service keeps
+/// one sequence of configurations per shard, and a chosen configuration is
+/// installed by telling its leader.
+impl ReconHost for Member {
+    type Msg = Msg;
+    type Config = ShardConfiguration;
+
+    /// Line 36.
+    fn fetch_latest(&mut self, shard: ShardId, ctx: &mut Context<'_, Msg>) {
+        ctx.send(self.cs, Msg::CsGetLast { shard });
+    }
+
+    /// Line 54.
+    fn fetch(&mut self, shard: ShardId, epoch: Epoch, ctx: &mut Context<'_, Msg>) {
+        ctx.send(self.cs, Msg::CsGet { shard, epoch });
+    }
+
+    /// Lines 39 and 55.
+    fn probe(&mut self, targets: Vec<ProcessId>, epoch: Epoch, ctx: &mut Context<'_, Msg>) {
+        ctx.send_to_many(targets, Msg::Probe { epoch });
+    }
+
+    /// Line 49, for the one shard that was probed.
+    fn propose(
+        &mut self,
+        epoch: Epoch,
+        leaders: BTreeMap<ShardId, ProcessId>,
+        members: BTreeMap<ShardId, Vec<ProcessId>>,
+        ctx: &mut Context<'_, Msg>,
+    ) {
+        let expected = epoch.prev().expect("a proposed epoch is a successor");
+        for (shard, members) in members {
+            let config = ShardConfiguration::new(epoch, members, leaders[&shard]);
+            let cas = Msg::CsCas {
+                shard,
+                expected,
+                config,
+            };
+            ctx.send(self.cs, cas);
+        }
+    }
+
+    /// Line 50: notify the new leader; nothing is left to re-drive.
+    fn install(
+        &mut self,
+        _shard: ShardId,
+        chosen: Option<ShardConfiguration>,
+        ctx: &mut Context<'_, Msg>,
+    ) -> bool {
+        if let Some(config) = chosen {
+            let (epoch, members) = (config.epoch, config.members);
+            ctx.send(config.leader, Msg::NewConfig { epoch, members });
+        }
+        true
     }
 }
 
@@ -509,82 +503,7 @@ impl Member {
         }
     }
 
-    // -- reconfiguration ------------------------------------------------------
-
-    /// Lines 33–39: start reconfiguring a shard.
-    fn handle_start_reconfigure(
-        &mut self,
-        shard: ShardId,
-        spares: Vec<ProcessId>,
-        target_size: usize,
-        exclude: Vec<ProcessId>,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        if self.recon.is_some() {
-            return; // line 34 precondition: probing = false
-        }
-        self.recon = Some(ReconState {
-            shard,
-            phase: ReconPhase::AwaitingGetLast,
-            recon_epoch: Epoch::ZERO,
-            probed_epoch: Epoch::ZERO,
-            probed_members: Vec::new(),
-            responders: Vec::new(),
-            initialized: Vec::new(),
-            prev_leader: None,
-            grace_timer: None,
-            retries: 0,
-            descended_for_current: false,
-            spares,
-            target_size,
-            exclude,
-        });
-        ctx.ctrl_milestone(
-            CtrlMilestone::ReconfigInitiated,
-            Some(shard),
-            self.epoch_of(shard).as_u64(),
-        );
-        ctx.send(self.cs, Msg::CsGetLast { shard });
-        // Probes travel over faultable links; if they (or their replies) are
-        // lost, restart the whole probe from scratch after a while.
-        ctx.set_timer(RECON_RETRY, RECON_RETRY_TICK);
-    }
-
-    /// Line 36 continued: the configuration service returned the latest
-    /// configuration; begin probing its members.
-    fn handle_cs_get_last_reply(
-        &mut self,
-        shard: ShardId,
-        config: ShardConfiguration,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let recon_matches = self
-            .recon
-            .as_ref()
-            .map(|r| r.shard == shard && matches!(r.phase, ReconPhase::AwaitingGetLast))
-            .unwrap_or(false);
-        if !recon_matches {
-            // Not (this) reconfiguration's reply: a stalled coordinator's
-            // view-refresh poll (see `handle_retry_tick`). The lazy
-            // CONFIG_CHANGE of lines 67–69 may have been lost to a fault, so
-            // adopt the fresher view here.
-            self.handle_stale_view_refresh(shard, config);
-            return;
-        }
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        recon.probed_epoch = config.epoch;
-        recon.probed_members = config.members.clone();
-        recon.recon_epoch = config.epoch.next();
-        recon.prev_leader = Some(config.leader);
-        recon.phase = ReconPhase::Probing;
-        recon.descended_for_current = false;
-        let epoch = recon.recon_epoch;
-        let targets = recon.probed_members.clone();
-        ctx.ctrl_milestone(CtrlMilestone::ProbeStarted, Some(shard), epoch.as_u64());
-        ctx.send_to_many(targets, Msg::Probe { epoch });
-    }
+    // -- reconfiguration, probed side (the reconfigurer is `crate::recon`) ----
 
     /// Lines 40–44: a probed process joins the new epoch and stops processing.
     fn handle_probe(&mut self, from: ProcessId, epoch: Epoch, ctx: &mut Context<'_, Msg>) {
@@ -601,249 +520,6 @@ impl Member {
                 shard: self.shard,
             },
         );
-    }
-
-    /// Lines 45–55: handle probe replies — either finish probing (an
-    /// initialised process was found and becomes the new leader) or descend to
-    /// the previous epoch.
-    fn handle_probe_ack(
-        &mut self,
-        from: ProcessId,
-        initialized: bool,
-        epoch: Epoch,
-        shard: ShardId,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::Probing)
-            || recon.shard != shard
-            || recon.recon_epoch != epoch
-        {
-            return;
-        }
-        if !recon.responders.contains(&from) {
-            recon.responders.push(from);
-        }
-        if initialized {
-            if !recon.initialized.contains(&from) {
-                recon.initialized.push(from);
-            }
-            // Lines 45–50, refined: an initialised responder makes the new
-            // epoch viable, but finishing immediately would draft spares in
-            // place of warm replicas whose probe replies are still in flight.
-            // Finish at once only when every probed member has answered;
-            // otherwise wait out a short grace period for the stragglers.
-            let all_answered = recon
-                .probed_members
-                .iter()
-                .all(|p| recon.responders.contains(p));
-            if all_answered {
-                self.finish_probe(ctx);
-            } else if recon.grace_timer.is_none() {
-                ctx.ctrl_milestone(CtrlMilestone::ProbeGrace, Some(shard), epoch.as_u64());
-                recon.grace_timer = Some(ctx.set_timer(PROBE_GRACE, PROBE_GRACE_TICK));
-            }
-        } else if recon.initialized.is_empty()
-            && !recon.descended_for_current
-            && recon.probed_members.contains(&from)
-        {
-            // Lines 51–55: the probed epoch is not operational; probe the
-            // preceding epoch.
-            recon.descended_for_current = true;
-            match recon.probed_epoch.prev() {
-                Some(prev) => {
-                    recon.probed_epoch = prev;
-                    recon.phase = ReconPhase::AwaitingGet;
-                    let shard = recon.shard;
-                    ctx.send(self.cs, Msg::CsGet { shard, epoch: prev });
-                }
-                None => {
-                    // No earlier epoch exists: all shard data is lost. The
-                    // paper's liveness assumption (Assumption 1) excludes this.
-                    ctx.add_counter("reconfiguration_stuck", 1);
-                    self.recon = None;
-                }
-            }
-        }
-    }
-
-    /// Lines 45–50: end probing, compute the new membership and CAS it.
-    ///
-    /// The new leader is the previous epoch's leader when it responded
-    /// initialised, otherwise the first initialised responder. The membership
-    /// prefers initialised responders over other responders over spares, so
-    /// warm replicas (which already hold the shard's certification log) are
-    /// never discarded in favour of fresh processes that would need a full
-    /// state transfer.
-    fn finish_probe(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::Probing) || recon.initialized.is_empty() {
-            return;
-        }
-        let excluded: BTreeSet<ProcessId> = recon.exclude.iter().copied().collect();
-        let leader = recon
-            .prev_leader
-            .filter(|p| recon.initialized.contains(p) && !excluded.contains(p))
-            .unwrap_or(recon.initialized[0]);
-        // Initialised responders first, then the rest; `plan` skips the
-        // duplicates this chaining produces.
-        let preferred: Vec<ProcessId> = recon
-            .initialized
-            .iter()
-            .chain(recon.responders.iter())
-            .copied()
-            .filter(|p| *p != leader)
-            .collect();
-        let mut planner = MembershipPlanner::new(recon.target_size, recon.spares.iter().copied());
-        let members = planner.plan(leader, &preferred, &recon.exclude);
-        let config = ShardConfiguration::new(recon.recon_epoch, members, leader);
-        let expected = recon
-            .recon_epoch
-            .prev()
-            .expect("recon_epoch is always a successor");
-        recon.phase = ReconPhase::AwaitingCas { new_leader: leader };
-        let shard = recon.shard;
-        ctx.send(
-            self.cs,
-            Msg::CsCas {
-                shard,
-                expected,
-                config,
-            },
-        );
-    }
-
-    /// The probe grace period elapsed: finish with the replies received.
-    fn handle_probe_grace_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(recon) = self.recon.as_mut() {
-            recon.grace_timer = None;
-        }
-        self.finish_probe(ctx);
-    }
-
-    /// The reconfiguration retry timer fired with the reconfiguration still
-    /// unfinished: some message of the probe exchange (a probe, a reply, the
-    /// CAS request or its reply) was lost to a link fault or a crash.
-    /// Restart the whole attempt from `get_last`. This is safe in every
-    /// phase: probes are idempotent, and if a CAS actually succeeded while
-    /// its reply was lost, `get_last` now returns the installed epoch and
-    /// the fresh probe targets its members with the next one.
-    fn handle_recon_retry_tick(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        recon.retries += 1;
-        if recon.retries > RECON_RETRY_CAP {
-            // The shard looks unrecoverable; stop keeping the event queue
-            // alive. A later `StartReconfigure` can always try again.
-            if let Some(id) = recon.grace_timer.take() {
-                ctx.cancel_timer(id);
-            }
-            self.recon = None;
-            ctx.add_counter("reconfiguration_abandoned", 1);
-            return;
-        }
-        let shard = recon.shard;
-        recon.phase = ReconPhase::AwaitingGetLast;
-        recon.responders.clear();
-        recon.initialized.clear();
-        // A grace timer armed by the abandoned round must not fire into the
-        // new one and finish it early with a partial responder set.
-        if let Some(id) = recon.grace_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        recon.descended_for_current = false;
-        ctx.add_counter("reconfiguration_reprobes", 1);
-        ctx.send(self.cs, Msg::CsGetLast { shard });
-        ctx.set_timer(RECON_RETRY, RECON_RETRY_TICK);
-    }
-
-    /// Line 54 continued: the configuration service returned the membership of
-    /// the next epoch to probe.
-    fn handle_cs_get_reply(
-        &mut self,
-        shard: ShardId,
-        epoch: Epoch,
-        config: Option<ShardConfiguration>,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if recon.shard != shard
-            || !matches!(recon.phase, ReconPhase::AwaitingGet)
-            || recon.probed_epoch != epoch
-        {
-            return;
-        }
-        match config {
-            Some(config) => {
-                recon.probed_members = config.members.clone();
-                recon.phase = ReconPhase::Probing;
-                recon.descended_for_current = false;
-                let e = recon.recon_epoch;
-                let targets = recon.probed_members.clone();
-                ctx.send_to_many(targets, Msg::Probe { epoch: e });
-            }
-            None => match recon.probed_epoch.prev() {
-                Some(prev) => {
-                    recon.probed_epoch = prev;
-                    let s = recon.shard;
-                    ctx.send(
-                        self.cs,
-                        Msg::CsGet {
-                            shard: s,
-                            epoch: prev,
-                        },
-                    );
-                }
-                None => {
-                    ctx.add_counter("reconfiguration_stuck", 1);
-                    self.recon = None;
-                }
-            },
-        }
-    }
-
-    /// Lines 49–50: the compare-and-swap outcome — on success, notify the new
-    /// leader.
-    fn handle_cs_cas_reply(
-        &mut self,
-        shard: ShardId,
-        ok: bool,
-        config: ShardConfiguration,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some(recon) = self.recon.as_ref() else {
-            return;
-        };
-        let ReconPhase::AwaitingCas { new_leader } = recon.phase else {
-            return;
-        };
-        if recon.shard != shard {
-            return;
-        }
-        self.recon = None; // probing ← false
-        if ok {
-            ctx.ctrl_milestone(
-                CtrlMilestone::ConfigChosen,
-                Some(shard),
-                config.epoch.as_u64(),
-            );
-            ctx.send(
-                new_leader,
-                Msg::NewConfig {
-                    epoch: config.epoch,
-                    members: config.members,
-                },
-            );
-        } else {
-            ctx.add_counter("reconfiguration_cas_lost", 1);
-        }
     }
 
     /// Lines 56–60: this replica becomes the new leader of its shard.
@@ -924,8 +600,8 @@ impl Member {
         }
     }
 
-    /// A `get_last` reply that did not belong to an active reconfiguration:
-    /// adopt the configuration if it is newer than the local view (the pushed
+    /// A `get_last` reply the reconfigurer was not waiting for: adopt the
+    /// configuration if it is newer than the local view (the pushed
     /// `CONFIG_CHANGE` of lines 67–69 travels over faultable links and may
     /// have been lost).
     ///
@@ -976,7 +652,11 @@ impl Member {
 
 impl Actor<Msg> for Replica {
     fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let Replica { coord, member } = self;
+        let Replica {
+            coord,
+            recon,
+            member,
+        } = self;
         match msg {
             Msg::Certify {
                 tx,
@@ -1037,13 +717,16 @@ impl Actor<Msg> for Replica {
                 spares,
                 target_size,
                 exclude,
-            } => member.handle_start_reconfigure(shard, spares, target_size, exclude, ctx),
+            } => {
+                let (current, spares) = (member.epoch_of(shard), [(shard, spares)].into());
+                recon.start(shard, current, spares, target_size, exclude, member, ctx)
+            }
             Msg::Probe { epoch } => member.handle_probe(from, epoch, ctx),
             Msg::ProbeAck {
                 initialized,
                 epoch,
                 shard,
-            } => member.handle_probe_ack(from, initialized, epoch, shard, ctx),
+            } => recon.on_probe_ack(from, initialized, epoch, shard, member, ctx),
             Msg::NewConfig { epoch, members } => member.handle_new_config(epoch, members, ctx),
             Msg::NewState {
                 epoch,
@@ -1057,17 +740,26 @@ impl Actor<Msg> for Replica {
                 members,
                 leader,
             } => member.handle_config_change(shard, epoch, members, leader),
+            // Line 36 continued, if this is the reconfigurer's `get_last`;
+            // otherwise a stalled coordinator's `Replication::refresh_views`.
             Msg::CsGetLastReply { shard, config } => {
-                member.handle_cs_get_last_reply(shard, config, ctx)
+                if recon.awaiting_latest() == Some(shard) {
+                    let probed = [(shard, config.members, Some(config.leader))];
+                    recon.on_latest(config.epoch, probed, member, ctx)
+                } else {
+                    member.handle_stale_view_refresh(shard, config)
+                }
             }
             Msg::CsGetReply {
                 shard,
                 epoch,
                 config,
-            } => member.handle_cs_get_reply(shard, epoch, config, ctx),
-            Msg::CsCasReply { shard, ok, config } => {
-                member.handle_cs_cas_reply(shard, ok, config, ctx)
-            }
+            } => recon.on_older(shard, epoch, config.map(|c| c.members), member, ctx),
+            Msg::CsCasReply {
+                shard: _,
+                ok,
+                config,
+            } => recon.on_cas_reply(ok, config.epoch, config, member, ctx),
             // Requests addressed to the configuration service are ignored by
             // replicas.
             Msg::CsGetLast { .. } | Msg::CsGet { .. } | Msg::CsCas { .. } => {}
@@ -1075,15 +767,19 @@ impl Actor<Msg> for Replica {
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Msg>) {
-        let Replica { coord, member } = self;
+        let Replica {
+            coord,
+            recon,
+            member,
+        } = self;
         if tag == RETRY_TICK {
             coord.retry_tick(member, ctx);
         } else if tag == BATCH_TICK {
             coord.batch_tick(member, ctx);
         } else if tag == PROBE_GRACE_TICK {
-            member.handle_probe_grace_tick(ctx);
+            recon.on_grace_tick(member, ctx);
         } else if tag == RECON_RETRY_TICK {
-            member.handle_recon_retry_tick(ctx);
+            recon.on_retry_tick(member, ctx);
         }
     }
 
@@ -1096,8 +792,8 @@ impl Actor<Msg> for Replica {
     /// re-drive undecided transactions.
     fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
         self.coord.reset();
+        self.recon.reset();
         let member = &mut self.member;
-        member.recon = None;
         member.log.set_certifier(member.index_factory.clone_box());
         ctx.add_counter("replica_restarts", 1);
     }

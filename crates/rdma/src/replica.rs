@@ -1,27 +1,33 @@
 //! The RDMA replica state machine (Figures 7–8, line by line).
 //!
 //! The RDMA protocol is the message-passing one with the way votes reach the
-//! followers swapped, so this replica hosts the same
-//! [`Coordinator`] as `ratc-core`'s and shares the shard leader's `PREPARE`
-//! step with it. What this file adds over `ratc_core::replica`:
+//! followers swapped and reconfiguration widened to the whole system, so
+//! this replica hosts the same [`Coordinator`] and the same [`Reconfigurer`]
+//! as `ratc-core`'s and shares the shard leader's `PREPARE` step with it.
+//! What this file adds over `ratc_core::replica`:
 //!
 //! * the [`Replication`] of Figures 7–8 — votes and decisions are one-sided
 //!   RDMA writes, a follower's acknowledgement is the NIC's `ack-rdma` (which
 //!   carries no payload, hence the member-to-member frontier exchange), and a
 //!   coordinator that is itself a follower stores into its own memory;
+//! * the [`ReconHost`] of Figure 8 — one epoch and one configuration for the
+//!   whole system, so every shard is probed, and a chosen configuration is
+//!   disseminated with a `CONFIG_PREPARE` round before any leader activates
+//!   it ([`ReconfigMode::NaivePerShard`] probes one shard and skips the
+//!   round);
 //! * RDMA connections: opened by the `Connect` handshake, closed on probing
 //!   so a stale coordinator's writes can no longer land (§5);
-//! * *global* reconfiguration — one epoch and one configuration for the whole
-//!   system, disseminated with `CONFIG_PREPARE` — and the hand-off of
-//!   stalled transactions by a coordinator that finds itself excluded.
+//! * the hand-off of stalled transactions by a coordinator that finds itself
+//!   excluded.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ratc_config::{GlobalConfiguration, MembershipPlanner};
+use ratc_config::GlobalConfiguration;
 use ratc_core::batch::{BatchingConfig, Items, PrepareItem, PreparedItem, ShardDecisions};
 use ratc_core::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
 use ratc_core::flow::FlowControlConfig;
+use ratc_core::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, Context, CtrlMilestone, SimDuration, TimerTag};
@@ -36,12 +42,6 @@ use crate::messages::RdmaMsg;
 /// message-passing protocol's log, so the type is shared with `ratc-core`.
 pub type RdmaLog = ratc_core::log::CertificationLog;
 
-/// Timer tag ending the probe grace period (see `handle_probe_ack`).
-const PROBE_GRACE_TICK: TimerTag = 3;
-
-/// Timer tag re-driving a reconfiguration whose probes were lost.
-const RECON_RETRY_TICK: TimerTag = 4;
-
 /// Timer tag re-driving the post-restart `Connect` handshake until every
 /// peer has answered (the handshake itself travels over faultable links).
 const CONNECT_RETRY_TICK: TimerTag = 5;
@@ -53,18 +53,6 @@ const CONNECT_RETRY: SimDuration = SimDuration::from_millis(25);
 /// simulated seconds): bounds the event queue when a peer is gone for good;
 /// a later restart or reconfiguration starts a fresh round.
 const CONNECT_RETRY_CAP: u32 = 400;
-
-/// Probe restarts after which a reconfiguration is abandoned (10 simulated
-/// seconds), so an unrecoverable cluster does not keep the event queue
-/// alive forever. A later `StartReconfigure` can always try again.
-const RECON_RETRY_CAP: u32 = 200;
-
-/// How long the reconfigurer waits for further in-flight probe replies after
-/// every probed shard has an initialised responder.
-const PROBE_GRACE: SimDuration = SimDuration::from_micros(500);
-
-/// Interval after which a still-unfinished reconfiguration restarts probing.
-const RECON_RETRY: SimDuration = SimDuration::from_millis(50);
 
 /// How reconfiguration is performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,48 +80,23 @@ struct AcceptWrite {
     epoch: Epoch,
 }
 
+/// The `CONFIG_PREPARE` round of a chosen configuration (lines 124 and
+/// 131–140).
 #[derive(Debug, Clone)]
-enum ReconPhase {
-    AwaitingGetLast,
-    Probing,
-    AwaitingCas,
-    Installing { config: GlobalConfiguration },
-}
-
-#[derive(Debug, Clone)]
-struct ReconState {
-    phase: ReconPhase,
-    recon_epoch: Epoch,
-    suspected_shard: ShardId,
-    /// Per shard: the epoch currently being probed and its members.
-    probed_epoch: BTreeMap<ShardId, Epoch>,
-    probed_members: BTreeMap<ShardId, Vec<ProcessId>>,
-    /// Per shard: responders, in arrival order.
-    responders: BTreeMap<ShardId, Vec<ProcessId>>,
-    /// Per shard: responders that reported themselves initialised.
-    initialized: BTreeMap<ShardId, Vec<ProcessId>>,
-    /// Per shard: the leader of the configuration returned by `get_last`,
-    /// preferred as the shard's new leader if it responds initialised.
-    prev_leaders: BTreeMap<ShardId, ProcessId>,
-    /// The armed probe grace timer (see `handle_probe_ack`); cancelled when
-    /// probing restarts so a stale tick cannot finish the new round early.
-    grace_timer: Option<ratc_sim::actor::TimerId>,
-    /// Probe restarts so far; abandoned past [`RECON_RETRY_CAP`].
-    retries: u32,
-    config_prepare_acks: BTreeSet<ProcessId>,
-    spares: BTreeMap<ShardId, Vec<ProcessId>>,
-    target_size: usize,
-    exclude: Vec<ProcessId>,
+struct ConfigRound {
+    config: GlobalConfiguration,
+    acks: BTreeSet<ProcessId>,
 }
 
 /// A replica of the RDMA-based protocol.
 pub struct RdmaReplica {
     coord: Coordinator,
+    recon: Reconfigurer,
     member: Member,
 }
 
-/// The shard-member and reconfigurer roles of an [`RdmaReplica`], and the
-/// [`Replication`] its coordinator works through.
+/// The shard-member role of an [`RdmaReplica`]: the [`Replication`] its
+/// coordinator and the [`ReconHost`] its reconfigurer work through.
 struct Member {
     id: ProcessId,
     shard: ShardId,
@@ -152,7 +115,8 @@ struct Member {
     cs: ProcessId,
     /// `ACCEPT` writes whose hardware acknowledgement is outstanding.
     pending_writes: BTreeMap<RdmaToken, AcceptWrite>,
-    recon: Option<ReconState>,
+    /// The chosen configuration whose `CONFIG_PREPARE` round is unfinished.
+    installing: Option<ConfigRound>,
     truncation: TruncationConfig,
     /// Peers whose `Connect`/`ConnectAck` is still outstanding after a
     /// restart; the handshake is retried until this empties (or the retry
@@ -182,6 +146,7 @@ impl RdmaReplica {
     {
         RdmaReplica {
             coord: Coordinator::new(sharding),
+            recon: Reconfigurer::default(),
             member: Member {
                 id: ProcessId::new(u64::MAX),
                 shard,
@@ -197,7 +162,7 @@ impl RdmaReplica {
                 index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
                 pending_writes: BTreeMap::new(),
-                recon: None,
+                installing: None,
                 truncation: TruncationConfig::default(),
                 pending_connects: BTreeSet::new(),
                 connect_retry_armed: false,
@@ -298,7 +263,7 @@ impl RdmaReplica {
 
     /// Whether this replica is currently driving a reconfiguration.
     pub fn reconfiguration_in_flight(&self) -> bool {
-        self.member.recon.is_some()
+        self.recon.in_flight()
     }
 
     /// The transactions this replica coordinates that have no final decision.
@@ -400,12 +365,108 @@ impl Replication for Member {
     }
 }
 
+/// Figure 8's reconfiguration is global: the configuration service keeps one
+/// sequence of system-wide configurations, and a chosen one is activated only
+/// after every member has persisted it.
+impl ReconHost for Member {
+    type Msg = RdmaMsg;
+    type Config = GlobalConfiguration;
+
+    /// Line 106.
+    fn fetch_latest(&mut self, _shard: ShardId, ctx: &mut Context<'_, RdmaMsg>) {
+        ctx.send(self.cs, RdmaMsg::CsGetLast);
+    }
+
+    /// Line 129.
+    fn fetch(&mut self, _shard: ShardId, epoch: Epoch, ctx: &mut Context<'_, RdmaMsg>) {
+        ctx.send(self.cs, RdmaMsg::CsGet { epoch });
+    }
+
+    /// Lines 110 and 130.
+    fn probe(&mut self, targets: Vec<ProcessId>, epoch: Epoch, ctx: &mut Context<'_, RdmaMsg>) {
+        ctx.send_to_many(targets, RdmaMsg::Probe { epoch });
+    }
+
+    /// Lines 121–123. Shards that were not probed (naive mode) keep the
+    /// configuration of this process's view.
+    fn propose(
+        &mut self,
+        epoch: Epoch,
+        mut leaders: BTreeMap<ShardId, ProcessId>,
+        mut members: BTreeMap<ShardId, Vec<ProcessId>>,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) {
+        if let Some(base) = &self.config {
+            for (shard, m) in &base.members {
+                members.entry(*shard).or_insert_with(|| m.clone());
+            }
+            for (shard, leader) in &base.leaders {
+                leaders.entry(*shard).or_insert(*leader);
+            }
+        }
+        let cas = RdmaMsg::CsCas {
+            expected: epoch.prev().expect("a proposed epoch is a successor"),
+            config: GlobalConfiguration::new(epoch, members, leaders),
+        };
+        ctx.send(self.cs, cas);
+    }
+
+    /// Line 124: disseminate the chosen configuration to every member and
+    /// wait for all acknowledgements before activating it
+    /// (`handle_config_prepare_ack`); a re-drive re-sends `CONFIG_PREPARE` to
+    /// the members that have not acknowledged yet.
+    fn install(
+        &mut self,
+        suspected: ShardId,
+        chosen: Option<GlobalConfiguration>,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) -> bool {
+        if let Some(config) = chosen {
+            if self.mode == ReconfigMode::NaivePerShard {
+                // Skip CONFIG_PREPARE entirely; notify the new leader of the
+                // suspected shard only, and let other shards learn lazily (as
+                // in §3's CONFIG_CHANGE, sent by the CS).
+                if let Some(leader) = config.leader_of(suspected) {
+                    ctx.send(leader, RdmaMsg::NewConfig { config });
+                }
+                return true;
+            }
+            let acks = BTreeSet::new();
+            self.installing = Some(ConfigRound { config, acks });
+        }
+        let Some(ConfigRound { config, acks }) = &self.installing else {
+            return true;
+        };
+        let mut missing = config.all_processes();
+        missing.retain(|p| !acks.contains(p));
+        let config = config.clone();
+        ctx.send_to_many(missing, RdmaMsg::ConfigPrepare { config });
+        false
+    }
+}
+
 impl Member {
     fn members_of(&self, shard: ShardId) -> &[ProcessId] {
         self.config
             .as_ref()
             .map(|c| c.members_of(shard))
             .unwrap_or(&[])
+    }
+
+    /// Lines 107–110: what a reconfiguration started on suspicion of
+    /// `suspected` probes in the latest configuration — every shard, or in
+    /// the naive mode the suspected one alone — as `(shard, members, leader)`.
+    fn shards_to_probe(
+        &self,
+        suspected: ShardId,
+        latest: &GlobalConfiguration,
+    ) -> Vec<(ShardId, Vec<ProcessId>, Option<ProcessId>)> {
+        let naive = self.mode == ReconfigMode::NaivePerShard;
+        let shards = latest.members.iter();
+        shards
+            .filter(|(shard, _)| !naive || **shard == suspected)
+            .map(|(shard, members)| (*shard, members.clone(), latest.leader_of(*shard)))
+            .collect()
     }
 
     /// Applies a message that was found in local memory (either polled by the
@@ -551,8 +612,8 @@ impl Member {
         );
     }
 
-    /// Handles a `get_last` reply that arrives outside an active
-    /// reconfiguration: a coordinator checking whether it has been left
+    /// Handles a `get_last` reply the reconfigurer was not waiting for: a
+    /// coordinator checking whether it has been left
     /// behind by a newer global configuration. Returns whether this process
     /// is excluded from `config`, having adopted it as its coordinator view.
     ///
@@ -581,83 +642,7 @@ impl Member {
         true
     }
 
-    // -- reconfiguration ------------------------------------------------------
-
-    fn handle_start_reconfigure(
-        &mut self,
-        suspected_shard: ShardId,
-        spares: BTreeMap<ShardId, Vec<ProcessId>>,
-        target_size: usize,
-        exclude: Vec<ProcessId>,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        if self.recon.is_some() {
-            return; // rec_status must be ready
-        }
-        self.recon = Some(ReconState {
-            phase: ReconPhase::AwaitingGetLast,
-            recon_epoch: Epoch::ZERO,
-            suspected_shard,
-            probed_epoch: BTreeMap::new(),
-            probed_members: BTreeMap::new(),
-            responders: BTreeMap::new(),
-            initialized: BTreeMap::new(),
-            prev_leaders: BTreeMap::new(),
-            grace_timer: None,
-            retries: 0,
-            config_prepare_acks: BTreeSet::new(),
-            spares,
-            target_size,
-            exclude,
-        });
-        ctx.ctrl_milestone(
-            CtrlMilestone::ReconfigInitiated,
-            Some(suspected_shard),
-            self.epoch.as_u64(),
-        );
-        ctx.send(self.cs, RdmaMsg::CsGetLast);
-        // Probes travel over faultable links; restart probing if they are
-        // lost (the configuration service itself is reliable).
-        ctx.set_timer(RECON_RETRY, RECON_RETRY_TICK);
-    }
-
-    fn handle_cs_get_last_reply(
-        &mut self,
-        config: GlobalConfiguration,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let naive = self.mode == ReconfigMode::NaivePerShard;
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::AwaitingGetLast) {
-            return;
-        }
-        recon.recon_epoch = config.epoch.next();
-        recon.phase = ReconPhase::Probing;
-        let shards: Vec<ShardId> = if naive {
-            vec![recon.suspected_shard]
-        } else {
-            config.members.keys().copied().collect()
-        };
-        let mut targets: Vec<ProcessId> = Vec::new();
-        for shard in &shards {
-            recon.probed_epoch.insert(*shard, config.epoch);
-            recon
-                .probed_members
-                .insert(*shard, config.members_of(*shard).to_vec());
-            if let Some(leader) = config.leader_of(*shard) {
-                recon.prev_leaders.insert(*shard, leader);
-            }
-            targets.extend(config.members_of(*shard).iter().copied());
-        }
-        targets.sort_unstable();
-        targets.dedup();
-        let epoch = recon.recon_epoch;
-        let suspected = recon.suspected_shard;
-        ctx.ctrl_milestone(CtrlMilestone::ProbeStarted, Some(suspected), epoch.as_u64());
-        ctx.send_to_many(targets, RdmaMsg::Probe { epoch });
-    }
+    // -- reconfiguration, probed side (the reconfigurer is `ratc_core::recon`) --
 
     /// Lines 111–116: join the new epoch; in the correct mode, also close all
     /// incoming RDMA connections so stale coordinators can no longer land
@@ -682,269 +667,6 @@ impl Member {
                 shard: self.shard,
             },
         );
-    }
-
-    /// Lines 117–130: collect probe replies; when every probed shard has an
-    /// initialised responder, compute the new configuration and CAS it.
-    fn handle_probe_ack(
-        &mut self,
-        from: ProcessId,
-        initialized: bool,
-        epoch: Epoch,
-        shard: ShardId,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::Probing) || epoch != recon.recon_epoch {
-            return;
-        }
-        if !recon.probed_epoch.contains_key(&shard) {
-            return;
-        }
-        let responders = recon.responders.entry(shard).or_default();
-        if !responders.contains(&from) {
-            responders.push(from);
-        }
-        if initialized {
-            let inits = recon.initialized.entry(shard).or_default();
-            if !inits.contains(&from) {
-                inits.push(from);
-            }
-        } else if !recon.initialized.contains_key(&shard) {
-            // Descend to the previous epoch of this shard (simplified: ask the
-            // CS for the previous configuration and probe its members).
-            let current = recon.probed_epoch[&shard];
-            if let Some(prev) = current.prev() {
-                recon.probed_epoch.insert(shard, prev);
-                ctx.send(self.cs, RdmaMsg::CsGet { epoch: prev });
-            }
-        }
-        // Have we found an initialised responder for every probed shard?
-        let all_found = recon
-            .probed_epoch
-            .keys()
-            .all(|s| recon.initialized.contains_key(s));
-        if !all_found {
-            return;
-        }
-        // The new epoch is viable. Finish at once only when every probed
-        // member of every shard has answered; otherwise briefly wait for
-        // replies still in flight, so warm replicas are not discarded in
-        // favour of spares that would need a full state transfer.
-        let all_answered = recon.probed_members.iter().all(|(s, probed)| {
-            let answered = recon.responders.get(s);
-            probed
-                .iter()
-                .all(|p| answered.map(|a| a.contains(p)).unwrap_or(false))
-        });
-        if all_answered {
-            self.finish_probe(ctx);
-        } else if recon.grace_timer.is_none() {
-            let suspected = recon.suspected_shard;
-            ctx.ctrl_milestone(CtrlMilestone::ProbeGrace, Some(suspected), epoch.as_u64());
-            recon.grace_timer = Some(ctx.set_timer(PROBE_GRACE, PROBE_GRACE_TICK));
-        }
-    }
-
-    /// Lines 117–130 continued: compute the new configuration and CAS it.
-    /// Per shard, the previous leader is preferred if it responded
-    /// initialised; members prefer initialised responders over other
-    /// responders over spares.
-    fn finish_probe(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::Probing) {
-            return;
-        }
-        let all_found = recon
-            .probed_epoch
-            .keys()
-            .all(|s| recon.initialized.contains_key(s));
-        if !all_found {
-            return;
-        }
-        let excluded: BTreeSet<ProcessId> = recon.exclude.iter().copied().collect();
-        let mut members = BTreeMap::new();
-        let mut leaders = BTreeMap::new();
-        let base = self.config.clone();
-        for (s, inits) in recon.initialized.clone() {
-            let leader = recon
-                .prev_leaders
-                .get(&s)
-                .copied()
-                .filter(|p| inits.contains(p) && !excluded.contains(p))
-                .unwrap_or(inits[0]);
-            let mut planner = MembershipPlanner::new(
-                recon.target_size,
-                recon.spares.get(&s).cloned().unwrap_or_default(),
-            );
-            let preferred: Vec<ProcessId> = inits
-                .iter()
-                .chain(recon.responders.get(&s).map(Vec::as_slice).unwrap_or(&[]))
-                .copied()
-                .filter(|p| *p != leader)
-                .collect();
-            members.insert(s, planner.plan(leader, &preferred, &recon.exclude));
-            leaders.insert(s, leader);
-        }
-        // Shards that were not probed (naive mode) keep their configuration.
-        if let Some(base) = base {
-            for (s, m) in &base.members {
-                members.entry(*s).or_insert_with(|| m.clone());
-                if let Some(l) = base.leader_of(*s) {
-                    leaders.entry(*s).or_insert(l);
-                }
-            }
-        }
-        let new_config = GlobalConfiguration::new(recon.recon_epoch, members, leaders);
-        let expected = recon.recon_epoch.prev().expect("successor epoch");
-        recon.phase = ReconPhase::AwaitingCas;
-        ctx.send(
-            self.cs,
-            RdmaMsg::CsCas {
-                expected,
-                config: new_config,
-            },
-        );
-    }
-
-    /// The probe grace period elapsed: finish with the replies received.
-    fn handle_probe_grace_tick(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        if let Some(recon) = self.recon.as_mut() {
-            recon.grace_timer = None;
-        }
-        self.finish_probe(ctx);
-    }
-
-    /// The reconfiguration retry timer fired: restart probing from scratch if
-    /// it is still unfinished (probes or replies may have been lost). The
-    /// `AwaitingCas`/`Installing` phases talk to the reliable configuration
-    /// service or wait for `CONFIG_PREPARE` acks, which are re-driven by this
-    /// same tick re-sending `CONFIG_PREPARE`.
-    fn handle_recon_retry_tick(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        recon.retries += 1;
-        if recon.retries > RECON_RETRY_CAP {
-            if let Some(id) = recon.grace_timer.take() {
-                ctx.cancel_timer(id);
-            }
-            self.recon = None;
-            ctx.add_counter("reconfiguration_abandoned", 1);
-            return;
-        }
-        match recon.phase.clone() {
-            ReconPhase::AwaitingCas => {}
-            ReconPhase::Installing { config } => {
-                // Re-send CONFIG_PREPARE to members that have not acked yet.
-                let missing: Vec<ProcessId> = config
-                    .all_processes()
-                    .into_iter()
-                    .filter(|p| !recon.config_prepare_acks.contains(p))
-                    .collect();
-                ctx.send_to_many(missing, RdmaMsg::ConfigPrepare { config });
-            }
-            _ => {
-                recon.phase = ReconPhase::AwaitingGetLast;
-                recon.probed_epoch.clear();
-                recon.probed_members.clear();
-                recon.responders.clear();
-                recon.initialized.clear();
-                recon.prev_leaders.clear();
-                // A grace timer armed by the abandoned round must not fire
-                // into the new one and finish it with a partial responder
-                // set.
-                if let Some(id) = recon.grace_timer.take() {
-                    ctx.cancel_timer(id);
-                }
-                ctx.add_counter("reconfiguration_reprobes", 1);
-                ctx.send(self.cs, RdmaMsg::CsGetLast);
-            }
-        }
-        ctx.set_timer(RECON_RETRY, RECON_RETRY_TICK);
-    }
-
-    fn handle_cs_get_reply(
-        &mut self,
-        _epoch: Epoch,
-        config: Option<GlobalConfiguration>,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::Probing) {
-            return;
-        }
-        let Some(config) = config else {
-            return;
-        };
-        // Probe the members of every shard we are still looking for, in the
-        // returned (older) configuration.
-        let mut targets = Vec::new();
-        for (shard, probed) in recon.probed_epoch.clone() {
-            if recon.initialized.contains_key(&shard) {
-                continue;
-            }
-            if probed == config.epoch {
-                let members = config.members_of(shard).to_vec();
-                recon.probed_members.insert(shard, members.clone());
-                targets.extend(members);
-            }
-        }
-        targets.sort_unstable();
-        targets.dedup();
-        let epoch = recon.recon_epoch;
-        ctx.send_to_many(targets, RdmaMsg::Probe { epoch });
-    }
-
-    /// Lines 121–124 / naive shortcut.
-    fn handle_cs_cas_reply(
-        &mut self,
-        ok: bool,
-        config: GlobalConfiguration,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let naive = self.mode == ReconfigMode::NaivePerShard;
-        let Some(recon) = self.recon.as_mut() else {
-            return;
-        };
-        if !matches!(recon.phase, ReconPhase::AwaitingCas) {
-            return;
-        }
-        if !ok {
-            self.recon = None;
-            ctx.add_counter("reconfiguration_cas_lost", 1);
-            return;
-        }
-        let suspected = recon.suspected_shard;
-        ctx.ctrl_milestone(
-            CtrlMilestone::ConfigChosen,
-            Some(suspected),
-            config.epoch.as_u64(),
-        );
-        if naive {
-            // Naive per-shard mode: skip CONFIG_PREPARE entirely; notify the
-            // new leader of the suspected shard only, and let other shards
-            // learn lazily (as in §3's CONFIG_CHANGE, sent by the CS).
-            let suspected = recon.suspected_shard;
-            self.recon = None;
-            if let Some(leader) = config.leader_of(suspected) {
-                ctx.send(leader, RdmaMsg::NewConfig { config });
-            }
-        } else {
-            // Correct mode: disseminate the configuration to every member and
-            // wait for all acknowledgements before activating it.
-            recon.phase = ReconPhase::Installing {
-                config: config.clone(),
-            };
-            recon.config_prepare_acks.clear();
-            ctx.send_to_many(config.all_processes(), RdmaMsg::ConfigPrepare { config });
-        }
     }
 
     /// Lines 131–136. `CONFIG_PREPARE` only *persists* the configuration and
@@ -975,28 +697,29 @@ impl Member {
         );
     }
 
-    /// Lines 137–140.
+    /// Lines 137–140: once every member holds the chosen configuration, its
+    /// leaders may activate it. Returns whether this acknowledgement
+    /// finished the round.
     fn handle_config_prepare_ack(
         &mut self,
         from: ProcessId,
         epoch: Epoch,
         ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        let Some(recon) = self.recon.as_mut() else {
-            return;
+    ) -> bool {
+        let Some(round) = self.installing.as_mut() else {
+            return false;
         };
-        let ReconPhase::Installing { config } = recon.phase.clone() else {
-            return;
+        if epoch != round.config.epoch {
+            return false;
+        }
+        round.acks.insert(from);
+        let complete =
+            |r: &mut ConfigRound| r.config.all_processes().iter().all(|p| r.acks.contains(p));
+        let Some(ConfigRound { config, .. }) = self.installing.take_if(complete) else {
+            return false;
         };
-        if epoch != config.epoch {
-            return;
-        }
-        recon.config_prepare_acks.insert(from);
-        let everyone: BTreeSet<ProcessId> = config.all_processes().into_iter().collect();
-        if recon.config_prepare_acks.is_superset(&everyone) {
-            self.recon = None;
-            ctx.send_to_many(config.all_leaders(), RdmaMsg::NewConfig { config });
-        }
+        ctx.send_to_many(config.all_leaders(), RdmaMsg::NewConfig { config });
+        true
     }
 
     /// Lines 141–147: become a leader of the new configuration. `flush`
@@ -1192,7 +915,11 @@ impl Member {
 
 impl Actor<RdmaMsg> for RdmaReplica {
     fn on_message(&mut self, from: ProcessId, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
-        let RdmaReplica { coord, member } = self;
+        let RdmaReplica {
+            coord,
+            recon,
+            member,
+        } = self;
         match msg {
             RdmaMsg::Certify {
                 tx,
@@ -1224,17 +951,20 @@ impl Actor<RdmaMsg> for RdmaReplica {
                 target_size,
                 exclude,
             } => {
-                member.handle_start_reconfigure(suspected_shard, spares, target_size, exclude, ctx)
+                let (shard, current) = (suspected_shard, member.epoch);
+                recon.start(shard, current, spares, target_size, exclude, member, ctx)
             }
             RdmaMsg::Probe { epoch } => member.handle_probe(from, epoch, ctx),
             RdmaMsg::ProbeAck {
                 initialized,
                 epoch,
                 shard,
-            } => member.handle_probe_ack(from, initialized, epoch, shard, ctx),
+            } => recon.on_probe_ack(from, initialized, epoch, shard, member, ctx),
             RdmaMsg::ConfigPrepare { config } => member.handle_config_prepare(from, config, ctx),
             RdmaMsg::ConfigPrepareAck { epoch } => {
-                member.handle_config_prepare_ack(from, epoch, ctx)
+                if member.handle_config_prepare_ack(from, epoch, ctx) {
+                    recon.installed();
+                }
             }
             RdmaMsg::NewConfig { config } => member.handle_new_config(config, ctx),
             RdmaMsg::NewState {
@@ -1245,16 +975,27 @@ impl Actor<RdmaMsg> for RdmaReplica {
             RdmaMsg::Connect { epoch } => member.handle_connect(from, epoch, ctx, false),
             RdmaMsg::ConnectAck { epoch } => member.handle_connect(from, epoch, ctx, true),
             RdmaMsg::CsGetLastReply { config } => {
-                if member.recon.is_some() {
-                    member.handle_cs_get_last_reply(config, ctx);
+                if let Some(suspected) = recon.awaiting_latest() {
+                    let probed = member.shards_to_probe(suspected, &config);
+                    recon.on_latest(config.epoch, probed, member, ctx);
                 } else if member.handle_stale_view_refresh(config) {
-                    // Not reconfiguring: a stalled coordinator's view-refresh
-                    // poll (`Replication::refresh_views`) found it excluded.
+                    // Not the reconfigurer's `get_last`: a stalled
+                    // coordinator's view-refresh poll
+                    // (`Replication::refresh_views`) found it excluded.
                     coord.hand_off(member, ctx);
                 }
             }
-            RdmaMsg::CsGetReply { epoch, config } => member.handle_cs_get_reply(epoch, config, ctx),
-            RdmaMsg::CsCasReply { ok, config } => member.handle_cs_cas_reply(ok, config, ctx),
+            // `get(e)` names no shard: the reply is for every shard whose
+            // probe descended to `e`.
+            RdmaMsg::CsGetReply { epoch, config } => {
+                for shard in recon.awaiting_older(epoch) {
+                    let members = config.as_ref().map(|c| c.members_of(shard).to_vec());
+                    recon.on_older(shard, epoch, members, member, ctx);
+                }
+            }
+            RdmaMsg::CsCasReply { ok, config } => {
+                recon.on_cas_reply(ok, config.epoch, config, member, ctx)
+            }
             RdmaMsg::NaiveConfigChange { config } => member.handle_naive_config_change(config),
             // `ACCEPT` and `DECISION` only ever arrive through RDMA; requests
             // to the configuration service are ignored by replicas.
@@ -1276,7 +1017,7 @@ impl Actor<RdmaMsg> for RdmaReplica {
     /// Lines 96–100 bookkeeping: the NIC acknowledged an `ACCEPT` write, and
     /// with it every slot the write carried.
     fn on_rdma_ack(&mut self, token: RdmaToken, _to: ProcessId, ctx: &mut Context<'_, RdmaMsg>) {
-        let RdmaReplica { coord, member } = self;
+        let RdmaReplica { coord, member, .. } = self;
         let Some(write) = member.pending_writes.remove(&token) else {
             return; // a `DECISION` write: nothing waits on it
         };
@@ -1293,15 +1034,19 @@ impl Actor<RdmaMsg> for RdmaReplica {
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, RdmaMsg>) {
-        let RdmaReplica { coord, member } = self;
+        let RdmaReplica {
+            coord,
+            recon,
+            member,
+        } = self;
         if tag == RETRY_TICK {
             coord.retry_tick(member, ctx);
         } else if tag == BATCH_TICK {
             coord.batch_tick(member, ctx);
         } else if tag == PROBE_GRACE_TICK {
-            member.handle_probe_grace_tick(ctx);
+            recon.on_grace_tick(member, ctx);
         } else if tag == RECON_RETRY_TICK {
-            member.handle_recon_retry_tick(ctx);
+            recon.on_retry_tick(member, ctx);
         } else if tag == CONNECT_RETRY_TICK {
             member.handle_connect_retry_tick(ctx);
         }
@@ -1315,9 +1060,10 @@ impl Actor<RdmaMsg> for RdmaReplica {
     /// `Connect` handshake with every process of the current view.
     fn on_restart(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
         self.coord.reset();
+        self.recon.reset();
         let member = &mut self.member;
         member.pending_writes.clear();
-        member.recon = None;
+        member.installing = None;
         member.peer_frontiers.clear();
         // Writes that reached the persistent region were acknowledged to
         // their senders — they count as persisted here, even across the
