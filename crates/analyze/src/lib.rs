@@ -199,14 +199,18 @@ pub(crate) const STACKS: [&str; 3] = ["core", "rdma", "baseline"];
 /// whichever stack is running).
 pub(crate) const SHARED_STAMPERS: [&str; 2] = ["sim", "chaos"];
 
-/// The files whose milestone stamps count for both RATC stacks: `core` and
-/// `rdma` each host the one coordinator and the one reconfigurer written
-/// there, which stamp every commit-path milestone and the reconfigurer's
-/// side of every reconfiguration.
-pub(crate) const SHARED_RATC: ([&str; 2], [&str; 2]) = (
-    ["crates/core/src/coord.rs", "crates/core/src/recon.rs"],
-    ["core", "rdma"],
-);
+/// The `core` files written once for several stacks, with the stacks a
+/// milestone stamp in each is credited to. `core` and `rdma` both host the
+/// one coordinator and the one reconfigurer, which stamp every commit-path
+/// milestone and the reconfigurer's side of every reconfiguration; all three
+/// are deployed by the one harness and answer to the one client, which stamp
+/// a transaction's submission and the client learning its decision.
+pub(crate) const SHARED_FILES: [(&str, &[&str]); 4] = [
+    ("crates/core/src/coord.rs", &["core", "rdma"]),
+    ("crates/core/src/recon.rs", &["core", "rdma"]),
+    ("crates/core/src/harness.rs", &STACKS),
+    ("crates/core/src/client.rs", &STACKS),
+];
 
 pub(crate) fn crate_of(path: &str) -> Option<&str> {
     path.strip_prefix("crates/")?.split('/').next()

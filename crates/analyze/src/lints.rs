@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use crate::lexer::{Tok, TokKind};
 use crate::parse::{arm_is_wildcard, arm_variant_paths};
 use crate::{
-    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_RATC, SHARED_STAMPERS,
+    in_clock_scope, in_determinism_scope, Finding, Lint, Prepared, SHARED_FILES, SHARED_STAMPERS,
     STACKS,
 };
 
@@ -437,8 +437,8 @@ pub(crate) fn protocol_surface(preps: &[Prepared], findings: &mut Vec<Finding>) 
 /// `milestone-parity`: every `TxMilestone`/`CtrlMilestone` variant must be
 /// stamped (referenced outside tests) by each of the three stacks. Stamps
 /// in shared engine crates ([`SHARED_STAMPERS`]) count for every stack, and
-/// stamps in the shared coordinator and reconfigurer files ([`SHARED_RATC`])
-/// for both stacks that host them.
+/// stamps in a file written once for several stacks ([`SHARED_FILES`]) for
+/// each of those stacks.
 fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
     for enum_name in ["TxMilestone", "CtrlMilestone"] {
         let Some((decl_file, variants)) = preps.iter().find_map(|p| {
@@ -460,11 +460,10 @@ fn milestone_parity(preps: &[Prepared], findings: &mut Vec<Finding>) {
                 continue;
             }
             let own = [crate_name];
-            let credited: &[&str] = if SHARED_RATC.0.contains(&prep.path.as_str()) {
-                &SHARED_RATC.1
-            } else {
-                &own
-            };
+            let credited: &[&str] = SHARED_FILES
+                .iter()
+                .find(|(file, _)| *file == prep.path)
+                .map_or(&own, |(_, stacks)| stacks);
             let t = &prep.toks;
             for i in 0..t.len() {
                 if t[i].is_ident(enum_name)

@@ -382,6 +382,44 @@ fn milestone_parity_credits_a_stamp_in_the_shared_reconfigurer_to_core_and_rdma(
     );
 }
 
+/// `ClientLearned` is stamped in `stamp_path` and nowhere else.
+fn client_parity_files(stamp_path: &str) -> Vec<SourceFile> {
+    let file = |path: &str, text: &str| SourceFile {
+        path: path.to_owned(),
+        text: text.to_owned(),
+    };
+    vec![
+        file(
+            "crates/obs/src/fix.rs",
+            "pub enum TxMilestone { ClientLearned }",
+        ),
+        file(
+            stamp_path,
+            "fn s(c: &mut C) { c.m(TxMilestone::ClientLearned); }",
+        ),
+        file("crates/rdma/src/fix.rs", "fn nothing() {}"),
+        file("crates/baseline/src/fix.rs", "fn nothing() {}"),
+    ]
+}
+
+/// The one client and the one deployment harness serve all three stacks: a
+/// milestone only they stamp is stamped for core, rdma and baseline. Dropping
+/// either file from the credit table makes its half of this test fail.
+#[test]
+fn milestone_parity_credits_a_stamp_in_the_shared_client_or_deployment_to_every_stack() {
+    for shared in ["crates/core/src/client.rs", "crates/core/src/harness.rs"] {
+        let findings = parity_messages(&client_parity_files(shared));
+        assert!(findings.is_empty(), "{shared}: {findings:?}");
+    }
+    // The same stamp in any other core file counts for core alone.
+    let elsewhere = parity_messages(&client_parity_files("crates/core/src/replica.rs"));
+    assert_eq!(elsewhere.len(), 1, "{elsewhere:?}");
+    assert!(
+        elsewhere[0].contains("ClientLearned") && elsewhere[0].contains("stack(s) rdma, baseline "),
+        "{elsewhere:?}"
+    );
+}
+
 #[test]
 fn milestone_parity_still_reports_a_variant_stamped_nowhere_for_all_three_stacks() {
     let findings = parity_messages(&coordinator_parity_files("crates/core/src/coord.rs"));

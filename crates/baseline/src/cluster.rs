@@ -1,437 +1,226 @@
-//! Deployment harness for the baseline 2PC-over-Paxos TCS.
+//! The baseline's side of the deployment harness ([`BaselineStack`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ratc_core::batch::BatchingConfig;
-use ratc_core::client::DecisionLatency;
-use ratc_core::flow::FlowControlConfig;
-use ratc_sim::{
-    Actor, Context, ExecutionMode, SimConfig, SimDuration, SimTime, TxMilestone, World,
-};
-use ratc_types::{
-    CertificationPolicy, Decision, HashSharding, Payload, ProcessId, Serializability, ShardId,
-    ShardMap, TcsHistory, TxId,
-};
+use ratc_core::harness::{ClusterConfig, Deployment, Stack, StackKind};
+use ratc_sim::World;
+use ratc_types::{Epoch, HashSharding, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::messages::BaselineMsg;
 use crate::replica::BaselineShardReplica;
 use crate::tm::TransactionManager;
 
-/// Configuration of a simulated baseline deployment.
-#[derive(Clone)]
-pub struct BaselineClusterConfig {
-    /// Number of shards.
-    pub shards: u32,
-    /// Failures to tolerate per shard; each shard gets `2f + 1` replicas, and
-    /// so does the transaction-manager group.
-    pub f: usize,
-    /// Certification policy.
-    pub policy: Arc<dyn CertificationPolicy>,
-    /// Batched log appends (default: disabled): shard leaders coalesce
-    /// certified votes into one Multi-Paxos command per batch.
-    pub batching: BatchingConfig,
-    /// Flow control (default: on): TM admission window, retry backoff and
-    /// Paxos retransmit backoff. [`FlowControlConfig::legacy`] reproduces the
-    /// pre-fix congestive collapse.
-    pub flow: FlowControlConfig,
-    /// Simulation parameters.
-    pub sim: SimConfig,
-    /// Which engine drives the actors: the deterministic simulator or one OS
-    /// thread per process (see [`ExecutionMode`]).
-    pub execution: ExecutionMode,
-}
+/// A deployment of the baseline 2PC-over-Paxos TCS.
+pub type BaselineCluster = Deployment<BaselineStack>;
 
-impl Default for BaselineClusterConfig {
-    fn default() -> Self {
-        BaselineClusterConfig {
-            shards: 2,
-            f: 1,
-            policy: Arc::new(Serializability::new()),
-            batching: BatchingConfig::default(),
-            flow: FlowControlConfig::default(),
-            sim: SimConfig::default(),
-            execution: ExecutionMode::default(),
-        }
-    }
-}
-
-impl std::fmt::Debug for BaselineClusterConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineClusterConfig")
-            .field("shards", &self.shards)
-            .field("f", &self.f)
-            .finish()
-    }
-}
-
-impl BaselineClusterConfig {
-    /// Returns a copy with the given number of shards.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Returns a copy with the given `f`.
-    pub fn with_f(mut self, f: usize) -> Self {
-        self.f = f;
-        self
-    }
-
-    /// Returns a copy with the given seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.sim.seed = seed;
-        self
-    }
-
-    /// Returns a copy with the given batching-pipeline knobs.
-    pub fn with_batching(mut self, batching: BatchingConfig) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Returns a copy with the given flow-control knobs.
-    pub fn with_flow(mut self, flow: FlowControlConfig) -> Self {
-        self.flow = flow;
-        self
-    }
-
-    /// Returns a copy with the given execution mode.
-    pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = execution;
-        self
-    }
-}
-
-/// Client actor of the baseline TCS.
+/// The baseline's side of a [`Deployment`]: a static Paxos group of
+/// [`ClusterConfig::replicas_per_shard`] (`2f + 1`) replicas per shard and a
+/// transaction-manager group of the same size. The first process of each
+/// group leads it.
 #[derive(Debug, Default)]
-pub struct BaselineClientActor {
-    history: TcsHistory,
-    submit_times: BTreeMap<TxId, SimTime>,
-    latencies: BTreeMap<TxId, DecisionLatency>,
-    violations: Vec<String>,
-}
-
-impl BaselineClientActor {
-    /// Records the certify action at submission time.
-    pub fn record_certify(&mut self, tx: TxId, payload: Payload, now: SimTime) {
-        if let Err(err) = self.history.record_certify(tx, payload) {
-            self.violations.push(err.to_string());
-        }
-        self.submit_times.insert(tx, now);
-    }
-
-    /// The recorded history.
-    pub fn history(&self) -> &TcsHistory {
-        &self.history
-    }
-
-    /// Latency (message delays, simulated time, decision) of each decided
-    /// transaction.
-    pub fn latencies(&self) -> &BTreeMap<TxId, DecisionLatency> {
-        &self.latencies
-    }
-
-    /// Violations (contradictory decisions); empty in a correct run.
-    pub fn violations(&self) -> &[String] {
-        &self.violations
-    }
-}
-
-impl Actor<BaselineMsg> for BaselineClientActor {
-    fn on_message(
-        &mut self,
-        _from: ProcessId,
-        msg: BaselineMsg,
-        ctx: &mut Context<'_, BaselineMsg>,
-    ) {
-        if let BaselineMsg::DecisionClient { tx, decision } = msg {
-            if let Err(err) = self.history.record_decide(tx, decision) {
-                self.violations.push(err.to_string());
-                return;
-            }
-            let micros = self
-                .submit_times
-                .get(&tx)
-                .map(|t| ctx.now().since(*t).as_micros())
-                .unwrap_or(0);
-            // Stamp only the first copy of the decision (re-externalisations
-            // after a TM restart carry the same decision).
-            if !self.latencies.contains_key(&tx) {
-                ctx.obs_milestone(tx, TxMilestone::ClientLearned, 0);
-            }
-            self.latencies.entry(tx).or_insert(DecisionLatency {
-                hops: ctx.hops(),
-                micros,
-                decision,
-            });
-            ctx.record_sample("client_decision_hops", f64::from(ctx.hops()));
-            ctx.record_sample("client_decision_micros", micros as f64);
-            match decision {
-                Decision::Commit => ctx.add_counter("client_commits", 1),
-                Decision::Abort => ctx.add_counter("client_aborts", 1),
-            }
-        }
-    }
-}
-
-/// A fully wired baseline deployment: `2f + 1` replicas per shard, a
-/// `2f + 1`-member transaction-manager group and one client.
-pub struct BaselineCluster {
-    /// The simulation world.
-    pub world: World<BaselineMsg>,
-    sharding: Arc<HashSharding>,
-    client: ProcessId,
-    tm_leader: ProcessId,
+pub struct BaselineStack {
+    /// The transaction-manager group, leader first.
     tm_group: Vec<ProcessId>,
+    /// The replicas of every shard, leader first.
     shard_groups: BTreeMap<ShardId, Vec<ProcessId>>,
-    shard_leaders: BTreeMap<ShardId, ProcessId>,
-    execution: ExecutionMode,
 }
 
-impl BaselineCluster {
-    /// Builds the cluster.
-    pub fn new(config: BaselineClusterConfig) -> Self {
-        let sharding = Arc::new(HashSharding::new(config.shards));
-        let mut world: World<BaselineMsg> = World::new(config.sim.clone());
-        let replicas_per_group = 2 * config.f + 1;
+impl BaselineStack {
+    fn tm_leader(&self) -> ProcessId {
+        self.tm_group[0]
+    }
 
-        let mut shard_groups: BTreeMap<ShardId, Vec<ProcessId>> = BTreeMap::new();
-        for shard_idx in 0..config.shards {
-            let shard = ShardId::new(shard_idx);
-            let mut group = Vec::new();
-            for _ in 0..replicas_per_group {
-                group.push(
-                    world.add_actor(BaselineShardReplica::new(shard, config.policy.as_ref())),
-                );
-            }
-            shard_groups.insert(shard, group);
+    fn group(&self, shard: ShardId) -> &[ProcessId] {
+        self.shard_groups.get(&shard).map_or(&[], Vec::as_slice)
+    }
+}
+
+impl Stack for BaselineStack {
+    type Msg = BaselineMsg;
+
+    fn build(
+        &mut self,
+        world: &mut World<BaselineMsg>,
+        config: &ClusterConfig,
+        sharding: &Arc<HashSharding>,
+    ) {
+        for shard in sharding.shards() {
+            let group = (0..config.replicas_per_shard)
+                .map(|_| world.add_actor(BaselineShardReplica::new(shard, config.policy.as_ref())))
+                .collect();
+            self.shard_groups.insert(shard, group);
         }
-        let shard_leaders: BTreeMap<ShardId, ProcessId> = shard_groups
+        self.tm_group = (0..config.replicas_per_shard)
+            .map(|_| {
+                world.add_actor(TransactionManager::new(
+                    sharding.clone() as Arc<dyn ShardMap + Send + Sync>
+                ))
+            })
+            .collect();
+        let tm_leader = self.tm_leader();
+
+        let shard_leaders: BTreeMap<ShardId, ProcessId> = self
+            .shard_groups
             .iter()
             .map(|(shard, group)| (*shard, group[0]))
             .collect();
-
-        let mut tm_group = Vec::new();
-        for _ in 0..replicas_per_group {
-            tm_group.push(world.add_actor(TransactionManager::new(
-                sharding.clone() as Arc<dyn ShardMap + Send + Sync>
-            )));
-        }
-        let tm_leader = tm_group[0];
-        let client = world.add_actor(BaselineClientActor::default());
-
-        for (shard, group) in &shard_groups {
+        for group in self.shard_groups.values() {
             for pid in group {
                 let replica = world
                     .actor_mut::<BaselineShardReplica>(*pid)
                     .expect("replica");
-                replica.install(*pid, group.clone(), *pid == shard_leaders[shard], tm_leader);
+                replica.install(*pid, group.clone(), *pid == group[0], tm_leader);
                 replica.set_batching(config.batching);
                 replica.set_flow(config.flow);
             }
         }
-        for pid in &tm_group {
+        for pid in &self.tm_group {
             let tm = world
                 .actor_mut::<TransactionManager>(*pid)
                 .expect("tm member");
-            tm.install(*pid, tm_group.clone(), tm_leader, shard_leaders.clone());
+            tm.install(
+                *pid,
+                self.tm_group.clone(),
+                tm_leader,
+                shard_leaders.clone(),
+            );
             tm.set_flow(config.flow);
         }
-
-        BaselineCluster {
-            world,
-            sharding,
-            client,
-            tm_leader,
-            tm_group,
-            shard_groups,
-            shard_leaders,
-            execution: config.execution,
-        }
     }
 
-    /// The shard map of this cluster.
-    pub fn sharding(&self) -> &HashSharding {
-        &self.sharding
+    fn kind(&self) -> StackKind {
+        StackKind::Baseline
     }
 
-    /// The client process.
-    pub fn client_id(&self) -> ProcessId {
-        self.client
+    fn supports_reconfiguration(&self) -> bool {
+        false
     }
 
-    /// The transaction-manager leader.
-    pub fn tm_leader(&self) -> ProcessId {
-        self.tm_leader
+    fn reconfiguration_is_global(&self) -> bool {
+        false
     }
 
-    /// The transaction-manager group.
-    pub fn tm_group(&self) -> &[ProcessId] {
-        &self.tm_group
+    fn replicas_coordinate(&self) -> bool {
+        false
     }
 
-    /// The leader of `shard`.
-    pub fn shard_leader(&self, shard: ShardId) -> ProcessId {
-        self.shard_leaders[&shard]
+    fn submit_pool(&self) -> Vec<ProcessId> {
+        vec![self.tm_leader()]
     }
 
-    /// The replicas of `shard`.
-    pub fn shard_group(&self, shard: ShardId) -> &[ProcessId] {
-        self.shard_groups
-            .get(&shard)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    fn resubmit_target(
+        &self,
+        _world: &World<BaselineMsg>,
+        _shards: &[ShardId],
+    ) -> Option<ProcessId> {
+        Some(self.tm_leader())
     }
 
-    /// Downcast access to a shard replica's state.
-    pub fn shard_replica(&self, pid: ProcessId) -> &BaselineShardReplica {
-        self.world
+    fn retry(&self, _tx: TxId) -> Option<BaselineMsg> {
+        // The transaction manager re-drives in-flight 2PC through its own
+        // retry timer; there is no per-replica recovery coordinator.
+        None
+    }
+
+    fn start_reconfiguration(
+        &self,
+        _shard: ShardId,
+        _exclude: Vec<ProcessId>,
+    ) -> Option<BaselineMsg> {
+        // No reconfiguration machinery: `2f + 1` Paxos quorums mask
+        // failures, and crashed processes recover only by restarting.
+        None
+    }
+
+    fn members_of(&self, _world: &World<BaselineMsg>, shard: ShardId) -> Vec<ProcessId> {
+        self.group(shard).to_vec()
+    }
+
+    fn leader_of(&self, _world: &World<BaselineMsg>, shard: ShardId) -> Option<ProcessId> {
+        self.group(shard).first().copied()
+    }
+
+    fn epoch_of(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> Epoch {
+        // Static membership: configurations never change.
+        Epoch::ZERO
+    }
+
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.group(shard).to_vec()
+    }
+
+    fn spares_of(&self, _shard: ShardId) -> Vec<ProcessId> {
+        Vec::new()
+    }
+
+    fn coordinator_pool(&self) -> Vec<ProcessId> {
+        // The whole group coordinates: the leader directly, every other
+        // member by forwarding `CERTIFY` to it. The leader comes first so
+        // callers wanting the cheapest coordinator can take the pool head.
+        self.tm_group.clone()
+    }
+
+    fn all_processes(&self) -> Vec<ProcessId> {
+        let mut all: Vec<ProcessId> = self.shard_groups.values().flatten().copied().collect();
+        all.extend(&self.tm_group);
+        all
+    }
+
+    fn config_service_id(&self) -> Option<ProcessId> {
+        None
+    }
+
+    fn replica_ready(&self, world: &World<BaselineMsg>, pid: ProcessId) -> bool {
+        !world.is_crashed(pid)
+    }
+
+    fn shard_operational(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> bool {
+        // Minority failures are masked by the Paxos quorum; anything worse
+        // is repaired by restarting, not by reconfiguration.
+        true
+    }
+
+    fn prepared_transactions(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> Vec<TxId> {
+        Vec::new()
+    }
+
+    fn retained_log_slots(&self, world: &World<BaselineMsg>, pid: ProcessId) -> Option<usize> {
+        world
             .actor::<BaselineShardReplica>(pid)
-            .expect("shard replica")
+            .map(|r| r.retained_payloads())
     }
 
-    /// Total number of replica processes (excluding the client).
-    pub fn replica_count(&self) -> usize {
-        self.shard_groups.values().map(Vec::len).sum::<usize>() + self.tm_group.len()
-    }
-
-    /// Submits a transaction for certification through the
-    /// transaction-manager leader. Returns the coordinating process (the TM
-    /// leader), mirroring the RATC harnesses.
-    pub fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        let tm = self.tm_leader;
-        self.submit_via(tx, payload, tm);
-        tm
-    }
-
-    /// Submits a transaction through a specific transaction-manager group
-    /// member. Non-leader members forward the request to the group leader,
-    /// so any member of [`BaselineCluster::tm_group`] is a valid coordinator.
-    pub fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        let now = self.world.now();
-        self.world
-            .actor_mut::<BaselineClientActor>(self.client)
-            .expect("client")
-            .record_certify(tx, payload.clone(), now);
-        self.world
-            .obs_milestone(tx, TxMilestone::Submitted, self.client);
-        let client = self.client;
-        self.world.send_external(
-            coordinator,
-            BaselineMsg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
-    }
-
-    /// Crashes a process.
-    pub fn crash(&mut self, pid: ProcessId) {
-        self.world.crash(pid);
-    }
-
-    /// Restarts a crashed process: shard replicas and TM members recover
-    /// from their durable Paxos state. Returns `false` if `pid` was not
-    /// crashed.
-    pub fn restart(&mut self, pid: ProcessId) -> bool {
-        self.world.restart(pid)
-    }
-
-    /// Re-submits a transaction without re-recording it in the client
-    /// history: used by recovery drivers when the original decision (or the
-    /// transaction itself) was lost to an injected fault.
-    pub fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        let client = self.client;
-        let tm = self.tm_leader;
-        self.world.send_external(
-            tm,
-            BaselineMsg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
-    }
-
-    /// The execution engine driving this cluster's actors.
-    pub fn execution(&self) -> ExecutionMode {
-        self.execution
-    }
-
-    /// Runs until no events remain (on the configured [`ExecutionMode`]).
-    pub fn run_to_quiescence(&mut self) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run();
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded();
-            }
-        }
-    }
-
-    /// Runs for `duration` (simulated time on the simulator, wall-clock time
-    /// on the threaded backend).
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.world.now() + duration;
-        self.run_until(until);
-    }
-
-    /// Runs the cluster until the given absolute time on the cluster's clock.
-    pub fn run_until(&mut self, until: SimTime) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run_until(until);
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded_until(until);
-            }
-        }
-    }
-
-    /// The client's recorded history.
-    pub fn history(&self) -> TcsHistory {
-        self.world
-            .actor::<BaselineClientActor>(self.client)
-            .expect("client")
-            .history()
-            .clone()
-    }
-
-    /// Latency (message delays, simulated time, decision) per decided
-    /// transaction.
-    pub fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        self.world
-            .actor::<BaselineClientActor>(self.client)
-            .expect("client")
-            .latencies()
-            .clone()
-    }
-
-    /// Message delays per decided transaction.
-    pub fn decision_hops(&self) -> BTreeMap<TxId, u32> {
-        self.latencies()
-            .into_iter()
-            .map(|(tx, l)| (tx, l.hops))
-            .collect()
-    }
-
-    /// Violations observed by the client (empty in a correct run).
-    pub fn client_violations(&self) -> Vec<String> {
-        self.world
-            .actor::<BaselineClientActor>(self.client)
-            .expect("client")
-            .violations()
-            .to_vec()
+    fn logical_log_len(&self, world: &World<BaselineMsg>, pid: ProcessId) -> Option<u64> {
+        world
+            .actor::<BaselineShardReplica>(pid)
+            .map(|r| r.chosen_slots() as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratc_types::{Key, Value, Version};
+    use ratc_core::batch::BatchingConfig;
+    use ratc_core::flow::FlowControlConfig;
+    use ratc_core::harness::TcsCluster;
+    use ratc_sim::{SimDuration, SimTime};
+    use ratc_types::{Decision, Key, Payload, Value, Version};
+
+    /// A baseline deployment tolerating `f` failures per group.
+    fn deploy(f: usize, config: ClusterConfig) -> BaselineCluster {
+        BaselineCluster::new(
+            BaselineStack::default(),
+            config.with_replicas_per_shard(2 * f + 1),
+        )
+    }
+
+    fn replica(cluster: &BaselineCluster, pid: ProcessId) -> &BaselineShardReplica {
+        cluster
+            .world
+            .actor::<BaselineShardReplica>(pid)
+            .expect("shard replica")
+    }
 
     fn rw(key: &str) -> Payload {
         Payload::builder()
@@ -444,7 +233,7 @@ mod tests {
 
     #[test]
     fn decided_payloads_are_pruned_from_shard_replicas() {
-        let mut cluster = BaselineCluster::new(BaselineClusterConfig::default().with_seed(17));
+        let mut cluster = deploy(1, ClusterConfig::default().with_seed(17));
         let total = 60u64;
         for i in 0..total {
             cluster.submit(TxId::new(i + 1), rw(&format!("k{i}")));
@@ -452,8 +241,8 @@ mod tests {
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
         for shard in [ShardId::new(0), ShardId::new(1)] {
-            let leader = cluster.shard_leader(shard);
-            let replica = cluster.shard_replica(leader);
+            let leader = cluster.leader_of(shard).expect("leader");
+            let replica = replica(&cluster, leader);
             // Every decided transaction's payload was dropped: only the
             // compact decision map grows with the history.
             assert_eq!(
@@ -477,7 +266,7 @@ mod tests {
 
     #[test]
     fn single_transaction_commits_in_seven_delays_at_steady_state() {
-        let mut cluster = BaselineCluster::new(BaselineClusterConfig::default());
+        let mut cluster = deploy(1, ClusterConfig::default());
         // First transaction pays Paxos phase-1 once; measure the second.
         cluster.submit(TxId::new(1), rw("warmup"));
         cluster.run_to_quiescence();
@@ -485,7 +274,7 @@ mod tests {
         cluster.run_to_quiescence();
         let history = cluster.history();
         assert_eq!(history.decision(TxId::new(2)), Some(Decision::Commit));
-        let hops = cluster.decision_hops()[&TxId::new(2)];
+        let hops = cluster.latencies()[&TxId::new(2)].hops;
         assert_eq!(
             hops, 7,
             "baseline decision latency must be 7 message delays"
@@ -495,7 +284,7 @@ mod tests {
 
     #[test]
     fn conflicting_transactions_do_not_both_commit() {
-        let mut cluster = BaselineCluster::new(BaselineClusterConfig::default().with_seed(5));
+        let mut cluster = deploy(1, ClusterConfig::default().with_seed(5));
         cluster.submit(TxId::new(1), rw("hot"));
         cluster.submit(TxId::new(2), rw("hot"));
         cluster.run_to_quiescence();
@@ -506,8 +295,7 @@ mod tests {
 
     #[test]
     fn many_disjoint_transactions_commit() {
-        let mut cluster =
-            BaselineCluster::new(BaselineClusterConfig::default().with_shards(3).with_seed(9));
+        let mut cluster = deploy(1, ClusterConfig::default().with_shards(3).with_seed(9));
         for i in 0..20 {
             cluster.submit(TxId::new(i), rw(&format!("k{i}")));
         }
@@ -518,11 +306,11 @@ mod tests {
 
     #[test]
     fn a_single_follower_failure_is_masked_without_reconfiguration() {
-        let mut cluster = BaselineCluster::new(BaselineClusterConfig::default().with_seed(3));
+        let mut cluster = deploy(1, ClusterConfig::default().with_seed(3));
         let shard = ShardId::new(0);
         // Crash one non-leader replica of shard 0: the Paxos majority survives,
         // so transactions keep committing with no reconfiguration.
-        let victim = cluster.shard_group(shard)[1];
+        let victim = cluster.roster_of(shard)[1];
         cluster.crash(victim);
         for i in 0..10 {
             cluster.submit(TxId::new(i), rw(&format!("k{i}")));
@@ -535,8 +323,9 @@ mod tests {
     #[test]
     fn batched_log_appends_commit_and_occupy_fewer_paxos_slots() {
         let run = |batch: usize| {
-            let mut cluster = BaselineCluster::new(
-                BaselineClusterConfig::default()
+            let mut cluster = deploy(
+                1,
+                ClusterConfig::default()
                     .with_shards(1)
                     .with_seed(23)
                     .with_batching(BatchingConfig::with_batch(batch)),
@@ -547,8 +336,8 @@ mod tests {
             cluster.run_to_quiescence();
             assert_eq!(cluster.history().committed().count(), 32);
             assert!(cluster.client_violations().is_empty());
-            let leader = cluster.shard_leader(ShardId::new(0));
-            cluster.shard_replica(leader).chosen_slots()
+            let leader = cluster.leader_of(ShardId::new(0)).expect("leader");
+            replica(&cluster, leader).chosen_slots()
         };
         let unbatched_slots = run(1);
         let batched_slots = run(8);
@@ -561,8 +350,9 @@ mod tests {
 
     #[test]
     fn batched_baseline_preserves_conflict_decisions() {
-        let mut cluster = BaselineCluster::new(
-            BaselineClusterConfig::default()
+        let mut cluster = deploy(
+            1,
+            ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(29)
                 .with_batching(BatchingConfig::with_batch(4)),
@@ -583,8 +373,8 @@ mod tests {
     /// event queue never drains.
     #[test]
     fn run_to_quiescence_terminates_with_a_shard_permanently_down() {
-        let mut cluster = BaselineCluster::new(BaselineClusterConfig::default().with_seed(7));
-        for pid in cluster.shard_group(ShardId::new(0)).to_vec() {
+        let mut cluster = deploy(1, ClusterConfig::default().with_seed(7));
+        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
             cluster.crash(pid);
         }
         cluster.submit(TxId::new(1), rw("k-on-any-shard"));
@@ -607,13 +397,13 @@ mod tests {
     #[test]
     fn flow_control_fixes_the_simulated_congestive_collapse() {
         let run = |flow: FlowControlConfig| {
-            let mut config = BaselineClusterConfig::default()
+            let mut config = ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(41)
                 .with_flow(flow)
                 .with_batching(BatchingConfig::disabled());
             config.sim = config.sim.with_service_micros(200);
-            let mut cluster = BaselineCluster::new(config);
+            let mut cluster = deploy(1, config);
             // Supercritical: re-driving every pending transaction costs the
             // shard leader `total * service` = 200 ms of work per 20 ms tick.
             let total = 1000u64;
@@ -640,14 +430,14 @@ mod tests {
 
     #[test]
     fn replica_count_is_2f_plus_1_per_group() {
-        let cluster = BaselineCluster::new(BaselineClusterConfig::default().with_f(2));
+        let cluster = deploy(2, ClusterConfig::default());
         // 2 shards * 5 replicas + 5 TM members.
-        assert_eq!(cluster.replica_count(), 15);
-        assert_eq!(cluster.shard_group(ShardId::new(0)).len(), 5);
-        assert_eq!(cluster.tm_group().len(), 5);
+        assert_eq!(cluster.all_processes().len(), 15);
+        assert_eq!(cluster.roster_of(ShardId::new(0)).len(), 5);
+        assert_eq!(cluster.stack.tm_group.len(), 5);
         assert!(cluster
             .world
-            .actor::<TransactionManager>(cluster.tm_leader())
+            .actor::<TransactionManager>(cluster.stack.tm_leader())
             .expect("tm")
             .is_leader());
     }

@@ -17,8 +17,8 @@
 //!   protocols, but every prepared vote is committed to the shard's
 //!   Multi-Paxos log (2 extra message delays) before it is reported back to
 //!   the transaction manager;
-//! * [`BaselineCluster`] — the deployment harness mirroring
-//!   `ratc_core::Cluster`.
+//! * [`BaselineStack`] — this protocol's side of the deployment harness
+//!   (`ratc_core::harness::Deployment`); [`BaselineCluster`] is it deployed.
 //!
 //! Failure handling: with `2f + 1` replicas a single failure is *masked* (the
 //! Paxos quorum still exists), which is the availability advantage the paper
@@ -33,7 +33,7 @@ pub mod messages;
 pub mod replica;
 pub mod tm;
 
-pub use cluster::{BaselineCluster, BaselineClusterConfig};
+pub use cluster::{BaselineCluster, BaselineStack};
 pub use messages::{BaselineMsg, ShardCommand, TmCommand};
 pub use replica::BaselineShardReplica;
 pub use tm::TransactionManager;

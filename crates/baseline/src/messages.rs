@@ -109,3 +109,27 @@ impl BaselineMsg {
         }
     }
 }
+
+impl ratc_core::client::ClientMsg for BaselineMsg {
+    fn certify(tx: TxId, payload: Payload, client: ProcessId) -> Self {
+        BaselineMsg::Certify {
+            tx,
+            payload,
+            client,
+        }
+    }
+
+    fn as_decision(&self) -> Option<(TxId, Decision)> {
+        if let BaselineMsg::DecisionClient { tx, decision } = self {
+            Some((*tx, *decision))
+        } else {
+            None
+        }
+    }
+
+    fn decision_ack(_tx: TxId) -> Option<Self> {
+        // Decisions live in the transaction manager's Paxos log; nothing is
+        // compacted on an acknowledgement.
+        None
+    }
+}

@@ -9,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ratc_core::batch::BatchingConfig;
-use ratc_core::harness::{Cluster, ClusterConfig};
+use ratc_core::harness::{Cluster, ClusterConfig, CoreStack, TcsCluster};
 use ratc_types::prelude::*;
 
 const TX_COUNT: usize = 64;
@@ -17,12 +17,13 @@ const TX_COUNT: usize = 64;
 /// Runs one batched cluster to quiescence and returns the committed count.
 fn run_cluster(batch: usize) -> usize {
     let mut cluster = Cluster::new(
+        CoreStack::default(),
         ClusterConfig::default()
             .with_shards(2)
             .with_seed(7)
             .with_batching(BatchingConfig::with_batch(batch)),
     );
-    let coordinator = cluster.initial_members(ShardId::new(1))[1];
+    let coordinator = cluster.roster_of(ShardId::new(1))[1];
     for i in 0..TX_COUNT {
         let key = Key::new(format!("k{i}"));
         let payload = Payload::builder()

@@ -144,9 +144,9 @@ fn core_leader_restart_resumes_without_reconfiguration() {
 /// window (a panic in debug builds, a window wedged for ever in release: the
 /// next transaction through the coordinator stays undecided).
 macro_rules! coordinator_restart_with_a_prepare_in_flight {
-    ($stack:expr, $build:ident, $batch:expr) => {{
+    ($stack:expr, $build:ident, $replica:ty, $batch:expr) => {{
         use ratc_core::batch::BatchingConfig;
-        use ratc_harness::ClusterSpec;
+        use ratc_harness::{ClusterSpec, TcsCluster};
         use ratc_sim::SimDuration;
         use ratc_types::{Decision, Key, Payload, ShardMap, TxId, Value, Version};
 
@@ -170,7 +170,7 @@ macro_rules! coordinator_restart_with_a_prepare_in_flight {
             })
             .collect();
         let mut shard0_payload = || payloads.pop().expect("three payloads");
-        let coordinator = cluster.initial_members(s0)[1];
+        let coordinator = cluster.roster_of(s0)[1];
         cluster.submit_via(TxId::new(1), shard0_payload(), coordinator);
         cluster.submit_via(TxId::new(2), shard0_payload(), coordinator);
         cluster.run_for(SimDuration::from_micros(50));
@@ -189,7 +189,8 @@ macro_rules! coordinator_restart_with_a_prepare_in_flight {
         );
         // Also checks (debug builds) that the in-flight counter is in
         // lockstep with the coordinator map.
-        assert_eq!(cluster.replica(coordinator).undecided_coordinated(), 0);
+        let replica = cluster.world.actor::<$replica>(coordinator);
+        assert_eq!(replica.expect("replica").undecided_coordinated(), 0);
         assert!(cluster.client_violations().is_empty());
     }};
 }
@@ -198,7 +199,17 @@ macro_rules! coordinator_restart_with_a_prepare_in_flight {
 fn coordinator_restart_with_a_prepare_in_flight_keeps_the_window_accounted() {
     use ratc_harness::StackKind;
     for batch in [1usize, 2] {
-        coordinator_restart_with_a_prepare_in_flight!(StackKind::Core, build_core, batch);
-        coordinator_restart_with_a_prepare_in_flight!(StackKind::Rdma, build_rdma, batch);
+        coordinator_restart_with_a_prepare_in_flight!(
+            StackKind::Core,
+            build_core,
+            ratc_core::Replica,
+            batch
+        );
+        coordinator_restart_with_a_prepare_in_flight!(
+            StackKind::Rdma,
+            build_rdma,
+            ratc_rdma::RdmaReplica,
+            batch
+        );
     }
 }

@@ -6,11 +6,16 @@
 //! [`TcsHistory`] — the object over which the specification checkers in
 //! `ratc-spec` operate — plus, for every decision, the number of message
 //! delays and the simulated time since submission.
+//!
+//! There is one client, [`ClientActor<M>`], for every stack: it is generic
+//! over the stack's message enum through [`ClientMsg`], the three places
+//! where a client touches the message vocabulary.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 use ratc_sim::{Actor, Context, SimTime, TxMilestone};
-use ratc_types::{Decision, Payload, TcsHistory, TxId};
+use ratc_types::{Decision, Payload, ProcessId, TcsHistory, TxId};
 
 use crate::messages::Msg;
 
@@ -32,9 +37,44 @@ pub struct DecisionLatency {
     pub decision: Decision,
 }
 
+/// What a client needs of a stack's message enum: how to ask for a
+/// certification, how to recognise the answer, and whether the answer is
+/// acknowledged.
+pub trait ClientMsg: Sized {
+    /// `certify(t, l)`, to be answered to `client`.
+    fn certify(tx: TxId, payload: Payload, client: ProcessId) -> Self;
+    /// `Some` if this message is `DECISION(t, d)` to the client.
+    fn as_decision(&self) -> Option<(TxId, Decision)>;
+    /// The acknowledgement of a received decision, on a stack whose
+    /// vocabulary has one (decision-map compaction, leg 1: [`Msg`] only).
+    fn decision_ack(tx: TxId) -> Option<Self>;
+}
+
+impl ClientMsg for Msg {
+    fn certify(tx: TxId, payload: Payload, client: ProcessId) -> Self {
+        Msg::Certify {
+            tx,
+            payload,
+            client,
+        }
+    }
+
+    fn as_decision(&self) -> Option<(TxId, Decision)> {
+        if let Msg::DecisionClient { tx, decision } = self {
+            Some((*tx, *decision))
+        } else {
+            None
+        }
+    }
+
+    fn decision_ack(tx: TxId) -> Option<Self> {
+        Some(Msg::DecisionAck { tx })
+    }
+}
+
 /// A client process recording a TCS history and latency samples.
-#[derive(Debug, Default)]
-pub struct ClientActor {
+#[derive(Debug)]
+pub struct ClientActor<M> {
     history: TcsHistory,
     submit_times: BTreeMap<TxId, SimTime>,
     latencies: BTreeMap<TxId, DecisionLatency>,
@@ -43,18 +83,22 @@ pub struct ClientActor {
     /// compaction, leg 1). Off by default: the ack is not part of the paper's
     /// message vocabulary and must not perturb default schedules.
     ack_decisions: bool,
+    _msg: PhantomData<fn(M)>,
 }
 
-impl ClientActor {
-    /// Creates a client with an empty history.
-    pub fn new() -> Self {
-        ClientActor::default()
-    }
-
-    /// Enables or disables decision acknowledgements (see
-    /// [`crate::replica::TruncationConfig::compaction`]).
-    pub fn set_ack_decisions(&mut self, ack: bool) {
-        self.ack_decisions = ack;
+impl<M> ClientActor<M> {
+    /// Creates a client with an empty history. `ack_decisions` makes it
+    /// acknowledge every decision to its sender, on a stack that has such a
+    /// message (see [`crate::replica::TruncationConfig::compaction`]).
+    pub fn new(ack_decisions: bool) -> Self {
+        ClientActor {
+            history: TcsHistory::default(),
+            submit_times: BTreeMap::new(),
+            latencies: BTreeMap::new(),
+            violations: Vec::new(),
+            ack_decisions,
+            _msg: PhantomData,
+        }
     }
 
     /// Records the `certify(t, l)` action. Called by the deployment harness at
@@ -82,148 +126,46 @@ impl ClientActor {
     pub fn violations(&self) -> &[String] {
         &self.violations
     }
-
-    /// Number of committed transactions seen so far.
-    pub fn committed_count(&self) -> usize {
-        self.history.committed().count()
-    }
-
-    /// Number of aborted transactions seen so far.
-    pub fn aborted_count(&self) -> usize {
-        self.history.aborted().count()
-    }
 }
 
-impl Actor<Msg> for ClientActor {
-    fn on_message(&mut self, from: ratc_types::ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        if let Msg::DecisionClient { tx, decision } = msg {
-            if let Err(err) = self.history.record_decide(tx, decision) {
-                self.violations.push(err.to_string());
-                return;
-            }
-            if self.ack_decisions {
-                // Compaction leg 1: tell the sender (original or recovery
-                // coordinator — whoever delivered this copy) the decision
-                // arrived. Idempotent at the receiver, so duplicates are fine.
-                ctx.send(from, Msg::DecisionAck { tx });
-            }
-            let micros = self
-                .submit_times
-                .get(&tx)
-                .map(|t| ctx.now().since(*t).as_micros())
-                .unwrap_or(0);
-            // Record only the first decision's latency (duplicates from
-            // concurrent recovery coordinators carry the same decision).
-            if !self.latencies.contains_key(&tx) {
-                ctx.obs_milestone(tx, TxMilestone::ClientLearned, 0);
-            }
-            self.latencies.entry(tx).or_insert(DecisionLatency {
-                hops: ctx.hops(),
-                micros,
-                decision,
-            });
-            ctx.record_sample("client_decision_hops", f64::from(ctx.hops()));
-            ctx.record_sample("client_decision_micros", micros as f64);
-            match decision {
-                Decision::Commit => ctx.add_counter("client_commits", 1),
-                Decision::Abort => ctx.add_counter("client_aborts", 1),
+impl<M: ClientMsg + 'static> Actor<M> for ClientActor<M> {
+    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<'_, M>) {
+        let Some((tx, decision)) = msg.as_decision() else {
+            return;
+        };
+        if let Err(err) = self.history.record_decide(tx, decision) {
+            self.violations.push(err.to_string());
+            return;
+        }
+        if self.ack_decisions {
+            // Compaction leg 1: tell the sender (original or recovery
+            // coordinator — whoever delivered this copy) the decision
+            // arrived. Idempotent at the receiver, so duplicates are fine.
+            if let Some(ack) = M::decision_ack(tx) {
+                ctx.send(from, ack);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ratc_sim::{SimConfig, World};
-    use ratc_types::{Key, ProcessId, Version};
-
-    fn payload(key: &str) -> Payload {
-        Payload::builder()
-            .read(Key::new(key), Version::new(0))
-            .build()
-            .expect("well-formed")
-    }
-
-    #[test]
-    fn records_history_and_latency() {
-        let mut world: World<Msg> = World::new(SimConfig::default());
-        let client = world.add_actor(ClientActor::new());
-        let now = world.now();
-        world
-            .actor_mut::<ClientActor>(client)
-            .expect("client")
-            .record_certify(TxId::new(1), payload("x"), now);
-        world.send_external(
-            client,
-            Msg::DecisionClient {
-                tx: TxId::new(1),
-                decision: Decision::Commit,
-            },
-        );
-        world.run();
-        let actor = world.actor::<ClientActor>(client).expect("client");
-        assert_eq!(actor.committed_count(), 1);
-        assert_eq!(actor.aborted_count(), 0);
-        assert!(actor.violations().is_empty());
-        assert_eq!(
-            actor.history().decision(TxId::new(1)),
-            Some(Decision::Commit)
-        );
-        assert!(actor.latencies().contains_key(&TxId::new(1)));
-        assert_eq!(world.metrics().counter("client_commits"), 1);
-    }
-
-    #[test]
-    fn contradictory_decisions_are_reported_as_violations() {
-        let mut world: World<Msg> = World::new(SimConfig::default());
-        let client = world.add_actor(ClientActor::new());
-        let now = world.now();
-        world
-            .actor_mut::<ClientActor>(client)
-            .expect("client")
-            .record_certify(TxId::new(1), payload("x"), now);
-        world.send_external(
-            client,
-            Msg::DecisionClient {
-                tx: TxId::new(1),
-                decision: Decision::Commit,
-            },
-        );
-        world.send_external(
-            client,
-            Msg::DecisionClient {
-                tx: TxId::new(1),
-                decision: Decision::Abort,
-            },
-        );
-        world.run();
-        let actor = world.actor::<ClientActor>(client).expect("client");
-        assert_eq!(actor.violations().len(), 1);
-    }
-
-    #[test]
-    fn duplicate_identical_decisions_are_benign() {
-        let mut world: World<Msg> = World::new(SimConfig::default());
-        let client = world.add_actor(ClientActor::new());
-        let now = world.now();
-        world
-            .actor_mut::<ClientActor>(client)
-            .expect("client")
-            .record_certify(TxId::new(2), payload("y"), now);
-        for _ in 0..3 {
-            world.send_external(
-                client,
-                Msg::DecisionClient {
-                    tx: TxId::new(2),
-                    decision: Decision::Abort,
-                },
-            );
+        let micros = self
+            .submit_times
+            .get(&tx)
+            .map(|t| ctx.now().since(*t).as_micros())
+            .unwrap_or(0);
+        // Record only the first decision's latency (duplicates from
+        // concurrent recovery coordinators, or re-externalisations after a
+        // transaction-manager restart, carry the same decision).
+        if !self.latencies.contains_key(&tx) {
+            ctx.obs_milestone(tx, TxMilestone::ClientLearned, 0);
         }
-        world.run();
-        let actor = world.actor::<ClientActor>(client).expect("client");
-        assert!(actor.violations().is_empty());
-        assert_eq!(actor.aborted_count(), 1);
-        let _ = ProcessId::new(0);
+        self.latencies.entry(tx).or_insert(DecisionLatency {
+            hops: ctx.hops(),
+            micros,
+            decision,
+        });
+        ctx.record_sample("client_decision_hops", f64::from(ctx.hops()));
+        ctx.record_sample("client_decision_micros", micros as f64);
+        match decision {
+            Decision::Commit => ctx.add_counter("client_commits", 1),
+            Decision::Abort => ctx.add_counter("client_aborts", 1),
+        }
     }
 }

@@ -1,42 +1,98 @@
-//! Deployment harness: build and drive a full simulated RATC cluster.
+//! The deployment harness: one [`Deployment`] builds and drives a full
+//! cluster of any of the three stacks, behind the one [`TcsCluster`] facade.
 //!
-//! [`Cluster`] wires together everything a test, example or benchmark needs:
-//! the replicas of every shard, per-shard spare (fresh) replicas available to
-//! reconfiguration, the configuration service, a client, and the deterministic
-//! simulation world. The harness mirrors what an operator would deploy around
-//! the protocol; it contains no protocol logic of its own.
+//! The paper specifies the Transaction Certification Service once —
+//! `certify(t, l)` in, `decide(t, d)` out, the client outside the protocol
+//! proper — and realises it three times (§3 message passing, §5 RDMA, the
+//! 2PC-over-Paxos it is compared with). The harness has that shape:
+//!
+//! * [`Deployment<S>`] owns what no protocol changes: the simulation
+//!   [`World`], the shard map, the one history-recording
+//!   [`ClientActor`], the execution engine and the round-robin cursor of
+//!   `submit`. Its `impl TcsCluster` — the only one in the workspace — writes
+//!   every operation that does not depend on the protocol once, directly
+//!   against `self.world`: submission (record `certify`, stamp `Submitted`,
+//!   inject `Certify`), crash/restart, the fault plane, running either
+//!   engine, the clock, history, latencies, violations, metrics and the
+//!   observability streams.
+//! * [`Stack`] is the per-stack remainder, implemented by `CoreStack` here,
+//!   `RdmaStack` in `ratc-rdma` and `BaselineStack` in `ratc-baseline`. Its
+//!   method table is the paper's §3 / §5 / baseline comparison in code:
+//!
+//! | `Stack` method | ratc-mp (§3) | ratc-rdma (§5) | 2pc-paxos |
+//! |---|---|---|---|
+//! | `build` | `f + 1` replicas + spares per shard, per-shard configuration service | same processes, one global configuration, all-pairs RDMA connections among members | `2f + 1` replicas per shard + a `2f + 1` transaction-manager group, no spares, no configuration service |
+//! | `kind` | `Core` | `Rdma` / `RdmaNaive`, by the stack's `ReconfigMode` | `Baseline` |
+//! | `supports_reconfiguration` | yes | yes | no: quorums mask failures |
+//! | `reconfiguration_is_global` | no: one shard at a time | yes: one global epoch | no |
+//! | `replicas_coordinate` | yes: any replica | yes | no: the transaction-manager group |
+//! | `submit_pool` | every initial member | every initial member | the transaction-manager leader |
+//! | `resubmit_target` | live leader of the first shard | live leader of the first shard | the transaction-manager leader, live or not |
+//! | `retry` | `Retry` | `Retry` | nothing: the TM's own timer re-drives 2PC |
+//! | `start_reconfiguration` | `StartReconfigure` with the shard's spares | `StartReconfigure` with every shard's spares | nothing |
+//! | `members_of` / `leader_of` / `epoch_of` | last stored configuration of the shard | the global configuration; its one epoch for every shard | the static groups; epoch 0 |
+//! | `roster_of` / `spares_of` | initial members / spare pool | same | the shard group / none |
+//! | `coordinator_pool` | every replica and spare | same | the TM group, leader first |
+//! | `all_processes` | replicas and spares | same | shard groups and the TM group |
+//! | `config_service_id` | the per-shard service | the global service | none |
+//! | `replica_ready` | initialised, no reconfiguration of its own in flight | same | not crashed |
+//! | `shard_operational` | every member live, initialised, at the stored epoch, in its stored role | same, at the global epoch | always: recovery is by restart |
+//! | `prepared_transactions` | the leader's prepared, undecided log slots | same | none: the TM decides votes |
+//! | `retained_log_slots` / `logical_log_len` | certification-log length / next position | same | undecided payloads / chosen Paxos slots |
+//!
+//! There is deliberately no trait over [`World`] between the two: a trait
+//! implemented once for `World<M>` plus provided methods calling it would be
+//! the same forwarding written twice. The generic impl needs neither, stays
+//! object-safe (`Box<dyn TcsCluster>` is what `ratc-harness`'s `ClusterSpec`
+//! hands out) and monomorphises to the code each stack ran before.
+//!
+//! The harness mirrors what an operator would deploy around the protocol; it
+//! contains no protocol logic of its own. White-box consumers reach a
+//! stack's actors through the public [`Deployment::world`]
+//! (`cluster.world.actor::<Replica>(pid)`) and its topology through
+//! [`Deployment::stack`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
-use ratc_config::ShardConfiguration;
-use ratc_sim::{ExecutionMode, SimConfig, SimDuration, SimTime, World};
+use ratc_config::{ShardConfigRegistry, ShardConfiguration};
+use ratc_sim::faults::LinkFault;
+use ratc_sim::metrics::MsgTypeCounters;
+use ratc_sim::{
+    fold_timelines, Blackout, CtrlEvent, CtrlMilestone, ExecutionMode, LatencyUnit, PhaseBreakdown,
+    SimConfig, SimDuration, SimTime, TxMilestone, TxObsEvent, TxTimeline, World,
+};
 use ratc_types::{
     CertificationPolicy, Epoch, HashSharding, Payload, ProcessId, Serializability, ShardId,
     ShardMap, TcsHistory, TxId,
 };
 
 use crate::batch::BatchingConfig;
-use crate::client::{ClientActor, DecisionLatency};
+use crate::client::{ClientActor, ClientMsg, DecisionLatency};
 use crate::config_service::ConfigServiceActor;
 use crate::flow::FlowControlConfig;
+use crate::log::TxPhase;
 use crate::messages::Msg;
-use crate::replica::{Replica, TruncationConfig};
+use crate::replica::{Replica, Status, TruncationConfig};
 
-/// Configuration of a simulated RATC deployment.
+/// Configuration of a simulated deployment, shared by every [`Stack`].
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of shards.
     pub shards: u32,
-    /// Replicas per shard (`f + 1` to tolerate `f` failures between
-    /// reconfigurations).
+    /// Replicas per shard: `f + 1` on the RATC stacks to tolerate `f`
+    /// failures between reconfigurations, `2f + 1` on the baseline (whose
+    /// transaction-manager group gets as many).
     pub replicas_per_shard: usize,
-    /// Spare (fresh) replicas per shard available to reconfiguration.
+    /// Spare (fresh) replicas per shard available to reconfiguration (none
+    /// are deployed on the baseline).
     pub spares_per_shard: usize,
     /// The certification policy (isolation level).
     pub policy: Arc<dyn CertificationPolicy>,
     /// Checkpointed log truncation (default: enabled, batch 32), applied to
-    /// every replica and spare.
+    /// every replica and spare (the baseline prunes decided payloads
+    /// unconditionally instead).
     pub truncation: TruncationConfig,
     /// Batched certification pipeline (default: disabled), applied to every
     /// replica and spare.
@@ -67,8 +123,8 @@ impl Default for ClusterConfig {
     }
 }
 
-impl std::fmt::Debug for ClusterConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for ClusterConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterConfig")
             .field("shards", &self.shards)
             .field("replicas_per_shard", &self.replicas_per_shard)
@@ -140,67 +196,771 @@ impl ClusterConfig {
     }
 }
 
-/// A fully wired simulated deployment of the message-passing protocol.
-pub struct Cluster {
-    /// The simulation world; exposed so tests can crash processes, inspect
-    /// metrics and traces, or step the simulation manually.
-    pub world: World<Msg>,
-    sharding: Arc<HashSharding>,
-    cs: ProcessId,
-    client: ProcessId,
-    members: BTreeMap<ShardId, Vec<ProcessId>>,
-    spares: BTreeMap<ShardId, Vec<ProcessId>>,
-    replicas_per_shard: usize,
-    next_coordinator: usize,
-    execution: ExecutionMode,
+/// Which TCS implementation a cluster (or an experiment, or a chaos run)
+/// uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum StackKind {
+    /// The message-passing RATC protocol (`ratc-core`, §3, Figure 1):
+    /// `f + 1` replicas per shard, 5-message-delay decisions, per-shard
+    /// Vertical-Paxos-style reconfiguration.
+    Core,
+    /// The RDMA-based RATC protocol (`ratc-rdma`, §5, Figures 7–8) with the
+    /// correct whole-system reconfiguration: votes and decisions persisted
+    /// by NIC-acknowledged RDMA writes, global epochs, probing closes stale
+    /// coordinators' connections.
+    Rdma,
+    /// The RDMA data path combined with the **incorrect** naive per-shard
+    /// reconfiguration of §3 — the Figure 4a counter-example's hunting
+    /// ground. Unsafe by design; exists to reproduce the violation class.
+    RdmaNaive,
+    /// The vanilla 2PC-over-Paxos baseline (`ratc-baseline`, §1): `2f + 1`
+    /// replicas per group, 7-message-delay decisions, failures masked by
+    /// Paxos quorums instead of reconfiguration (the lineage of Gray &
+    /// Lamport's *Consensus on Transaction Commit*).
+    Baseline,
 }
 
-impl std::fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("shards", &self.members.len())
-            .field("cs", &self.cs)
-            .field("client", &self.client)
-            .finish()
+impl fmt::Display for StackKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StackKind::Core => f.write_str("ratc-mp"),
+            StackKind::Rdma => f.write_str("ratc-rdma"),
+            StackKind::RdmaNaive => f.write_str("ratc-rdma-naive"),
+            StackKind::Baseline => f.write_str("2pc-paxos"),
+        }
     }
 }
 
-impl Cluster {
-    /// Builds a cluster: replicas and spares per shard, the configuration
-    /// service and one client.
-    pub fn new(config: ClusterConfig) -> Self {
-        let sharding = Arc::new(HashSharding::new(config.shards));
-        let mut world: World<Msg> = World::new(config.sim.clone());
+/// One deployed TCS cluster, whatever the stack.
+///
+/// The trait captures the full operator surface the workspace's consumers
+/// need: experiments drive `submit`/`run_*`/`latencies`, the chaos nemesis
+/// adds `crash`/`restart`/link faults/`start_reconfiguration`, and the spec
+/// suites observe `history` and the introspection queries. Its one
+/// implementation is [`Deployment`], over [`Cluster`]'s `CoreStack` (§3
+/// message passing), `ratc-rdma`'s `RdmaStack` (§5 RDMA) and
+/// `ratc-baseline`'s `BaselineStack` (2PC over Paxos); construct them
+/// uniformly with `ratc-harness`'s `ClusterSpec`.
+pub trait TcsCluster {
+    /// The stack this cluster implements.
+    fn stack(&self) -> StackKind;
 
-        // Create the replicas of every shard, then the spares.
-        let mut members: BTreeMap<ShardId, Vec<ProcessId>> = BTreeMap::new();
-        let mut spares: BTreeMap<ShardId, Vec<ProcessId>> = BTreeMap::new();
-        for shard_idx in 0..config.shards {
-            let shard = ShardId::new(shard_idx);
-            let mut shard_members = Vec::new();
-            for _ in 0..config.replicas_per_shard {
-                let pid = world.add_actor(Replica::new(
-                    shard,
-                    config.policy.as_ref(),
-                    sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                ));
-                shard_members.push(pid);
+    // --- submission -------------------------------------------------------
+
+    /// Submits a transaction for certification, letting the harness choose a
+    /// coordinator (round-robin over live replicas on the RATC stacks, the
+    /// transaction-manager leader on the baseline). Returns the coordinator.
+    /// With every candidate crashed the submission goes to a crashed one: the
+    /// message is dropped, the transaction stays in the history undecided,
+    /// and recovery ([`TcsCluster::resubmit`]) re-drives it.
+    fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId;
+
+    /// Submits a transaction through a specific coordinator — any replica on
+    /// the RATC stacks, any transaction-manager group member on the baseline
+    /// (non-leader members forward to the leader).
+    fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId);
+
+    /// Re-drives an already-submitted transaction without re-recording it in
+    /// the client history (the client retry of the TCS model).
+    fn resubmit(&mut self, tx: TxId, payload: Payload);
+
+    /// Asks `replica` to act as a recovery coordinator for `tx` (the `retry`
+    /// function of Figure 1). No-op on the baseline, whose transaction
+    /// manager re-drives 2PC through its own retry timer.
+    fn retry(&mut self, replica: ProcessId, tx: TxId);
+
+    // --- faults and membership change -------------------------------------
+
+    /// Crashes a process immediately (volatile state lost).
+    fn crash(&mut self, pid: ProcessId);
+
+    /// Restarts a crashed process from its modelled stable storage. Returns
+    /// `false` if `pid` was not crashed.
+    fn restart(&mut self, pid: ProcessId) -> bool;
+
+    /// Asks `initiator` to start reconfiguring `shard`, excluding `exclude`
+    /// and drawing replacements from the spare pool. No-op on stacks without
+    /// reconfiguration (see [`TcsCluster::supports_reconfiguration`]).
+    fn start_reconfiguration(
+        &mut self,
+        shard: ShardId,
+        initiator: ProcessId,
+        exclude: Vec<ProcessId>,
+    );
+
+    // --- simulated time ----------------------------------------------------
+
+    /// Runs the simulation until no events remain.
+    fn run_to_quiescence(&mut self);
+
+    /// Runs the simulation for `duration` of simulated time.
+    fn run_for(&mut self, duration: SimDuration);
+
+    /// Runs the simulation until the given absolute simulated time.
+    fn run_until(&mut self, until: SimTime);
+
+    /// The current simulated time.
+    fn now(&self) -> SimTime;
+
+    /// Events executed so far — a determinism fingerprint.
+    fn steps(&self) -> u64;
+
+    // --- observation -------------------------------------------------------
+
+    /// The client-observed TCS history.
+    fn history(&self) -> TcsHistory;
+
+    /// Latency (message delays, simulated microseconds, decision) of every
+    /// decided transaction, as observed by the client.
+    fn latencies(&self) -> BTreeMap<TxId, DecisionLatency>;
+
+    /// Structural specification violations the client observed (duplicate
+    /// certifies, contradictory decisions). Empty in a correct run.
+    fn client_violations(&self) -> Vec<String>;
+
+    /// A named metrics counter of the underlying simulation world.
+    fn counter(&self, name: &str) -> u64;
+
+    /// Mean of a named metrics sample series, if any samples were recorded.
+    // analyze:allow(float-state): a read of the metrics sink, not protocol state
+    fn sample_mean(&self, name: &str) -> Option<f64>;
+
+    /// Estimated percentile (`pct` in `0..=100`) of a named metrics sample
+    /// series, from the streaming log-bucketed histogram every
+    /// [`Summary`](ratc_sim::metrics::Summary) maintains (relative error
+    /// ≤ ~9%). `None` if no samples were recorded.
+    // analyze:allow(float-state): a read of the metrics sink, not protocol state
+    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64>;
+
+    /// The unit of every latency and timestamp this cluster reports:
+    /// [`LatencyUnit::VirtualMicros`] under
+    /// [`ExecutionMode::Sim`], [`LatencyUnit::WallMicros`] under
+    /// [`ExecutionMode::Threads`].
+    fn latency_unit(&self) -> LatencyUnit;
+
+    /// Raw transaction-lifecycle observability events, in recording order.
+    /// Empty unless the cluster was built with observability enabled
+    /// ([`SimConfig::with_observability`], `ClusterSpec::with_observability`).
+    fn obs_events(&self) -> Vec<TxObsEvent>;
+
+    /// Per-transaction lifecycle timelines, folded from
+    /// [`TcsCluster::obs_events`] and keyed by transaction.
+    fn timelines(&self) -> BTreeMap<TxId, TxTimeline> {
+        fold_timelines(&self.obs_events())
+    }
+
+    /// Per-phase latency attribution of every transaction whose timeline is
+    /// complete (submission and client-learned decision both stamped). The
+    /// phases of each breakdown sum exactly to its end-to-end latency, in
+    /// the cluster's [`TcsCluster::latency_unit`].
+    fn phase_breakdown(&self) -> BTreeMap<TxId, PhaseBreakdown> {
+        self.timelines()
+            .iter()
+            .filter_map(|(tx, timeline)| {
+                PhaseBreakdown::from_timeline(timeline).map(|breakdown| (*tx, breakdown))
+            })
+            .collect()
+    }
+
+    /// Raw control-plane observability events — reconfiguration milestones,
+    /// crash/restart/recovery spans, leader and coordinator handoffs, and any
+    /// harness-injected fault markers — in recording order. Empty unless the
+    /// cluster was built with observability enabled
+    /// ([`SimConfig::with_observability`], `ClusterSpec::with_observability`).
+    fn ctrl_events(&self) -> Vec<CtrlEvent>;
+
+    /// Stamps a control-plane event into the cluster's event stream on behalf
+    /// of an external harness. The chaos nemesis records
+    /// [`CtrlMilestone::FaultInjected`] / [`CtrlMilestone::FaultHealed`] here
+    /// so a single time-ordered forensic log merges protocol milestones with
+    /// the faults that caused them. A no-op unless observability is enabled —
+    /// it only appends to a metrics buffer and never touches the schedule.
+    fn record_ctrl(
+        &mut self,
+        by: ProcessId,
+        milestone: CtrlMilestone,
+        shard: Option<ShardId>,
+        note: &str,
+    );
+
+    /// Per-shard availability windows derived from the control-plane stream:
+    /// each window opens at the first degrading event
+    /// ([`CtrlMilestone::degrades`]) touching a shard and closes at the first
+    /// transaction decided on that shard strictly after the last degrading
+    /// event. Substrate events recorded without a shard (crashes and restarts
+    /// are stamped by process) are attributed to the crashed process's shard
+    /// via the initial roster and spare pools before the windows are computed.
+    fn blackouts(&self) -> Vec<Blackout> {
+        let mut shard_of: BTreeMap<ProcessId, ShardId> = BTreeMap::new();
+        for shard in self.shards() {
+            for pid in self
+                .roster_of(shard)
+                .into_iter()
+                .chain(self.spares_of(shard))
+            {
+                shard_of.insert(pid, shard);
             }
-            members.insert(shard, shard_members);
-            let mut shard_spares = Vec::new();
-            for _ in 0..config.spares_per_shard {
-                let pid = world.add_actor(Replica::new(
-                    shard,
-                    config.policy.as_ref(),
-                    sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                ));
-                shard_spares.push(pid);
-            }
-            spares.insert(shard, shard_spares);
         }
+        let mut ctrl = self.ctrl_events();
+        for event in &mut ctrl {
+            if event.shard.is_none() {
+                event.shard = shard_of.get(&event.by).copied();
+            }
+        }
+        let decided = ratc_sim::decided_times_per_shard(&self.obs_events());
+        ratc_sim::blackouts(&ctrl, &decided)
+    }
+
+    /// Per-message-type send/deliver counters (label → counts), sorted by
+    /// message-type label. Empty unless observability is enabled.
+    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)>;
+
+    /// Messages handled (sent + received) by one process.
+    fn process_handled(&self, pid: ProcessId) -> u64;
+
+    // --- topology introspection --------------------------------------------
+
+    /// All shards of this cluster.
+    fn shards(&self) -> Vec<ShardId>;
+
+    /// The shard map used by this cluster.
+    fn sharding(&self) -> &HashSharding;
+
+    /// The history-recording client process.
+    fn client_id(&self) -> ProcessId;
+
+    /// The configuration-service process, on stacks that have one.
+    fn config_service_id(&self) -> Option<ProcessId>;
+
+    /// The *current* members of `shard` (after any reconfigurations).
+    fn members_of(&self, shard: ShardId) -> Vec<ProcessId>;
+
+    /// The *current* leader of `shard`, if the shard has a configuration.
+    fn leader_of(&self, shard: ShardId) -> Option<ProcessId>;
+
+    /// The current epoch of `shard`. Global-epoch stacks report the global
+    /// epoch for every shard; the baseline has no reconfiguration and always
+    /// reports [`Epoch::ZERO`].
+    fn epoch_of(&self, shard: ShardId) -> Epoch;
+
+    /// The initial roster of `shard` (its members at construction time).
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId>;
+
+    /// The spare (fresh) replicas of `shard` available to reconfiguration.
+    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId>;
+
+    /// The processes a harness may hand submissions to: every replica and
+    /// spare on the RATC stacks, the transaction-manager group (leader
+    /// first) on the baseline.
+    fn coordinator_pool(&self) -> Vec<ProcessId>;
+
+    /// Every faultable protocol process (replicas, spares, and the
+    /// transaction-manager group on the baseline) — excludes the client and
+    /// the configuration service.
+    fn all_processes(&self) -> Vec<ProcessId>;
+
+    /// Whether `pid` is currently crashed.
+    fn is_crashed(&self, pid: ProcessId) -> bool;
+
+    // --- capabilities and protocol state ------------------------------------
+
+    /// Whether the stack recovers from failures by reconfiguring (`f + 1`
+    /// RATC stacks) rather than masking them with a quorum (the `2f + 1`
+    /// baseline).
+    fn supports_reconfiguration(&self) -> bool;
+
+    /// Whether one reconfiguration involves the whole system (the §5 RDMA
+    /// protocol) instead of a single shard.
+    fn reconfiguration_is_global(&self) -> bool;
+
+    /// Whether arbitrary replicas coordinate transactions (RATC) as opposed
+    /// to a dedicated transaction-manager group (baseline).
+    fn replicas_coordinate(&self) -> bool;
+
+    /// Whether `pid` is ready to initiate work: initialised in the current
+    /// configuration with no reconfiguration of its own in flight. On the
+    /// baseline every non-crashed process is ready.
+    fn replica_ready(&self, pid: ProcessId) -> bool;
+
+    /// Whether `shard` looks fully operational: every current member live,
+    /// initialised, at the current epoch, with the expected leader/follower
+    /// status. Always `true` on the baseline (failures are masked; recovery
+    /// is restart-driven).
+    fn shard_operational(&self, shard: ShardId) -> bool;
+
+    /// Transactions the current leader of `shard` holds prepared but
+    /// undecided. Empty on the baseline (votes are decided by the TM).
+    fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId>;
+
+    /// Physical certification-log slots (or undecided payloads, on the
+    /// baseline) retained by `pid`, if `pid` keeps a shard log.
+    fn retained_log_slots(&self, pid: ProcessId) -> Option<usize>;
+
+    /// Logical certification-log length at `pid` — what retention would be
+    /// without truncation/pruning — if `pid` keeps a shard log.
+    fn logical_log_len(&self, pid: ProcessId) -> Option<u64>;
+
+    // --- fault plane --------------------------------------------------------
+
+    /// Installs a probabilistic fault on the directed link `from → to`.
+    fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: LinkFault);
+
+    /// Installs (or clears) fabric-wide background noise.
+    fn set_default_link_fault(&mut self, fault: Option<LinkFault>);
+
+    /// Installs a named partition: traffic between different groups drops.
+    fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>);
+
+    /// Heals every link fault, cut and partition (crashed processes stay
+    /// crashed).
+    fn heal_all_faults(&mut self);
+
+    /// Exempts a process from all fault injection (used for the
+    /// history-recording client — the measurement apparatus).
+    fn mark_fault_exempt(&mut self, pid: ProcessId);
+}
+
+/// The per-stack part of a [`Deployment`]: which processes a protocol
+/// deploys, who coordinates, how (and whether) it reconfigures, and how its
+/// replicas' state is read. Everything else is written once in
+/// [`Deployment`]'s `impl TcsCluster`; the module documentation tabulates how
+/// the three implementations differ, method by method.
+///
+/// Queries that read live actor state are handed the deployment's `world`;
+/// the two triggers return the message to inject, if the stack has one.
+pub trait Stack: 'static {
+    /// The stack's message vocabulary.
+    type Msg: ClientMsg + Clone + fmt::Debug + Send + 'static;
+
+    /// Adds the stack's processes to the (empty) `world`, installs their
+    /// initial configuration and the knobs of `config`, and records the
+    /// topology in `self`. The deployment adds the client afterwards.
+    fn build(
+        &mut self,
+        world: &mut World<Self::Msg>,
+        config: &ClusterConfig,
+        sharding: &Arc<HashSharding>,
+    );
+
+    /// The protocol this stack realises.
+    fn kind(&self) -> StackKind;
+
+    /// See [`TcsCluster::supports_reconfiguration`].
+    fn supports_reconfiguration(&self) -> bool;
+
+    /// See [`TcsCluster::reconfiguration_is_global`].
+    fn reconfiguration_is_global(&self) -> bool;
+
+    /// See [`TcsCluster::replicas_coordinate`].
+    fn replicas_coordinate(&self) -> bool;
+
+    /// The processes [`TcsCluster::submit`] round-robins over (it skips the
+    /// crashed ones while any is live).
+    fn submit_pool(&self) -> Vec<ProcessId>;
+
+    /// Where a client retry of a transaction spanning `shards` goes, if
+    /// anywhere.
+    fn resubmit_target(&self, world: &World<Self::Msg>, shards: &[ShardId]) -> Option<ProcessId>;
+
+    /// The message asking a replica to become recovery coordinator of `tx`.
+    fn retry(&self, tx: TxId) -> Option<Self::Msg>;
+
+    /// The message asking a replica to reconfigure `shard` without `exclude`.
+    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<Self::Msg>;
+
+    /// See [`TcsCluster::members_of`].
+    fn members_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Vec<ProcessId>;
+
+    /// See [`TcsCluster::leader_of`].
+    fn leader_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Option<ProcessId>;
+
+    /// See [`TcsCluster::epoch_of`].
+    fn epoch_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Epoch;
+
+    /// See [`TcsCluster::roster_of`].
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId>;
+
+    /// See [`TcsCluster::spares_of`].
+    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId>;
+
+    /// See [`TcsCluster::coordinator_pool`].
+    fn coordinator_pool(&self) -> Vec<ProcessId>;
+
+    /// See [`TcsCluster::all_processes`].
+    fn all_processes(&self) -> Vec<ProcessId>;
+
+    /// See [`TcsCluster::config_service_id`].
+    fn config_service_id(&self) -> Option<ProcessId>;
+
+    /// See [`TcsCluster::replica_ready`].
+    fn replica_ready(&self, world: &World<Self::Msg>, pid: ProcessId) -> bool;
+
+    /// See [`TcsCluster::shard_operational`].
+    fn shard_operational(&self, world: &World<Self::Msg>, shard: ShardId) -> bool;
+
+    /// See [`TcsCluster::prepared_transactions`].
+    fn prepared_transactions(&self, world: &World<Self::Msg>, shard: ShardId) -> Vec<TxId>;
+
+    /// See [`TcsCluster::retained_log_slots`].
+    fn retained_log_slots(&self, world: &World<Self::Msg>, pid: ProcessId) -> Option<usize>;
+
+    /// See [`TcsCluster::logical_log_len`].
+    fn logical_log_len(&self, world: &World<Self::Msg>, pid: ProcessId) -> Option<u64>;
+}
+
+/// A fully wired deployment of stack `S`: its processes (see
+/// [`Stack::build`]), one history-recording client, and the world that runs
+/// them on either engine.
+pub struct Deployment<S: Stack> {
+    /// The simulation world; exposed so tests can inspect actors, metrics
+    /// and traces, inject hand-made messages, or step the simulation
+    /// manually.
+    pub world: World<S::Msg>,
+    /// The stack's topology and protocol-specific operations.
+    pub stack: S,
+    sharding: Arc<HashSharding>,
+    client: ProcessId,
+    execution: ExecutionMode,
+    next_coordinator: usize,
+}
+
+impl<S: Stack> Deployment<S> {
+    /// Deploys `stack` as `config` describes, then one client.
+    pub fn new(mut stack: S, config: ClusterConfig) -> Self {
+        let sharding = Arc::new(HashSharding::new(config.shards));
+        let mut world = World::new(config.sim.clone());
+        stack.build(&mut world, &config, &sharding);
+        // Decision acknowledgements are leg 1 of decision-map compaction;
+        // only a stack whose vocabulary has the message ever sends one.
+        let client = world.add_actor(ClientActor::<S::Msg>::new(config.truncation.compaction));
+        Deployment {
+            world,
+            stack,
+            sharding,
+            client,
+            execution: config.execution,
+            next_coordinator: 0,
+        }
+    }
+
+    fn client(&self) -> &ClientActor<S::Msg> {
+        self.world.actor(self.client).expect("client")
+    }
+}
+
+impl<S: Stack> TcsCluster for Deployment<S> {
+    fn stack(&self) -> StackKind {
+        self.stack.kind()
+    }
+
+    fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
+        let mut pool = self.stack.submit_pool();
+        pool.retain(|p| !self.world.is_crashed(*p));
+        if pool.is_empty() {
+            // The cluster is down: the request goes to a crashed process.
+            pool = self.stack.submit_pool();
+        }
+        let coordinator = pool[self.next_coordinator % pool.len()];
+        self.next_coordinator += 1;
+        self.submit_via(tx, payload, coordinator);
+        coordinator
+    }
+
+    fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
+        let now = self.world.now();
+        self.world
+            .actor_mut::<ClientActor<S::Msg>>(self.client)
+            .expect("client")
+            .record_certify(tx, payload.clone(), now);
+        self.world
+            .obs_milestone(tx, TxMilestone::Submitted, self.client);
+        self.world
+            .send_external(coordinator, S::Msg::certify(tx, payload, self.client));
+    }
+
+    fn resubmit(&mut self, tx: TxId, payload: Payload) {
+        let shards = payload.shards(self.sharding.as_ref());
+        if let Some(target) = self.stack.resubmit_target(&self.world, &shards) {
+            self.world
+                .send_external(target, S::Msg::certify(tx, payload, self.client));
+        }
+    }
+
+    fn retry(&mut self, replica: ProcessId, tx: TxId) {
+        if let Some(msg) = self.stack.retry(tx) {
+            self.world.send_external(replica, msg);
+        }
+    }
+
+    fn crash(&mut self, pid: ProcessId) {
+        self.world.crash(pid);
+    }
+
+    fn restart(&mut self, pid: ProcessId) -> bool {
+        self.world.restart(pid)
+    }
+
+    fn start_reconfiguration(
+        &mut self,
+        shard: ShardId,
+        initiator: ProcessId,
+        exclude: Vec<ProcessId>,
+    ) {
+        if let Some(msg) = self.stack.start_reconfiguration(shard, exclude) {
+            self.world.send_external(initiator, msg);
+        }
+    }
+
+    fn run_to_quiescence(&mut self) {
+        match self.execution {
+            ExecutionMode::Sim => self.world.run(),
+            ExecutionMode::Threads => self.world.run_threaded(),
+        };
+    }
+
+    fn run_for(&mut self, duration: SimDuration) {
+        let until = self.world.now() + duration;
+        self.run_until(until);
+    }
+
+    fn run_until(&mut self, until: SimTime) {
+        match self.execution {
+            ExecutionMode::Sim => self.world.run_until(until),
+            ExecutionMode::Threads => self.world.run_threaded_until(until),
+        };
+    }
+
+    fn now(&self) -> SimTime {
+        self.world.now()
+    }
+
+    fn steps(&self) -> u64 {
+        self.world.steps()
+    }
+
+    fn history(&self) -> TcsHistory {
+        self.client().history().clone()
+    }
+
+    fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
+        self.client().latencies().clone()
+    }
+
+    fn client_violations(&self) -> Vec<String> {
+        self.client().violations().to_vec()
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.world.metrics().counter(name)
+    }
+
+    // analyze:allow(float-state): a read of the metrics sink, not protocol state
+    fn sample_mean(&self, name: &str) -> Option<f64> {
+        self.world.metrics().summary(name).map(|s| s.mean())
+    }
+
+    // analyze:allow(float-state): a read of the metrics sink, not protocol state
+    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
+        self.world
+            .metrics()
+            .summary(name)
+            .map(|s| s.percentile(pct))
+    }
+
+    fn latency_unit(&self) -> LatencyUnit {
+        match self.execution {
+            ExecutionMode::Sim => LatencyUnit::VirtualMicros,
+            ExecutionMode::Threads => LatencyUnit::WallMicros,
+        }
+    }
+
+    fn obs_events(&self) -> Vec<TxObsEvent> {
+        self.world.metrics().obs_events().to_vec()
+    }
+
+    fn ctrl_events(&self) -> Vec<CtrlEvent> {
+        self.world.metrics().ctrl_events().to_vec()
+    }
+
+    fn record_ctrl(
+        &mut self,
+        by: ProcessId,
+        milestone: CtrlMilestone,
+        shard: Option<ShardId>,
+        note: &str,
+    ) {
+        self.world.ctrl_milestone(by, milestone, shard, note);
+    }
+
+    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
+        self.world
+            .metrics()
+            .msg_type_counters()
+            .map(|(label, counters)| (label.to_owned(), counters))
+            .collect()
+    }
+
+    fn process_handled(&self, pid: ProcessId) -> u64 {
+        self.world.metrics().process(pid).handled()
+    }
+
+    fn shards(&self) -> Vec<ShardId> {
+        self.sharding.shards()
+    }
+
+    fn sharding(&self) -> &HashSharding {
+        &self.sharding
+    }
+
+    fn client_id(&self) -> ProcessId {
+        self.client
+    }
+
+    fn config_service_id(&self) -> Option<ProcessId> {
+        self.stack.config_service_id()
+    }
+
+    fn members_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.stack.members_of(&self.world, shard)
+    }
+
+    fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
+        self.stack.leader_of(&self.world, shard)
+    }
+
+    fn epoch_of(&self, shard: ShardId) -> Epoch {
+        self.stack.epoch_of(&self.world, shard)
+    }
+
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.stack.roster_of(shard)
+    }
+
+    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.stack.spares_of(shard)
+    }
+
+    fn coordinator_pool(&self) -> Vec<ProcessId> {
+        self.stack.coordinator_pool()
+    }
+
+    fn all_processes(&self) -> Vec<ProcessId> {
+        self.stack.all_processes()
+    }
+
+    fn is_crashed(&self, pid: ProcessId) -> bool {
+        self.world.is_crashed(pid)
+    }
+
+    fn supports_reconfiguration(&self) -> bool {
+        self.stack.supports_reconfiguration()
+    }
+
+    fn reconfiguration_is_global(&self) -> bool {
+        self.stack.reconfiguration_is_global()
+    }
+
+    fn replicas_coordinate(&self) -> bool {
+        self.stack.replicas_coordinate()
+    }
+
+    fn replica_ready(&self, pid: ProcessId) -> bool {
+        self.stack.replica_ready(&self.world, pid)
+    }
+
+    fn shard_operational(&self, shard: ShardId) -> bool {
+        self.stack.shard_operational(&self.world, shard)
+    }
+
+    fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId> {
+        self.stack.prepared_transactions(&self.world, shard)
+    }
+
+    fn retained_log_slots(&self, pid: ProcessId) -> Option<usize> {
+        self.stack.retained_log_slots(&self.world, pid)
+    }
+
+    fn logical_log_len(&self, pid: ProcessId) -> Option<u64> {
+        self.stack.logical_log_len(&self.world, pid)
+    }
+
+    fn set_link_fault(&mut self, from: ProcessId, to: ProcessId, fault: LinkFault) {
+        self.world.set_link_fault(from, to, fault);
+    }
+
+    fn set_default_link_fault(&mut self, fault: Option<LinkFault>) {
+        self.world.set_default_link_fault(fault);
+    }
+
+    fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>) {
+        self.world.install_partition(name, groups);
+    }
+
+    fn heal_all_faults(&mut self) {
+        self.world.heal_all_faults();
+    }
+
+    fn mark_fault_exempt(&mut self, pid: ProcessId) {
+        self.world.mark_fault_exempt(pid);
+    }
+}
+
+/// A deployment of the message-passing protocol (§3).
+pub type Cluster = Deployment<CoreStack>;
+
+/// The message-passing protocol's side of a [`Deployment`]: `f + 1`
+/// [`Replica`]s and a pool of spares per shard, and the per-shard
+/// configuration service.
+#[derive(Debug, Default)]
+pub struct CoreStack {
+    /// The configuration service (`None` until built).
+    cs: Option<ProcessId>,
+    members: BTreeMap<ShardId, Vec<ProcessId>>,
+    spares: BTreeMap<ShardId, Vec<ProcessId>>,
+    replicas_per_shard: usize,
+}
+
+impl CoreStack {
+    fn registry<'w>(&self, world: &'w World<Msg>) -> &'w ShardConfigRegistry {
+        self.cs
+            .and_then(|cs| world.actor::<ConfigServiceActor>(cs))
+            .expect("configuration service")
+            .registry()
+    }
+}
+
+impl Stack for CoreStack {
+    type Msg = Msg;
+
+    fn build(
+        &mut self,
+        world: &mut World<Msg>,
+        config: &ClusterConfig,
+        sharding: &Arc<HashSharding>,
+    ) {
+        // Create the replicas of every shard, then the spares.
+        for shard in sharding.shards() {
+            for (pool, count) in [
+                (&mut self.members, config.replicas_per_shard),
+                (&mut self.spares, config.spares_per_shard),
+            ] {
+                let pids = (0..count)
+                    .map(|_| {
+                        world.add_actor(Replica::new(
+                            shard,
+                            config.policy.as_ref(),
+                            sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
+                        ))
+                    })
+                    .collect();
+                pool.insert(shard, pids);
+            }
+        }
+        self.replicas_per_shard = config.replicas_per_shard;
 
         // Initial configurations: the first replica of each shard leads.
-        let initial: BTreeMap<ShardId, ShardConfiguration> = members
+        let initial: BTreeMap<ShardId, ShardConfiguration> = self
+            .members
             .iter()
             .map(|(shard, shard_members)| {
                 (
@@ -209,277 +969,153 @@ impl Cluster {
                 )
             })
             .collect();
-
         let cs = world.add_actor(ConfigServiceActor::new(
             initial.iter().map(|(s, c)| (*s, c.clone())),
         ));
-        let client = world.add_actor(ClientActor::new());
-        if config.truncation.compaction {
-            world
-                .actor_mut::<ClientActor>(client)
-                .expect("client")
-                .set_ack_decisions(true);
-        }
+        self.cs = Some(cs);
 
         // Install the initial view at every replica (members and spares).
-        for (shard, shard_members) in &members {
-            for pid in shard_members {
+        for (pool, is_member) in [(&self.members, true), (&self.spares, false)] {
+            for pid in pool.values().flatten() {
                 let replica = world.actor_mut::<Replica>(*pid).expect("replica");
-                replica.install_initial_config(*pid, cs, &initial, true);
-                replica.set_truncation(config.truncation);
-                replica.set_batching(config.batching);
-                replica.set_flow(config.flow);
-            }
-            for pid in &spares[shard] {
-                let replica = world.actor_mut::<Replica>(*pid).expect("spare replica");
-                replica.install_initial_config(*pid, cs, &initial, false);
+                replica.install_initial_config(*pid, cs, &initial, is_member);
                 replica.set_truncation(config.truncation);
                 replica.set_batching(config.batching);
                 replica.set_flow(config.flow);
             }
         }
-
-        Cluster {
-            world,
-            sharding,
-            cs,
-            client,
-            members,
-            spares,
-            replicas_per_shard: config.replicas_per_shard,
-            next_coordinator: 0,
-            execution: config.execution,
-        }
     }
 
-    /// The shard map used by this cluster.
-    pub fn sharding(&self) -> &HashSharding {
-        &self.sharding
+    fn kind(&self) -> StackKind {
+        StackKind::Core
     }
 
-    /// The client process.
-    pub fn client_id(&self) -> ProcessId {
-        self.client
+    fn supports_reconfiguration(&self) -> bool {
+        true
     }
 
-    /// The configuration-service process.
-    pub fn config_service_id(&self) -> ProcessId {
-        self.cs
+    fn reconfiguration_is_global(&self) -> bool {
+        false
     }
 
-    /// The initial members of `shard`.
-    pub fn initial_members(&self, shard: ShardId) -> &[ProcessId] {
-        self.members.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    fn replicas_coordinate(&self) -> bool {
+        true
     }
 
-    /// The spare replicas of `shard`.
-    pub fn spares(&self, shard: ShardId) -> &[ProcessId] {
-        self.spares.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    fn submit_pool(&self) -> Vec<ProcessId> {
+        self.members.values().flatten().copied().collect()
     }
 
-    /// All replicas that are currently members of some shard, according to the
-    /// configuration service.
-    pub fn current_members(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.cs_registry()
+    fn resubmit_target(&self, world: &World<Msg>, shards: &[ShardId]) -> Option<ProcessId> {
+        let leader = self.leader_of(world, *shards.first()?)?;
+        (!world.is_crashed(leader)).then_some(leader)
+    }
+
+    fn retry(&self, tx: TxId) -> Option<Msg> {
+        Some(Msg::Retry { tx })
+    }
+
+    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<Msg> {
+        Some(Msg::StartReconfigure {
+            shard,
+            spares: self.spares_of(shard),
+            target_size: self.replicas_per_shard,
+            exclude,
+        })
+    }
+
+    fn members_of(&self, world: &World<Msg>, shard: ShardId) -> Vec<ProcessId> {
+        self.registry(world)
             .get_last(shard)
             .map(|c| c.members.clone())
             .unwrap_or_default()
     }
 
-    /// The current leader of `shard` according to the configuration service.
-    pub fn current_leader(&self, shard: ShardId) -> ProcessId {
-        self.cs_registry()
+    fn leader_of(&self, world: &World<Msg>, shard: ShardId) -> Option<ProcessId> {
+        self.registry(world).get_last(shard).map(|c| c.leader)
+    }
+
+    fn epoch_of(&self, world: &World<Msg>, shard: ShardId) -> Epoch {
+        self.registry(world)
             .get_last(shard)
-            .map(|c| c.leader)
-            .expect("shard exists")
+            .map_or(Epoch::ZERO, |c| c.epoch)
     }
 
-    /// The current epoch of `shard` according to the configuration service.
-    pub fn current_epoch(&self, shard: ShardId) -> Epoch {
-        self.cs_registry()
-            .get_last(shard)
-            .map(|c| c.epoch)
-            .expect("shard exists")
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.members.get(&shard).cloned().unwrap_or_default()
     }
 
-    fn cs_registry(&self) -> &ratc_config::ShardConfigRegistry {
-        self.world
-            .actor::<ConfigServiceActor>(self.cs)
-            .expect("configuration service")
-            .registry()
+    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.spares.get(&shard).cloned().unwrap_or_default()
     }
 
-    /// All shards of this cluster.
-    pub fn shards(&self) -> Vec<ShardId> {
-        self.members.keys().copied().collect()
+    fn coordinator_pool(&self) -> Vec<ProcessId> {
+        self.all_processes()
     }
 
-    /// Downcast access to a replica's state.
-    pub fn replica(&self, pid: ProcessId) -> &Replica {
-        self.world.actor::<Replica>(pid).expect("replica")
+    fn all_processes(&self) -> Vec<ProcessId> {
+        let mut all = Vec::new();
+        for (shard, members) in &self.members {
+            all.extend(members);
+            all.extend(&self.spares[shard]);
+        }
+        all
     }
 
-    /// Submits a transaction for certification, using a round-robin choice of
-    /// coordinator replica. Returns the chosen coordinator.
-    pub fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        let all: Vec<ProcessId> = self
-            .members
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .filter(|p| !self.world.is_crashed(*p))
-            .collect();
-        let coordinator = all[self.next_coordinator % all.len()];
-        self.next_coordinator += 1;
-        self.submit_via(tx, payload, coordinator);
-        coordinator
+    fn config_service_id(&self) -> Option<ProcessId> {
+        self.cs
     }
 
-    /// Submits a transaction through a specific coordinator replica.
-    pub fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        let now = self.world.now();
-        self.world
-            .actor_mut::<ClientActor>(self.client)
-            .expect("client")
-            .record_certify(tx, payload.clone(), now);
-        self.world
-            .obs_milestone(tx, ratc_sim::TxMilestone::Submitted, self.client);
-        let client = self.client;
-        self.world.send_external(
-            coordinator,
-            Msg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
+    fn replica_ready(&self, world: &World<Msg>, pid: ProcessId) -> bool {
+        world
+            .actor::<Replica>(pid)
+            .is_some_and(|r| r.is_initialized() && !r.reconfiguration_in_flight())
     }
 
-    /// Asks `initiator` to start reconfiguring `shard`, excluding `exclude`
-    /// (e.g. crashed replicas) and drawing replacements from the shard's spare
-    /// pool. The target size is the cluster's `replicas_per_shard`.
-    pub fn start_reconfiguration(
-        &mut self,
-        shard: ShardId,
-        initiator: ProcessId,
-        exclude: Vec<ProcessId>,
-    ) {
-        let spares = self.spares.get(&shard).cloned().unwrap_or_default();
-        let target_size = self.replicas_per_shard;
-        self.world.send_external(
-            initiator,
-            Msg::StartReconfigure {
-                shard,
-                spares,
-                target_size,
-                exclude,
-            },
-        );
-    }
-
-    /// Asks `replica` to become a recovery coordinator for `tx` (the `retry`
-    /// function of Figure 1).
-    pub fn retry(&mut self, replica: ProcessId, tx: TxId) {
-        self.world.send_external(replica, Msg::Retry { tx });
-    }
-
-    /// Re-submits a transaction to the current leader of its first shard
-    /// without re-recording it in the client history: the client retry of
-    /// the TCS model, used by recovery drivers.
-    pub fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        let shards = payload.shards(self.sharding.as_ref());
-        let Some(first) = shards.first().copied() else {
-            return;
+    fn shard_operational(&self, world: &World<Msg>, shard: ShardId) -> bool {
+        let Some(config) = self.registry(world).get_last(shard) else {
+            return false;
         };
-        let target = self.current_leader(first);
-        if self.world.is_crashed(target) {
-            return;
-        }
-        let client = self.client;
-        self.world.send_external(
-            target,
-            Msg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
+        !config.members.is_empty()
+            && config.members.iter().all(|m| {
+                if world.is_crashed(*m) {
+                    return false;
+                }
+                let Some(replica) = world.actor::<Replica>(*m) else {
+                    return false;
+                };
+                let expected = if *m == config.leader {
+                    Status::Leader
+                } else {
+                    Status::Follower
+                };
+                replica.is_initialized()
+                    && replica.epoch_of(shard) == config.epoch
+                    && replica.status() == expected
+            })
     }
 
-    /// Crashes a process immediately.
-    pub fn crash(&mut self, pid: ProcessId) {
-        self.world.crash(pid);
+    fn prepared_transactions(&self, world: &World<Msg>, shard: ShardId) -> Vec<TxId> {
+        let Some(leader) = self
+            .leader_of(world, shard)
+            .and_then(|leader| world.actor::<Replica>(leader))
+        else {
+            return Vec::new();
+        };
+        leader
+            .log()
+            .entries()
+            .filter(|(_, e)| e.phase == TxPhase::Prepared)
+            .map(|(_, e)| e.tx)
+            .collect()
     }
 
-    /// Restarts a crashed replica: it recovers from its certification log
-    /// (checkpoint + suffix, the modelled stable storage) and rejoins with
-    /// all volatile state lost. Returns `false` if `pid` was not crashed.
-    pub fn restart(&mut self, pid: ProcessId) -> bool {
-        self.world.restart(pid)
+    fn retained_log_slots(&self, world: &World<Msg>, pid: ProcessId) -> Option<usize> {
+        world.actor::<Replica>(pid).map(|r| r.log().len())
     }
 
-    /// The execution engine driving this cluster's actors.
-    pub fn execution(&self) -> ExecutionMode {
-        self.execution
-    }
-
-    /// Runs the cluster until no events remain (on the configured
-    /// [`ExecutionMode`]: simulated or threaded).
-    pub fn run_to_quiescence(&mut self) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run();
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded();
-            }
-        }
-    }
-
-    /// Runs the cluster for `duration` (simulated time on the simulator,
-    /// wall-clock time on the threaded backend).
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.world.now() + duration;
-        self.run_until(until);
-    }
-
-    /// Runs the cluster until the given absolute time on the cluster's clock.
-    pub fn run_until(&mut self, until: SimTime) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run_until(until);
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded_until(until);
-            }
-        }
-    }
-
-    /// The client's recorded TCS history.
-    pub fn history(&self) -> TcsHistory {
-        self.world
-            .actor::<ClientActor>(self.client)
-            .expect("client")
-            .history()
-            .clone()
-    }
-
-    /// The client's recorded per-transaction latencies.
-    pub fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        self.world
-            .actor::<ClientActor>(self.client)
-            .expect("client")
-            .latencies()
-            .clone()
-    }
-
-    /// Structural specification violations observed by the client (always
-    /// empty in a correct run).
-    pub fn client_violations(&self) -> Vec<String> {
-        self.world
-            .actor::<ClientActor>(self.client)
-            .expect("client")
-            .violations()
-            .to_vec()
+    fn logical_log_len(&self, world: &World<Msg>, pid: ProcessId) -> Option<u64> {
+        world.actor::<Replica>(pid).map(|r| r.log().next().as_u64())
     }
 }
 
@@ -488,6 +1124,10 @@ mod tests {
     use super::*;
     use crate::batch::{Items, PrepareBatch, PrepareItem};
     use ratc_types::{Decision, Key, Value, Version};
+
+    fn replica(cluster: &Cluster, pid: ProcessId) -> &Replica {
+        cluster.world.actor::<Replica>(pid).expect("replica")
+    }
 
     fn rw_payload(key: &str, read_version: u64, commit_version: u64) -> Payload {
         Payload::builder()
@@ -500,7 +1140,7 @@ mod tests {
 
     #[test]
     fn single_transaction_commits_in_five_delays() {
-        let mut cluster = Cluster::new(ClusterConfig::default());
+        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default());
         cluster.submit(TxId::new(1), rw_payload("x", 0, 1));
         cluster.run_to_quiescence();
         let history = cluster.history();
@@ -515,7 +1155,7 @@ mod tests {
 
     #[test]
     fn conflicting_transactions_do_not_both_commit() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_seed(3));
+        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(3));
         // Both transactions read version 0 of the same key and write it: at
         // most one of them can commit under serializability.
         cluster.submit(TxId::new(1), rw_payload("hot", 0, 1));
@@ -534,7 +1174,10 @@ mod tests {
 
     #[test]
     fn disjoint_transactions_all_commit() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_shards(3).with_seed(9));
+        let mut cluster = Cluster::new(
+            CoreStack::default(),
+            ClusterConfig::default().with_shards(3).with_seed(9),
+        );
         for i in 0..20 {
             cluster.submit(TxId::new(i), rw_payload(&format!("key-{i}"), 0, 1));
         }
@@ -547,6 +1190,7 @@ mod tests {
     #[test]
     fn long_history_is_truncated_to_a_bounded_log() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(7)
@@ -560,8 +1204,8 @@ mod tests {
         assert_eq!(cluster.history().decide_count(), total as usize);
         assert!(cluster.client_violations().is_empty());
         let shard = ShardId::new(0);
-        for pid in cluster.initial_members(shard).to_vec() {
-            let log = cluster.replica(pid).log();
+        for pid in cluster.roster_of(shard).to_vec() {
+            let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > 0,
                 "member {pid} never truncated its log"
@@ -582,6 +1226,7 @@ mod tests {
     #[test]
     fn prepare_for_truncated_transaction_returns_the_decision() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(13)
@@ -592,10 +1237,9 @@ mod tests {
             cluster.run_to_quiescence();
         }
         let shard = ShardId::new(0);
-        let leader = cluster.current_leader(shard);
+        let leader = cluster.leader_of(shard).expect("leader");
         assert_eq!(
-            cluster
-                .replica(leader)
+            replica(&cluster, leader)
                 .log()
                 .truncated_decision(TxId::new(1)),
             Some(Decision::Commit),
@@ -606,7 +1250,7 @@ mod tests {
         // instead of re-certifying it as new, and the coordinator forwards
         // the (benign duplicate) decision to the client.
         let other = *cluster
-            .initial_members(shard)
+            .roster_of(shard)
             .iter()
             .find(|p| **p != leader)
             .expect("another member");
@@ -641,6 +1285,7 @@ mod tests {
     fn tx_decided_recovery_unsticks_prepared_slots_at_other_shards() {
         use ratc_types::ShardMap;
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(19)
@@ -661,18 +1306,18 @@ mod tests {
         cluster.run_to_quiescence();
         cluster.submit(TxId::new(2), rw_payload(&format!("{}x", k0.as_str()), 0, 1));
         cluster.run_to_quiescence();
-        let l0 = cluster.current_leader(s0);
+        let l0 = cluster.leader_of(s0).expect("leader");
         assert_eq!(
-            cluster.replica(l0).log().truncated_decision(TxId::new(1)),
+            replica(&cluster, l0).log().truncated_decision(TxId::new(1)),
             Some(Decision::Commit)
         );
 
         // Shard 1 "missed the decision": inject a prepare of t1 at shard 1,
         // coordinated by shard-1's follower, with no shard-0 progress — both
         // shard-1 members end up holding t1 as Prepared, undecided.
-        let l1 = cluster.current_leader(s1);
+        let l1 = cluster.leader_of(s1).expect("leader");
         let f1 = *cluster
-            .initial_members(s1)
+            .roster_of(s1)
             .iter()
             .find(|p| **p != l1)
             .expect("follower");
@@ -698,13 +1343,12 @@ mod tests {
             },
         );
         cluster.run_to_quiescence();
-        let pos1 = cluster
-            .replica(l1)
+        let pos1 = replica(&cluster, l1)
             .log()
             .position_of(TxId::new(1))
             .expect("t1 prepared at shard 1");
         assert_eq!(
-            cluster.replica(l1).log().get(pos1).unwrap().phase,
+            replica(&cluster, l1).log().get(pos1).unwrap().phase,
             crate::log::TxPhase::Prepared,
             "precondition: t1 stranded as prepared at shard 1"
         );
@@ -714,8 +1358,7 @@ mod tests {
         cluster.retry(f1, TxId::new(1));
         cluster.run_to_quiescence();
         for pid in [l1, f1] {
-            let entry = cluster
-                .replica(pid)
+            let entry = replica(&cluster, pid)
                 .log()
                 .get(pos1)
                 .expect("slot still present");
@@ -731,13 +1374,14 @@ mod tests {
     #[test]
     fn batched_pipeline_commits_disjoint_transactions() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(21)
                 .with_batching(BatchingConfig::with_batch(8)),
         );
         // Fixed coordinator so certifies actually coalesce into batches.
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         for i in 0..32u64 {
             cluster.submit_via(
                 TxId::new(i + 1),
@@ -760,12 +1404,13 @@ mod tests {
     #[test]
     fn batched_pipeline_preserves_conflict_decisions() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(23)
                 .with_batching(BatchingConfig::with_batch(4)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         // Both read version 0 of the same key and write it: they land in the
         // same batch, and at most one may commit.
         cluster.submit_via(TxId::new(1), rw_payload("hot", 0, 1), coordinator);
@@ -782,12 +1427,13 @@ mod tests {
     #[test]
     fn partially_filled_batches_are_flushed_by_the_batch_timer() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(29)
                 .with_batching(BatchingConfig::with_batch(64)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         // Far fewer submissions than max_batch: only the delay timer can
         // flush them.
         for i in 0..5u64 {
@@ -805,13 +1451,14 @@ mod tests {
     #[test]
     fn batching_interoperates_with_truncation() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(31)
                 .with_truncation(TruncationConfig::with_batch(8))
                 .with_batching(BatchingConfig::with_batch(8)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         let total = 128u64;
         for wave in 0..(total / 8) {
             for i in 0..8u64 {
@@ -825,8 +1472,8 @@ mod tests {
             cluster.run_to_quiescence();
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
-        for pid in cluster.initial_members(ShardId::new(0)).to_vec() {
-            let log = cluster.replica(pid).log();
+        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
+            let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > 0,
                 "member {pid} never truncated under batching"
@@ -842,13 +1489,14 @@ mod tests {
     #[test]
     fn compaction_bounds_the_checkpoint_on_a_10k_tx_history() {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(37)
                 .with_truncation(TruncationConfig::with_batch(8).with_compaction())
                 .with_batching(BatchingConfig::with_batch(32)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         let total = 10_000u64;
         let wave = 100u64;
         for w in 0..(total / wave) {
@@ -864,8 +1512,8 @@ mod tests {
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
         assert!(cluster.client_violations().is_empty());
-        for pid in cluster.initial_members(ShardId::new(0)).to_vec() {
-            let log = cluster.replica(pid).log();
+        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
+            let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > total - 256,
                 "member {pid} truncated only to {}",
@@ -888,17 +1536,17 @@ mod tests {
         // Every decision was acknowledged end to end exactly once, and the
         // coordinator dropped its per-transaction state on the way.
         assert_eq!(cluster.world.metrics().counter("decisions_acked"), total);
-        assert_eq!(cluster.replica(coordinator).undecided_coordinated(), 0);
+        assert_eq!(replica(&cluster, coordinator).undecided_coordinated(), 0);
         let violations = crate::invariants::check_cluster(&cluster);
         assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]
     fn reconfiguration_replaces_a_crashed_follower() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_seed(5));
+        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(5));
         let shard = ShardId::new(0);
-        let members = cluster.initial_members(shard).to_vec();
-        let leader = cluster.current_leader(shard);
+        let members = cluster.roster_of(shard).to_vec();
+        let leader = cluster.leader_of(shard).expect("leader");
         let follower = *members.iter().find(|p| **p != leader).expect("follower");
 
         // Commit one transaction first so there is state to transfer.
@@ -910,13 +1558,13 @@ mod tests {
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
 
-        let new_config = cluster.current_members(shard);
+        let new_config = cluster.members_of(shard);
         assert!(
             !new_config.contains(&follower),
             "crashed follower must be replaced"
         );
         assert_eq!(new_config.len(), 2);
-        assert_eq!(cluster.current_epoch(shard), Epoch::new(1));
+        assert_eq!(cluster.epoch_of(shard), Epoch::new(1));
 
         // The shard keeps certifying transactions after reconfiguration.
         cluster.submit(TxId::new(2), rw_payload("b", 0, 1));
@@ -930,10 +1578,11 @@ mod tests {
 
     #[test]
     fn leader_crash_is_recovered_by_promoting_the_follower() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_seed(11));
+        let mut cluster =
+            Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(11));
         let shard = ShardId::new(0);
-        let leader = cluster.current_leader(shard);
-        let members = cluster.initial_members(shard).to_vec();
+        let leader = cluster.leader_of(shard).expect("leader");
+        let members = cluster.roster_of(shard).to_vec();
         let follower = *members.iter().find(|p| **p != leader).expect("follower");
 
         cluster.submit(TxId::new(1), rw_payload("a", 0, 1));
@@ -944,8 +1593,8 @@ mod tests {
         cluster.start_reconfiguration(shard, follower, vec![leader]);
         cluster.run_to_quiescence();
 
-        assert_eq!(cluster.current_leader(shard), follower);
-        assert!(!cluster.current_members(shard).contains(&leader));
+        assert_eq!(cluster.leader_of(shard).expect("leader"), follower);
+        assert!(!cluster.members_of(shard).contains(&leader));
 
         cluster.submit(TxId::new(2), rw_payload("c", 0, 1));
         cluster.run_to_quiescence();

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use ratc_types::{Epoch, Position, ProcessId, ShardId};
 
-use crate::harness::Cluster;
+use crate::harness::{Cluster, TcsCluster};
 use crate::replica::{Replica, Status};
 
 /// A violation of one of the checked invariants.
@@ -51,15 +51,15 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<InvariantViolation> {
         // spares may have joined a later configuration).
         let mut replicas: Vec<(ProcessId, &Replica)> = Vec::new();
         for pid in cluster
-            .initial_members(shard)
-            .iter()
-            .chain(cluster.spares(shard).iter())
+            .roster_of(shard)
+            .into_iter()
+            .chain(cluster.spares_of(shard))
         {
-            if cluster.world.is_crashed(*pid) {
+            if cluster.is_crashed(pid) {
                 continue;
             }
-            let replica = cluster.replica(*pid);
-            replicas.push((*pid, replica));
+            let replica = cluster.world.actor::<Replica>(pid).expect("replica");
+            replicas.push((pid, replica));
         }
         violations.extend(check_shard(shard, &replicas));
     }
@@ -228,7 +228,7 @@ fn check_slot_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Cluster, ClusterConfig};
+    use crate::harness::{ClusterConfig, CoreStack};
     use ratc_types::{Key, Payload, TxId, Value, Version};
 
     fn rw_payload(key: &str) -> Payload {
@@ -242,7 +242,10 @@ mod tests {
 
     #[test]
     fn invariants_hold_on_a_failure_free_run() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_shards(3).with_seed(1));
+        let mut cluster = Cluster::new(
+            CoreStack::default(),
+            ClusterConfig::default().with_shards(3).with_seed(1),
+        );
         for i in 0..30 {
             cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
         }
@@ -253,16 +256,16 @@ mod tests {
 
     #[test]
     fn invariants_hold_across_a_reconfiguration() {
-        let mut cluster = Cluster::new(ClusterConfig::default().with_seed(2));
+        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(2));
         for i in 0..10 {
             cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
         }
         cluster.run_to_quiescence();
 
         let shard = ShardId::new(0);
-        let leader = cluster.current_leader(shard);
+        let leader = cluster.leader_of(shard).expect("leader");
         let follower = *cluster
-            .initial_members(shard)
+            .roster_of(shard)
             .iter()
             .find(|p| **p != leader)
             .expect("follower");

@@ -45,21 +45,25 @@
 //!   coordinator and of a reconfigurer;
 //! * [`config_service`] — the configuration-service actor (wrapping
 //!   `ratc-config`'s registry) that also pushes `CONFIG_CHANGE` notifications;
-//! * [`client`] — a client actor recording a TCS history and latency samples;
-//! * [`harness`] — [`Cluster`]: one-call construction of a full simulated
-//!   deployment (shards, replicas, spares, configuration service, client),
-//!   used by tests, examples and benchmarks;
+//! * [`client`] — the one client actor of all three stacks, recording a TCS
+//!   history and latency samples;
+//! * [`harness`] — the one deployment harness of all three stacks:
+//!   [`Deployment`] (world, client, engine) with the only `impl` of the
+//!   [`TcsCluster`] facade, over a [`Stack`] naming what differs between
+//!   the protocols; [`Cluster`] is this crate's stack deployed (shards,
+//!   replicas, spares, configuration service), as used by tests, examples
+//!   and benchmarks;
 //! * [`invariants`] — white-box checkers for the paper's key invariants
 //!   (Figure 3), evaluated over live replica state.
 //!
 //! # Quick start
 //!
 //! ```
-//! use ratc_core::harness::{Cluster, ClusterConfig};
+//! use ratc_core::harness::{Cluster, ClusterConfig, CoreStack, TcsCluster};
 //! use ratc_types::prelude::*;
 //!
 //! // 2 shards, f = 1 (two replicas each), serializability.
-//! let mut cluster = Cluster::new(ClusterConfig::default());
+//! let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default());
 //! let payload = Payload::builder()
 //!     .read(Key::new("x"), Version::new(0))
 //!     .write(Key::new("x"), Value::from("1"))
@@ -90,7 +94,7 @@ pub use batch::{BatchingConfig, PrepareBatch, VoteBatcher};
 pub use client::ClientActor;
 pub use config_service::ConfigServiceActor;
 pub use flow::{AdmissionQueue, FlowControlConfig};
-pub use harness::{Cluster, ClusterConfig};
+pub use harness::{Cluster, ClusterConfig, Deployment, Stack, StackKind, TcsCluster};
 pub use log::{CertificationLog, LogEntry, TxPhase};
 pub use messages::Msg;
 pub use replica::{Replica, Status};

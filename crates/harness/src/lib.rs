@@ -8,23 +8,28 @@
 //! Transaction Commit*). This crate makes that interchangeability a
 //! first-class API instead of a family of look-alike harnesses:
 //!
-//! * [`TcsCluster`] — the one trait every deployed cluster implements:
-//!   submission (`submit` / `submit_via` / `resubmit` / `retry`), fault
-//!   injection (`crash` / `restart`, link faults, partitions),
+//! * [`TcsCluster`] — the one trait every deployed cluster is driven
+//!   through: submission (`submit` / `submit_via` / `resubmit` / `retry`),
+//!   fault injection (`crash` / `restart`, link faults, partitions),
 //!   reconfiguration, simulated-time control, and uniform observation
 //!   (history, latencies, membership/leader/epoch introspection, violation
-//!   queries);
+//!   queries). It is defined, with its single implementation
+//!   `Deployment<S: Stack>`, in [`ratc_core::harness`] — the module doc there
+//!   tabulates what the three `Stack`s do differently — and re-exported here;
 //! * [`StackKind`] — the stack selector naming which paper protocol a
-//!   cluster realises;
+//!   cluster realises (re-exported likewise);
 //! * [`ClusterSpec`] — one builder (shards, failures tolerated, spares,
 //!   certification policy, truncation, batching, simulation seed) that
-//!   constructs any stack, replacing the three divergent `*ClusterConfig`
-//!   builders for stack-generic code.
+//!   constructs any stack: it fills in the one `ClusterConfig` every stack
+//!   is built from, with `f + 1` or `2f + 1` replicas per shard as the stack
+//!   requires.
 //!
 //! Consumers that need exactly one concrete stack (white-box invariant
 //! checkers, log-differential suites) can still reach it through
 //! [`ClusterSpec::build_core`] / [`ClusterSpec::build_rdma`] /
-//! [`ClusterSpec::build_baseline`], sharing the spec with the generic path.
+//! [`ClusterSpec::build_baseline`], sharing the spec with the generic path;
+//! what they get is the same `Deployment`, with its `world` and `stack`
+//! fields public.
 //!
 //! # Quick start
 //!
@@ -49,10 +54,9 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cluster;
 pub mod spec;
 
-pub use cluster::{StackKind, TcsCluster};
 pub use ratc_core::client::DecisionLatency;
+pub use ratc_core::harness::{StackKind, TcsCluster};
 pub use ratc_sim::ExecutionMode;
 pub use spec::ClusterSpec;

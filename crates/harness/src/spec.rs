@@ -2,16 +2,14 @@
 
 use std::sync::Arc;
 
-use ratc_baseline::{BaselineCluster, BaselineClusterConfig};
+use ratc_baseline::{BaselineCluster, BaselineStack};
 use ratc_core::batch::BatchingConfig;
 use ratc_core::flow::FlowControlConfig;
-use ratc_core::harness::{Cluster, ClusterConfig};
+use ratc_core::harness::{Cluster, ClusterConfig, CoreStack, StackKind, TcsCluster};
 use ratc_core::replica::TruncationConfig;
-use ratc_rdma::{RdmaCluster, RdmaClusterConfig, ReconfigMode};
+use ratc_rdma::{RdmaCluster, RdmaStack, ReconfigMode};
 use ratc_sim::{ExecutionMode, SimConfig};
 use ratc_types::{CertificationPolicy, Serializability};
-
-use crate::cluster::{StackKind, TcsCluster};
 
 /// A stack-agnostic deployment specification.
 ///
@@ -187,13 +185,12 @@ impl ClusterSpec {
         }
     }
 
-    /// Builds a concrete message-passing cluster from this spec (for
-    /// white-box consumers such as the invariant checkers and the
-    /// log-differential suites). Ignores [`ClusterSpec::stack`].
-    pub fn build_core(&self) -> Cluster {
-        Cluster::new(ClusterConfig {
+    /// The shared per-stack configuration this spec describes, at the given
+    /// group size.
+    fn config(&self, replicas_per_shard: usize) -> ClusterConfig {
+        ClusterConfig {
             shards: self.shards,
-            replicas_per_shard: self.failures + 1,
+            replicas_per_shard,
             spares_per_shard: self.spares_per_shard,
             policy: self.policy.clone(),
             truncation: self.truncation,
@@ -201,7 +198,14 @@ impl ClusterSpec {
             flow: self.flow,
             sim: self.sim.clone(),
             execution: self.execution,
-        })
+        }
+    }
+
+    /// Builds a concrete message-passing cluster from this spec (for
+    /// white-box consumers such as the invariant checkers and the
+    /// log-differential suites). Ignores [`ClusterSpec::stack`].
+    pub fn build_core(&self) -> Cluster {
+        Cluster::new(CoreStack::default(), self.config(self.failures + 1))
     }
 
     /// Builds a concrete RDMA cluster from this spec, in naive per-shard
@@ -213,33 +217,14 @@ impl ClusterSpec {
         } else {
             ReconfigMode::GlobalCorrect
         };
-        RdmaCluster::new(RdmaClusterConfig {
-            shards: self.shards,
-            replicas_per_shard: self.failures + 1,
-            spares_per_shard: self.spares_per_shard,
-            policy: self.policy.clone(),
-            sim: self.sim.clone(),
-            mode,
-            truncation: self.truncation,
-            batching: self.batching,
-            flow: self.flow,
-            execution: self.execution,
-        })
+        RdmaCluster::new(RdmaStack::new(mode), self.config(self.failures + 1))
     }
 
     /// Builds a concrete baseline cluster from this spec. Ignores
     /// [`ClusterSpec::stack`], the spare pool and the truncation knob (the
     /// baseline prunes decided payloads unconditionally).
     pub fn build_baseline(&self) -> BaselineCluster {
-        BaselineCluster::new(BaselineClusterConfig {
-            shards: self.shards,
-            f: self.failures,
-            policy: self.policy.clone(),
-            batching: self.batching,
-            flow: self.flow,
-            sim: self.sim.clone(),
-            execution: self.execution,
-        })
+        BaselineCluster::new(BaselineStack::default(), self.config(2 * self.failures + 1))
     }
 }
 

@@ -1,0 +1,165 @@
+//! Tests of the pieces every stack shares: the one `submit` of
+//! `ratc_core::harness::Deployment` and the one `ClientActor<M>`, each run
+//! over every stack (or every stack's message enum).
+
+use ratc_baseline::BaselineMsg;
+use ratc_core::client::{ClientActor, ClientMsg};
+use ratc_core::Msg;
+use ratc_harness::{ClusterSpec, StackKind};
+use ratc_rdma::RdmaMsg;
+use ratc_sim::{Actor, Context, SimConfig, World};
+use ratc_types::{Decision, Key, Payload, ProcessId, TxId, Value, Version};
+
+fn rw(key: &str) -> Payload {
+    Payload::builder()
+        .read(Key::new(key), Version::new(0))
+        .write(Key::new(key), Value::from("v"))
+        .commit_version(Version::new(1))
+        .build()
+        .expect("well-formed")
+}
+
+/// With every process crashed, `submit` has nobody live to round-robin over.
+/// It must do what `ChaosHarness::submit` documents — hand the transaction to
+/// a crashed process, so it is recorded and stays undecided until recovery
+/// re-drives it — not divide by the number of live coordinators.
+#[test]
+fn submit_with_everything_crashed_records_the_transaction_and_recovery_decides_it() {
+    for stack in [
+        StackKind::Core,
+        StackKind::Rdma,
+        StackKind::RdmaNaive,
+        StackKind::Baseline,
+    ] {
+        let mut cluster = ClusterSpec::new(stack).with_seed(11).build();
+        for pid in cluster.all_processes() {
+            cluster.crash(pid);
+        }
+        let tx = TxId::new(1);
+        let coordinator = cluster.submit(tx, rw("x"));
+        assert!(cluster.is_crashed(coordinator), "{stack}");
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.history().certify_count(), 1, "{stack}");
+        assert_eq!(cluster.history().decision(tx), None, "{stack}");
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+
+        for pid in cluster.all_processes() {
+            assert!(cluster.restart(pid), "{stack}");
+        }
+        cluster.run_to_quiescence();
+        cluster.resubmit(tx, rw("x"));
+        cluster.run_to_quiescence();
+        assert_eq!(
+            cluster.history().decision(tx),
+            Some(Decision::Commit),
+            "{stack}: the re-driven transaction must decide"
+        );
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+    }
+}
+
+/// Records what it is sent; plays the coordinator a client answers to.
+struct Recorder<M>(Vec<(ProcessId, M)>);
+
+impl<M: Send + 'static> Actor<M> for Recorder<M> {
+    fn on_message(&mut self, from: ProcessId, msg: M, _ctx: &mut Context<'_, M>) {
+        self.0.push((from, msg));
+    }
+}
+
+/// The client's contract, over any stack's messages. `decision` builds the
+/// stack's `DECISION(t, d)`; `acks` is whether its vocabulary has the
+/// decision acknowledgement of compaction.
+fn client_contract<M>(decision: fn(TxId, Decision) -> M, acks: bool)
+where
+    M: ClientMsg + Clone + std::fmt::Debug + Send + 'static,
+{
+    let world_with_client = |ack_decisions: bool| {
+        let mut world: World<M> = World::new(SimConfig::default());
+        let coordinator = world.add_actor(Recorder(Vec::new()));
+        let client = world.add_actor(ClientActor::<M>::new(ack_decisions));
+        (world, coordinator, client)
+    };
+    let certify = |world: &mut World<M>, client: ProcessId, tx: TxId| {
+        let now = world.now();
+        world
+            .actor_mut::<ClientActor<M>>(client)
+            .expect("client")
+            .record_certify(tx, rw("x"), now);
+    };
+    let (t1, t2) = (TxId::new(1), TxId::new(2));
+
+    // Records history and latency.
+    let (mut world, coordinator, client) = world_with_client(false);
+    certify(&mut world, client, t1);
+    world.send_from(coordinator, client, decision(t1, Decision::Commit));
+    world.run();
+    let actor = world.actor::<ClientActor<M>>(client).expect("client");
+    assert_eq!(actor.history().committed().count(), 1);
+    assert_eq!(actor.history().aborted().count(), 0);
+    assert!(actor.violations().is_empty());
+    assert_eq!(actor.history().decision(t1), Some(Decision::Commit));
+    assert_eq!(actor.latencies()[&t1].decision, Decision::Commit);
+    assert_eq!(world.metrics().counter("client_commits"), 1);
+    // Without compaction no stack acknowledges a decision.
+    let sent = &world.actor::<Recorder<M>>(coordinator).expect("peer").0;
+    assert!(sent.is_empty(), "{sent:?}");
+
+    // Contradictory decisions are reported as violations.
+    let (mut world, coordinator, client) = world_with_client(false);
+    certify(&mut world, client, t1);
+    world.send_from(coordinator, client, decision(t1, Decision::Commit));
+    world.send_from(coordinator, client, decision(t1, Decision::Abort));
+    world.run();
+    let actor = world.actor::<ClientActor<M>>(client).expect("client");
+    assert_eq!(actor.violations().len(), 1);
+
+    // Duplicate identical decisions are benign.
+    let (mut world, coordinator, client) = world_with_client(false);
+    certify(&mut world, client, t2);
+    for _ in 0..3 {
+        world.send_from(coordinator, client, decision(t2, Decision::Abort));
+    }
+    world.run();
+    let actor = world.actor::<ClientActor<M>>(client).expect("client");
+    assert!(actor.violations().is_empty());
+    assert_eq!(actor.history().aborted().count(), 1);
+    assert_eq!(world.metrics().counter("client_aborts"), 3);
+
+    // With acknowledgements asked for, a decision is answered with exactly
+    // one ack, to its sender — on a stack that has the message.
+    let (mut world, coordinator, client) = world_with_client(true);
+    certify(&mut world, client, t1);
+    world.send_from(coordinator, client, decision(t1, Decision::Commit));
+    world.run();
+    let sent = &world.actor::<Recorder<M>>(coordinator).expect("peer").0;
+    if acks {
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        assert_eq!(sent[0].0, client);
+        assert!(sent[0].1.as_decision().is_none(), "{sent:?}");
+    } else {
+        assert!(sent.is_empty(), "{sent:?}");
+    }
+}
+
+#[test]
+fn the_client_keeps_its_contract_on_every_stacks_messages() {
+    client_contract::<Msg>(|tx, decision| Msg::DecisionClient { tx, decision }, true);
+    client_contract::<RdmaMsg>(
+        |tx, decision| RdmaMsg::DecisionClient { tx, decision },
+        false,
+    );
+    client_contract::<BaselineMsg>(
+        |tx, decision| BaselineMsg::DecisionClient { tx, decision },
+        false,
+    );
+}
+
+/// The acknowledgement a `Msg` client sends is the compaction one.
+#[test]
+fn the_message_passing_clients_acknowledgement_is_decision_ack() {
+    assert!(matches!(
+        Msg::decision_ack(TxId::new(7)),
+        Some(Msg::DecisionAck { tx }) if tx == TxId::new(7)
+    ));
+}

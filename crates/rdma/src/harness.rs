@@ -1,191 +1,19 @@
-//! Deployment harness for the RDMA protocol, plus scripted-schedule helpers
-//! used by the Figure 4a counter-example.
+//! The RDMA protocol's side of the deployment harness ([`RdmaStack`]), plus
+//! the scripted-schedule peer used by the Figure 4a counter-example.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ratc_config::GlobalConfiguration;
+use ratc_core::harness::{ClusterConfig, Deployment, Stack, StackKind};
+use ratc_core::log::TxPhase;
 use ratc_sim::rdma::RdmaToken;
-use ratc_sim::{
-    Actor, Context, ExecutionMode, SimConfig, SimDuration, SimTime, TxMilestone, World,
-};
-use ratc_types::{
-    CertificationPolicy, Decision, Epoch, HashSharding, Payload, ProcessId, Serializability,
-    ShardId, ShardMap, TcsHistory, TxId,
-};
+use ratc_sim::{Actor, Context, World};
+use ratc_types::{Epoch, HashSharding, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::config_service::GlobalConfigServiceActor;
 use crate::messages::RdmaMsg;
-use crate::replica::{RdmaReplica, ReconfigMode};
-use ratc_core::batch::BatchingConfig;
-use ratc_core::client::DecisionLatency;
-use ratc_core::flow::FlowControlConfig;
-use ratc_core::replica::TruncationConfig;
-
-/// Configuration of a simulated RDMA deployment.
-#[derive(Clone)]
-pub struct RdmaClusterConfig {
-    /// Number of shards.
-    pub shards: u32,
-    /// Replicas per shard (`f + 1`).
-    pub replicas_per_shard: usize,
-    /// Spare replicas per shard.
-    pub spares_per_shard: usize,
-    /// Certification policy.
-    pub policy: Arc<dyn CertificationPolicy>,
-    /// Simulation parameters.
-    pub sim: SimConfig,
-    /// Reconfiguration mode (correct global, or naive per-shard).
-    pub mode: ReconfigMode,
-    /// Checkpointed log truncation (default: enabled, batch 32).
-    pub truncation: TruncationConfig,
-    /// Batched certification pipeline (default: disabled).
-    pub batching: BatchingConfig,
-    /// Flow control: admission window and retry backoff (default: enabled).
-    pub flow: FlowControlConfig,
-    /// Which engine drives the actors: the deterministic simulator or one OS
-    /// thread per process (see [`ExecutionMode`]).
-    pub execution: ExecutionMode,
-}
-
-impl Default for RdmaClusterConfig {
-    fn default() -> Self {
-        RdmaClusterConfig {
-            shards: 2,
-            replicas_per_shard: 2,
-            spares_per_shard: 2,
-            policy: Arc::new(Serializability::new()),
-            sim: SimConfig::default(),
-            mode: ReconfigMode::GlobalCorrect,
-            truncation: TruncationConfig::default(),
-            batching: BatchingConfig::default(),
-            flow: FlowControlConfig::default(),
-            execution: ExecutionMode::default(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RdmaClusterConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RdmaClusterConfig")
-            .field("shards", &self.shards)
-            .field("replicas_per_shard", &self.replicas_per_shard)
-            .field("mode", &self.mode)
-            .finish()
-    }
-}
-
-impl RdmaClusterConfig {
-    /// Returns a copy with the given number of shards.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Returns a copy with the given reconfiguration mode.
-    pub fn with_mode(mut self, mode: ReconfigMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Returns a copy with the given random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.sim.seed = seed;
-        self
-    }
-
-    /// Returns a copy with the given checkpointed-truncation policy.
-    pub fn with_truncation(mut self, truncation: TruncationConfig) -> Self {
-        self.truncation = truncation;
-        self
-    }
-
-    /// Returns a copy with the given batching-pipeline knobs.
-    pub fn with_batching(mut self, batching: BatchingConfig) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Returns a copy with the given flow-control knobs.
-    pub fn with_flow(mut self, flow: FlowControlConfig) -> Self {
-        self.flow = flow;
-        self
-    }
-
-    /// Returns a copy with the given execution mode.
-    pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = execution;
-        self
-    }
-}
-
-/// A client of the RDMA protocol: records the TCS history and latencies.
-#[derive(Debug, Default)]
-pub struct RdmaClientActor {
-    history: TcsHistory,
-    submit_times: BTreeMap<TxId, SimTime>,
-    latencies: BTreeMap<TxId, DecisionLatency>,
-    violations: Vec<String>,
-}
-
-impl RdmaClientActor {
-    /// Records the `certify` action at submission time.
-    pub fn record_certify(&mut self, tx: TxId, payload: Payload, now: SimTime) {
-        if let Err(err) = self.history.record_certify(tx, payload) {
-            self.violations.push(err.to_string());
-        }
-        self.submit_times.insert(tx, now);
-    }
-
-    /// The recorded history.
-    pub fn history(&self) -> &TcsHistory {
-        &self.history
-    }
-
-    /// Latency (message delays, simulated time, decision) of each decided
-    /// transaction.
-    pub fn latencies(&self) -> &BTreeMap<TxId, DecisionLatency> {
-        &self.latencies
-    }
-
-    /// Specification violations (contradictory decisions). Empty in a correct
-    /// run.
-    pub fn violations(&self) -> &[String] {
-        &self.violations
-    }
-}
-
-impl Actor<RdmaMsg> for RdmaClientActor {
-    fn on_message(&mut self, _from: ProcessId, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
-        if let RdmaMsg::DecisionClient { tx, decision } = msg {
-            if let Err(err) = self.history.record_decide(tx, decision) {
-                self.violations.push(err.to_string());
-                return;
-            }
-            let micros = self
-                .submit_times
-                .get(&tx)
-                .map(|t| ctx.now().since(*t).as_micros())
-                .unwrap_or(0);
-            // Stamp only the first copy of the decision (duplicates from
-            // concurrent recovery coordinators carry the same decision).
-            if !self.latencies.contains_key(&tx) {
-                ctx.obs_milestone(tx, TxMilestone::ClientLearned, 0);
-            }
-            self.latencies.entry(tx).or_insert(DecisionLatency {
-                hops: ctx.hops(),
-                micros,
-                decision,
-            });
-            ctx.record_sample("client_decision_hops", f64::from(ctx.hops()));
-            ctx.record_sample("client_decision_micros", micros as f64);
-            match decision {
-                Decision::Commit => ctx.add_counter("client_commits", 1),
-                Decision::Abort => ctx.add_counter("client_aborts", 1),
-            }
-        }
-    }
-}
+use crate::replica::{RdmaReplica, RdmaStatus, ReconfigMode};
 
 /// A test-controlled peer: records every message, RDMA delivery and RDMA
 /// acknowledgement it receives, and never reacts. Used to play protocol roles
@@ -214,85 +42,99 @@ impl Actor<RdmaMsg> for ScriptedPeer {
     }
 }
 
-/// A fully wired simulated deployment of the RDMA protocol.
-pub struct RdmaCluster {
-    /// The simulation world.
-    pub world: World<RdmaMsg>,
-    sharding: Arc<HashSharding>,
-    cs: ProcessId,
-    client: ProcessId,
+/// A deployment of the RDMA protocol (§5).
+pub type RdmaCluster = Deployment<RdmaStack>;
+
+/// The RDMA protocol's side of a [`Deployment`]: `f + 1` [`RdmaReplica`]s and
+/// a pool of spares per shard, the global configuration service, and RDMA
+/// connections opened between all initial members.
+#[derive(Debug)]
+pub struct RdmaStack {
+    mode: ReconfigMode,
+    /// The configuration service (`None` until built).
+    cs: Option<ProcessId>,
     members: BTreeMap<ShardId, Vec<ProcessId>>,
     spares: BTreeMap<ShardId, Vec<ProcessId>>,
     replicas_per_shard: usize,
-    next_coordinator: usize,
-    mode: ReconfigMode,
-    execution: ExecutionMode,
 }
 
-impl RdmaCluster {
-    /// Builds the cluster: replicas, spares, configuration service and client,
-    /// with RDMA connections opened between all initial members.
-    pub fn new(config: RdmaClusterConfig) -> Self {
-        let sharding = Arc::new(HashSharding::new(config.shards));
-        let mut world: World<RdmaMsg> = World::new(config.sim.clone());
-
-        let mut members: BTreeMap<ShardId, Vec<ProcessId>> = BTreeMap::new();
-        let mut spares: BTreeMap<ShardId, Vec<ProcessId>> = BTreeMap::new();
-        for shard_idx in 0..config.shards {
-            let shard = ShardId::new(shard_idx);
-            let mut shard_members = Vec::new();
-            for _ in 0..config.replicas_per_shard {
-                shard_members.push(world.add_actor(RdmaReplica::new(
-                    shard,
-                    config.policy.as_ref(),
-                    sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                    config.mode,
-                )));
-            }
-            members.insert(shard, shard_members);
-            let mut shard_spares = Vec::new();
-            for _ in 0..config.spares_per_shard {
-                shard_spares.push(world.add_actor(RdmaReplica::new(
-                    shard,
-                    config.policy.as_ref(),
-                    sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                    config.mode,
-                )));
-            }
-            spares.insert(shard, shard_spares);
+impl RdmaStack {
+    /// A stack that reconfigures in the given mode: the correct global
+    /// protocol, or the naive per-shard one of the Figure 4a counter-example.
+    pub fn new(mode: ReconfigMode) -> Self {
+        RdmaStack {
+            mode,
+            cs: None,
+            members: BTreeMap::new(),
+            spares: BTreeMap::new(),
+            replicas_per_shard: 0,
         }
+    }
 
+    /// The current configuration stored by the configuration service.
+    pub fn current_config<'w>(&self, world: &'w World<RdmaMsg>) -> &'w GlobalConfiguration {
+        self.cs
+            .and_then(|cs| world.actor::<GlobalConfigServiceActor>(cs))
+            .expect("configuration service")
+            .registry()
+            .get_last()
+    }
+}
+
+impl Stack for RdmaStack {
+    type Msg = RdmaMsg;
+
+    fn build(
+        &mut self,
+        world: &mut World<RdmaMsg>,
+        config: &ClusterConfig,
+        sharding: &Arc<HashSharding>,
+    ) {
+        for shard in sharding.shards() {
+            for (pool, count) in [
+                (&mut self.members, config.replicas_per_shard),
+                (&mut self.spares, config.spares_per_shard),
+            ] {
+                let pids = (0..count)
+                    .map(|_| {
+                        world.add_actor(RdmaReplica::new(
+                            shard,
+                            config.policy.as_ref(),
+                            sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
+                            self.mode,
+                        ))
+                    })
+                    .collect();
+                pool.insert(shard, pids);
+            }
+        }
+        self.replicas_per_shard = config.replicas_per_shard;
+
+        // Initial configuration: the first replica of each shard leads.
         let initial = GlobalConfiguration::new(
             Epoch::ZERO,
-            members.clone(),
-            members
+            self.members.clone(),
+            self.members
                 .iter()
                 .map(|(shard, shard_members)| (*shard, shard_members[0]))
                 .collect(),
         );
-        let notify = config.mode == ReconfigMode::NaivePerShard;
+        let notify = self.mode == ReconfigMode::NaivePerShard;
         let cs = world.add_actor(GlobalConfigServiceActor::new(initial.clone(), notify));
-        let client = world.add_actor(RdmaClientActor::default());
+        self.cs = Some(cs);
 
         // Install views and open all-pairs RDMA connections among the initial
         // members.
-        let all_members: Vec<ProcessId> = initial.all_processes();
-        for (shard, shard_members) in &members {
-            for pid in shard_members {
+        for (pool, is_member) in [(&self.members, true), (&self.spares, false)] {
+            for pid in pool.values().flatten() {
                 let replica = world.actor_mut::<RdmaReplica>(*pid).expect("replica");
-                replica.install_initial_config(*pid, cs, &initial, true);
-                replica.set_truncation(config.truncation);
-                replica.set_batching(config.batching);
-                replica.set_flow(config.flow);
-            }
-            for pid in &spares[shard] {
-                let replica = world.actor_mut::<RdmaReplica>(*pid).expect("spare");
-                replica.install_initial_config(*pid, cs, &initial, false);
+                replica.install_initial_config(*pid, cs, &initial, is_member);
                 replica.set_truncation(config.truncation);
                 replica.set_batching(config.batching);
                 replica.set_flow(config.flow);
             }
         }
+        let all_members = initial.all_processes();
         for owner in &all_members {
             for peer in &all_members {
                 if owner != peer {
@@ -300,239 +142,157 @@ impl RdmaCluster {
                 }
             }
         }
+    }
 
-        RdmaCluster {
-            world,
-            sharding,
-            cs,
-            client,
-            members,
-            spares,
-            replicas_per_shard: config.replicas_per_shard,
-            next_coordinator: 0,
-            mode: config.mode,
-            execution: config.execution,
+    fn kind(&self) -> StackKind {
+        match self.mode {
+            ReconfigMode::GlobalCorrect => StackKind::Rdma,
+            ReconfigMode::NaivePerShard => StackKind::RdmaNaive,
         }
     }
 
-    /// The shard map of this cluster.
-    pub fn sharding(&self) -> &HashSharding {
-        &self.sharding
+    fn supports_reconfiguration(&self) -> bool {
+        true
     }
 
-    /// The reconfiguration mode this cluster was built with.
-    pub fn mode(&self) -> ReconfigMode {
-        self.mode
+    fn reconfiguration_is_global(&self) -> bool {
+        // Both modes share the §5 entry point: one `StartReconfigure`
+        // carries the spare pools of every shard and excludes crashed
+        // members system-wide. What differs is the *activation*: the naive
+        // mode then (incorrectly) installs configurations per shard — the
+        // Figure 4a bug under study — while the correct mode probes the
+        // whole system.
+        true
     }
 
-    /// The client process.
-    pub fn client_id(&self) -> ProcessId {
-        self.client
+    fn replicas_coordinate(&self) -> bool {
+        true
     }
 
-    /// The configuration-service process.
-    pub fn config_service_id(&self) -> ProcessId {
+    fn submit_pool(&self) -> Vec<ProcessId> {
+        self.members.values().flatten().copied().collect()
+    }
+
+    fn resubmit_target(&self, world: &World<RdmaMsg>, shards: &[ShardId]) -> Option<ProcessId> {
+        let leader = self.leader_of(world, *shards.first()?)?;
+        (!world.is_crashed(leader)).then_some(leader)
+    }
+
+    fn retry(&self, tx: TxId) -> Option<RdmaMsg> {
+        Some(RdmaMsg::Retry { tx })
+    }
+
+    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<RdmaMsg> {
+        Some(RdmaMsg::StartReconfigure {
+            suspected_shard: shard,
+            spares: self.spares.clone(),
+            target_size: self.replicas_per_shard,
+            exclude,
+        })
+    }
+
+    fn members_of(&self, world: &World<RdmaMsg>, shard: ShardId) -> Vec<ProcessId> {
+        self.current_config(world).members_of(shard).to_vec()
+    }
+
+    fn leader_of(&self, world: &World<RdmaMsg>, shard: ShardId) -> Option<ProcessId> {
+        self.current_config(world).leader_of(shard)
+    }
+
+    fn epoch_of(&self, world: &World<RdmaMsg>, _shard: ShardId) -> Epoch {
+        // The §5 protocol maintains one global epoch for the whole system.
+        self.current_config(world).epoch
+    }
+
+    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.members.get(&shard).cloned().unwrap_or_default()
+    }
+
+    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
+        self.spares.get(&shard).cloned().unwrap_or_default()
+    }
+
+    fn coordinator_pool(&self) -> Vec<ProcessId> {
+        self.all_processes()
+    }
+
+    fn all_processes(&self) -> Vec<ProcessId> {
+        let mut all = Vec::new();
+        for (shard, members) in &self.members {
+            all.extend(members);
+            all.extend(&self.spares[shard]);
+        }
+        all
+    }
+
+    fn config_service_id(&self) -> Option<ProcessId> {
         self.cs
     }
 
-    /// The initial members of `shard`.
-    pub fn initial_members(&self, shard: ShardId) -> &[ProcessId] {
-        self.members.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    fn replica_ready(&self, world: &World<RdmaMsg>, pid: ProcessId) -> bool {
+        world
+            .actor::<RdmaReplica>(pid)
+            .is_some_and(|r| r.is_initialized() && !r.reconfiguration_in_flight())
     }
 
-    /// The spare replicas of `shard`.
-    pub fn spares(&self, shard: ShardId) -> &[ProcessId] {
-        self.spares.get(&shard).map(Vec::as_slice).unwrap_or(&[])
+    fn shard_operational(&self, world: &World<RdmaMsg>, shard: ShardId) -> bool {
+        let config = self.current_config(world);
+        let members = config.members_of(shard);
+        !members.is_empty()
+            && members.iter().all(|m| {
+                if world.is_crashed(*m) {
+                    return false;
+                }
+                let Some(replica) = world.actor::<RdmaReplica>(*m) else {
+                    return false;
+                };
+                let expected = if Some(*m) == config.leader_of(shard) {
+                    RdmaStatus::Leader
+                } else {
+                    RdmaStatus::Follower
+                };
+                replica.is_initialized()
+                    && replica.epoch() == config.epoch
+                    && replica.status() == expected
+            })
     }
 
-    /// The current configuration stored by the configuration service.
-    pub fn current_config(&self) -> GlobalConfiguration {
-        self.world
-            .actor::<GlobalConfigServiceActor>(self.cs)
-            .expect("configuration service")
-            .registry()
-            .get_last()
-            .clone()
-    }
-
-    /// Downcast access to a replica's state.
-    pub fn replica(&self, pid: ProcessId) -> &RdmaReplica {
-        self.world.actor::<RdmaReplica>(pid).expect("replica")
-    }
-
-    /// Submits a transaction through a round-robin coordinator.
-    pub fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        let all: Vec<ProcessId> = self
-            .members
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .filter(|p| !self.world.is_crashed(*p))
-            .collect();
-        let coordinator = all[self.next_coordinator % all.len()];
-        self.next_coordinator += 1;
-        self.submit_via(tx, payload, coordinator);
-        coordinator
-    }
-
-    /// Submits a transaction through a specific coordinator.
-    pub fn submit_via(&mut self, tx: TxId, payload: Payload, coordinator: ProcessId) {
-        let now = self.world.now();
-        self.world
-            .actor_mut::<RdmaClientActor>(self.client)
-            .expect("client")
-            .record_certify(tx, payload.clone(), now);
-        self.world
-            .obs_milestone(tx, TxMilestone::Submitted, self.client);
-        let client = self.client;
-        self.world.send_external(
-            coordinator,
-            RdmaMsg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
-    }
-
-    /// Triggers a reconfiguration through `initiator`.
-    pub fn start_reconfiguration(
-        &mut self,
-        suspected_shard: ShardId,
-        initiator: ProcessId,
-        exclude: Vec<ProcessId>,
-    ) {
-        let spares = self.spares.clone();
-        let target_size = self.replicas_per_shard;
-        self.world.send_external(
-            initiator,
-            RdmaMsg::StartReconfigure {
-                suspected_shard,
-                spares,
-                target_size,
-                exclude,
-            },
-        );
-    }
-
-    /// Asks `replica` to retry `tx` as a recovery coordinator.
-    pub fn retry(&mut self, replica: ProcessId, tx: TxId) {
-        self.world.send_external(replica, RdmaMsg::Retry { tx });
-    }
-
-    /// Re-submits a transaction to the current leader of its first shard
-    /// without re-recording it in the client history: the client retry of
-    /// the TCS model, used by recovery drivers.
-    pub fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        let shards = payload.shards(self.sharding.as_ref());
-        let Some(target) = shards
-            .first()
-            .and_then(|s| self.current_config().leader_of(*s))
+    fn prepared_transactions(&self, world: &World<RdmaMsg>, shard: ShardId) -> Vec<TxId> {
+        let Some(leader) = self
+            .leader_of(world, shard)
+            .and_then(|leader| world.actor::<RdmaReplica>(leader))
         else {
-            return;
+            return Vec::new();
         };
-        if self.world.is_crashed(target) {
-            return;
-        }
-        let client = self.client;
-        self.world.send_external(
-            target,
-            RdmaMsg::Certify {
-                tx,
-                payload,
-                client,
-            },
-        );
-    }
-
-    /// Crashes a process.
-    pub fn crash(&mut self, pid: ProcessId) {
-        self.world.crash(pid);
-    }
-
-    /// Restarts a crashed replica: it recovers from its certification log
-    /// (checkpoint + suffix) and re-establishes its RDMA connections.
-    /// Returns `false` if `pid` was not crashed.
-    pub fn restart(&mut self, pid: ProcessId) -> bool {
-        self.world.restart(pid)
-    }
-
-    /// The execution engine driving this cluster's actors.
-    pub fn execution(&self) -> ExecutionMode {
-        self.execution
-    }
-
-    /// Runs until no events remain (on the configured [`ExecutionMode`]).
-    pub fn run_to_quiescence(&mut self) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run();
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded();
-            }
-        }
-    }
-
-    /// Runs for `duration` (simulated time on the simulator, wall-clock time
-    /// on the threaded backend).
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.world.now() + duration;
-        self.run_until(until);
-    }
-
-    /// Runs the cluster until the given absolute time on the cluster's clock.
-    pub fn run_until(&mut self, until: SimTime) {
-        match self.execution {
-            ExecutionMode::Sim => {
-                self.world.run_until(until);
-            }
-            ExecutionMode::Threads => {
-                self.world.run_threaded_until(until);
-            }
-        }
-    }
-
-    /// The client's recorded history.
-    pub fn history(&self) -> TcsHistory {
-        self.world
-            .actor::<RdmaClientActor>(self.client)
-            .expect("client")
-            .history()
-            .clone()
-    }
-
-    /// Latency (message delays, simulated time, decision) per decided
-    /// transaction.
-    pub fn latencies(&self) -> BTreeMap<TxId, DecisionLatency> {
-        self.world
-            .actor::<RdmaClientActor>(self.client)
-            .expect("client")
-            .latencies()
-            .clone()
-    }
-
-    /// Message-delay counts per decided transaction.
-    pub fn decision_hops(&self) -> BTreeMap<TxId, u32> {
-        self.latencies()
-            .into_iter()
-            .map(|(tx, l)| (tx, l.hops))
+        leader
+            .log()
+            .entries()
+            .filter(|(_, e)| e.phase == TxPhase::Prepared)
+            .map(|(_, e)| e.tx)
             .collect()
     }
 
-    /// Specification violations observed by the client.
-    pub fn client_violations(&self) -> Vec<String> {
-        self.world
-            .actor::<RdmaClientActor>(self.client)
-            .expect("client")
-            .violations()
-            .to_vec()
+    fn retained_log_slots(&self, world: &World<RdmaMsg>, pid: ProcessId) -> Option<usize> {
+        world.actor::<RdmaReplica>(pid).map(|r| r.log().len())
+    }
+
+    fn logical_log_len(&self, world: &World<RdmaMsg>, pid: ProcessId) -> Option<u64> {
+        world
+            .actor::<RdmaReplica>(pid)
+            .map(|r| r.log().next().as_u64())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratc_types::{Key, Value, Version};
+    use ratc_core::batch::BatchingConfig;
+    use ratc_core::harness::TcsCluster;
+    use ratc_types::{Decision, Key, Payload, Value, Version};
+
+    fn deploy(config: ClusterConfig) -> RdmaCluster {
+        RdmaCluster::new(RdmaStack::new(ReconfigMode::GlobalCorrect), config)
+    }
 
     fn rw_payload(key: &str) -> Payload {
         Payload::builder()
@@ -545,7 +305,7 @@ mod tests {
 
     #[test]
     fn failure_free_commit_over_rdma() {
-        let mut cluster = RdmaCluster::new(RdmaClusterConfig::default());
+        let mut cluster = deploy(ClusterConfig::default());
         cluster.submit(TxId::new(1), rw_payload("x"));
         cluster.run_to_quiescence();
         assert_eq!(
@@ -558,7 +318,7 @@ mod tests {
 
     #[test]
     fn conflicting_transactions_do_not_both_commit_over_rdma() {
-        let mut cluster = RdmaCluster::new(RdmaClusterConfig::default().with_seed(7));
+        let mut cluster = deploy(ClusterConfig::default().with_seed(7));
         cluster.submit(TxId::new(1), rw_payload("hot"));
         cluster.submit(TxId::new(2), rw_payload("hot"));
         cluster.run_to_quiescence();
@@ -570,8 +330,7 @@ mod tests {
 
     #[test]
     fn many_disjoint_transactions_commit_over_rdma() {
-        let mut cluster =
-            RdmaCluster::new(RdmaClusterConfig::default().with_shards(3).with_seed(9));
+        let mut cluster = deploy(ClusterConfig::default().with_shards(3).with_seed(9));
         for i in 0..20 {
             cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
         }
@@ -582,13 +341,13 @@ mod tests {
 
     #[test]
     fn batched_pipeline_commits_over_rdma() {
-        let mut cluster = RdmaCluster::new(
-            RdmaClusterConfig::default()
+        let mut cluster = deploy(
+            ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(13)
                 .with_batching(BatchingConfig::with_batch(8)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         for i in 0..32u64 {
             cluster.submit_via(TxId::new(i + 1), rw_payload(&format!("k{i}")), coordinator);
         }
@@ -604,13 +363,13 @@ mod tests {
 
     #[test]
     fn batched_pipeline_preserves_conflict_decisions_over_rdma() {
-        let mut cluster = RdmaCluster::new(
-            RdmaClusterConfig::default()
+        let mut cluster = deploy(
+            ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(17)
                 .with_batching(BatchingConfig::with_batch(4)),
         );
-        let coordinator = cluster.initial_members(ShardId::new(0))[1];
+        let coordinator = cluster.roster_of(ShardId::new(0))[1];
         cluster.submit_via(TxId::new(1), rw_payload("hot"), coordinator);
         cluster.submit_via(TxId::new(2), rw_payload("hot"), coordinator);
         cluster.run_to_quiescence();
@@ -629,8 +388,8 @@ mod tests {
     fn frontier_exchange_truncates_followers_at_the_cluster_minimum() {
         use ratc_core::replica::TruncationConfig;
         let batch = 8u64;
-        let mut cluster = RdmaCluster::new(
-            RdmaClusterConfig::default()
+        let mut cluster = deploy(
+            ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(19)
                 .with_truncation(TruncationConfig::with_batch(batch)),
@@ -645,9 +404,13 @@ mod tests {
             cluster.world.metrics().counter("frontier_exchanges") > 0,
             "members never exchanged frontiers"
         );
-        let config = cluster.current_config();
+        let config = cluster.stack.current_config(&cluster.world);
         for pid in config.members_of(ShardId::new(0)).to_vec() {
-            let log = cluster.replica(pid).log();
+            let log = cluster
+                .world
+                .actor::<RdmaReplica>(pid)
+                .expect("replica")
+                .log();
             let lag = log.decided_frontier().as_u64() - log.base().as_u64();
             assert!(
                 lag < 2 * batch,
@@ -661,19 +424,19 @@ mod tests {
 
     #[test]
     fn global_reconfiguration_recovers_from_a_follower_crash() {
-        let mut cluster = RdmaCluster::new(RdmaClusterConfig::default().with_seed(11));
+        let mut cluster = deploy(ClusterConfig::default().with_seed(11));
         cluster.submit(TxId::new(1), rw_payload("a"));
         cluster.run_to_quiescence();
 
         let shard = ShardId::new(0);
-        let config = cluster.current_config();
+        let config = cluster.stack.current_config(&cluster.world);
         let leader = config.leader_of(shard).expect("leader");
         let follower = config.followers_of(shard)[0];
         cluster.crash(follower);
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
 
-        let new_config = cluster.current_config();
+        let new_config = cluster.stack.current_config(&cluster.world);
         assert_eq!(new_config.epoch, Epoch::new(1));
         assert!(!new_config.members_of(shard).contains(&follower));
 

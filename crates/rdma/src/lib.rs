@@ -35,6 +35,6 @@ pub mod messages;
 pub mod replica;
 
 pub use config_service::GlobalConfigServiceActor;
-pub use harness::{RdmaCluster, RdmaClusterConfig, ScriptedPeer};
+pub use harness::{RdmaCluster, RdmaStack, ScriptedPeer};
 pub use messages::RdmaMsg;
 pub use replica::{RdmaReplica, ReconfigMode};

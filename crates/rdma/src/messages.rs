@@ -257,3 +257,26 @@ impl RdmaMsg {
 }
 
 ratc_core::impl_commit_msg!(RdmaMsg);
+
+impl ratc_core::client::ClientMsg for RdmaMsg {
+    fn certify(tx: TxId, payload: Payload, client: ProcessId) -> Self {
+        RdmaMsg::Certify {
+            tx,
+            payload,
+            client,
+        }
+    }
+
+    fn as_decision(&self) -> Option<(TxId, Decision)> {
+        if let RdmaMsg::DecisionClient { tx, decision } = self {
+            Some((*tx, *decision))
+        } else {
+            None
+        }
+    }
+
+    fn decision_ack(_tx: TxId) -> Option<Self> {
+        // Decision-map compaction is a `ratc-core` extension.
+        None
+    }
+}

@@ -27,8 +27,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use ratc_core::batch::BatchingConfig;
 use ratc_core::harness::Cluster;
-use ratc_core::replica::TruncationConfig;
-use ratc_harness::{ClusterSpec, StackKind};
+use ratc_core::log::CertificationLog;
+use ratc_core::replica::{Replica, TruncationConfig};
+use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
 use ratc_types::{Payload, ShardId, TxId};
 
 use crate::indexed::random_payload;
@@ -92,6 +93,15 @@ fn build_cluster(scenario: &BatchingScenario, batching: BatchingConfig) -> Clust
         .build_core()
 }
 
+fn leader_log(cluster: &Cluster, shard: ShardId) -> &CertificationLog {
+    let leader = cluster.leader_of(shard).expect("leader");
+    cluster
+        .world
+        .actor::<Replica>(leader)
+        .expect("replica")
+        .log()
+}
+
 /// Replays one scenario through an unbatched and a batched cluster and
 /// checks history and per-shard log equivalence (see the module docs).
 ///
@@ -132,14 +142,14 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     // a member of the reconfigured shard 0): certifies reach every leader in
     // submission order in both runs.
     let coordinator_shard = ShardId::new(scenario.shards.saturating_sub(1));
-    if unbatched.initial_members(coordinator_shard).len() < 2 {
+    if unbatched.roster_of(coordinator_shard).len() < 2 {
         return Err(format!(
             "seed {seed}: invalid scenario — shard {coordinator_shard} needs a \
              non-leader member to coordinate from"
         ));
     }
-    let coord_a = unbatched.initial_members(coordinator_shard)[1];
-    let coord_b = batched.initial_members(coordinator_shard)[1];
+    let coord_a = unbatched.roster_of(coordinator_shard)[1];
+    let coord_b = batched.roster_of(coordinator_shard)[1];
 
     for (wave_idx, chunk) in txs.chunks(wave).enumerate() {
         for (tx, payload) in chunk {
@@ -151,9 +161,9 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
         if scenario.reconfigure && wave_idx == reconfig_wave {
             let shard = ShardId::new(0);
             for cluster in [&mut unbatched, &mut batched] {
-                let leader = cluster.current_leader(shard);
+                let leader = cluster.leader_of(shard).expect("leader");
                 let follower = *cluster
-                    .initial_members(shard)
+                    .roster_of(shard)
                     .iter()
                     .find(|p| **p != leader)
                     .expect("follower");
@@ -200,10 +210,8 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     // (truncation frontiers may differ between the runs; identities and
     // decisions must not).
     for shard in unbatched.shards() {
-        let leader_a = unbatched.current_leader(shard);
-        let leader_b = batched.current_leader(shard);
-        let log_a = unbatched.replica(leader_a).log();
-        let log_b = batched.replica(leader_b).log();
+        let log_a = leader_log(&unbatched, shard);
+        let log_b = leader_log(&batched, shard);
         if log_a.next() != log_b.next() {
             return Err(format!(
                 "seed {seed} shard {shard}: log lengths diverged ({} vs {})",

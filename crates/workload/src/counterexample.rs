@@ -17,7 +17,9 @@
 //! abort is externalised.
 
 use ratc_core::batch::{Items, PrepareBatch, PrepareItem};
-use ratc_rdma::{RdmaCluster, RdmaClusterConfig, RdmaMsg, ReconfigMode, ScriptedPeer};
+use ratc_core::client::ClientActor;
+use ratc_core::harness::{ClusterConfig, TcsCluster};
+use ratc_rdma::{RdmaCluster, RdmaMsg, RdmaStack, ReconfigMode, ScriptedPeer};
 use ratc_sim::SimDuration;
 use ratc_types::{Decision, Key, Payload, ShardId, ShardMap, TxId, Value, Version};
 
@@ -65,14 +67,12 @@ fn key_on_shard(cluster: &RdmaCluster, shard: ShardId) -> Key {
 /// Runs the Figure 4a schedule under the given reconfiguration mode.
 pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcome {
     let mut cluster = RdmaCluster::new(
-        RdmaClusterConfig::default()
-            .with_shards(2)
-            .with_mode(mode)
-            .with_seed(seed),
+        RdmaStack::new(mode),
+        ClusterConfig::default().with_shards(2).with_seed(seed),
     );
     let s1 = ShardId::new(0);
     let s2 = ShardId::new(1);
-    let config = cluster.current_config();
+    let config = cluster.stack.current_config(&cluster.world);
     let p1 = config.leader_of(s1).expect("leader of s1");
     let p2 = config.followers_of(s1)[0];
     let p3 = config.leader_of(s2).expect("leader of s2");
@@ -103,7 +103,7 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
         let now = cluster.world.now();
         cluster
             .world
-            .actor_mut::<ratc_rdma::harness::RdmaClientActor>(client)
+            .actor_mut::<ClientActor<RdmaMsg>>(client)
             .expect("client")
             .record_certify(tx, payload.clone(), now);
     }

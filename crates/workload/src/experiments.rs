@@ -1288,12 +1288,8 @@ pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) ->
             if inject_crash && i == crash_at {
                 cluster.run_for(SimDuration::from_millis(1));
                 let shard = ShardId::new(rng.gen_range(0..2));
-                let leader = cluster.current_leader(shard);
-                let follower = cluster
-                    .initial_members(shard)
-                    .iter()
-                    .copied()
-                    .find(|p| *p != leader);
+                let leader = cluster.leader_of(shard).expect("leader");
+                let follower = cluster.roster_of(shard).into_iter().find(|p| *p != leader);
                 if let Some(follower) = follower {
                     cluster.crash(follower);
                     cluster.start_reconfiguration(shard, leader, vec![follower]);

@@ -1,14 +1,18 @@
 //! Cross-crate integration tests: every TCS implementation is driven through
 //! the key-value layer and checked against the black-box specification.
 
-use ratc::core::harness::{Cluster, ClusterConfig};
+use ratc::core::harness::{Cluster, ClusterConfig, CoreStack};
 use ratc::core::invariants::check_cluster;
-use ratc::core::replica::TruncationConfig;
-use ratc::harness::{ClusterSpec, StackKind};
+use ratc::core::replica::{Replica, TruncationConfig};
+use ratc::harness::{ClusterSpec, StackKind, TcsCluster};
 use ratc::kv::KvStore;
-use ratc::rdma::{RdmaCluster, RdmaClusterConfig};
+use ratc::rdma::{RdmaCluster, RdmaReplica, RdmaStack, ReconfigMode};
 use ratc::spec::{check_conflict_serializable, check_history};
 use ratc::types::prelude::*;
+
+fn core_replica(cluster: &Cluster, pid: ProcessId) -> &Replica {
+    cluster.world.actor::<Replica>(pid).expect("replica")
+}
 
 fn transfer_payload(store: &KvStore, tx: TxId, from: &str, to: &str, amount: u64) -> Payload {
     let mut t = store.begin(tx);
@@ -36,7 +40,10 @@ fn kv_store_over_ratc_mp_is_serializable_and_conserves_money() {
     for i in 0..6 {
         store.seed(Key::new(format!("acct-{i}")), Value::from(100u64));
     }
-    let mut cluster = Cluster::new(ClusterConfig::default().with_shards(3).with_seed(21));
+    let mut cluster = Cluster::new(
+        CoreStack::default(),
+        ClusterConfig::default().with_shards(3).with_seed(21),
+    );
     for i in 0..30u64 {
         let tx = TxId::new(i + 1);
         let from = format!("acct-{}", i % 6);
@@ -141,6 +148,7 @@ fn write_conflict_policy_commits_more_than_serializability() {
 
     let run = |policy: Arc<dyn CertificationPolicy>| {
         let mut cluster = Cluster::new(
+            CoreStack::default(),
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(9)
@@ -177,6 +185,7 @@ fn contended_payload(i: u64) -> Payload {
 fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     // Aggressive truncation so the prefix is folded well before the crash.
     let mut cluster = Cluster::new(
+        CoreStack::default(),
         ClusterConfig::default()
             .with_shards(2)
             .with_seed(41)
@@ -187,16 +196,16 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
         cluster.run_to_quiescence();
     }
     let shard = ShardId::new(0);
-    let leader = cluster.current_leader(shard);
+    let leader = cluster.leader_of(shard).expect("leader");
     assert!(
-        cluster.replica(leader).log().base().as_u64() > 0,
+        core_replica(&cluster, leader).log().base().as_u64() > 0,
         "the leader must have truncated before the crash"
     );
 
     // Kill a follower mid-history and recover through reconfiguration: the
     // spare is initialised from NEW_STATE carrying Checkpoint + suffix.
     let follower = *cluster
-        .initial_members(shard)
+        .roster_of(shard)
         .iter()
         .find(|p| **p != leader)
         .expect("follower");
@@ -204,13 +213,13 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     cluster.start_reconfiguration(shard, leader, vec![follower]);
     cluster.run_to_quiescence();
 
-    let new_members = cluster.current_members(shard);
+    let new_members = cluster.members_of(shard);
     assert!(!new_members.contains(&follower));
     let recovered = *new_members
         .iter()
-        .find(|p| !cluster.initial_members(shard).contains(p))
+        .find(|p| !cluster.roster_of(shard).contains(p))
         .expect("a spare joined the configuration");
-    let recovered_log = cluster.replica(recovered).log();
+    let recovered_log = core_replica(&cluster, recovered).log();
     assert!(
         recovered_log.base().as_u64() > 0,
         "state transfer must carry the checkpoint, not the whole log"
@@ -244,7 +253,8 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
 #[test]
 fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
     let mut cluster = RdmaCluster::new(
-        RdmaClusterConfig::default()
+        RdmaStack::new(ReconfigMode::GlobalCorrect),
+        ClusterConfig::default()
             .with_shards(2)
             .with_seed(23)
             .with_truncation(TruncationConfig::with_batch(4)),
@@ -254,13 +264,13 @@ fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
         cluster.run_to_quiescence();
     }
     let shard = ShardId::new(0);
-    let config = cluster.current_config();
-    let leader = config.leader_of(shard).expect("leader");
+    let leader = cluster.leader_of(shard).expect("leader");
+    let leader_replica = cluster.world.actor::<RdmaReplica>(leader).expect("replica");
     assert!(
-        cluster.replica(leader).log().base().as_u64() > 0,
+        leader_replica.log().base().as_u64() > 0,
         "the RDMA leader must have truncated before the crash"
     );
-    let follower = *config
+    let follower = *cluster
         .members_of(shard)
         .iter()
         .find(|p| **p != leader)
@@ -282,7 +292,10 @@ fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
 
 #[test]
 fn reconfiguration_mid_stream_preserves_the_specification() {
-    let mut cluster = Cluster::new(ClusterConfig::default().with_shards(2).with_seed(33));
+    let mut cluster = Cluster::new(
+        CoreStack::default(),
+        ClusterConfig::default().with_shards(2).with_seed(33),
+    );
     for i in 0..15u64 {
         cluster.submit(
             TxId::new(i + 1),
@@ -296,9 +309,9 @@ fn reconfiguration_mid_stream_preserves_the_specification() {
     }
     // Crash a follower while the stream is in flight.
     let shard = ShardId::new(0);
-    let leader = cluster.current_leader(shard);
+    let leader = cluster.leader_of(shard).expect("leader");
     let follower = *cluster
-        .initial_members(shard)
+        .roster_of(shard)
         .iter()
         .find(|p| **p != leader)
         .expect("follower");

@@ -10,7 +10,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use ratc::core::harness::{Cluster, ClusterConfig};
+use ratc::core::harness::{Cluster, ClusterConfig, CoreStack, TcsCluster};
 use ratc::core::invariants::check_cluster;
 use ratc::spec::check_history;
 use ratc::types::certify::properties as certify_props;
@@ -150,8 +150,10 @@ fn random_workloads_satisfy_the_specification() {
         let seed = rng.gen_range(0..1_000u64);
         let payloads = arb_payload_vec(&mut rng, 1, 25);
         let shards = rng.gen_range(1..4u32);
-        let mut cluster =
-            Cluster::new(ClusterConfig::default().with_shards(shards).with_seed(seed));
+        let mut cluster = Cluster::new(
+            CoreStack::default(),
+            ClusterConfig::default().with_shards(shards).with_seed(seed),
+        );
         for (i, payload) in payloads.iter().enumerate() {
             cluster.submit(TxId::new(i as u64 + 1), payload.clone());
         }
@@ -174,7 +176,10 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         let seed = rng.gen_range(0..1_000u64);
         let payloads = arb_payload_vec(&mut rng, 2, 15);
         let crash_leader = rng.gen_bool(0.5);
-        let mut cluster = Cluster::new(ClusterConfig::default().with_shards(2).with_seed(seed));
+        let mut cluster = Cluster::new(
+            CoreStack::default(),
+            ClusterConfig::default().with_shards(2).with_seed(seed),
+        );
         let half = payloads.len() / 2;
         for (i, payload) in payloads[..half].iter().enumerate() {
             cluster.submit(TxId::new(i as u64 + 1), payload.clone());
@@ -182,9 +187,9 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         cluster.run_to_quiescence();
 
         let shard = ShardId::new((seed % 2) as u32);
-        let leader = cluster.current_leader(shard);
+        let leader = cluster.leader_of(shard).expect("leader");
         let follower = *cluster
-            .current_members(shard)
+            .members_of(shard)
             .iter()
             .find(|p| **p != leader)
             .expect("follower");
