@@ -196,7 +196,8 @@ struct ShardProgress {
 struct CoordState {
     client: ProcessId,
     /// The full payload if this coordinator received the original `certify`;
-    /// `None` for recovery coordinators (which only ever send `⊥`).
+    /// `None` for recovery coordinators (which only ever send `⊥`) and once
+    /// the decision is known: every shard already holds what it prepared.
     payload: Option<Payload>,
     shards: Vec<ShardId>,
     /// Progress per shard per epoch.
@@ -527,6 +528,7 @@ impl Coordinator {
             if let Some(coord) = self.coordinating.get_mut(&tx) {
                 coord.decided = true;
                 coord.decision = Some(decision);
+                coord.payload = None;
                 self.in_flight -= 1;
             }
             self.admission.remove(tx);
@@ -784,6 +786,7 @@ impl Coordinator {
             }
             coord.decided = true;
             coord.decision.get_or_insert(decision);
+            coord.payload = None;
             for shard in coord.shards.clone() {
                 self.flush_known_decision(tx, shard, repl, ctx);
             }
@@ -1114,6 +1117,10 @@ mod tests {
                 })
                 .build()
                 .expect("well-formed");
+            self.certify_payload(tx, payload);
+        }
+
+        fn certify_payload(&mut self, tx: u64, payload: Payload) {
             let certify = TestMsg::Certify {
                 tx: TxId::new(tx),
                 payload,
@@ -1237,6 +1244,22 @@ mod tests {
         let leader = rig.world.actor::<Sink>(rig.leaders[0]).expect("leader");
         let retried = |m: &TestMsg| matches!(m, TestMsg::Retry { tx } if tx.as_u64() == 3);
         assert_eq!(leader.0.iter().filter(|m| retried(m)).count(), 1);
+    }
+
+    #[test]
+    fn a_decided_coordination_releases_its_payload() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        let key = Key::new("a");
+        let payload = Payload::builder().read(key.clone(), Version::ZERO);
+        rig.certify_payload(1, payload.build().expect("well-formed"));
+        assert!(key.ref_count() > 1, "held while the transaction is driven");
+        rig.vote(0, 1);
+        rig.ack(0, 1);
+        assert!(rig.host().coord.undecided_transactions().is_empty());
+        // The leader's sink still holds the `PREPARE` it was sent.
+        let leader = rig.world.actor_mut::<Sink>(rig.leaders[0]).expect("leader");
+        leader.0.clear();
+        assert_eq!(key.ref_count(), 1, "the decided entry kept the payload");
     }
 
     #[test]

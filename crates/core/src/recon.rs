@@ -519,7 +519,7 @@ impl Reconfigurer {
     }
 
     /// Ends the attempt without a configuration, counting why.
-    fn fail<M>(&mut self, counter: &str, ctx: &mut Context<'_, M>) {
+    fn fail<M>(&mut self, counter: &'static str, ctx: &mut Context<'_, M>) {
         if let Some(id) = self.attempt.take().and_then(|a| a.grace_timer) {
             ctx.cancel_timer(id);
         }

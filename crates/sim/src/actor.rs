@@ -284,12 +284,12 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Adds `delta` to the named experiment counter.
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
+    pub fn add_counter(&mut self, name: &'static str, delta: u64) {
         self.metrics.add_counter(name, delta);
     }
 
     /// Records a sample of the named experiment statistic (e.g. a latency).
-    pub fn record_sample(&mut self, name: &str, value: f64) {
+    pub fn record_sample(&mut self, name: &'static str, value: f64) {
         self.metrics.record_sample(name, value);
     }
 
@@ -322,9 +322,8 @@ impl<'a, M> Context<'a, M> {
 
     /// Records a sample of a flow-control/batching gauge (queue depth,
     /// window occupancy, …), only when observability is enabled — gauges
-    /// ride the observability switch so the default path stays allocation-
-    /// free.
-    pub fn obs_gauge(&mut self, name: &str, value: f64) {
+    /// ride the observability switch so the default path records nothing.
+    pub fn obs_gauge(&mut self, name: &'static str, value: f64) {
         if self.metrics.obs_enabled() {
             self.metrics.record_sample(name, value);
         }

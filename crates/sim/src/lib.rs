@@ -21,10 +21,10 @@
 //!   correctness argument relies on (an acknowledgement means the message is
 //!   in the receiver's memory and will be delivered even if the sender
 //!   crashes; after `close` no further writes from that peer can land).
-//! * [`metrics`] / [`trace`] — measurement: per-process message counts,
-//!   named counters, message-delay (hop) accounting and an optional full
-//!   message trace used by the specification checkers and the experiment
-//!   harnesses.
+//! * [`metrics`] — measurement, the one observation channel of both
+//!   execution engines: per-process message counts, named counters and
+//!   streaming statistics, and (with observability on) per-message-type
+//!   counts and the milestone streams below.
 //! * Commit-path observability — [`Context`] exposes
 //!   [`obs_milestone`](actor::Context::obs_milestone) /
 //!   [`obs_gauge`](actor::Context::obs_gauge) hooks (backed by the
@@ -76,7 +76,6 @@ pub mod metrics;
 pub mod rdma;
 pub mod rt;
 pub mod time;
-pub mod trace;
 pub mod world;
 
 /// Convenient re-exports of the most commonly used items.
@@ -88,7 +87,6 @@ pub mod prelude {
     pub use crate::rdma::RdmaSendOutcome;
     pub use crate::rt::ExecutionMode;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{TraceEvent, TraceKind};
     pub use crate::world::{SimConfig, World};
 }
 
@@ -106,5 +104,4 @@ pub use ratc_obs::{
 pub use rdma::RdmaSendOutcome;
 pub use rt::ExecutionMode;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind};
 pub use world::{SimConfig, World};

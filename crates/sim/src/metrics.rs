@@ -13,6 +13,7 @@
 // tests), so float statistics here cannot perturb replay.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use ratc_obs::{CtrlEvent, TxObsEvent};
 use ratc_types::ProcessId;
@@ -70,8 +71,8 @@ impl ProcessCounters {
     }
 }
 
-/// Send/deliver counts for one message type (the type's
-/// [`label_of`](crate::trace::label_of) name), recorded only while
+/// Send/deliver counts for one message type (the head of the message's
+/// `Debug` form: its variant or struct name), recorded only while
 /// observability is enabled.
 ///
 /// `sent ≥ delivered` in any run: messages to crashed or partitioned
@@ -91,8 +92,7 @@ pub struct MsgTypeCounters {
 /// Besides count/sum/min/max, the summary maintains a small fixed log-spaced
 /// histogram so tail percentiles ([`Summary::percentile`]) are available in
 /// O(1) memory per statistic — min/mean/max hides exactly the tail latency
-/// that matters at overload. For an exact (sorted raw samples) percentile use
-/// [`Metrics::percentile`] instead.
+/// that matters at overload. No raw sample is retained.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of recorded samples.
@@ -159,13 +159,43 @@ impl Summary {
     }
 }
 
+/// Writes the label of `msg` into `buf`: the head of its `Debug` form, up to
+/// the first `(`, `{` or whitespace. The adaptor fails the write at that
+/// delimiter, which makes `Debug` return before it formats any field, so a
+/// label costs the same for a unit variant and for a 32-item batch.
+fn label_of<M: fmt::Debug>(msg: &M, buf: &mut String) {
+    struct Head<'a>(&'a mut String);
+
+    impl fmt::Write for Head<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            match s.find(|c: char| c == '(' || c == '{' || c.is_whitespace()) {
+                Some(end) => {
+                    self.0.push_str(&s[..end]);
+                    Err(fmt::Error)
+                }
+                None => {
+                    self.0.push_str(s);
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    buf.clear();
+    // The only error is the adaptor's own stop at the delimiter.
+    let _ = write!(Head(buf), "{msg:?}");
+}
+
 /// All metrics collected during a simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Counters and statistics are keyed by `&'static str`: every recording site
+/// names its metric with a literal, so recording allocates nothing (and the
+/// collector is `Serialize` only: a `'static` key cannot be deserialised).
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Metrics {
     per_process: BTreeMap<ProcessId, ProcessCounters>,
-    counters: BTreeMap<String, u64>,
-    samples: BTreeMap<String, Summary>,
-    raw_samples: BTreeMap<String, Vec<f64>>,
+    counters: BTreeMap<&'static str, u64>,
+    samples: BTreeMap<&'static str, Summary>,
     /// Total messages delivered over the message-passing network.
     pub total_delivered: u64,
     /// Total RDMA writes rejected because the connection was closed.
@@ -178,15 +208,12 @@ pub struct Metrics {
     /// Recorded control-plane observations, in recording order. Always empty
     /// while `obs_enabled` is false.
     ctrl: Vec<CtrlEvent>,
-    /// Bound on the control-plane buffer (`SimConfig::with_trace_capacity`):
-    /// the oldest events are trimmed once the buffer holds twice the
-    /// capacity. Carried here (not read from the world's config) so the
-    /// threaded backend's per-worker collectors enforce the same bound.
-    ctrl_capacity: Option<usize>,
     /// Per-message-type send/deliver counts, recorded only while
     /// `obs_enabled` is true (keeps the default path free of per-send
     /// string work).
     msg_counters: BTreeMap<String, MsgTypeCounters>,
+    /// Scratch buffer `label_of` writes into, reused across messages.
+    label: String,
 }
 
 impl Metrics {
@@ -226,12 +253,10 @@ impl Metrics {
     }
 
     /// Appends one control-plane observation. Gated and schedule-invisible
-    /// exactly like [`Metrics::obs_record`]; additionally enforces the
-    /// amortised capacity bound (see [`Metrics::set_ctrl_capacity`]).
+    /// exactly like [`Metrics::obs_record`].
     pub fn ctrl_record(&mut self, event: CtrlEvent) {
         if self.obs_enabled {
             self.ctrl.push(event);
-            self.trim_ctrl();
         }
     }
 
@@ -241,60 +266,36 @@ impl Metrics {
         &self.ctrl
     }
 
-    /// Bounds the control-plane buffer: once it holds `2 × capacity` events
-    /// the oldest are trimmed back to `capacity`, so the cost is amortised
-    /// O(1) per event and memory stays within `2 × capacity`. `None` (the
-    /// default) keeps everything. Wired from
-    /// `SimConfig::with_trace_capacity` by the world; the threaded backend
-    /// copies it into each worker's collector.
-    pub fn set_ctrl_capacity(&mut self, capacity: Option<usize>) {
-        self.ctrl_capacity = capacity;
-        self.trim_ctrl();
-    }
-
-    /// The configured control-plane buffer bound, if any.
-    pub fn ctrl_capacity(&self) -> Option<usize> {
-        self.ctrl_capacity
-    }
-
-    fn trim_ctrl(&mut self) {
-        if let Some(capacity) = self.ctrl_capacity {
-            let capacity = capacity.max(1);
-            if self.ctrl.len() >= capacity.saturating_mul(2) {
-                let excess = self.ctrl.len() - capacity;
-                self.ctrl.drain(..excess);
-            }
-        }
-    }
-
-    /// Counts one sent message of the given type (its
-    /// [`label_of`](crate::trace::label_of) name). Gated on
-    /// [`Metrics::obs_enabled`] so the default path does no per-send string
-    /// work.
-    pub(crate) fn on_msg_sent(&mut self, label: &str) {
+    /// Counts one sent message under its type's label (see
+    /// [`MsgTypeCounters`]). Tests [`Metrics::obs_enabled`] itself, so with
+    /// observability off the message is not looked at.
+    pub(crate) fn on_msg_sent<M: fmt::Debug>(&mut self, msg: &M) {
         if self.obs_enabled {
-            self.count_msg(label).sent += 1;
+            self.count_msg(msg).sent += 1;
         }
     }
 
-    /// Counts one delivered message of the given type.
-    pub(crate) fn on_msg_delivered(&mut self, label: &str) {
+    /// Counts one delivered message under its type's label.
+    pub(crate) fn on_msg_delivered<M: fmt::Debug>(&mut self, msg: &M) {
         if self.obs_enabled {
-            self.count_msg(label).delivered += 1;
+            self.count_msg(msg).delivered += 1;
         }
     }
 
-    fn count_msg(&mut self, label: &str) -> &mut MsgTypeCounters {
-        if !self.msg_counters.contains_key(label) {
+    fn count_msg<M: fmt::Debug>(&mut self, msg: &M) -> &mut MsgTypeCounters {
+        label_of(msg, &mut self.label);
+        if !self.msg_counters.contains_key(self.label.as_str()) {
+            // Once per message type per collector.
             self.msg_counters
-                .insert(label.to_owned(), MsgTypeCounters::default());
+                .insert(self.label.clone(), MsgTypeCounters::default());
         }
-        self.msg_counters.get_mut(label).expect("just inserted")
+        self.msg_counters
+            .get_mut(self.label.as_str())
+            .expect("just inserted")
     }
 
     /// Per-message-type send/deliver counts, keyed by the message type's
-    /// [`label_of`](crate::trace::label_of) name (empty unless observability
-    /// was enabled).
+    /// label (empty unless observability was enabled).
     pub fn msg_type_counters(&self) -> impl Iterator<Item = (&str, MsgTypeCounters)> + '_ {
         self.msg_counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
@@ -326,20 +327,13 @@ impl Metrics {
     }
 
     /// Adds `delta` to the named counter.
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_default() += delta;
+    pub fn add_counter(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_default() += delta;
     }
 
     /// Records a sample of the named statistic.
-    pub fn record_sample(&mut self, name: &str, value: f64) {
-        self.samples
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-        self.raw_samples
-            .entry(name.to_owned())
-            .or_default()
-            .push(value);
+    pub fn record_sample(&mut self, name: &'static str, value: f64) {
+        self.samples.entry(name).or_default().record(value);
     }
 
     /// The value of the named counter (0 if never incremented).
@@ -350,23 +344,6 @@ impl Metrics {
     /// The summary of the named statistic, if any samples were recorded.
     pub fn summary(&self, name: &str) -> Option<&Summary> {
         self.samples.get(name)
-    }
-
-    /// The raw samples of the named statistic, in recording order.
-    pub fn samples(&self, name: &str) -> &[f64] {
-        self.raw_samples.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// A percentile (0–100) of the named statistic, or `None` if no samples.
-    pub fn percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        let samples = self.raw_samples.get(name)?;
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-        let rank = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
     }
 
     /// Transport counters for `process`.
@@ -391,15 +368,13 @@ impl Metrics {
 
     /// Iterates over all named counters.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Folds another collector into this one: counters and summaries add up,
-    /// raw samples are appended. Used by the threaded backend
+    /// observation streams are appended. Used by the threaded backend
     /// ([`crate::rt`]) to merge the per-thread collectors back into the
-    /// world's collector after a run. Sample ordering across processes is
-    /// unspecified (it already is meaningless across actors in the
-    /// simulator); percentiles and means are unaffected.
+    /// world's collector after a run.
     pub fn absorb(&mut self, other: Metrics) {
         for (pid, counters) in other.per_process {
             let mine = self.per_process.entry(pid).or_default();
@@ -426,17 +401,10 @@ impl Metrics {
                 }
             }
         }
-        for (name, mut raw) in other.raw_samples {
-            self.raw_samples.entry(name).or_default().append(&mut raw);
-        }
         self.total_delivered += other.total_delivered;
         self.rdma_rejected += other.rdma_rejected;
         self.obs.extend(other.obs);
         self.ctrl.extend(other.ctrl);
-        if self.ctrl_capacity.is_none() {
-            self.ctrl_capacity = other.ctrl_capacity;
-        }
-        self.trim_ctrl();
         for (label, counts) in other.msg_counters {
             let mine = self.msg_counters.entry(label).or_default();
             mine.sent += counts.sent;
@@ -465,11 +433,7 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!((s.mean() - 2.0).abs() < f64::EPSILON);
-        assert_eq!(m.samples("lat").len(), 3);
-        assert_eq!(m.percentile("lat", 0.0), Some(1.0));
-        assert_eq!(m.percentile("lat", 100.0), Some(3.0));
-        assert_eq!(m.percentile("lat", 50.0), Some(2.0));
-        assert_eq!(m.percentile("none", 50.0), None);
+        assert!(m.summary("none").is_none());
     }
 
     #[test]
@@ -505,12 +469,15 @@ mod tests {
     #[test]
     fn streaming_percentiles_track_the_exact_ones_within_bucket_width() {
         let mut m = Metrics::new();
-        for i in 1..=1000 {
-            m.record_sample("lat", i as f64);
+        let input: Vec<f64> = (1..=1000).map(f64::from).collect();
+        for &value in &input {
+            m.record_sample("lat", value);
         }
         let s = m.summary("lat").expect("recorded");
         for pct in [50.0, 95.0, 99.0] {
-            let exact = m.percentile("lat", pct).expect("samples");
+            // Nearest-rank order statistic of the (already sorted) input.
+            let rank = (pct / 100.0 * input.len() as f64).ceil() as usize;
+            let exact = input[rank - 1];
             let estimate = s.percentile(pct);
             let err = (estimate - exact).abs() / exact;
             assert!(
@@ -600,37 +567,37 @@ mod tests {
         assert_eq!(on.ctrl_events()[1].at_micros, 20);
     }
 
-    #[test]
-    fn ctrl_buffer_trims_amortised_to_twice_capacity() {
-        let mut m = Metrics::with_obs(true);
-        m.set_ctrl_capacity(Some(4));
-        for i in 0..100 {
-            m.ctrl_record(ctrl_event(i));
-            assert!(
-                m.ctrl_events().len() < 8,
-                "buffer exceeded 2x capacity at event {i}"
-            );
-        }
-        // The newest events always survive a trim.
-        let last = m.ctrl_events().last().expect("events recorded");
-        assert_eq!(last.at_micros, 99);
-        let first = m.ctrl_events().first().expect("events recorded");
-        assert!(first.at_micros >= 92, "trim kept stale events: {first:?}");
+    /// One message of each shape `Debug` can take: a struct variant, a tuple
+    /// variant, a unit variant and (below) a newtype struct.
+    #[derive(Debug)]
+    #[allow(dead_code)]
+    enum Msg {
+        Prepare { tx: u64 },
+        Vote(u64),
+        Flush,
+    }
 
-        // The bound also applies when merging worker buffers back.
-        let mut worker = Metrics::with_obs(true);
-        for i in 100..200 {
-            worker.ctrl_record(ctrl_event(i));
-        }
-        m.absorb(worker);
-        assert!(m.ctrl_events().len() <= 8);
-        assert_eq!(m.ctrl_events().last().expect("events").at_micros, 199);
+    #[derive(Debug)]
+    #[allow(dead_code)]
+    struct Wrapped(Vec<u64>);
+
+    #[test]
+    fn labels_are_the_debug_head_without_the_payload() {
+        let mut buf = String::from("stale");
+        label_of(&Msg::Prepare { tx: 1 }, &mut buf);
+        assert_eq!(buf, "Prepare");
+        label_of(&Msg::Vote(2), &mut buf);
+        assert_eq!(buf, "Vote");
+        label_of(&Msg::Flush, &mut buf);
+        assert_eq!(buf, "Flush");
+        label_of(&Wrapped(vec![1, 2, 3]), &mut buf);
+        assert_eq!(buf, "Wrapped");
     }
 
     #[test]
     fn msg_type_counters_are_gated_and_absorbed() {
         let mut off = Metrics::new();
-        off.on_msg_sent("Prepare");
+        off.on_msg_sent(&Msg::Prepare { tx: 1 });
         assert_eq!(
             off.msg_type("Prepare").sent,
             0,
@@ -638,18 +605,18 @@ mod tests {
         );
 
         let mut on = Metrics::with_obs(true);
-        on.on_msg_sent("Prepare");
-        on.on_msg_sent("Prepare");
-        on.on_msg_delivered("Prepare");
-        on.on_msg_sent("Vote");
+        on.on_msg_sent(&Msg::Prepare { tx: 1 });
+        on.on_msg_sent(&Msg::Prepare { tx: 2 });
+        on.on_msg_delivered(&Msg::Prepare { tx: 1 });
+        on.on_msg_sent(&Msg::Vote(1));
         assert_eq!(on.msg_type("Prepare").sent, 2);
         assert_eq!(on.msg_type("Prepare").delivered, 1);
         assert_eq!(on.msg_type("Vote").delivered, 0);
         assert_eq!(on.msg_type("Unknown"), MsgTypeCounters::default());
 
         let mut other = Metrics::with_obs(true);
-        other.on_msg_sent("Vote");
-        other.on_msg_delivered("Vote");
+        other.on_msg_sent(&Msg::Vote(2));
+        other.on_msg_delivered(&Msg::Vote(2));
         on.absorb(other);
         assert_eq!(on.msg_type("Vote").sent, 2);
         assert_eq!(on.msg_type("Vote").delivered, 1);

@@ -39,11 +39,11 @@
 //!   runs with [`QUIESCENCE_TIMEOUT`], so a deadlocked or livelocked run
 //!   fails fast (the run returns with work still pending and the suite's
 //!   assertions fail) instead of hanging a test job.
-//! * **Sim-only features.** Fault injection, latency models, transport
-//!   tracing and `max_steps` apply only to the simulator; the threaded
-//!   backend models a reliable LAN where real scheduling provides the
-//!   nondeterminism. A `schedule_crash` still pending when a threaded run
-//!   starts is applied at the start of the run rather than mid-run.
+//! * **Sim-only features.** Fault injection, latency models and
+//!   `max_steps` apply only to the simulator; the threaded backend models a
+//!   reliable LAN where real scheduling provides the nondeterminism. A
+//!   `schedule_crash` still pending when a threaded run starts is applied
+//!   at the start of the run rather than mid-run.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -61,16 +61,15 @@ use crate::event::{EventKind, QueuedEvent};
 use crate::metrics::Metrics;
 use crate::rdma::{RdmaFabric, RdmaInbox, RdmaToken};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::label_of;
 use crate::world::World;
 
 /// Which engine executes the actors of a world (or of a cluster built on
 /// one).
 ///
 /// * [`ExecutionMode::Sim`] — the deterministic discrete-event simulator:
-///   single-threaded, virtual time, seeded randomness, fault injection and
-///   transport tracing. Identical seeds give bit-identical runs, which is
-///   what every chaos soak, shrunk schedule and Figure 4a hunt relies on.
+///   single-threaded, virtual time, seeded randomness and fault injection.
+///   Identical seeds give bit-identical runs, which is what every chaos
+///   soak, shrunk schedule and Figure 4a hunt relies on.
 /// * [`ExecutionMode::Threads`] — the threaded runtime in this module: one
 ///   OS thread per process, bounded channels as links, timers and latencies
 ///   on the monotonic wall clock. Runs are *not* reproducible event-by-event
@@ -307,10 +306,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
         match event {
             RtEvent::Deliver { from, msg, hops } => {
                 self.metrics.on_receive(self.pid);
-                if self.metrics.obs_enabled() {
-                    let label = label_of(&msg);
-                    self.metrics.on_msg_delivered(&label);
-                }
+                self.metrics.on_msg_delivered(&msg);
                 self.invoke(Upcall::Message { from, msg }, hops);
             }
             RtEvent::RdmaAck {
@@ -334,10 +330,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
                 };
                 if let Some((from, msg)) = entry {
                     self.metrics.on_rdma_deliver(self.pid);
-                    if self.metrics.obs_enabled() {
-                        let label = label_of(&msg);
-                        self.metrics.on_msg_delivered(&label);
-                    }
+                    self.metrics.on_msg_delivered(&msg);
                     self.invoke(Upcall::RdmaDeliver { from, msg }, hops);
                 }
             }
@@ -396,10 +389,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
         for effect in effects {
             match effect {
                 Effect::Send { to, msg } => {
-                    if self.metrics.obs_enabled() {
-                        let label = label_of(&msg);
-                        self.metrics.on_msg_sent(&label);
-                    }
+                    self.metrics.on_msg_sent(&msg);
                     self.enqueue(
                         to,
                         RtEvent::Deliver {
@@ -410,10 +400,7 @@ impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
                     )
                 }
                 Effect::RdmaSend { to, msg, token } => {
-                    if self.metrics.obs_enabled() {
-                        let label = label_of(&msg);
-                        self.metrics.on_msg_sent(&label);
-                    }
+                    self.metrics.on_msg_sent(&msg);
                     // Mirrors the simulator's hop accounting: the write
                     // arrives with `hops + 1`; the delivery keeps the
                     // arrival count and the acknowledgement adds one more.
@@ -675,7 +662,6 @@ where
     }
 
     let obs_enabled = world.metrics.obs_enabled();
-    let ctrl_capacity = world.metrics.ctrl_capacity();
     let (perms, mut inboxes, rejected_base) = std::mem::take(&mut world.rdma).into_parts();
     let base_timer_id = world.next_timer_id;
     let base_rdma_token = world.next_rdma_token;
@@ -738,14 +724,8 @@ where
                 overflow: Vec::new(),
                 // Per-worker collectors inherit the observability switch so
                 // milestone stamps recorded on worker threads survive the
-                // post-run `absorb` into the world's collector, and the
-                // control-plane buffer bound so a bounded run stays bounded
-                // per worker too.
-                metrics: {
-                    let mut metrics = Metrics::with_obs(obs_enabled);
-                    metrics.set_ctrl_capacity(ctrl_capacity);
-                    metrics
-                },
+                // post-run `absorb` into the world's collector.
+                metrics: Metrics::with_obs(obs_enabled),
                 next_timer_id: base_timer_id + (index as u64) * ID_STRIPE,
                 next_rdma_token: base_rdma_token + (index as u64) * ID_STRIPE,
                 incarnation: world.incarnations.get(&pid).copied().unwrap_or(0),
@@ -912,6 +892,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::world::SimConfig;
 
@@ -948,6 +930,92 @@ mod tests {
 
         fn on_rdma_deliver(&mut self, from: ProcessId, msg: Msg, _ctx: &mut Context<'_, Msg>) {
             self.rdma_messages.push((from, msg));
+        }
+    }
+
+    /// How often [`Probe`]'s `Debug` was entered, and how often it got as far
+    /// as its field.
+    #[derive(Default)]
+    struct DebugCalls {
+        entered: AtomicU64,
+        fields: AtomicU64,
+    }
+
+    /// A ping-pong message that counts what is formatted of it.
+    #[derive(Clone)]
+    enum Probe {
+        Ping(Arc<DebugCalls>),
+        Pong(Arc<DebugCalls>),
+    }
+
+    impl fmt::Debug for Probe {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let (name, calls) = match self {
+                Probe::Ping(calls) => ("Ping", calls),
+                Probe::Pong(calls) => ("Pong", calls),
+            };
+            calls.entered.fetch_add(1, Ordering::Relaxed);
+            f.write_str(name)?;
+            f.write_str("(")?;
+            calls.fields.fetch_add(1, Ordering::Relaxed);
+            f.write_str("calls)")
+        }
+    }
+
+    struct ProbeReturner;
+
+    impl Actor<Probe> for ProbeReturner {
+        fn on_message(&mut self, from: ProcessId, msg: Probe, ctx: &mut Context<'_, Probe>) {
+            if let Probe::Ping(calls) = msg {
+                ctx.send(from, Probe::Pong(calls));
+            }
+        }
+    }
+
+    /// One ping and its pong on the chosen engine: `(entered, fields)` of
+    /// the message's `Debug`, and the world for its metrics.
+    fn probe_ping_pong(obs: bool, threaded: bool) -> (u64, u64, World<Probe>) {
+        let calls = Arc::new(DebugCalls::default());
+        let mut w = World::new(SimConfig {
+            obs,
+            ..SimConfig::default()
+        });
+        let a = w.add_actor(ProbeReturner);
+        let b = w.add_actor(ProbeReturner);
+        w.send_from(a, b, Probe::Ping(calls.clone()));
+        if threaded {
+            w.run_threaded();
+        } else {
+            w.run();
+        }
+        assert_eq!(w.metrics().total_delivered, 2, "ping and pong delivered");
+        (
+            calls.entered.load(Ordering::Relaxed),
+            calls.fields.load(Ordering::Relaxed),
+            w,
+        )
+    }
+
+    #[test]
+    fn nothing_is_formatted_with_observability_off() {
+        for threaded in [false, true] {
+            let (entered, _, w) = probe_ping_pong(false, threaded);
+            assert_eq!(entered, 0, "threaded={threaded}: Debug ran unasked");
+            assert_eq!(w.metrics().msg_type_counters().count(), 0);
+        }
+    }
+
+    #[test]
+    fn observability_formats_the_label_and_no_field() {
+        for threaded in [false, true] {
+            let (entered, fields, w) = probe_ping_pong(true, threaded);
+            // Ping sent and delivered, Pong sent and delivered.
+            assert_eq!(entered, 4, "threaded={threaded}");
+            assert_eq!(fields, 0, "threaded={threaded}: a field was formatted");
+            for label in ["Ping", "Pong"] {
+                let counts = w.metrics().msg_type(label);
+                assert_eq!((counts.sent, counts.delivered), (1, 1), "{label}");
+            }
         }
     }
 
@@ -1032,7 +1100,7 @@ mod tests {
             }
             fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<'_, Msg>) {}
             fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Msg>) {
-                ctx.add_counter(&format!("fired{tag}"), 1);
+                ctx.add_counter(if tag == 1 { "fired1" } else { "fired2" }, 1);
             }
         }
         let mut w = World::new(SimConfig::default());

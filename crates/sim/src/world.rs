@@ -17,7 +17,6 @@ use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::rdma::{RdmaFabric, RdmaToken};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{label_of, TraceEvent, TraceKind};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,14 +32,6 @@ pub struct SimConfig {
     /// Delay between a message reaching memory and the receiver's poller
     /// delivering it to the actor.
     pub rdma_poll_delay: LatencyModel,
-    /// Whether to record a full transport-level trace.
-    pub trace: bool,
-    /// Upper bound on retained trace events (`None` = unbounded, the right
-    /// choice for checkers that replay a whole trace). When set, the trace
-    /// behaves as a ring buffer over the most recent events so long soaks
-    /// with tracing on no longer grow memory without limit; trimming happens
-    /// in batches, so up to `2 × capacity` events may be resident briefly.
-    pub trace_capacity: Option<usize>,
     /// Whether to record commit-path observability (transaction lifecycle
     /// milestones and flow-control gauges). Off by default; recording only
     /// appends to metrics buffers, so enabling it never changes the event
@@ -73,8 +64,6 @@ impl Default for SimConfig {
             rdma_ack_latency: latency.scaled(1, 3),
             rdma_poll_delay: LatencyModel::constant(5),
             latency,
-            trace: false,
-            trace_capacity: None,
             obs: false,
             max_steps: 50_000_000,
             service: SimDuration::ZERO,
@@ -86,19 +75,6 @@ impl SimConfig {
     /// Returns a copy of this configuration with the given seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns a copy of this configuration with tracing enabled.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Returns a copy of this configuration retaining at most `capacity`
-    /// trace events (see [`SimConfig::trace_capacity`]).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
         self
     }
 
@@ -140,7 +116,6 @@ pub struct World<M> {
     fifo_last: BTreeMap<(ProcessId, ProcessId), SimTime>,
     rng: ChaCha12Rng,
     pub(crate) metrics: Metrics,
-    trace: Vec<TraceEvent>,
     pub(crate) rdma: RdmaFabric<M>,
     pub(crate) next_timer_id: u64,
     pub(crate) next_rdma_token: u64,
@@ -178,11 +153,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     /// Creates an empty world.
     pub fn new(config: SimConfig) -> Self {
         let rng = ChaCha12Rng::seed_from_u64(config.seed);
-        let mut metrics = Metrics::with_obs(config.obs);
-        // The control-plane observability buffer shares the transport
-        // trace's bound (the capacity travels inside `Metrics` so the
-        // threaded backend's per-worker collectors enforce it too).
-        metrics.set_ctrl_capacity(config.trace_capacity);
+        let metrics = Metrics::with_obs(config.obs);
         World {
             config,
             now: SimTime::ZERO,
@@ -195,7 +166,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             fifo_last: BTreeMap::new(),
             rng,
             metrics,
-            trace: Vec::new(),
             rdma: RdmaFabric::default(),
             next_timer_id: 0,
             next_rdma_token: 0,
@@ -245,12 +215,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     /// The metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The transport-level trace (empty unless tracing was enabled; only the
-    /// most recent events when [`SimConfig::trace_capacity`] is set).
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
     }
 
     /// Stamps a transaction lifecycle milestone at the current time on
@@ -399,7 +363,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         }
         *self.incarnations.entry(pid).or_insert(0) += 1;
         let incarnation = self.incarnations[&pid];
-        self.record_trace(TraceKind::Restart, pid, pid, "restart".to_owned(), 0);
         self.ctrl_stamp(pid, CtrlMilestone::Restart, incarnation);
         self.with_actor(pid, 0, Upcall::Restart);
         true
@@ -541,50 +504,16 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         seq
     }
 
-    fn record_trace(
-        &mut self,
-        kind: TraceKind,
-        from: ProcessId,
-        to: ProcessId,
-        label: String,
-        hops: u32,
-    ) {
-        if self.config.trace {
-            self.trace.push(TraceEvent {
-                time: self.now,
-                kind,
-                from,
-                to,
-                label,
-                hops,
-            });
-            if let Some(capacity) = self.config.trace_capacity {
-                // Amortised ring behaviour: let the buffer grow to twice the
-                // capacity, then drop the oldest half in one batch (O(1)
-                // amortised per event, unlike a per-event `remove(0)`).
-                let capacity = capacity.max(1);
-                if self.trace.len() >= capacity.saturating_mul(2) {
-                    let excess = self.trace.len() - capacity;
-                    self.trace.drain(..excess);
-                }
-            }
-        }
-    }
-
     fn schedule_message(&mut self, from: ProcessId, to: ProcessId, msg: M, hops: u32)
     where
         M: Clone,
     {
-        if self.metrics.obs_enabled() {
-            // A faulted (dropped) message still counts as sent: the counter
-            // measures offered protocol traffic, not delivery success.
-            let label = label_of(&msg);
-            self.metrics.on_msg_sent(&label);
-        }
+        // A faulted (dropped) message still counts as sent: the counter
+        // measures offered protocol traffic, not delivery success.
+        self.metrics.on_msg_sent(&msg);
         let fault = self.fault_decision(from, to, false);
         if fault.drop {
             self.metrics.add_counter("faults_msg_dropped", 1);
-            self.record_trace(TraceKind::DropFault, from, to, label_of(&msg), hops);
             return;
         }
         let latency = self.config.latency.sample(&mut self.rng);
@@ -595,7 +524,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             .map(|t| *t + SimDuration::from_micros(1))
             .unwrap_or(SimTime::ZERO);
         let delivery = earliest.max(fifo_floor);
-        self.record_trace(TraceKind::Send, from, to, label_of(&msg), hops);
         if fault.duplicate {
             // The duplicate gets an independent latency and does not advance
             // the FIFO floor (it is a spurious extra copy).
@@ -648,15 +576,11 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     ) where
         M: Clone,
     {
-        if self.metrics.obs_enabled() {
-            let label = label_of(&msg);
-            self.metrics.on_msg_sent(&label);
-        }
+        self.metrics.on_msg_sent(&msg);
         let fault = self.fault_decision(from, to, true);
         if fault.drop {
             // The write is lost on the wire: no arrival, no acknowledgement.
             self.metrics.add_counter("faults_rdma_dropped", 1);
-            self.record_trace(TraceKind::DropFault, from, to, label_of(&msg), hops);
             return;
         }
         let latency = self.config.rdma_write_latency.sample(&mut self.rng);
@@ -792,7 +716,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     fn execute_crash(&mut self, pid: ProcessId) {
         if self.crashed.insert(pid) {
             self.busy_until.remove(&pid);
-            self.record_trace(TraceKind::Crash, pid, pid, "crash".to_owned(), 0);
             let incarnation = self.incarnations.get(&pid).copied().unwrap_or(0);
             self.ctrl_stamp(pid, CtrlMilestone::Crash, incarnation);
             // The NIC dies with the process: every permission it had granted
@@ -813,15 +736,10 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 hops,
             } => {
                 if self.crashed.contains(&to) || !self.actors.contains_key(&to) {
-                    self.record_trace(TraceKind::DropCrashed, from, to, label_of(&msg), hops);
                     return;
                 }
-                self.record_trace(TraceKind::Deliver, from, to, label_of(&msg), hops);
                 self.metrics.on_receive(to);
-                if self.metrics.obs_enabled() {
-                    let label = label_of(&msg);
-                    self.metrics.on_msg_delivered(&label);
-                }
+                self.metrics.on_msg_delivered(&msg);
                 self.with_actor(to, hops, Upcall::Message { from, msg });
             }
             EventKind::Timer {
@@ -838,7 +756,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                     // crashed-and-restarted process; it died with the crash.
                     return;
                 }
-                self.record_trace(TraceKind::Timer, at, at, format!("timer#{tag}"), 0);
                 self.with_actor(at, 0, Upcall::Timer { tag });
             }
             EventKind::RdmaArrive {
@@ -849,13 +766,10 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 token,
             } => {
                 if self.crashed.contains(&to) {
-                    self.record_trace(TraceKind::DropCrashed, from, to, label_of(&msg), hops);
                     return;
                 }
-                let label = label_of(&msg);
                 match self.rdma.arrive(to, from, msg) {
                     Ok(index) => {
-                        self.record_trace(TraceKind::RdmaAccept, from, to, label, hops);
                         let ack_latency = self.config.rdma_ack_latency.sample(&mut self.rng);
                         let ack_at = self.now + ack_latency;
                         self.push_event(
@@ -878,10 +792,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                             },
                         );
                     }
-                    Err(_) => {
-                        self.metrics.rdma_rejected += 1;
-                        self.record_trace(TraceKind::RdmaReject, from, to, label, hops);
-                    }
+                    Err(_) => self.metrics.rdma_rejected += 1,
                 }
             }
             EventKind::RdmaAck {
@@ -893,13 +804,6 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 if self.crashed.contains(&sender) {
                     return;
                 }
-                self.record_trace(
-                    TraceKind::RdmaAck,
-                    target,
-                    sender,
-                    format!("ack#{}", token.as_u64()),
-                    hops,
-                );
                 self.metrics.on_rdma_ack(sender);
                 self.with_actor(sender, hops, Upcall::RdmaAck { token, to: target });
             }
@@ -913,12 +817,8 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 let entry = inbox.take_for_delivery(index);
                 self.rdma.put_inbox(at, inbox);
                 if let Some((from, msg)) = entry {
-                    self.record_trace(TraceKind::RdmaDeliver, from, at, label_of(&msg), hops);
                     self.metrics.on_rdma_deliver(at);
-                    if self.metrics.obs_enabled() {
-                        let label = label_of(&msg);
-                        self.metrics.on_msg_delivered(&label);
-                    }
+                    self.metrics.on_msg_delivered(&msg);
                     self.with_actor(at, hops, Upcall::RdmaDeliver { from, msg });
                 }
             }
@@ -963,6 +863,8 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         messages: Vec<(ProcessId, Msg)>,
+        /// `(ctx.now(), ctx.hops())` of each entry of `messages`.
+        deliveries: Vec<(SimTime, u32)>,
         rdma_messages: Vec<(ProcessId, Msg)>,
         acks: Vec<RdmaToken>,
         timers: Vec<TimerTag>,
@@ -975,6 +877,7 @@ mod tests {
                 ctx.send(from, Msg::Pong);
             }
             self.messages.push((from, msg));
+            self.deliveries.push((ctx.now(), ctx.hops()));
         }
 
         fn on_timer(&mut self, tag: TimerTag, _ctx: &mut Context<'_, Msg>) {
@@ -1009,7 +912,24 @@ mod tests {
     }
 
     fn world() -> World<Msg> {
-        World::new(SimConfig::default().with_trace())
+        World::new(SimConfig::default())
+    }
+
+    /// One message a [`Recorder`] saw, with its delivery time and hop count.
+    type Seen = (ProcessId, Msg, SimTime, u32);
+
+    fn seen(w: &World<Msg>, pid: ProcessId) -> Vec<Seen> {
+        let recorder = w.actor::<Recorder>(pid).expect("recorder");
+        recorder
+            .messages
+            .iter()
+            .zip(&recorder.deliveries)
+            .map(|((from, msg), (at, hops))| (*from, msg.clone(), *at, *hops))
+            .collect()
+    }
+
+    fn times(seen: &[Vec<Seen>]) -> Vec<SimTime> {
+        seen.iter().flatten().map(|(_, _, at, _)| *at).collect()
     }
 
     #[test]
@@ -1024,13 +944,8 @@ mod tests {
         let a_actor = w.actor::<Recorder>(a).expect("actor a");
         assert_eq!(a_actor.messages, vec![(b, Msg::Pong)]);
         // Hop accounting: Ping delivered with 0 hops, Pong with 1.
-        let deliveries: Vec<u32> = w
-            .trace()
-            .iter()
-            .filter(|e| e.kind == TraceKind::Deliver)
-            .map(|e| e.hops)
-            .collect();
-        assert_eq!(deliveries, vec![0, 1]);
+        assert_eq!(b_actor.deliveries[0].1, 0);
+        assert_eq!(a_actor.deliveries[0].1, 1);
         assert_eq!(w.metrics().received(b), 1);
         assert_eq!(w.metrics().sent(b), 1);
     }
@@ -1112,40 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_capacity_bounds_the_buffer_to_the_most_recent_events() {
-        let capacity = 20usize;
-        let mut w: World<Msg> = World::new(
-            SimConfig::default()
-                .with_trace()
-                .with_trace_capacity(capacity),
-        );
-        let a = w.add_actor(Recorder::default());
-        let b = w.add_actor(Recorder::default());
-        // 200 sends produce 400+ trace events (Send + Deliver each), far past
-        // the trim threshold of 2 × capacity.
-        for i in 0..200 {
-            w.send_from(a, b, Msg::Note(i));
-        }
-        w.run();
-        let trace = w.trace();
-        assert!(
-            trace.len() < capacity * 2,
-            "trace grew past the ring bound: {} events",
-            trace.len()
-        );
-        assert!(!trace.is_empty(), "ring must retain the most recent events");
-        // The ring keeps the *newest* suffix: all 200 `Send` events were
-        // recorded at time zero (before the run), so only later deliveries
-        // survive, and what remains is still time-ordered.
-        assert!(
-            trace.first().expect("non-empty").time > SimTime::ZERO,
-            "oldest events were not evicted"
-        );
-        assert_eq!(trace.last().expect("non-empty").kind, TraceKind::Deliver);
-        assert!(trace.windows(2).all(|pair| pair[0].time <= pair[1].time));
-    }
-
-    #[test]
     fn crashed_actor_receives_nothing() {
         let mut w = world();
         let a = w.add_actor(Recorder::default());
@@ -1156,8 +1037,9 @@ mod tests {
         w.run();
         assert!(w.actor::<Recorder>(b).expect("b").messages.is_empty());
         assert!(w.actor::<Recorder>(b).expect("b").crashed);
-        // The drop was traced.
-        assert!(w.trace().iter().any(|e| e.kind == TraceKind::DropCrashed));
+        // The send was scheduled and its delivery executed, but dropped.
+        assert_eq!(w.steps(), 1);
+        assert_eq!(w.metrics().total_delivered, 0);
     }
 
     #[test]
@@ -1173,9 +1055,9 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_seed_same_trace() {
+    fn determinism_same_seed_same_deliveries() {
         let run = |seed: u64| {
-            let mut w = World::<Msg>::new(SimConfig::default().with_seed(seed).with_trace());
+            let mut w = World::<Msg>::new(SimConfig::default().with_seed(seed));
             let a = w.add_actor(Recorder::default());
             let b = w.add_actor(Recorder::default());
             for i in 0..20 {
@@ -1183,16 +1065,11 @@ mod tests {
                 w.send_from(b, a, Msg::Note(i));
             }
             w.run();
-            w.trace().to_vec()
+            vec![seen(&w, a), seen(&w, b)]
         };
         assert_eq!(run(7), run(7));
         // Different seeds give different delivery times (almost surely).
-        let t1 = run(7);
-        let t2 = run(8);
-        assert_ne!(
-            t1.iter().map(|e| e.time).collect::<Vec<_>>(),
-            t2.iter().map(|e| e.time).collect::<Vec<_>>()
-        );
+        assert_ne!(times(&run(7)), times(&run(8)));
     }
 
     #[test]
@@ -1285,7 +1162,6 @@ mod tests {
             vec![(b, Msg::Note(2))]
         );
         assert_eq!(w.metrics().counter("faults_msg_dropped"), 1);
-        assert!(w.trace().iter().any(|e| e.kind == TraceKind::DropFault));
         w.clear_link_fault(a, b);
         w.send_from(a, b, Msg::Note(3));
         w.run();
@@ -1401,7 +1277,6 @@ mod tests {
         // The pre-crash timer (tag 1) died with the old incarnation; only the
         // re-armed tag-2 timer fired.
         assert_eq!(actor.timers, vec![2]);
-        assert!(w.trace().iter().any(|e| e.kind == TraceKind::Restart));
     }
 
     #[test]
@@ -1455,7 +1330,7 @@ mod tests {
     #[test]
     fn faulty_runs_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut w = World::<Msg>::new(SimConfig::default().with_seed(seed).with_trace());
+            let mut w = World::<Msg>::new(SimConfig::default().with_seed(seed));
             let a = w.add_actor(Recorder::default());
             let b = w.add_actor(Recorder::default());
             w.set_default_link_fault(Some(crate::faults::LinkFault::noise(0.2, 0.2, 0.2, 500)));
@@ -1464,13 +1339,10 @@ mod tests {
                 w.send_from(b, a, Msg::Note(100 + i));
             }
             w.run();
-            w.trace().to_vec()
+            vec![seen(&w, a), seen(&w, b)]
         };
         assert_eq!(run(11), run(11));
-        assert_ne!(
-            run(11).iter().map(|e| e.time).collect::<Vec<_>>(),
-            run(12).iter().map(|e| e.time).collect::<Vec<_>>()
-        );
+        assert_ne!(times(&run(11)), times(&run(12)));
     }
 
     #[test]
@@ -1479,13 +1351,8 @@ mod tests {
         let a = w.add_actor(Recorder::default());
         w.send_external(a, Msg::Ping);
         w.run();
-        let deliveries: Vec<u32> = w
-            .trace()
-            .iter()
-            .filter(|e| e.kind == TraceKind::Deliver)
-            .map(|e| e.hops)
-            .collect();
-        assert_eq!(deliveries, vec![0]);
+        let recorder = w.actor::<Recorder>(a).expect("a");
+        assert_eq!(recorder.deliveries, vec![(SimTime::ZERO, 0)]);
         assert_eq!(w.process_ids(), vec![a]);
         assert!(w.steps() > 0);
     }
