@@ -1,14 +1,12 @@
 //! Benchmark harness for the RATC reproduction.
 //!
-//! This crate contains no library logic of its own; it hosts
-//!
-//! * one binary per experiment of EXPERIMENTS.md (`exp_e1_latency` …
-//!   `exp_e8_invariants`, plus `exp_e8_batching` for the batched
-//!   certification pipeline), each of which runs the corresponding driver
-//!   from `ratc-workload` and prints the table recorded in EXPERIMENTS.md,
-//!   and
-//! * Criterion benchmarks (`benches/`) measuring the wall-clock cost of the
-//!   simulated protocols and of the certification functions themselves.
+//! This crate contains no library logic of its own; it hosts one binary per
+//! experiment of EXPERIMENTS.md (`exp_e1_latency` … `exp_e8_invariants`, plus
+//! `exp_e8_batching` for the batched certification pipeline), each of which
+//! runs the corresponding driver from `ratc-workload` and prints the table
+//! recorded in EXPERIMENTS.md. The wall-clock cost of the certification
+//! functions, the log and the batcher is measured by the repository benchmark
+//! (`benchmark/`, per-layer metrics).
 //!
 //! Run all experiment binaries with
 //! `for b in e1_latency e2_leader_load e3_replication_cost e4_scaling e5_aborts e6_reconfig e7_counterexample e8_invariants e8_batching; do cargo run --release -p ratc-bench --bin exp_$b; done`.

@@ -8,12 +8,11 @@
 //! after shrinking.
 
 use ratc_types::ShardId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fabric-wide probabilistic background noise, applied to every
 /// replica-to-replica link for the duration of the fault window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkNoise {
     /// Per-send drop probability.
     pub drop: f64,
@@ -41,7 +40,7 @@ impl LinkNoise {
 
 /// One discrete fault (or repair) action, applied at a point in simulated
 /// time. Targets are resolved against the cluster at execution time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Crash the current leader of `shard`.
     CrashLeader {
@@ -143,7 +142,7 @@ impl fmt::Display for FaultEvent {
 }
 
 /// A fault event scheduled at an absolute simulated-time offset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedFault {
     /// Offset from the start of the soak, in microseconds.
     pub at_micros: u64,
@@ -152,7 +151,7 @@ pub struct TimedFault {
 }
 
 /// A complete, deterministic fault schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Fabric-wide background noise active for the whole fault window.
     pub noise: Option<LinkNoise>,

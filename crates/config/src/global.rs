@@ -10,13 +10,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ratc_types::{Epoch, ProcessId, ShardId};
-use serde::{Deserialize, Serialize};
 
 use crate::shard::CasError;
 
 /// A system-wide configuration: for each shard, its members and leader, all
 /// tagged by one global epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalConfiguration {
     /// The global epoch identifying this configuration.
     pub epoch: Epoch,
@@ -116,7 +115,7 @@ impl fmt::Display for GlobalConfiguration {
 
 /// The configuration service state for the RDMA protocol: a single sequence
 /// of global configurations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalConfigRegistry {
     history: Vec<GlobalConfiguration>,
 }

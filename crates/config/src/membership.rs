@@ -10,11 +10,10 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// Plans new shard memberships from probe responders and a pool of fresh
 /// replicas.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MembershipPlanner {
     spares: VecDeque<ProcessId>,
     target_size: usize,

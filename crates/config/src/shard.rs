@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ratc_types::{Epoch, ProcessId, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// A configuration of a shard: the tuple `⟨e, M, pl⟩` of §3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfiguration {
     /// The epoch identifying this configuration.
     pub epoch: Epoch,
@@ -70,7 +69,7 @@ impl fmt::Display for ShardConfiguration {
 
 /// Errors returned by [`ShardConfigRegistry::compare_and_swap`] (and its
 /// global counterpart).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CasError {
     /// The expected epoch did not match the stored epoch: a concurrent
     /// reconfiguration won the race.
@@ -136,7 +135,7 @@ impl std::error::Error for CasError {}
 /// cs.compare_and_swap(s0, Epoch::ZERO, next).unwrap();
 /// assert_eq!(cs.get_last(s0).unwrap().epoch, Epoch::new(1));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardConfigRegistry {
     shards: BTreeMap<ShardId, Vec<ShardConfiguration>>,
 }

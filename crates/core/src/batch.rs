@@ -44,7 +44,6 @@
 /// `ratc-sim` dependency.
 pub use ratc_sim::SimDuration;
 use ratc_types::{Decision, Payload, Position, ProcessId, ShardId, TxId};
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the batching pipeline (surfaced on all three harnesses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,7 +221,7 @@ impl<T> VoteBatcher<T> {
 /// only the second item spills to the heap. The representation is private:
 /// senders build a list with [`Items::one`], [`Items::push`] or `collect`,
 /// handlers iterate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Items<T> {
     first: Option<T>,
     rest: Vec<T>,
@@ -299,7 +298,7 @@ impl<T> FromIterator<T> for Items<T> {
 /// `PREPARE`, so the leader can serve each item exactly as it would a
 /// single-transaction prepare (including the `TxDecided` fast path for
 /// truncated transactions and re-acks for already-certified ones).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrepareItem {
     /// Transaction identifier.
     pub tx: TxId,
@@ -314,7 +313,7 @@ pub struct PrepareItem {
 /// A coalesced prepare request: the [`VoteBatcher`]'s output for one shard
 /// leader. The leader certifies the items in order and assigns fresh entries
 /// a contiguous position range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrepareBatch {
     /// The batched transactions, in submission order.
     pub items: Items<PrepareItem>,
@@ -325,7 +324,7 @@ pub struct PrepareBatch {
 /// persist the slot and a recovery coordinator needs to take the transaction
 /// over. Per-slot votes remain individually recoverable from a batch (in the
 /// RDMA stack: from the memory region a batch write landed in).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedItem {
     /// Position assigned in the certification order.
     pub pos: Position,
@@ -342,7 +341,7 @@ pub struct PreparedItem {
 }
 
 /// One acknowledged slot of an `ACCEPT_ACK_BATCH`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptAckItem {
     /// Position acknowledged.
     pub pos: Position,
@@ -353,7 +352,7 @@ pub struct AcceptAckItem {
 }
 
 /// One decided slot of a `DECISION_BATCH`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionItem {
     /// Position in the certification order.
     pub pos: Position,

@@ -191,32 +191,18 @@ struct ShardProgress {
     frontiers: BTreeMap<ProcessId, Position>,
 }
 
-/// Coordinator-side state for one transaction.
+/// Coordinator-side state for one transaction this process is driving.
 #[derive(Debug, Clone)]
 struct CoordState {
     client: ProcessId,
     /// The full payload if this coordinator received the original `certify`;
-    /// `None` for recovery coordinators (which only ever send `⊥`) and once
-    /// the decision is known: every shard already holds what it prepared.
+    /// `None` for recovery coordinators (which only ever send `⊥`).
     payload: Option<Payload>,
     shards: Vec<ShardId>,
     /// Progress per shard per epoch.
     progress: BTreeMap<(ShardId, Epoch), ShardProgress>,
     /// When the next re-drive is due (flow control only; `None`: at once).
     backoff: Option<BackoffState>,
-    /// No longer driven by this coordinator. Without a `decision` the
-    /// transaction was handed off ([`Coordinator::hand_off`]).
-    decided: bool,
-    /// The final decision this coordinator computed or learned, kept so a
-    /// re-submitted `certify` of an already-decided transaction (e.g. the
-    /// client's `DECISION` was lost to a network fault) is answered directly
-    /// instead of silently swallowed.
-    decision: Option<Decision>,
-    /// A decision learned out-of-band from a `TxDecided` reply (the
-    /// transaction was truncated at some shard). Shards that still hold the
-    /// transaction as prepared must be told it, or their slots (and lock
-    /// tables) stay stranded forever.
-    known_decision: Option<Decision>,
 }
 
 impl CoordState {
@@ -227,9 +213,6 @@ impl CoordState {
             shards,
             progress: BTreeMap::new(),
             backoff: None,
-            decided: false,
-            decision: None,
-            known_decision: None,
         }
     }
 
@@ -246,15 +229,49 @@ impl CoordState {
     }
 }
 
+/// How a transaction stopped being driven by this coordinator.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    /// Lines 26–29 / 96–100: decided here from the shards' votes, and the
+    /// decision sent to every shard.
+    Decided(Decision),
+    /// Learned from a `TxDecided` reply: some shard already truncated the
+    /// transaction. A shard that re-acks it still holds it prepared and must
+    /// be told, or its slot and `L2` locks stay stranded forever.
+    Adopted(Decision),
+    /// Handed to the members of a newer configuration
+    /// ([`Coordinator::hand_off`]); no decision is known here.
+    HandedOff,
+}
+
+impl Outcome {
+    fn decision(self) -> Option<Decision> {
+        match self {
+            Outcome::Decided(decision) | Outcome::Adopted(decision) => Some(decision),
+            Outcome::HandedOff => None,
+        }
+    }
+}
+
+/// What is kept of a transaction this coordinator no longer drives: the
+/// outcome, so a re-submitted `certify` (the client's `DECISION` was lost to
+/// a fault) is answered instead of swallowed, and the shards
+/// [`Coordinator::forget_decided`] hands back.
+#[derive(Debug, Clone)]
+struct Settled {
+    outcome: Outcome,
+    shards: Vec<ShardId>,
+}
+
 /// Everything a process needs to coordinate transactions (see the module
 /// documentation).
 pub struct Coordinator {
     sharding: Arc<dyn ShardMap + Send + Sync>,
+    /// Exactly the transactions this process is driving: the admission
+    /// window counts them and the re-transmission tick walks them.
     coordinating: BTreeMap<TxId, CoordState>,
-    /// Running count of undecided coordinated transactions — kept in O(1)
-    /// lockstep with `coordinating` so the admission check does not rescan
-    /// the map (which retains decided entries) on every certify and drain.
-    in_flight: usize,
+    /// The transactions it stopped driving, until they are forgotten.
+    settled: BTreeMap<TxId, Settled>,
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
     admission: AdmissionQueue<(Payload, ProcessId)>,
     /// Flow-control knobs: coordinator admission window and retry backoff.
@@ -270,7 +287,7 @@ impl Coordinator {
         Coordinator {
             sharding,
             coordinating: BTreeMap::new(),
-            in_flight: 0,
+            settled: BTreeMap::new(),
             admission: AdmissionQueue::new(),
             flow: FlowControlConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
@@ -297,21 +314,12 @@ impl Coordinator {
 
     /// Number of transactions currently coordinated without a final decision.
     pub fn undecided_coordinated(&self) -> usize {
-        debug_assert_eq!(
-            self.in_flight,
-            self.coordinating.values().filter(|c| !c.decided).count(),
-            "in-flight counter out of lockstep with coordinating map"
-        );
-        self.in_flight
+        self.coordinating.len()
     }
 
     /// The coordinated transactions that have no final decision.
     pub fn undecided_transactions(&self) -> Vec<TxId> {
-        self.coordinating
-            .iter()
-            .filter(|(_, c)| !c.decided)
-            .map(|(tx, _)| *tx)
-            .collect()
+        self.coordinating.keys().copied().collect()
     }
 
     /// Crash-restart: coordinator state is volatile, so all of it is lost;
@@ -319,22 +327,20 @@ impl Coordinator {
     /// Timers set before the crash never fire in the new incarnation.
     pub fn reset(&mut self) {
         self.coordinating.clear();
-        self.in_flight = 0;
+        self.settled.clear();
         self.admission.clear();
         self.batcher = VoteBatcher::new(self.batcher.config());
         self.retry_timer_armed = false;
         self.batch_timer_armed = false;
     }
 
-    /// Drops the state of a decided transaction and returns its shards; `None`
-    /// (and nothing dropped) while the transaction is unknown or in flight.
-    /// Neither the client (it has the decision) nor a recovery coordinator
-    /// will ask about it again once the decision is acknowledged end to end.
+    /// Drops the record of a decided transaction and returns its shards;
+    /// `None` (and nothing dropped) while the transaction is unknown or in
+    /// flight. Neither the client (it has the decision) nor a recovery
+    /// coordinator will ask about it again once the decision is acknowledged
+    /// end to end.
     pub fn forget_decided(&mut self, tx: TxId) -> Option<Vec<ShardId>> {
-        if !self.coordinating.get(&tx)?.decided {
-            return None;
-        }
-        self.coordinating.remove(&tx).map(|coord| coord.shards)
+        self.settled.remove(&tx).map(|settled| settled.shards)
     }
 
     // -- helpers -------------------------------------------------------------
@@ -387,14 +393,11 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator state of `tx`, created (and counted in flight) if this
-    /// process is not coordinating it yet — a recovery coordinator, which has
-    /// no payload.
+    /// The driven state of `tx`, opened if this process is not driving it
+    /// yet — a recovery coordinator, which has no payload.
     fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
-        self.coordinating.entry(tx).or_insert_with(|| {
-            self.in_flight += 1;
-            CoordState::new(client, None, shards.to_vec())
-        })
+        let open = || CoordState::new(client, None, shards.to_vec());
+        self.coordinating.entry(tx).or_insert_with(open)
     }
 
     /// Sends `PREPARE` for `txs` (line 3 / 73 / 76): one `PREPARE_BATCH` per
@@ -472,7 +475,7 @@ impl Coordinator {
         }
         // Decided (an out-of-band `TxDecided`) or handed off while it waited
         // in the batch.
-        txs.retain(|tx| self.coordinating.get(tx).is_some_and(|c| !c.decided));
+        txs.retain(|tx| self.coordinating.contains_key(tx));
         let sent = self.send_prepares(&txs, None, repl, ctx);
         ctx.add_counter("prepare_batches_sent", sent);
     }
@@ -484,9 +487,6 @@ impl Coordinator {
     /// per-shard `(position, truncation floor)` targets.
     fn completion_of<R: Replication>(&self, tx: TxId, repl: &R) -> Option<Completion> {
         let coord = self.coordinating.get(&tx)?;
-        if coord.decided {
-            return None;
-        }
         let mut votes = Vec::new();
         let mut positions = Vec::new();
         for shard in &coord.shards {
@@ -520,16 +520,14 @@ impl Coordinator {
     ) {
         let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
         for tx in txs {
-            // A transaction listed twice is complete only once: deciding it
-            // makes its second `completion_of` come back empty.
+            // A transaction listed twice is complete only once: it is no
+            // longer driven when its second `completion_of` looks for it.
             let Some((client, decision, targets)) = self.completion_of(tx, repl) else {
                 continue;
             };
-            if let Some(coord) = self.coordinating.get_mut(&tx) {
-                coord.decided = true;
-                coord.decision = Some(decision);
-                coord.payload = None;
-                self.in_flight -= 1;
+            if let Some(CoordState { shards, .. }) = self.coordinating.remove(&tx) {
+                let outcome = Outcome::Decided(decision);
+                self.settled.insert(tx, Settled { outcome, shards });
             }
             self.admission.remove(tx);
             ctx.add_counter("coordinator_decisions", 1);
@@ -538,7 +536,7 @@ impl Coordinator {
             // acknowledgement both completes the quorum and fixes the outcome.
             ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
             ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-            ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+            ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
             ctx.send(client, R::Msg::decision_client(tx, decision));
             for (shard, pos, floor) in targets {
                 sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
@@ -548,28 +546,6 @@ impl Coordinator {
             repl.distribute_decisions(shard, decisions, ctx);
         }
         self.drain_admission(repl, ctx);
-    }
-
-    /// Re-sends the decision of a transaction with an out-of-band decision to
-    /// the members of `shard`, if this coordinator knows the transaction's
-    /// position there in the shard's current epoch.
-    fn flush_known_decision<R: Replication>(
-        &self,
-        tx: TxId,
-        shard: ShardId,
-        repl: &mut R,
-        ctx: &mut Context<'_, R::Msg>,
-    ) {
-        let epoch = repl.view(shard).epoch;
-        let Some((decision, pos)) = self.coordinating.get(&tx).and_then(|coord| {
-            let pos = coord.progress.get(&(shard, epoch))?.pos?;
-            Some((coord.known_decision?, pos))
-        }) else {
-            return;
-        };
-        let mut decisions = ShardDecisions::default();
-        decisions.push(pos, decision, Position::ZERO);
-        repl.distribute_decisions(shard, decisions, ctx);
     }
 
     // -- the exchange ----------------------------------------------------------
@@ -589,25 +565,24 @@ impl Coordinator {
             ctx.send(client, R::Msg::decision_client(tx, Decision::Commit));
             return;
         }
+        if let Some(settled) = self.settled.get(&tx) {
+            // A re-submitted `certify` of a transaction this coordinator
+            // already decided (the client's `DECISION` was lost to a fault,
+            // or the client retried against the same coordinator): answer
+            // with the recorded decision instead of silently swallowing the
+            // request.
+            if let Some(decision) = settled.outcome.decision() {
+                ctx.send(client, R::Msg::decision_client(tx, decision));
+                return;
+            }
+            // Handed off to the members of a newer configuration. If the
+            // client is re-driving the transaction, the hand-off `RETRY` was
+            // lost: coordinate it afresh, as a retry of what was in flight.
+            self.settled.remove(&tx);
+            self.coord_entry(tx, client, &shards);
+        }
         match self.coordinating.get_mut(&tx) {
             Some(coord) => {
-                // A re-submitted `certify` of a transaction this coordinator
-                // already decided (the client's `DECISION` was lost to a
-                // fault, or the client retried against the same coordinator):
-                // answer with the recorded decision instead of silently
-                // swallowing the request.
-                if let Some(decision) = coord.decision {
-                    ctx.send(client, R::Msg::decision_client(tx, decision));
-                    return;
-                }
-                // `decided` without a decision marks a coordination handed
-                // off to the members of a newer configuration (`hand_off`).
-                // If the client is re-driving the transaction, the hand-off
-                // `RETRY` was lost: coordinate it afresh.
-                if coord.decided {
-                    coord.decided = false;
-                    self.in_flight += 1;
-                }
                 coord.payload = Some(payload);
                 coord.client = client;
                 if self.flow.enabled {
@@ -643,9 +618,8 @@ impl Coordinator {
                 let mut coord = CoordState::new(client, Some(payload), shards);
                 coord.backoff = backoff;
                 self.coordinating.insert(tx, coord);
-                self.in_flight += 1;
                 ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
-                ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
             }
         }
         // Into the pending batch, which flushes when it reaches its target
@@ -690,13 +664,26 @@ impl Coordinator {
         if repl.view(shard).epoch != epoch {
             return;
         }
+        // A late re-ack for a transaction whose decision was learned
+        // out-of-band (`TxDecided`): this shard still holds it prepared, and
+        // the ack says where, so tell it the decision.
+        let mut adopted = ShardDecisions::default();
         for item in items.iter() {
-            let progress = self
-                .coord_entry(item.tx, item.client, &item.shards)
-                .progress_mut(shard, epoch);
-            progress.pos = Some(item.pos);
-            progress.vote = Some(item.vote);
-            progress.frontiers.insert(from, frontier);
+            match self.settled.get(&item.tx).map(|settled| settled.outcome) {
+                Some(Outcome::Adopted(decision)) => {
+                    adopted.push(item.pos, decision, Position::ZERO)
+                }
+                // A late vote must not revive what is no longer driven.
+                Some(_) => {}
+                None => {
+                    let progress = self
+                        .coord_entry(item.tx, item.client, &item.shards)
+                        .progress_mut(shard, epoch);
+                    progress.pos = Some(item.pos);
+                    progress.vote = Some(item.vote);
+                    progress.frontiers.insert(from, frontier);
+                }
+            }
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
         }
         let txs: Items<TxId> = items.iter().map(|item| item.tx).collect();
@@ -707,11 +694,8 @@ impl Coordinator {
                 }
             }
         }
-        // A late re-ack for a transaction whose decision was already learned
-        // out-of-band (`TxDecided`): tell this shard the decision now that
-        // its position is known.
-        for &tx in txs.iter() {
-            self.flush_known_decision(tx, shard, repl, ctx);
+        if !adopted.items.is_empty() {
+            repl.distribute_decisions(shard, adopted, ctx);
         }
         // With f = 0 (no followers) the transactions may already be complete.
         self.complete(txs, repl, ctx);
@@ -761,7 +745,7 @@ impl Coordinator {
     /// shards that missed the original `DECISION` still hold the transaction
     /// as prepared, and without this their slots and `L2` locks would stay
     /// stranded forever. Shards whose `PREPARE_ACK` has not arrived yet are
-    /// flushed from [`Coordinator::on_prepare_ack`] via `known_decision`.
+    /// told from [`Coordinator::on_prepare_ack`], at the position the ack names.
     pub fn on_tx_decided<R: Replication>(
         &mut self,
         tx: TxId,
@@ -770,31 +754,34 @@ impl Coordinator {
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        let mut notify_client = true;
-        if let Some(coord) = self.coordinating.get_mut(&tx) {
-            if coord.known_decision.is_some() {
+        if let Some(settled) = self.settled.get_mut(&tx) {
+            // No longer driven here, so whoever drives it answers the
+            // client; only remember that some shard truncated it.
+            if matches!(settled.outcome, Outcome::Adopted(_)) {
                 return;
             }
-            coord.known_decision = Some(decision);
-            notify_client = !coord.decided;
-            if !coord.decided {
-                self.in_flight -= 1;
+            let known = settled.outcome.decision().unwrap_or(decision);
+            settled.outcome = Outcome::Adopted(known);
+        } else {
+            if let Some(coord) = self.coordinating.remove(&tx) {
                 // Decided out-of-band (the shard already truncated the
                 // transaction): no quorum was observed this incarnation.
                 ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-                ctx.obs_gauge("obs_inflight_window", self.in_flight as f64);
+                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
+                for &shard in &coord.shards {
+                    let voted = coord.progress.get(&(shard, repl.view(shard).epoch));
+                    if let Some(pos) = voted.and_then(|progress| progress.pos) {
+                        let mut decisions = ShardDecisions::default();
+                        decisions.push(pos, decision, Position::ZERO);
+                        repl.distribute_decisions(shard, decisions, ctx);
+                    }
+                }
+                let (outcome, shards) = (Outcome::Adopted(decision), coord.shards);
+                self.settled.insert(tx, Settled { outcome, shards });
             }
-            coord.decided = true;
-            coord.decision.get_or_insert(decision);
-            coord.payload = None;
-            for shard in coord.shards.clone() {
-                self.flush_known_decision(tx, shard, repl, ctx);
-            }
-        }
-        self.admission.remove(tx);
-        if notify_client {
             ctx.send(client, R::Msg::decision_client(tx, decision));
         }
+        self.admission.remove(tx);
         // An out-of-band decision also frees an admission slot.
         self.drain_admission(repl, ctx);
     }
@@ -814,6 +801,9 @@ impl Coordinator {
         let Some((client, shards)) = prepared else {
             return;
         };
+        // The host holds `tx` prepared, so however it was settled here never
+        // reached the host's own log: drive it again.
+        self.settled.remove(&tx);
         self.coord_entry(tx, client, &shards);
         // Line 73: send PREPARE(t, ⊥) to the leaders of all shards of t
         // (`⊥` because a recovery coordinator has no full payload).
@@ -843,7 +833,7 @@ impl Coordinator {
         let pending: Vec<TxId> = self
             .coordinating
             .iter()
-            .filter(|(_, c)| !c.decided && self.backoff_due(c, now))
+            .filter(|(_, c)| self.backoff_due(c, now))
             .map(|(tx, _)| *tx)
             .collect();
         // A stalled coordinator may be working from a stale view: pushed
@@ -887,17 +877,16 @@ impl Coordinator {
     /// transaction takes over as recovery coordinator (line 70), and leaders
     /// that never saw it ignore the request.
     pub fn hand_off<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
-        for (tx, coord) in self.coordinating.iter_mut().filter(|(_, c)| !c.decided) {
+        for (tx, coord) in std::mem::take(&mut self.coordinating) {
             for shard in &coord.shards {
                 if let Some(leader) = repl.view(*shard).leader {
-                    ctx.send(leader, R::Msg::retry(*tx));
+                    ctx.send(leader, R::Msg::retry(tx));
                 }
             }
             // Stop retrying locally; the client's decision now comes from the
             // member that takes the transaction over.
-            coord.decided = true;
-            coord.backoff = None;
-            self.in_flight -= 1;
+            let (outcome, shards) = (Outcome::HandedOff, coord.shards);
+            self.settled.insert(tx, Settled { outcome, shards });
             ctx.ctrl_milestone(CtrlMilestone::CoordinatorHandoff, None, tx.as_u64());
             ctx.add_counter("retries_handed_off", 1);
         }
@@ -1184,40 +1173,105 @@ mod tests {
         }
     }
 
-    /// The class of bug PR 12 fixed: every way a transaction stops (or
-    /// resumes) being driven here must keep `in_flight` equal to the number
-    /// of undecided entries — `undecided_coordinated` debug-asserts the
-    /// lockstep, the table pins the count.
+    /// Every way a transaction stops (or resumes) being driven here, and
+    /// every late message about one that has: `coordinating`, which the
+    /// admission window counts, holds exactly the driven ones, and what is
+    /// kept of the others still answers the client and the shards. The
+    /// columns are cumulative.
     #[test]
-    fn in_flight_matches_the_undecided_count_after_every_exit() {
+    fn exactly_the_driven_transactions_are_coordinated_after_every_exit() {
+        use Decision::{Abort, Commit};
         let mut rig = Rig::new(FlowControlConfig::default());
         for tx in 1..=3 {
             rig.certify(tx, &["a"]);
         }
         let decided_elsewhere = TestMsg::TxDecided {
             tx: TxId::new(2),
-            decision: Decision::Abort,
+            decision: Abort,
             client: rig.client,
         };
+        let duplicate = decided_elsewhere.clone();
         type Step = Box<dyn Fn(&mut Rig)>;
-        let exits: Vec<(&str, Step, Vec<u64>)> = vec![
+        // (exit, step, driven, decisions sent to shard 0, decisions sent to
+        // the client)
+        type Row = (&'static str, Step, Vec<u64>, Vec<Decision>, usize);
+        let exits: Vec<Row> = vec![
             (
                 "vote without quorum",
                 Box::new(|r| r.vote(0, 1)),
                 vec![1, 2, 3],
+                vec![],
+                0,
             ),
-            ("quorum decision", Box::new(|r| r.ack(0, 1)), vec![2, 3]),
             (
-                "adopted TxDecided",
+                "quorum decision",
+                Box::new(|r| r.ack(0, 1)),
+                vec![2, 3],
+                vec![Commit],
+                1,
+            ),
+            (
+                "adopted TxDecided (no position known yet: nothing to tell shard 0)",
                 Box::new(move |r| r.send(decided_elsewhere.clone())),
                 vec![3],
+                vec![Commit],
+                2,
             ),
-            ("duplicate ack", Box::new(|r| r.ack(0, 1)), vec![3]),
-            ("hand-off", Box::new(|r| r.send(TestMsg::Excluded)), vec![]),
             (
-                "client re-drive of the handed-off transaction",
-                Box::new(|r| r.certify(3, &["a"])),
+                "duplicate ack",
+                Box::new(|r| r.ack(0, 1)),
                 vec![3],
+                vec![Commit],
+                2,
+            ),
+            (
+                "late vote for the transaction decided here",
+                Box::new(|r| r.vote(0, 1)),
+                vec![3],
+                vec![Commit],
+                2,
+            ),
+            (
+                "late vote for the adopted one: the shard is told, at the ack's position",
+                Box::new(|r| r.vote(0, 2)),
+                vec![3],
+                vec![Commit, Abort],
+                2,
+            ),
+            (
+                "duplicate TxDecided",
+                Box::new(move |r| r.send(duplicate.clone())),
+                vec![3],
+                vec![Commit, Abort],
+                2,
+            ),
+            (
+                "re-submitted certify of a decided transaction: answered from the record",
+                Box::new(|r| r.certify(1, &["a"])),
+                vec![3],
+                vec![Commit, Abort],
+                3,
+            ),
+            (
+                "hand-off",
+                Box::new(|r| r.send(TestMsg::Excluded)),
+                vec![],
+                vec![Commit, Abort],
+                3,
+            ),
+            (
+                "late vote for the handed-off transaction",
+                Box::new(|r| r.vote(0, 3)),
+                vec![],
+                vec![Commit, Abort],
+                3,
+            ),
+            (
+                "client re-drive of the handed-off transaction, with a new payload",
+                Box::new(|r| r.certify(3, &["a", "b"])),
+                vec![3],
+                vec![Commit, Abort],
+                3,
             ),
             (
                 "reset",
@@ -1227,23 +1281,33 @@ mod tests {
                     r.settle();
                 }),
                 vec![],
+                vec![Commit, Abort],
+                3,
             ),
         ];
-        for (exit, step, undecided) in exits {
+        for (exit, step, driven, told_shard, told_client) in exits {
             step(&mut rig);
             let coord = &rig.host().coord;
-            let expected: Vec<TxId> = undecided.into_iter().map(TxId::new).collect();
+            let expected: Vec<TxId> = driven.into_iter().map(TxId::new).collect();
             assert_eq!(coord.undecided_transactions(), expected, "after {exit}");
             assert_eq!(
                 coord.undecided_coordinated(),
                 expected.len(),
                 "after {exit}"
             );
+            let distributed = rig.host().repl.distributed.iter();
+            let to_shard: Vec<Decision> = distributed.flat_map(|(_, d)| d.clone()).collect();
+            assert_eq!(to_shard, told_shard, "after {exit}");
+            let client = rig.world.actor::<Sink>(rig.client).expect("client");
+            assert_eq!(client.0.len(), told_client, "after {exit}");
         }
-        // The hand-off asked the shard's leader to take transaction 3 over.
+        // The hand-off asked the shard's leader to take transaction 3 over,
+        // and the re-drive prepared the shards of the *new* payload.
         let leader = rig.world.actor::<Sink>(rig.leaders[0]).expect("leader");
         let retried = |m: &TestMsg| matches!(m, TestMsg::Retry { tx } if tx.as_u64() == 3);
         assert_eq!(leader.0.iter().filter(|m| retried(m)).count(), 1);
+        assert_eq!(rig.prepares_at(rig.leaders[0]), vec![1, 2, 3, 3]);
+        assert_eq!(rig.prepares_at(rig.leaders[1]), vec![3]);
     }
 
     #[test]
@@ -1252,14 +1316,17 @@ mod tests {
         let key = Key::new("a");
         let payload = Payload::builder().read(key.clone(), Version::ZERO);
         rig.certify_payload(1, payload.build().expect("well-formed"));
-        assert!(key.ref_count() > 1, "held while the transaction is driven");
+        // A payload is stored once however many handles share it, so the
+        // key counts payloads, not copies: `key` itself, the one submitted
+        // (held by the coordinator) and its restriction in the `PREPARE`.
+        assert_eq!(key.ref_count(), 3);
+        let leader = rig.world.actor_mut::<Sink>(rig.leaders[0]).expect("leader");
+        leader.0.clear();
+        assert_eq!(key.ref_count(), 2, "held while the transaction is driven");
         rig.vote(0, 1);
         rig.ack(0, 1);
         assert!(rig.host().coord.undecided_transactions().is_empty());
-        // The leader's sink still holds the `PREPARE` it was sent.
-        let leader = rig.world.actor_mut::<Sink>(rig.leaders[0]).expect("leader");
-        leader.0.clear();
-        assert_eq!(key.ref_count(), 1, "the decided entry kept the payload");
+        assert_eq!(key.ref_count(), 1, "the settled record kept the payload");
     }
 
     #[test]
@@ -1275,10 +1342,13 @@ mod tests {
         );
         assert_eq!(rig.world.metrics().counter("admission_queued"), 2);
         for (decided, admitted) in [(1, vec![1, 2]), (2, vec![1, 2, 3])] {
-            rig.vote(0, decided);
-            rig.ack(0, decided);
-            assert_eq!(rig.prepares_at(rig.leaders[0]), admitted);
-            assert_eq!(rig.host().coord.undecided_coordinated(), 1);
+            // The second, late round of replies frees no second slot.
+            for _ in 0..2 {
+                rig.vote(0, decided);
+                rig.ack(0, decided);
+                assert_eq!(rig.prepares_at(rig.leaders[0]), admitted);
+                assert_eq!(rig.host().coord.undecided_coordinated(), 1);
+            }
         }
         let client = rig.world.actor::<Sink>(rig.client).expect("client");
         let decided = client.0.iter().map(|msg| match msg {

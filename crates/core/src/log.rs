@@ -93,14 +93,13 @@ use ratc_types::{
     Decision, Epoch, IndexedCertifier, Key, Payload, Position, ProcessId, ShardCertifier, ShardId,
     TxId, Version,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{Items, PrepareItem, PreparedItem};
 use crate::coord::CommitMsg;
 use crate::replica::TruncationConfig;
 
 /// The phase of a certification-order slot (the paper's `phase` array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxPhase {
     /// Nothing stored yet (a hole).
     #[default]
@@ -112,7 +111,7 @@ pub enum TxPhase {
 }
 
 /// One slot of the certification log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// The transaction occupying this slot.
     pub tx: TxId,
@@ -132,7 +131,7 @@ pub struct LogEntry {
 
 /// Summary of a truncated, fully-decided, hole-free log prefix (see the
 /// module docs for the invariants).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// One past the last truncated position: slots in `[0, base)` are folded
     /// into this checkpoint; physical storage starts at `base`.
@@ -227,7 +226,7 @@ impl Checkpoint {
 /// Equality compares the paper-visible state (the checkpoint and the retained
 /// slots); the hole counter, the tx→position map and the certification index
 /// are derived caches and do not participate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CertificationLog {
     /// Folded summary of the truncated prefix `[0, base)`.
     checkpoint: Checkpoint,

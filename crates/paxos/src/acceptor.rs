@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 use crate::messages::{PaxosMsg, Slot};
@@ -13,7 +12,7 @@ use crate::messages::{PaxosMsg, Slot};
 /// The acceptor is a pure state machine: [`Acceptor::handle`] consumes one
 /// message and returns the messages to send in response (each paired with its
 /// destination).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Acceptor<C> {
     id: ProcessId,
     promised: Ballot,

@@ -3,13 +3,10 @@
 use std::fmt;
 
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// A Paxos ballot: a round number paired with the proposer's identifier, so
 /// that ballots of different proposers never collide.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ballot {
     /// The round number (most significant component).
     pub round: u64,

@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::messages::Slot;
 
 /// A learner's view of the replicated log: chosen commands indexed by slot,
 /// with a cursor over the contiguous executable prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedLog<C> {
     chosen: BTreeMap<Slot, C>,
     executed_up_to: Slot,

@@ -1,7 +1,6 @@
 //! The Multi-Paxos message vocabulary.
 
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 
@@ -13,7 +12,7 @@ pub type Slot = u64;
 /// The command type `C` is chosen by the embedding protocol (the baseline TCS
 /// uses its certification-log entries; a Paxos-backed configuration service
 /// would use configuration records).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PaxosMsg<C> {
     /// Phase 1a: a proposer asks acceptors to join `ballot`.
     Prepare {

@@ -3,14 +3,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 use crate::ballot::Ballot;
 use crate::messages::{PaxosMsg, Slot};
 use crate::quorum;
 
 /// Phase of the proposer's ballot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Phase 1 has not completed; commands are queued.
     Preparing,
@@ -28,7 +27,7 @@ pub type Outgoing<C> = Vec<(ProcessId, PaxosMsg<C>)>;
 /// Like [`Acceptor`](crate::acceptor::Acceptor), the proposer is a pure state
 /// machine: every input returns the messages to send, plus (from
 /// [`Proposer::handle`]) the commands that became chosen as a result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Proposer<C> {
     id: ProcessId,
     acceptors: Vec<ProcessId>,

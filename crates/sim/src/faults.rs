@@ -37,12 +37,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
 /// Which transport a [`LinkFault`] applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultScope {
     /// Both the message network and the RDMA fabric.
     #[default]
@@ -65,7 +64,7 @@ impl FaultScope {
 
 /// Probabilistic fault behaviour of one directed link (or of the whole
 /// fabric, when installed as the default).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Probability in `[0, 1]` that a send is dropped.
     pub drop: f64,

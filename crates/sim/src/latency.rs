@@ -9,7 +9,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
@@ -20,7 +19,7 @@ use crate::time::SimDuration;
 /// paper targets ("particularly suitable for deployment in local-area
 /// networks", §1). RDMA operations use [`LatencyModel::scaled`] fractions of
 /// the base model to reflect their lower latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this many microseconds.
     Constant(u64),

@@ -17,7 +17,6 @@ use std::fmt::{self, Write as _};
 
 use ratc_obs::{CtrlEvent, TxObsEvent};
 use ratc_types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// Log-spaced histogram resolution: sub-buckets per octave (power of two).
 /// Eight per octave bounds the relative error of a streaming percentile by
@@ -49,7 +48,7 @@ fn hist_value(index: usize) -> f64 {
 }
 
 /// Per-process transport counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessCounters {
     /// Messages sent over the message-passing network.
     pub sent: u64,
@@ -79,7 +78,7 @@ impl ProcessCounters {
 /// processes are sent but never delivered. Divided by the number of
 /// submitted transactions this is the paper's *messages per transaction*
 /// broken down by protocol step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MsgTypeCounters {
     /// Messages of this type handed to the transport.
     pub sent: u64,
@@ -93,7 +92,7 @@ pub struct MsgTypeCounters {
 /// histogram so tail percentiles ([`Summary::percentile`]) are available in
 /// O(1) memory per statistic — min/mean/max hides exactly the tail latency
 /// that matters at overload. No raw sample is retained.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     /// Number of recorded samples.
     pub count: u64,
@@ -189,9 +188,8 @@ fn label_of<M: fmt::Debug>(msg: &M, buf: &mut String) {
 /// All metrics collected during a simulation run.
 ///
 /// Counters and statistics are keyed by `&'static str`: every recording site
-/// names its metric with a literal, so recording allocates nothing (and the
-/// collector is `Serialize` only: a `'static` key cannot be deserialised).
-#[derive(Debug, Clone, Default, Serialize)]
+/// names its metric with a literal, so recording allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     per_process: BTreeMap<ProcessId, ProcessCounters>,
     counters: BTreeMap<&'static str, u64>,

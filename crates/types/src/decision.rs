@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::BitAnd;
 
-use serde::{Deserialize, Serialize};
-
 /// A decision (or vote) on a transaction: `commit` or `abort`.
 ///
 /// The meet operator `⊓` of the paper is exposed both as [`Decision::meet`] and
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Decision::Commit & Decision::Abort, Decision::Abort);
 /// assert_eq!(Decision::meet_all([Decision::Commit, Decision::Commit]), Decision::Commit);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Decision {
     /// The transaction must abort.
     Abort,

@@ -10,14 +10,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::decision::Decision;
 use crate::ids::TxId;
 use crate::payload::Payload;
 
 /// A single action of a TCS history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistoryAction {
     /// A client submitted transaction `tx` with `payload` for certification.
     Certify {
@@ -65,7 +63,7 @@ impl fmt::Display for HistoryAction {
 
 /// Errors detected while *recording* a history (structural violations of the
 /// history well-formedness conditions of §2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistoryError {
     /// The same transaction was submitted for certification twice.
     DuplicateCertify(TxId),
@@ -125,7 +123,7 @@ impl std::error::Error for HistoryError {}
 /// assert_eq!(h.committed().count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TcsHistory {
     actions: Vec<HistoryAction>,
     payloads: BTreeMap<TxId, Payload>,

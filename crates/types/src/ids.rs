@@ -10,8 +10,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Unique identifier of a transaction (the set `T` of the paper).
 ///
 /// Transaction identifiers are allocated by clients (or by the workload
@@ -25,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let t = TxId::new(42);
 /// assert_eq!(t.as_u64(), 42);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxId(u64);
 
 impl TxId {
@@ -58,9 +54,7 @@ impl From<u64> for TxId {
 ///
 /// Each shard manages a disjoint subset of the database objects and is
 /// replicated by a group of processes whose membership changes over time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(u32);
 
 impl ShardId {
@@ -97,9 +91,7 @@ impl From<u32> for ShardId {
 /// Processes are replicas of shards, clients, coordinators, or the
 /// configuration service; the simulation substrate addresses messages by
 /// `ProcessId`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(u64);
 
 impl ProcessId {
@@ -135,9 +127,7 @@ impl From<u64> for ProcessId {
 ///
 /// Epochs are totally ordered; reconfiguration always moves to a strictly
 /// higher epoch. Epoch `0` denotes the initial configuration.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(u64);
 
 impl Epoch {
@@ -179,9 +169,7 @@ impl From<u64> for Epoch {
 
 /// Position (slot index) in a shard's certification order (the array index `k`
 /// of the paper's `txn`, `payload`, `vote`, `dec` and `phase` arrays).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Position(u64);
 
 impl Position {
@@ -229,7 +217,7 @@ impl From<u64> for Position {
 /// every prepared payload, so with plain `String` keys every vote paid one
 /// heap allocation per payload key. Equality, ordering and hashing compare
 /// the string contents, exactly as before.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(Arc<str>);
 
 impl Key {
@@ -275,7 +263,7 @@ impl From<String> for Key {
 }
 
 /// A database object value (the set `Val` of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(Vec<u8>);
 
 impl Value {
@@ -338,9 +326,7 @@ impl From<u64> for Value {
 /// Versions identify which committed transaction wrote the value a reader
 /// observed; optimistic execution reads a version and certification verifies
 /// that the version has not been overwritten.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(u64);
 
 impl Version {

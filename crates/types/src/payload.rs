@@ -8,14 +8,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::ids::{Key, ShardId, Value, Version};
 use crate::sharding::ShardMap;
 
 /// Errors produced when validating a [`Payload`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PayloadError {
     /// An object appears in the write set but not in the read set.
     ///
@@ -67,7 +66,12 @@ impl std::error::Error for PayloadError {}
 /// `ε` when a recovering coordinator finds a leader that never saw the
 /// transaction's real payload.
 ///
-/// Payloads are value types: cloning copies the read and write sets.
+/// Payloads are immutable shared values: a [`Payload::clone`] is a reference
+/// count on the one stored triple, never a copy of the read and write sets
+/// (nor a [`Key::ref_count`] bump), so a transaction's payload is stored once
+/// however many messages, log slots and histories hold it. Equality and
+/// hashing compare the contents. Only [`PayloadBuilder`] and
+/// [`Payload::restrict`] allocate.
 ///
 /// # Example
 ///
@@ -83,8 +87,13 @@ impl std::error::Error for PayloadError {}
 /// assert_eq!(p.reads().count(), 1);
 /// # Ok::<(), PayloadError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub struct Payload {
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+pub struct Payload(Arc<Triple>);
+
+/// The triple `⟨R, W, Vc⟩`: shared behind a [`Payload`], owned while a
+/// [`PayloadBuilder`] fills it in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+struct Triple {
     reads: BTreeMap<Key, Version>,
     writes: BTreeMap<Key, Value>,
     commit_version: Version,
@@ -104,56 +113,59 @@ impl Payload {
     /// Returns `true` if this payload is the empty payload `ε`
     /// (no reads and no writes).
     pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
+        self.0.reads.is_empty() && self.0.writes.is_empty()
     }
 
     /// Returns the version that this transaction's writes will carry.
     pub fn commit_version(&self) -> Version {
-        self.commit_version
+        self.0.commit_version
     }
 
     /// Iterates over the read set: `(key, version read)` pairs.
     pub fn reads(&self) -> impl Iterator<Item = (&Key, Version)> + '_ {
-        self.reads.iter().map(|(k, v)| (k, *v))
+        self.0.reads.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterates over the write set: `(key, value written)` pairs.
     pub fn writes(&self) -> impl Iterator<Item = (&Key, &Value)> + '_ {
-        self.writes.iter()
+        self.0.writes.iter()
     }
 
     /// Returns the version this payload read for `key`, if `key` is in the read set.
     pub fn read_version(&self, key: &Key) -> Option<Version> {
-        self.reads.get(key).copied()
+        self.0.reads.get(key).copied()
     }
 
     /// Returns `true` if `key` is in the read set.
     pub fn reads_key(&self, key: &Key) -> bool {
-        self.reads.contains_key(key)
+        self.0.reads.contains_key(key)
     }
 
     /// Returns `true` if `key` is in the write set.
     pub fn writes_key(&self, key: &Key) -> bool {
-        self.writes.contains_key(key)
+        self.0.writes.contains_key(key)
     }
 
     /// Returns the number of keys in the read set.
     pub fn read_count(&self) -> usize {
-        self.reads.len()
+        self.0.reads.len()
     }
 
     /// Returns the number of keys in the write set.
     pub fn write_count(&self) -> usize {
-        self.writes.len()
+        self.0.writes.len()
     }
 
     /// All keys touched (read or written) by this payload.
     pub fn keys(&self) -> impl Iterator<Item = &Key> + '_ {
         // Reads are a superset of writes in well-formed payloads, but restricted
         // payloads (l | s) may violate that, so take the union explicitly.
-        self.reads
-            .keys()
-            .chain(self.writes.keys().filter(|k| !self.reads.contains_key(*k)))
+        self.0.reads.keys().chain(
+            self.0
+                .writes
+                .keys()
+                .filter(|k| !self.0.reads.contains_key(*k)),
+        )
     }
 
     /// Validates the payload against the well-formedness conditions of §2:
@@ -164,21 +176,21 @@ impl Payload {
     ///
     /// Returns the first violated condition as a [`PayloadError`].
     pub fn validate(&self) -> Result<(), PayloadError> {
-        for key in self.writes.keys() {
-            if !self.reads.contains_key(key) {
+        for key in self.0.writes.keys() {
+            if !self.0.reads.contains_key(key) {
                 return Err(PayloadError::WriteWithoutRead { key: key.clone() });
             }
         }
-        if !self.writes.is_empty() {
-            if self.commit_version == Version::ZERO {
+        if !self.0.writes.is_empty() {
+            if self.0.commit_version == Version::ZERO {
                 return Err(PayloadError::MissingCommitVersion);
             }
-            for (key, read) in &self.reads {
-                if self.commit_version <= *read {
+            for (key, read) in &self.0.reads {
+                if self.0.commit_version <= *read {
                     return Err(PayloadError::CommitVersionTooLow {
                         key: key.clone(),
                         read: *read,
-                        commit: self.commit_version,
+                        commit: self.0.commit_version,
                     });
                 }
             }
@@ -195,12 +207,14 @@ impl Payload {
     /// shards outside `shards(t)`).
     pub fn restrict<M: ShardMap + ?Sized>(&self, shard: ShardId, sharding: &M) -> Payload {
         let reads: BTreeMap<Key, Version> = self
+            .0
             .reads
             .iter()
             .filter(|(k, _)| sharding.shard_of(k) == shard)
             .map(|(k, v)| (k.clone(), *v))
             .collect();
         let writes: BTreeMap<Key, Value> = self
+            .0
             .writes
             .iter()
             .filter(|(k, _)| sharding.shard_of(k) == shard)
@@ -209,11 +223,11 @@ impl Payload {
         if reads.is_empty() && writes.is_empty() {
             Payload::empty()
         } else {
-            Payload {
+            Payload(Arc::new(Triple {
                 reads,
                 writes,
-                commit_version: self.commit_version,
-            }
+                commit_version: self.0.commit_version,
+            }))
         }
     }
 
@@ -230,16 +244,28 @@ impl Payload {
     /// for replication traffic.
     pub fn size_bytes(&self) -> usize {
         let reads: usize = self
+            .0
             .reads
             .keys()
             .map(|k| k.as_str().len() + std::mem::size_of::<Version>())
             .sum();
         let writes: usize = self
+            .0
             .writes
             .iter()
             .map(|(k, v)| k.as_str().len() + v.len())
             .sum();
         reads + writes + std::mem::size_of::<Version>()
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Payload")
+            .field("reads", &self.0.reads)
+            .field("writes", &self.0.writes)
+            .field("commit_version", &self.0.commit_version)
+            .finish()
     }
 }
 
@@ -251,9 +277,9 @@ impl fmt::Display for Payload {
         write!(
             f,
             "⟨R:{} keys, W:{} keys, Vc:{}⟩",
-            self.reads.len(),
-            self.writes.len(),
-            self.commit_version
+            self.0.reads.len(),
+            self.0.writes.len(),
+            self.0.commit_version
         )
     }
 }
@@ -264,28 +290,24 @@ impl fmt::Display for Payload {
 /// [`PayloadBuilder::build_unchecked`] to construct deliberately malformed
 /// payloads in tests.
 #[derive(Debug, Clone, Default)]
-pub struct PayloadBuilder {
-    reads: BTreeMap<Key, Version>,
-    writes: BTreeMap<Key, Value>,
-    commit_version: Version,
-}
+pub struct PayloadBuilder(Triple);
 
 impl PayloadBuilder {
     /// Records that the transaction read `key` at `version`.
     pub fn read(mut self, key: Key, version: Version) -> Self {
-        self.reads.insert(key, version);
+        self.0.reads.insert(key, version);
         self
     }
 
     /// Records that the transaction writes `value` to `key`.
     pub fn write(mut self, key: Key, value: Value) -> Self {
-        self.writes.insert(key, value);
+        self.0.writes.insert(key, value);
         self
     }
 
     /// Sets the commit version `Vc` of the transaction's writes.
     pub fn commit_version(mut self, version: Version) -> Self {
-        self.commit_version = version;
+        self.0.commit_version = version;
         self
     }
 
@@ -306,11 +328,7 @@ impl PayloadBuilder {
     /// Useful for constructing adversarial payloads in tests of the
     /// certification functions and specification checkers.
     pub fn build_unchecked(self) -> Payload {
-        Payload {
-            reads: self.reads,
-            writes: self.writes,
-            commit_version: self.commit_version,
-        }
+        Payload(Arc::new(self.0))
     }
 }
 
@@ -430,6 +448,62 @@ mod tests {
         let other = ShardId::new(1 - touched.as_u32());
         assert!(p.restrict(other, &sharding).is_empty());
         assert!(!p.restrict(touched, &sharding).is_empty());
+    }
+
+    #[test]
+    fn clones_share_the_one_stored_triple() {
+        let key = k("x");
+        let p = Payload::builder()
+            .read(key.clone(), Version::new(1))
+            .write(key.clone(), Value::from("v"))
+            .commit_version(Version::new(2))
+            .build()
+            .expect("well-formed");
+        let held = key.ref_count();
+        assert_eq!(held, 3, "this handle, the read set and the write set");
+        let clones = vec![p.clone(); 10];
+        assert_eq!(key.ref_count(), held, "a clone copies no key");
+        assert!(clones.iter().all(|c| *c == p));
+        drop((clones, p));
+        assert_eq!(key.ref_count(), 1, "the last handle frees the triple");
+    }
+
+    #[test]
+    fn equality_and_hash_compare_contents_not_handles() {
+        use std::collections::HashSet;
+        let build = |version| {
+            Payload::builder()
+                .read(k("x"), Version::new(version))
+                .build()
+                .expect("well-formed")
+        };
+        let (a, b, other) = (build(1), build(1), build(2));
+        assert_eq!(a, b, "separately built, equal contents");
+        assert_ne!(a, other);
+        let set: HashSet<Payload> = [a.clone(), a, b, other].into();
+        assert_eq!(set.len(), 2);
+        assert_eq!(Payload::empty(), Payload::default());
+    }
+
+    #[test]
+    fn restricting_a_shared_payload_leaves_the_original_untouched() {
+        let sharding = HashSharding::new(2);
+        let p = Payload::builder()
+            .read(k("a"), Version::new(1))
+            .read(k("b"), Version::new(2))
+            .write(k("b"), Value::from("2"))
+            .commit_version(Version::new(3))
+            .build()
+            .expect("well-formed");
+        let (shared, before) = (p.clone(), format!("{p:?}"));
+        for s in 0..2 {
+            let r = p.restrict(ShardId::new(s), &sharding);
+            assert!(r
+                .keys()
+                .all(|key| sharding.shard_of(key) == ShardId::new(s)));
+        }
+        assert_eq!(format!("{shared:?}"), before);
+        assert_eq!((shared.read_count(), shared.write_count()), (2, 1));
     }
 
     #[test]

@@ -11,8 +11,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{Key, ShardId};
 
 /// Determines which shard manages each database object.
@@ -44,7 +42,7 @@ pub trait ShardMap {
 /// assert!(s.as_usize() < 4);
 /// assert_eq!(m.shard_count(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashSharding {
     shard_count: u32,
 }
@@ -77,7 +75,7 @@ impl ShardMap for HashSharding {
 ///
 /// Useful in tests and in the scripted counter-example reproduction, where a
 /// specific placement of objects on shards is required.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplicitSharding {
     table: BTreeMap<Key, ShardId>,
     default_shard: ShardId,

@@ -5,10 +5,9 @@ use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use ratc_sim::SimDuration;
 use ratc_types::{Key, Payload, TxId, Value, Version};
-use serde::{Deserialize, Serialize};
 
 /// Popularity distribution over keys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDistribution {
     /// Every key is equally likely.
     Uniform,
@@ -26,7 +25,7 @@ pub enum KeyDistribution {
 }
 
 /// Specification of a synthetic transactional workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of distinct keys.
     pub key_count: usize,
