@@ -16,8 +16,9 @@
 //! Determinism lints (protocol crates: `types`, `config`, `core`, `rdma`,
 //! `baseline`, `paxos`, `sim` — minus the `rt.rs` threaded engine):
 //!
-//! * `hash-iter` — iteration over a `HashMap`/`HashSet` unless the site
-//!   visibly sorts or reduces order-insensitively.
+//! * `hash-iter` — iteration over a `HashMap`/`HashSet` (or the workspace's
+//!   `FxHashMap` alias) unless the site visibly sorts or reduces
+//!   order-insensitively.
 //! * `float-state` — floating-point types/literals in protocol state
 //!   (observability sink calls are carved out).
 //!

@@ -12,7 +12,13 @@ use crate::{
     STACKS,
 };
 
-/// Methods on `HashMap`/`HashSet` whose result order depends on hash state.
+/// The identifiers that name a hash-ordered collection: `std`'s two and the
+/// workspace's alias over its own hasher (`ratc_types::FxHashMap`), which has
+/// no per-process seed but still iterates in an order no protocol may rely on.
+const HASH_TYPES: [&str; 3] = ["HashMap", "HashSet", "FxHashMap"];
+
+/// Methods on a hash-ordered collection whose result order depends on hash
+/// state.
 const ITER_METHODS: [&str; 10] = [
     "iter",
     "iter_mut",
@@ -150,7 +156,7 @@ fn clock_lints(prep: &Prepared, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Collects the identifiers a file binds to `HashMap`/`HashSet` — struct
+/// Collects the identifiers a file binds to one of [`HASH_TYPES`] — struct
 /// fields and annotated bindings (`name: HashMap<…>`) plus constructor
 /// bindings (`let name = HashMap::new()`), then flags iteration over them
 /// unless [`ORDER_OK`] evidence follows within [`ORDER_LOOKAHEAD`] tokens.
@@ -158,7 +164,7 @@ fn hash_iter(prep: &Prepared, findings: &mut Vec<Finding>) {
     let t = &prep.toks;
     let mut names: BTreeSet<&str> = BTreeSet::new();
     for i in 0..t.len() {
-        if t[i].kind != TokKind::Ident || (t[i].text != "HashMap" && t[i].text != "HashSet") {
+        if t[i].kind != TokKind::Ident || !HASH_TYPES.contains(&t[i].text.as_str()) {
             continue;
         }
         // Walk back over a leading path (`std :: collections ::`).

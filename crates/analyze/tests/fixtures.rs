@@ -54,6 +54,27 @@ fn hash_iter_flags_values_on_let_binding() {
 }
 
 #[test]
+fn hash_iter_sees_through_the_workspace_alias() {
+    let findings = analyze_protocol(
+        r#"
+        use ratc_types::FxHashMap;
+        struct Residue { newest: FxHashMap<u64, u64> }
+        impl Residue {
+            fn get(&self, k: u64) -> Option<u64> { self.newest.get(&k).copied() }
+            fn newest_of_all(&self) -> Option<u64> { self.newest.values().copied().max() }
+            fn dump(&self) -> Vec<u64> { self.newest.values().copied().collect() }
+        }
+        "#,
+    );
+    assert_eq!(lints_of(&findings), vec![Lint::HashIter], "{findings:?}");
+    assert!(findings[0].message.contains("`.values()`"));
+    assert_eq!(
+        findings[0].line, 7,
+        "`dump`, not the lookup or the reduction"
+    );
+}
+
+#[test]
 fn hash_iter_accepts_lookup_only_use() {
     let findings = analyze_protocol(
         r#"

@@ -387,8 +387,9 @@ impl ShardDecisions {
 
 /// The value for `key` in a short association list kept sorted by key,
 /// inserted as `V::default()` if absent. Coordinators group a flush by shard
-/// leader and a completion by shard with it: iteration is in key order, as
-/// with the `BTreeMap` it stands in for, without a node allocation per key.
+/// leader and a completion by shard with it, and keep a transaction's
+/// per-shard progress in one: iteration is in key order, as with the
+/// `BTreeMap` it stands in for, without a node allocation per key.
 pub fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
     let idx = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
         Ok(idx) => idx,

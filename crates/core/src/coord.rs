@@ -179,16 +179,33 @@ pub trait Replication {
 /// client, the decision, and per-shard `(position, truncation floor)` targets.
 type Completion = (ProcessId, Decision, Vec<(ShardId, Position, Position)>);
 
-/// Progress of a coordinated transaction at one shard in one epoch.
+/// Progress of a coordinated transaction at one shard in one epoch. The two
+/// lists hold at most one entry per shard member (`f + 1` of them), so they
+/// are plain vectors: no tree node is allocated per transaction.
 #[derive(Debug, Clone, Default)]
 struct ShardProgress {
     pos: Option<Position>,
     vote: Option<Decision>,
     /// Followers that acknowledged storing the vote.
-    acks: BTreeSet<ProcessId>,
-    /// Decided frontiers gossiped by the shard's members on their replies
-    /// (see [`ShardView::gossipers`]).
-    frontiers: BTreeMap<ProcessId, Position>,
+    acks: Vec<ProcessId>,
+    /// The latest decided frontier each of the shard's members gossiped on
+    /// its replies (see [`ShardView::gossipers`]), as a [`sorted_entry`]
+    /// list.
+    frontiers: Vec<(ProcessId, Position)>,
+}
+
+impl ShardProgress {
+    fn acked(&mut self, follower: ProcessId) {
+        if !self.acks.contains(&follower) {
+            self.acks.push(follower);
+        }
+    }
+
+    /// Whether the shard needs nothing more in the epoch of `view`: its
+    /// vote is in and every follower acknowledged it.
+    fn complete(&self, view: &ShardView<'_>) -> bool {
+        self.vote.is_some() && view.followers().all(|f| self.acks.contains(&f))
+    }
 }
 
 /// Coordinator-side state for one transaction this process is driving.
@@ -199,8 +216,10 @@ struct CoordState {
     /// `None` for recovery coordinators (which only ever send `⊥`).
     payload: Option<Payload>,
     shards: Vec<ShardId>,
-    /// Progress per shard per epoch.
-    progress: BTreeMap<(ShardId, Epoch), ShardProgress>,
+    /// Progress per shard per epoch, as a [`sorted_entry`] list: one entry
+    /// per shard unless a shard reconfigured while the transaction was in
+    /// flight.
+    progress: Vec<((ShardId, Epoch), ShardProgress)>,
     /// When the next re-drive is due (flow control only; `None`: at once).
     backoff: Option<BackoffState>,
 }
@@ -210,22 +229,25 @@ impl CoordState {
         CoordState {
             client,
             payload,
+            progress: Vec::with_capacity(shards.len()),
             shards,
-            progress: BTreeMap::new(),
             backoff: None,
         }
     }
 
-    fn progress_mut(&mut self, shard: ShardId, epoch: Epoch) -> &mut ShardProgress {
-        self.progress.entry((shard, epoch)).or_default()
+    fn progress(&self, shard: ShardId, epoch: Epoch) -> Option<&ShardProgress> {
+        let found = self.progress.iter().find(|(at, _)| *at == (shard, epoch));
+        found.map(|(_, progress)| progress)
     }
 
-    /// Whether `shard` needs nothing more in the epoch of `view`: its vote is
-    /// in and every follower acknowledged it.
+    fn progress_mut(&mut self, shard: ShardId, epoch: Epoch) -> &mut ShardProgress {
+        sorted_entry(&mut self.progress, (shard, epoch))
+    }
+
+    /// Whether `shard` needs nothing more in the epoch of `view`.
     fn shard_complete(&self, shard: ShardId, view: &ShardView<'_>) -> bool {
-        self.progress
-            .get(&(shard, view.epoch))
-            .is_some_and(|p| p.vote.is_some() && view.followers().all(|f| p.acks.contains(&f)))
+        self.progress(shard, view.epoch)
+            .is_some_and(|progress| progress.complete(view))
     }
 }
 
@@ -491,12 +513,15 @@ impl Coordinator {
         let mut positions = Vec::new();
         for shard in &coord.shards {
             let view = repl.view(*shard);
-            let progress = coord.progress.get(&(*shard, view.epoch))?;
+            let progress = coord.progress(*shard, view.epoch)?;
             let (vote, pos) = (progress.vote?, progress.pos?);
-            if !view.followers().all(|f| progress.acks.contains(&f)) {
+            if !progress.complete(&view) {
                 return None;
             }
-            let gossiped = |m| progress.frontiers.get(m).copied().unwrap_or(Position::ZERO);
+            let gossiped = |m: &ProcessId| {
+                let heard = progress.frontiers.iter().find(|(from, _)| from == m);
+                heard.map_or(Position::ZERO, |(_, frontier)| *frontier)
+            };
             let floor = view.gossipers.iter().map(gossiped).min();
             votes.push(vote);
             positions.push((*shard, pos, floor.unwrap_or(Position::ZERO)));
@@ -681,7 +706,7 @@ impl Coordinator {
                         .progress_mut(shard, epoch);
                     progress.pos = Some(item.pos);
                     progress.vote = Some(item.vote);
-                    progress.frontiers.insert(from, frontier);
+                    *sorted_entry(&mut progress.frontiers, from) = frontier;
                 }
             }
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
@@ -690,7 +715,7 @@ impl Coordinator {
         if let Some(follower) = repl.persist_votes(shard, items, ctx) {
             for tx in txs.iter() {
                 if let Some(coord) = self.coordinating.get_mut(tx) {
-                    coord.progress_mut(shard, epoch).acks.insert(follower);
+                    coord.progress_mut(shard, epoch).acked(follower);
                 }
             }
         }
@@ -726,9 +751,9 @@ impl Coordinator {
                 continue;
             };
             let progress = coord.progress_mut(shard, epoch);
-            progress.acks.insert(follower);
+            progress.acked(follower);
             if let Some(frontier) = frontier {
-                progress.frontiers.insert(follower, frontier);
+                *sorted_entry(&mut progress.frontiers, follower) = frontier;
             }
             if let Some((pos, vote)) = stored {
                 progress.pos.get_or_insert(pos);
@@ -769,7 +794,7 @@ impl Coordinator {
                 ctx.obs_milestone(tx, TxMilestone::Decided, 0);
                 ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
                 for &shard in &coord.shards {
-                    let voted = coord.progress.get(&(shard, repl.view(shard).epoch));
+                    let voted = coord.progress(shard, repl.view(shard).epoch);
                     if let Some(pos) = voted.and_then(|progress| progress.pos) {
                         let mut decisions = ShardDecisions::default();
                         decisions.push(pos, decision, Position::ZERO);
@@ -1317,9 +1342,10 @@ mod tests {
         let payload = Payload::builder().read(key.clone(), Version::ZERO);
         rig.certify_payload(1, payload.build().expect("well-formed"));
         // A payload is stored once however many handles share it, so the
-        // key counts payloads, not copies: `key` itself, the one submitted
-        // (held by the coordinator) and its restriction in the `PREPARE`.
-        assert_eq!(key.ref_count(), 3);
+        // key counts payloads, not copies: `key` itself and the one
+        // submitted, which the coordinator holds and — every key living on
+        // shard 0 — the `PREPARE` shares instead of a restricted copy.
+        assert_eq!(key.ref_count(), 2);
         let leader = rig.world.actor_mut::<Sink>(rig.leaders[0]).expect("leader");
         leader.0.clear();
         assert_eq!(key.ref_count(), 2, "held while the transaction is driven");

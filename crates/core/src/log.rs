@@ -86,12 +86,12 @@
 //! `crate::replica::TruncationConfig`) so default deployments stay
 //! bit-identical to the paper's message schedule.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ratc_sim::Context;
 use ratc_types::{
-    Decision, Epoch, IndexedCertifier, Key, Payload, Position, ProcessId, ShardCertifier, ShardId,
-    TxId, Version,
+    Decision, Epoch, FxHashMap, IndexedCertifier, Key, Payload, Position, ProcessId,
+    ShardCertifier, ShardId, TxId, Version,
 };
 
 use crate::batch::{Items, PrepareItem, PreparedItem};
@@ -139,9 +139,11 @@ pub struct Checkpoint {
     /// Final decision of every truncated slot, by position.
     decided: BTreeMap<Position, (TxId, Decision)>,
     /// Position of every truncated transaction (O(1) `position_of`).
-    by_tx: HashMap<TxId, Position>,
-    /// Newest committed writer version per key — the `f_s` residue.
-    newest_writers: BTreeMap<Key, Version>,
+    by_tx: FxHashMap<TxId, Position>,
+    /// Newest committed writer version per key — the `f_s` residue. Its
+    /// readers take per-key maxima or compare whole maps, so it needs no
+    /// order: folding a slot is O(1) hashed work per written key.
+    newest_writers: FxHashMap<Key, Version>,
 }
 
 impl Checkpoint {
@@ -179,8 +181,10 @@ impl Checkpoint {
         self.decided.len()
     }
 
-    /// Iterates over the per-key newest-committed-writer residue.
+    /// Iterates over the per-key newest-committed-writer residue, in no
+    /// particular order.
     pub fn newest_writers(&self) -> impl Iterator<Item = (&Key, Version)> + '_ {
+        // analyze:allow(hash-iter): the one consumer max-merges per key (`set_certifier`), which is commutative
         self.newest_writers.iter().map(|(k, v)| (k, *v))
     }
 
@@ -237,7 +241,7 @@ pub struct CertificationLog {
     /// The decided frontier: every position below it is folded or decided.
     frontier: Position,
     /// Position of every retained transaction (O(1) `position_of`).
-    by_tx: HashMap<TxId, Position>,
+    by_tx: FxHashMap<TxId, Position>,
     /// Retained transactions whose decision has been fully acknowledged
     /// (client and coordinator): folded without a decision record when their
     /// slots are truncated (decision-map compaction, see
@@ -464,11 +468,13 @@ impl CertificationLog {
         item: PrepareItem,
         fallback: &dyn ShardCertifier,
     ) -> Result<PreparedItem, Decision> {
-        if let Some(decision) = self.truncated_decision(item.tx) {
+        // One probe of the checkpoint, then one of the retained suffix: a
+        // fresh transaction (nearly every item) misses both.
+        if let Some((_, decision)) = self.checkpoint.decision_of(item.tx) {
             return Err(decision);
         }
-        if let Some(pos) = self.position_of(item.tx) {
-            let entry = self.get(pos).expect("position_of returned a retained slot");
+        if let Some(&pos) = self.by_tx.get(&item.tx) {
+            let entry = self.get(pos).expect("`by_tx` names retained slots");
             return Ok(PreparedItem {
                 pos,
                 tx: item.tx,
@@ -1186,6 +1192,88 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The checkpoint's residue is a hashed table: what it holds, and how an
+    /// index rebuilt from it votes, must not depend on the order or the
+    /// batching in which slots were folded.
+    #[test]
+    fn the_folded_residue_does_not_depend_on_the_truncation_batching() {
+        const SLOTS: u64 = 200;
+        let mut logs = [(1u64, indexed_log()), (32, indexed_log())];
+        for (batch, log) in &mut logs {
+            for i in 0..SLOTS {
+                // 40 keys, each written by five transactions; every seventh
+                // transaction aborts and leaves no residue.
+                let pos = log.append(rw_entry(i, &format!("k{}", i % 40), i, i + 1));
+                let decision = [Decision::Abort, Decision::Commit][usize::from(i % 7 != 0)];
+                log.decide(pos, decision);
+                if (i + 1) % *batch == 0 {
+                    log.truncate_to(log.decided_frontier());
+                }
+            }
+            log.truncate_to(log.decided_frontier());
+            assert_eq!((log.len(), log.base()), (0, Position::new(SLOTS)));
+        }
+        let [(_, mut one), (_, mut many)] = logs;
+        assert_eq!(one, many, "same history, same checkpoint");
+        assert_eq!(one.checkpoint().newest_writers().count(), 40);
+
+        let probe = |log: &CertificationLog, key: u64, version: u64| {
+            let payload = Payload::builder()
+                .read(Key::new(format!("k{key}")), Version::new(version))
+                .build()
+                .expect("well-formed");
+            log.vote_at(log.next(), &payload)
+        };
+        let votes = |log: &CertificationLog| -> Vec<Option<Decision>> {
+            let probes = (0..41).flat_map(|key| [0, 150, 199, 200, 201].map(|v| (key, v)));
+            probes.map(|(key, v)| probe(log, key, v)).collect()
+        };
+        let live = votes(&one);
+        assert!(live.contains(&Some(Decision::Abort)) && live.contains(&Some(Decision::Commit)));
+        assert_eq!(votes(&many), live);
+        for log in [&mut one, &mut many] {
+            log.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
+        }
+        assert_eq!(votes(&one), live, "rebuilt from the residue alone");
+        assert_eq!(votes(&many), live);
+    }
+
+    #[test]
+    fn prepare_answers_truncated_retained_and_fresh_transactions() {
+        let mut log = indexed_log();
+        let fallback = Serializability::new().shard_certifier(ShardId::new(0));
+        let item = |tx: u64, payload: Option<Payload>| PrepareItem {
+            tx: TxId::new(tx),
+            payload,
+            shards: vec![ShardId::new(0)],
+            client: ProcessId::new(99),
+        };
+        let truncated = log.append(rw_entry(1, "x", 0, 4));
+        log.decide(truncated, Decision::Commit);
+        log.truncate_to(Position::new(1));
+        let retained = log.append(rw_entry(2, "y", 0, 6));
+
+        // Truncated: the recorded decision, and nothing is appended.
+        assert_eq!(
+            log.prepare(item(1, None), &*fallback),
+            Err(Decision::Commit)
+        );
+        // Retained: re-acked from its slot, whatever the re-PREPARE carries.
+        let reack = log.prepare(item(2, None), &*fallback).expect("re-ack");
+        assert_eq!((reack.pos, reack.vote), (retained, Decision::Commit));
+        assert_eq!(reack.payload, log.get(retained).expect("retained").payload);
+        assert_eq!(log.next(), Position::new(2), "neither appended a slot");
+        // Fresh: certified against the residue ("x" was overwritten at
+        // version 4) and the prepared set, and appended at `next`.
+        let stale = rw_entry(3, "x", 0, 9).payload;
+        let ack = log.prepare(item(3, Some(stale)), &*fallback).expect("ack");
+        assert_eq!((ack.pos, ack.vote), (Position::new(2), Decision::Abort));
+        let ack = log.prepare(item(4, None), &*fallback).expect("ack");
+        assert_eq!((ack.pos, ack.vote), (Position::new(3), Decision::Abort));
+        assert!(ack.payload.is_empty(), "⊥ is stored as ε and votes abort");
+        assert_eq!(log.position_of(TxId::new(4)), Some(Position::new(3)));
     }
 
     #[test]

@@ -209,15 +209,22 @@ impl<'a, M> Context<'a, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Sends clones of `msg` to every process in `targets`.
+    /// Sends `msg` to every process in `targets`, in order: a clone to each
+    /// but the last, which receives `msg` itself.
     pub fn send_to_many<I>(&mut self, targets: I, msg: M)
     where
         M: Clone,
         I: IntoIterator<Item = ProcessId>,
     {
-        for to in targets {
+        let mut targets = targets.into_iter();
+        let Some(mut to) = targets.next() else {
+            return;
+        };
+        for next in targets {
             self.send(to, msg.clone());
+            to = next;
         }
+        self.send(to, msg);
     }
 
     /// Issues an RDMA write of `msg` into the memory of `to`
@@ -400,6 +407,54 @@ mod tests {
         assert_eq!(ctx.effects.len(), 8);
         assert_eq!(metrics.sent(ProcessId::new(1)), 3);
         assert_eq!(metrics.counter("commits"), 1);
+    }
+
+    #[test]
+    fn send_to_many_moves_the_message_into_its_last_target() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        #[derive(Debug)]
+        struct Counted(Arc<AtomicUsize>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Counted(Arc::clone(&self.0))
+            }
+        }
+
+        for n in 0..4u64 {
+            let clones = Arc::new(AtomicUsize::new(0));
+            let mut metrics = Metrics::default();
+            let mut inbox = RdmaInbox::default();
+            let (mut next_timer, mut next_token) = (0, 0);
+            let mut ctx: Context<'_, Counted> = Context {
+                self_id: ProcessId::new(1),
+                now: SimTime::ZERO,
+                hops: 0,
+                effects: Vec::new(),
+                metrics: &mut metrics,
+                inbox: &mut inbox,
+                next_timer_id: &mut next_timer,
+                next_rdma_token: &mut next_token,
+            };
+            ctx.send_to_many((0..n).map(ProcessId::new), Counted(Arc::clone(&clones)));
+            let sent_to: Vec<u64> = ctx
+                .effects
+                .iter()
+                .map(|effect| match effect {
+                    Effect::Send { to, .. } => to.as_u64(),
+                    other => panic!("only sends, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(sent_to, (0..n).collect::<Vec<_>>(), "{n} targets, in order");
+            assert_eq!(
+                clones.load(Ordering::Relaxed) as u64,
+                n.saturating_sub(1),
+                "{n} targets"
+            );
+            assert_eq!(metrics.sent(ProcessId::new(1)), n);
+        }
     }
 
     #[test]

@@ -57,6 +57,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::decision::Decision;
+use crate::hash::FxHashMap;
 use crate::ids::{Key, Position, ShardId, Version};
 use crate::payload::Payload;
 use crate::sharding::ShardMap;
@@ -434,6 +435,10 @@ impl Clone for Box<dyn IndexedCertifier> {
 /// the comparison.
 #[derive(Debug, Clone, Default)]
 struct CommittedWriterIndex {
+    // Probed, never iterated, so `std`'s per-process SipHash seed cannot show
+    // in a run. Under `FxHashMap` this table and the two lock tables below
+    // are about twice as cheap to probe; that type change waits for the
+    // benchmark coupling ROADMAP's "Who can land what" describes.
     newest_writer: HashMap<Key, Version>,
 }
 
@@ -480,7 +485,7 @@ impl CommittedWriterIndex {
 struct PreparedLockTable {
     read_locks: HashMap<Key, u32>,
     write_locks: HashMap<Key, u32>,
-    by_pos: HashMap<u64, (Vec<Key>, Vec<Key>)>,
+    by_pos: FxHashMap<u64, (Vec<Key>, Vec<Key>)>,
 }
 
 impl PreparedLockTable {

@@ -12,7 +12,8 @@
 //!   ([`sharding`]),
 //! * certification policies: the global certification function `f` and the
 //!   shard-local functions `f_s` and `g_s`, parametric in the isolation level
-//!   ([`certify`]).
+//!   ([`certify`]),
+//! * the seedless hasher of the commit path's internal tables ([`hash`]).
 //!
 //! Everything else in the workspace (the commit protocols, the baseline, the
 //! specification checkers, the key-value store) is written against these types.
@@ -41,6 +42,7 @@
 
 pub mod certify;
 pub mod decision;
+pub mod hash;
 pub mod history;
 pub mod ids;
 pub mod payload;
@@ -64,6 +66,7 @@ pub use certify::{
     MirrorCertifier, Serializability, ShardCertifier, WriteConflict,
 };
 pub use decision::{Decision, Vote};
+pub use hash::{FxHashMap, FxHasher};
 pub use history::{HistoryAction, TcsHistory};
 pub use ids::{Epoch, Key, Position, ProcessId, ShardId, TxId, Value, Version};
 pub use payload::{Payload, PayloadBuilder, PayloadError};

@@ -70,8 +70,8 @@ impl std::error::Error for PayloadError {}
 /// count on the one stored triple, never a copy of the read and write sets
 /// (nor a [`Key::ref_count`] bump), so a transaction's payload is stored once
 /// however many messages, log slots and histories hold it. Equality and
-/// hashing compare the contents. Only [`PayloadBuilder`] and
-/// [`Payload::restrict`] allocate.
+/// hashing compare the contents. Only [`PayloadBuilder`] and a
+/// [`Payload::restrict`] that drops a key allocate.
 ///
 /// # Example
 ///
@@ -204,8 +204,14 @@ impl Payload {
     /// The commit version is preserved; read and write entries whose key is not
     /// managed by `s` are dropped. If the transaction touches no objects of
     /// `s`, the result is the empty payload `ε` (as required by the paper for
-    /// shards outside `shards(t)`).
+    /// shards outside `shards(t)`). A payload that lives on `s` entirely is
+    /// its own restriction: the shared handle is returned and nothing is
+    /// allocated, so a single-shard transaction is stored once end to end.
     pub fn restrict<M: ShardMap + ?Sized>(&self, shard: ShardId, sharding: &M) -> Payload {
+        let mut keys = self.0.reads.keys().chain(self.0.writes.keys());
+        if keys.all(|k| sharding.shard_of(k) == shard) {
+            return self.clone();
+        }
         let reads: BTreeMap<Key, Version> = self
             .0
             .reads
@@ -504,6 +510,44 @@ mod tests {
         }
         assert_eq!(format!("{shared:?}"), before);
         assert_eq!((shared.read_count(), shared.write_count()), (2, 1));
+    }
+
+    #[test]
+    fn a_restriction_that_drops_nothing_is_the_shared_handle() {
+        use crate::sharding::ExplicitSharding;
+        let (home, away, idle) = (ShardId::new(0), ShardId::new(1), ShardId::new(2));
+        let sharding = ExplicitSharding::new(3, home).with(k("far"), away);
+        let (x, y) = (k("x"), k("y"));
+        let local = Payload::builder()
+            .read(x.clone(), Version::new(1))
+            .read(y.clone(), Version::new(1))
+            .write(y.clone(), Value::from("v"))
+            .commit_version(Version::new(2))
+            .build()
+            .expect("well-formed");
+        let held = (x.ref_count(), y.ref_count());
+        let restricted = local.restrict(home, &sharding);
+        assert_eq!((x.ref_count(), y.ref_count()), held, "no key was copied");
+        assert_eq!(restricted, local);
+        assert!(local.restrict(away, &sharding).is_empty(), "ε elsewhere");
+
+        // One foreign key and the restriction is a filtered build again.
+        let spread = Payload::builder()
+            .read(x.clone(), Version::new(1))
+            .read(k("far"), Version::new(1))
+            .write(k("far"), Value::from("v"))
+            .commit_version(Version::new(2))
+            .build()
+            .expect("well-formed");
+        let at_home = spread.restrict(home, &sharding);
+        assert_eq!(x.ref_count(), held.0 + 2, "`spread` and its restriction");
+        let filtered = Payload::builder().read(x.clone(), Version::new(1));
+        let filtered = filtered.commit_version(Version::new(2)).build_unchecked();
+        assert_eq!(at_home, filtered);
+        let at_away = spread.restrict(away, &sharding);
+        assert_eq!((at_away.read_count(), at_away.write_count()), (1, 1));
+        assert!(!at_away.reads_key(&x));
+        assert_eq!(spread.restrict(idle, &sharding), Payload::empty());
     }
 
     #[test]
