@@ -102,8 +102,8 @@ pub struct ClusterConfig {
     pub flow: FlowControlConfig,
     /// Simulation parameters (seed, latency model, tracing).
     pub sim: SimConfig,
-    /// Which engine drives the actors: the deterministic simulator or one OS
-    /// thread per process (see [`ExecutionMode`]).
+    /// Which engine drives the actors: the deterministic simulator or a pool
+    /// of worker threads over per-process mailboxes (see [`ExecutionMode`]).
     pub execution: ExecutionMode,
 }
 

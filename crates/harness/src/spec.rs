@@ -50,7 +50,8 @@ pub struct ClusterSpec {
     /// Simulation parameters (seed, latency model, tracing).
     pub sim: SimConfig,
     /// Which engine drives the cluster's actors: the deterministic simulator
-    /// (default) or one OS thread per process (see [`ExecutionMode`]).
+    /// (default) or a pool of worker threads over per-process mailboxes (see
+    /// [`ExecutionMode`]).
     pub execution: ExecutionMode,
 }
 

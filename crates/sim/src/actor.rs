@@ -34,8 +34,8 @@ pub struct TimerId(pub(crate) u64);
 /// [`Any`] so that tests and experiment harnesses can downcast them back to
 /// their concrete type via [`World::actor`](crate::world::World::actor).
 /// They must also be [`Send`]: the threaded execution backend
-/// ([`crate::rt`]) moves each actor onto its own OS thread for the duration
-/// of a run.
+/// ([`crate::rt`]) runs each actor on whichever of its worker threads
+/// activates it, one worker at a time.
 pub trait Actor<M>: Any + Send {
     /// Called once when the actor is added to the world.
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
@@ -100,6 +100,20 @@ pub(crate) enum Upcall<M> {
     RdmaDeliver { from: ProcessId, msg: M },
     /// The process was restarted after a crash.
     Restart,
+}
+
+impl<M> Upcall<M> {
+    /// The [`Actor`] method this upcall runs, for failure reports.
+    pub(crate) fn handler(&self) -> &'static str {
+        match self {
+            Upcall::Start => "on_start",
+            Upcall::Message { .. } => "on_message",
+            Upcall::Timer { .. } => "on_timer",
+            Upcall::RdmaAck { .. } => "on_rdma_ack",
+            Upcall::RdmaDeliver { .. } => "on_rdma_deliver",
+            Upcall::Restart => "on_restart",
+        }
+    }
 }
 
 /// Invokes the handler matching `upcall` on `actor`. The single dispatch
@@ -269,10 +283,7 @@ impl<'a, M> Context<'a, M> {
     /// After `rdma_flush` returns, every acknowledged write is either in the
     /// returned vector or was already delivered through
     /// [`Actor::on_rdma_deliver`].
-    pub fn rdma_flush(&mut self) -> Vec<(ProcessId, M)>
-    where
-        M: Clone,
-    {
+    pub fn rdma_flush(&mut self) -> Vec<(ProcessId, M)> {
         self.inbox.drain_undelivered()
     }
 

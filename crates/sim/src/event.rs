@@ -54,6 +54,19 @@ pub(crate) enum EventKind<M> {
     Crash { at: ProcessId },
 }
 
+impl<M> EventKind<M> {
+    /// The process the event happens at.
+    pub(crate) fn process(&self) -> ProcessId {
+        match self {
+            EventKind::Deliver { to, .. } | EventKind::RdmaArrive { to, .. } => *to,
+            EventKind::RdmaAck { sender, .. } => *sender,
+            EventKind::Timer { at, .. }
+            | EventKind::RdmaDeliver { at, .. }
+            | EventKind::Crash { at } => *at,
+        }
+    }
+}
+
 /// An event queued for execution at `time`.
 #[derive(Debug)]
 pub(crate) struct QueuedEvent<M> {

@@ -51,25 +51,33 @@ pub enum RdmaSendOutcome {
     Rejected,
 }
 
-/// A message sitting in a process's memory, written there by RDMA.
-#[derive(Debug, Clone)]
-pub(crate) struct RdmaEntry<M> {
-    pub(crate) from: ProcessId,
-    pub(crate) msg: M,
-    pub(crate) delivered: bool,
+/// A message sitting in a process's memory, written there by RDMA; `msg` is
+/// `None` once the message has been delivered.
+#[derive(Debug)]
+struct RdmaEntry<M> {
+    from: ProcessId,
+    msg: Option<M>,
 }
 
 /// The RDMA inbox of a single process: messages that have reached its memory
 /// (and have therefore been acknowledged to their senders), in arrival order.
+///
+/// An entry keeps the index it was given on arrival for the whole life of
+/// the inbox: delivered entries at the front are dropped and `base` counts
+/// them, so the inbox holds only the suffix that starts at the oldest
+/// undelivered write.
 #[derive(Debug)]
 pub struct RdmaInbox<M> {
     entries: VecDeque<RdmaEntry<M>>,
+    /// Index of `entries[0]`: the number of entries dropped so far.
+    base: usize,
 }
 
 impl<M> Default for RdmaInbox<M> {
     fn default() -> Self {
         RdmaInbox {
             entries: VecDeque::new(),
+            base: 0,
         }
     }
 }
@@ -80,13 +88,13 @@ impl<M> RdmaInbox<M> {
     pub(crate) fn push(&mut self, from: ProcessId, msg: M) -> usize {
         self.entries.push_back(RdmaEntry {
             from,
-            msg,
-            delivered: false,
+            msg: Some(msg),
         });
-        self.entries.len() - 1
+        self.base + self.entries.len() - 1
     }
 
-    /// Number of messages currently held (delivered or not).
+    /// Number of entries held: every undelivered message, plus the delivered
+    /// ones that arrived after the oldest undelivered one.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -98,64 +106,42 @@ impl<M> RdmaInbox<M> {
 
     /// Number of messages not yet delivered to the owning actor.
     pub fn undelivered_count(&self) -> usize {
-        self.entries.iter().filter(|e| !e.delivered).count()
+        self.entries.iter().filter(|e| e.msg.is_some()).count()
     }
 
-    /// Marks the entry at `index` delivered and returns a clone of its
-    /// contents, or `None` if it was already delivered (e.g. by a `flush`).
-    pub(crate) fn take_for_delivery(&mut self, index: usize) -> Option<(ProcessId, M)>
-    where
-        M: Clone,
-    {
-        let entry = self.entries.get_mut(index)?;
-        if entry.delivered {
-            return None;
+    /// Moves the message at `index` out for delivery, or returns `None` if it
+    /// was already delivered (e.g. by a `flush`).
+    pub(crate) fn take_for_delivery(&mut self, index: usize) -> Option<(ProcessId, M)> {
+        let entry = self.entries.get_mut(index.checked_sub(self.base)?)?;
+        let taken = (entry.from, entry.msg.take()?);
+        while self.entries.front().is_some_and(|e| e.msg.is_none()) {
+            self.entries.pop_front();
+            self.base += 1;
         }
-        entry.delivered = true;
-        Some((entry.from, entry.msg.clone()))
+        Some(taken)
     }
 
-    /// Drains every undelivered message, marking it delivered
+    /// Moves every undelivered message out, in arrival order
     /// (the `flush` operation).
-    pub fn drain_undelivered(&mut self) -> Vec<(ProcessId, M)>
-    where
-        M: Clone,
-    {
-        let mut drained = Vec::new();
-        for entry in self.entries.iter_mut() {
-            if !entry.delivered {
-                entry.delivered = true;
-                drained.push((entry.from, entry.msg.clone()));
-            }
-        }
-        drained
+    pub fn drain_undelivered(&mut self) -> Vec<(ProcessId, M)> {
+        self.base += self.entries.len();
+        self.entries
+            .drain(..)
+            .filter_map(|e| Some((e.from, e.msg?)))
+            .collect()
     }
 }
 
-/// The state of the whole simulated RDMA fabric.
-#[derive(Debug)]
-pub(crate) struct RdmaFabric<M> {
+/// Which peers may write into which process's memory: the `open` /
+/// `close` state of §5, shared by both execution engines.
+#[derive(Debug, Default)]
+pub(crate) struct RdmaPermissions {
     /// `allowed[p]` is the set of peers currently permitted to write into
     /// `p`'s memory.
     allowed: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
-    /// Per-process inboxes.
-    inboxes: BTreeMap<ProcessId, RdmaInbox<M>>,
-    /// Writes rejected because the connection was closed, for metrics and the
-    /// counter-example experiment.
-    rejected: u64,
 }
 
-impl<M> Default for RdmaFabric<M> {
-    fn default() -> Self {
-        RdmaFabric {
-            allowed: BTreeMap::new(),
-            inboxes: BTreeMap::new(),
-            rejected: 0,
-        }
-    }
-}
-
-impl<M> RdmaFabric<M> {
+impl RdmaPermissions {
     /// Grants `peer` the right to write into `owner`'s memory.
     pub(crate) fn open(&mut self, owner: ProcessId, peer: ProcessId) {
         self.allowed.entry(owner).or_default().insert(peer);
@@ -177,10 +163,32 @@ impl<M> RdmaFabric<M> {
     pub(crate) fn is_open(&self, owner: ProcessId, peer: ProcessId) -> bool {
         self.allowed
             .get(&owner)
-            .map(|set| set.contains(&peer))
-            .unwrap_or(false)
+            .is_some_and(|set| set.contains(&peer))
     }
+}
 
+/// The state of the whole simulated RDMA fabric.
+#[derive(Debug)]
+pub(crate) struct RdmaFabric<M> {
+    pub(crate) perms: RdmaPermissions,
+    /// Per-process inboxes.
+    inboxes: BTreeMap<ProcessId, RdmaInbox<M>>,
+    /// Writes rejected because the connection was closed, for metrics and the
+    /// counter-example experiment.
+    rejected: u64,
+}
+
+impl<M> Default for RdmaFabric<M> {
+    fn default() -> Self {
+        RdmaFabric {
+            perms: RdmaPermissions::default(),
+            inboxes: BTreeMap::new(),
+            rejected: 0,
+        }
+    }
+}
+
+impl<M> RdmaFabric<M> {
     /// Records the arrival of a write at `owner`'s NIC. Returns the inbox
     /// index if accepted.
     pub(crate) fn arrive(
@@ -189,7 +197,7 @@ impl<M> RdmaFabric<M> {
         from: ProcessId,
         msg: M,
     ) -> Result<usize, RdmaSendOutcome> {
-        if !self.is_open(owner, from) {
+        if !self.perms.is_open(owner, from) {
             self.rejected += 1;
             return Err(RdmaSendOutcome::Rejected);
         }
@@ -215,26 +223,19 @@ impl<M> RdmaFabric<M> {
     /// Decomposes the fabric into its parts so the threaded backend
     /// ([`crate::rt`]) can share them across threads for the duration of a
     /// run: `(permissions, inboxes, rejected-count)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        BTreeMap<ProcessId, BTreeSet<ProcessId>>,
-        BTreeMap<ProcessId, RdmaInbox<M>>,
-        u64,
-    ) {
-        (self.allowed, self.inboxes, self.rejected)
+    pub(crate) fn into_parts(self) -> (RdmaPermissions, BTreeMap<ProcessId, RdmaInbox<M>>, u64) {
+        (self.perms, self.inboxes, self.rejected)
     }
 
     /// Reassembles a fabric from parts returned by
     /// [`RdmaFabric::into_parts`].
     pub(crate) fn from_parts(
-        allowed: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
+        perms: RdmaPermissions,
         inboxes: BTreeMap<ProcessId, RdmaInbox<M>>,
         rejected: u64,
     ) -> Self {
         RdmaFabric {
-            allowed,
+            perms,
             inboxes,
             rejected,
         }
@@ -247,14 +248,17 @@ mod tests {
 
     #[test]
     fn open_close_permissioning() {
-        let mut fabric: RdmaFabric<u32> = RdmaFabric::default();
+        let mut perms = RdmaPermissions::default();
         let owner = ProcessId::new(1);
         let peer = ProcessId::new(2);
-        assert!(!fabric.is_open(owner, peer));
-        fabric.open(owner, peer);
-        assert!(fabric.is_open(owner, peer));
-        fabric.close(owner, peer);
-        assert!(!fabric.is_open(owner, peer));
+        assert!(!perms.is_open(owner, peer));
+        perms.open(owner, peer);
+        assert!(perms.is_open(owner, peer));
+        perms.close(owner, peer);
+        assert!(!perms.is_open(owner, peer));
+        perms.open(owner, peer);
+        perms.close_all(owner);
+        assert!(!perms.is_open(owner, peer));
     }
 
     #[test]
@@ -267,7 +271,7 @@ mod tests {
             RdmaSendOutcome::Rejected
         );
         assert_eq!(fabric.rejected_count(), 1);
-        fabric.open(owner, peer);
+        fabric.perms.open(owner, peer);
         let idx = fabric.arrive(owner, peer, 8).expect("accepted");
         assert_eq!(idx, 0);
         let mut inbox = fabric.take_inbox(owner);
@@ -287,9 +291,60 @@ mod tests {
         let drained = inbox.drain_undelivered();
         assert_eq!(drained.len(), 2);
         assert_eq!(inbox.undelivered_count(), 0);
+        assert!(inbox.is_empty(), "flushed entries are dropped");
         // Delivery events scheduled for drained entries become no-ops.
         assert_eq!(inbox.take_for_delivery(0), None);
         assert_eq!(inbox.take_for_delivery(1), None);
+        // Indices keep counting after the flush.
+        assert_eq!(inbox.push(ProcessId::new(5), 3), 2);
+        assert_eq!(inbox.take_for_delivery(2), Some((ProcessId::new(5), 3)));
+    }
+
+    #[test]
+    fn delivery_drops_the_delivered_prefix_and_keeps_indices() {
+        let from = ProcessId::new(5);
+        let mut inbox: RdmaInbox<u32> = RdmaInbox::default();
+        for msg in 0..3 {
+            assert_eq!(inbox.push(from, msg), msg as usize);
+        }
+        // Out of order: the delivered entry 1 stays behind undelivered 0.
+        assert_eq!(inbox.take_for_delivery(1), Some((from, 1)));
+        assert_eq!((inbox.len(), inbox.undelivered_count()), (3, 2));
+        assert_eq!(inbox.take_for_delivery(0), Some((from, 0)));
+        assert_eq!((inbox.len(), inbox.undelivered_count()), (1, 1));
+        assert_eq!(inbox.push(from, 3), 3, "indices stay absolute");
+        assert_eq!(inbox.take_for_delivery(3), Some((from, 3)));
+        assert_eq!(inbox.take_for_delivery(2), Some((from, 2)));
+        assert!(inbox.is_empty(), "every write delivered, nothing held");
+        for index in 0..5 {
+            assert_eq!(inbox.take_for_delivery(index), None, "index {index}");
+        }
+    }
+
+    #[test]
+    fn delivery_and_flush_move_the_message_without_cloning() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        #[derive(Debug)]
+        struct Counted(Arc<AtomicUsize>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Counted(Arc::clone(&self.0))
+            }
+        }
+
+        let clones = Arc::new(AtomicUsize::new(0));
+        let from = ProcessId::new(5);
+        let mut inbox = RdmaInbox::default();
+        for _ in 0..3 {
+            inbox.push(from, Counted(Arc::clone(&clones)));
+        }
+        assert!(inbox.take_for_delivery(0).is_some());
+        assert_eq!(inbox.drain_undelivered().len(), 2);
+        assert!(inbox.is_empty());
+        assert_eq!(clones.load(Ordering::Relaxed), 0);
     }
 
     #[test]

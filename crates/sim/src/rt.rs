@@ -1,24 +1,29 @@
-//! Threaded execution backend: one OS thread per process, channels as links.
+//! Threaded execution backend: a pool of worker threads over per-process
+//! mailboxes.
 //!
 //! The deterministic simulator ([`World::run`](crate::world::World::run))
-//! executes every actor on one thread under a virtual clock. This module
-//! provides the second execution engine for the *same* world: each live
-//! process becomes a real OS thread, each link becomes a bounded MPSC
-//! channel, timers fire on the monotonic wall clock (`recv_timeout` against
-//! [`std::time::Instant`] deadlines), and `ctx.now()` advances with real
-//! elapsed time. Because a [`Context`] only *buffers*
-//! effects (they are applied after the handler returns), a thread never holds
-//! more than its own RDMA-inbox lock while actor code runs, which keeps the
-//! backend deadlock-free by construction.
+//! executes every actor on one thread under a virtual clock. This module is
+//! the second engine for the *same* world: every live process gets a
+//! mailbox, and W worker threads (the host's available parallelism, at most
+//! one per live process) run the processes whose mailboxes hold events. A
+//! send to an idle process puts it on the run queue of its *home* worker; a
+//! worker takes its own ready processes first and steals only when it has
+//! none. One activation handles at most `ACTIVATION_BUDGET` events of one
+//! process, so an actor never runs on two threads at once, per-link FIFO
+//! holds, and a process that keeps messaging itself cannot starve the
+//! others. Timers sit in one deadline heap on the monotonic wall clock, and
+//! `ctx.now()` advances with real elapsed time. A [`Context`] only
+//! *buffers* effects, so a worker holds no lock but the running process's
+//! own RDMA inbox while actor code runs: deadlock-free by construction.
 //!
 //! A threaded run is a bracketed excursion: [`World::run_threaded`] moves the
 //! actors, the pending event queue and the RDMA fabric out of the world,
-//! executes in real time, then moves everything back — surviving timers and
-//! undrained messages are re-queued, per-thread metrics are merged, and the
-//! virtual clock is advanced by the real elapsed microseconds. Everything a
-//! harness does *between* runs (submit, crash, restart, introspection)
-//! therefore works identically on both backends, and a single cluster can
-//! even alternate engines between runs.
+//! executes in real time, then moves everything back — unhandled events and
+//! armed timers are re-queued, per-process metrics merged, and the virtual
+//! clock advanced by the real elapsed microseconds. Everything a harness
+//! does *between* runs (submit, crash, restart, introspection) therefore
+//! works identically on both backends, and a single cluster can even
+//! alternate engines between runs.
 //!
 //! Fidelity notes, in decreasing order of importance:
 //!
@@ -28,29 +33,29 @@
 //!   order. Same-seed reproducibility is a simulator feature; the threaded
 //!   backend exists to measure wall-clock behaviour and to let real
 //!   concurrency attack ordering assumptions the simulator cannot.
-//! * **Links are bounded channels.** Each process owns one bounded channel
-//!   (`CHANNEL_CAPACITY` events); per-producer FIFO order of
-//!   [`std::sync::mpsc`] gives per-link FIFO. A full channel never blocks a
-//!   worker (which would risk distributed deadlock at shutdown): the sender
-//!   buffers the event locally and retries, which preserves the reliable-link
-//!   abstraction the protocols assume.
-//! * **Every blocking receive is time-bounded.** Workers wait in
-//!   `recv_timeout` with a capped poll interval, and the driver bounds whole
-//!   runs with [`QUIESCENCE_TIMEOUT`], so a deadlocked or livelocked run
-//!   fails fast (the run returns with work still pending and the suite's
-//!   assertions fail) instead of hanging a test job.
-//! * **Sim-only features.** Fault injection, latency models and
-//!   `max_steps` apply only to the simulator; the threaded backend models a
-//!   reliable LAN where real scheduling provides the nondeterminism. A
-//!   `schedule_crash` still pending when a threaded run starts is applied
-//!   at the start of the run rather than mid-run.
+//! * **Mailboxes are unbounded**, so a send never blocks a worker; memory
+//!   stays proportional to the traffic actually in flight.
+//! * **Quiescence is counted, not polled.** One counter covers every queued
+//!   event, armed timer and running activation; the worker whose release
+//!   takes it to zero wakes the caller. [`QUIESCENCE_TIMEOUT`] bounds whole
+//!   runs, so a deadlocked or livelocked run returns with work still pending
+//!   (and the suite's assertions fail) instead of hanging a test job.
+//! * **A panicking actor fails the run by name**: the run stops at once and,
+//!   once the world is restored, `run_threaded` panics naming the process and
+//!   the handler.
+//! * **Sim-only features.** Fault injection, latency models and `max_steps`
+//!   apply only to the simulator; the threaded backend models a reliable LAN
+//!   where real scheduling provides the nondeterminism. Every send, RDMA
+//!   delivery and acknowledgement passes one seam (`Worker::enqueue`), where
+//!   fault injection would hook in. A `schedule_crash` still pending when a
+//!   threaded run starts is applied at the start of the run.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use ratc_types::ProcessId;
@@ -59,7 +64,7 @@ use crate::actor::Effect;
 use crate::actor::{dispatch, Actor, Context, TimerId, TimerTag, Upcall};
 use crate::event::{EventKind, QueuedEvent};
 use crate::metrics::Metrics;
-use crate::rdma::{RdmaFabric, RdmaInbox, RdmaToken};
+use crate::rdma::{RdmaFabric, RdmaInbox, RdmaPermissions, RdmaToken};
 use crate::time::{SimDuration, SimTime};
 use crate::world::World;
 
@@ -70,12 +75,12 @@ use crate::world::World;
 ///   single-threaded, virtual time, seeded randomness and fault injection.
 ///   Identical seeds give bit-identical runs, which is what every chaos
 ///   soak, shrunk schedule and Figure 4a hunt relies on.
-/// * [`ExecutionMode::Threads`] — the threaded runtime in this module: one
-///   OS thread per process, bounded channels as links, timers and latencies
-///   on the monotonic wall clock. Runs are *not* reproducible event-by-event
-///   (real scheduling decides interleavings) but externalise the same
-///   protocol-level semantics, and are the only way to measure real
-///   committed-tx/s (`exp_wallclock`).
+/// * [`ExecutionMode::Threads`] — the threaded runtime in this module: a
+///   pool of worker threads, one per core, over per-process mailboxes;
+///   timers and latencies on the monotonic wall clock. Runs are *not*
+///   reproducible event-by-event (real scheduling decides interleavings)
+///   but externalise the same protocol-level semantics, and are the only
+///   way to measure real committed-tx/s (`exp_wallclock`).
 ///
 /// The trade-off in one line: `Sim` answers "is it correct on this exact
 /// schedule, again and again", `Threads` answers "how fast is it, and does
@@ -85,7 +90,7 @@ pub enum ExecutionMode {
     /// Deterministic single-threaded simulation under a virtual clock.
     #[default]
     Sim,
-    /// One OS thread per process, real time, bounded channels.
+    /// A worker pool over per-process mailboxes, real time.
     Threads,
 }
 
@@ -104,106 +109,130 @@ impl fmt::Display for ExecutionMode {
 /// hanging it.
 pub const QUIESCENCE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Capacity of each process's event channel. Senders never block on a full
-/// channel (see the module docs); the bound exists to keep memory use
-/// proportional to genuine in-flight traffic.
-const CHANNEL_CAPACITY: usize = 8192;
+/// Most events one activation handles before its process goes back on the
+/// run queue behind the others.
+const ACTIVATION_BUDGET: usize = 32;
 
-/// Upper bound on how long a worker sleeps in `recv_timeout` when it has
-/// nothing to do: the resolution at which it notices the stop flag.
-const IDLE_POLL: Duration = Duration::from_millis(5);
-
-/// Retry interval for events buffered because the target channel was full.
-const OVERFLOW_RETRY: Duration = Duration::from_millis(1);
-
-/// Wall-clock bound on the shutdown drain phase.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Size of the timer-id / RDMA-token space carved out per worker per run, so
-/// threads can allocate identifiers without synchronising.
+/// Size of the timer-id / RDMA-token space carved out per process per run,
+/// so workers can allocate identifiers without synchronising.
 const ID_STRIPE: u64 = 1 << 24;
 
-/// An event travelling through a process's channel.
-enum RtEvent<M> {
-    /// A network message (the channel itself is the link; per-producer FIFO
-    /// order of `mpsc` gives per-link FIFO).
-    Deliver { from: ProcessId, msg: M, hops: u32 },
-    /// An RDMA write by *this* process landed in `target`'s memory.
-    RdmaAck {
-        target: ProcessId,
-        token: RdmaToken,
-        hops: u32,
-    },
-    /// This process's poller should deliver inbox entry `index`.
-    RdmaDeliver { index: usize, hops: u32 },
-    /// Shutdown sentinel: wake up and enter the drain phase.
-    Stop,
+/// Worker threads the host can run at once, worked out once and cached.
+fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// A pending timer on a worker's local heap, ordered by deadline.
+/// An entry of the run's deadline heap: earliest deadline first.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct RtTimer {
     deadline: Instant,
     id: TimerId,
+    pid: ProcessId,
     tag: TimerTag,
 }
 
-impl PartialEq for RtTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.id == other.id
-    }
-}
-impl Eq for RtTimer {}
-impl PartialOrd for RtTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RtTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.id).cmp(&(other.deadline, other.id))
-    }
+/// A process's queued events: deliveries, RDMA acknowledgements and
+/// deliveries, and timers that fell due (which fire only if still armed when
+/// handled). `scheduled` is set from the push that finds the process idle
+/// until an activation leaves its mailbox empty: while it is set the process
+/// is on exactly one run queue or in exactly one activation, which keeps a
+/// sender's pushes in order at the receiver (per-link FIFO).
+struct Mailbox<M> {
+    events: VecDeque<EventKind<M>>,
+    scheduled: bool,
 }
 
-/// State shared by the driver and every worker for the duration of a run.
+/// What only the worker activating a process touches.
+struct Slot<M> {
+    actor: Box<dyn Actor<M>>,
+    /// Inherits the world's observability switch; merged into the world's
+    /// collector in process order after the run, as if the process had
+    /// recorded alone.
+    metrics: Metrics,
+    /// Timers set and neither fired nor cancelled.
+    armed: BTreeSet<TimerId>,
+    /// Cancellations that found no armed timer (fired already, or armed by
+    /// a previous run).
+    cancels: Vec<TimerId>,
+    next_timer_id: u64,
+    next_rdma_token: u64,
+}
+
+/// A live process.
+struct Proc<M> {
+    pid: ProcessId,
+    incarnation: u64,
+    /// Its place among the live processes. Its home worker, whose run queue
+    /// it joins when it becomes ready, is `rank % workers`.
+    rank: usize,
+    mailbox: Mutex<Mailbox<M>>,
+    /// Its RDMA memory, locked by writers landing a write and by its own
+    /// handler (which may `rdma_flush`).
+    inbox: Mutex<RdmaInbox<M>>,
+    /// Uncontended (the `scheduled` flag admits one activation at a time);
+    /// its unlock → lock edge hands the actor from one worker to the next.
+    slot: Mutex<Slot<M>>,
+}
+
+/// Scheduler state, behind [`Shared::sched`].
+struct Sched {
+    /// Per worker, the ready processes whose home it is.
+    ready: Vec<VecDeque<ProcessId>>,
+    /// Workers waiting on their [`Shared::wake`] condvar.
+    idle: Vec<bool>,
+    /// Every timer armed during the run, plus cancelled ones not yet due.
+    timers: BinaryHeap<Reverse<RtTimer>>,
+    /// The first actor panic, re-raised by the caller after the join.
+    failure: Option<String>,
+}
+
+/// State shared by the calling thread and every worker for the duration of a run.
 ///
-/// Memory-ordering protocol (one happens-before edge per atomic):
+/// Happens-before edges, one per synchronising object:
 ///
-/// * [`Shared::pending`] — `AcqRel` RMWs; the increment (Release half)
-///   happens-before the driver's `Acquire` load in the quiescence loop, so
-///   when the driver reads 0 every enqueue that preceded the matching
-///   decrement is visible and the run really is quiescent. The increment
-///   is issued *before* the `try_send`/timer-arm it covers so the counter
-///   over-approximates in-flight work, never under-approximates it.
-/// * [`Shared::stopping`] — driver `Release` store, worker `Acquire` loads:
-///   everything the driver did before requesting the stop (including the
-///   quiescence decision) happens-before a worker observing `true`.
-/// * [`Shared::retired`] — `AcqRel` `fetch_add` pledge / `Acquire` load:
-///   a worker's pledge (and every send it issued before pledging)
-///   happens-before another worker observing the full retirement count,
-///   so the drain phase cannot terminate while a pledged send is invisible.
+/// * A `mailbox` lock orders a push before the pop that hands the event to
+///   an activation, and an activation's last access to its process before
+///   the next activation's first (both lock the mailbox in between).
+/// * [`Shared::sched`] orders run-queue pushes before pops, arming a timer
+///   before the worker that moves it into a mailbox, and the idle flags and
+///   `failure`. Every condvar is notified with `sched` held and every waiter
+///   re-checks its condition under it, so no wake-up is lost between a
+///   check and a wait.
+/// * [`Shared::pending`] — `AcqRel` RMWs, `Acquire` load. A unit is added
+///   *before* the event or timer it covers is published (the push's mailbox
+///   unlock, the arm's `sched` unlock), so the consumer's matching release
+///   follows it in the counter's modification order and the counter never
+///   under-approximates the work left. An activation keeps the units of the
+///   events it handled until it ends (one release per activation) and lends
+///   them to the sends it makes while it keeps one, so the counter cannot
+///   reach zero while any handler runs. The release that reaches zero
+///   happens-before the caller's `Acquire` load of zero: the caller then
+///   sees a quiescent run.
+/// * [`Shared::stopping`] — stored `Release` under `sched` by the caller or
+///   by a worker reporting a panic, loaded `Acquire` by workers before each
+///   event. It publishes nothing of its own: the join orders every worker's
+///   writes before the caller restores the world.
 /// * [`Shared::rejected`] — `Relaxed` `fetch_add` is sufficient: the
 ///   counter guards no other memory, atomic RMWs never lose increments,
 ///   and the final read happens after `std::thread::scope` joins every
 ///   worker, which already orders all their increments before it.
 struct Shared<M> {
-    /// Processes that have a thread (i.e. were not crashed at run start).
-    live: BTreeSet<ProcessId>,
-    /// In-flight work: queued channel events plus armed timers plus the
-    /// event currently being handled. Zero means quiescent.
-    /// Increment-before-send / decrement-after-handle, `AcqRel`.
+    /// Live processes, indexed by raw process id (`None`: crashed).
+    procs: Vec<Option<Proc<M>>>,
+    /// Units of in-flight work: queued events, armed timers, and the units
+    /// running activations hold. Zero means quiescent.
     pending: AtomicI64,
-    /// Set by the driver to end the run. Store `Release`, load `Acquire`.
+    /// Set to end the run.
     stopping: AtomicBool,
-    /// Workers that have finished their main loop and pledged to send no
-    /// further events; the drain phase completes when all have. `AcqRel`
-    /// pledge, `Acquire` poll.
-    retired: AtomicUsize,
-    /// RDMA permission sets (`allowed[owner]` = peers that may write).
-    perms: Mutex<BTreeMap<ProcessId, BTreeSet<ProcessId>>>,
-    /// RDMA inboxes, one lock per owner. A worker locks its own inbox only
-    /// while a handler runs; writers lock `perms` then the target inbox
-    /// (a single global lock order, so no deadlock).
-    inboxes: BTreeMap<ProcessId, Mutex<RdmaInbox<M>>>,
+    sched: Mutex<Sched>,
+    /// One per worker: work landed on its queue, an earlier timer was armed,
+    /// or the run is stopping.
+    wake: Vec<Condvar>,
+    /// The caller's: `pending` reached zero, or an actor panicked.
+    quiet: Condvar,
+    /// Writers lock `perms` then the target inbox (one global lock order).
+    perms: Mutex<RdmaPermissions>,
     /// RDMA writes rejected because the connection was closed. `Relaxed`
     /// increments; completeness comes from the scope join (see above), not
     /// from this atomic's ordering.
@@ -222,443 +251,433 @@ impl<M> Shared<M> {
         self.start_now + SimDuration::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Lands an RDMA write in `to`'s memory if `from` may write there.
-    /// Returns the inbox index, or `None` if the write was rejected (the
-    /// rejection counter is bumped here; the caller records metrics).
-    fn rdma_arrive(&self, from: ProcessId, to: ProcessId, msg: M) -> Option<usize> {
-        let perms = self.perms.lock().expect("perms lock");
-        if !perms.get(&to).is_some_and(|set| set.contains(&from)) {
+    /// The live process `pid`, if there is one.
+    fn proc(&self, pid: ProcessId) -> Option<&Proc<M>> {
+        self.procs
+            .get(usize::try_from(pid.as_u64()).ok()?)?
+            .as_ref()
+    }
+
+    fn lock_sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("sched lock")
+    }
+
+    fn perms(&self) -> MutexGuard<'_, RdmaPermissions> {
+        self.perms.lock().expect("perms lock")
+    }
+
+    /// Lands an RDMA write from `from`, arriving with `hops`, in `to`'s
+    /// memory if `from` may write there: returns the delivery at `to` and
+    /// the acknowledgement to `from`, or `None` if the write was rejected
+    /// (counted here; the caller records metrics).
+    fn rdma_arrive(
+        &self,
+        from: ProcessId,
+        to: &Proc<M>,
+        msg: M,
+        token: RdmaToken,
+        hops: u32,
+    ) -> Option<[EventKind<M>; 2]> {
+        let perms = self.perms();
+        if !perms.is_open(to.pid, from) {
             drop(perms);
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut inbox = self
-            .inboxes
-            .get(&to)
-            .expect("inbox")
-            .lock()
-            .expect("inbox lock");
-        Some(inbox.push(from, msg))
+        let index = to.inbox.lock().expect("inbox lock").push(from, msg);
+        let at = to.pid;
+        Some([
+            EventKind::RdmaDeliver { at, index, hops },
+            EventKind::RdmaAck {
+                sender: from,
+                target: at,
+                token,
+                hops: hops + 1,
+            },
+        ])
     }
-}
 
-/// What a worker hands back when its thread joins.
-struct WorkerDone<M> {
-    pid: ProcessId,
-    actor: Box<dyn Actor<M>>,
-    metrics: Metrics,
-    /// Events drained from this process's channel after the stop.
-    leftovers: Vec<RtEvent<M>>,
-    /// Events this worker could not send (target channel full at stop).
-    unsent: Vec<(ProcessId, RtEvent<M>)>,
-    /// Timers still armed at stop, with their original incarnation.
-    timers: Vec<(Instant, TimerId, TimerTag)>,
-    /// Cancellations that found no local timer (already fired elsewhere).
-    cancels: Vec<TimerId>,
-    incarnation: u64,
-    events_processed: u64,
-}
+    /// Appends `event` to `to`'s mailbox, which the caller has counted in
+    /// `pending`; `true` if `to` was idle and must now be made ready.
+    fn post(to: &Proc<M>, event: EventKind<M>) -> bool {
+        let mut mailbox = to.mailbox.lock().expect("mailbox lock");
+        mailbox.events.push_back(event);
+        !std::mem::replace(&mut mailbox.scheduled, true)
+    }
 
-/// One process-thread: an actor, its channel, its timer heap.
-struct Worker<'s, M> {
-    pid: ProcessId,
-    actor: Box<dyn Actor<M>>,
-    shared: &'s Shared<M>,
-    senders: BTreeMap<ProcessId, SyncSender<RtEvent<M>>>,
-    rx: Receiver<RtEvent<M>>,
-    timers: BinaryHeap<Reverse<RtTimer>>,
-    overflow: Vec<(ProcessId, RtEvent<M>)>,
-    metrics: Metrics,
-    next_timer_id: u64,
-    next_rdma_token: u64,
-    incarnation: u64,
-    events_processed: u64,
-    cancels: Vec<TimerId>,
-}
+    /// [`Shared::post`], then the run queue if `to` was idle.
+    fn push(&self, to: &Proc<M>, event: EventKind<M>) {
+        if Self::post(to, event) {
+            self.make_ready(&mut self.lock_sched(), to);
+        }
+    }
 
-impl<'s, M: Clone + fmt::Debug + Send + 'static> Worker<'s, M> {
-    fn run(mut self) -> WorkerDone<M> {
-        loop {
-            if self.shared.stopping.load(Ordering::Acquire) {
-                break;
+    /// Queues `proc` on its home worker, waking it if it waits.
+    fn make_ready(&self, sched: &mut Sched, proc: &Proc<M>) {
+        let home = proc.rank % sched.ready.len();
+        sched.ready[home].push_back(proc.pid);
+        self.wake_home(sched, home);
+    }
+
+    /// Wakes worker `home` if it waits. Another worker finds the process
+    /// only when it next looks for work: stealing never wakes anyone.
+    fn wake_home(&self, sched: &mut Sched, home: usize) {
+        if std::mem::take(&mut sched.idle[home]) {
+            self.wake[home].notify_one();
+        }
+    }
+
+    /// Arms `proc`'s timer `id` (its `armed` set is passed in) for
+    /// `deadline`; if it is now the earliest, `proc`'s home worker, if it
+    /// waits, wakes to shorten its wait.
+    fn arm(
+        &self,
+        proc: &Proc<M>,
+        armed: &mut BTreeSet<TimerId>,
+        id: TimerId,
+        tag: TimerTag,
+        deadline: Instant,
+    ) {
+        armed.insert(id);
+        let pid = proc.pid;
+        let timer = RtTimer {
+            deadline,
+            id,
+            pid,
+            tag,
+        };
+        let mut sched = self.lock_sched();
+        let earliest = sched.timers.peek().is_none_or(|Reverse(top)| timer < *top);
+        sched.timers.push(Reverse(timer));
+        if earliest {
+            let home = proc.rank % sched.ready.len();
+            self.wake_home(&mut sched, home);
+        }
+    }
+
+    /// Moves every due timer into its process's mailbox. Returns the
+    /// deadline of the earliest timer not yet due.
+    fn fire_due(&self, sched: &mut Sched) -> Option<Instant> {
+        let now = (!sched.timers.is_empty()).then(Instant::now)?;
+        while let Some(Reverse(top)) = sched.timers.peek() {
+            if top.deadline > now {
+                return Some(top.deadline);
             }
-            self.flush_overflow();
-            self.fire_due_timers();
-            let mut timeout = IDLE_POLL;
-            if let Some(Reverse(timer)) = self.timers.peek() {
-                timeout = timeout.min(timer.deadline.saturating_duration_since(Instant::now()));
-            }
-            if !self.overflow.is_empty() {
-                timeout = timeout.min(OVERFLOW_RETRY);
-            }
-            match self.rx.recv_timeout(timeout) {
-                Ok(RtEvent::Stop) => break,
-                Ok(event) => self.handle(event),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+            let Reverse(timer) = sched.timers.pop().expect("peeked");
+            let proc = self
+                .proc(timer.pid)
+                .expect("timers belong to live processes");
+            let event = EventKind::Timer {
+                at: timer.pid,
+                id: timer.id,
+                tag: timer.tag,
+                incarnation: proc.incarnation,
+            };
+            if Self::post(proc, event) {
+                self.make_ready(sched, proc);
             }
         }
-        self.drain()
+        None
     }
 
-    /// Processes one channel event: upcall, effects, accounting.
-    fn handle(&mut self, event: RtEvent<M>) {
-        match event {
-            RtEvent::Deliver { from, msg, hops } => {
-                self.metrics.on_receive(self.pid);
-                self.metrics.on_msg_delivered(&msg);
-                self.invoke(Upcall::Message { from, msg }, hops);
+    /// Gives back `units` of `pending`; the release that reaches zero wakes
+    /// the caller.
+    fn release(&self, units: i64) {
+        if units > 0 && self.pending.fetch_sub(units, Ordering::AcqRel) == units {
+            let _sched = self.lock_sched();
+            self.quiet.notify_one();
+        }
+    }
+
+    /// Ends the run, recording `failure` if it is the first: workers finish
+    /// the event in hand and exit, and a waiting caller wakes.
+    fn stop(&self, failure: Option<String>) {
+        let mut sched = self.lock_sched();
+        sched.failure = sched.failure.take().or(failure);
+        self.stopping.store(true, Ordering::Release);
+        for wake in &self.wake {
+            wake.notify_one();
+        }
+        self.quiet.notify_one();
+    }
+
+    /// Blocks the caller until nothing is pending, an actor panicked, or
+    /// `deadline` passes.
+    fn await_quiescence(&self, deadline: Instant) {
+        let busy = |_: &mut Sched| {
+            self.pending.load(Ordering::Acquire) > 0 && !self.stopping.load(Ordering::Acquire)
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        let waited = self.quiet.wait_timeout_while(self.lock_sched(), left, busy);
+        drop(waited.expect("sched lock"));
+    }
+}
+
+/// One worker thread of the pool.
+struct Worker<'s, M> {
+    shared: &'s Shared<M>,
+    index: usize,
+    events_processed: u64,
+    /// `pending` units the current activation holds: one per event it
+    /// handled and per armed timer it cancelled, less those lent to sends.
+    held: i64,
+}
+
+impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
+    fn run(mut self) -> u64 {
+        let shared = self.shared;
+        while let Some(pid) = self.next_ready() {
+            self.activate(shared.proc(pid).expect("ready processes are live"));
+        }
+        self.events_processed
+    }
+
+    /// The next process to activate — own queue first, then any other —
+    /// moving due timers into mailboxes on the way; waits while there is
+    /// none. `None` once the run stops.
+    fn next_ready(&self) -> Option<ProcessId> {
+        let shared = self.shared;
+        let mut sched = shared.lock_sched();
+        loop {
+            if shared.stopping.load(Ordering::Acquire) {
+                return None;
             }
-            RtEvent::RdmaAck {
+            let next_deadline = shared.fire_due(&mut sched);
+            let own = sched.ready[self.index].pop_front();
+            if let Some(pid) = own.or_else(|| sched.ready.iter_mut().find_map(VecDeque::pop_front))
+            {
+                return Some(pid);
+            }
+            sched.idle[self.index] = true;
+            let wait = next_deadline.map_or(Duration::MAX, |deadline| {
+                deadline.saturating_duration_since(Instant::now())
+            });
+            let wake = &shared.wake[self.index];
+            sched = wake.wait_timeout(sched, wait).expect("sched lock").0;
+            sched.idle[self.index] = false;
+        }
+    }
+
+    /// Handles up to [`ACTIVATION_BUDGET`] of `proc`'s events, puts it back
+    /// on the run queue if its mailbox is not empty, and releases the
+    /// activation's units.
+    fn activate(&mut self, proc: &Proc<M>) {
+        let shared = self.shared;
+        let mut batch: VecDeque<EventKind<M>> = {
+            let mut mailbox = proc.mailbox.lock().expect("mailbox lock");
+            let take = mailbox.events.len().min(ACTIVATION_BUDGET);
+            mailbox.events.drain(..take).collect()
+        };
+        {
+            let mut slot = proc.slot.lock().expect("slot lock");
+            while let Some(event) = batch.pop_front() {
+                if shared.stopping.load(Ordering::Acquire) {
+                    batch.push_front(event);
+                    break;
+                }
+                self.handle(proc, &mut slot, event);
+            }
+        }
+        let requeue = {
+            let mut mailbox = proc.mailbox.lock().expect("mailbox lock");
+            // Events a stop left unhandled go back in front, in order.
+            while let Some(event) = batch.pop_back() {
+                mailbox.events.push_front(event);
+            }
+            mailbox.scheduled = !mailbox.events.is_empty();
+            mailbox.scheduled
+        };
+        if requeue {
+            shared.make_ready(&mut shared.lock_sched(), proc);
+        }
+        shared.release(std::mem::take(&mut self.held));
+    }
+
+    /// Processes one mailbox event: upcall, effects, accounting.
+    fn handle(&mut self, proc: &Proc<M>, slot: &mut Slot<M>, event: EventKind<M>) {
+        if let EventKind::Timer { id, .. } = &event {
+            if !slot.armed.remove(id) {
+                return; // cancelled after it fell due: its unit is gone
+            }
+        }
+        self.held += 1;
+        self.events_processed += 1;
+        let metrics = &mut slot.metrics;
+        let (upcall, hops) = match event {
+            EventKind::Deliver {
+                from, msg, hops, ..
+            } => {
+                metrics.on_receive(proc.pid);
+                metrics.on_msg_delivered(&msg);
+                (Upcall::Message { from, msg }, hops)
+            }
+            EventKind::RdmaAck {
                 target,
                 token,
                 hops,
+                ..
             } => {
-                self.metrics.on_rdma_ack(self.pid);
-                self.invoke(Upcall::RdmaAck { token, to: target }, hops);
+                metrics.on_rdma_ack(proc.pid);
+                (Upcall::RdmaAck { token, to: target }, hops)
             }
-            RtEvent::RdmaDeliver { index, hops } => {
-                let entry = {
-                    let mut inbox = self
-                        .shared
-                        .inboxes
-                        .get(&self.pid)
-                        .expect("own inbox")
-                        .lock()
-                        .expect("inbox lock");
-                    inbox.take_for_delivery(index)
+            EventKind::RdmaDeliver { index, hops, .. } => {
+                let entry = proc
+                    .inbox
+                    .lock()
+                    .expect("inbox lock")
+                    .take_for_delivery(index);
+                let Some((from, msg)) = entry else {
+                    return; // already delivered by a flush
                 };
-                if let Some((from, msg)) = entry {
-                    self.metrics.on_rdma_deliver(self.pid);
-                    self.metrics.on_msg_delivered(&msg);
-                    self.invoke(Upcall::RdmaDeliver { from, msg }, hops);
-                }
+                metrics.on_rdma_deliver(proc.pid);
+                metrics.on_msg_delivered(&msg);
+                (Upcall::RdmaDeliver { from, msg }, hops)
             }
-            RtEvent::Stop => unreachable!("Stop is consumed by the main loop"),
-        }
-        self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-        self.events_processed += 1;
-    }
-
-    fn fire_due_timers(&mut self) {
-        loop {
-            let due = matches!(
-                self.timers.peek(),
-                Some(Reverse(timer)) if timer.deadline <= Instant::now()
-            );
-            if !due || self.shared.stopping.load(Ordering::Acquire) {
-                break;
+            EventKind::Timer { tag, .. } => (Upcall::Timer { tag }, 0),
+            EventKind::RdmaArrive { .. } | EventKind::Crash { .. } => {
+                unreachable!("writes land before they are posted; crashes apply at run start")
             }
-            let Reverse(timer) = self.timers.pop().expect("peeked");
-            self.invoke(Upcall::Timer { tag: timer.tag }, 0);
-            self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-            self.events_processed += 1;
-        }
+        };
+        self.invoke(proc, slot, upcall, hops);
     }
 
     /// Drives the actor through the shared [`dispatch`] seam, holding only
-    /// the worker's own inbox lock for the duration of the handler, then
-    /// applies the buffered effects.
-    fn invoke(&mut self, upcall: Upcall<M>, hops: u32) {
+    /// the process's own inbox lock for the duration of the handler, then
+    /// applies the buffered effects. A panic stops the run instead.
+    fn invoke(&mut self, proc: &Proc<M>, slot: &mut Slot<M>, upcall: Upcall<M>, hops: u32) {
+        let handler = upcall.handler();
         let now = self.shared.now();
-        let effects = {
-            let mut inbox = self
-                .shared
-                .inboxes
-                .get(&self.pid)
-                .expect("own inbox")
-                .lock()
-                .expect("inbox lock");
+        let (effects, panic) = {
+            let mut inbox = proc.inbox.lock().expect("inbox lock");
             let mut ctx = Context {
-                self_id: self.pid,
+                self_id: proc.pid,
                 now,
                 hops,
                 effects: Vec::new(),
-                metrics: &mut self.metrics,
+                metrics: &mut slot.metrics,
                 inbox: &mut inbox,
-                next_timer_id: &mut self.next_timer_id,
-                next_rdma_token: &mut self.next_rdma_token,
+                next_timer_id: &mut slot.next_timer_id,
+                next_rdma_token: &mut slot.next_rdma_token,
             };
-            dispatch(self.actor.as_mut(), upcall, &mut ctx);
-            std::mem::take(&mut ctx.effects)
+            let actor = slot.actor.as_mut();
+            let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(actor, upcall, &mut ctx)));
+            (std::mem::take(&mut ctx.effects), outcome.err())
         };
-        self.apply_effects(effects, hops);
+        if let Some(payload) = panic {
+            let cause = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            let report = format!("actor {} panicked in {handler}: {cause}", proc.pid);
+            self.shared.stop(Some(report));
+            return;
+        }
+        self.apply_effects(proc, slot, effects, hops);
     }
 
-    fn apply_effects(&mut self, effects: Vec<Effect<M>>, hops: u32) {
+    fn apply_effects(
+        &mut self,
+        proc: &Proc<M>,
+        slot: &mut Slot<M>,
+        effects: Vec<Effect<M>>,
+        hops: u32,
+    ) {
+        let pid = proc.pid;
         for effect in effects {
             match effect {
                 Effect::Send { to, msg } => {
-                    self.metrics.on_msg_sent(&msg);
-                    self.enqueue(
+                    slot.metrics.on_msg_sent(&msg);
+                    self.enqueue(EventKind::Deliver {
+                        from: pid,
                         to,
-                        RtEvent::Deliver {
-                            from: self.pid,
-                            msg,
-                            hops: hops + 1,
-                        },
-                    )
+                        msg,
+                        hops: hops + 1,
+                    })
                 }
                 Effect::RdmaSend { to, msg, token } => {
-                    self.metrics.on_msg_sent(&msg);
-                    // Mirrors the simulator's hop accounting: the write
-                    // arrives with `hops + 1`; the delivery keeps the
-                    // arrival count and the acknowledgement adds one more.
-                    if !self.shared.live.contains(&to) {
+                    slot.metrics.on_msg_sent(&msg);
+                    let Some(target) = self.shared.proc(to) else {
                         continue; // crashed target: write lost, no ack
-                    }
-                    match self.shared.rdma_arrive(self.pid, to, msg) {
-                        Some(index) => {
-                            self.enqueue(
-                                to,
-                                RtEvent::RdmaDeliver {
-                                    index,
-                                    hops: hops + 1,
-                                },
-                            );
-                            self.enqueue(
-                                self.pid,
-                                RtEvent::RdmaAck {
-                                    target: to,
-                                    token,
-                                    hops: hops + 2,
-                                },
-                            );
-                        }
-                        None => self.metrics.rdma_rejected += 1,
+                    };
+                    // The write arrives with `hops + 1`, like the
+                    // simulator's; the acknowledgement adds one more.
+                    match self.shared.rdma_arrive(pid, target, msg, token, hops + 1) {
+                        Some(events) => events.into_iter().for_each(|e| self.enqueue(e)),
+                        None => slot.metrics.rdma_rejected += 1,
                     }
                 }
-                Effect::RdmaOpen { peer } => {
-                    self.shared
-                        .perms
-                        .lock()
-                        .expect("perms lock")
-                        .entry(self.pid)
-                        .or_default()
-                        .insert(peer);
-                }
-                Effect::RdmaClose { peer } => {
-                    if let Some(set) = self
-                        .shared
-                        .perms
-                        .lock()
-                        .expect("perms lock")
-                        .get_mut(&self.pid)
-                    {
-                        set.remove(&peer);
-                    }
-                }
-                Effect::RdmaCloseAll => {
-                    self.shared
-                        .perms
-                        .lock()
-                        .expect("perms lock")
-                        .remove(&self.pid);
-                }
+                Effect::RdmaOpen { peer } => self.shared.perms().open(pid, peer),
+                Effect::RdmaClose { peer } => self.shared.perms().close(pid, peer),
+                Effect::RdmaCloseAll => self.shared.perms().close_all(pid),
                 Effect::SetTimer { delay, tag, id } => {
-                    self.timers.push(Reverse(RtTimer {
-                        deadline: Instant::now() + Duration::from_micros(delay.as_micros()),
-                        id,
-                        tag,
-                    }));
-                    self.shared.pending.fetch_add(1, Ordering::AcqRel);
+                    self.take_unit();
+                    let deadline = Instant::now() + Duration::from_micros(delay.as_micros());
+                    self.shared.arm(proc, &mut slot.armed, id, tag, deadline);
                 }
-                Effect::CancelTimer { id } => self.cancel_timer(id),
-            }
-        }
-    }
-
-    /// Counts the event as pending, then hands it to the target channel.
-    /// A full channel buffers the event locally instead of blocking (see
-    /// the module docs for why blocking could deadlock the shutdown drain).
-    fn enqueue(&mut self, to: ProcessId, event: RtEvent<M>) {
-        if !self.shared.live.contains(&to) {
-            return; // crashed or unknown target: dropped, like the simulator
-        }
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        match self.senders.get(&to).expect("live sender").try_send(event) {
-            Ok(()) => {}
-            Err(TrySendError::Full(event)) => self.overflow.push((to, event)),
-            Err(TrySendError::Disconnected(_)) => {
-                self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-
-    fn flush_overflow(&mut self) {
-        if self.overflow.is_empty() {
-            return;
-        }
-        let buffered = std::mem::take(&mut self.overflow);
-        for (to, event) in buffered {
-            match self.senders.get(&to).expect("live sender").try_send(event) {
-                Ok(()) => {}
-                Err(TrySendError::Full(event)) => self.overflow.push((to, event)),
-                Err(TrySendError::Disconnected(_)) => {
-                    self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-        }
-    }
-
-    /// Cancels a timer on the local heap; a miss (already fired, or armed
-    /// by a previous run) is recorded for the world's cancellation set.
-    fn cancel_timer(&mut self, id: TimerId) {
-        let before = self.timers.len();
-        let kept: BinaryHeap<Reverse<RtTimer>> = self
-            .timers
-            .drain()
-            .filter(|Reverse(timer)| timer.id != id)
-            .collect();
-        self.timers = kept;
-        if self.timers.len() < before {
-            self.shared.pending.fetch_sub(1, Ordering::AcqRel);
-        } else {
-            self.cancels.push(id);
-        }
-    }
-
-    /// Shutdown: pledge to send nothing further, then drain the channel
-    /// until every worker has made the same pledge and the channel is empty.
-    /// Bounded by [`DRAIN_TIMEOUT`] so one stuck thread cannot hang the run.
-    fn drain(self) -> WorkerDone<M> {
-        self.shared.retired.fetch_add(1, Ordering::AcqRel);
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        let mut leftovers = Vec::new();
-        loop {
-            while let Ok(event) = self.rx.try_recv() {
-                if !matches!(event, RtEvent::Stop) {
-                    leftovers.push(event);
-                }
-            }
-            let all_retired = self.shared.retired.load(Ordering::Acquire) >= self.shared.live.len();
-            if all_retired || Instant::now() >= deadline {
-                while let Ok(event) = self.rx.try_recv() {
-                    if !matches!(event, RtEvent::Stop) {
-                        leftovers.push(event);
+                Effect::CancelTimer { id } => {
+                    if slot.armed.remove(&id) {
+                        // Its unit joins the activation's; the heap entry
+                        // stays and is dropped when it falls due.
+                        self.held += 1;
+                    } else {
+                        slot.cancels.push(id);
                     }
                 }
-                break;
             }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        WorkerDone {
-            pid: self.pid,
-            actor: self.actor,
-            metrics: self.metrics,
-            leftovers,
-            unsent: self.overflow,
-            timers: self
-                .timers
-                .into_sorted_vec()
-                .into_iter()
-                .map(|Reverse(timer)| (timer.deadline, timer.id, timer.tag))
-                .collect(),
-            cancels: self.cancels,
-            incarnation: self.incarnation,
-            events_processed: self.events_processed,
         }
     }
-}
 
-/// Converts a channel event addressed to `pid` back into a world-queue
-/// event, so undrained work survives into the next run (on either backend).
-fn requeue<M>(pid: ProcessId, event: RtEvent<M>) -> Option<EventKind<M>> {
-    match event {
-        RtEvent::Deliver { from, msg, hops } => Some(EventKind::Deliver {
-            from,
-            to: pid,
-            msg,
-            hops,
-        }),
-        RtEvent::RdmaAck {
-            target,
-            token,
-            hops,
-        } => Some(EventKind::RdmaAck {
-            sender: pid,
-            target,
-            token,
-            hops,
-        }),
-        RtEvent::RdmaDeliver { index, hops } => Some(EventKind::RdmaDeliver {
-            at: pid,
-            index,
-            hops,
-        }),
-        RtEvent::Stop => None,
+    /// The one send seam: counts `event` in `pending`, then posts it to its
+    /// process's mailbox. A crashed or unknown target drops it, like the
+    /// simulator.
+    fn enqueue(&mut self, event: EventKind<M>) {
+        let Some(target) = self.shared.proc(event.process()) else {
+            return;
+        };
+        self.take_unit();
+        self.shared.push(target, event);
+    }
+
+    /// Covers one new event or timer in `pending`: with a unit the
+    /// activation holds while it keeps one for itself, else a fresh one.
+    fn take_unit(&mut self) {
+        if self.held > 1 {
+            self.held -= 1;
+        } else {
+            self.shared.pending.fetch_add(1, Ordering::AcqRel);
+        }
     }
 }
 
 /// Runs `world` on the threaded backend until it quiesces (`until = None`)
 /// or until virtual time reaches `until`, whichever comes first, bounded by
 /// [`QUIESCENCE_TIMEOUT`]. Returns the number of events processed.
+///
+/// # Panics
+///
+/// If an actor's handler panics, after the world has been restored, with a
+/// message naming the process and the handler.
 pub(crate) fn run_threaded<M>(world: &mut World<M>, until: Option<SimTime>) -> u64
 where
     M: Clone + fmt::Debug + Send + 'static,
 {
     let start_now = world.now;
 
-    // -- extract: pull the pending queue out and split it ------------------
-    let mut seeded: Vec<QueuedEvent<M>> = std::mem::take(&mut world.queue)
+    // -- extract: the pending queue in (time, seq) order --------------------
+    let mut seeds: Vec<(SimTime, EventKind<M>)> = Vec::with_capacity(world.queue.len());
+    // `Reverse` sorts descending; walk it backwards for (time, seq) order.
+    for Reverse(QueuedEvent { time, kind, .. }) in std::mem::take(&mut world.queue)
         .into_sorted_vec()
         .into_iter()
-        .map(|Reverse(event)| event)
-        .collect();
-    seeded.reverse(); // `Reverse` sorts descending; restore (time, seq) order
-
-    let mut channel_seeds: Vec<EventKind<M>> = Vec::new();
-    let mut timer_seeds: BTreeMap<ProcessId, Vec<(SimDuration, TimerId, TimerTag)>> =
-        BTreeMap::new();
-    for QueuedEvent { time, kind, .. } in seeded {
+        .rev()
+    {
         match kind {
-            EventKind::Crash { at } => {
-                // Mid-run crash schedules are a simulator feature; a crash
-                // still pending when a threaded run starts takes effect at
-                // the start of the run.
-                world.crash(at);
-            }
-            EventKind::Timer {
-                at,
-                id,
-                tag,
-                incarnation,
-            } => {
-                if world.cancelled_timers.remove(&id)
-                    || world.crashed.contains(&at)
-                    || world.incarnations.get(&at).copied().unwrap_or(0) != incarnation
-                {
-                    continue;
-                }
-                let remaining = SimDuration::from_micros(
-                    time.as_micros().saturating_sub(start_now.as_micros()),
-                );
-                timer_seeds
-                    .entry(at)
-                    .or_default()
-                    .push((remaining, id, tag));
-            }
-            other => channel_seeds.push(other),
+            // Mid-run crash schedules are a simulator feature; a crash still
+            // pending when a threaded run starts takes effect at its start.
+            EventKind::Crash { at } => world.crash(at),
+            other => seeds.push((time, other)),
         }
-    }
-
-    let live: BTreeSet<ProcessId> = world
-        .actors
-        .keys()
-        .filter(|pid| !world.crashed.contains(pid))
-        .copied()
-        .collect();
-    if live.is_empty() {
-        // Nothing can execute; put non-timer events back and advance time.
-        for kind in channel_seeds {
-            world.push_event(start_now, kind);
-        }
-        if let Some(until) = until {
-            if world.now < until {
-                world.now = until;
-            }
-        }
-        return 0;
     }
 
     let obs_enabled = world.metrics.obs_enabled();
@@ -666,232 +685,188 @@ where
     let base_timer_id = world.next_timer_id;
     let base_rdma_token = world.next_rdma_token;
 
-    let mut senders: BTreeMap<ProcessId, SyncSender<RtEvent<M>>> = BTreeMap::new();
-    let mut receivers: BTreeMap<ProcessId, Receiver<RtEvent<M>>> = BTreeMap::new();
-    for pid in &live {
-        let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
-        senders.insert(*pid, tx);
-        receivers.insert(*pid, rx);
+    // Indexed by raw process id: `add_actor` numbers processes densely.
+    let mut rank = 0;
+    let mut procs: Vec<Option<Proc<M>>> = Vec::with_capacity(world.actors.len());
+    for (&pid, actor) in &mut world.actors {
+        assert_eq!(pid.as_u64(), procs.len() as u64, "process ids are dense");
+        if world.crashed.contains(&pid) {
+            procs.push(None);
+            continue;
+        }
+        let stripe = rank * ID_STRIPE;
+        procs.push(Some(Proc {
+            pid,
+            incarnation: world.incarnations.get(&pid).copied().unwrap_or(0),
+            rank: rank as usize,
+            mailbox: Mutex::new(Mailbox {
+                events: VecDeque::new(),
+                scheduled: false,
+            }),
+            inbox: Mutex::new(inboxes.remove(&pid).unwrap_or_default()),
+            slot: Mutex::new(Slot {
+                actor: actor.take().expect("live actor present"),
+                metrics: Metrics::with_obs(obs_enabled),
+                armed: BTreeSet::new(),
+                cancels: Vec::new(),
+                next_timer_id: base_timer_id + stripe,
+                next_rdma_token: base_rdma_token + stripe,
+            }),
+        }));
+        rank += 1;
     }
+    let workers = host_parallelism().min(rank as usize);
 
-    let shared = Shared {
-        live: live.clone(),
+    let mut shared = Shared {
+        procs,
         pending: AtomicI64::new(0),
         stopping: AtomicBool::new(false),
-        retired: AtomicUsize::new(0),
+        sched: Mutex::new(Sched {
+            ready: vec![VecDeque::new(); workers],
+            idle: vec![false; workers],
+            timers: BinaryHeap::new(),
+            failure: None,
+        }),
+        wake: (0..workers).map(|_| Condvar::new()).collect(),
+        quiet: Condvar::new(),
         perms: Mutex::new(perms),
-        inboxes: world
-            .actors
-            .keys()
-            .map(|pid| (*pid, Mutex::new(inboxes.remove(pid).unwrap_or_default())))
-            .collect(),
         rejected: AtomicU64::new(0),
         epoch: Instant::now(),
         start_now,
     };
 
-    let mut dones: Vec<WorkerDone<M>> = Vec::with_capacity(live.len());
-    let mut seed_rejected = 0u64;
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(live.len());
-        for (index, pid) in live.iter().copied().enumerate() {
-            let actor = world
-                .actors
-                .get_mut(&pid)
-                .and_then(Option::take)
-                .expect("live actor present");
-            let timers: BinaryHeap<Reverse<RtTimer>> = timer_seeds
-                .remove(&pid)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(remaining, id, tag)| {
-                    shared.pending.fetch_add(1, Ordering::AcqRel);
-                    Reverse(RtTimer {
-                        deadline: shared.epoch + Duration::from_micros(remaining.as_micros()),
-                        id,
-                        tag,
-                    })
-                })
-                .collect();
-            let worker = Worker {
-                pid,
-                actor,
-                shared: &shared,
-                senders: senders.clone(),
-                rx: receivers.remove(&pid).expect("receiver"),
-                timers,
-                overflow: Vec::new(),
-                // Per-worker collectors inherit the observability switch so
-                // milestone stamps recorded on worker threads survive the
-                // post-run `absorb` into the world's collector.
-                metrics: Metrics::with_obs(obs_enabled),
-                next_timer_id: base_timer_id + (index as u64) * ID_STRIPE,
-                next_rdma_token: base_rdma_token + (index as u64) * ID_STRIPE,
-                incarnation: world.incarnations.get(&pid).copied().unwrap_or(0),
-                events_processed: 0,
-                cancels: Vec::new(),
-            };
-            handles.push(scope.spawn(move || worker.run()));
-        }
-
-        // -- seed: inject the pending events; threads are already draining --
-        let seed = |to: ProcessId, event: RtEvent<M>| {
-            if !shared.live.contains(&to) {
-                return;
-            }
+    // -- seed: fill the mailboxes and the heap before any worker starts -----
+    let seed = |event: EventKind<M>| {
+        if let Some(target) = shared.proc(event.process()) {
             shared.pending.fetch_add(1, Ordering::AcqRel);
-            if senders.get(&to).expect("live sender").send(event).is_err() {
-                shared.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        };
-        for kind in channel_seeds {
-            match kind {
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg,
-                    hops,
-                } => seed(to, RtEvent::Deliver { from, msg, hops }),
-                EventKind::RdmaArrive {
-                    from,
-                    to,
-                    msg,
-                    hops,
-                    token,
-                } => {
-                    if !shared.live.contains(&to) {
-                        continue;
-                    }
-                    match shared.rdma_arrive(from, to, msg) {
-                        Some(index) => {
-                            seed(to, RtEvent::RdmaDeliver { index, hops });
-                            seed(
-                                from,
-                                RtEvent::RdmaAck {
-                                    target: to,
-                                    token,
-                                    hops: hops + 1,
-                                },
-                            );
-                        }
-                        None => seed_rejected += 1,
-                    }
-                }
-                EventKind::RdmaAck {
-                    sender,
-                    target,
-                    token,
-                    hops,
-                } => seed(
-                    sender,
-                    RtEvent::RdmaAck {
-                        target,
-                        token,
-                        hops,
-                    },
-                ),
-                EventKind::RdmaDeliver { at, index, hops } => {
-                    seed(at, RtEvent::RdmaDeliver { index, hops })
-                }
-                EventKind::Timer { .. } | EventKind::Crash { .. } => {
-                    unreachable!("partitioned out above")
-                }
-            }
+            shared.push(target, event);
         }
+    };
+    for (time, kind) in seeds {
+        match kind {
+            EventKind::Timer {
+                at,
+                id,
+                tag,
+                incarnation,
+            } => {
+                let cancelled = world.cancelled_timers.remove(&id);
+                let Some(proc) = shared
+                    .proc(at)
+                    .filter(|proc| !cancelled && proc.incarnation == incarnation)
+                else {
+                    continue; // cancelled, crashed, or from an earlier incarnation
+                };
+                shared.pending.fetch_add(1, Ordering::AcqRel);
+                let remaining = time.as_micros().saturating_sub(start_now.as_micros());
+                let deadline = shared.epoch + Duration::from_micros(remaining);
+                let armed = &mut proc.slot.lock().expect("slot lock").armed;
+                shared.arm(proc, armed, id, tag, deadline);
+            }
+            EventKind::RdmaArrive {
+                from,
+                to,
+                msg,
+                hops,
+                token,
+            } => {
+                let Some(target) = shared.proc(to) else {
+                    continue;
+                };
+                match shared.rdma_arrive(from, target, msg, token, hops) {
+                    Some(events) => events.into_iter().for_each(seed),
+                    None => target.slot.lock().expect("slot lock").metrics.rdma_rejected += 1,
+                }
+            }
+            other => seed(other),
+        }
+    }
 
-        // -- wait: quiescence, the virtual deadline, or the hard timeout ----
-        let until_deadline = until.map(|until| {
-            shared.epoch
-                + Duration::from_micros(until.as_micros().saturating_sub(start_now.as_micros()))
-        });
-        let hard_deadline = shared.epoch + QUIESCENCE_TIMEOUT;
-        loop {
-            if shared.pending.load(Ordering::Acquire) <= 0 {
-                break;
-            }
-            let now = Instant::now();
-            if until_deadline.is_some_and(|deadline| now >= deadline) || now >= hard_deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-
-        // -- stop: flag + sentinel (never blocks), then join ----------------
-        shared.stopping.store(true, Ordering::Release);
-        for pid in &live {
-            let _ = senders.get(pid).expect("sender").try_send(RtEvent::Stop);
-        }
+    // -- run: quiescence, the virtual deadline, the hard timeout or a panic --
+    let hard_deadline = shared.epoch + QUIESCENCE_TIMEOUT;
+    let deadline = until.map_or(hard_deadline, |until| {
+        let left = until.as_micros().saturating_sub(start_now.as_micros());
+        hard_deadline.min(shared.epoch + Duration::from_micros(left))
+    });
+    let mut total_events = 0u64;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|index| {
+                let worker = Worker {
+                    shared: &shared,
+                    index,
+                    events_processed: 0,
+                    held: 0,
+                };
+                scope.spawn(move || worker.run())
+            })
+            .collect();
+        shared.await_quiescence(deadline);
+        shared.stop(None);
         for handle in handles {
-            dones.push(handle.join().expect("worker thread panicked"));
+            total_events += handle.join().expect("worker thread panicked");
         }
     });
 
-    // -- restore: clock, actors, metrics, fabric, surviving work ------------
+    // -- restore: clock, actors, fabric, surviving work ---------------------
     let elapsed = SimDuration::from_micros(shared.epoch.elapsed().as_micros() as u64);
-    world.now = start_now + elapsed;
-    if let Some(until) = until {
-        if world.now < until {
-            world.now = until;
+    world.now = (start_now + elapsed).max(until.unwrap_or(SimTime::ZERO));
+    let end = Instant::now();
+    let Sched {
+        timers, failure, ..
+    } = shared.sched.into_inner().expect("sched lock");
+    // Unhandled mailbox events first, in order, then the timers; a timer
+    // survives only if still armed.
+    for proc in shared.procs.iter_mut().flatten() {
+        let armed = &mut proc.slot.get_mut().expect("slot lock").armed;
+        let mailbox = proc.mailbox.get_mut().expect("mailbox lock");
+        for event in std::mem::take(&mut mailbox.events) {
+            if !matches!(&event, EventKind::Timer { id, .. } if !armed.remove(id)) {
+                world.push_event(world.now, event);
+            }
         }
     }
-    let end = Instant::now();
-    let mut total_events = 0u64;
-    for done in dones {
-        total_events += done.events_processed;
-        world.metrics.absorb(done.metrics);
-        for event in done.leftovers {
-            if let Some(kind) = requeue(done.pid, event) {
-                world.push_event(world.now, kind);
-            }
+    for Reverse(timer) in timers.into_sorted_vec().into_iter().rev() {
+        let proc = shared.procs[timer.pid.as_u64() as usize]
+            .as_mut()
+            .expect("timers belong to live processes");
+        let slot = proc.slot.get_mut().expect("slot lock");
+        if slot.armed.remove(&timer.id) {
+            let remaining = timer.deadline.saturating_duration_since(end).as_micros();
+            let at = world.now + SimDuration::from_micros(remaining as u64);
+            let event = EventKind::Timer {
+                at: timer.pid,
+                id: timer.id,
+                tag: timer.tag,
+                incarnation: proc.incarnation,
+            };
+            world.push_event(at, event);
         }
-        for (to, event) in done.unsent {
-            if let Some(kind) = requeue(to, event) {
-                world.push_event(world.now, kind);
-            }
+    }
+    for proc in shared.procs.into_iter().flatten() {
+        let slot = proc.slot.into_inner().expect("slot lock");
+        world.metrics.absorb(slot.metrics);
+        world.cancelled_timers.extend(slot.cancels);
+        if let Some(entry) = world.actors.get_mut(&proc.pid) {
+            *entry = Some(slot.actor);
         }
-        for (deadline, id, tag) in done.timers {
-            let remaining = SimDuration::from_micros(
-                deadline.saturating_duration_since(end).as_micros() as u64,
-            );
-            world.push_event(
-                world.now + remaining,
-                EventKind::Timer {
-                    at: done.pid,
-                    id,
-                    tag,
-                    incarnation: done.incarnation,
-                },
-            );
-        }
-        world.cancelled_timers.extend(done.cancels);
-        if let Some(slot) = world.actors.get_mut(&done.pid) {
-            *slot = Some(done.actor);
-        }
+        inboxes.insert(proc.pid, proc.inbox.into_inner().expect("inbox lock"));
     }
     world.steps += total_events;
-    world.metrics.rdma_rejected += seed_rejected;
-
+    let rejected = rejected_base + shared.rejected.into_inner();
     let perms = shared.perms.into_inner().expect("perms lock");
-    let inboxes: BTreeMap<ProcessId, RdmaInbox<M>> = shared
-        .inboxes
-        .into_iter()
-        .map(|(pid, inbox)| (pid, inbox.into_inner().expect("inbox lock")))
-        .collect();
-    // `shared.rejected` already includes the seed-path rejections
-    // (`rdma_arrive` bumps it before `seed_rejected` is incremented), so
-    // only the pre-run base is added here. `seed_rejected` feeds
-    // `world.metrics` above instead: seed rejections happen on the driver
-    // thread and are in no worker's absorbed metrics.
-    let rejected = rejected_base + shared.rejected.load(Ordering::Acquire);
     world.rdma = RdmaFabric::from_parts(perms, inboxes, rejected);
-    world.next_timer_id = base_timer_id + (live.len() as u64) * ID_STRIPE;
-    world.next_rdma_token = base_rdma_token + (live.len() as u64) * ID_STRIPE;
+    world.next_timer_id = base_timer_id + rank * ID_STRIPE;
+    world.next_rdma_token = base_rdma_token + rank * ID_STRIPE;
+    if let Some(failure) = failure {
+        panic!("{failure}");
+    }
     total_events
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use super::*;
@@ -1243,5 +1218,223 @@ mod tests {
         w.run_threaded_until(until);
         assert!(start.elapsed() < Duration::from_secs(5), "returned early");
         assert!(w.now() >= until);
+    }
+
+    /// The pool's contract under contention: four senders flood one
+    /// receiver, each over several activations. An in-handler flag shows the
+    /// receiver never ran on two workers at once, and every sender's
+    /// sequence arrives in order.
+    #[test]
+    fn flooded_receiver_runs_on_one_worker_at_a_time_in_link_order() {
+        const NOTES: u64 = 2_000;
+        struct Flooder {
+            to: ProcessId,
+            next: u64,
+        }
+        impl Actor<Msg> for Flooder {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                for _ in 0..10 {
+                    ctx.send(self.to, Msg::Note(self.next));
+                    self.next += 1;
+                }
+                if self.next < NOTES {
+                    ctx.send(ctx.self_id(), Msg::Ping);
+                }
+            }
+        }
+        struct Exclusive {
+            busy: Arc<AtomicBool>,
+            overlaps: Arc<AtomicU64>,
+            seen: BTreeMap<ProcessId, Vec<u64>>,
+        }
+        impl Actor<Msg> for Exclusive {
+            fn on_message(&mut self, from: ProcessId, msg: Msg, _c: &mut Context<'_, Msg>) {
+                if self.busy.swap(true, Ordering::SeqCst) {
+                    self.overlaps.fetch_add(1, Ordering::SeqCst);
+                }
+                std::hint::spin_loop();
+                if let Msg::Note(i) = msg {
+                    self.seen.entry(from).or_default().push(i);
+                }
+                self.busy.store(false, Ordering::SeqCst);
+            }
+        }
+        let overlaps = Arc::new(AtomicU64::new(0));
+        let mut w = World::new(SimConfig::default());
+        let receiver = w.add_actor(Exclusive {
+            busy: Arc::new(AtomicBool::new(false)),
+            overlaps: Arc::clone(&overlaps),
+            seen: BTreeMap::new(),
+        });
+        let senders: Vec<ProcessId> = (0..4)
+            .map(|_| {
+                w.add_actor(Flooder {
+                    to: receiver,
+                    next: 0,
+                })
+            })
+            .collect();
+        for &sender in &senders {
+            w.send_external(sender, Msg::Ping);
+        }
+        w.run_threaded();
+        assert_eq!(overlaps.load(Ordering::SeqCst), 0, "ran on two workers");
+        let seen = &w.actor::<Exclusive>(receiver).expect("receiver").seen;
+        for sender in senders {
+            assert_eq!(seen[&sender], (0..NOTES).collect::<Vec<_>>(), "{sender}");
+        }
+    }
+
+    /// A timer that fell due while its process was busy, and was cancelled
+    /// before the process got to it, never fires.
+    #[test]
+    fn a_timer_cancelled_after_it_fell_due_does_not_fire() {
+        #[derive(Default)]
+        struct LateCancel {
+            timer: Option<TimerId>,
+        }
+        impl Actor<Msg> for LateCancel {
+            fn on_message(&mut self, _f: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                if msg == Msg::Ping {
+                    self.timer = Some(ctx.set_timer(SimDuration::from_micros(100), 1));
+                    ctx.send(ctx.self_id(), Msg::Pong);
+                } else {
+                    // Armed before this handler began, so due 100 µs into it.
+                    std::thread::sleep(Duration::from_millis(5));
+                    ctx.cancel_timer(self.timer.take().expect("armed"));
+                }
+            }
+            fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<'_, Msg>) {
+                ctx.add_counter("fired", 1);
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let p = w.add_actor(LateCancel::default());
+        w.add_actor(Recorder::default()); // a second worker, where there are cores
+        w.send_external(p, Msg::Ping);
+        let start = Instant::now();
+        assert_eq!(
+            w.run_threaded(),
+            2,
+            "Ping and Pong; the dead timer is no step"
+        );
+        assert_eq!(w.metrics().counter("fired"), 0);
+        assert!(start.elapsed() < Duration::from_secs(5), "the run quiesced");
+    }
+
+    /// More processes that keep messaging themselves than there are workers
+    /// cannot starve a ping-pong pair: an activation yields after its budget.
+    #[test]
+    fn self_messaging_processes_do_not_starve_a_ping_pong_pair() {
+        struct Spinner(Arc<AtomicBool>);
+        impl Actor<Msg> for Spinner {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                if !self.0.load(Ordering::SeqCst) {
+                    ctx.send(ctx.self_id(), Msg::Ping);
+                }
+            }
+        }
+        struct Rally {
+            left: u64,
+            done: Arc<AtomicBool>,
+        }
+        impl Actor<Msg> for Rally {
+            fn on_message(&mut self, from: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                if self.left == 0 {
+                    self.done.store(true, Ordering::SeqCst);
+                } else {
+                    self.left -= 1;
+                    ctx.send(from, Msg::Ping);
+                }
+            }
+        }
+        let done = Arc::new(AtomicBool::new(false));
+        let mut w = World::new(SimConfig::default());
+        for _ in 0..host_parallelism() + 1 {
+            let spinner = w.add_actor(Spinner(Arc::clone(&done)));
+            w.send_external(spinner, Msg::Ping);
+        }
+        let rally = || Rally {
+            left: 500,
+            done: Arc::clone(&done),
+        };
+        let a = w.add_actor(rally());
+        let b = w.add_actor(rally());
+        w.send_from(a, b, Msg::Ping);
+        let start = Instant::now();
+        w.run_threaded();
+        assert!(done.load(Ordering::SeqCst), "the rally finished");
+        assert!(start.elapsed() < Duration::from_secs(10), "and promptly");
+    }
+
+    /// A world of one process and one of more processes than workers both
+    /// run every event and quiesce.
+    #[test]
+    fn one_process_and_more_processes_than_workers_both_quiesce() {
+        struct Ring {
+            next: ProcessId,
+        }
+        impl Actor<Msg> for Ring {
+            fn on_message(&mut self, _f: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                if let Msg::Note(left @ 1..) = msg {
+                    ctx.send(self.next, Msg::Note(left - 1));
+                }
+            }
+        }
+        for size in [1, 3 * host_parallelism() + 1] {
+            let mut w = World::new(SimConfig::default());
+            for i in 0..size {
+                w.add_actor(Ring {
+                    next: ProcessId::new(((i + 1) % size) as u64),
+                });
+            }
+            w.send_external(ProcessId::new(0), Msg::Note(5_000));
+            assert_eq!(w.run_threaded(), 5_001, "{size} processes");
+            assert_eq!(w.metrics().total_delivered, 5_001);
+        }
+    }
+
+    /// An actor panic stops the run at once and is re-raised by name, not
+    /// reported by [`QUIESCENCE_TIMEOUT`].
+    #[test]
+    fn an_actor_panic_fails_the_run_promptly_naming_the_process() {
+        struct Echo {
+            handled: u64,
+            panic_at: Option<u64>,
+        }
+        impl Actor<Msg> for Echo {
+            fn on_message(&mut self, from: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                self.handled += 1;
+                if Some(self.handled) == self.panic_at {
+                    panic!("gave up on message {}", self.handled);
+                }
+                ctx.send(from, Msg::Ping);
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let a = w.add_actor(Echo {
+            handled: 0,
+            panic_at: None,
+        });
+        let b = w.add_actor(Echo {
+            handled: 0,
+            panic_at: Some(50),
+        });
+        w.send_from(a, b, Msg::Ping);
+        let start = Instant::now();
+        let failure = std::panic::catch_unwind(AssertUnwindSafe(|| w.run_threaded()))
+            .expect_err("the panic is re-raised");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        let message = failure
+            .downcast_ref::<String>()
+            .expect("a formatted report");
+        assert_eq!(
+            message,
+            &format!("actor {b} panicked in on_message: gave up on message 50")
+        );
     }
 }

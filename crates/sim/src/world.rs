@@ -425,7 +425,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     /// test or experiment setup (actors normally use
     /// [`Context::rdma_open`]).
     pub fn rdma_open(&mut self, owner: ProcessId, peer: ProcessId) {
-        self.rdma.open(owner, peer);
+        self.rdma.perms.open(owner, peer);
     }
 
     /// Runs until the event queue is empty or the step cap is reached.
@@ -653,9 +653,9 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 Effect::RdmaSend { to, msg, token } => {
                     self.schedule_rdma_write(pid, to, msg, hops, token)
                 }
-                Effect::RdmaOpen { peer } => self.rdma.open(pid, peer),
-                Effect::RdmaClose { peer } => self.rdma.close(pid, peer),
-                Effect::RdmaCloseAll => self.rdma.close_all(pid),
+                Effect::RdmaOpen { peer } => self.rdma.perms.open(pid, peer),
+                Effect::RdmaClose { peer } => self.rdma.perms.close(pid, peer),
+                Effect::RdmaCloseAll => self.rdma.perms.close_all(pid),
                 Effect::SetTimer { delay, tag, id } => {
                     let at = self.now + delay;
                     let incarnation = self.incarnations.get(&pid).copied().unwrap_or(0);
@@ -720,7 +720,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             self.ctrl_stamp(pid, CtrlMilestone::Crash, incarnation);
             // The NIC dies with the process: every permission it had granted
             // is revoked, and a later restart must re-open connections.
-            self.rdma.close_all(pid);
+            self.rdma.perms.close_all(pid);
             if let Some(Some(actor)) = self.actors.get_mut(&pid) {
                 actor.on_crash();
             }
@@ -830,10 +830,16 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
 impl<M: Clone + fmt::Debug + Send + 'static> World<M> {
     /// Runs the world on the threaded backend ([`crate::rt`]) until every
     /// in-flight message and armed timer has drained, bounded by
-    /// [`crate::rt::QUIESCENCE_TIMEOUT`]. One OS thread per live process,
-    /// real time, wall-clock timers; see the [`crate::rt`] module docs for
-    /// the exact semantics and how they differ from [`World::run`].
-    /// Returns the number of events executed by this call.
+    /// [`crate::rt::QUIESCENCE_TIMEOUT`]. A pool of one worker thread per
+    /// core (at most one per live process) runs the processes off their
+    /// mailboxes in real time, with wall-clock timers; see the [`crate::rt`]
+    /// module docs for the exact semantics and how they differ from
+    /// [`World::run`]. Returns the number of events executed by this call.
+    ///
+    /// # Panics
+    ///
+    /// If an actor's handler panics: the run stops at once and, after the
+    /// world is restored, this panics naming the process and the handler.
     pub fn run_threaded(&mut self) -> u64 {
         crate::rt::run_threaded(self, None)
     }
