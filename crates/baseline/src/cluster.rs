@@ -3,9 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ratc_core::harness::{ClusterConfig, Deployment, Stack, StackKind};
+use ratc_core::harness::{ClusterConfig, Deployment, ShardView, Stack, StackKind, Topology};
 use ratc_sim::World;
-use ratc_types::{Epoch, HashSharding, ProcessId, ShardId, ShardMap, TxId};
+use ratc_types::{HashSharding, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::messages::BaselineMsg;
 use crate::replica::BaselineShardReplica;
@@ -18,54 +18,40 @@ pub type BaselineCluster = Deployment<BaselineStack>;
 /// [`ClusterConfig::replicas_per_shard`] (`2f + 1`) replicas per shard and a
 /// transaction-manager group of the same size. The first process of each
 /// group leads it.
-#[derive(Debug, Default)]
-pub struct BaselineStack {
-    /// The transaction-manager group, leader first.
-    tm_group: Vec<ProcessId>,
-    /// The replicas of every shard, leader first.
-    shard_groups: BTreeMap<ShardId, Vec<ProcessId>>,
-}
-
-impl BaselineStack {
-    fn tm_leader(&self) -> ProcessId {
-        self.tm_group[0]
-    }
-
-    fn group(&self, shard: ShardId) -> &[ProcessId] {
-        self.shard_groups.get(&shard).map_or(&[], Vec::as_slice)
-    }
-}
+#[derive(Debug)]
+pub struct BaselineStack;
 
 impl Stack for BaselineStack {
     type Msg = BaselineMsg;
 
     fn build(
-        &mut self,
+        &self,
         world: &mut World<BaselineMsg>,
         config: &ClusterConfig,
         sharding: &Arc<HashSharding>,
-    ) {
+    ) -> Topology {
+        let mut topology = Topology::default();
         for shard in sharding.shards() {
             let group = (0..config.replicas_per_shard)
                 .map(|_| world.add_actor(BaselineShardReplica::new(shard, config.policy.as_ref())))
                 .collect();
-            self.shard_groups.insert(shard, group);
+            topology.roster.insert(shard, group);
         }
-        self.tm_group = (0..config.replicas_per_shard)
+        topology.tm_group = (0..config.replicas_per_shard)
             .map(|_| {
                 world.add_actor(TransactionManager::new(
                     sharding.clone() as Arc<dyn ShardMap + Send + Sync>
                 ))
             })
             .collect();
-        let tm_leader = self.tm_leader();
+        let tm_leader = topology.tm_group[0];
 
-        let shard_leaders: BTreeMap<ShardId, ProcessId> = self
-            .shard_groups
+        let shard_leaders: BTreeMap<ShardId, ProcessId> = topology
+            .roster
             .iter()
             .map(|(shard, group)| (*shard, group[0]))
             .collect();
-        for group in self.shard_groups.values() {
+        for group in topology.roster.values() {
             for pid in group {
                 let replica = world
                     .actor_mut::<BaselineShardReplica>(*pid)
@@ -75,46 +61,23 @@ impl Stack for BaselineStack {
                 replica.set_flow(config.flow);
             }
         }
-        for pid in &self.tm_group {
+        for pid in &topology.tm_group {
             let tm = world
                 .actor_mut::<TransactionManager>(*pid)
                 .expect("tm member");
             tm.install(
                 *pid,
-                self.tm_group.clone(),
+                topology.tm_group.clone(),
                 tm_leader,
                 shard_leaders.clone(),
             );
             tm.set_flow(config.flow);
         }
+        topology
     }
 
     fn kind(&self) -> StackKind {
         StackKind::Baseline
-    }
-
-    fn supports_reconfiguration(&self) -> bool {
-        false
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        false
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        false
-    }
-
-    fn submit_pool(&self) -> Vec<ProcessId> {
-        vec![self.tm_leader()]
-    }
-
-    fn resubmit_target(
-        &self,
-        _world: &World<BaselineMsg>,
-        _shards: &[ShardId],
-    ) -> Option<ProcessId> {
-        Some(self.tm_leader())
     }
 
     fn retry(&self, _tx: TxId) -> Option<BaselineMsg> {
@@ -125,6 +88,7 @@ impl Stack for BaselineStack {
 
     fn start_reconfiguration(
         &self,
+        _topology: &Topology,
         _shard: ShardId,
         _exclude: Vec<ProcessId>,
     ) -> Option<BaselineMsg> {
@@ -133,56 +97,26 @@ impl Stack for BaselineStack {
         None
     }
 
-    fn members_of(&self, _world: &World<BaselineMsg>, shard: ShardId) -> Vec<ProcessId> {
-        self.group(shard).to_vec()
+    fn shard_view(
+        &self,
+        _world: &World<BaselineMsg>,
+        topology: &Topology,
+        shard: ShardId,
+    ) -> ShardView {
+        // Static membership at epoch 0, and the TM decides votes. Minority
+        // failures are masked by the Paxos quorum; anything worse is repaired
+        // by restarting, not by reconfiguration.
+        let group = topology.roster.get(&shard).cloned().unwrap_or_default();
+        ShardView {
+            leader: group.first().copied(),
+            members: group,
+            operational: true,
+            ..ShardView::default()
+        }
     }
 
-    fn leader_of(&self, _world: &World<BaselineMsg>, shard: ShardId) -> Option<ProcessId> {
-        self.group(shard).first().copied()
-    }
-
-    fn epoch_of(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> Epoch {
-        // Static membership: configurations never change.
-        Epoch::ZERO
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.group(shard).to_vec()
-    }
-
-    fn spares_of(&self, _shard: ShardId) -> Vec<ProcessId> {
-        Vec::new()
-    }
-
-    fn coordinator_pool(&self) -> Vec<ProcessId> {
-        // The whole group coordinates: the leader directly, every other
-        // member by forwarding `CERTIFY` to it. The leader comes first so
-        // callers wanting the cheapest coordinator can take the pool head.
-        self.tm_group.clone()
-    }
-
-    fn all_processes(&self) -> Vec<ProcessId> {
-        let mut all: Vec<ProcessId> = self.shard_groups.values().flatten().copied().collect();
-        all.extend(&self.tm_group);
-        all
-    }
-
-    fn config_service_id(&self) -> Option<ProcessId> {
-        None
-    }
-
-    fn replica_ready(&self, world: &World<BaselineMsg>, pid: ProcessId) -> bool {
-        !world.is_crashed(pid)
-    }
-
-    fn shard_operational(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> bool {
-        // Minority failures are masked by the Paxos quorum; anything worse
-        // is repaired by restarting, not by reconfiguration.
+    fn ready(&self, _world: &World<BaselineMsg>, _pid: ProcessId) -> bool {
         true
-    }
-
-    fn prepared_transactions(&self, _world: &World<BaselineMsg>, _shard: ShardId) -> Vec<TxId> {
-        Vec::new()
     }
 
     fn retained_log_slots(&self, world: &World<BaselineMsg>, pid: ProcessId) -> Option<usize> {
@@ -209,10 +143,7 @@ mod tests {
 
     /// A baseline deployment tolerating `f` failures per group.
     fn deploy(f: usize, config: ClusterConfig) -> BaselineCluster {
-        BaselineCluster::new(
-            BaselineStack::default(),
-            config.with_replicas_per_shard(2 * f + 1),
-        )
+        BaselineCluster::new(BaselineStack, config.with_replicas_per_shard(2 * f + 1))
     }
 
     fn replica(cluster: &BaselineCluster, pid: ProcessId) -> &BaselineShardReplica {
@@ -241,7 +172,7 @@ mod tests {
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
         for shard in [ShardId::new(0), ShardId::new(1)] {
-            let leader = cluster.leader_of(shard).expect("leader");
+            let leader = cluster.shard_view(shard).leader.expect("leader");
             let replica = replica(&cluster, leader);
             // Every decided transaction's payload was dropped: only the
             // compact decision map grows with the history.
@@ -310,7 +241,7 @@ mod tests {
         let shard = ShardId::new(0);
         // Crash one non-leader replica of shard 0: the Paxos majority survives,
         // so transactions keep committing with no reconfiguration.
-        let victim = cluster.roster_of(shard)[1];
+        let victim = cluster.shard_view(shard).roster[1];
         cluster.crash(victim);
         for i in 0..10 {
             cluster.submit(TxId::new(i), rw(&format!("k{i}")));
@@ -336,7 +267,7 @@ mod tests {
             cluster.run_to_quiescence();
             assert_eq!(cluster.history().committed().count(), 32);
             assert!(cluster.client_violations().is_empty());
-            let leader = cluster.leader_of(ShardId::new(0)).expect("leader");
+            let leader = cluster.shard_view(ShardId::new(0)).leader.expect("leader");
             replica(&cluster, leader).chosen_slots()
         };
         let unbatched_slots = run(1);
@@ -374,7 +305,7 @@ mod tests {
     #[test]
     fn run_to_quiescence_terminates_with_a_shard_permanently_down() {
         let mut cluster = deploy(1, ClusterConfig::default().with_seed(7));
-        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
+        for pid in cluster.shard_view(ShardId::new(0)).roster {
             cluster.crash(pid);
         }
         cluster.submit(TxId::new(1), rw("k-on-any-shard"));
@@ -433,11 +364,12 @@ mod tests {
         let cluster = deploy(2, ClusterConfig::default());
         // 2 shards * 5 replicas + 5 TM members.
         assert_eq!(cluster.all_processes().len(), 15);
-        assert_eq!(cluster.roster_of(ShardId::new(0)).len(), 5);
-        assert_eq!(cluster.stack.tm_group.len(), 5);
+        assert_eq!(cluster.shard_view(ShardId::new(0)).roster.len(), 5);
+        let tm_group = cluster.coordinator_pool();
+        assert_eq!(tm_group.len(), 5);
         assert!(cluster
             .world
-            .actor::<TransactionManager>(cluster.stack.tm_leader())
+            .actor::<TransactionManager>(tm_group[0])
             .expect("tm")
             .is_leader());
     }

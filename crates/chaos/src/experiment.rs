@@ -101,9 +101,9 @@ pub fn availability_experiment(stack: Stack, intensity: u8, seed: u64) -> Availa
     } else {
         harness
             .cluster()
+            .metrics()
             .msg_type_counters()
-            .into_iter()
-            .map(|(label, counters)| (label, counters.delivered as f64 / decided as f64))
+            .map(|(label, counters)| (label.to_owned(), counters.delivered as f64 / decided as f64))
             .collect()
     };
     AvailabilityResult {
@@ -288,9 +288,9 @@ pub fn blackout_experiment(
     } else {
         harness
             .cluster()
+            .metrics()
             .msg_type_counters()
-            .into_iter()
-            .map(|(label, counters)| (label, counters.delivered as f64 / decided as f64))
+            .map(|(label, counters)| (label.to_owned(), counters.delivered as f64 / decided as f64))
             .collect()
     };
     let result = BlackoutResult {

@@ -5,18 +5,18 @@
 //! near-identical per-stack adapters (~900 lines); the shared trait collapsed
 //! them into this single struct. The harness resolves the role-addressed
 //! targets of [`FaultEvent`]s (current leaders, roster indices) against the
-//! cluster's introspection queries, paces submissions through a fixed or
-//! round-robin coordinator, and drives post-fault recovery
+//! cluster's [`TcsCluster::shard_view`] snapshots, paces submissions through
+//! a fixed or round-robin coordinator, and drives post-fault recovery
 //! ([`ChaosHarness::heal`] / [`ChaosHarness::stabilize`]). The real semantic
-//! differences between the stacks are behind the trait's capability probes:
-//! the baseline ignores reconfiguration events, the §5 RDMA protocol
-//! reconfigures globally, and only the RATC stacks let arbitrary replicas
-//! coordinate.
+//! differences between the stacks are the capabilities of their
+//! [`Stack`] kind: the baseline ignores reconfiguration events, the §5 RDMA
+//! protocol reconfigures globally, and only the RATC stacks let arbitrary
+//! replicas coordinate.
 //!
-//! The client process is marked fault-exempt: it is the measurement apparatus
-//! recording the history that safety and liveness are judged by, not a
-//! protocol participant. Everything else — including the configuration
-//! service — runs over faultable links.
+//! The deployment exempts its client from fault injection: it is the
+//! measurement apparatus recording the history that safety and liveness are
+//! judged by, not a protocol participant. Everything else — including the
+//! configuration service — runs over faultable links.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +52,7 @@ pub struct ChaosHarness {
     /// Initial roster per shard (fault events address replicas by roster
     /// index so plans replay against a freshly built cluster).
     roster: BTreeMap<ShardId, Vec<ProcessId>>,
-    /// Every faultable protocol process, in shard order.
+    /// Every faultable protocol process (see [`TcsCluster::all_processes`]).
     processes: Vec<ProcessId>,
     /// The submission pool, captured once at construction (the cluster's
     /// coordinator pool is membership-stable).
@@ -78,34 +78,27 @@ impl ChaosHarness {
 
     /// Wraps an already-built cluster for chaos testing.
     pub fn from_cluster(
-        mut cluster: Box<dyn TcsCluster>,
+        cluster: Box<dyn TcsCluster>,
         coordinator: Option<(ShardId, usize)>,
     ) -> Self {
-        let mut roster = BTreeMap::new();
-        let mut processes = Vec::new();
-        for shard in cluster.shards() {
-            let members = cluster.roster_of(shard);
-            processes.extend(members.iter().copied());
-            processes.extend(cluster.spares_of(shard));
-            roster.insert(shard, members);
-        }
+        let roster: BTreeMap<ShardId, Vec<ProcessId>> = cluster
+            .shards()
+            .into_iter()
+            .map(|shard| (shard, cluster.shard_view(shard).roster))
+            .collect();
         let pool = cluster.coordinator_pool();
-        let coordinator = if cluster.replicas_coordinate() {
+        let coordinator = if cluster.stack().replicas_coordinate() {
             coordinator.map(|(shard, index)| roster[&shard][index % roster[&shard].len()])
         } else {
-            // A dedicated TM group coordinates; include it in the faultable
-            // set (`all_processes` covers it) and pin submissions to its
-            // leader (the pool head) for plan-replay stability.
-            processes = cluster.all_processes();
+            // A dedicated TM group coordinates: pin submissions to its leader
+            // (the pool head) for plan-replay stability.
             Some(pool[0])
         };
-        let client = cluster.client_id();
-        cluster.mark_fault_exempt(client);
         ChaosHarness {
-            cluster,
             payloads: BTreeMap::new(),
             roster,
-            processes,
+            processes: cluster.all_processes(),
+            cluster,
             pool,
             coordinator,
             partition_seq: 0,
@@ -160,29 +153,24 @@ impl ChaosHarness {
     }
 
     fn reconfigure(&mut self, shard: ShardId) {
-        if !self.cluster.supports_reconfiguration() {
+        let stack = self.cluster.stack();
+        if !stack.supports_reconfiguration() {
             return;
         }
-        let mut candidates = self.cluster.members_of(shard);
-        candidates.extend(self.roster[&shard].iter().copied());
-        candidates.extend(self.cluster.spares_of(shard));
-        let Some(initiator) = candidates
-            .into_iter()
-            .find(|p| !self.cluster.is_crashed(*p) && self.cluster.replica_ready(*p))
-        else {
+        let Some(initiator) = self.cluster.shard_view(shard).ready.first().copied() else {
             return;
         };
         // A global reconfiguration must exclude crashed members of *every*
         // shard (the probe touches the whole system); per-shard modes only
         // exclude within the suspected shard.
-        let exclude_shards: Vec<ShardId> = if self.cluster.reconfiguration_is_global() {
+        let exclude_shards: Vec<ShardId> = if stack.reconfiguration_is_global() {
             self.cluster.shards()
         } else {
             vec![shard]
         };
         let exclude: Vec<ProcessId> = exclude_shards
             .into_iter()
-            .flat_map(|s| self.cluster.members_of(s))
+            .flat_map(|s| self.cluster.shard_view(s).members)
             .filter(|p| self.cluster.is_crashed(*p))
             .collect();
         self.cluster
@@ -191,12 +179,10 @@ impl ChaosHarness {
 
     /// Shard of `pid` in the initial roster/spare layout, if any.
     fn shard_of(&self, pid: ProcessId) -> Option<ShardId> {
-        for (shard, members) in &self.roster {
-            if members.contains(&pid) || self.cluster.spares_of(*shard).contains(&pid) {
-                return Some(*shard);
-            }
-        }
-        None
+        self.roster.keys().copied().find(|shard| {
+            let view = self.cluster.shard_view(*shard);
+            view.roster.contains(&pid) || view.spares.contains(&pid)
+        })
     }
 
     /// Records the fault event in the cluster's control-plane stream, so one
@@ -241,17 +227,16 @@ impl ChaosHarness {
         self.stamp_fault(event);
         match event {
             FaultEvent::CrashLeader { shard } => {
-                if let Some(leader) = self.cluster.leader_of(*shard) {
+                if let Some(leader) = self.cluster.shard_view(*shard).leader {
                     self.cluster.crash(leader);
                 }
             }
             FaultEvent::CrashFollower { shard, index } => {
-                let leader = self.cluster.leader_of(*shard);
-                let followers: Vec<ProcessId> = self
-                    .cluster
-                    .members_of(*shard)
+                let view = self.cluster.shard_view(*shard);
+                let followers: Vec<ProcessId> = view
+                    .members
                     .into_iter()
-                    .filter(|p| Some(*p) != leader)
+                    .filter(|p| Some(*p) != view.leader)
                     .collect();
                 if !followers.is_empty() {
                     self.cluster.crash(followers[index % followers.len()]);
@@ -305,7 +290,7 @@ impl ChaosHarness {
                 }
             }
             FaultEvent::PartitionLeader { shard } => {
-                let Some(leader) = self.cluster.leader_of(*shard) else {
+                let Some(leader) = self.cluster.shard_view(*shard).leader else {
                     return;
                 };
                 let others: Vec<ProcessId> = self
@@ -322,7 +307,7 @@ impl ChaosHarness {
             FaultEvent::HealFaults => self.cluster.heal_all_faults(),
             FaultEvent::Reconfigure { shard } => self.reconfigure(*shard),
             FaultEvent::GlobalReconfigure => {
-                if self.cluster.reconfiguration_is_global() {
+                if self.cluster.stack().reconfiguration_is_global() {
                     // One probe reconfigures the whole system.
                     let shard = *self.roster.keys().next().expect("shards");
                     self.reconfigure(shard);
@@ -333,19 +318,14 @@ impl ChaosHarness {
                 }
             }
             FaultEvent::RetryPrepared { shard } => {
-                let Some(leader) = self.cluster.leader_of(*shard) else {
+                let view = self.cluster.shard_view(*shard);
+                let Some(leader) = view.leader else {
                     return;
                 };
                 if self.cluster.is_crashed(leader) {
                     return;
                 }
-                let prepared: Vec<TxId> = self
-                    .cluster
-                    .prepared_transactions(*shard)
-                    .into_iter()
-                    .take(RETRY_CAP)
-                    .collect();
-                for tx in prepared {
+                for tx in view.prepared.into_iter().take(RETRY_CAP) {
                     self.cluster.retry(leader, tx);
                 }
             }
@@ -392,7 +372,10 @@ impl ChaosHarness {
         self.cluster.steps()
     }
 
-    /// Heals every injected fault and restarts every crashed process.
+    /// Heals every per-link fault, cut and partition and restarts every
+    /// crashed process. The background noise stays: lift it with
+    /// [`ChaosHarness::set_noise`]`(None)`, as [`run_soak`](crate::run_soak)
+    /// does before it heals.
     pub fn heal(&mut self) {
         self.cluster.heal_all_faults();
         self.apply(&FaultEvent::RestartCrashed);
@@ -412,12 +395,12 @@ impl ChaosHarness {
     /// Post-heal repair: re-drives reconfigurations until every shard is
     /// operational again. Returns `true` once the cluster looks operational.
     pub fn stabilize(&mut self) -> bool {
-        if !self.cluster.supports_reconfiguration() {
+        if !self.cluster.stack().supports_reconfiguration() {
             return true;
         }
         let mut all_ok = true;
         for shard in self.cluster.shards() {
-            if !self.cluster.shard_operational(shard) {
+            if !self.cluster.shard_view(shard).operational {
                 all_ok = false;
                 self.reconfigure(shard);
             }

@@ -1,0 +1,138 @@
+//! Same-seed fingerprints of chaos soaks: a seeded soak is a function of the
+//! source, so its step count and its whole report can be pinned to
+//! constants. Unlike the fault-free fingerprints of `ratc-harness`, these
+//! runs resolve fault targets against the live cluster (current leaders and
+//! members), pick reconfiguration initiators among ready replicas, wait for
+//! shards to turn operational and re-drive prepared transactions — so a
+//! refactor of the facade's introspection that changes any answer moves a
+//! constant here.
+//!
+//! The hash is FNV-1a over the report's `Debug` text — a fixed function,
+//! unlike `std`'s randomly seeded `RandomState`.
+
+use ratc_chaos::{
+    build_harness, run_soak, FaultEvent, FaultPlan, Nemesis, NemesisConfig, SoakConfig, SoakReport,
+    Stack, TimedFault,
+};
+use ratc_types::ShardId;
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The nemesis plan `soak.rs` draws for `seed` at intensity 40.
+fn nemesis_plan(seed: u64) -> FaultPlan {
+    Nemesis::generate(&NemesisConfig {
+        seed,
+        intensity: 40,
+        events: 10,
+        ..NemesisConfig::default()
+    })
+}
+
+/// The default nemesis never draws `RetryPrepared`: this plan does, while a
+/// follower is down so the leader holds prepared transactions it cannot
+/// decide, then crashes a leader and repairs both shards by reconfiguration.
+fn retry_plan() -> FaultPlan {
+    let s0 = ShardId::new(0);
+    let s1 = ShardId::new(1);
+    let at = |at_micros, event| TimedFault { at_micros, event };
+    FaultPlan {
+        noise: None,
+        events: vec![
+            at(
+                4_000,
+                FaultEvent::CrashFollower {
+                    shard: s0,
+                    index: 0,
+                },
+            ),
+            at(9_000, FaultEvent::RetryPrepared { shard: s0 }),
+            at(12_000, FaultEvent::Reconfigure { shard: s0 }),
+            at(18_000, FaultEvent::CrashLeader { shard: s1 }),
+            at(22_000, FaultEvent::RetryPrepared { shard: s1 }),
+            at(26_000, FaultEvent::Reconfigure { shard: s1 }),
+            at(30_000, FaultEvent::RetryPrepared { shard: s0 }),
+            at(34_000, FaultEvent::RestartCrashed),
+        ],
+    }
+}
+
+/// Runs `plan` on `stack` the way `soak.rs` does for `seed`.
+fn soak(stack: Stack, seed: u64, plan: &FaultPlan) -> SoakReport {
+    let mut harness = build_harness(stack, 2, seed, None);
+    run_soak(
+        &mut harness,
+        &SoakConfig {
+            seed,
+            ..SoakConfig::default()
+        },
+        plan,
+    )
+}
+
+/// `(steps, hash of the report's Debug text)`.
+fn fingerprint(stack: Stack, seed: u64, plan: &FaultPlan) -> (u64, u64) {
+    let report = soak(stack, seed, plan);
+    assert!(report.ok(), "{stack} seed={seed}: {report:?}");
+    (report.steps, fnv1a(&format!("{report:?}")))
+}
+
+/// Nemesis seeds whose plans, with [`retry_plan`], hold every event kind the
+/// harness resolves against live cluster state.
+const SEEDS: [u64; 2] = [5, 8];
+
+#[test]
+fn pinned_plans_reach_every_role_resolving_event() {
+    let plans: Vec<FaultPlan> = SEEDS
+        .iter()
+        .map(|seed| nemesis_plan(*seed))
+        .chain([retry_plan()])
+        .collect();
+    let has =
+        |f: fn(&FaultEvent) -> bool| plans.iter().flat_map(|p| &p.events).any(|e| f(&e.event));
+    assert!(has(|e| matches!(e, FaultEvent::CrashLeader { .. })));
+    assert!(has(|e| matches!(e, FaultEvent::CrashFollower { .. })));
+    assert!(has(|e| matches!(e, FaultEvent::Reconfigure { .. })));
+    assert!(has(|e| matches!(e, FaultEvent::RetryPrepared { .. })));
+    assert!(has(|e| matches!(e, FaultEvent::RestartCrashed)));
+}
+
+#[test]
+fn chaos_soaks_keep_their_recorded_fingerprints() {
+    // Recorded at 9d645d6, before the facade's shard queries became one
+    // snapshot.
+    let recorded = [
+        (
+            Stack::Core,
+            [(3376, 1631120590331463579), (3280, 9339694261167904780)],
+            (801, 10542539718539471401),
+        ),
+        (
+            Stack::Rdma,
+            [(3623, 2633556448048906617), (5513, 9233876408027017967)],
+            (4382, 78902068715725250),
+        ),
+        (
+            Stack::Baseline,
+            [(1357, 1126185302426777958), (1487, 14577961479422179092)],
+            (1339, 4061232007668273076),
+        ),
+    ];
+    for (stack, nemesis, retry) in recorded {
+        for (seed, expected) in SEEDS.into_iter().zip(nemesis) {
+            assert_eq!(
+                fingerprint(stack, seed, &nemesis_plan(seed)),
+                expected,
+                "{stack} seed={seed}"
+            );
+        }
+        assert_eq!(
+            fingerprint(stack, 11, &retry_plan()),
+            retry,
+            "{stack} retry plan"
+        );
+    }
+}

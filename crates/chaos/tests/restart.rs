@@ -64,7 +64,7 @@ fn core_replicas_recover_from_checkpoint_and_suffix_under_load() {
     // by `Replica::on_restart`, which rebuilds the certification index from
     // checkpoint + suffix).
     assert!(
-        harness.cluster().counter("replica_restarts") >= 3,
+        harness.cluster().metrics().counter("replica_restarts") >= 3,
         "expected at least three replica restarts"
     );
 }
@@ -79,7 +79,7 @@ fn rdma_replicas_reconnect_and_recover_under_load() {
         report.safety_violations,
         report.undecided
     );
-    assert!(harness.cluster().counter("replica_restarts") >= 3);
+    assert!(harness.cluster().metrics().counter("replica_restarts") >= 3);
 }
 
 #[test]
@@ -110,7 +110,10 @@ fn baseline_masks_a_follower_crash_and_recovers_leaders_by_restart() {
         report.undecided
     );
     let cluster = harness.cluster();
-    assert!(cluster.counter("replica_restarts") + cluster.counter("tm_restarts") >= 3);
+    assert!(
+        cluster.metrics().counter("replica_restarts") + cluster.metrics().counter("tm_restarts")
+            >= 3
+    );
 }
 
 /// A leader that crashes and restarts resumes leadership from its persisted
@@ -131,7 +134,7 @@ fn core_leader_restart_resumes_without_reconfiguration() {
         report.undecided
     );
     assert_eq!(
-        harness.cluster().epoch_of(s0).as_u64(),
+        harness.cluster().shard_view(s0).epoch.as_u64(),
         0,
         "no reconfiguration should have been needed"
     );
@@ -170,7 +173,7 @@ macro_rules! coordinator_restart_with_a_prepare_in_flight {
             })
             .collect();
         let mut shard0_payload = || payloads.pop().expect("three payloads");
-        let coordinator = cluster.roster_of(s0)[1];
+        let coordinator = cluster.shard_view(s0).roster[1];
         cluster.submit_via(TxId::new(1), shard0_payload(), coordinator);
         cluster.submit_via(TxId::new(2), shard0_payload(), coordinator);
         cluster.run_for(SimDuration::from_micros(50));

@@ -7,14 +7,21 @@
 //! 2PC-over-Paxos it is compared with). The harness has that shape:
 //!
 //! * [`Deployment<S>`] owns what no protocol changes: the simulation
-//!   [`World`], the shard map, the one history-recording
-//!   [`ClientActor`], the execution engine and the round-robin cursor of
-//!   `submit`. Its `impl TcsCluster` — the only one in the workspace — writes
-//!   every operation that does not depend on the protocol once, directly
-//!   against `self.world`: submission (record `certify`, stamp `Submitted`,
-//!   inject `Certify`), crash/restart, the fault plane, running either
-//!   engine, the clock, history, latencies, violations, metrics and the
-//!   observability streams.
+//!   [`World`], the shard map, the [`Topology`] the stack deployed, the one
+//!   history-recording [`ClientActor`], the execution engine and the
+//!   round-robin cursor of `submit`. Its `impl TcsCluster` — the only one in
+//!   the workspace — writes every operation that does not depend on the
+//!   protocol once, directly against `self.world` and the topology:
+//!   submission (record `certify`, stamp `Submitted`, inject `Certify`),
+//!   crash/restart, the fault plane, running either engine, the clock,
+//!   history, latencies, violations, metrics, the observability streams and
+//!   the static half of every [`ShardView`]. Where a stack has a
+//!   transaction-manager group ([`Topology::tm_group`]) that group
+//!   coordinates: `submit` and `resubmit` go to its leader, live or not, and
+//!   it is the coordinator pool. Elsewhere replicas coordinate: `submit`
+//!   round-robins over every initial member, `resubmit` goes to the live
+//!   leader of the transaction's first shard, and every replica and spare is
+//!   in the pool.
 //! * [`Stack`] is the per-stack remainder, implemented by `CoreStack` here,
 //!   `RdmaStack` in `ratc-rdma` and `BaselineStack` in `ratc-baseline`. Its
 //!   method table is the paper's §3 / §5 / baseline comparison in code:
@@ -23,22 +30,16 @@
 //! |---|---|---|---|
 //! | `build` | `f + 1` replicas + spares per shard, per-shard configuration service | same processes, one global configuration, all-pairs RDMA connections among members | `2f + 1` replicas per shard + a `2f + 1` transaction-manager group, no spares, no configuration service |
 //! | `kind` | `Core` | `Rdma` / `RdmaNaive`, by the stack's `ReconfigMode` | `Baseline` |
-//! | `supports_reconfiguration` | yes | yes | no: quorums mask failures |
-//! | `reconfiguration_is_global` | no: one shard at a time | yes: one global epoch | no |
-//! | `replicas_coordinate` | yes: any replica | yes | no: the transaction-manager group |
-//! | `submit_pool` | every initial member | every initial member | the transaction-manager leader |
-//! | `resubmit_target` | live leader of the first shard | live leader of the first shard | the transaction-manager leader, live or not |
 //! | `retry` | `Retry` | `Retry` | nothing: the TM's own timer re-drives 2PC |
 //! | `start_reconfiguration` | `StartReconfigure` with the shard's spares | `StartReconfigure` with every shard's spares | nothing |
-//! | `members_of` / `leader_of` / `epoch_of` | last stored configuration of the shard | the global configuration; its one epoch for every shard | the static groups; epoch 0 |
-//! | `roster_of` / `spares_of` | initial members / spare pool | same | the shard group / none |
-//! | `coordinator_pool` | every replica and spare | same | the TM group, leader first |
-//! | `all_processes` | replicas and spares | same | shard groups and the TM group |
-//! | `config_service_id` | the per-shard service | the global service | none |
-//! | `replica_ready` | initialised, no reconfiguration of its own in flight | same | not crashed |
-//! | `shard_operational` | every member live, initialised, at the stored epoch, in its stored role | same, at the global epoch | always: recovery is by restart |
-//! | `prepared_transactions` | the leader's prepared, undecided log slots | same | none: the TM decides votes |
+//! | `shard_view` | last stored configuration of the shard; its leader's prepared, undecided log slots; every member live, initialised, at the stored epoch, in its stored role | the global configuration, its one epoch for every shard; same | the static group, epoch 0; nothing prepared (the TM decides votes); always operational (recovery is by restart) |
+//! | `ready` | initialised, no reconfiguration of its own in flight | same | always |
 //! | `retained_log_slots` / `logical_log_len` | certification-log length / next position | same | undecided payloads / chosen Paxos slots |
+//!
+//! What a stack can do is a function of its [`StackKind`]:
+//! [`StackKind::supports_reconfiguration`],
+//! [`StackKind::reconfiguration_is_global`] and
+//! [`StackKind::replicas_coordinate`].
 //!
 //! There is deliberately no trait over [`World`] between the two: a trait
 //! implemented once for `World<M>` plus provided methods calling it would be
@@ -49,8 +50,7 @@
 //! The harness mirrors what an operator would deploy around the protocol; it
 //! contains no protocol logic of its own. White-box consumers reach a
 //! stack's actors through the public [`Deployment::world`]
-//! (`cluster.world.actor::<Replica>(pid)`) and its topology through
-//! [`Deployment::stack`].
+//! (`cluster.world.actor::<Replica>(pid)`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -58,10 +58,9 @@ use std::sync::Arc;
 
 use ratc_config::{ShardConfigRegistry, ShardConfiguration};
 use ratc_sim::faults::LinkFault;
-use ratc_sim::metrics::MsgTypeCounters;
 use ratc_sim::{
-    fold_timelines, Blackout, CtrlEvent, CtrlMilestone, ExecutionMode, LatencyUnit, PhaseBreakdown,
-    SimConfig, SimDuration, SimTime, TxMilestone, TxObsEvent, TxTimeline, World,
+    fold_timelines, Actor, Blackout, CtrlEvent, CtrlMilestone, ExecutionMode, LatencyUnit, Metrics,
+    PhaseBreakdown, SimConfig, SimDuration, SimTime, TxMilestone, TxObsEvent, TxTimeline, World,
 };
 use ratc_types::{
     CertificationPolicy, Epoch, HashSharding, Payload, ProcessId, Serializability, ShardId,
@@ -72,7 +71,6 @@ use crate::batch::BatchingConfig;
 use crate::client::{ClientActor, ClientMsg, DecisionLatency};
 use crate::config_service::ConfigServiceActor;
 use crate::flow::FlowControlConfig;
-use crate::log::TxPhase;
 use crate::messages::Msg;
 use crate::replica::{Replica, Status, TruncationConfig};
 
@@ -100,7 +98,8 @@ pub struct ClusterConfig {
     /// Flow control (default: on): coordinator admission window and retry
     /// backoff, applied to every replica and spare.
     pub flow: FlowControlConfig,
-    /// Simulation parameters (seed, latency model, tracing).
+    /// Simulation parameters (seed, message and RDMA latency models,
+    /// observability, step cap, per-message service time).
     pub sim: SimConfig,
     /// Which engine drives the actors: the deterministic simulator or a pool
     /// of worker threads over per-process mailboxes (see [`ExecutionMode`]).
@@ -231,18 +230,132 @@ impl fmt::Display for StackKind {
     }
 }
 
+impl StackKind {
+    /// Whether the stack recovers from failures by reconfiguring (`f + 1`
+    /// RATC stacks) rather than masking them with a quorum (the `2f + 1`
+    /// baseline).
+    pub fn supports_reconfiguration(self) -> bool {
+        match self {
+            StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => true,
+            StackKind::Baseline => false,
+        }
+    }
+
+    /// Whether one reconfiguration involves the whole system instead of a
+    /// single shard. Both RDMA modes share the §5 entry point: one
+    /// `StartReconfigure` carries the spare pools of every shard and excludes
+    /// crashed members system-wide. What differs is the *activation*: the
+    /// naive mode then (incorrectly) installs configurations per shard — the
+    /// Figure 4a bug under study — while the correct mode probes the whole
+    /// system.
+    pub fn reconfiguration_is_global(self) -> bool {
+        match self {
+            StackKind::Rdma | StackKind::RdmaNaive => true,
+            StackKind::Core | StackKind::Baseline => false,
+        }
+    }
+
+    /// Whether arbitrary replicas coordinate transactions (RATC) as opposed
+    /// to a dedicated transaction-manager group (baseline).
+    pub fn replicas_coordinate(self) -> bool {
+        match self {
+            StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => true,
+            StackKind::Baseline => false,
+        }
+    }
+}
+
+/// What a [`Stack`] deployed, as [`Stack::build`] reports it: the processes
+/// of every shard and who coordinates. Fixed for the deployment's lifetime.
+#[derive(Debug, Default)]
+pub struct Topology {
+    /// The initial members of every shard, leader first.
+    pub roster: BTreeMap<ShardId, Vec<ProcessId>>,
+    /// The spare (fresh) replicas of every shard; none on the baseline.
+    pub spares: BTreeMap<ShardId, Vec<ProcessId>>,
+    /// The transaction-manager group, leader first, on a stack that
+    /// coordinates through one (the baseline); empty where replicas
+    /// coordinate.
+    pub tm_group: Vec<ProcessId>,
+    /// The configuration service, on stacks that have one.
+    pub config_service: Option<ProcessId>,
+}
+
+impl Topology {
+    /// The replicas of a RATC stack: per shard, the
+    /// [`ClusterConfig::replicas_per_shard`] members of its initial
+    /// configuration, then [`ClusterConfig::spares_per_shard`] spares, each
+    /// added to `world` as `replica(shard)`. The stack adds its configuration
+    /// service.
+    pub fn replicas<M, A>(
+        world: &mut World<M>,
+        config: &ClusterConfig,
+        sharding: &HashSharding,
+        replica: impl Fn(ShardId) -> A,
+    ) -> Topology
+    where
+        M: Clone + fmt::Debug + 'static,
+        A: Actor<M>,
+    {
+        let mut topology = Topology::default();
+        for shard in sharding.shards() {
+            for (pool, count) in [
+                (&mut topology.roster, config.replicas_per_shard),
+                (&mut topology.spares, config.spares_per_shard),
+            ] {
+                let pids = (0..count).map(|_| world.add_actor(replica(shard)));
+                pool.insert(shard, pids.collect());
+            }
+        }
+        topology
+    }
+}
+
+/// One shard as the facade sees it at one instant (see
+/// [`TcsCluster::shard_view`]). Not to be confused with
+/// [`coord::ShardView`](crate::coord::ShardView), a replica's own view of a
+/// shard that its coordinator reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardView {
+    /// The current epoch: the one global epoch on ratc-rdma, always
+    /// [`Epoch::ZERO`] on the baseline.
+    pub epoch: Epoch,
+    /// The current members, after any reconfigurations.
+    pub members: Vec<ProcessId>,
+    /// The current leader, if the shard has a configuration.
+    pub leader: Option<ProcessId>,
+    /// The initial members, as deployed.
+    pub roster: Vec<ProcessId>,
+    /// The spare (fresh) replicas available to reconfiguration; none on the
+    /// baseline.
+    pub spares: Vec<ProcessId>,
+    /// Whether every current member is live, initialised, at the current
+    /// epoch and in its expected leader or follower role. Always `true` on
+    /// the baseline: its quorums mask failures and it recovers by restart.
+    pub operational: bool,
+    /// The transactions the current leader holds prepared but undecided;
+    /// none on the baseline, whose transaction manager decides votes.
+    pub prepared: Vec<TxId>,
+    /// The live processes among `members`, `roster` and `spares`, in that
+    /// order and without repeats, that are ready to initiate work:
+    /// initialised in the current configuration with no reconfiguration of
+    /// their own in flight (every live one, on the baseline).
+    pub ready: Vec<ProcessId>,
+}
+
 /// One deployed TCS cluster, whatever the stack.
 ///
-/// The trait captures the full operator surface the workspace's consumers
-/// need: experiments drive `submit`/`run_*`/`latencies`, the chaos nemesis
-/// adds `crash`/`restart`/link faults/`start_reconfiguration`, and the spec
-/// suites observe `history` and the introspection queries. Its one
+/// The trait captures the operator surface the workspace's consumers need:
+/// experiments drive `submit`/`run_*`/`latencies`, the chaos nemesis adds
+/// `crash`/`restart`/link faults/`start_reconfiguration`, and the spec
+/// suites observe `history` and [`TcsCluster::shard_view`]. Its one
 /// implementation is [`Deployment`], over [`Cluster`]'s `CoreStack` (§3
 /// message passing), `ratc-rdma`'s `RdmaStack` (§5 RDMA) and
 /// `ratc-baseline`'s `BaselineStack` (2PC over Paxos); construct them
 /// uniformly with `ratc-harness`'s `ClusterSpec`.
 pub trait TcsCluster {
-    /// The stack this cluster implements.
+    /// The stack this cluster implements; its capabilities are methods of
+    /// [`StackKind`].
     fn stack(&self) -> StackKind;
 
     // --- submission -------------------------------------------------------
@@ -280,7 +393,7 @@ pub trait TcsCluster {
 
     /// Asks `initiator` to start reconfiguring `shard`, excluding `exclude`
     /// and drawing replacements from the spare pool. No-op on stacks without
-    /// reconfiguration (see [`TcsCluster::supports_reconfiguration`]).
+    /// reconfiguration (see [`StackKind::supports_reconfiguration`]).
     fn start_reconfiguration(
         &mut self,
         shard: ShardId,
@@ -294,7 +407,10 @@ pub trait TcsCluster {
     fn run_to_quiescence(&mut self);
 
     /// Runs the simulation for `duration` of simulated time.
-    fn run_for(&mut self, duration: SimDuration);
+    fn run_for(&mut self, duration: SimDuration) {
+        let until = self.now() + duration;
+        self.run_until(until);
+    }
 
     /// Runs the simulation until the given absolute simulated time.
     fn run_until(&mut self, until: SimTime);
@@ -318,19 +434,10 @@ pub trait TcsCluster {
     /// certifies, contradictory decisions). Empty in a correct run.
     fn client_violations(&self) -> Vec<String>;
 
-    /// A named metrics counter of the underlying simulation world.
-    fn counter(&self, name: &str) -> u64;
-
-    /// Mean of a named metrics sample series, if any samples were recorded.
-    // analyze:allow(float-state): a read of the metrics sink, not protocol state
-    fn sample_mean(&self, name: &str) -> Option<f64>;
-
-    /// Estimated percentile (`pct` in `0..=100`) of a named metrics sample
-    /// series, from the streaming log-bucketed histogram every
-    /// [`Summary`](ratc_sim::metrics::Summary) maintains (relative error
-    /// ≤ ~9%). `None` if no samples were recorded.
-    // analyze:allow(float-state): a read of the metrics sink, not protocol state
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64>;
+    /// The metrics sink of the underlying world: named counters, sample
+    /// summaries, per-process and per-message-type counts, and the
+    /// observability streams.
+    fn metrics(&self) -> &Metrics;
 
     /// The unit of every latency and timestamp this cluster reports:
     /// [`LatencyUnit::VirtualMicros`] under
@@ -341,7 +448,9 @@ pub trait TcsCluster {
     /// Raw transaction-lifecycle observability events, in recording order.
     /// Empty unless the cluster was built with observability enabled
     /// ([`SimConfig::with_observability`], `ClusterSpec::with_observability`).
-    fn obs_events(&self) -> Vec<TxObsEvent>;
+    fn obs_events(&self) -> Vec<TxObsEvent> {
+        self.metrics().obs_events().to_vec()
+    }
 
     /// Per-transaction lifecycle timelines, folded from
     /// [`TcsCluster::obs_events`] and keyed by transaction.
@@ -367,7 +476,9 @@ pub trait TcsCluster {
     /// harness-injected fault markers — in recording order. Empty unless the
     /// cluster was built with observability enabled
     /// ([`SimConfig::with_observability`], `ClusterSpec::with_observability`).
-    fn ctrl_events(&self) -> Vec<CtrlEvent>;
+    fn ctrl_events(&self) -> Vec<CtrlEvent> {
+        self.metrics().ctrl_events().to_vec()
+    }
 
     /// Stamps a control-plane event into the cluster's event stream on behalf
     /// of an external harness. The chaos nemesis records
@@ -393,11 +504,8 @@ pub trait TcsCluster {
     fn blackouts(&self) -> Vec<Blackout> {
         let mut shard_of: BTreeMap<ProcessId, ShardId> = BTreeMap::new();
         for shard in self.shards() {
-            for pid in self
-                .roster_of(shard)
-                .into_iter()
-                .chain(self.spares_of(shard))
-            {
+            let view = self.shard_view(shard);
+            for pid in view.roster.into_iter().chain(view.spares) {
                 shard_of.insert(pid, shard);
             }
         }
@@ -411,17 +519,17 @@ pub trait TcsCluster {
         ratc_sim::blackouts(&ctrl, &decided)
     }
 
-    /// Per-message-type send/deliver counters (label → counts), sorted by
-    /// message-type label. Empty unless observability is enabled.
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)>;
-
     /// Messages handled (sent + received) by one process.
-    fn process_handled(&self, pid: ProcessId) -> u64;
+    fn process_handled(&self, pid: ProcessId) -> u64 {
+        self.metrics().process(pid).handled()
+    }
 
-    // --- topology introspection --------------------------------------------
+    // --- topology and protocol state ---------------------------------------
 
     /// All shards of this cluster.
-    fn shards(&self) -> Vec<ShardId>;
+    fn shards(&self) -> Vec<ShardId> {
+        self.sharding().shards()
+    }
 
     /// The shard map used by this cluster.
     fn sharding(&self) -> &HashSharding;
@@ -432,65 +540,22 @@ pub trait TcsCluster {
     /// The configuration-service process, on stacks that have one.
     fn config_service_id(&self) -> Option<ProcessId>;
 
-    /// The *current* members of `shard` (after any reconfigurations).
-    fn members_of(&self, shard: ShardId) -> Vec<ProcessId>;
-
-    /// The *current* leader of `shard`, if the shard has a configuration.
-    fn leader_of(&self, shard: ShardId) -> Option<ProcessId>;
-
-    /// The current epoch of `shard`. Global-epoch stacks report the global
-    /// epoch for every shard; the baseline has no reconfiguration and always
-    /// reports [`Epoch::ZERO`].
-    fn epoch_of(&self, shard: ShardId) -> Epoch;
-
-    /// The initial roster of `shard` (its members at construction time).
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId>;
-
-    /// The spare (fresh) replicas of `shard` available to reconfiguration.
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId>;
-
     /// The processes a harness may hand submissions to: every replica and
     /// spare on the RATC stacks, the transaction-manager group (leader
     /// first) on the baseline.
     fn coordinator_pool(&self) -> Vec<ProcessId>;
 
-    /// Every faultable protocol process (replicas, spares, and the
-    /// transaction-manager group on the baseline) — excludes the client and
-    /// the configuration service.
+    /// Every faultable protocol process — per shard its roster then its
+    /// spares, then the transaction-manager group on the baseline. Excludes
+    /// the client and the configuration service.
     fn all_processes(&self) -> Vec<ProcessId>;
 
     /// Whether `pid` is currently crashed.
     fn is_crashed(&self, pid: ProcessId) -> bool;
 
-    // --- capabilities and protocol state ------------------------------------
-
-    /// Whether the stack recovers from failures by reconfiguring (`f + 1`
-    /// RATC stacks) rather than masking them with a quorum (the `2f + 1`
-    /// baseline).
-    fn supports_reconfiguration(&self) -> bool;
-
-    /// Whether one reconfiguration involves the whole system (the §5 RDMA
-    /// protocol) instead of a single shard.
-    fn reconfiguration_is_global(&self) -> bool;
-
-    /// Whether arbitrary replicas coordinate transactions (RATC) as opposed
-    /// to a dedicated transaction-manager group (baseline).
-    fn replicas_coordinate(&self) -> bool;
-
-    /// Whether `pid` is ready to initiate work: initialised in the current
-    /// configuration with no reconfiguration of its own in flight. On the
-    /// baseline every non-crashed process is ready.
-    fn replica_ready(&self, pid: ProcessId) -> bool;
-
-    /// Whether `shard` looks fully operational: every current member live,
-    /// initialised, at the current epoch, with the expected leader/follower
-    /// status. Always `true` on the baseline (failures are masked; recovery
-    /// is restart-driven).
-    fn shard_operational(&self, shard: ShardId) -> bool;
-
-    /// Transactions the current leader of `shard` holds prepared but
-    /// undecided. Empty on the baseline (votes are decided by the TM).
-    fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId>;
+    /// A snapshot of `shard`: its current configuration and protocol state,
+    /// and the roster and spares it was deployed with.
+    fn shard_view(&self, shard: ShardId) -> ShardView;
 
     /// Physical certification-log slots (or undecided payloads, on the
     /// baseline) retained by `pid`, if `pid` keeps a shard log.
@@ -511,95 +576,64 @@ pub trait TcsCluster {
     /// Installs a named partition: traffic between different groups drops.
     fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>);
 
-    /// Heals every link fault, cut and partition (crashed processes stay
-    /// crashed).
+    /// Heals every per-link fault, cut and partition. Crashed processes stay
+    /// crashed, and the fabric-wide noise of
+    /// [`TcsCluster::set_default_link_fault`] stays on until that is called
+    /// with `None`.
     fn heal_all_faults(&mut self);
-
-    /// Exempts a process from all fault injection (used for the
-    /// history-recording client — the measurement apparatus).
-    fn mark_fault_exempt(&mut self, pid: ProcessId);
 }
 
 /// The per-stack part of a [`Deployment`]: which processes a protocol
-/// deploys, who coordinates, how (and whether) it reconfigures, and how its
-/// replicas' state is read. Everything else is written once in
-/// [`Deployment`]'s `impl TcsCluster`; the module documentation tabulates how
-/// the three implementations differ, method by method.
+/// deploys, how (and whether) it recovers, and how its replicas' state is
+/// read. Everything else is written once in [`Deployment`]'s `impl
+/// TcsCluster`; the module documentation tabulates how the three
+/// implementations differ, method by method.
 ///
-/// Queries that read live actor state are handed the deployment's `world`;
-/// the two triggers return the message to inject, if the stack has one.
+/// Queries that read live actor state are handed the deployment's `world`
+/// (and its [`Topology`], where they need it); the two triggers return the
+/// message to inject, if the stack has one.
 pub trait Stack: 'static {
     /// The stack's message vocabulary.
     type Msg: ClientMsg + Clone + fmt::Debug + Send + 'static;
 
     /// Adds the stack's processes to the (empty) `world`, installs their
-    /// initial configuration and the knobs of `config`, and records the
-    /// topology in `self`. The deployment adds the client afterwards.
+    /// initial configuration and the knobs of `config`, and returns what it
+    /// deployed. The deployment adds the client afterwards.
     fn build(
-        &mut self,
+        &self,
         world: &mut World<Self::Msg>,
         config: &ClusterConfig,
         sharding: &Arc<HashSharding>,
-    );
+    ) -> Topology;
 
     /// The protocol this stack realises.
     fn kind(&self) -> StackKind;
 
-    /// See [`TcsCluster::supports_reconfiguration`].
-    fn supports_reconfiguration(&self) -> bool;
-
-    /// See [`TcsCluster::reconfiguration_is_global`].
-    fn reconfiguration_is_global(&self) -> bool;
-
-    /// See [`TcsCluster::replicas_coordinate`].
-    fn replicas_coordinate(&self) -> bool;
-
-    /// The processes [`TcsCluster::submit`] round-robins over (it skips the
-    /// crashed ones while any is live).
-    fn submit_pool(&self) -> Vec<ProcessId>;
-
-    /// Where a client retry of a transaction spanning `shards` goes, if
-    /// anywhere.
-    fn resubmit_target(&self, world: &World<Self::Msg>, shards: &[ShardId]) -> Option<ProcessId>;
-
     /// The message asking a replica to become recovery coordinator of `tx`.
     fn retry(&self, tx: TxId) -> Option<Self::Msg>;
 
-    /// The message asking a replica to reconfigure `shard` without `exclude`.
-    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<Self::Msg>;
+    /// The message asking a replica to reconfigure `shard` without `exclude`,
+    /// back to its roster's size, drawing on the spares of `topology`.
+    fn start_reconfiguration(
+        &self,
+        topology: &Topology,
+        shard: ShardId,
+        exclude: Vec<ProcessId>,
+    ) -> Option<Self::Msg>;
 
-    /// See [`TcsCluster::members_of`].
-    fn members_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Vec<ProcessId>;
+    /// The protocol half of [`TcsCluster::shard_view`] — `epoch`, `members`,
+    /// `leader`, `operational` and `prepared` — read once from the stack's
+    /// configuration and replicas; the other fields stay empty.
+    fn shard_view(
+        &self,
+        world: &World<Self::Msg>,
+        topology: &Topology,
+        shard: ShardId,
+    ) -> ShardView;
 
-    /// See [`TcsCluster::leader_of`].
-    fn leader_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Option<ProcessId>;
-
-    /// See [`TcsCluster::epoch_of`].
-    fn epoch_of(&self, world: &World<Self::Msg>, shard: ShardId) -> Epoch;
-
-    /// See [`TcsCluster::roster_of`].
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId>;
-
-    /// See [`TcsCluster::spares_of`].
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId>;
-
-    /// See [`TcsCluster::coordinator_pool`].
-    fn coordinator_pool(&self) -> Vec<ProcessId>;
-
-    /// See [`TcsCluster::all_processes`].
-    fn all_processes(&self) -> Vec<ProcessId>;
-
-    /// See [`TcsCluster::config_service_id`].
-    fn config_service_id(&self) -> Option<ProcessId>;
-
-    /// See [`TcsCluster::replica_ready`].
-    fn replica_ready(&self, world: &World<Self::Msg>, pid: ProcessId) -> bool;
-
-    /// See [`TcsCluster::shard_operational`].
-    fn shard_operational(&self, world: &World<Self::Msg>, shard: ShardId) -> bool;
-
-    /// See [`TcsCluster::prepared_transactions`].
-    fn prepared_transactions(&self, world: &World<Self::Msg>, shard: ShardId) -> Vec<TxId>;
+    /// Whether `pid`, if live, is ready to initiate work; [`Deployment`]
+    /// filters [`ShardView::ready`] with it.
+    fn ready(&self, world: &World<Self::Msg>, pid: ProcessId) -> bool;
 
     /// See [`TcsCluster::retained_log_slots`].
     fn retained_log_slots(&self, world: &World<Self::Msg>, pid: ProcessId) -> Option<usize>;
@@ -616,8 +650,9 @@ pub struct Deployment<S: Stack> {
     /// and traces, inject hand-made messages, or step the simulation
     /// manually.
     pub world: World<S::Msg>,
-    /// The stack's topology and protocol-specific operations.
+    /// The stack's protocol-specific operations.
     pub stack: S,
+    topology: Topology,
     sharding: Arc<HashSharding>,
     client: ProcessId,
     execution: ExecutionMode,
@@ -625,17 +660,22 @@ pub struct Deployment<S: Stack> {
 }
 
 impl<S: Stack> Deployment<S> {
-    /// Deploys `stack` as `config` describes, then one client.
-    pub fn new(mut stack: S, config: ClusterConfig) -> Self {
+    /// Deploys `stack` as `config` describes, then one client, exempt from
+    /// fault injection: it is the measurement apparatus recording the
+    /// history that safety and liveness are judged by, not a protocol
+    /// participant.
+    pub fn new(stack: S, config: ClusterConfig) -> Self {
         let sharding = Arc::new(HashSharding::new(config.shards));
         let mut world = World::new(config.sim.clone());
-        stack.build(&mut world, &config, &sharding);
+        let topology = stack.build(&mut world, &config, &sharding);
         // Decision acknowledgements are leg 1 of decision-map compaction;
         // only a stack whose vocabulary has the message ever sends one.
         let client = world.add_actor(ClientActor::<S::Msg>::new(config.truncation.compaction));
+        world.mark_fault_exempt(client);
         Deployment {
             world,
             stack,
+            topology,
             sharding,
             client,
             execution: config.execution,
@@ -646,6 +686,15 @@ impl<S: Stack> Deployment<S> {
     fn client(&self) -> &ClientActor<S::Msg> {
         self.world.actor(self.client).expect("client")
     }
+
+    /// What `submit` round-robins over: the TM leader where a TM group
+    /// coordinates, else every initial member.
+    fn submit_pool(&self) -> Vec<ProcessId> {
+        match self.topology.tm_group.first() {
+            Some(tm_leader) => vec![*tm_leader],
+            None => self.topology.roster.values().flatten().copied().collect(),
+        }
+    }
 }
 
 impl<S: Stack> TcsCluster for Deployment<S> {
@@ -654,11 +703,11 @@ impl<S: Stack> TcsCluster for Deployment<S> {
     }
 
     fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        let mut pool = self.stack.submit_pool();
+        let mut pool = self.submit_pool();
         pool.retain(|p| !self.world.is_crashed(*p));
         if pool.is_empty() {
             // The cluster is down: the request goes to a crashed process.
-            pool = self.stack.submit_pool();
+            pool = self.submit_pool();
         }
         let coordinator = pool[self.next_coordinator % pool.len()];
         self.next_coordinator += 1;
@@ -679,8 +728,15 @@ impl<S: Stack> TcsCluster for Deployment<S> {
     }
 
     fn resubmit(&mut self, tx: TxId, payload: Payload) {
-        let shards = payload.shards(self.sharding.as_ref());
-        if let Some(target) = self.stack.resubmit_target(&self.world, &shards) {
+        let target = match self.topology.tm_group.first() {
+            Some(tm_leader) => Some(*tm_leader),
+            None => payload
+                .shards(self.sharding.as_ref())
+                .first()
+                .and_then(|shard| self.shard_view(*shard).leader)
+                .filter(|leader| !self.world.is_crashed(*leader)),
+        };
+        if let Some(target) = target {
             self.world
                 .send_external(target, S::Msg::certify(tx, payload, self.client));
         }
@@ -706,7 +762,10 @@ impl<S: Stack> TcsCluster for Deployment<S> {
         initiator: ProcessId,
         exclude: Vec<ProcessId>,
     ) {
-        if let Some(msg) = self.stack.start_reconfiguration(shard, exclude) {
+        if let Some(msg) = self
+            .stack
+            .start_reconfiguration(&self.topology, shard, exclude)
+        {
             self.world.send_external(initiator, msg);
         }
     }
@@ -716,11 +775,6 @@ impl<S: Stack> TcsCluster for Deployment<S> {
             ExecutionMode::Sim => self.world.run(),
             ExecutionMode::Threads => self.world.run_threaded(),
         };
-    }
-
-    fn run_for(&mut self, duration: SimDuration) {
-        let until = self.world.now() + duration;
-        self.run_until(until);
     }
 
     fn run_until(&mut self, until: SimTime) {
@@ -750,21 +804,8 @@ impl<S: Stack> TcsCluster for Deployment<S> {
         self.client().violations().to_vec()
     }
 
-    fn counter(&self, name: &str) -> u64 {
-        self.world.metrics().counter(name)
-    }
-
-    // analyze:allow(float-state): a read of the metrics sink, not protocol state
-    fn sample_mean(&self, name: &str) -> Option<f64> {
-        self.world.metrics().summary(name).map(|s| s.mean())
-    }
-
-    // analyze:allow(float-state): a read of the metrics sink, not protocol state
-    fn sample_percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        self.world
-            .metrics()
-            .summary(name)
-            .map(|s| s.percentile(pct))
+    fn metrics(&self) -> &Metrics {
+        self.world.metrics()
     }
 
     fn latency_unit(&self) -> LatencyUnit {
@@ -772,14 +813,6 @@ impl<S: Stack> TcsCluster for Deployment<S> {
             ExecutionMode::Sim => LatencyUnit::VirtualMicros,
             ExecutionMode::Threads => LatencyUnit::WallMicros,
         }
-    }
-
-    fn obs_events(&self) -> Vec<TxObsEvent> {
-        self.world.metrics().obs_events().to_vec()
-    }
-
-    fn ctrl_events(&self) -> Vec<CtrlEvent> {
-        self.world.metrics().ctrl_events().to_vec()
     }
 
     fn record_ctrl(
@@ -792,22 +825,6 @@ impl<S: Stack> TcsCluster for Deployment<S> {
         self.world.ctrl_milestone(by, milestone, shard, note);
     }
 
-    fn msg_type_counters(&self) -> Vec<(String, MsgTypeCounters)> {
-        self.world
-            .metrics()
-            .msg_type_counters()
-            .map(|(label, counters)| (label.to_owned(), counters))
-            .collect()
-    }
-
-    fn process_handled(&self, pid: ProcessId) -> u64 {
-        self.world.metrics().process(pid).handled()
-    }
-
-    fn shards(&self) -> Vec<ShardId> {
-        self.sharding.shards()
-    }
-
     fn sharding(&self) -> &HashSharding {
         &self.sharding
     }
@@ -817,63 +834,54 @@ impl<S: Stack> TcsCluster for Deployment<S> {
     }
 
     fn config_service_id(&self) -> Option<ProcessId> {
-        self.stack.config_service_id()
-    }
-
-    fn members_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.stack.members_of(&self.world, shard)
-    }
-
-    fn leader_of(&self, shard: ShardId) -> Option<ProcessId> {
-        self.stack.leader_of(&self.world, shard)
-    }
-
-    fn epoch_of(&self, shard: ShardId) -> Epoch {
-        self.stack.epoch_of(&self.world, shard)
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.stack.roster_of(shard)
-    }
-
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.stack.spares_of(shard)
+        self.topology.config_service
     }
 
     fn coordinator_pool(&self) -> Vec<ProcessId> {
-        self.stack.coordinator_pool()
+        if self.topology.tm_group.is_empty() {
+            self.all_processes()
+        } else {
+            self.topology.tm_group.clone()
+        }
     }
 
     fn all_processes(&self) -> Vec<ProcessId> {
-        self.stack.all_processes()
+        let Topology {
+            roster,
+            spares,
+            tm_group,
+            ..
+        } = &self.topology;
+        let replicas = roster.iter().flat_map(|(shard, members)| {
+            members
+                .iter()
+                .chain(spares.get(shard).into_iter().flatten())
+        });
+        replicas.chain(tm_group).copied().collect()
     }
 
     fn is_crashed(&self, pid: ProcessId) -> bool {
         self.world.is_crashed(pid)
     }
 
-    fn supports_reconfiguration(&self) -> bool {
-        self.stack.supports_reconfiguration()
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        self.stack.reconfiguration_is_global()
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        self.stack.replicas_coordinate()
-    }
-
-    fn replica_ready(&self, pid: ProcessId) -> bool {
-        self.stack.replica_ready(&self.world, pid)
-    }
-
-    fn shard_operational(&self, shard: ShardId) -> bool {
-        self.stack.shard_operational(&self.world, shard)
-    }
-
-    fn prepared_transactions(&self, shard: ShardId) -> Vec<TxId> {
-        self.stack.prepared_transactions(&self.world, shard)
+    fn shard_view(&self, shard: ShardId) -> ShardView {
+        let deployed = |pools: &BTreeMap<ShardId, Vec<ProcessId>>| {
+            pools.get(&shard).cloned().unwrap_or_default()
+        };
+        let mut view = ShardView {
+            roster: deployed(&self.topology.roster),
+            spares: deployed(&self.topology.spares),
+            ..self.stack.shard_view(&self.world, &self.topology, shard)
+        };
+        for pid in view.members.iter().chain(&view.roster).chain(&view.spares) {
+            if !view.ready.contains(pid)
+                && !self.world.is_crashed(*pid)
+                && self.stack.ready(&self.world, *pid)
+            {
+                view.ready.push(*pid);
+            }
+        }
+        view
     }
 
     fn retained_log_slots(&self, pid: ProcessId) -> Option<usize> {
@@ -899,10 +907,6 @@ impl<S: Stack> TcsCluster for Deployment<S> {
     fn heal_all_faults(&mut self) {
         self.world.heal_all_faults();
     }
-
-    fn mark_fault_exempt(&mut self, pid: ProcessId) {
-        self.world.mark_fault_exempt(pid);
-    }
 }
 
 /// A deployment of the message-passing protocol (§3).
@@ -911,71 +915,49 @@ pub type Cluster = Deployment<CoreStack>;
 /// The message-passing protocol's side of a [`Deployment`]: `f + 1`
 /// [`Replica`]s and a pool of spares per shard, and the per-shard
 /// configuration service.
-#[derive(Debug, Default)]
-pub struct CoreStack {
-    /// The configuration service (`None` until built).
-    cs: Option<ProcessId>,
-    members: BTreeMap<ShardId, Vec<ProcessId>>,
-    spares: BTreeMap<ShardId, Vec<ProcessId>>,
-    replicas_per_shard: usize,
-}
+#[derive(Debug)]
+pub struct CoreStack;
 
-impl CoreStack {
-    fn registry<'w>(&self, world: &'w World<Msg>) -> &'w ShardConfigRegistry {
-        self.cs
-            .and_then(|cs| world.actor::<ConfigServiceActor>(cs))
-            .expect("configuration service")
-            .registry()
-    }
+fn registry<'w>(world: &'w World<Msg>, topology: &Topology) -> &'w ShardConfigRegistry {
+    topology
+        .config_service
+        .and_then(|cs| world.actor::<ConfigServiceActor>(cs))
+        .expect("configuration service")
+        .registry()
 }
 
 impl Stack for CoreStack {
     type Msg = Msg;
 
     fn build(
-        &mut self,
+        &self,
         world: &mut World<Msg>,
         config: &ClusterConfig,
         sharding: &Arc<HashSharding>,
-    ) {
-        // Create the replicas of every shard, then the spares.
-        for shard in sharding.shards() {
-            for (pool, count) in [
-                (&mut self.members, config.replicas_per_shard),
-                (&mut self.spares, config.spares_per_shard),
-            ] {
-                let pids = (0..count)
-                    .map(|_| {
-                        world.add_actor(Replica::new(
-                            shard,
-                            config.policy.as_ref(),
-                            sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                        ))
-                    })
-                    .collect();
-                pool.insert(shard, pids);
-            }
-        }
-        self.replicas_per_shard = config.replicas_per_shard;
+    ) -> Topology {
+        let shard_map = sharding.clone() as Arc<dyn ShardMap + Send + Sync>;
+        let mut topology = Topology::replicas(world, config, sharding, |shard| {
+            Replica::new(shard, config.policy.as_ref(), shard_map.clone())
+        });
 
         // Initial configurations: the first replica of each shard leads.
-        let initial: BTreeMap<ShardId, ShardConfiguration> = self
-            .members
+        let initial: BTreeMap<ShardId, ShardConfiguration> = topology
+            .roster
             .iter()
-            .map(|(shard, shard_members)| {
+            .map(|(shard, members)| {
                 (
                     *shard,
-                    ShardConfiguration::new(Epoch::ZERO, shard_members.clone(), shard_members[0]),
+                    ShardConfiguration::new(Epoch::ZERO, members.clone(), members[0]),
                 )
             })
             .collect();
         let cs = world.add_actor(ConfigServiceActor::new(
             initial.iter().map(|(s, c)| (*s, c.clone())),
         ));
-        self.cs = Some(cs);
+        topology.config_service = Some(cs);
 
         // Install the initial view at every replica (members and spares).
-        for (pool, is_member) in [(&self.members, true), (&self.spares, false)] {
+        for (pool, is_member) in [(&topology.roster, true), (&topology.spares, false)] {
             for pid in pool.values().flatten() {
                 let replica = world.actor_mut::<Replica>(*pid).expect("replica");
                 replica.install_initial_config(*pid, cs, &initial, is_member);
@@ -984,130 +966,64 @@ impl Stack for CoreStack {
                 replica.set_flow(config.flow);
             }
         }
+        topology
     }
 
     fn kind(&self) -> StackKind {
         StackKind::Core
     }
 
-    fn supports_reconfiguration(&self) -> bool {
-        true
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        false
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        true
-    }
-
-    fn submit_pool(&self) -> Vec<ProcessId> {
-        self.members.values().flatten().copied().collect()
-    }
-
-    fn resubmit_target(&self, world: &World<Msg>, shards: &[ShardId]) -> Option<ProcessId> {
-        let leader = self.leader_of(world, *shards.first()?)?;
-        (!world.is_crashed(leader)).then_some(leader)
-    }
-
     fn retry(&self, tx: TxId) -> Option<Msg> {
         Some(Msg::Retry { tx })
     }
 
-    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<Msg> {
+    fn start_reconfiguration(
+        &self,
+        topology: &Topology,
+        shard: ShardId,
+        exclude: Vec<ProcessId>,
+    ) -> Option<Msg> {
         Some(Msg::StartReconfigure {
             shard,
-            spares: self.spares_of(shard),
-            target_size: self.replicas_per_shard,
+            spares: topology.spares[&shard].clone(),
+            target_size: topology.roster[&shard].len(),
             exclude,
         })
     }
 
-    fn members_of(&self, world: &World<Msg>, shard: ShardId) -> Vec<ProcessId> {
-        self.registry(world)
-            .get_last(shard)
-            .map(|c| c.members.clone())
-            .unwrap_or_default()
-    }
-
-    fn leader_of(&self, world: &World<Msg>, shard: ShardId) -> Option<ProcessId> {
-        self.registry(world).get_last(shard).map(|c| c.leader)
-    }
-
-    fn epoch_of(&self, world: &World<Msg>, shard: ShardId) -> Epoch {
-        self.registry(world)
-            .get_last(shard)
-            .map_or(Epoch::ZERO, |c| c.epoch)
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.members.get(&shard).cloned().unwrap_or_default()
-    }
-
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.spares.get(&shard).cloned().unwrap_or_default()
-    }
-
-    fn coordinator_pool(&self) -> Vec<ProcessId> {
-        self.all_processes()
-    }
-
-    fn all_processes(&self) -> Vec<ProcessId> {
-        let mut all = Vec::new();
-        for (shard, members) in &self.members {
-            all.extend(members);
-            all.extend(&self.spares[shard]);
+    fn shard_view(&self, world: &World<Msg>, topology: &Topology, shard: ShardId) -> ShardView {
+        let Some(config) = registry(world, topology).get_last(shard) else {
+            return ShardView::default();
+        };
+        let in_role = |m: &ProcessId| {
+            let expected = if *m == config.leader {
+                Status::Leader
+            } else {
+                Status::Follower
+            };
+            !world.is_crashed(*m)
+                && world.actor::<Replica>(*m).is_some_and(|r| {
+                    r.is_initialized()
+                        && r.epoch_of(shard) == config.epoch
+                        && r.status() == expected
+                })
+        };
+        ShardView {
+            epoch: config.epoch,
+            members: config.members.clone(),
+            leader: Some(config.leader),
+            operational: !config.members.is_empty() && config.members.iter().all(in_role),
+            prepared: world
+                .actor::<Replica>(config.leader)
+                .map_or_else(Vec::new, |leader| leader.log().prepared_txs()),
+            ..ShardView::default()
         }
-        all
     }
 
-    fn config_service_id(&self) -> Option<ProcessId> {
-        self.cs
-    }
-
-    fn replica_ready(&self, world: &World<Msg>, pid: ProcessId) -> bool {
+    fn ready(&self, world: &World<Msg>, pid: ProcessId) -> bool {
         world
             .actor::<Replica>(pid)
             .is_some_and(|r| r.is_initialized() && !r.reconfiguration_in_flight())
-    }
-
-    fn shard_operational(&self, world: &World<Msg>, shard: ShardId) -> bool {
-        let Some(config) = self.registry(world).get_last(shard) else {
-            return false;
-        };
-        !config.members.is_empty()
-            && config.members.iter().all(|m| {
-                if world.is_crashed(*m) {
-                    return false;
-                }
-                let Some(replica) = world.actor::<Replica>(*m) else {
-                    return false;
-                };
-                let expected = if *m == config.leader {
-                    Status::Leader
-                } else {
-                    Status::Follower
-                };
-                replica.is_initialized()
-                    && replica.epoch_of(shard) == config.epoch
-                    && replica.status() == expected
-            })
-    }
-
-    fn prepared_transactions(&self, world: &World<Msg>, shard: ShardId) -> Vec<TxId> {
-        let Some(leader) = self
-            .leader_of(world, shard)
-            .and_then(|leader| world.actor::<Replica>(leader))
-        else {
-            return Vec::new();
-        };
-        leader
-            .log()
-            .entries()
-            .filter(|(_, e)| e.phase == TxPhase::Prepared)
-            .map(|(_, e)| e.tx)
-            .collect()
     }
 
     fn retained_log_slots(&self, world: &World<Msg>, pid: ProcessId) -> Option<usize> {
@@ -1140,7 +1056,7 @@ mod tests {
 
     #[test]
     fn single_transaction_commits_in_five_delays() {
-        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default());
+        let mut cluster = Cluster::new(CoreStack, ClusterConfig::default());
         cluster.submit(TxId::new(1), rw_payload("x", 0, 1));
         cluster.run_to_quiescence();
         let history = cluster.history();
@@ -1155,7 +1071,7 @@ mod tests {
 
     #[test]
     fn conflicting_transactions_do_not_both_commit() {
-        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(3));
+        let mut cluster = Cluster::new(CoreStack, ClusterConfig::default().with_seed(3));
         // Both transactions read version 0 of the same key and write it: at
         // most one of them can commit under serializability.
         cluster.submit(TxId::new(1), rw_payload("hot", 0, 1));
@@ -1175,7 +1091,7 @@ mod tests {
     #[test]
     fn disjoint_transactions_all_commit() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default().with_shards(3).with_seed(9),
         );
         for i in 0..20 {
@@ -1190,7 +1106,7 @@ mod tests {
     #[test]
     fn long_history_is_truncated_to_a_bounded_log() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(7)
@@ -1204,7 +1120,7 @@ mod tests {
         assert_eq!(cluster.history().decide_count(), total as usize);
         assert!(cluster.client_violations().is_empty());
         let shard = ShardId::new(0);
-        for pid in cluster.roster_of(shard).to_vec() {
+        for pid in cluster.shard_view(shard).roster {
             let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > 0,
@@ -1226,7 +1142,7 @@ mod tests {
     #[test]
     fn prepare_for_truncated_transaction_returns_the_decision() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(13)
@@ -1237,7 +1153,7 @@ mod tests {
             cluster.run_to_quiescence();
         }
         let shard = ShardId::new(0);
-        let leader = cluster.leader_of(shard).expect("leader");
+        let leader = cluster.shard_view(shard).leader.expect("leader");
         assert_eq!(
             replica(&cluster, leader)
                 .log()
@@ -1250,7 +1166,8 @@ mod tests {
         // instead of re-certifying it as new, and the coordinator forwards
         // the (benign duplicate) decision to the client.
         let other = *cluster
-            .roster_of(shard)
+            .shard_view(shard)
+            .roster
             .iter()
             .find(|p| **p != leader)
             .expect("another member");
@@ -1285,7 +1202,7 @@ mod tests {
     fn tx_decided_recovery_unsticks_prepared_slots_at_other_shards() {
         use ratc_types::ShardMap;
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(19)
@@ -1306,7 +1223,7 @@ mod tests {
         cluster.run_to_quiescence();
         cluster.submit(TxId::new(2), rw_payload(&format!("{}x", k0.as_str()), 0, 1));
         cluster.run_to_quiescence();
-        let l0 = cluster.leader_of(s0).expect("leader");
+        let l0 = cluster.shard_view(s0).leader.expect("leader");
         assert_eq!(
             replica(&cluster, l0).log().truncated_decision(TxId::new(1)),
             Some(Decision::Commit)
@@ -1315,9 +1232,10 @@ mod tests {
         // Shard 1 "missed the decision": inject a prepare of t1 at shard 1,
         // coordinated by shard-1's follower, with no shard-0 progress — both
         // shard-1 members end up holding t1 as Prepared, undecided.
-        let l1 = cluster.leader_of(s1).expect("leader");
+        let l1 = cluster.shard_view(s1).leader.expect("leader");
         let f1 = *cluster
-            .roster_of(s1)
+            .shard_view(s1)
+            .roster
             .iter()
             .find(|p| **p != l1)
             .expect("follower");
@@ -1374,14 +1292,14 @@ mod tests {
     #[test]
     fn batched_pipeline_commits_disjoint_transactions() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(21)
                 .with_batching(BatchingConfig::with_batch(8)),
         );
         // Fixed coordinator so certifies actually coalesce into batches.
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         for i in 0..32u64 {
             cluster.submit_via(
                 TxId::new(i + 1),
@@ -1404,13 +1322,13 @@ mod tests {
     #[test]
     fn batched_pipeline_preserves_conflict_decisions() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(23)
                 .with_batching(BatchingConfig::with_batch(4)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         // Both read version 0 of the same key and write it: they land in the
         // same batch, and at most one may commit.
         cluster.submit_via(TxId::new(1), rw_payload("hot", 0, 1), coordinator);
@@ -1427,13 +1345,13 @@ mod tests {
     #[test]
     fn partially_filled_batches_are_flushed_by_the_batch_timer() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(29)
                 .with_batching(BatchingConfig::with_batch(64)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         // Far fewer submissions than max_batch: only the delay timer can
         // flush them.
         for i in 0..5u64 {
@@ -1451,14 +1369,14 @@ mod tests {
     #[test]
     fn batching_interoperates_with_truncation() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(31)
                 .with_truncation(TruncationConfig::with_batch(8))
                 .with_batching(BatchingConfig::with_batch(8)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         let total = 128u64;
         for wave in 0..(total / 8) {
             for i in 0..8u64 {
@@ -1472,7 +1390,7 @@ mod tests {
             cluster.run_to_quiescence();
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
-        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
+        for pid in cluster.shard_view(ShardId::new(0)).roster {
             let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > 0,
@@ -1489,14 +1407,14 @@ mod tests {
     #[test]
     fn compaction_bounds_the_checkpoint_on_a_10k_tx_history() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(1)
                 .with_seed(37)
                 .with_truncation(TruncationConfig::with_batch(8).with_compaction())
                 .with_batching(BatchingConfig::with_batch(32)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         let total = 10_000u64;
         let wave = 100u64;
         for w in 0..(total / wave) {
@@ -1512,7 +1430,7 @@ mod tests {
         }
         assert_eq!(cluster.history().decide_count(), total as usize);
         assert!(cluster.client_violations().is_empty());
-        for pid in cluster.roster_of(ShardId::new(0)).to_vec() {
+        for pid in cluster.shard_view(ShardId::new(0)).roster {
             let log = replica(&cluster, pid).log();
             assert!(
                 log.base().as_u64() > total - 256,
@@ -1543,11 +1461,15 @@ mod tests {
 
     #[test]
     fn reconfiguration_replaces_a_crashed_follower() {
-        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(5));
+        let mut cluster = Cluster::new(CoreStack, ClusterConfig::default().with_seed(5));
         let shard = ShardId::new(0);
-        let members = cluster.roster_of(shard).to_vec();
-        let leader = cluster.leader_of(shard).expect("leader");
-        let follower = *members.iter().find(|p| **p != leader).expect("follower");
+        let view = cluster.shard_view(shard);
+        let leader = view.leader.expect("leader");
+        let follower = *view
+            .roster
+            .iter()
+            .find(|p| **p != leader)
+            .expect("follower");
 
         // Commit one transaction first so there is state to transfer.
         cluster.submit(TxId::new(1), rw_payload("a", 0, 1));
@@ -1558,13 +1480,13 @@ mod tests {
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
 
-        let new_config = cluster.members_of(shard);
+        let view = cluster.shard_view(shard);
         assert!(
-            !new_config.contains(&follower),
+            !view.members.contains(&follower),
             "crashed follower must be replaced"
         );
-        assert_eq!(new_config.len(), 2);
-        assert_eq!(cluster.epoch_of(shard), Epoch::new(1));
+        assert_eq!(view.members.len(), 2);
+        assert_eq!(view.epoch, Epoch::new(1));
 
         // The shard keeps certifying transactions after reconfiguration.
         cluster.submit(TxId::new(2), rw_payload("b", 0, 1));
@@ -1578,12 +1500,15 @@ mod tests {
 
     #[test]
     fn leader_crash_is_recovered_by_promoting_the_follower() {
-        let mut cluster =
-            Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(11));
+        let mut cluster = Cluster::new(CoreStack, ClusterConfig::default().with_seed(11));
         let shard = ShardId::new(0);
-        let leader = cluster.leader_of(shard).expect("leader");
-        let members = cluster.roster_of(shard).to_vec();
-        let follower = *members.iter().find(|p| **p != leader).expect("follower");
+        let view = cluster.shard_view(shard);
+        let leader = view.leader.expect("leader");
+        let follower = *view
+            .roster
+            .iter()
+            .find(|p| **p != leader)
+            .expect("follower");
 
         cluster.submit(TxId::new(1), rw_payload("a", 0, 1));
         cluster.run_to_quiescence();
@@ -1593,8 +1518,9 @@ mod tests {
         cluster.start_reconfiguration(shard, follower, vec![leader]);
         cluster.run_to_quiescence();
 
-        assert_eq!(cluster.leader_of(shard).expect("leader"), follower);
-        assert!(!cluster.members_of(shard).contains(&leader));
+        let view = cluster.shard_view(shard);
+        assert_eq!(view.leader, Some(follower));
+        assert!(!view.members.contains(&leader));
 
         cluster.submit(TxId::new(2), rw_payload("c", 0, 1));
         cluster.run_to_quiescence();

@@ -50,11 +50,8 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<InvariantViolation> {
         // Collect the live replicas of this shard (initial members and spares:
         // spares may have joined a later configuration).
         let mut replicas: Vec<(ProcessId, &Replica)> = Vec::new();
-        for pid in cluster
-            .roster_of(shard)
-            .into_iter()
-            .chain(cluster.spares_of(shard))
-        {
+        let view = cluster.shard_view(shard);
+        for pid in view.roster.into_iter().chain(view.spares) {
             if cluster.is_crashed(pid) {
                 continue;
             }
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn invariants_hold_on_a_failure_free_run() {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default().with_shards(3).with_seed(1),
         );
         for i in 0..30 {
@@ -256,16 +253,17 @@ mod tests {
 
     #[test]
     fn invariants_hold_across_a_reconfiguration() {
-        let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default().with_seed(2));
+        let mut cluster = Cluster::new(CoreStack, ClusterConfig::default().with_seed(2));
         for i in 0..10 {
             cluster.submit(TxId::new(i), rw_payload(&format!("k{i}")));
         }
         cluster.run_to_quiescence();
 
         let shard = ShardId::new(0);
-        let leader = cluster.leader_of(shard).expect("leader");
-        let follower = *cluster
-            .roster_of(shard)
+        let view = cluster.shard_view(shard);
+        let leader = view.leader.expect("leader");
+        let follower = *view
+            .roster
             .iter()
             .find(|p| **p != leader)
             .expect("follower");

@@ -63,7 +63,7 @@
 //! use ratc_types::prelude::*;
 //!
 //! // 2 shards, f = 1 (two replicas each), serializability.
-//! let mut cluster = Cluster::new(CoreStack::default(), ClusterConfig::default());
+//! let mut cluster = Cluster::new(CoreStack, ClusterConfig::default());
 //! let payload = Payload::builder()
 //!     .read(Key::new("x"), Version::new(0))
 //!     .write(Key::new("x"), Value::from("1"))

@@ -700,6 +700,15 @@ impl CertificationLog {
             .filter_map(move |(i, slot)| slot.as_ref().map(|e| (Position::new(base + i as u64), e)))
     }
 
+    /// The transactions of the retained slots that are prepared but not yet
+    /// decided, in position order.
+    pub fn prepared_txs(&self) -> Vec<TxId> {
+        self.entries()
+            .filter(|(_, e)| e.phase == TxPhase::Prepared)
+            .map(|(_, e)| e.tx)
+            .collect()
+    }
+
     /// The payloads used as `L1` at line 12: payloads of transactions decided
     /// to commit in *retained* slots strictly before `before`.
     ///

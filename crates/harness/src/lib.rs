@@ -12,12 +12,16 @@
 //!   through: submission (`submit` / `submit_via` / `resubmit` / `retry`),
 //!   fault injection (`crash` / `restart`, link faults, partitions),
 //!   reconfiguration, simulated-time control, and uniform observation
-//!   (history, latencies, membership/leader/epoch introspection, violation
-//!   queries). It is defined, with its single implementation
-//!   `Deployment<S: Stack>`, in [`ratc_core::harness`] — the module doc there
-//!   tabulates what the three `Stack`s do differently — and re-exported here;
+//!   (history, latencies, violations, the world's `metrics()`, and one
+//!   [`ShardView`] snapshot per shard: epoch, members, leader, roster,
+//!   spares, operational, prepared, ready). It is defined, with its single
+//!   implementation `Deployment<S: Stack>`, in [`ratc_core::harness`] — the
+//!   module doc there tabulates what the three `Stack`s do differently — and
+//!   re-exported here;
 //! * [`StackKind`] — the stack selector naming which paper protocol a
-//!   cluster realises (re-exported likewise);
+//!   cluster realises, and what it can do (`supports_reconfiguration`,
+//!   `reconfiguration_is_global`, `replicas_coordinate`); re-exported
+//!   likewise;
 //! * [`ClusterSpec`] — one builder (shards, failures tolerated, spares,
 //!   certification policy, truncation, batching, simulation seed) that
 //!   constructs any stack: it fills in the one `ClusterConfig` every stack
@@ -57,6 +61,6 @@
 pub mod spec;
 
 pub use ratc_core::client::DecisionLatency;
-pub use ratc_core::harness::{StackKind, TcsCluster};
+pub use ratc_core::harness::{ShardView, StackKind, TcsCluster};
 pub use ratc_sim::ExecutionMode;
 pub use spec::ClusterSpec;

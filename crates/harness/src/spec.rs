@@ -47,7 +47,8 @@ pub struct ClusterSpec {
     /// (default enabled; [`FlowControlConfig::legacy`] restores the pre-flow
     /// immediate-retry behaviour).
     pub flow: FlowControlConfig,
-    /// Simulation parameters (seed, latency model, tracing).
+    /// Simulation parameters (seed, message and RDMA latency models,
+    /// observability, step cap, per-message service time).
     pub sim: SimConfig,
     /// Which engine drives the cluster's actors: the deterministic simulator
     /// (default) or a pool of worker threads over per-process mailboxes (see
@@ -206,7 +207,7 @@ impl ClusterSpec {
     /// white-box consumers such as the invariant checkers and the
     /// log-differential suites). Ignores [`ClusterSpec::stack`].
     pub fn build_core(&self) -> Cluster {
-        Cluster::new(CoreStack::default(), self.config(self.failures + 1))
+        Cluster::new(CoreStack, self.config(self.failures + 1))
     }
 
     /// Builds a concrete RDMA cluster from this spec, in naive per-shard
@@ -225,14 +226,15 @@ impl ClusterSpec {
     /// [`ClusterSpec::stack`], the spare pool and the truncation knob (the
     /// baseline prunes decided payloads unconditionally).
     pub fn build_baseline(&self) -> BaselineCluster {
-        BaselineCluster::new(BaselineStack::default(), self.config(2 * self.failures + 1))
+        BaselineCluster::new(BaselineStack, self.config(2 * self.failures + 1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratc_types::{Decision, Key, Payload, TxId, Value, Version};
+    use crate::ShardView;
+    use ratc_types::{Decision, Epoch, Key, Payload, ShardId, TxId, Value, Version};
 
     fn rw(key: &str) -> Payload {
         Payload::builder()
@@ -274,23 +276,82 @@ mod tests {
         let baseline = ratc.clone().with_stack(StackKind::Baseline);
         assert_eq!(baseline.replicas_per_shard(), 5);
         let cluster = baseline.build();
-        assert_eq!(cluster.members_of(ratc_types::ShardId::new(0)).len(), 5);
+        assert_eq!(cluster.shard_view(ShardId::new(0)).members.len(), 5);
     }
 
     #[test]
     fn introspection_is_consistent_across_stacks() {
-        for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
-            let cluster = ClusterSpec::new(stack).with_shards(3).build();
-            assert_eq!(cluster.shards().len(), 3);
-            for shard in cluster.shards() {
-                let members = cluster.members_of(shard);
-                assert_eq!(members.len(), cluster.roster_of(shard).len());
-                let leader = cluster.leader_of(shard).expect("leader");
-                assert!(members.contains(&leader), "{stack}: leader not a member");
-                assert_eq!(cluster.epoch_of(shard), ratc_types::Epoch::ZERO);
+        // (stack, supports_reconfiguration, reconfiguration_is_global,
+        // replicas_coordinate)
+        let capabilities = [
+            (StackKind::Core, true, false, true),
+            (StackKind::Rdma, true, true, true),
+            (StackKind::RdmaNaive, true, true, true),
+            (StackKind::Baseline, false, false, false),
+        ];
+        for (stack, reconfigures, global, replicas_coordinate) in capabilities {
+            assert_eq!(stack.supports_reconfiguration(), reconfigures, "{stack}");
+            assert_eq!(stack.reconfiguration_is_global(), global, "{stack}");
+            assert_eq!(stack.replicas_coordinate(), replicas_coordinate, "{stack}");
+
+            let mut cluster = ClusterSpec::new(stack).with_shards(3).with_seed(5).build();
+            assert_eq!(cluster.stack(), stack);
+            let views: Vec<ShardView> = cluster
+                .shards()
+                .into_iter()
+                .map(|shard| cluster.shard_view(shard))
+                .collect();
+            assert_eq!(views.len(), 3, "{stack}");
+            let mut processes = Vec::new();
+            for view in &views {
+                assert_eq!(view.epoch, Epoch::ZERO, "{stack}");
+                assert_eq!(view.members, view.roster, "{stack}");
+                assert_eq!(view.leader, view.roster.first().copied(), "{stack}");
+                assert_eq!(view.spares.len(), if reconfigures { 2 } else { 0 });
+                assert!(view.operational, "{stack}");
+                assert!(view.prepared.is_empty(), "{stack}");
+                // Spares are not initialised until a configuration takes them.
+                assert_eq!(view.ready, view.roster, "{stack}");
+                processes.extend(view.roster.iter().chain(&view.spares));
             }
-            assert!(!cluster.all_processes().is_empty());
-            assert!(!cluster.coordinator_pool().is_empty());
+            let all = cluster.all_processes();
+            assert_eq!(all[..processes.len()], processes[..], "{stack}");
+            let pool = cluster.coordinator_pool();
+            if replicas_coordinate {
+                assert_eq!(pool, all, "{stack}");
+            } else {
+                assert_eq!(pool, all[processes.len()..], "{stack}: the TM group");
+            }
+
+            // Crash a follower of shard 0 and reconfigure it away where the
+            // stack can.
+            let shard = ShardId::new(0);
+            let before = views[0].clone();
+            let (leader, follower) = (before.roster[0], before.roster[1]);
+            cluster.crash(follower);
+            cluster.start_reconfiguration(shard, leader, vec![follower]);
+            cluster.run_to_quiescence();
+            let view = cluster.shard_view(shard);
+            if reconfigures {
+                assert_eq!(view.epoch, Epoch::new(1), "{stack}");
+                assert!(!view.members.contains(&follower), "{stack}");
+                let leader = view.leader.expect("leader");
+                assert!(view.members.contains(&leader), "{stack}");
+                assert!(view.operational, "{stack}");
+                assert!(view.ready.contains(&leader), "{stack}");
+                assert!(!view.ready.contains(&follower), "{stack}");
+                assert_eq!(
+                    (view.roster, view.spares),
+                    (before.roster, before.spares),
+                    "{stack}"
+                );
+            } else {
+                // Static groups: the crash only takes the follower out of
+                // `ready`.
+                let mut expected = before;
+                expected.ready.retain(|p| *p != follower);
+                assert_eq!(view, expected, "{stack}");
+            }
         }
     }
 }

@@ -57,14 +57,15 @@ fn run_faulty(
     cluster.run_to_quiescence();
 
     let shard = ShardId::new(0);
-    let leader = cluster.leader_of(shard).expect("shard has a leader");
-    let follower = cluster
-        .members_of(shard)
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("shard has a leader");
+    let follower = view
+        .members
         .into_iter()
         .find(|p| *p != leader)
         .expect("shard has a follower");
     cluster.crash(follower);
-    if cluster.supports_reconfiguration() {
+    if cluster.stack().supports_reconfiguration() {
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
     }
@@ -132,7 +133,7 @@ fn enabling_ctrl_observability_keeps_faulty_seeded_runs_bit_identical() {
                 milestones.contains(&CtrlMilestone::Restart),
                 "{stack} seed={seed}: restart not stamped ({milestones:?})"
             );
-            if on.supports_reconfiguration() {
+            if on.stack().supports_reconfiguration() {
                 for required in [
                     CtrlMilestone::ReconfigInitiated,
                     CtrlMilestone::ConfigChosen,
@@ -170,7 +171,7 @@ fn sim_and_threads_stamp_the_same_ctrl_lifecycle() {
         // core lifecycle stamps must agree (timing-dependent annotations
         // like coordinator handoff may differ under real concurrency).
         let mut required: Vec<CtrlMilestone> = vec![CtrlMilestone::Crash, CtrlMilestone::Restart];
-        if sim.supports_reconfiguration() {
+        if sim.stack().supports_reconfiguration() {
             required.extend([
                 CtrlMilestone::ReconfigInitiated,
                 CtrlMilestone::ConfigChosen,
@@ -278,18 +279,22 @@ fn a_recovery_coordinator_takeover_is_counted_and_stamped_on_both_ratc_stacks() 
             .with_observability()
             .build();
         let (shard, other) = (ShardId::new(0), ShardId::new(1));
-        let leader = cluster.leader_of(shard).expect("shard 0 has a leader");
-        let coordinator = cluster
-            .members_of(other)
+        let leader = cluster
+            .shard_view(shard)
+            .leader
+            .expect("shard 0 has a leader");
+        let view = cluster.shard_view(other);
+        let coordinator = view
+            .members
             .into_iter()
-            .find(|p| Some(*p) != cluster.leader_of(other))
+            .find(|p| Some(*p) != view.leader)
             .expect("shard 1 has a follower");
         let on_shard = (1..)
             .find(|i| cluster.sharding().shard_of(&Key::new(format!("k{i}"))) == shard)
             .expect("some key hashes to shard 0");
         let tx = TxId::new(1);
         cluster.submit_via(tx, payload(on_shard), coordinator);
-        while !cluster.prepared_transactions(shard).contains(&tx) {
+        while !cluster.shard_view(shard).prepared.contains(&tx) {
             cluster.run_for(SimDuration::from_micros(5));
         }
         assert_eq!(cluster.history().decision(tx), None, "{stack}: too late");
@@ -302,7 +307,7 @@ fn a_recovery_coordinator_takeover_is_counted_and_stamped_on_both_ratc_stacks() 
             "{stack}: the recovery coordinator must decide {tx}"
         );
         assert!(
-            cluster.counter("retries_started") >= 1,
+            cluster.metrics().counter("retries_started") >= 1,
             "{stack}: takeover not counted"
         );
         assert!(

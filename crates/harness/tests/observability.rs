@@ -244,8 +244,8 @@ fn a_lone_transaction_is_one_message_of_each_commit_path_type_per_receiver() {
             .expect("well-formed");
         // Coordinated from outside the shard (a shard-1 follower; the TM on
         // the baseline), so no leg of the exchange is a local shortcut.
-        let coordinator = if cluster.replicas_coordinate() {
-            cluster.roster_of(ShardId::new(1))[1]
+        let coordinator = if cluster.stack().replicas_coordinate() {
+            cluster.shard_view(ShardId::new(1)).roster[1]
         } else {
             cluster.coordinator_pool()[0]
         };
@@ -261,9 +261,9 @@ fn a_lone_transaction_is_one_message_of_each_commit_path_type_per_receiver() {
             .collect();
         assert_eq!(flushes, vec![1], "{stack}: one flush, of one");
         let counters = cluster
+            .metrics()
             .msg_type_counters()
-            .into_iter()
-            .map(|(label, c)| (label, c.delivered))
+            .map(|(label, c)| (label.to_owned(), c.delivered))
             .collect();
         (cluster.latencies()[&tx].hops, counters)
     };

@@ -1,12 +1,10 @@
 //! The RDMA protocol's side of the deployment harness ([`RdmaStack`]), plus
 //! the scripted-schedule peer used by the Figure 4a counter-example.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ratc_config::GlobalConfiguration;
-use ratc_core::harness::{ClusterConfig, Deployment, Stack, StackKind};
-use ratc_core::log::TxPhase;
+use ratc_core::harness::{ClusterConfig, Deployment, ShardView, Stack, StackKind, Topology};
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, Context, World};
 use ratc_types::{Epoch, HashSharding, ProcessId, ShardId, ShardMap, TxId};
@@ -51,81 +49,57 @@ pub type RdmaCluster = Deployment<RdmaStack>;
 #[derive(Debug)]
 pub struct RdmaStack {
     mode: ReconfigMode,
-    /// The configuration service (`None` until built).
-    cs: Option<ProcessId>,
-    members: BTreeMap<ShardId, Vec<ProcessId>>,
-    spares: BTreeMap<ShardId, Vec<ProcessId>>,
-    replicas_per_shard: usize,
 }
 
 impl RdmaStack {
     /// A stack that reconfigures in the given mode: the correct global
     /// protocol, or the naive per-shard one of the Figure 4a counter-example.
     pub fn new(mode: ReconfigMode) -> Self {
-        RdmaStack {
-            mode,
-            cs: None,
-            members: BTreeMap::new(),
-            spares: BTreeMap::new(),
-            replicas_per_shard: 0,
-        }
+        RdmaStack { mode }
     }
+}
 
-    /// The current configuration stored by the configuration service.
-    pub fn current_config<'w>(&self, world: &'w World<RdmaMsg>) -> &'w GlobalConfiguration {
-        self.cs
-            .and_then(|cs| world.actor::<GlobalConfigServiceActor>(cs))
-            .expect("configuration service")
-            .registry()
-            .get_last()
-    }
+/// The current configuration stored by the configuration service.
+fn current_config<'w>(world: &'w World<RdmaMsg>, topology: &Topology) -> &'w GlobalConfiguration {
+    topology
+        .config_service
+        .and_then(|cs| world.actor::<GlobalConfigServiceActor>(cs))
+        .expect("configuration service")
+        .registry()
+        .get_last()
 }
 
 impl Stack for RdmaStack {
     type Msg = RdmaMsg;
 
     fn build(
-        &mut self,
+        &self,
         world: &mut World<RdmaMsg>,
         config: &ClusterConfig,
         sharding: &Arc<HashSharding>,
-    ) {
-        for shard in sharding.shards() {
-            for (pool, count) in [
-                (&mut self.members, config.replicas_per_shard),
-                (&mut self.spares, config.spares_per_shard),
-            ] {
-                let pids = (0..count)
-                    .map(|_| {
-                        world.add_actor(RdmaReplica::new(
-                            shard,
-                            config.policy.as_ref(),
-                            sharding.clone() as Arc<dyn ShardMap + Send + Sync>,
-                            self.mode,
-                        ))
-                    })
-                    .collect();
-                pool.insert(shard, pids);
-            }
-        }
-        self.replicas_per_shard = config.replicas_per_shard;
+    ) -> Topology {
+        let shard_map = sharding.clone() as Arc<dyn ShardMap + Send + Sync>;
+        let mut topology = Topology::replicas(world, config, sharding, |shard| {
+            RdmaReplica::new(shard, config.policy.as_ref(), shard_map.clone(), self.mode)
+        });
 
         // Initial configuration: the first replica of each shard leads.
         let initial = GlobalConfiguration::new(
             Epoch::ZERO,
-            self.members.clone(),
-            self.members
+            topology.roster.clone(),
+            topology
+                .roster
                 .iter()
-                .map(|(shard, shard_members)| (*shard, shard_members[0]))
+                .map(|(shard, members)| (*shard, members[0]))
                 .collect(),
         );
         let notify = self.mode == ReconfigMode::NaivePerShard;
         let cs = world.add_actor(GlobalConfigServiceActor::new(initial.clone(), notify));
-        self.cs = Some(cs);
+        topology.config_service = Some(cs);
 
         // Install views and open all-pairs RDMA connections among the initial
         // members.
-        for (pool, is_member) in [(&self.members, true), (&self.spares, false)] {
+        for (pool, is_member) in [(&topology.roster, true), (&topology.spares, false)] {
             for pid in pool.values().flatten() {
                 let replica = world.actor_mut::<RdmaReplica>(*pid).expect("replica");
                 replica.install_initial_config(*pid, cs, &initial, is_member);
@@ -142,6 +116,7 @@ impl Stack for RdmaStack {
                 }
             }
         }
+        topology
     }
 
     fn kind(&self) -> StackKind {
@@ -151,125 +126,56 @@ impl Stack for RdmaStack {
         }
     }
 
-    fn supports_reconfiguration(&self) -> bool {
-        true
-    }
-
-    fn reconfiguration_is_global(&self) -> bool {
-        // Both modes share the §5 entry point: one `StartReconfigure`
-        // carries the spare pools of every shard and excludes crashed
-        // members system-wide. What differs is the *activation*: the naive
-        // mode then (incorrectly) installs configurations per shard — the
-        // Figure 4a bug under study — while the correct mode probes the
-        // whole system.
-        true
-    }
-
-    fn replicas_coordinate(&self) -> bool {
-        true
-    }
-
-    fn submit_pool(&self) -> Vec<ProcessId> {
-        self.members.values().flatten().copied().collect()
-    }
-
-    fn resubmit_target(&self, world: &World<RdmaMsg>, shards: &[ShardId]) -> Option<ProcessId> {
-        let leader = self.leader_of(world, *shards.first()?)?;
-        (!world.is_crashed(leader)).then_some(leader)
-    }
-
     fn retry(&self, tx: TxId) -> Option<RdmaMsg> {
         Some(RdmaMsg::Retry { tx })
     }
 
-    fn start_reconfiguration(&self, shard: ShardId, exclude: Vec<ProcessId>) -> Option<RdmaMsg> {
+    fn start_reconfiguration(
+        &self,
+        topology: &Topology,
+        shard: ShardId,
+        exclude: Vec<ProcessId>,
+    ) -> Option<RdmaMsg> {
         Some(RdmaMsg::StartReconfigure {
             suspected_shard: shard,
-            spares: self.spares.clone(),
-            target_size: self.replicas_per_shard,
+            spares: topology.spares.clone(),
+            target_size: topology.roster[&shard].len(),
             exclude,
         })
     }
 
-    fn members_of(&self, world: &World<RdmaMsg>, shard: ShardId) -> Vec<ProcessId> {
-        self.current_config(world).members_of(shard).to_vec()
-    }
-
-    fn leader_of(&self, world: &World<RdmaMsg>, shard: ShardId) -> Option<ProcessId> {
-        self.current_config(world).leader_of(shard)
-    }
-
-    fn epoch_of(&self, world: &World<RdmaMsg>, _shard: ShardId) -> Epoch {
+    fn shard_view(&self, world: &World<RdmaMsg>, topology: &Topology, shard: ShardId) -> ShardView {
         // The §5 protocol maintains one global epoch for the whole system.
-        self.current_config(world).epoch
-    }
-
-    fn roster_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.members.get(&shard).cloned().unwrap_or_default()
-    }
-
-    fn spares_of(&self, shard: ShardId) -> Vec<ProcessId> {
-        self.spares.get(&shard).cloned().unwrap_or_default()
-    }
-
-    fn coordinator_pool(&self) -> Vec<ProcessId> {
-        self.all_processes()
-    }
-
-    fn all_processes(&self) -> Vec<ProcessId> {
-        let mut all = Vec::new();
-        for (shard, members) in &self.members {
-            all.extend(members);
-            all.extend(&self.spares[shard]);
+        let config = current_config(world, topology);
+        let members = config.members_of(shard);
+        let leader = config.leader_of(shard);
+        let in_role = |m: &ProcessId| {
+            let expected = if Some(*m) == leader {
+                RdmaStatus::Leader
+            } else {
+                RdmaStatus::Follower
+            };
+            !world.is_crashed(*m)
+                && world.actor::<RdmaReplica>(*m).is_some_and(|r| {
+                    r.is_initialized() && r.epoch() == config.epoch && r.status() == expected
+                })
+        };
+        ShardView {
+            epoch: config.epoch,
+            members: members.to_vec(),
+            leader,
+            operational: !members.is_empty() && members.iter().all(in_role),
+            prepared: leader
+                .and_then(|leader| world.actor::<RdmaReplica>(leader))
+                .map_or_else(Vec::new, |leader| leader.log().prepared_txs()),
+            ..ShardView::default()
         }
-        all
     }
 
-    fn config_service_id(&self) -> Option<ProcessId> {
-        self.cs
-    }
-
-    fn replica_ready(&self, world: &World<RdmaMsg>, pid: ProcessId) -> bool {
+    fn ready(&self, world: &World<RdmaMsg>, pid: ProcessId) -> bool {
         world
             .actor::<RdmaReplica>(pid)
             .is_some_and(|r| r.is_initialized() && !r.reconfiguration_in_flight())
-    }
-
-    fn shard_operational(&self, world: &World<RdmaMsg>, shard: ShardId) -> bool {
-        let config = self.current_config(world);
-        let members = config.members_of(shard);
-        !members.is_empty()
-            && members.iter().all(|m| {
-                if world.is_crashed(*m) {
-                    return false;
-                }
-                let Some(replica) = world.actor::<RdmaReplica>(*m) else {
-                    return false;
-                };
-                let expected = if Some(*m) == config.leader_of(shard) {
-                    RdmaStatus::Leader
-                } else {
-                    RdmaStatus::Follower
-                };
-                replica.is_initialized()
-                    && replica.epoch() == config.epoch
-                    && replica.status() == expected
-            })
-    }
-
-    fn prepared_transactions(&self, world: &World<RdmaMsg>, shard: ShardId) -> Vec<TxId> {
-        let Some(leader) = self
-            .leader_of(world, shard)
-            .and_then(|leader| world.actor::<RdmaReplica>(leader))
-        else {
-            return Vec::new();
-        };
-        leader
-            .log()
-            .entries()
-            .filter(|(_, e)| e.phase == TxPhase::Prepared)
-            .map(|(_, e)| e.tx)
-            .collect()
     }
 
     fn retained_log_slots(&self, world: &World<RdmaMsg>, pid: ProcessId) -> Option<usize> {
@@ -347,7 +253,7 @@ mod tests {
                 .with_seed(13)
                 .with_batching(BatchingConfig::with_batch(8)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         for i in 0..32u64 {
             cluster.submit_via(TxId::new(i + 1), rw_payload(&format!("k{i}")), coordinator);
         }
@@ -369,7 +275,7 @@ mod tests {
                 .with_seed(17)
                 .with_batching(BatchingConfig::with_batch(4)),
         );
-        let coordinator = cluster.roster_of(ShardId::new(0))[1];
+        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
         cluster.submit_via(TxId::new(1), rw_payload("hot"), coordinator);
         cluster.submit_via(TxId::new(2), rw_payload("hot"), coordinator);
         cluster.run_to_quiescence();
@@ -404,8 +310,7 @@ mod tests {
             cluster.world.metrics().counter("frontier_exchanges") > 0,
             "members never exchanged frontiers"
         );
-        let config = cluster.stack.current_config(&cluster.world);
-        for pid in config.members_of(ShardId::new(0)).to_vec() {
+        for pid in cluster.shard_view(ShardId::new(0)).members {
             let log = cluster
                 .world
                 .actor::<RdmaReplica>(pid)
@@ -429,16 +334,17 @@ mod tests {
         cluster.run_to_quiescence();
 
         let shard = ShardId::new(0);
-        let config = cluster.stack.current_config(&cluster.world);
-        let leader = config.leader_of(shard).expect("leader");
-        let follower = config.followers_of(shard)[0];
+        let view = cluster.shard_view(shard);
+        let leader = view.leader.expect("leader");
+        let follower = view.members[1];
+        assert_ne!(follower, leader);
         cluster.crash(follower);
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
 
-        let new_config = cluster.stack.current_config(&cluster.world);
-        assert_eq!(new_config.epoch, Epoch::new(1));
-        assert!(!new_config.members_of(shard).contains(&follower));
+        let view = cluster.shard_view(shard);
+        assert_eq!(view.epoch, Epoch::new(1));
+        assert!(!view.members.contains(&follower));
 
         cluster.submit(TxId::new(2), rw_payload("b"));
         cluster.run_to_quiescence();

@@ -415,8 +415,8 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     }
 
     /// Marks `pid` as fault-exempt: links to and from it are never faulted.
-    /// Harnesses exempt the configuration service and the client, which play
-    /// the paper's reliable external services.
+    /// The deployment harness exempts its history-recording client: the
+    /// measurement apparatus, not a protocol participant.
     pub fn mark_fault_exempt(&mut self, pid: ProcessId) {
         self.faults.mark_exempt(pid);
     }

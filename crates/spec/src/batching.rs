@@ -94,7 +94,7 @@ fn build_cluster(scenario: &BatchingScenario, batching: BatchingConfig) -> Clust
 }
 
 fn leader_log(cluster: &Cluster, shard: ShardId) -> &CertificationLog {
-    let leader = cluster.leader_of(shard).expect("leader");
+    let leader = cluster.shard_view(shard).leader.expect("leader");
     cluster
         .world
         .actor::<Replica>(leader)
@@ -142,14 +142,14 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     // a member of the reconfigured shard 0): certifies reach every leader in
     // submission order in both runs.
     let coordinator_shard = ShardId::new(scenario.shards.saturating_sub(1));
-    if unbatched.roster_of(coordinator_shard).len() < 2 {
+    if unbatched.shard_view(coordinator_shard).roster.len() < 2 {
         return Err(format!(
             "seed {seed}: invalid scenario — shard {coordinator_shard} needs a \
              non-leader member to coordinate from"
         ));
     }
-    let coord_a = unbatched.roster_of(coordinator_shard)[1];
-    let coord_b = batched.roster_of(coordinator_shard)[1];
+    let coord_a = unbatched.shard_view(coordinator_shard).roster[1];
+    let coord_b = batched.shard_view(coordinator_shard).roster[1];
 
     for (wave_idx, chunk) in txs.chunks(wave).enumerate() {
         for (tx, payload) in chunk {
@@ -161,9 +161,10 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
         if scenario.reconfigure && wave_idx == reconfig_wave {
             let shard = ShardId::new(0);
             for cluster in [&mut unbatched, &mut batched] {
-                let leader = cluster.leader_of(shard).expect("leader");
-                let follower = *cluster
-                    .roster_of(shard)
+                let view = cluster.shard_view(shard);
+                let leader = view.leader.expect("leader");
+                let follower = *view
+                    .roster
                     .iter()
                     .find(|p| **p != leader)
                     .expect("follower");

@@ -164,33 +164,32 @@ pub fn check_conformance_with(
 
     // --- crash/restart (+ reconfiguration where the stack needs it) -------
     let shard = ShardId::new(0);
-    if cluster.epoch_of(shard) != Epoch::ZERO {
+    let view = cluster.shard_view(shard);
+    if view.epoch != Epoch::ZERO {
         return Err(err(stack, "crash", "epoch moved before any crash".into()));
     }
-    let leader = cluster
-        .leader_of(shard)
+    let leader = view
+        .leader
         .ok_or_else(|| err(stack, "crash", "no leader".into()))?;
-    let follower = cluster
-        .members_of(shard)
+    let follower = view
+        .members
         .into_iter()
         .find(|p| *p != leader)
         .ok_or_else(|| err(stack, "crash", "no follower".into()))?;
     cluster.crash(follower);
-    let reconfigured = cluster.supports_reconfiguration();
+    let reconfigured = cluster.stack().supports_reconfiguration();
     if reconfigured {
         cluster.start_reconfiguration(shard, leader, vec![follower]);
         cluster.run_to_quiescence();
-        if cluster.epoch_of(shard) != Epoch::new(1) {
+        let view = cluster.shard_view(shard);
+        if view.epoch != Epoch::new(1) {
             return Err(err(
                 stack,
                 "reconfiguration",
-                format!(
-                    "epoch is {} after one reconfiguration",
-                    cluster.epoch_of(shard)
-                ),
+                format!("epoch is {} after one reconfiguration", view.epoch),
             ));
         }
-        if cluster.members_of(shard).contains(&follower) {
+        if view.members.contains(&follower) {
             return Err(err(
                 stack,
                 "reconfiguration",
@@ -235,7 +234,7 @@ pub fn check_conformance_with(
             format!("{tx} not committed after restart"),
         ));
     }
-    if !reconfigured && cluster.epoch_of(shard) != Epoch::ZERO {
+    if !reconfigured && cluster.shard_view(shard).epoch != Epoch::ZERO {
         return Err(err(
             stack,
             "restart",

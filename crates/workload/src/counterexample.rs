@@ -72,11 +72,9 @@ pub fn run_counterexample(mode: ReconfigMode, seed: u64) -> CounterexampleOutcom
     );
     let s1 = ShardId::new(0);
     let s2 = ShardId::new(1);
-    let config = cluster.stack.current_config(&cluster.world);
-    let p1 = config.leader_of(s1).expect("leader of s1");
-    let p2 = config.followers_of(s1)[0];
-    let p3 = config.leader_of(s2).expect("leader of s2");
-    let p4 = config.followers_of(s2)[0];
+    // The first replica of each shard's roster leads it, the second follows.
+    let (r1, r2) = (cluster.shard_view(s1).roster, cluster.shard_view(s2).roster);
+    let (p1, p2, p3, p4) = (r1[0], r1[1], r2[0], r2[1]);
     let client = cluster.client_id();
 
     // The stalled coordinator p_c, played by a scripted peer. In a real

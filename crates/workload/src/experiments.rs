@@ -137,8 +137,9 @@ pub fn latency_experiment(
         transactions: measured.len(),
         median_hops: median(hops),
         median_coordinator_hops: cluster
-            .sample_mean("coordinator_decision_hops")
-            .unwrap_or(0.0),
+            .metrics()
+            .summary("coordinator_decision_hops")
+            .map_or(0.0, |s| s.mean()),
         mean_micros: micros.iter().sum::<f64>() / micros.len().max(1) as f64,
     }
 }
@@ -201,10 +202,10 @@ pub fn leader_load_experiment(
     let mut follower_total = 0.0;
     let mut follower_count = 0usize;
     for shard in cluster.shards() {
-        let leader = cluster.leader_of(shard);
-        for pid in cluster.members_of(shard) {
+        let view = cluster.shard_view(shard);
+        for pid in view.members {
             let handled = cluster.process_handled(pid) as f64;
-            if Some(pid) == leader {
+            if Some(pid) == view.leader {
                 leader_total += handled;
                 leader_count += 1;
             } else {
@@ -440,7 +441,7 @@ pub fn truncation_experiment(
     let mut max_retained_slots = 0usize;
     let mut max_log_next = 0u64;
     for shard in cluster.shards() {
-        for pid in cluster.members_of(shard) {
+        for pid in cluster.shard_view(shard).members {
             if let Some(retained) = cluster.retained_log_slots(pid) {
                 max_retained_slots = max_retained_slots.max(retained);
             }
@@ -456,7 +457,7 @@ pub fn truncation_experiment(
         truncation_enabled: truncation.is_some(),
         max_retained_slots,
         max_log_next,
-        slots_truncated: cluster.counter("log_slots_truncated"),
+        slots_truncated: cluster.metrics().counter("log_slots_truncated"),
     }
 }
 
@@ -560,9 +561,9 @@ impl fmt::Display for ReconfigurationResult {
 
 /// E6: availability after a single replica crash. The RATC stacks (`f + 1`)
 /// must reconfigure before the affected shard certifies again; the baseline
-/// (`2f + 1`) masks the failure — the capability probe
-/// [`TcsCluster::supports_reconfiguration`] decides which recovery the
-/// driver exercises.
+/// (`2f + 1`) masks the failure — the capability
+/// [`StackKind::supports_reconfiguration`] decides which recovery the
+/// experiment exercises.
 pub fn reconfiguration_experiment(stack: StackKind, seed: u64) -> ReconfigurationResult {
     // A payload pinned to one specific key so every transaction involves the
     // crashed replica's shard.
@@ -576,15 +577,16 @@ pub fn reconfiguration_experiment(stack: StackKind, seed: u64) -> Reconfiguratio
     };
     let mut cluster = build(stack, 1, seed);
     let shard = ShardId::new(0);
-    let reconfigures = cluster.supports_reconfiguration();
+    let reconfigures = cluster.stack().supports_reconfiguration();
     // Commit a few transactions, then crash a non-leader replica.
     for i in 0..5u64 {
         cluster.submit(TxId::new(i + 1), payload(i));
     }
     cluster.run_to_quiescence();
-    let leader = cluster.leader_of(shard).expect("leader");
-    let follower = cluster
-        .members_of(shard)
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("leader");
+    let follower = view
+        .members
         .into_iter()
         .find(|p| *p != leader)
         .expect("follower");
@@ -710,8 +712,8 @@ pub fn batching_experiment_with(
     // Coordinate from a shard-1 *follower*: not a member of the measured
     // shard, and not shard 1's leader either. Stacks with a dedicated
     // coordinator group (the baseline TM) coordinate there instead.
-    let coordinator = if cluster.replicas_coordinate() {
-        cluster.roster_of(ShardId::new(1))[1]
+    let coordinator = if cluster.stack().replicas_coordinate() {
+        cluster.shard_view(ShardId::new(1)).roster[1]
     } else {
         cluster.coordinator_pool()[0]
     };
@@ -731,7 +733,7 @@ pub fn batching_experiment_with(
     }
     cluster.run_to_quiescence();
     let decided = cluster.history().decide_count().max(1);
-    let leader = cluster.leader_of(measured_shard).expect("leader");
+    let leader = cluster.shard_view(measured_shard).leader.expect("leader");
     let handled = cluster.process_handled(leader) as f64;
     let committed = cluster.history().committed().count();
     BatchingResult {
@@ -741,7 +743,7 @@ pub fn batching_experiment_with(
         committed,
         leader_msgs_per_txn: handled / decided as f64,
         commits_per_step: committed as f64 / cluster.steps().max(1) as f64,
-        prepare_batches: cluster.counter("prepare_batches_sent"),
+        prepare_batches: cluster.metrics().counter("prepare_batches_sent"),
     }
 }
 
@@ -890,8 +892,9 @@ pub fn wallclock_experiment(
         committed_per_sec: committed as f64 / wall_secs,
         mean_latency_micros,
         p99_latency_micros: cluster
-            .sample_percentile("client_decision_micros", 99.0)
-            .unwrap_or(0.0),
+            .metrics()
+            .summary("client_decision_micros")
+            .map_or(0.0, |s| s.percentile(99.0)),
         latency_unit: cluster.latency_unit(),
     }
 }
@@ -953,8 +956,9 @@ pub fn wallclock_scaling_experiment(
         committed_per_sec: committed as f64 / wall_secs,
         mean_latency_micros,
         p99_latency_micros: cluster
-            .sample_percentile("client_decision_micros", 99.0)
-            .unwrap_or(0.0),
+            .metrics()
+            .summary("client_decision_micros")
+            .map_or(0.0, |s| s.percentile(99.0)),
         latency_unit: cluster.latency_unit(),
     }
 }
@@ -1053,9 +1057,9 @@ pub fn overload_experiment(
         Vec::new()
     } else {
         cluster
+            .metrics()
             .msg_type_counters()
-            .into_iter()
-            .map(|(label, counters)| (label, counters.delivered as f64 / decided as f64))
+            .map(|(label, counters)| (label.to_owned(), counters.delivered as f64 / decided as f64))
             .collect()
     };
     let window_micros = latencies
@@ -1076,8 +1080,9 @@ pub fn overload_experiment(
         wall_secs,
         goodput_per_sec: committed as f64 / wall_secs,
         p99_latency_micros: cluster
-            .sample_percentile("client_decision_micros", 99.0)
-            .unwrap_or(0.0),
+            .metrics()
+            .summary("client_decision_micros")
+            .map_or(0.0, |s| s.percentile(99.0)),
         msgs_per_tx,
         latency_unit: cluster.latency_unit(),
     }
@@ -1288,8 +1293,9 @@ pub fn invariants_experiment(runs: usize, txs_per_run: usize, base_seed: u64) ->
             if inject_crash && i == crash_at {
                 cluster.run_for(SimDuration::from_millis(1));
                 let shard = ShardId::new(rng.gen_range(0..2));
-                let leader = cluster.leader_of(shard).expect("leader");
-                let follower = cluster.roster_of(shard).into_iter().find(|p| *p != leader);
+                let view = cluster.shard_view(shard);
+                let leader = view.leader.expect("leader");
+                let follower = view.roster.into_iter().find(|p| *p != leader);
                 if let Some(follower) = follower {
                     cluster.crash(follower);
                     cluster.start_reconfiguration(shard, leader, vec![follower]);

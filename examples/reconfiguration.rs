@@ -29,11 +29,12 @@ fn main() {
         .build_core();
     let shard = ShardId::new(0);
 
+    let view = cluster.shard_view(shard);
     println!(
         "initial configuration of {shard}: epoch {}, leader {}, members {:?}",
-        cluster.epoch_of(shard),
-        cluster.leader_of(shard).expect("leader"),
-        cluster.members_of(shard)
+        view.epoch,
+        view.leader.expect("leader"),
+        view.members
     );
 
     for i in 0..10 {
@@ -47,9 +48,10 @@ fn main() {
 
     // 1. Crash the follower; the leader initiates reconfiguration and a spare
     //    replica is brought in.
-    let leader = cluster.leader_of(shard).expect("leader");
-    let follower = cluster
-        .members_of(shard)
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("leader");
+    let follower = view
+        .members
         .into_iter()
         .find(|p| *p != leader)
         .expect("follower");
@@ -57,11 +59,12 @@ fn main() {
     cluster.crash(follower);
     cluster.start_reconfiguration(shard, leader, vec![follower]);
     cluster.run_to_quiescence();
+    let view = cluster.shard_view(shard);
     println!(
         "after reconfiguration 1: epoch {}, leader {}, members {:?}",
-        cluster.epoch_of(shard),
-        cluster.leader_of(shard).expect("leader"),
-        cluster.members_of(shard)
+        view.epoch,
+        view.leader.expect("leader"),
+        view.members
     );
 
     for i in 10..20 {
@@ -71,9 +74,10 @@ fn main() {
 
     // 2. Crash the leader; the surviving follower probes, becomes the new
     //    leader and brings in another spare.
-    let leader = cluster.leader_of(shard).expect("leader");
-    let survivor = cluster
-        .members_of(shard)
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("leader");
+    let survivor = view
+        .members
         .into_iter()
         .find(|p| *p != leader)
         .expect("survivor");
@@ -81,11 +85,12 @@ fn main() {
     cluster.crash(leader);
     cluster.start_reconfiguration(shard, survivor, vec![leader]);
     cluster.run_to_quiescence();
+    let view = cluster.shard_view(shard);
     println!(
         "after reconfiguration 2: epoch {}, leader {}, members {:?}",
-        cluster.epoch_of(shard),
-        cluster.leader_of(shard).expect("leader"),
-        cluster.members_of(shard)
+        view.epoch,
+        view.leader.expect("leader"),
+        view.members
     );
 
     for i in 20..30 {

@@ -41,7 +41,7 @@ fn kv_store_over_ratc_mp_is_serializable_and_conserves_money() {
         store.seed(Key::new(format!("acct-{i}")), Value::from(100u64));
     }
     let mut cluster = Cluster::new(
-        CoreStack::default(),
+        CoreStack,
         ClusterConfig::default().with_shards(3).with_seed(21),
     );
     for i in 0..30u64 {
@@ -148,7 +148,7 @@ fn write_conflict_policy_commits_more_than_serializability() {
 
     let run = |policy: Arc<dyn CertificationPolicy>| {
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default()
                 .with_shards(2)
                 .with_seed(9)
@@ -185,7 +185,7 @@ fn contended_payload(i: u64) -> Payload {
 fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     // Aggressive truncation so the prefix is folded well before the crash.
     let mut cluster = Cluster::new(
-        CoreStack::default(),
+        CoreStack,
         ClusterConfig::default()
             .with_shards(2)
             .with_seed(41)
@@ -196,7 +196,7 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
         cluster.run_to_quiescence();
     }
     let shard = ShardId::new(0);
-    let leader = cluster.leader_of(shard).expect("leader");
+    let leader = cluster.shard_view(shard).leader.expect("leader");
     assert!(
         core_replica(&cluster, leader).log().base().as_u64() > 0,
         "the leader must have truncated before the crash"
@@ -205,7 +205,8 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     // Kill a follower mid-history and recover through reconfiguration: the
     // spare is initialised from NEW_STATE carrying Checkpoint + suffix.
     let follower = *cluster
-        .roster_of(shard)
+        .shard_view(shard)
+        .roster
         .iter()
         .find(|p| **p != leader)
         .expect("follower");
@@ -213,11 +214,12 @@ fn crash_recovery_from_checkpoint_and_suffix_loses_no_decisions() {
     cluster.start_reconfiguration(shard, leader, vec![follower]);
     cluster.run_to_quiescence();
 
-    let new_members = cluster.members_of(shard);
-    assert!(!new_members.contains(&follower));
-    let recovered = *new_members
+    let view = cluster.shard_view(shard);
+    assert!(!view.members.contains(&follower));
+    let recovered = *view
+        .members
         .iter()
-        .find(|p| !cluster.roster_of(shard).contains(p))
+        .find(|p| !view.roster.contains(p))
         .expect("a spare joined the configuration");
     let recovered_log = core_replica(&cluster, recovered).log();
     assert!(
@@ -264,14 +266,15 @@ fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
         cluster.run_to_quiescence();
     }
     let shard = ShardId::new(0);
-    let leader = cluster.leader_of(shard).expect("leader");
+    let leader = cluster.shard_view(shard).leader.expect("leader");
     let leader_replica = cluster.world.actor::<RdmaReplica>(leader).expect("replica");
     assert!(
         leader_replica.log().base().as_u64() > 0,
         "the RDMA leader must have truncated before the crash"
     );
     let follower = *cluster
-        .members_of(shard)
+        .shard_view(shard)
+        .members
         .iter()
         .find(|p| **p != leader)
         .expect("follower");
@@ -293,7 +296,7 @@ fn rdma_crash_recovery_with_truncation_preserves_the_specification() {
 #[test]
 fn reconfiguration_mid_stream_preserves_the_specification() {
     let mut cluster = Cluster::new(
-        CoreStack::default(),
+        CoreStack,
         ClusterConfig::default().with_shards(2).with_seed(33),
     );
     for i in 0..15u64 {
@@ -309,9 +312,10 @@ fn reconfiguration_mid_stream_preserves_the_specification() {
     }
     // Crash a follower while the stream is in flight.
     let shard = ShardId::new(0);
-    let leader = cluster.leader_of(shard).expect("leader");
-    let follower = *cluster
-        .roster_of(shard)
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("leader");
+    let follower = *view
+        .roster
         .iter()
         .find(|p| **p != leader)
         .expect("follower");

@@ -151,7 +151,7 @@ fn random_workloads_satisfy_the_specification() {
         let payloads = arb_payload_vec(&mut rng, 1, 25);
         let shards = rng.gen_range(1..4u32);
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default().with_shards(shards).with_seed(seed),
         );
         for (i, payload) in payloads.iter().enumerate() {
@@ -177,7 +177,7 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         let payloads = arb_payload_vec(&mut rng, 2, 15);
         let crash_leader = rng.gen_bool(0.5);
         let mut cluster = Cluster::new(
-            CoreStack::default(),
+            CoreStack,
             ClusterConfig::default().with_shards(2).with_seed(seed),
         );
         let half = payloads.len() / 2;
@@ -187,9 +187,10 @@ fn random_crash_and_reconfiguration_preserve_safety() {
         cluster.run_to_quiescence();
 
         let shard = ShardId::new((seed % 2) as u32);
-        let leader = cluster.leader_of(shard).expect("leader");
-        let follower = *cluster
-            .members_of(shard)
+        let view = cluster.shard_view(shard);
+        let leader = view.leader.expect("leader");
+        let follower = *view
+            .members
             .iter()
             .find(|p| **p != leader)
             .expect("follower");
