@@ -220,7 +220,8 @@ impl<T> VoteBatcher<T> {
 /// paper's single-transaction exchange allocates nothing for its item list;
 /// only the second item spills to the heap. The representation is private:
 /// senders build a list with [`Items::one`], [`Items::push`] or `collect`,
-/// handlers iterate.
+/// handlers iterate. The coordinator keeps its short per-transaction lists
+/// in the same shape, for the same reason.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Items<T> {
     first: Option<T>,
@@ -266,6 +267,34 @@ impl<T> Items<T> {
     /// Iterates over the items in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.first.iter().chain(&self.rest)
+    }
+
+    /// Whether `item` is in the list.
+    pub fn contains(&self, item: &T) -> bool
+    where
+        T: PartialEq,
+    {
+        self.iter().any(|held| held == item)
+    }
+}
+
+impl<K: PartialEq, V: Default> Items<(K, V)> {
+    /// The value for `key` in a short association list, appended as
+    /// `V::default()` if absent. Coordinators keep a transaction's per-shard
+    /// progress in one, and each shard's acknowledgements and gossiped
+    /// frontiers: a single-shard transaction at `f = 1` allocates nothing
+    /// for them.
+    pub fn entry(&mut self, key: K) -> &mut V {
+        let found = self.iter().position(|(held, _)| *held == key);
+        let index = found.unwrap_or_else(|| {
+            self.push((key, V::default()));
+            self.len() - 1
+        });
+        let entry = match index.checked_sub(1) {
+            None => self.first.as_mut(),
+            Some(rest) => self.rest.get_mut(rest),
+        };
+        &mut entry.expect("found or pushed").1
     }
 }
 
@@ -387,9 +416,8 @@ impl ShardDecisions {
 
 /// The value for `key` in a short association list kept sorted by key,
 /// inserted as `V::default()` if absent. Coordinators group a flush by shard
-/// leader and a completion by shard with it, and keep a transaction's
-/// per-shard progress in one: iteration is in key order, as with the
-/// `BTreeMap` it stands in for, without a node allocation per key.
+/// leader and a completion by shard with it: iteration is in key order, as
+/// with the `BTreeMap` it stands in for, without a node allocation per key.
 pub fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
     let idx = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
         Ok(idx) => idx,
@@ -493,6 +521,23 @@ mod tests {
         assert_eq!(items.clone().into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!((1..=3).collect::<Items<u64>>(), items);
         assert!(Items::<u64>::default().is_empty());
+        assert!(items.contains(&3) && !items.contains(&4));
+    }
+
+    #[test]
+    fn items_entry_finds_or_appends_on_both_sides_of_the_spill() {
+        let mut list: Items<(char, u64)> = Items::new();
+        *list.entry('b') = 1;
+        *list.entry('a') += 2;
+        *list.entry('b') += 10;
+        *list.entry('a') += 20;
+        *list.entry('c') = 3;
+        let entries: Vec<_> = list.iter().copied().collect();
+        assert_eq!(
+            entries,
+            vec![('b', 11), ('a', 22), ('c', 3)],
+            "insertion order"
+        );
     }
 
     #[test]

@@ -176,22 +176,23 @@ pub trait Replication {
 }
 
 /// The data needed to distribute a completed transaction's decision: the
-/// client, the decision, and per-shard `(position, truncation floor)` targets.
-type Completion = (ProcessId, Decision, Vec<(ShardId, Position, Position)>);
+/// client, the decision, and per-shard `(position, truncation floor)` targets
+/// (inline for a single-shard transaction).
+type Completion = (ProcessId, Decision, Items<(ShardId, Position, Position)>);
 
 /// Progress of a coordinated transaction at one shard in one epoch. The two
 /// lists hold at most one entry per shard member (`f + 1` of them), so they
-/// are plain vectors: no tree node is allocated per transaction.
+/// are [`Items`]: the first entry inline, no tree node per transaction.
 #[derive(Debug, Clone, Default)]
 struct ShardProgress {
     pos: Option<Position>,
     vote: Option<Decision>,
     /// Followers that acknowledged storing the vote.
-    acks: Vec<ProcessId>,
+    acks: Items<ProcessId>,
     /// The latest decided frontier each of the shard's members gossiped on
-    /// its replies (see [`ShardView::gossipers`]), as a [`sorted_entry`]
+    /// its replies (see [`ShardView::gossipers`]), as an [`Items::entry`]
     /// list.
-    frontiers: Vec<(ProcessId, Position)>,
+    frontiers: Items<(ProcessId, Position)>,
 }
 
 impl ShardProgress {
@@ -216,10 +217,10 @@ struct CoordState {
     /// `None` for recovery coordinators (which only ever send `⊥`).
     payload: Option<Payload>,
     shards: Vec<ShardId>,
-    /// Progress per shard per epoch, as a [`sorted_entry`] list: one entry
+    /// Progress per shard per epoch, as an [`Items::entry`] list: one entry
     /// per shard unless a shard reconfigured while the transaction was in
     /// flight.
-    progress: Vec<((ShardId, Epoch), ShardProgress)>,
+    progress: Items<((ShardId, Epoch), ShardProgress)>,
     /// When the next re-drive is due (flow control only; `None`: at once).
     backoff: Option<BackoffState>,
 }
@@ -229,7 +230,7 @@ impl CoordState {
         CoordState {
             client,
             payload,
-            progress: Vec::with_capacity(shards.len()),
+            progress: Items::new(),
             shards,
             backoff: None,
         }
@@ -241,7 +242,7 @@ impl CoordState {
     }
 
     fn progress_mut(&mut self, shard: ShardId, epoch: Epoch) -> &mut ShardProgress {
-        sorted_entry(&mut self.progress, (shard, epoch))
+        self.progress.entry((shard, epoch))
     }
 
     /// Whether `shard` needs nothing more in the epoch of `view`.
@@ -446,10 +447,11 @@ impl Coordinator {
                 let Some(leader) = repl.view(*shard).leader else {
                     continue;
                 };
-                let restricted = coord
-                    .payload
-                    .as_ref()
-                    .map(|p| p.restrict(*shard, self.sharding.as_ref()));
+                // A single-shard transaction is its own restriction.
+                let restricted = coord.payload.as_ref().map(|p| match coord.shards.len() {
+                    1 => p.clone(),
+                    _ => p.restrict(*shard, self.sharding.as_ref()),
+                });
                 sorted_entry(&mut per_leader, leader).push(PrepareItem {
                     tx,
                     payload: restricted,
@@ -509,8 +511,8 @@ impl Coordinator {
     /// per-shard `(position, truncation floor)` targets.
     fn completion_of<R: Replication>(&self, tx: TxId, repl: &R) -> Option<Completion> {
         let coord = self.coordinating.get(&tx)?;
-        let mut votes = Vec::new();
-        let mut positions = Vec::new();
+        let mut decision = Decision::Commit;
+        let mut targets = Items::new();
         for shard in &coord.shards {
             let view = repl.view(*shard);
             let progress = coord.progress(*shard, view.epoch)?;
@@ -523,10 +525,10 @@ impl Coordinator {
                 heard.map_or(Position::ZERO, |(_, frontier)| *frontier)
             };
             let floor = view.gossipers.iter().map(gossiped).min();
-            votes.push(vote);
-            positions.push((*shard, pos, floor.unwrap_or(Position::ZERO)));
+            decision = decision.meet(vote);
+            targets.push((*shard, pos, floor.unwrap_or(Position::ZERO)));
         }
-        Some((coord.client, Decision::meet_all(votes), positions))
+        Some((coord.client, decision, targets))
     }
 
     /// Lines 26–29 / 96–100: computes the final decision of every
@@ -706,7 +708,7 @@ impl Coordinator {
                         .progress_mut(shard, epoch);
                     progress.pos = Some(item.pos);
                     progress.vote = Some(item.vote);
-                    *sorted_entry(&mut progress.frontiers, from) = frontier;
+                    *progress.frontiers.entry(from) = frontier;
                 }
             }
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
@@ -753,7 +755,7 @@ impl Coordinator {
             let progress = coord.progress_mut(shard, epoch);
             progress.acked(follower);
             if let Some(frontier) = frontier {
-                *sorted_entry(&mut progress.frontiers, follower) = frontier;
+                *progress.frontiers.entry(follower) = frontier;
             }
             if let Some((pos, vote)) = stored {
                 progress.pos.get_or_insert(pos);

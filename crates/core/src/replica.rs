@@ -331,7 +331,7 @@ impl Replication for Member {
         ctx: &mut Context<'_, Msg>,
     ) {
         ctx.send_to_many(
-            self.members_of(shard).to_vec(),
+            self.members_of(shard).iter().copied(),
             Msg::DecisionBatch {
                 epoch: self.epoch_of(shard),
                 items: decisions.items,
@@ -673,7 +673,8 @@ impl Actor<Msg> for Replica {
             Msg::DecisionAck { tx } => {
                 if let Some(shards) = coord.forget_decided(tx) {
                     for shard in shards {
-                        ctx.send_to_many(member.members_of(shard).to_vec(), Msg::AckDecided { tx });
+                        let members = member.members_of(shard).iter().copied();
+                        ctx.send_to_many(members, Msg::AckDecided { tx });
                     }
                     ctx.add_counter("decisions_acked", 1);
                 }

@@ -282,7 +282,10 @@ impl<'a, M> Context<'a, M> {
     ///
     /// After `rdma_flush` returns, every acknowledged write is either in the
     /// returned vector or was already delivered through
-    /// [`Actor::on_rdma_deliver`].
+    /// [`Actor::on_rdma_deliver`]. On the threaded engine "acknowledged"
+    /// means acknowledged before this handler began: writes keep landing
+    /// while a handler runs, and one that lands during it is delivered
+    /// later through [`Actor::on_rdma_deliver`].
     pub fn rdma_flush(&mut self) -> Vec<(ProcessId, M)> {
         self.inbox.drain_undelivered()
     }

@@ -130,6 +130,28 @@ impl<M> RdmaInbox<M> {
             .filter_map(|e| Some((e.from, e.msg?)))
             .collect()
     }
+
+    /// Moves every held entry out into a detached inbox that keeps their
+    /// indices; this one carries on at the next index, empty. The owner's
+    /// handler works on the detached part while writers keep landing here.
+    pub(crate) fn detach(&mut self) -> RdmaInbox<M> {
+        let detached = RdmaInbox {
+            entries: std::mem::take(&mut self.entries),
+            base: self.base,
+        };
+        self.base += detached.entries.len();
+        detached
+    }
+
+    /// Puts a part taken by [`RdmaInbox::detach`] back in front of whatever
+    /// landed meanwhile. The detached part only ever loses entries at its
+    /// front (delivery, flush), so it still ends where this one begins, and
+    /// its front is undelivered or it is empty.
+    pub(crate) fn reattach(&mut self, mut front: RdmaInbox<M>) {
+        debug_assert_eq!(front.base + front.entries.len(), self.base);
+        front.entries.append(&mut self.entries);
+        *self = front;
+    }
 }
 
 /// Which peers may write into which process's memory: the `open` /
@@ -319,6 +341,51 @@ mod tests {
         for index in 0..5 {
             assert_eq!(inbox.take_for_delivery(index), None, "index {index}");
         }
+    }
+
+    #[test]
+    fn detach_and_reattach_keep_indices_and_arrival_order() {
+        let (early, late) = (ProcessId::new(5), ProcessId::new(6));
+        let mut inbox: RdmaInbox<u32> = RdmaInbox::default();
+        for msg in 0..3 {
+            inbox.push(early, msg);
+        }
+        // Out of order: the delivered entry 1 stays behind undelivered 0.
+        assert_eq!(inbox.take_for_delivery(1), Some((early, 1)));
+        let detached = inbox.detach();
+        assert!(inbox.is_empty());
+        assert_eq!((detached.len(), detached.undelivered_count()), (3, 2));
+        // Writes that land while the part is detached count on from it.
+        assert_eq!(inbox.push(late, 3), 3);
+        assert_eq!(inbox.push(late, 4), 4);
+        inbox.reattach(detached);
+        assert_eq!((inbox.len(), inbox.undelivered_count()), (5, 4));
+        // Delivering 0 drops the delivered prefix, 1 included.
+        assert_eq!(inbox.take_for_delivery(0), Some((early, 0)));
+        assert_eq!((inbox.len(), inbox.undelivered_count()), (3, 3));
+        assert_eq!(inbox.push(late, 5), 5, "indices stay absolute");
+        let rest: Vec<_> = (2..6).filter_map(|i| inbox.take_for_delivery(i)).collect();
+        assert_eq!(rest, vec![(early, 2), (late, 3), (late, 4), (late, 5)]);
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn flushing_the_detached_part_drops_it_and_spares_later_writes() {
+        let (early, late) = (ProcessId::new(5), ProcessId::new(6));
+        let mut inbox: RdmaInbox<u32> = RdmaInbox::default();
+        inbox.push(early, 0);
+        inbox.push(early, 1);
+        let mut detached = inbox.detach();
+        assert_eq!(inbox.push(late, 2), 2, "landed during the handler");
+        assert_eq!(detached.drain_undelivered(), vec![(early, 0), (early, 1)]);
+        assert!(detached.is_empty());
+        inbox.reattach(detached);
+        assert_eq!((inbox.len(), inbox.undelivered_count()), (1, 1));
+        assert_eq!(inbox.take_for_delivery(0), None, "flushed");
+        assert_eq!(inbox.take_for_delivery(1), None, "flushed");
+        assert_eq!(inbox.take_for_delivery(2), Some((late, 2)));
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.push(late, 3), 3);
     }
 
     #[test]

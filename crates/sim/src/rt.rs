@@ -13,8 +13,11 @@
 //! holds, and a process that keeps messaging itself cannot starve the
 //! others. Timers sit in one deadline heap on the monotonic wall clock, and
 //! `ctx.now()` advances with real elapsed time. A [`Context`] only
-//! *buffers* effects, so a worker holds no lock but the running process's
-//! own RDMA inbox while actor code runs: deadlock-free by construction.
+//! *buffers* effects, and a handler works on a part of its process's RDMA
+//! inbox detached under a short lock, so a worker holds no lock while actor
+//! code runs: deadlock-free by construction, and an RDMA write lands in a
+//! peer's memory without waiting for the peer's handler (§5's "without
+//! involving the latter's CPU").
 //!
 //! A threaded run is a bracketed excursion: [`World::run_threaded`] moves the
 //! actors, the pending event queue and the RDMA fabric out of the world,
@@ -167,8 +170,9 @@ struct Proc<M> {
     /// it joins when it becomes ready, is `rank % workers`.
     rank: usize,
     mailbox: Mutex<Mailbox<M>>,
-    /// Its RDMA memory, locked by writers landing a write and by its own
-    /// handler (which may `rdma_flush`).
+    /// Its RDMA memory, locked by writers landing a write, by the delivery
+    /// of one, and around each handler to detach the part the handler may
+    /// `rdma_flush` and to reattach it; never across actor code.
     inbox: Mutex<RdmaInbox<M>>,
     /// Uncontended (the `scheduled` flag admits one activation at a time);
     /// its unlock → lock edge hands the actor from one worker to the next.
@@ -194,6 +198,9 @@ struct Sched {
 /// * A `mailbox` lock orders a push before the pop that hands the event to
 ///   an activation, and an activation's last access to its process before
 ///   the next activation's first (both lock the mailbox in between).
+/// * An `inbox` lock orders a write's landing before the detach or delivery
+///   that hands it to the owner, and a handler's reattach before the next
+///   detach.
 /// * [`Shared::sched`] orders run-queue pushes before pops, arming a timer
 ///   before the worker that moves it into a mailbox, and the idle flags and
 ///   `failure`. Every condvar is notified with `sched` held and every waiter
@@ -231,7 +238,11 @@ struct Shared<M> {
     wake: Vec<Condvar>,
     /// The caller's: `pending` reached zero, or an actor panicked.
     quiet: Condvar,
-    /// Writers lock `perms` then the target inbox (one global lock order).
+    /// Writers lock `perms` then the target inbox (one global lock order),
+    /// both briefly: no handler holds an inbox while it runs. An `open` or
+    /// `close` is applied here after its handler returns and before that
+    /// process's next handler starts, so a write can never land between a
+    /// close and a later handler's flush (Figure 8).
     perms: Mutex<RdmaPermissions>,
     /// RDMA writes rejected because the connection was closed. `Relaxed`
     /// increments; completeness comes from the scope join (see above), not
@@ -541,28 +552,32 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
         self.invoke(proc, slot, upcall, hops);
     }
 
-    /// Drives the actor through the shared [`dispatch`] seam, holding only
-    /// the process's own inbox lock for the duration of the handler, then
-    /// applies the buffered effects. A panic stops the run instead.
+    /// Drives the actor through the shared [`dispatch`] seam, then applies
+    /// the buffered effects. A panic stops the run instead.
+    ///
+    /// The handler gets the writes that landed before it began, detached
+    /// from the process's inbox under a short lock, so writers keep landing
+    /// while it runs; its part goes back in front of theirs afterwards. A
+    /// flush is thus linearized at the handler's start, and a write that
+    /// lands during the handler is delivered by its own `RdmaDeliver`.
     fn invoke(&mut self, proc: &Proc<M>, slot: &mut Slot<M>, upcall: Upcall<M>, hops: u32) {
         let handler = upcall.handler();
         let now = self.shared.now();
-        let (effects, panic) = {
-            let mut inbox = proc.inbox.lock().expect("inbox lock");
-            let mut ctx = Context {
-                self_id: proc.pid,
-                now,
-                hops,
-                effects: Vec::new(),
-                metrics: &mut slot.metrics,
-                inbox: &mut inbox,
-                next_timer_id: &mut slot.next_timer_id,
-                next_rdma_token: &mut slot.next_rdma_token,
-            };
-            let actor = slot.actor.as_mut();
-            let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(actor, upcall, &mut ctx)));
-            (std::mem::take(&mut ctx.effects), outcome.err())
+        let mut inbox = proc.inbox.lock().expect("inbox lock").detach();
+        let mut ctx = Context {
+            self_id: proc.pid,
+            now,
+            hops,
+            effects: Vec::new(),
+            metrics: &mut slot.metrics,
+            inbox: &mut inbox,
+            next_timer_id: &mut slot.next_timer_id,
+            next_rdma_token: &mut slot.next_rdma_token,
         };
+        let actor = slot.actor.as_mut();
+        let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(actor, upcall, &mut ctx)));
+        let (effects, panic) = (std::mem::take(&mut ctx.effects), outcome.err());
+        proc.inbox.lock().expect("inbox lock").reattach(inbox);
         if let Some(payload) = panic {
             let cause = payload
                 .downcast_ref::<&str>()
@@ -1365,6 +1380,109 @@ mod tests {
         w.run_threaded();
         assert!(done.load(Ordering::SeqCst), "the rally finished");
         assert!(start.elapsed() < Duration::from_secs(10), "and promptly");
+    }
+
+    /// RDMA writes land while their target's handler runs: the writer's
+    /// acknowledgements all arrive before that handler returns, every write
+    /// is delivered exactly once and in order, and a flush inside the handler
+    /// returns only the writes that landed before it began.
+    #[test]
+    fn rdma_writes_land_while_the_target_handler_runs() {
+        const EARLY: u64 = 3;
+        const WRITES: u64 = 100;
+        if host_parallelism() < 2 {
+            return; // the writer needs a worker of its own
+        }
+        struct Writer {
+            to: ProcessId,
+            started: Arc<AtomicBool>,
+            acks: Arc<AtomicU64>,
+        }
+        impl Actor<Msg> for Writer {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while !self.started.load(Ordering::SeqCst) && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+                for i in EARLY..EARLY + WRITES {
+                    ctx.rdma_send(self.to, Msg::Note(i));
+                }
+            }
+            fn on_rdma_ack(&mut self, _t: RdmaToken, _to: ProcessId, _c: &mut Context<'_, Msg>) {
+                self.acks.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        struct Target {
+            started: Arc<AtomicBool>,
+            acks: Arc<AtomicU64>,
+            acks_at_return: u64,
+            flushed: Vec<(ProcessId, Msg)>,
+            delivered: Vec<(ProcessId, Msg)>,
+        }
+        impl Actor<Msg> for Target {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                self.started.store(true, Ordering::SeqCst);
+                // Wait, at most a second, for every acknowledgement: none
+                // can arrive while a writer waits for this handler to end.
+                let give_up = Instant::now() + Duration::from_secs(1);
+                while self.acks.load(Ordering::SeqCst) < WRITES && Instant::now() < give_up {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                self.flushed = ctx.rdma_flush();
+                self.acks_at_return = self.acks.load(Ordering::SeqCst);
+            }
+            fn on_rdma_deliver(&mut self, from: ProcessId, msg: Msg, _c: &mut Context<'_, Msg>) {
+                self.delivered.push((from, msg));
+            }
+        }
+        let (started, acks) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicU64::new(0)),
+        );
+        let mut w = World::new(SimConfig::default());
+        let target = w.add_actor(Target {
+            started: Arc::clone(&started),
+            acks: Arc::clone(&acks),
+            acks_at_return: 0,
+            flushed: Vec::new(),
+            delivered: Vec::new(),
+        });
+        let writer = w.add_actor(Writer {
+            to: target,
+            started,
+            acks,
+        });
+        let early = w.add_actor(Recorder::default());
+        w.rdma_open(target, writer);
+        w.rdma_open(target, early);
+        w.send_external(target, Msg::Ping);
+        w.send_external(writer, Msg::Ping);
+        for i in 0..EARLY {
+            w.rdma_send_from(early, target, Msg::Note(i));
+        }
+        w.run_threaded();
+        let target = w.actor::<Target>(target).expect("target");
+        assert_eq!(
+            target.acks_at_return, WRITES,
+            "acknowledged during the handler"
+        );
+        let notes = |writes: &[(ProcessId, Msg)], sender: ProcessId| -> Vec<u64> {
+            let note = |(from, msg): &(ProcessId, Msg)| match msg {
+                Msg::Note(i) if *from == sender => *i,
+                other => panic!("{other:?} from {from}"),
+            };
+            writes.iter().map(note).collect()
+        };
+        assert_eq!(
+            notes(&target.flushed, early),
+            (0..EARLY).collect::<Vec<_>>(),
+            "the flush returns the writes landed before the handler began"
+        );
+        assert_eq!(
+            notes(&target.delivered, writer),
+            (EARLY..EARLY + WRITES).collect::<Vec<_>>(),
+            "the others are delivered once each, in order"
+        );
     }
 
     /// A world of one process and one of more processes than workers both

@@ -52,7 +52,6 @@
 //! summarised; the differential test-suite in `ratc-spec` checks all of this
 //! vote-for-vote against the set-based reference on randomized schedules.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -435,11 +434,9 @@ impl Clone for Box<dyn IndexedCertifier> {
 /// the comparison.
 #[derive(Debug, Clone, Default)]
 struct CommittedWriterIndex {
-    // Probed, never iterated, so `std`'s per-process SipHash seed cannot show
-    // in a run. Under `FxHashMap` this table and the two lock tables below
-    // are about twice as cheap to probe; that type change waits for the
-    // benchmark coupling ROADMAP's "Who can land what" describes.
-    newest_writer: HashMap<Key, Version>,
+    // Probed, never iterated, like the two lock tables below: `crate::hash`'s
+    // unseeded hasher, about twice as cheap to probe as `std`'s SipHash.
+    newest_writer: FxHashMap<Key, Version>,
 }
 
 impl CommittedWriterIndex {
@@ -479,13 +476,14 @@ impl CommittedWriterIndex {
 /// A key is *read-locked* (resp. *write-locked*) while at least one prepared
 /// transaction reads (resp. writes) it; counts make release exact when
 /// several prepared transactions touch the same key. The per-position entry
-/// remembers which keys to unlock so `release(pos)` needs no access to the
-/// original payload, and doubles as the idempotency guard.
+/// keeps the prepared payload's shared handle (a reference count, no copy)
+/// and whether its reads were locked, so `release(pos)` unlocks exactly what
+/// `prepare` locked; it doubles as the idempotency guard.
 #[derive(Debug, Clone, Default)]
 struct PreparedLockTable {
-    read_locks: HashMap<Key, u32>,
-    write_locks: HashMap<Key, u32>,
-    by_pos: FxHashMap<u64, (Vec<Key>, Vec<Key>)>,
+    read_locks: FxHashMap<Key, u32>,
+    write_locks: FxHashMap<Key, u32>,
+    by_pos: FxHashMap<u64, (Payload, bool)>,
 }
 
 impl PreparedLockTable {
@@ -495,39 +493,38 @@ impl PreparedLockTable {
         if self.by_pos.contains_key(&pos.as_u64()) {
             return;
         }
-        let mut read_keys = Vec::new();
-        let mut write_keys = Vec::new();
         if track_reads {
             for (key, _) in payload.reads() {
                 *self.read_locks.entry(key.clone()).or_insert(0) += 1;
-                read_keys.push(key.clone());
             }
         }
         for (key, _) in payload.writes() {
             *self.write_locks.entry(key.clone()).or_insert(0) += 1;
-            write_keys.push(key.clone());
         }
-        self.by_pos.insert(pos.as_u64(), (read_keys, write_keys));
+        self.by_pos
+            .insert(pos.as_u64(), (payload.clone(), track_reads));
     }
 
     fn unlock(&mut self, pos: Position) {
-        let Some((read_keys, write_keys)) = self.by_pos.remove(&pos.as_u64()) else {
+        let Some((payload, track_reads)) = self.by_pos.remove(&pos.as_u64()) else {
             return;
         };
-        for key in read_keys {
-            if let Some(count) = self.read_locks.get_mut(&key) {
-                *count -= 1;
-                if *count == 0 {
-                    self.read_locks.remove(&key);
-                }
+        if track_reads {
+            for (key, _) in payload.reads() {
+                Self::release_key(&mut self.read_locks, key);
             }
         }
-        for key in write_keys {
-            if let Some(count) = self.write_locks.get_mut(&key) {
-                *count -= 1;
-                if *count == 0 {
-                    self.write_locks.remove(&key);
-                }
+        for (key, _) in payload.writes() {
+            Self::release_key(&mut self.write_locks, key);
+        }
+    }
+
+    /// Drops one reference to `key`'s lock, and the lock with the last one.
+    fn release_key(locks: &mut FxHashMap<Key, u32>, key: &Key) {
+        if let Some(count) = locks.get_mut(key) {
+            *count -= 1;
+            if *count == 0 {
+                locks.remove(key);
             }
         }
     }

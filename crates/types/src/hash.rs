@@ -2,8 +2,9 @@
 //!
 //! The certification log, its checkpoint and the certification index key
 //! tables by [`TxId`](crate::TxId), by [`Position`](crate::Position) and — the
-//! checkpoint's newest-writer residue — by [`Key`](crate::Key), and probe
-//! them several times per transaction. Those keys are produced inside the
+//! checkpoint's newest-writer residue, the index's newest writers and its
+//! read and write locks — by [`Key`](crate::Key), and probe them several
+//! times per transaction. Those keys are produced inside the
 //! process (by the workload generator and the leaders' position counters),
 //! never by an adversary, so SipHash's collision resistance buys nothing
 //! there and its per-process random seed makes the tables' iteration order
