@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use ratc_core::batch::{BatchingConfig, VoteBatcher};
+use ratc_core::batch::{BatchingConfig, VoteBatcher, FLUSH_DELAY};
 use ratc_core::flow::FlowControlConfig;
 use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
 use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, TimerTag, TxMilestone};
@@ -90,7 +90,6 @@ pub struct BaselineShardReplica {
     /// coalesced here and proposed as one Multi-Paxos command per batch.
     /// At `max_batch = 1` the batcher flushes on every push, i.e. one
     /// command per transaction — the seed behaviour.
-    batching: BatchingConfig,
     batcher: VoteBatcher<ShardVote>,
     batch_timer_armed: bool,
     retransmit_armed: bool,
@@ -131,7 +130,6 @@ impl BaselineShardReplica {
             phase1_started: false,
             ballot_round: 0,
             recovering: false,
-            batching: BatchingConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
             batch_timer_armed: false,
             retransmit_armed: false,
@@ -143,7 +141,6 @@ impl BaselineShardReplica {
 
     /// Sets the batching-pipeline knobs (default: disabled).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
-        self.batching = batching;
         self.batcher.set_config(batching);
     }
 
@@ -200,14 +197,10 @@ impl BaselineShardReplica {
         out: Vec<(ProcessId, PaxosMsg<ShardCommand>)>,
     ) {
         let shard = self.shard;
+        // Messages to ourselves go through the network like everyone else's,
+        // keeping message accounting uniform.
         for (to, msg) in out {
-            if to == self.id {
-                // Deliver to ourselves through the network like everyone else,
-                // keeping message accounting uniform.
-                ctx.send(to, BaselineMsg::ShardPaxos { shard, msg });
-            } else {
-                ctx.send(to, BaselineMsg::ShardPaxos { shard, msg });
-            }
+            ctx.send(to, BaselineMsg::ShardPaxos { shard, msg });
         }
     }
 
@@ -289,10 +282,7 @@ impl BaselineShardReplica {
         self.in_flight.insert(tx, (payload.clone(), vote));
         // Batched log appends: coalesce certified votes into one Multi-Paxos
         // command. At `max_batch = 1` every push flushes (one command per
-        // transaction); a partially filled batch is flushed by the timer. A
-        // flush-on-full is queue pressure, so an adaptive batcher grows its
-        // target batch (`drain_full`); a timer flush of a partial batch means
-        // the pipeline is idle and the target shrinks (`drain_idle`).
+        // transaction); a partially filled batch is flushed by the timer.
         if self.batcher.push(ShardVote { tx, payload, vote }) {
             let items = self.batcher.drain_full();
             self.flush_proposals(items, ctx);
@@ -303,7 +293,7 @@ impl BaselineShardReplica {
 
     fn arm_batch_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         if !self.batch_timer_armed && !self.batcher.is_empty() {
-            ctx.set_timer(self.batching.max_delay, BATCH_TICK);
+            ctx.set_timer(FLUSH_DELAY, BATCH_TICK);
             self.batch_timer_armed = true;
         }
     }
@@ -336,7 +326,7 @@ impl BaselineShardReplica {
         self.route(ctx, out);
         // A fresh proposal is progress: retransmits return to the fast
         // schedule.
-        let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
         self.retransmit_backoff
             .reset(&backoff, salt, ctx.now().as_micros());
         self.arm_retransmit_timer(ctx);
@@ -374,7 +364,7 @@ impl BaselineShardReplica {
             let out = proposer.retransmit();
             self.route(ctx, out);
             if self.flow.enabled {
-                let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
                 self.retransmit_backoff.fired(&backoff, salt, now);
             }
         }
@@ -452,7 +442,7 @@ impl BaselineShardReplica {
             }
             if made_progress {
                 // Slots were chosen: retransmits return to the fast schedule.
-                let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
                 self.retransmit_backoff
                     .reset(&backoff, salt, ctx.now().as_micros());
             }
@@ -524,9 +514,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, BaselineMsg>) {
         if tag == BATCH_TICK {
             self.batch_timer_armed = false;
-            // A timer flush of a partial batch = idle pipeline: an adaptive
-            // batcher shrinks back toward batches of one.
-            let items = self.batcher.drain_idle();
+            let items = self.batcher.drain();
             self.flush_proposals(items, ctx);
         } else if tag == RETRANSMIT_TICK {
             self.handle_retransmit_tick(ctx);
@@ -542,10 +530,10 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
     fn on_restart(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.in_flight.clear();
         self.prepared.clear();
-        self.batcher = VoteBatcher::new(self.batching);
+        self.batcher = VoteBatcher::new(self.batcher.config());
         self.batch_timer_armed = false;
         self.retransmit_armed = false;
-        let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
         self.retransmit_backoff
             .reset(&backoff, salt, ctx.now().as_micros());
         self.phase1_started = false;

@@ -227,7 +227,7 @@ impl TransactionManager {
                 ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
                 ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
                 self.redrive(tx, ctx);
-                let (backoff, salt) = (self.flow.backoff, self.salt(tx));
+                let (backoff, salt) = (self.flow.backoff(), self.salt(tx));
                 if let Some(pending) = self.pending.get_mut(&tx) {
                     pending.backoff.fired(&backoff, salt, now);
                 }
@@ -269,7 +269,8 @@ impl TransactionManager {
             );
             return;
         }
-        let backoff = BackoffState::armed(&self.flow.backoff, self.salt(tx), ctx.now().as_micros());
+        let backoff =
+            BackoffState::armed(&self.flow.backoff(), self.salt(tx), ctx.now().as_micros());
         self.pending.insert(
             tx,
             PendingTx {
@@ -395,7 +396,7 @@ impl TransactionManager {
             }
             self.redrive(tx, ctx);
             if self.flow.enabled {
-                let (backoff, salt) = (self.flow.backoff, self.salt(tx));
+                let (backoff, salt) = (self.flow.backoff(), self.salt(tx));
                 if let Some(pending) = self.pending.get_mut(&tx) {
                     pending.backoff.fired(&backoff, salt, now);
                 }
@@ -409,7 +410,7 @@ impl TransactionManager {
                     self.route(ctx, out);
                     if self.flow.enabled {
                         let salt = self.id.as_u64();
-                        self.paxos_backoff.fired(&self.flow.backoff, salt, now);
+                        self.paxos_backoff.fired(&self.flow.backoff(), salt, now);
                     }
                 }
             }
@@ -442,10 +443,9 @@ impl TransactionManager {
             .get(&tx)
             .cloned()
             .unwrap_or((ProcessId::new(u64::MAX), Vec::new()));
-        if let Some(client) = client.or(Some(stored_client)) {
-            if client != ProcessId::new(u64::MAX) {
-                ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
-            }
+        let client = client.unwrap_or(stored_client);
+        if client != ProcessId::new(u64::MAX) {
+            ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
         }
         for shard in shards {
             if let Some(leader) = self.shard_leaders.get(&shard) {
@@ -497,7 +497,7 @@ impl TransactionManager {
         self.route(ctx, out);
         // A fresh proposal is progress: return retransmits to the fast
         // schedule.
-        let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
         self.paxos_backoff
             .reset(&backoff, salt, ctx.now().as_micros());
         self.arm_retry_timer(ctx);
@@ -540,7 +540,7 @@ impl TransactionManager {
                 self.admission.remove(command.tx);
                 // A slot was chosen: the proposer is making headway, so its
                 // retransmit backoff returns to the fast schedule.
-                let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
                 self.paxos_backoff
                     .reset(&backoff, salt, ctx.now().as_micros());
                 // The decision is durable: externalise it.
@@ -611,7 +611,7 @@ impl Actor<BaselineMsg> for TransactionManager {
     fn on_restart(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.pending.clear();
         self.admission.clear();
-        let (backoff, salt) = (self.flow.backoff, self.id.as_u64());
+        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
         self.paxos_backoff
             .reset(&backoff, salt, ctx.now().as_micros());
         self.retry_armed = false;

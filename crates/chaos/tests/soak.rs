@@ -204,7 +204,7 @@ fn high_intensity_smoke() {
 
 /// Overload as a first-class fault (hand-written plan): two open-loop bursts
 /// land while a follower is down, on every stack. The flow-control layer —
-/// admission windows, retry backoff, adaptive batching — must absorb the
+/// admission windows and retry backoff — must absorb the
 /// bursts without a single safety violation, and every burst transaction
 /// must decide once the crash heals: the soak's liveness check covers the
 /// burst range like any other submission.

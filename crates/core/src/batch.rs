@@ -14,11 +14,11 @@
 //! message count at the shard leader — the metric the E2/E4 experiments
 //! measure — stops scaling linearly with the transaction rate:
 //!
-//! * [`BatchingConfig`] — the size/delay knobs, surfaced by all three
-//!   deployment harnesses (`ratc-core`, `ratc-rdma`, `ratc-baseline`);
+//! * [`BatchingConfig`] — the batch size, surfaced by all three deployment
+//!   harnesses (`ratc-core`, `ratc-rdma`, `ratc-baseline`);
 //! * [`VoteBatcher`] — the coalescing buffer. A replica acting as transaction
 //!   coordinator pushes each `certify` request into it; when the batch fills
-//!   (at `max_batch = 1`: on every push) or the delay expires, the drained
+//!   (at `max_batch = 1`: on every push) or [`FLUSH_DELAY`] expires, the drained
 //!   batch becomes one [`PrepareBatch`] per involved shard leader.
 //!   The leader certifies the whole batch in one pass, *assigning a
 //!   contiguous position range* to the fresh entries, and answers with a
@@ -40,30 +40,22 @@
 //! `ratc-spec::batching` differential suite checks end to end (size 1 is its
 //! reference run).
 
-/// Re-exported so `BatchingConfig::with_delay` is usable without a direct
-/// `ratc-sim` dependency.
-pub use ratc_sim::SimDuration;
+use ratc_sim::SimDuration;
 use ratc_types::{Decision, Payload, Position, ProcessId, ShardId, TxId};
+
+/// How long a partially filled batch waits for more transactions before the
+/// batch timer flushes it. Only a `max_batch` above 1 ever leaves a batch
+/// partial.
+pub const FLUSH_DELAY: SimDuration = SimDuration::from_millis(1);
 
 /// Knobs of the batching pipeline (surfaced on all three harnesses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchingConfig {
     /// Maximum transactions coalesced into one batch; reaching it flushes
-    /// immediately. At 1 every transaction is flushed as it is submitted:
-    /// the paper's one-PREPARE-per-payload exchange.
+    /// immediately, and a partial batch is flushed after [`FLUSH_DELAY`].
+    /// At 1 every transaction is flushed as it is submitted: the paper's
+    /// one-PREPARE-per-payload exchange.
     pub max_batch: usize,
-    /// How long a partially filled batch may wait for more transactions
-    /// before it is flushed by the batch timer.
-    pub max_delay: SimDuration,
-    /// Adaptive sizing (the flow-control layer's group-commit mode): the
-    /// batcher keeps a *current target* that starts at 1, doubles each time a
-    /// batch fills to target (queue pressure — the pipeline is producing
-    /// faster than it drains) up to `max_batch`, and halves each time the
-    /// flush timer fires on a partial batch (idle — waiting longer only adds
-    /// latency). Idle clusters therefore run at target 1 with no flush-timer
-    /// tax, while sustained load converges to `max_batch` amortisation.
-    /// Self-clocking: no rate measurement, no extra timers.
-    pub adaptive: bool,
 }
 
 impl Default for BatchingConfig {
@@ -79,44 +71,15 @@ impl BatchingConfig {
     /// No coalescing: every batch holds one transaction and is flushed as
     /// soon as it is submitted (the seed behaviour).
     pub fn disabled() -> Self {
-        BatchingConfig {
-            max_batch: 1,
-            max_delay: SimDuration::from_micros(0),
-            adaptive: false,
-        }
+        BatchingConfig { max_batch: 1 }
     }
 
-    /// Batching with the given maximum batch size and a 1 ms flush delay.
-    /// A `max_batch` of 1 (or 0) is [`BatchingConfig::disabled`].
+    /// Batching with the given maximum batch size. A `max_batch` of 1 (or 0)
+    /// is [`BatchingConfig::disabled`].
     pub fn with_batch(max_batch: usize) -> Self {
-        if max_batch <= 1 {
-            return BatchingConfig::disabled();
-        }
         BatchingConfig {
-            max_batch,
-            max_delay: SimDuration::from_millis(1),
-            adaptive: false,
+            max_batch: max_batch.max(1),
         }
-    }
-
-    /// Adaptive batching up to `max_batch` (see [`BatchingConfig::adaptive`]):
-    /// grows under queue pressure, shrinks toward batches of one when idle.
-    /// A `max_batch` of 1 (or 0) is [`BatchingConfig::disabled`].
-    pub fn adaptive(max_batch: usize) -> Self {
-        if max_batch <= 1 {
-            return BatchingConfig::disabled();
-        }
-        BatchingConfig {
-            max_batch,
-            max_delay: SimDuration::from_millis(1),
-            adaptive: true,
-        }
-    }
-
-    /// Returns a copy with the given flush delay.
-    pub fn with_delay(mut self, max_delay: SimDuration) -> Self {
-        self.max_delay = max_delay;
-        self
     }
 }
 
@@ -129,26 +92,14 @@ impl BatchingConfig {
 pub struct VoteBatcher<T> {
     config: BatchingConfig,
     pending: Vec<T>,
-    /// Current flush threshold: `max_batch` for fixed configs, the adaptive
-    /// target (1..=`max_batch`) for adaptive ones.
-    target: usize,
 }
 
 impl<T> VoteBatcher<T> {
     /// Creates an empty batcher with the given knobs.
     pub fn new(config: BatchingConfig) -> Self {
         VoteBatcher {
-            target: Self::initial_target(config),
             config,
             pending: Vec::new(),
-        }
-    }
-
-    fn initial_target(config: BatchingConfig) -> usize {
-        if config.adaptive {
-            1
-        } else {
-            config.max_batch.max(1)
         }
     }
 
@@ -157,24 +108,16 @@ impl<T> VoteBatcher<T> {
         self.config
     }
 
-    /// Replaces the batcher's knobs (pending items are kept; the adaptive
-    /// target restarts from its initial value).
+    /// Replaces the batcher's knobs (pending items are kept).
     pub fn set_config(&mut self, config: BatchingConfig) {
         self.config = config;
-        self.target = Self::initial_target(config);
-    }
-
-    /// The current flush threshold (the adaptive target, or `max_batch` for
-    /// fixed configs).
-    pub fn target(&self) -> usize {
-        self.target
     }
 
     /// Adds an item to the pending batch. Returns `true` if the batch is now
-    /// full (reached the current target) and must be flushed.
+    /// full (reached `max_batch`) and must be flushed.
     pub fn push(&mut self, item: T) -> bool {
         self.pending.push(item);
-        self.pending.len() >= self.target
+        self.pending.len() >= self.config.max_batch
     }
 
     /// Drains and returns the pending batch (in push order).
@@ -182,23 +125,9 @@ impl<T> VoteBatcher<T> {
         std::mem::take(&mut self.pending)
     }
 
-    /// Drains a batch that filled to target: under an adaptive config this is
-    /// the queue-pressure signal, so the target doubles (up to `max_batch`).
+    /// Drains a batch that filled to `max_batch`: the same as
+    /// [`VoteBatcher::drain`].
     pub fn drain_full(&mut self) -> Vec<T> {
-        if self.config.adaptive {
-            self.target = (self.target * 2).min(self.config.max_batch.max(1));
-        }
-        self.drain()
-    }
-
-    /// Drains a batch flushed by the timer while still partial: under an
-    /// adaptive config this is the idle signal, so the target halves (down
-    /// to 1, where every push flushes immediately and the flush timer never
-    /// arms, so an idle cluster pays no batching latency at all).
-    pub fn drain_idle(&mut self) -> Vec<T> {
-        if self.config.adaptive {
-            self.target = (self.target / 2).max(1);
-        }
         self.drain()
     }
 
@@ -451,60 +380,14 @@ mod tests {
         assert!(!batcher.push(2));
         assert_eq!(batcher.len(), 2);
         assert!(batcher.push(3), "third push reaches max_batch");
-        assert_eq!(batcher.drain(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn adaptive_target_grows_on_pressure_and_shrinks_when_idle() {
-        let mut batcher: VoteBatcher<u64> = VoteBatcher::new(BatchingConfig::adaptive(8));
-        // Idle start: target 1, every push flushes immediately (fast path).
-        assert_eq!(batcher.target(), 1);
-        assert!(batcher.push(1));
-        assert_eq!(batcher.drain_full(), vec![1]);
-        // Pressure: each full flush doubles the target up to max_batch.
-        assert_eq!(batcher.target(), 2);
-        assert!(!batcher.push(2));
-        assert!(batcher.push(3));
-        assert_eq!(batcher.drain_full(), vec![2, 3]);
-        assert_eq!(batcher.target(), 4);
-        for i in 4..8 {
-            batcher.push(i);
-        }
-        batcher.drain_full();
-        assert_eq!(batcher.target(), 8);
-        batcher.push(100);
-        let _ = batcher.drain_full();
-        assert_eq!(batcher.target(), 8, "capped at max_batch");
-        // Idle: timer flushes on partial batches halve the target back to 1.
-        batcher.push(101);
-        assert_eq!(batcher.drain_idle(), vec![101]);
-        assert_eq!(batcher.target(), 4);
-        batcher.drain_idle();
-        batcher.drain_idle();
-        batcher.drain_idle();
-        assert_eq!(batcher.target(), 1, "floors at batches of one");
-    }
-
-    #[test]
-    fn fixed_configs_ignore_adaptive_signals() {
-        let mut batcher: VoteBatcher<u64> = VoteBatcher::new(BatchingConfig::with_batch(4));
-        assert_eq!(batcher.target(), 4);
-        batcher.push(1);
-        batcher.drain_idle();
-        batcher.drain_full();
-        assert_eq!(batcher.target(), 4);
-        assert_eq!(BatchingConfig::adaptive(1), BatchingConfig::disabled());
-        assert!(BatchingConfig::adaptive(16).adaptive);
+        assert_eq!(batcher.drain_full(), vec![1, 2, 3]);
     }
 
     #[test]
     fn tiny_batch_sizes_disable_batching() {
         assert_eq!(BatchingConfig::with_batch(0), BatchingConfig::disabled());
         assert_eq!(BatchingConfig::with_batch(1), BatchingConfig::disabled());
-        let config = BatchingConfig::with_batch(16);
-        assert_eq!(config.max_batch, 16);
-        let delayed = config.with_delay(SimDuration::from_micros(250));
-        assert_eq!(delayed.max_delay, SimDuration::from_micros(250));
+        assert_eq!(BatchingConfig::with_batch(16).max_batch, 16);
     }
 
     #[test]

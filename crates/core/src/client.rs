@@ -28,7 +28,7 @@ pub struct DecisionLatency {
     /// Microseconds between submission and the decision, on the cluster's
     /// clock: *simulated* microseconds under
     /// [`ExecutionMode::Sim`](ratc_sim::ExecutionMode) (a function of the
-    /// configured latency model, not of the host), *wall-clock* (monotonic
+    /// simulator's latency model, not of the host), *wall-clock* (monotonic
     /// [`std::time::Instant`]) microseconds under
     /// [`ExecutionMode::Threads`](ratc_sim::ExecutionMode). Same field, same
     /// unit — but only the threaded numbers measure real hardware.

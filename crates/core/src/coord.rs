@@ -33,7 +33,7 @@ use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, ShardMa
 
 use crate::batch::{
     sorted_entry, BatchingConfig, Items, PrepareBatch, PrepareItem, PreparedItem, ShardDecisions,
-    VoteBatcher,
+    VoteBatcher, FLUSH_DELAY,
 };
 use crate::flow::{AdmissionQueue, FlowControlConfig};
 
@@ -397,7 +397,7 @@ impl Coordinator {
             return;
         };
         let now = ctx.now().as_micros();
-        let (policy, salt) = (self.flow.backoff, Self::backoff_salt(tx, ctx.self_id()));
+        let (policy, salt) = (self.flow.backoff(), Self::backoff_salt(tx, ctx.self_id()));
         let backoff = coord
             .backoff
             .get_or_insert_with(|| BackoffState::armed(&policy, salt, now));
@@ -640,7 +640,7 @@ impl Coordinator {
                     }
                     let salt = Self::backoff_salt(tx, ctx.self_id());
                     let now = ctx.now().as_micros();
-                    backoff = Some(BackoffState::armed(&self.flow.backoff, salt, now));
+                    backoff = Some(BackoffState::armed(&self.flow.backoff(), salt, now));
                 }
                 let mut coord = CoordState::new(client, Some(payload), shards);
                 coord.backoff = backoff;
@@ -649,26 +649,23 @@ impl Coordinator {
                 ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
             }
         }
-        // Into the pending batch, which flushes when it reaches its target
-        // (at `max_batch = 1`: now) or when the batch timer expires. A
-        // flush-on-full is queue pressure, so an adaptive batcher grows its
-        // target batch. The retry timer is the safety net either way.
+        // Into the pending batch, which flushes when it reaches `max_batch`
+        // (at `max_batch = 1`: now) or when the batch timer expires. The
+        // retry timer is the safety net either way.
         if self.batcher.push(tx) {
             let txs = self.batcher.drain_full();
             self.flush_prepare_batch(txs, repl, ctx);
         } else if !self.batch_timer_armed {
-            ctx.set_timer(self.batcher.config().max_delay, BATCH_TICK);
+            ctx.set_timer(FLUSH_DELAY, BATCH_TICK);
             self.batch_timer_armed = true;
         }
         self.arm_retry_timer(ctx);
     }
 
-    /// The batch timer fired: flush the partial batch. A timer flush of a
-    /// partial batch = idle pipeline, so an adaptive batcher shrinks back
-    /// toward batches of one.
+    /// The batch timer fired: flush the partial batch.
     pub fn batch_tick<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         self.batch_timer_armed = false;
-        let txs = self.batcher.drain_idle();
+        let txs = self.batcher.drain();
         self.flush_prepare_batch(txs, repl, ctx);
     }
 
@@ -1359,7 +1356,10 @@ mod tests {
 
     #[test]
     fn the_window_admits_parked_submissions_fifo_when_a_slot_frees() {
-        let mut rig = Rig::new(FlowControlConfig::default().with_window(1));
+        let mut rig = Rig::new(FlowControlConfig {
+            window: 1,
+            ..FlowControlConfig::default()
+        });
         for tx in 1..=3 {
             rig.certify(tx, &["a"]);
         }

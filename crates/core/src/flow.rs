@@ -39,11 +39,9 @@ pub struct FlowControlConfig {
     /// behaviour: unbounded admission and fixed-interval full-pending
     /// retries (kept for the collapse regression tests).
     pub enabled: bool,
-    /// Maximum transactions a coordinator/TM keeps in flight; further
-    /// submissions wait in its FIFO admission queue. 0 means unbounded.
+    /// Maximum transactions a coordinator/TM keeps in flight while the layer
+    /// is enabled; further submissions wait in its FIFO admission queue.
     pub window: usize,
-    /// Backoff schedule for certify-retries and Paxos retransmissions.
-    pub backoff: BackoffPolicy,
 }
 
 impl Default for FlowControlConfig {
@@ -53,7 +51,6 @@ impl Default for FlowControlConfig {
         FlowControlConfig {
             enabled: true,
             window: 64,
-            backoff: BackoffPolicy::exponential(),
         }
     }
 }
@@ -65,27 +62,25 @@ impl FlowControlConfig {
     pub fn legacy() -> Self {
         FlowControlConfig {
             enabled: false,
-            window: 0,
-            backoff: BackoffPolicy::fixed(ratc_sim::SimDuration::from_millis(20)),
+            ..FlowControlConfig::default()
         }
     }
 
-    /// Returns a copy with the given in-flight window (0 = unbounded).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Returns a copy with the given backoff schedule.
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
-        self
+    /// The schedule of certify-retries and Paxos retransmissions: capped
+    /// exponential with jitter when the layer is enabled, the legacy fixed
+    /// 20 ms interval when it is not.
+    pub fn backoff(&self) -> BackoffPolicy {
+        if self.enabled {
+            BackoffPolicy::exponential()
+        } else {
+            BackoffPolicy::fixed(ratc_sim::SimDuration::from_millis(20))
+        }
     }
 
     /// `true` if a coordinator already holding `in_flight` undecided
     /// transactions may start another one.
     pub fn admits(&self, in_flight: usize) -> bool {
-        !self.enabled || self.window == 0 || in_flight < self.window
+        !self.enabled || in_flight < self.window
     }
 }
 
@@ -185,12 +180,16 @@ mod tests {
         let legacy = FlowControlConfig::legacy();
         assert!(!legacy.enabled);
         assert!(legacy.admits(usize::MAX - 1), "legacy never queues");
-        assert_eq!(legacy.backoff.multiplier, 1, "legacy retries are fixed");
+        assert_eq!(legacy.backoff().multiplier, 1, "legacy retries are fixed");
+        assert_eq!(flow.backoff(), BackoffPolicy::exponential());
     }
 
     #[test]
-    fn unbounded_window_always_admits() {
-        let flow = FlowControlConfig::default().with_window(0);
+    fn a_disabled_layer_admits_past_any_window() {
+        let flow = FlowControlConfig {
+            enabled: false,
+            window: 0,
+        };
         assert!(flow.admits(1_000_000));
     }
 

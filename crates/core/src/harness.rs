@@ -98,8 +98,8 @@ pub struct ClusterConfig {
     /// Flow control (default: on): coordinator admission window and retry
     /// backoff, applied to every replica and spare.
     pub flow: FlowControlConfig,
-    /// Simulation parameters (seed, message and RDMA latency models,
-    /// observability, step cap, per-message service time).
+    /// Simulation parameters (seed, observability, per-message service
+    /// time).
     pub sim: SimConfig,
     /// Which engine drives the actors: the deterministic simulator or a pool
     /// of worker threads over per-process mailboxes (see [`ExecutionMode`]).

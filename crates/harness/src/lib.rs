@@ -22,10 +22,14 @@
 //!   cluster realises, and what it can do (`supports_reconfiguration`,
 //!   `reconfiguration_is_global`, `replicas_coordinate`); re-exported
 //!   likewise;
-//! * [`ClusterSpec`] — one builder (shards, failures tolerated, spares,
-//!   certification policy, truncation, batching, simulation seed) that
-//!   constructs any stack: it fills in the one `ClusterConfig` every stack
-//!   is built from, with `f + 1` or `2f + 1` replicas per shard as the stack
+//! * [`ClusterSpec`] — one builder that constructs any stack. Its knobs:
+//!   shards, failures tolerated, spares, certification policy, truncation
+//!   (on/off, fold batch, compaction), batch size, flow control (on/off,
+//!   window; the retry schedule follows from on/off), the simulation's seed,
+//!   observability and per-message service time, and the execution engine.
+//!   Latencies are constants of the simulator (a LAN), and batches flush
+//!   after a fixed 1 ms. It fills in the one `ClusterConfig` every stack is
+//!   built from, with `f + 1` or `2f + 1` replicas per shard as the stack
 //!   requires.
 //!
 //! Consumers that need exactly one concrete stack (white-box invariant

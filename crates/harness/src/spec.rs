@@ -47,8 +47,8 @@ pub struct ClusterSpec {
     /// (default enabled; [`FlowControlConfig::legacy`] restores the pre-flow
     /// immediate-retry behaviour).
     pub flow: FlowControlConfig,
-    /// Simulation parameters (seed, message and RDMA latency models,
-    /// observability, step cap, per-message service time).
+    /// Simulation parameters (seed, observability, per-message service
+    /// time).
     pub sim: SimConfig,
     /// Which engine drives the cluster's actors: the deterministic simulator
     /// (default) or a pool of worker threads over per-process mailboxes (see

@@ -50,8 +50,6 @@ pub(crate) enum EventKind<M> {
         index: usize,
         hops: u32,
     },
-    /// A process crashes.
-    Crash { at: ProcessId },
 }
 
 impl<M> EventKind<M> {
@@ -60,9 +58,7 @@ impl<M> EventKind<M> {
         match self {
             EventKind::Deliver { to, .. } | EventKind::RdmaArrive { to, .. } => *to,
             EventKind::RdmaAck { sender, .. } => *sender,
-            EventKind::Timer { at, .. }
-            | EventKind::RdmaDeliver { at, .. }
-            | EventKind::Crash { at } => *at,
+            EventKind::Timer { at, .. } | EventKind::RdmaDeliver { at, .. } => *at,
         }
     }
 }
@@ -103,8 +99,10 @@ mod tests {
         QueuedEvent {
             time: SimTime::from_micros(time),
             seq,
-            kind: EventKind::Crash {
+            kind: EventKind::RdmaDeliver {
                 at: ProcessId::new(0),
+                index: 0,
+                hops: 0,
             },
         }
     }

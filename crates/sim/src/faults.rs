@@ -175,10 +175,6 @@ impl FaultPlane {
         }
     }
 
-    pub(crate) fn clear_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.link_faults.remove(&(from, to));
-    }
-
     pub(crate) fn install_partition(&mut self, name: &str, groups: Vec<Vec<ProcessId>>) {
         self.partitions.insert(
             name.to_owned(),
@@ -187,10 +183,6 @@ impl FaultPlane {
                 .map(|g| g.into_iter().collect())
                 .collect(),
         );
-    }
-
-    pub(crate) fn heal_partition(&mut self, name: &str) {
-        self.partitions.remove(name);
     }
 
     /// Clears link faults and partitions but keeps the fabric-wide default
@@ -347,7 +339,7 @@ mod tests {
         assert!(!plane.decide(pid(0), pid(1), false, &mut rng).drop);
         // A process outside every group is unaffected.
         assert!(!plane.decide(pid(0), pid(9), false, &mut rng).drop);
-        plane.heal_partition("split");
+        plane.heal_all();
         assert!(!plane.decide(pid(0), pid(2), false, &mut rng).drop);
     }
 

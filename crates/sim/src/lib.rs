@@ -12,7 +12,8 @@
 //!   handlers for message delivery, timers, RDMA delivery and RDMA
 //!   acknowledgements, and a context for sending messages, setting timers and
 //!   manipulating RDMA connections.
-//! * [`latency`] — pluggable message latency models.
+//! * latency — the message and RDMA latency models: constants of the world,
+//!   a LAN (uniform 40–60 µs per message, RDMA writes a third of that).
 //! * [`faults`] — per-link fault injection: seeded message drops, duplicates
 //!   and delays (which double as reordering), asymmetric cuts and named
 //!   partitions, plus crash–restart support in the world (`World::restart`).
@@ -71,7 +72,7 @@ pub mod actor;
 pub mod backoff;
 pub mod event;
 pub mod faults;
-pub mod latency;
+mod latency;
 pub mod metrics;
 pub mod rdma;
 pub mod rt;
@@ -82,7 +83,6 @@ pub mod world;
 pub mod prelude {
     pub use crate::actor::{Actor, Context, TimerTag};
     pub use crate::faults::{FaultScope, LinkFault};
-    pub use crate::latency::LatencyModel;
     pub use crate::metrics::Metrics;
     pub use crate::rdma::RdmaSendOutcome;
     pub use crate::rt::ExecutionMode;
@@ -95,7 +95,6 @@ pub use backoff::{BackoffPolicy, BackoffState};
 // Re-exported so protocol crates can stamp milestones through their existing
 // `ratc-sim` dependency without depending on `ratc-obs` themselves.
 pub use faults::{FaultScope, LinkFault};
-pub use latency::LatencyModel;
 pub use metrics::Metrics;
 pub use ratc_obs::{
     blackouts, decided_times_per_shard, fold_timelines, Blackout, CtrlEvent, CtrlMilestone,

@@ -46,12 +46,13 @@
 //! * **A panicking actor fails the run by name**: the run stops at once and,
 //!   once the world is restored, `run_threaded` panics naming the process and
 //!   the handler.
-//! * **Sim-only features.** Fault injection, latency models and `max_steps`
-//!   apply only to the simulator; the threaded backend models a reliable LAN
-//!   where real scheduling provides the nondeterminism. Every send, RDMA
-//!   delivery and acknowledgement passes one seam (`Worker::enqueue`), where
-//!   fault injection would hook in. A `schedule_crash` still pending when a
-//!   threaded run starts is applied at the start of the run.
+//! * **Sim-only features.** Fault injection, the latency models (constants
+//!   of the simulator) and its step cap apply only to the simulator; the
+//!   threaded backend models a reliable LAN where real scheduling provides
+//!   the nondeterminism. Every send, RDMA delivery and acknowledgement passes
+//!   one seam (`Worker::enqueue`), where fault injection would hook in.
+//!   Crashes and restarts happen between runs, so a threaded run has no
+//!   pending crash to apply.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -82,8 +83,8 @@ use crate::world::World;
 ///   pool of worker threads, one per core, over per-process mailboxes;
 ///   timers and latencies on the monotonic wall clock. Runs are *not*
 ///   reproducible event-by-event (real scheduling decides interleavings)
-///   but externalise the same protocol-level semantics, and are the only
-///   way to measure real committed-tx/s (`exp_wallclock`).
+///   but externalise the same protocol-level semantics; the benchmark's
+///   `*-threads` workloads measure real committed tx/s on it.
 ///
 /// The trade-off in one line: `Sim` answers "is it correct on this exact
 /// schedule, again and again", `Threads` answers "how fast is it, and does
@@ -545,9 +546,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
                 (Upcall::RdmaDeliver { from, msg }, hops)
             }
             EventKind::Timer { tag, .. } => (Upcall::Timer { tag }, 0),
-            EventKind::RdmaArrive { .. } | EventKind::Crash { .. } => {
-                unreachable!("writes land before they are posted; crashes apply at run start")
-            }
+            EventKind::RdmaArrive { .. } => unreachable!("writes land before they are posted"),
         };
         self.invoke(proc, slot, upcall, hops);
     }
@@ -678,22 +677,10 @@ where
     M: Clone + fmt::Debug + Send + 'static,
 {
     let start_now = world.now;
-
-    // -- extract: the pending queue in (time, seq) order --------------------
-    let mut seeds: Vec<(SimTime, EventKind<M>)> = Vec::with_capacity(world.queue.len());
-    // `Reverse` sorts descending; walk it backwards for (time, seq) order.
-    for Reverse(QueuedEvent { time, kind, .. }) in std::mem::take(&mut world.queue)
-        .into_sorted_vec()
-        .into_iter()
-        .rev()
-    {
-        match kind {
-            // Mid-run crash schedules are a simulator feature; a crash still
-            // pending when a threaded run starts takes effect at its start.
-            EventKind::Crash { at } => world.crash(at),
-            other => seeds.push((time, other)),
-        }
-    }
+    // The pending queue, sorted before the run's clock starts: a wave of
+    // queued events takes milliseconds to sort, which must not be charged
+    // to the latencies the run measures.
+    let queue = std::mem::take(&mut world.queue).into_sorted_vec();
 
     let obs_enabled = world.metrics.obs_enabled();
     let (perms, mut inboxes, rejected_base) = std::mem::take(&mut world.rdma).into_parts();
@@ -757,7 +744,8 @@ where
             shared.push(target, event);
         }
     };
-    for (time, kind) in seeds {
+    // `Reverse` sorts descending: walk backwards for (time, seq) order.
+    for Reverse(QueuedEvent { time, kind, .. }) in queue.into_iter().rev() {
         match kind {
             EventKind::Timer {
                 at,

@@ -44,22 +44,14 @@ pub struct BatchingScenario {
     /// Transactions submitted.
     pub tx_count: usize,
     /// Batch size of the batched run (the reference run never batches).
-    pub batch: usize,
-    /// Whether the batched run uses *adaptive* batching
-    /// ([`BatchingConfig::adaptive`] up to `batch`) instead of a fixed
-    /// threshold.
     ///
-    /// Adaptive batching preserves per-leader submission order but re-times
-    /// flushes, and votes are interleaving-sensitive: an abort decision
-    /// releases the loser's writes from the certification index, so a
-    /// certification delayed past a same-wave abort can legitimately flip
-    /// commit. The differential is stated over runs with *identical*
-    /// certification/decision interleaving — the fixed-batch scenarios
-    /// guarantee it by submitting exactly one batch per wave, the adaptive
-    /// scenarios by pinning the trailing-flush delay below the minimum
-    /// network latency, so every partial flush lands before any same-wave
-    /// decision.
-    pub adaptive: bool,
+    /// Votes are interleaving-sensitive: an abort decision releases the
+    /// loser's writes from the certification index, so a certification
+    /// delayed past a same-wave abort can legitimately flip commit. The
+    /// differential is stated over runs with *identical* certification and
+    /// decision interleaving, which submitting exactly one batch per wave
+    /// guarantees.
+    pub batch: usize,
     /// Checkpointed-truncation fold batch, or `None` to disable truncation.
     pub truncation_batch: Option<u64>,
     /// Whether to crash a shard-0 follower and reconfigure mid-run (at a
@@ -129,15 +121,7 @@ pub fn differential_batching_check(scenario: &BatchingScenario) -> Result<Batchi
     }
 
     let mut unbatched = build_cluster(scenario, BatchingConfig::disabled());
-    let batched_config = if scenario.adaptive {
-        // The 1 us trailing-flush delay keeps the interleaving identical to
-        // the unbatched reference (see `BatchingScenario::adaptive`).
-        BatchingConfig::adaptive(scenario.batch)
-            .with_delay(ratc_core::batch::SimDuration::from_micros(1))
-    } else {
-        BatchingConfig::with_batch(scenario.batch)
-    };
-    let mut batched = build_cluster(scenario, batched_config);
+    let mut batched = build_cluster(scenario, BatchingConfig::with_batch(scenario.batch));
     // One fixed coordinator (a shard-1 member when available, so it is never
     // a member of the reconfigured shard 0): certifies reach every leader in
     // submission order in both runs.
@@ -261,7 +245,6 @@ mod tests {
                 shards: 2,
                 tx_count: 48,
                 batch: rng.gen_range(2..=8),
-                adaptive: false,
                 truncation_batch: None,
                 reconfigure: false,
             };
@@ -281,7 +264,6 @@ mod tests {
                 shards: 2,
                 tx_count: 64,
                 batch: 8,
-                adaptive: false,
                 truncation_batch: Some(8),
                 reconfigure: false,
             };
@@ -298,67 +280,6 @@ mod tests {
                 shards: 2,
                 tx_count: 48,
                 batch: 6,
-                adaptive: false,
-                truncation_batch: Some(8),
-                reconfigure: true,
-            };
-            let report = differential_batching_check(&scenario).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(report.decided, 48);
-        }
-    }
-
-    /// Adaptive batching is re-timing only: replaying the same seeded
-    /// workload through an adaptive cluster and the unbatched reference
-    /// (and, transitively, the fixed-batch runs above, which share that
-    /// reference) externalises identical histories and leader logs.
-    #[test]
-    fn adaptive_runs_produce_identical_histories() {
-        let mut batches = 0;
-        for seed in 0..8u64 {
-            let mut rng = ChaCha12Rng::seed_from_u64(seed.wrapping_mul(1973));
-            let scenario = BatchingScenario {
-                seed: seed + 300,
-                shards: 2,
-                tx_count: 48,
-                batch: rng.gen_range(2..=16),
-                adaptive: true,
-                truncation_batch: None,
-                reconfigure: false,
-            };
-            let report = differential_batching_check(&scenario).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(report.decided, 48);
-            assert!(report.slots_compared > 0);
-            batches += report.batches_sent;
-        }
-        assert!(batches > 0, "the adaptive runs never batched anything");
-    }
-
-    #[test]
-    fn adaptive_batches_interleaved_with_truncation_stay_equivalent() {
-        for seed in 0..6u64 {
-            let scenario = BatchingScenario {
-                seed: seed + 400,
-                shards: 2,
-                tx_count: 64,
-                batch: 8,
-                adaptive: true,
-                truncation_batch: Some(8),
-                reconfigure: false,
-            };
-            let report = differential_batching_check(&scenario).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(report.decided, 64);
-        }
-    }
-
-    #[test]
-    fn adaptive_batches_interleaved_with_reconfiguration_stay_equivalent() {
-        for seed in 0..4u64 {
-            let scenario = BatchingScenario {
-                seed: seed + 500,
-                shards: 2,
-                tx_count: 48,
-                batch: 6,
-                adaptive: true,
                 truncation_batch: Some(8),
                 reconfigure: true,
             };

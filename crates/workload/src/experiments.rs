@@ -685,23 +685,7 @@ pub fn batching_experiment(
     batch_size: usize,
     seed: u64,
 ) -> BatchingResult {
-    use ratc_core::batch::BatchingConfig;
-    batching_experiment_with(
-        stack,
-        tx_count,
-        BatchingConfig::with_batch(batch_size),
-        seed,
-    )
-}
-
-/// E8 with an explicit batching configuration — the adaptive variant of
-/// [`batching_experiment`] (same deployment, measurement and metrics).
-pub fn batching_experiment_with(
-    stack: StackKind,
-    tx_count: usize,
-    batching: ratc_core::batch::BatchingConfig,
-    seed: u64,
-) -> BatchingResult {
+    let batching = ratc_core::batch::BatchingConfig::with_batch(batch_size);
     let batch_size = batching.max_batch;
     let mut cluster = ClusterSpec::new(stack)
         .with_shards(2)
@@ -1464,62 +1448,6 @@ mod tests {
             "batch 1 sends one PREPARE per transaction"
         );
         assert!(batch16.prepare_batches > 0 && batch16.prepare_batches <= tx_count as u64 / 8);
-    }
-
-    /// Acceptance criterion of *adaptive* batching: under sustained load the
-    /// batcher grows to its ceiling, so leader msgs/tx lands within 10% of
-    /// the fixed batch-16 pipeline; on an idle cluster the batcher shrinks
-    /// to the unbatched fast path, so a lone transaction's commit latency
-    /// lands within 10% of the unbatched baseline.
-    #[test]
-    fn e8_adaptive_batching_matches_fixed_when_loaded_and_unbatched_when_idle() {
-        use ratc_core::batch::BatchingConfig;
-        // Long enough that the doubling ramp (1→2→4→8→16, ~5 extra batches)
-        // amortises below the 10% bound — "sustained" is the operative word.
-        let tx_count = 1600;
-        let fixed = batching_experiment(StackKind::Core, tx_count, 16, 11);
-        let adaptive =
-            batching_experiment_with(StackKind::Core, tx_count, BatchingConfig::adaptive(16), 11);
-        assert_eq!(adaptive.committed, tx_count, "{adaptive}");
-        assert!(
-            adaptive.leader_msgs_per_txn <= fixed.leader_msgs_per_txn * 1.10,
-            "adaptive under sustained load must amortise like fixed batch 16 ({} vs {})",
-            adaptive.leader_msgs_per_txn,
-            fixed.leader_msgs_per_txn
-        );
-        assert!(adaptive.prepare_batches > 0, "{adaptive}");
-
-        // Idle: a lone transaction per fresh cluster. The adaptive target
-        // starts (and stays) at 1, so the push flushes immediately and pays
-        // no batch-timer delay.
-        let idle_latency = |batching: BatchingConfig| {
-            let mut cluster = ClusterSpec::new(StackKind::Core)
-                .with_shards(2)
-                .with_seed(7)
-                .with_batching(batching)
-                .build();
-            let payload = Payload::builder()
-                .read(Key::new("idle"), Version::ZERO)
-                .write(Key::new("idle"), Value::from("v"))
-                .commit_version(Version::new(1))
-                .build()
-                .expect("well-formed");
-            cluster.submit(TxId::new(1), payload);
-            cluster.run_to_quiescence();
-            let latencies = cluster.latencies();
-            latencies
-                .values()
-                .next()
-                .map(|l| l.micros as f64)
-                .expect("lone transaction decided")
-        };
-        let unbatched_idle = idle_latency(BatchingConfig::disabled());
-        let adaptive_idle = idle_latency(BatchingConfig::adaptive(16));
-        assert!(
-            adaptive_idle <= unbatched_idle * 1.10,
-            "idle adaptive commit latency must match unbatched \
-             ({adaptive_idle}us vs {unbatched_idle}us)"
-        );
     }
 
     /// E9 smoke: a small closed-loop run on the threaded backend commits

@@ -18,7 +18,6 @@
 //!   [`ClusterSpec`](harness::ClusterSpec) builder that deploys any of the
 //!   three stacks;
 //! * [`spec`] — TCS specification checkers;
-//! * [`kv`] — a transactional key-value store driving the TCS;
 //! * [`workload`] — workload generators and experiment drivers;
 //! * [`chaos`] — the chaos nemesis: randomized fault injection,
 //!   crash-restart recovery and automatic schedule shrinking.
@@ -57,7 +56,6 @@ pub use ratc_chaos as chaos;
 pub use ratc_config as config;
 pub use ratc_core as core;
 pub use ratc_harness as harness;
-pub use ratc_kv as kv;
 pub use ratc_obs as obs;
 pub use ratc_paxos as paxos;
 pub use ratc_rdma as rdma;

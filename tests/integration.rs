@@ -1,79 +1,16 @@
 //! Cross-crate integration tests: every TCS implementation is driven through
-//! the key-value layer and checked against the black-box specification.
+//! the unified facade and checked against the black-box specification.
 
 use ratc::core::harness::{Cluster, ClusterConfig, CoreStack};
 use ratc::core::invariants::check_cluster;
 use ratc::core::replica::{Replica, TruncationConfig};
 use ratc::harness::{ClusterSpec, StackKind, TcsCluster};
-use ratc::kv::KvStore;
 use ratc::rdma::{RdmaCluster, RdmaReplica, RdmaStack, ReconfigMode};
 use ratc::spec::{check_conflict_serializable, check_history};
 use ratc::types::prelude::*;
 
 fn core_replica(cluster: &Cluster, pid: ProcessId) -> &Replica {
     cluster.world.actor::<Replica>(pid).expect("replica")
-}
-
-fn transfer_payload(store: &KvStore, tx: TxId, from: &str, to: &str, amount: u64) -> Payload {
-    let mut t = store.begin(tx);
-    let read = |v: Option<Value>| {
-        v.map(|v| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(v.as_bytes());
-            u64::from_be_bytes(b)
-        })
-        .unwrap_or(0)
-    };
-    let from_balance = read(t.read(Key::new(from)));
-    let to_balance = read(t.read(Key::new(to)));
-    t.write(
-        Key::new(from),
-        Value::from(from_balance.saturating_sub(amount)),
-    );
-    t.write(Key::new(to), Value::from(to_balance + amount));
-    t.into_payload().expect("well-formed payload")
-}
-
-#[test]
-fn kv_store_over_ratc_mp_is_serializable_and_conserves_money() {
-    let mut store = KvStore::new();
-    for i in 0..6 {
-        store.seed(Key::new(format!("acct-{i}")), Value::from(100u64));
-    }
-    let mut cluster = Cluster::new(
-        CoreStack,
-        ClusterConfig::default().with_shards(3).with_seed(21),
-    );
-    for i in 0..30u64 {
-        let tx = TxId::new(i + 1);
-        let from = format!("acct-{}", i % 6);
-        let to = format!("acct-{}", (i + 1) % 6);
-        let payload = transfer_payload(&store, tx, &from, &to, 5);
-        cluster.submit(tx, payload.clone());
-        cluster.run_to_quiescence();
-        if cluster.history().decision(tx) == Some(Decision::Commit) {
-            store.apply_commit(tx, &payload);
-        }
-    }
-    let history = cluster.history();
-    assert!(history.is_complete());
-    assert!(check_history(&history, &Serializability::new()).is_empty());
-    assert!(check_conflict_serializable(&history).is_ok());
-    assert!(check_cluster(&cluster).is_empty());
-
-    let total: u64 = (0..6)
-        .map(|i| {
-            store
-                .read_committed(&Key::new(format!("acct-{i}")))
-                .map(|(_, v)| {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(v.as_bytes());
-                    u64::from_be_bytes(b)
-                })
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(total, 600);
 }
 
 #[test]
