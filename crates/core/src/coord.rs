@@ -295,8 +295,9 @@ pub struct Coordinator {
     coordinating: BTreeMap<TxId, CoordState>,
     /// The transactions it stopped driving, until they are forgotten.
     settled: BTreeMap<TxId, Settled>,
-    /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
-    admission: AdmissionQueue<(Payload, ProcessId)>,
+    /// Submissions waiting for an admission-window slot (FIFO, deduplicated),
+    /// each with the shards its payload touches, computed on arrival.
+    admission: AdmissionQueue<(Payload, ProcessId, Vec<ShardId>)>,
     /// Flow-control knobs: coordinator admission window and retry backoff.
     flow: FlowControlConfig,
     batcher: VoteBatcher<TxId>,
@@ -409,10 +410,10 @@ impl Coordinator {
     /// Admits queued submissions into freed window slots (oldest first).
     fn drain_admission<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         while self.flow.admits(self.undecided_coordinated()) {
-            let Some((tx, (payload, client))) = self.admission.pop() else {
+            let Some((tx, (payload, client, shards))) = self.admission.pop() else {
                 break;
             };
-            self.certify(tx, payload, client, repl, ctx);
+            self.certify_placed(tx, payload, shards, client, repl, ctx);
         }
     }
 
@@ -587,6 +588,19 @@ impl Coordinator {
         ctx: &mut Context<'_, R::Msg>,
     ) {
         let shards = payload.shards(self.sharding.as_ref());
+        self.certify_placed(tx, payload, shards, client, repl, ctx);
+    }
+
+    /// [`Coordinator::certify`] of a payload that touches `shards`.
+    fn certify_placed<R: Replication>(
+        &mut self,
+        tx: TxId,
+        payload: Payload,
+        shards: Vec<ShardId>,
+        client: ProcessId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
         if shards.is_empty() {
             // A transaction touching no objects commits vacuously.
             ctx.send(client, R::Msg::decision_client(tx, Decision::Commit));
@@ -632,7 +646,7 @@ impl Coordinator {
                         // Admission window full: park the submission at the
                         // edge; it is admitted when an in-flight transaction
                         // decides.
-                        self.admission.enqueue(tx, (payload, client));
+                        self.admission.enqueue(tx, (payload, client, shards));
                         ctx.add_counter("admission_queued", 1);
                         ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
                         self.arm_retry_timer(ctx);

@@ -201,8 +201,10 @@ pub enum Msg {
         members: Vec<ProcessId>,
         /// The new leader.
         leader: ProcessId,
-        /// The leader's full certification log.
-        log: CertificationLog,
+        /// The leader's full certification log, boxed: it is by far the
+        /// largest field of any variant, and every message is moved at the
+        /// size of its largest variant.
+        log: Box<CertificationLog>,
     },
     /// `CONFIG_CHANGE(s, e, M, pl)` pushed by the configuration service to the
     /// members of other shards (line 67).

@@ -553,7 +553,6 @@ impl Member {
         // Line 59: `next` is implicitly the length of the certification log.
         // Line 60: transfer state to the new followers.
         let followers: Vec<ProcessId> = members.iter().copied().filter(|p| *p != self.id).collect();
-        let log = self.log.clone();
         for follower in followers {
             ctx.send(
                 follower,
@@ -561,7 +560,7 @@ impl Member {
                     epoch,
                     members: members.clone(),
                     leader: self.id,
-                    log: log.clone(),
+                    log: Box::new(self.log.clone()),
                 },
             );
         }
@@ -574,7 +573,7 @@ impl Member {
         epoch: Epoch,
         members: Vec<ProcessId>,
         leader: ProcessId,
-        log: CertificationLog,
+        log: Box<CertificationLog>,
         ctx: &mut Context<'_, Msg>,
     ) {
         if epoch < self.new_epoch {
@@ -586,7 +585,7 @@ impl Member {
         self.epoch.insert(self.shard, epoch);
         self.members.insert(self.shard, members);
         self.leader.insert(self.shard, leader);
-        self.log = log;
+        self.log = *log;
         ctx.ctrl_milestone(
             CtrlMilestone::StateTransferred,
             Some(self.shard),

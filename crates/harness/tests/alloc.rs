@@ -3,7 +3,9 @@
 //! A counting allocator over `System` counts the `alloc` and `realloc` calls
 //! (`alloc_zeroed` goes through `alloc`), and the bytes they ask for, that
 //! the test's own thread makes while a seeded Sim deployment commits
-//! disjoint single-key transactions. The simulator is
+//! disjoint transactions: single-key ones, and 4-key ones whose keys span
+//! both shards (`restrict`, multi-shard progress and the fan-out to both
+//! leaders). The simulator is
 //! single-threaded and every table on the commit path hashes without a seed,
 //! so both counts are a function of the run: each case runs twice in-process
 //! and must count alike before anything else is checked. The recorded
@@ -17,7 +19,8 @@ use std::cell::Cell;
 
 use ratc_core::batch::BatchingConfig;
 use ratc_harness::{ClusterSpec, StackKind};
-use ratc_types::{Key, Payload, TxId, Value, Version};
+use ratc_types::sharding::{HashSharding, ShardMap};
+use ratc_types::{Key, Payload, ShardId, TxId, Value, Version};
 
 thread_local! {
     /// `(calls, bytes)` while this thread counts, `None` otherwise.
@@ -74,12 +77,32 @@ fn counted(run: impl FnOnce()) -> (u64, u64) {
 const WARM_UP: u64 = 1_000;
 const COUNTED: u64 = 4_000;
 
-/// Transaction `n`: read and write a key of its own.
-fn disjoint(n: u64) -> (TxId, Payload) {
-    let key = Key::new(format!("alloc-{n}"));
-    let payload = Payload::builder()
-        .read(key.clone(), Version::ZERO)
-        .write(key, Value::from("v"))
+/// The shards of the deployments measured here.
+const SHARDS: u32 = 2;
+
+/// Transaction `n`, reading and writing keys of its own: one key, or four
+/// keys, two on each shard.
+fn disjoint(n: u64, spanning: bool) -> (TxId, Payload) {
+    let keys: Vec<Key> = if spanning {
+        let sharding = HashSharding::new(SHARDS);
+        let candidates = (0..).map(|i| Key::new(format!("alloc-{n}-{i}")));
+        let on = |shard: u32| {
+            candidates
+                .clone()
+                .filter(move |key| sharding.shard_of(key) == ShardId::new(shard))
+                .take(2)
+        };
+        on(0).chain(on(1)).collect()
+    } else {
+        vec![Key::new(format!("alloc-{n}"))]
+    };
+    let mut payload = Payload::builder();
+    for key in keys {
+        payload = payload
+            .read(key.clone(), Version::ZERO)
+            .write(key, Value::from("v"));
+    }
+    let payload = payload
         .commit_version(Version::new(1))
         .build()
         .expect("well-formed");
@@ -90,19 +113,21 @@ fn disjoint(n: u64) -> (TxId, Payload) {
 /// transactions submitted after `WARM_UP` of them have committed. The
 /// payloads are built before counting starts: this counts the protocol, not
 /// the workload.
-fn per_committed_tx(stack: StackKind, batch: usize) -> (f64, f64) {
+fn per_committed_tx(stack: StackKind, batch: usize, spanning: bool) -> (f64, f64) {
     let mut cluster = ClusterSpec::default()
         .with_stack(stack)
         .with_seed(7)
-        .with_shards(2)
+        .with_shards(SHARDS)
         .with_batching(BatchingConfig::with_batch(batch))
         .build();
-    for (tx, payload) in (0..WARM_UP).map(disjoint) {
+    for (tx, payload) in (0..WARM_UP).map(|n| disjoint(n, spanning)) {
         cluster.submit(tx, payload);
     }
     cluster.run_to_quiescence();
     let warm = cluster.history().committed().count();
-    let submissions: Vec<_> = (WARM_UP..WARM_UP + COUNTED).map(disjoint).collect();
+    let submissions: Vec<_> = (WARM_UP..WARM_UP + COUNTED)
+        .map(|n| disjoint(n, spanning))
+        .collect();
     let (allocations, bytes) = counted(|| {
         for (tx, payload) in submissions {
             cluster.submit(tx, payload);
@@ -117,38 +142,62 @@ fn per_committed_tx(stack: StackKind, batch: usize) -> (f64, f64) {
 
 #[test]
 fn allocations_per_committed_transaction_hold_their_recorded_constants() {
-    // `(stack, batch, allocations, bytes)` per committed transaction, the
-    // allocations to two decimals and the bytes to the unit. The baseline's
-    // debug-only differential cross-check allocates too, so it has one pair
-    // of constants per build.
+    // `(stack, batch, spanning, allocations, bytes)` per committed
+    // transaction, the allocations to two decimals and the bytes to the
+    // unit. The baseline's debug-only differential cross-check allocates
+    // too, so it has one set of constants per build.
     let baseline = if cfg!(debug_assertions) {
-        [(45.69, 19683.0), (78.67, 22869.0)]
+        [
+            (39.26, 16430.0),
+            (66.67, 18298.0),
+            (59.25, 56285.0),
+            (113.87, 59793.0),
+        ]
     } else {
-        [(42.79, 7499.0), (75.74, 10685.0)]
+        [
+            (36.36, 4246.0),
+            (63.74, 6114.0),
+            (53.40, 7918.0),
+            (108.01, 11431.0),
+        ]
     };
     let recorded = [
-        (StackKind::Core, 32, 8.94, 3406.0),
-        (StackKind::Core, 1, 14.41, 6807.0),
-        (StackKind::Rdma, 32, 8.83, 3423.0),
-        (StackKind::Rdma, 1, 15.12, 5902.0),
-        (StackKind::Baseline, 32, baseline[0].0, baseline[0].1),
-        (StackKind::Baseline, 1, baseline[1].0, baseline[1].1),
+        (StackKind::Core, 32, false, 7.57, 2132.0),
+        (StackKind::Core, 1, false, 9.41, 2329.0),
+        (StackKind::Rdma, 32, false, 7.50, 2083.0),
+        (StackKind::Rdma, 1, false, 11.32, 2372.0),
+        (StackKind::Baseline, 32, false, baseline[0].0, baseline[0].1),
+        (StackKind::Baseline, 1, false, baseline[1].0, baseline[1].1),
+        (StackKind::Core, 32, true, 27.11, 6494.0),
+        (StackKind::Core, 1, true, 28.81, 6702.0),
+        (StackKind::Rdma, 32, true, 26.76, 6268.0),
+        (StackKind::Rdma, 1, true, 32.61, 6683.0),
+        (StackKind::Baseline, 32, true, baseline[2].0, baseline[2].1),
+        (StackKind::Baseline, 1, true, baseline[3].0, baseline[3].1),
     ];
     let mut measured = Vec::new();
     println!("per committed transaction, after {WARM_UP} warm-up, over {COUNTED}:");
-    for (stack, batch, _, _) in recorded {
-        let first = per_committed_tx(stack, batch);
+    for (stack, batch, spanning, _, _) in recorded {
+        let first = per_committed_tx(stack, batch, spanning);
         assert_eq!(
             first,
-            per_committed_tx(stack, batch),
-            "{stack}, batch {batch}"
+            per_committed_tx(stack, batch, spanning),
+            "{stack}, batch {batch}, spanning {spanning}"
         );
         let (allocations, bytes) = first;
         let name = stack.to_string();
-        println!("{name:>9}  batch {batch:>2}  {allocations:6.2} allocations  {bytes:6.0} bytes");
+        let keys = if spanning {
+            "4 keys, 2 shards"
+        } else {
+            "1 key"
+        };
+        println!(
+            "{name:>9}  batch {batch:>2}  {keys:<16}  {allocations:6.2} allocations  {bytes:6.0} bytes"
+        );
         measured.push((
             stack,
             batch,
+            spanning,
             (allocations * 100.0).round() / 100.0,
             bytes.round(),
         ));

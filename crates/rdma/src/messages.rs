@@ -168,8 +168,9 @@ pub enum RdmaMsg {
         config: GlobalConfiguration,
         /// The sending leader.
         leader: ProcessId,
-        /// The leader's certification log.
-        log: RdmaLog,
+        /// The leader's certification log, boxed so that every other
+        /// message is not moved at its size.
+        log: Box<RdmaLog>,
     },
     /// `CONNECT(epoch)` (line 147/153).
     Connect {

@@ -760,7 +760,7 @@ impl Member {
                 RdmaMsg::NewState {
                     config: config.clone(),
                     leader: self.id,
-                    log: self.log.clone(),
+                    log: Box::new(self.log.clone()),
                 },
             );
         }
@@ -775,7 +775,7 @@ impl Member {
         &mut self,
         config: GlobalConfiguration,
         leader: ProcessId,
-        log: RdmaLog,
+        log: Box<RdmaLog>,
         ctx: &mut Context<'_, RdmaMsg>,
     ) {
         if config.epoch < self.new_epoch {
@@ -787,7 +787,7 @@ impl Member {
         self.epoch = config.epoch;
         self.initialized = true;
         self.peer_frontiers.clear();
-        self.log = log;
+        self.log = *log;
         if !self.log.has_index() {
             self.log.set_certifier(self.index_factory.clone_box());
         }

@@ -9,6 +9,8 @@
 //! returns, which keeps event ordering deterministic.
 
 use std::any::Any;
+use std::cell::Cell;
+use std::time::Instant;
 
 use ratc_obs::{CtrlEvent, CtrlMilestone, TxMilestone, TxObsEvent};
 use ratc_types::{ProcessId, ShardId, TxId};
@@ -180,6 +182,18 @@ pub(crate) enum Effect<M> {
     },
 }
 
+/// What [`Context::now`] returns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Clock {
+    /// A time already known: the event's virtual time on the simulator, or
+    /// the first reading of the wall clock in this handler on the threaded
+    /// engine.
+    At(SimTime),
+    /// Not read yet (threaded engine): the run started at virtual time
+    /// `start` when the wall clock read `epoch`.
+    Unread { epoch: Instant, start: SimTime },
+}
+
 /// Execution context handed to actor handlers.
 ///
 /// All mutating operations are buffered and applied by the world after the
@@ -187,7 +201,7 @@ pub(crate) enum Effect<M> {
 /// the actor's own RDMA inbox (mirroring the blocking `flush` of §5).
 pub struct Context<'a, M> {
     pub(crate) self_id: ProcessId,
-    pub(crate) now: SimTime,
+    pub(crate) clock: Cell<Clock>,
     pub(crate) hops: u32,
     pub(crate) effects: Vec<Effect<M>>,
     pub(crate) metrics: &'a mut Metrics,
@@ -203,8 +217,21 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The current simulated time.
+    ///
+    /// On the simulator this is the time of the event being handled. On the
+    /// threaded engine the wall clock is read when a handler first asks for
+    /// the time, here or by stamping a milestone, and every later call in
+    /// the same handler returns that reading; a handler that never asks
+    /// never reads the clock.
     pub fn now(&self) -> SimTime {
-        self.now
+        match self.clock.get() {
+            Clock::At(now) => now,
+            Clock::Unread { epoch, start } => {
+                let now = start + SimDuration::from_micros(epoch.elapsed().as_micros() as u64);
+                self.clock.set(Clock::At(now));
+                now
+            }
+        }
     }
 
     /// The number of message delays (hops) accumulated by the causal chain
@@ -333,7 +360,7 @@ impl<'a, M> Context<'a, M> {
         if self.metrics.obs_enabled() {
             self.metrics.obs_record(TxObsEvent {
                 tx,
-                at_micros: self.now.as_micros(),
+                at_micros: self.now().as_micros(),
                 by: self.self_id,
                 milestone,
                 detail,
@@ -367,7 +394,7 @@ impl<'a, M> Context<'a, M> {
     ) {
         if self.metrics.obs_enabled() {
             self.metrics.ctrl_record(CtrlEvent {
-                at_micros: self.now.as_micros(),
+                at_micros: self.now().as_micros(),
                 by: self.self_id,
                 milestone,
                 shard,
@@ -395,7 +422,7 @@ mod tests {
         let mut next_token = 0;
         let mut ctx: Context<'_, Msg> = Context {
             self_id: ProcessId::new(1),
-            now: SimTime::from_micros(5),
+            clock: Cell::new(Clock::At(SimTime::from_micros(5))),
             hops: 2,
             effects: Vec::new(),
             metrics: &mut metrics,
@@ -444,7 +471,7 @@ mod tests {
             let (mut next_timer, mut next_token) = (0, 0);
             let mut ctx: Context<'_, Counted> = Context {
                 self_id: ProcessId::new(1),
-                now: SimTime::ZERO,
+                clock: Cell::new(Clock::At(SimTime::ZERO)),
                 hops: 0,
                 effects: Vec::new(),
                 metrics: &mut metrics,
@@ -480,7 +507,7 @@ mod tests {
         let mut next_token = 0;
         let mut ctx: Context<'_, Msg> = Context {
             self_id: ProcessId::new(1),
-            now: SimTime::ZERO,
+            clock: Cell::new(Clock::At(SimTime::ZERO)),
             hops: 0,
             effects: Vec::new(),
             metrics: &mut metrics,

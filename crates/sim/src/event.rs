@@ -13,12 +13,15 @@ use crate::time::SimTime;
 /// The kind of a queued event.
 #[derive(Debug)]
 pub(crate) enum EventKind<M> {
-    /// Deliver a network message.
+    /// Deliver a network message. `reserved` marks a delivery the
+    /// simulator's service-time model deferred to the start of the service
+    /// slot it already reserved; such a delivery runs when next popped.
     Deliver {
         from: ProcessId,
         to: ProcessId,
         msg: M,
         hops: u32,
+        reserved: bool,
     },
     /// Fire a timer. `incarnation` is the crash-restart incarnation of the
     /// process at the time the timer was set; a timer set before a crash never

@@ -12,12 +12,14 @@
 //! process, so an actor never runs on two threads at once, per-link FIFO
 //! holds, and a process that keeps messaging itself cannot starve the
 //! others. Timers sit in one deadline heap on the monotonic wall clock, and
-//! `ctx.now()` advances with real elapsed time. A [`Context`] only
-//! *buffers* effects, and a handler works on a part of its process's RDMA
-//! inbox detached under a short lock, so a worker holds no lock while actor
-//! code runs: deadlock-free by construction, and an RDMA write lands in a
-//! peer's memory without waiting for the peer's handler (§5's "without
-//! involving the latter's CPU").
+//! `ctx.now()` advances with real elapsed time: a handler reads the clock
+//! when it first asks for the time and keeps that reading until it returns,
+//! and one that never asks never reads it (see [`Context::now`]). A
+//! [`Context`] only *buffers* effects, and a handler works on a part of its
+//! process's RDMA inbox detached under a short lock, so a worker holds no
+//! lock while actor code runs: deadlock-free by construction, and an RDMA
+//! write lands in a peer's memory without waiting for the peer's handler
+//! (§5's "without involving the latter's CPU").
 //!
 //! A threaded run is a bracketed excursion: [`World::run_threaded`] moves the
 //! actors, the pending event queue and the RDMA fabric out of the world,
@@ -54,6 +56,7 @@
 //!   Crashes and restarts happen between runs, so a threaded run has no
 //!   pending crash to apply.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
@@ -64,8 +67,7 @@ use std::time::{Duration, Instant};
 
 use ratc_types::ProcessId;
 
-use crate::actor::Effect;
-use crate::actor::{dispatch, Actor, Context, TimerId, TimerTag, Upcall};
+use crate::actor::{dispatch, Actor, Clock, Context, Effect, TimerId, TimerTag, Upcall};
 use crate::event::{EventKind, QueuedEvent};
 use crate::metrics::Metrics;
 use crate::rdma::{RdmaFabric, RdmaInbox, RdmaPermissions, RdmaToken};
@@ -249,20 +251,14 @@ struct Shared<M> {
     /// increments; completeness comes from the scope join (see above), not
     /// from this atomic's ordering.
     rejected: AtomicU64,
-    /// Wall-clock origin of the run; `now()` is `start_now` + elapsed.
+    /// Wall-clock origin of the run; a handler's `ctx.now()` is
+    /// `start_now` + elapsed.
     epoch: Instant,
     /// Virtual time at which the run started.
     start_now: SimTime,
 }
 
 impl<M> Shared<M> {
-    /// The current virtual time: run start plus real elapsed microseconds
-    /// (monotonic, from [`Instant`]), so `DecisionLatency::micros` measured
-    /// on this backend is genuine wall-clock latency.
-    fn now(&self) -> SimTime {
-        self.start_now + SimDuration::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
     /// The live process `pid`, if there is one.
     fn proc(&self, pid: ProcessId) -> Option<&Proc<M>> {
         self.procs
@@ -433,6 +429,9 @@ struct Worker<'s, M> {
     /// `pending` units the current activation holds: one per event it
     /// handled and per armed timer it cancelled, less those lent to sends.
     held: i64,
+    /// The effect buffer the next handler's [`Context`] borrows, drained and
+    /// kept after each handler.
+    spare_effects: Vec<Effect<M>>,
 }
 
 impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
@@ -559,15 +558,21 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
     /// while it runs; its part goes back in front of theirs afterwards. A
     /// flush is thus linearized at the handler's start, and a write that
     /// lands during the handler is delivered by its own `RdmaDeliver`.
+    ///
+    /// The handler's clock is read only if it asks for the time (see
+    /// [`Context::now`]).
     fn invoke(&mut self, proc: &Proc<M>, slot: &mut Slot<M>, upcall: Upcall<M>, hops: u32) {
         let handler = upcall.handler();
-        let now = self.shared.now();
         let mut inbox = proc.inbox.lock().expect("inbox lock").detach();
+        let clock = Clock::Unread {
+            epoch: self.shared.epoch,
+            start: self.shared.start_now,
+        };
         let mut ctx = Context {
             self_id: proc.pid,
-            now,
+            clock: Cell::new(clock),
             hops,
-            effects: Vec::new(),
+            effects: std::mem::take(&mut self.spare_effects),
             metrics: &mut slot.metrics,
             inbox: &mut inbox,
             next_timer_id: &mut slot.next_timer_id,
@@ -575,7 +580,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
         };
         let actor = slot.actor.as_mut();
         let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(actor, upcall, &mut ctx)));
-        let (effects, panic) = (std::mem::take(&mut ctx.effects), outcome.err());
+        let (mut effects, panic) = (ctx.effects, outcome.err());
         proc.inbox.lock().expect("inbox lock").reattach(inbox);
         if let Some(payload) = panic {
             let cause = payload
@@ -587,18 +592,21 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
             self.shared.stop(Some(report));
             return;
         }
-        self.apply_effects(proc, slot, effects, hops);
+        self.apply_effects(proc, slot, &mut effects, hops);
+        self.spare_effects = effects;
     }
 
+    /// Applies and drains `effects`, leaving its capacity for the next
+    /// handler.
     fn apply_effects(
         &mut self,
         proc: &Proc<M>,
         slot: &mut Slot<M>,
-        effects: Vec<Effect<M>>,
+        effects: &mut Vec<Effect<M>>,
         hops: u32,
     ) {
         let pid = proc.pid;
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     slot.metrics.on_msg_sent(&msg);
@@ -607,6 +615,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Worker<'_, M> {
                         to,
                         msg,
                         hops: hops + 1,
+                        reserved: false,
                     })
                 }
                 Effect::RdmaSend { to, msg, token } => {
@@ -800,6 +809,7 @@ where
                     index,
                     events_processed: 0,
                     held: 0,
+                    spare_effects: Vec::new(),
                 };
                 scope.spawn(move || worker.run())
             })
@@ -1065,6 +1075,57 @@ mod tests {
         w.run_threaded();
         assert_eq!(w.metrics().counter("fired"), 7);
         assert!(w.now() > before, "wall-clock time advanced the sim clock");
+    }
+
+    #[test]
+    fn threaded_clock_is_read_once_per_handler_and_never_goes_back() {
+        /// Two processes pass a note back and forth. A handler for note `n`
+        /// asks for the time when `n % 4 < 2`, twice, 100 µs of wall time
+        /// apart; the others never ask. Both kinds send the next note.
+        #[derive(Default)]
+        struct Clocked {
+            readings: Vec<(SimTime, SimTime)>,
+            silent: u64,
+        }
+        impl Actor<Msg> for Clocked {
+            fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                let Msg::Note(n) = msg else { return };
+                if n % 4 < 2 {
+                    let first = ctx.now();
+                    let spin = Instant::now();
+                    while spin.elapsed() < Duration::from_micros(100) {}
+                    self.readings.push((first, ctx.now()));
+                } else {
+                    self.silent += 1;
+                }
+                if n < 40 {
+                    ctx.send(from, Msg::Note(n + 1));
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let a = w.add_actor(Clocked::default());
+        let b = w.add_actor(Clocked::default());
+        w.send_from(a, b, Msg::Note(0));
+        w.run_threaded();
+        // `b` handles the even notes 0..=40, `a` the odd ones 1..=39.
+        for (pid, asked, silent) in [(a, 10, 10), (b, 11, 10)] {
+            let clocked = w.actor::<Clocked>(pid).expect("clocked");
+            assert_eq!(clocked.readings.len(), asked, "{pid}: asking handlers ran");
+            assert_eq!(clocked.silent, silent, "{pid}: silent handlers ran");
+            for (first, second) in &clocked.readings {
+                assert_eq!(first, second, "{pid}: one reading per handler");
+            }
+            let times: Vec<SimTime> = clocked.readings.iter().map(|(t, _)| *t).collect();
+            assert!(
+                times.windows(2).all(|pair| pair[0] <= pair[1]),
+                "{pid}: the clock went back: {times:?}"
+            );
+            assert!(
+                w.now() >= *times.last().expect("read"),
+                "{pid}: run ends later"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The simulation world: event loop, actors, channels, crashes and RDMA fabric.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
@@ -10,7 +11,7 @@ use rand_chacha::ChaCha12Rng;
 use ratc_obs::{CtrlEvent, CtrlMilestone, TxMilestone, TxObsEvent};
 use ratc_types::{ProcessId, ShardId, TxId};
 
-use crate::actor::{dispatch, Actor, Context, Effect, TimerId, Upcall};
+use crate::actor::{dispatch, Actor, Clock, Context, Effect, TimerId, Upcall};
 use crate::event::{EventKind, QueuedEvent};
 use crate::faults::{FaultDecision, FaultPlane, LinkFault};
 use crate::latency::LatencyModel;
@@ -144,11 +145,13 @@ pub struct World<M> {
     pub(crate) incarnations: BTreeMap<ProcessId, u64>,
     /// Single-server queueing under a nonzero [`SimConfig::service`]: the
     /// virtual time before which each process cannot accept its next message
-    /// delivery. Unused (and empty) when the service time is zero.
-    busy_until: BTreeMap<ProcessId, SimTime>,
-    /// Sequence numbers of deferred deliveries whose service slot is already
-    /// reserved in `busy_until`; executed directly on their second pop.
-    service_reserved: std::collections::BTreeSet<u64>,
+    /// delivery, indexed by raw process id (`add_actor` numbers processes
+    /// densely). Unused when the service time is zero.
+    busy_until: Vec<SimTime>,
+    /// The effect buffer the next handler's [`Context`] borrows: drained
+    /// after each handler and kept, so a handler that sends allocates
+    /// nothing for its effects.
+    spare_effects: Vec<Effect<M>>,
 }
 
 impl<M> fmt::Debug for World<M> {
@@ -190,8 +193,8 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             cancelled_timers: BTreeSet::new(),
             faults: FaultPlane::default(),
             incarnations: BTreeMap::new(),
-            busy_until: BTreeMap::new(),
-            service_reserved: std::collections::BTreeSet::new(),
+            busy_until: Vec::new(),
+            spare_effects: Vec::new(),
         }
     }
 
@@ -201,6 +204,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         let pid = ProcessId::new(self.next_pid);
         self.next_pid += 1;
         self.actors.insert(pid, Some(Box::new(actor)));
+        self.busy_until.push(SimTime::ZERO);
         self.with_actor(pid, 0, Upcall::Start);
         pid
     }
@@ -322,6 +326,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 to,
                 msg,
                 hops: 0,
+                reserved: false,
             },
         );
     }
@@ -334,6 +339,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             to,
             msg,
             hops: 0,
+            reserved: false,
         });
     }
 
@@ -350,7 +356,9 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     /// Crashes `pid` immediately: it receives no further events.
     pub fn crash(&mut self, pid: ProcessId) {
         if self.crashed.insert(pid) {
-            self.busy_until.remove(&pid);
+            if let Some(busy) = self.busy_slot(pid) {
+                *busy = SimTime::ZERO;
+            }
             let incarnation = self.incarnations.get(&pid).copied().unwrap_or(0);
             self.ctrl_stamp(pid, CtrlMilestone::Crash, incarnation);
             // The NIC dies with the process: every permission it had granted
@@ -460,7 +468,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
 
     /// Executes a single event. Returns `false` if the queue was empty.
     fn step(&mut self) -> bool {
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some(Reverse(mut event)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(event.time >= self.now, "time must not go backwards");
@@ -468,24 +476,25 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         // message arriving while its target is still handling an earlier one
         // waits in the target's queue. The service slot is reserved at
         // deferral time and the delivery requeued exactly once, to the start
-        // of its slot — amortised O(1) per message even under a deep backlog.
-        // Slots are granted in pop order (= arrival order: later arrivals
-        // get later sequence numbers), preserving per-link FIFO; deferrals
-        // count as steps so `MAX_STEPS` still bounds storms.
-        if self.service != SimDuration::ZERO {
-            if let EventKind::Deliver { to, .. } = &event.kind {
-                if !self.service_reserved.remove(&event.seq) {
-                    let free = self.busy_until.get(to).copied().unwrap_or(SimTime::ZERO);
-                    let to = *to;
+        // of its slot, marked `reserved` — amortised O(1) per message even
+        // under a deep backlog. Slots are granted in pop order (= arrival
+        // order: later arrivals get later sequence numbers), preserving
+        // per-link FIFO; deferrals count as steps so `MAX_STEPS` still
+        // bounds storms. A delivery to a pid that is no actor takes no slot:
+        // nothing handles it.
+        let service = self.service;
+        if let EventKind::Deliver { to, reserved, .. } = &mut event.kind {
+            if service != SimDuration::ZERO && !*reserved {
+                if let Some(busy) = self.busy_slot(*to) {
+                    let free = *busy;
+                    *busy = free.max(event.time) + service;
                     if free > event.time {
-                        self.busy_until.insert(to, free + self.service);
+                        *reserved = true;
                         self.now = event.time;
                         self.steps += 1;
-                        let seq = self.push_event(free, event.kind);
-                        self.service_reserved.insert(seq);
+                        self.push_event(free, event.kind);
                         return true;
                     }
-                    self.busy_until.insert(to, event.time + self.service);
                 }
             }
         }
@@ -495,13 +504,17 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         true
     }
 
+    /// `pid`'s entry of `busy_until`, if `pid` was added as an actor.
+    fn busy_slot(&mut self, pid: ProcessId) -> Option<&mut SimTime> {
+        self.busy_until.get_mut(usize::try_from(pid.as_u64()).ok()?)
+    }
+
     // -- internals ---------------------------------------------------------
 
-    pub(crate) fn push_event(&mut self, time: SimTime, kind: EventKind<M>) -> u64 {
+    pub(crate) fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(QueuedEvent { time, seq, kind }));
-        seq
     }
 
     /// Schedules a send on either transport: the fault decision, the
@@ -580,8 +593,10 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
         self.faults.decide(from, to, is_rdma, &mut self.rng)
     }
 
-    fn apply_effects(&mut self, pid: ProcessId, hops: u32, effects: Vec<Effect<M>>) {
-        for effect in effects {
+    /// Applies and drains `effects`, leaving its capacity for the next
+    /// handler.
+    fn apply_effects(&mut self, pid: ProcessId, hops: u32, effects: &mut Vec<Effect<M>>) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     self.schedule_send(pid, to, msg, &MESSAGES, |msg| EventKind::Deliver {
@@ -589,6 +604,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                         to,
                         msg,
                         hops: hops + 1,
+                        reserved: false,
                     })
                 }
                 Effect::RdmaSend { to, msg, token } => {
@@ -618,8 +634,9 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
     }
 
     /// Drives the actor `pid` through the shared [`dispatch`] seam with a
-    /// fresh context, then applies the effects it produced. Returns `false`
-    /// if the actor does not exist or has crashed.
+    /// fresh context on the spare effect buffer, then applies the effects it
+    /// produced and keeps the buffer. Returns `false` if the actor does not
+    /// exist or has crashed.
     fn with_actor(&mut self, pid: ProcessId, hops: u32, upcall: Upcall<M>) -> bool {
         if self.crashed.contains(&pid) {
             return false;
@@ -631,26 +648,27 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             return false;
         };
         let mut inbox = self.rdma.take_inbox(pid);
-        let effects;
+        let mut effects;
         {
             let mut ctx = Context {
                 self_id: pid,
-                now: self.now,
+                clock: Cell::new(Clock::At(self.now)),
                 hops,
-                effects: Vec::new(),
+                effects: std::mem::take(&mut self.spare_effects),
                 metrics: &mut self.metrics,
                 inbox: &mut inbox,
                 next_timer_id: &mut self.next_timer_id,
                 next_rdma_token: &mut self.next_rdma_token,
             };
             dispatch(actor.as_mut(), upcall, &mut ctx);
-            effects = std::mem::take(&mut ctx.effects);
+            effects = ctx.effects;
         }
         self.rdma.put_inbox(pid, inbox);
         if let Some(slot) = self.actors.get_mut(&pid) {
             *slot = Some(actor);
         }
-        self.apply_effects(pid, hops, effects);
+        self.apply_effects(pid, hops, &mut effects);
+        self.spare_effects = effects;
         true
     }
 
@@ -661,6 +679,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 to,
                 msg,
                 hops,
+                ..
             } => {
                 if self.crashed.contains(&to) || !self.actors.contains_key(&to) {
                     return;
