@@ -7,9 +7,9 @@
 //! order-dependent hash iteration, total message dispatch). This crate turns
 //! those conventions into machine-checked invariants.
 //!
-//! Like `ratc_bench::json`, the analyzer is entirely hand-rolled (lexer +
-//! lightweight item parser, no dependencies) so the lint gate can never be
-//! blocked on registry access.
+//! The analyzer is entirely hand-rolled (lexer + lightweight item parser,
+//! no dependencies) so the lint gate can never be blocked on registry
+//! access.
 //!
 //! # Lint catalog
 //!
@@ -22,7 +22,7 @@
 //! * `float-state` — floating-point types/literals in protocol state
 //!   (observability sink calls are carved out).
 //!
-//! Clock/thread lints (everywhere except `rt.rs`, vendor stubs, bench):
+//! Clock/thread lints (everywhere except `rt.rs` and vendor stubs):
 //!
 //! * `wall-clock` — `Instant::now` / `SystemTime`.
 //! * `unseeded-rng` — `thread_rng` / `from_entropy` / `OsRng`.
@@ -410,10 +410,9 @@ fn prepare(file: &SourceFile) -> Prepared {
     }
 }
 
-/// Path prefixes excluded from scanning: offline vendor stubs, the bench
-/// harness (measures wall-clock by design), and this tool crate itself
-/// (its docs and fixtures are full of lint-name literals).
-const SKIP_PREFIXES: [&str; 3] = ["crates/vendor/", "crates/bench/", "crates/analyze/"];
+/// Path prefixes excluded from scanning: offline vendor stubs and this tool
+/// crate itself (its docs and fixtures are full of lint-name literals).
+const SKIP_PREFIXES: [&str; 2] = ["crates/vendor/", "crates/analyze/"];
 
 /// Walks the workspace at `root` and collects every `crates/*/src/**/*.rs`
 /// (plus a root `src/` if present), excluding `SKIP_PREFIXES`. Files come

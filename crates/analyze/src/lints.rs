@@ -86,8 +86,8 @@ fn push(findings: &mut Vec<Finding>, prep: &Prepared, line: u32, lint: Lint, mes
 }
 
 /// `wall-clock`, `unseeded-rng`, `ad-hoc-thread`: straightforward token
-/// patterns. The threaded engine (`rt.rs`), vendor stubs and bench crates
-/// are out of scope by construction.
+/// patterns. The threaded engine (`rt.rs`) and vendor stubs are out of
+/// scope by construction.
 fn clock_lints(prep: &Prepared, findings: &mut Vec<Finding>) {
     let t = &prep.toks;
     for i in 0..t.len() {

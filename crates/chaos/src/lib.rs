@@ -22,9 +22,10 @@
 //!   counterexample schedule;
 //! * [`hunt`] — unscripted rediscovery of the Figure 4a violation class
 //!   under naive per-shard reconfiguration, shrunk to a minimal schedule;
-//! * [`experiment`] — E9: commit throughput and recovery time vs. fault
-//!   intensity; E12: the per-shard availability-window (blackout)
-//!   time-to-recover matrix, derived from the control-plane event stream.
+//! * [`experiment`] — E9: commits and recovery time vs. fault intensity;
+//!   E12: the per-shard availability-window (blackout) time-to-recover
+//!   matrix, derived from the control-plane event stream. Both are pinned
+//!   cell by cell in `tests/blackout.rs`.
 //!
 //! Every run is deterministic given `(stack, seed, plan)`: the same seed
 //! reproduces the same trace, the same violations and the same shrunk
@@ -43,8 +44,7 @@ pub mod shrink;
 
 pub use driver::{run_soak, SoakConfig, SoakReport};
 pub use experiment::{
-    availability_experiment, blackout_experiment, AvailabilityResult, BlackoutResult,
-    BlackoutScenario,
+    availability_experiment, blackout_experiment, AvailabilityResult, BlackoutScenario,
 };
 pub use harness::{build_harness, ChaosHarness, Stack};
 pub use hunt::{find_naive_violation, reproduces_violation, HuntResult};

@@ -1,7 +1,7 @@
 //! Seeded, deterministic exponential backoff with jitter.
 //!
 //! The fixed-interval retry timers the stacks started with are exactly the
-//! congestive-collapse mechanism `BENCH_6.json` recorded: every tick re-drives
+//! congestive-collapse mechanism of an open-loop flood: every tick re-drives
 //! *every* pending transaction, so once the work added per tick exceeds the
 //! work the cluster can absorb per tick, the backlog grows without bound. A
 //! [`BackoffPolicy`] replaces the fixed interval with a capped exponential

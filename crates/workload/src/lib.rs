@@ -4,19 +4,16 @@
 //! [`experiments`] runs one or more full simulated deployments, collects the
 //! metrics the paper's claims are stated in (message delays, messages per
 //! leader, replicas per shard, abort rates, recovery time, safety violations),
-//! and returns a plain-data result that the `ratc-bench` binaries print and
-//! that EXPERIMENTS.md records. Experiments are generic over the stack: they
-//! take a [`StackKind`] and deploy it through the unified
-//! `ratc-harness` facade, so the same driver measures the message-passing
-//! protocol, the RDMA protocol and the 2PC-over-Paxos baseline. [`generator`]
-//! produces the transaction workloads (uniform and Zipfian key popularity,
-//! configurable read/write mixes); [`counterexample`] reproduces the Figure
-//! 4a schedule.
-//!
-//! Every simulated experiment is deterministic given its seed; the E9
-//! wall-clock drivers ([`wallclock_experiment`],
-//! [`wallclock_scaling_experiment`]) run on the threaded backend instead and
-//! report real, host-dependent committed-tx/s.
+//! and returns a plain-data result that the module's tests pin exactly
+//! (`e1_latency_matches_the_paper` … `e11_idle_phases_sum_to_the_end_to_end_latency`).
+//! Experiments are generic over the stack: they take a [`StackKind`] and
+//! deploy it through the unified `ratc-harness` facade, so the same driver
+//! measures the message-passing protocol, the RDMA protocol and the
+//! 2PC-over-Paxos baseline. [`generator`] produces the transaction workloads
+//! (uniform and Zipfian key popularity, configurable read/write mixes);
+//! [`counterexample`] reproduces the Figure 4a schedule, pinned by its own
+//! tests. The E9 and E12 availability experiments run on the chaos soak
+//! driver and live in `ratc-chaos`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -28,12 +25,10 @@ pub mod generator;
 pub use counterexample::{run_counterexample, CounterexampleOutcome};
 pub use experiments::{
     abort_rate_experiment, batching_experiment, invariants_experiment, latency_experiment,
-    leader_load_experiment, overload_experiment, overload_sweep, phase_experiment,
-    reconfiguration_experiment, replication_cost_experiment, scaling_experiment,
-    truncation_experiment, wallclock_experiment, wallclock_scaling_experiment, AbortRateResult,
-    BatchingResult, InvariantsResult, LatencyResult, LeaderLoadResult, OverloadResult, PhaseResult,
-    ReconfigurationResult, ReplicationCostResult, ScalingResult, TruncationResult, WallclockResult,
+    leader_load_experiment, overload_experiment, phase_experiment, reconfiguration_experiment,
+    replication_cost_experiment, scaling_experiment, truncation_experiment, AbortRateResult,
+    BatchingResult, InvariantsResult, LatencyResult, LeaderLoadResult, OverloadResult,
+    ReconfigurationResult, ReplicationCostResult, ScalingResult, TruncationResult,
 };
 pub use generator::{KeyDistribution, WorkloadSpec};
-pub use ratc_core::flow::FlowControlConfig;
 pub use ratc_harness::{ClusterSpec, StackKind, TcsCluster};

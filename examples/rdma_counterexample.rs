@@ -12,11 +12,11 @@ use ratc::workload::run_counterexample;
 
 fn main() {
     println!("Figure 4a schedule, naive per-shard reconfiguration:");
-    let naive = run_counterexample(ReconfigMode::NaivePerShard, 1);
-    println!("  {naive}");
+    let naive = run_counterexample(ReconfigMode::NaivePerShard);
+    println!("  {naive:?}");
     println!("Figure 4a schedule, correct global reconfiguration:");
-    let correct = run_counterexample(ReconfigMode::GlobalCorrect, 1);
-    println!("  {correct}");
+    let correct = run_counterexample(ReconfigMode::GlobalCorrect);
+    println!("  {correct:?}");
 
     assert!(naive.stale_commit_externalized && naive.client_violations > 0);
     assert!(!correct.stale_commit_externalized && correct.client_violations == 0);

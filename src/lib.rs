@@ -22,9 +22,11 @@
 //! * [`chaos`] — the chaos nemesis: randomized fault injection,
 //!   crash-restart recovery and automatic schedule shrinking.
 //!
-//! See the runnable programs in `examples/` and the experiment binaries in
-//! `crates/bench` for end-to-end usage, and DESIGN.md / EXPERIMENTS.md for the
-//! reproduction methodology.
+//! See the runnable programs in `examples/` for end-to-end usage. The
+//! paper's evaluation claims are pinned as exact assertions: E1–E11 by the
+//! tests of [`workload::experiments`] (`e1_latency_matches_the_paper` …),
+//! Figure 4a by those of [`workload::counterexample`], and E9/E12 by
+//! `crates/chaos/tests/blackout.rs`.
 //!
 //! # Quick start
 //!
