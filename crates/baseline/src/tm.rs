@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
 use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
 use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
-use ratc_types::{Decision, Payload, ProcessId, ShardId, ShardMap, TxId};
+use ratc_types::{Decision, Payload, Placement, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::messages::{BaselineMsg, TmCommand};
 
@@ -26,8 +26,8 @@ const TM_RETRY_CAP: u32 = 1000;
 #[derive(Debug, Clone)]
 struct PendingTx {
     client: ProcessId,
-    payload: Payload,
-    shards: Vec<ShardId>,
+    /// `shards(t)` with the payload's restriction to each, placed once.
+    placement: Placement,
     votes: BTreeMap<ShardId, Decision>,
     proposed: bool,
     /// When this transaction's next certify-retry is due (flow control only).
@@ -258,8 +258,8 @@ impl TransactionManager {
         client: ProcessId,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        let shards = payload.shards(self.sharding.as_ref());
-        if shards.is_empty() {
+        let placement = payload.place(self.sharding.as_ref());
+        if placement.is_empty() {
             ctx.send(
                 client,
                 BaselineMsg::DecisionClient {
@@ -275,8 +275,7 @@ impl TransactionManager {
             tx,
             PendingTx {
                 client,
-                payload: payload.clone(),
-                shards: shards.clone(),
+                placement,
                 votes: BTreeMap::new(),
                 proposed: false,
                 backoff,
@@ -287,18 +286,7 @@ impl TransactionManager {
         ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
         ctx.obs_gauge("obs_inflight_window", self.pending.len() as f64);
         ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
-        for shard in shards {
-            let Some(leader) = self.shard_leaders.get(&shard) else {
-                continue;
-            };
-            ctx.send(
-                *leader,
-                BaselineMsg::Prepare {
-                    tx,
-                    payload: payload.restrict(shard, self.sharding.as_ref()),
-                },
-            );
-        }
+        self.redrive(tx, ctx);
         self.arm_retry_timer(ctx);
     }
 
@@ -316,7 +304,9 @@ impl TransactionManager {
         }
     }
 
-    /// Re-sends `PREPARE` to every shard of `tx` whose vote is missing.
+    /// Sends `PREPARE`, with its restriction of the payload, to every shard
+    /// of `tx` whose vote is missing (every shard when `tx` starts), until
+    /// the decision is proposed.
     fn redrive(&mut self, tx: TxId, ctx: &mut Context<'_, BaselineMsg>) {
         let Some(pending) = self.pending.get(&tx) else {
             return;
@@ -324,23 +314,17 @@ impl TransactionManager {
         if pending.proposed {
             return;
         }
-        let missing: Vec<ShardId> = pending
-            .shards
-            .iter()
-            .copied()
-            .filter(|s| !pending.votes.contains_key(s))
-            .collect();
-        let payload = pending.payload.clone();
-        for shard in missing {
-            if let Some(leader) = self.shard_leaders.get(&shard) {
-                ctx.send(
-                    *leader,
-                    BaselineMsg::Prepare {
-                        tx,
-                        payload: payload.restrict(shard, self.sharding.as_ref()),
-                    },
-                );
+        for (shard, part) in pending.placement.parts() {
+            if pending.votes.contains_key(&shard) {
+                continue;
             }
+            let Some(leader) = self.shard_leaders.get(&shard) else {
+                continue;
+            };
+            let payload = part
+                .cloned()
+                .expect("the TM places every payload it certifies");
+            ctx.send(*leader, BaselineMsg::Prepare { tx, payload });
         }
     }
 
@@ -469,7 +453,7 @@ impl TransactionManager {
         };
         pending.votes.insert(shard, vote);
         ctx.obs_milestone(tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
-        if pending.proposed || pending.votes.len() < pending.shards.len() {
+        if pending.proposed || pending.votes.len() < pending.placement.len() {
             return;
         }
         pending.proposed = true;
@@ -478,7 +462,7 @@ impl TransactionManager {
             tx,
             decision,
             client: pending.client,
-            shards: pending.shards.clone(),
+            shards: pending.placement.shards().collect(),
         };
         if !self.phase1_started {
             self.phase1_started = true;

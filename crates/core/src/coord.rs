@@ -29,7 +29,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ratc_sim::{BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
-use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, ShardMap, TxId};
+use ratc_types::{
+    Decision, Epoch, Payload, Placement, Position, ProcessId, ShardId, ShardMap, TxId,
+};
 
 use crate::batch::{
     sorted_entry, BatchingConfig, Items, PrepareBatch, PrepareItem, PreparedItem, ShardDecisions,
@@ -213,10 +215,11 @@ impl ShardProgress {
 #[derive(Debug, Clone)]
 struct CoordState {
     client: ProcessId,
-    /// The full payload if this coordinator received the original `certify`;
-    /// `None` for recovery coordinators (which only ever send `⊥`).
-    payload: Option<Payload>,
-    shards: Vec<ShardId>,
+    /// `shards(t)`, each with the restriction of the payload its `PREPARE`
+    /// carries: placed once ([`Payload::place`]) if this coordinator
+    /// received the original `certify`, unknown for recovery coordinators
+    /// (which only ever send `⊥`).
+    placement: Placement,
     /// Progress per shard per epoch, as an [`Items::entry`] list: one entry
     /// per shard unless a shard reconfigured while the transaction was in
     /// flight.
@@ -226,12 +229,11 @@ struct CoordState {
 }
 
 impl CoordState {
-    fn new(client: ProcessId, payload: Option<Payload>, shards: Vec<ShardId>) -> Self {
+    fn new(client: ProcessId, placement: Placement) -> Self {
         CoordState {
             client,
-            payload,
+            placement,
             progress: Items::new(),
-            shards,
             backoff: None,
         }
     }
@@ -279,11 +281,18 @@ impl Outcome {
 /// What is kept of a transaction this coordinator no longer drives: the
 /// outcome, so a re-submitted `certify` (the client's `DECISION` was lost to
 /// a fault) is answered instead of swallowed, and the shards
-/// [`Coordinator::forget_decided`] hands back.
+/// [`Coordinator::forget_decided`] hands back, without their restrictions.
 #[derive(Debug, Clone)]
 struct Settled {
     outcome: Outcome,
-    shards: Vec<ShardId>,
+    shards: Placement,
+}
+
+impl Settled {
+    fn new(outcome: Outcome, placement: Placement) -> Self {
+        let shards = placement.shards_only();
+        Settled { outcome, shards }
+    }
 }
 
 /// Everything a process needs to coordinate transactions (see the module
@@ -296,8 +305,8 @@ pub struct Coordinator {
     /// The transactions it stopped driving, until they are forgotten.
     settled: BTreeMap<TxId, Settled>,
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated),
-    /// each with the shards its payload touches, computed on arrival.
-    admission: AdmissionQueue<(Payload, ProcessId, Vec<ShardId>)>,
+    /// each placed on arrival.
+    admission: AdmissionQueue<(Placement, ProcessId)>,
     /// Flow-control knobs: coordinator admission window and retry backoff.
     flow: FlowControlConfig,
     batcher: VoteBatcher<TxId>,
@@ -358,12 +367,12 @@ impl Coordinator {
         self.batch_timer_armed = false;
     }
 
-    /// Drops the record of a decided transaction and returns its shards;
-    /// `None` (and nothing dropped) while the transaction is unknown or in
-    /// flight. Neither the client (it has the decision) nor a recovery
-    /// coordinator will ask about it again once the decision is acknowledged
-    /// end to end.
-    pub fn forget_decided(&mut self, tx: TxId) -> Option<Vec<ShardId>> {
+    /// Drops the record of a decided transaction and returns its shards
+    /// (a placement without restrictions); `None` (and nothing dropped)
+    /// while the transaction is unknown or in flight. Neither the client (it
+    /// has the decision) nor a recovery coordinator will ask about it again
+    /// once the decision is acknowledged end to end.
+    pub fn forget_decided(&mut self, tx: TxId) -> Option<Placement> {
         self.settled.remove(&tx).map(|settled| settled.shards)
     }
 
@@ -410,25 +419,26 @@ impl Coordinator {
     /// Admits queued submissions into freed window slots (oldest first).
     fn drain_admission<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         while self.flow.admits(self.undecided_coordinated()) {
-            let Some((tx, (payload, client, shards))) = self.admission.pop() else {
+            let Some((tx, (placement, client))) = self.admission.pop() else {
                 break;
             };
-            self.certify_placed(tx, payload, shards, client, repl, ctx);
+            self.certify_placed(tx, placement, client, repl, ctx);
         }
     }
 
     /// The driven state of `tx`, opened if this process is not driving it
     /// yet — a recovery coordinator, which has no payload.
     fn coord_entry(&mut self, tx: TxId, client: ProcessId, shards: &[ShardId]) -> &mut CoordState {
-        let open = || CoordState::new(client, None, shards.to_vec());
+        let open = || CoordState::new(client, Placement::unknown(shards));
         self.coordinating.entry(tx).or_insert_with(open)
     }
 
     /// Sends `PREPARE` for `txs` (line 3 / 73 / 76): one `PREPARE_BATCH` per
     /// involved shard leader — in leader order, items in `txs` order — with
-    /// each payload restricted to the leader's shard, or `⊥` when this
-    /// coordinator has no payload (a recovery coordinator). `only` limits the
-    /// prepares to those shards. Returns the number of messages sent.
+    /// the payload's restriction to the leader's shard from the placement,
+    /// or `⊥` when this coordinator has no payload (a recovery coordinator).
+    /// `only` limits the prepares to those shards. Returns the number of
+    /// messages sent.
     fn send_prepares<R: Replication>(
         &self,
         txs: &[TxId],
@@ -441,22 +451,17 @@ impl Coordinator {
             let Some(coord) = self.coordinating.get(&tx) else {
                 continue;
             };
-            for shard in &coord.shards {
-                if only.is_some_and(|filter| !filter.contains(shard)) {
+            for (shard, part) in coord.placement.parts() {
+                if only.is_some_and(|filter| !filter.contains(&shard)) {
                     continue;
                 }
-                let Some(leader) = repl.view(*shard).leader else {
+                let Some(leader) = repl.view(shard).leader else {
                     continue;
                 };
-                // A single-shard transaction is its own restriction.
-                let restricted = coord.payload.as_ref().map(|p| match coord.shards.len() {
-                    1 => p.clone(),
-                    _ => p.restrict(*shard, self.sharding.as_ref()),
-                });
                 sorted_entry(&mut per_leader, leader).push(PrepareItem {
                     tx,
-                    payload: restricted,
-                    shards: coord.shards.clone(),
+                    payload: part.cloned(),
+                    shards: coord.placement.shards().collect(),
                     client: coord.client,
                 });
             }
@@ -514,9 +519,9 @@ impl Coordinator {
         let coord = self.coordinating.get(&tx)?;
         let mut decision = Decision::Commit;
         let mut targets = Items::new();
-        for shard in &coord.shards {
-            let view = repl.view(*shard);
-            let progress = coord.progress(*shard, view.epoch)?;
+        for shard in coord.placement.shards() {
+            let view = repl.view(shard);
+            let progress = coord.progress(shard, view.epoch)?;
             let (vote, pos) = (progress.vote?, progress.pos?);
             if !progress.complete(&view) {
                 return None;
@@ -527,7 +532,7 @@ impl Coordinator {
             };
             let floor = view.gossipers.iter().map(gossiped).min();
             decision = decision.meet(vote);
-            targets.push((*shard, pos, floor.unwrap_or(Position::ZERO)));
+            targets.push((shard, pos, floor.unwrap_or(Position::ZERO)));
         }
         Some((coord.client, decision, targets))
     }
@@ -553,9 +558,9 @@ impl Coordinator {
             let Some((client, decision, targets)) = self.completion_of(tx, repl) else {
                 continue;
             };
-            if let Some(CoordState { shards, .. }) = self.coordinating.remove(&tx) {
-                let outcome = Outcome::Decided(decision);
-                self.settled.insert(tx, Settled { outcome, shards });
+            if let Some(CoordState { placement, .. }) = self.coordinating.remove(&tx) {
+                let settled = Settled::new(Outcome::Decided(decision), placement);
+                self.settled.insert(tx, settled);
             }
             self.admission.remove(tx);
             ctx.add_counter("coordinator_decisions", 1);
@@ -587,21 +592,20 @@ impl Coordinator {
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        let shards = payload.shards(self.sharding.as_ref());
-        self.certify_placed(tx, payload, shards, client, repl, ctx);
+        let placement = payload.place(self.sharding.as_ref());
+        self.certify_placed(tx, placement, client, repl, ctx);
     }
 
-    /// [`Coordinator::certify`] of a payload that touches `shards`.
+    /// [`Coordinator::certify`] of a payload placed as `placement`.
     fn certify_placed<R: Replication>(
         &mut self,
         tx: TxId,
-        payload: Payload,
-        shards: Vec<ShardId>,
+        placement: Placement,
         client: ProcessId,
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        if shards.is_empty() {
+        if placement.is_empty() {
             // A transaction touching no objects commits vacuously.
             ctx.send(client, R::Msg::decision_client(tx, Decision::Commit));
             return;
@@ -618,13 +622,14 @@ impl Coordinator {
             }
             // Handed off to the members of a newer configuration. If the
             // client is re-driving the transaction, the hand-off `RETRY` was
-            // lost: coordinate it afresh, as a retry of what was in flight.
+            // lost: coordinate it afresh, as a retry of what was in flight
+            // (placed just below).
             self.settled.remove(&tx);
-            self.coord_entry(tx, client, &shards);
+            self.coord_entry(tx, client, &[]);
         }
         match self.coordinating.get_mut(&tx) {
             Some(coord) => {
-                coord.payload = Some(payload);
+                coord.placement = placement;
                 coord.client = client;
                 if self.flow.enabled {
                     // A retry supersedes the in-flight attempt: the reply
@@ -646,7 +651,7 @@ impl Coordinator {
                         // Admission window full: park the submission at the
                         // edge; it is admitted when an in-flight transaction
                         // decides.
-                        self.admission.enqueue(tx, (payload, client, shards));
+                        self.admission.enqueue(tx, (placement, client));
                         ctx.add_counter("admission_queued", 1);
                         ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
                         self.arm_retry_timer(ctx);
@@ -656,7 +661,7 @@ impl Coordinator {
                     let now = ctx.now().as_micros();
                     backoff = Some(BackoffState::armed(&self.flow.backoff(), salt, now));
                 }
-                let mut coord = CoordState::new(client, Some(payload), shards);
+                let mut coord = CoordState::new(client, placement);
                 coord.backoff = backoff;
                 self.coordinating.insert(tx, coord);
                 ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
@@ -806,7 +811,7 @@ impl Coordinator {
                 // transaction): no quorum was observed this incarnation.
                 ctx.obs_milestone(tx, TxMilestone::Decided, 0);
                 ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
-                for &shard in &coord.shards {
+                for shard in coord.placement.shards() {
                     let voted = coord.progress(shard, repl.view(shard).epoch);
                     if let Some(pos) = voted.and_then(|progress| progress.pos) {
                         let mut decisions = ShardDecisions::default();
@@ -814,8 +819,8 @@ impl Coordinator {
                         repl.distribute_decisions(shard, decisions, ctx);
                     }
                 }
-                let (outcome, shards) = (Outcome::Adopted(decision), coord.shards);
-                self.settled.insert(tx, Settled { outcome, shards });
+                let settled = Settled::new(Outcome::Adopted(decision), coord.placement);
+                self.settled.insert(tx, settled);
             }
             ctx.send(client, R::Msg::decision_client(tx, decision));
         }
@@ -884,7 +889,7 @@ impl Coordinator {
             let stale: BTreeSet<ShardId> = pending
                 .iter()
                 .filter_map(|tx| self.coordinating.get(tx))
-                .flat_map(|coord| coord.shards.iter().copied())
+                .flat_map(|coord| coord.placement.shards())
                 .collect();
             repl.refresh_views(&stale, ctx);
         }
@@ -896,9 +901,8 @@ impl Coordinator {
             // epoch.
             let coord = &self.coordinating[&tx];
             let incomplete: Vec<ShardId> = coord
-                .shards
-                .iter()
-                .copied()
+                .placement
+                .shards()
                 .filter(|shard| !coord.shard_complete(*shard, &repl.view(*shard)))
                 .collect();
             if !incomplete.is_empty() {
@@ -916,15 +920,15 @@ impl Coordinator {
     /// that never saw it ignore the request.
     pub fn hand_off<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         for (tx, coord) in std::mem::take(&mut self.coordinating) {
-            for shard in &coord.shards {
-                if let Some(leader) = repl.view(*shard).leader {
+            for shard in coord.placement.shards() {
+                if let Some(leader) = repl.view(shard).leader {
                     ctx.send(leader, R::Msg::retry(tx));
                 }
             }
             // Stop retrying locally; the client's decision now comes from the
             // member that takes the transaction over.
-            let (outcome, shards) = (Outcome::HandedOff, coord.shards);
-            self.settled.insert(tx, Settled { outcome, shards });
+            let settled = Settled::new(Outcome::HandedOff, coord.placement);
+            self.settled.insert(tx, settled);
             ctx.ctrl_milestone(CtrlMilestone::CoordinatorHandoff, None, tx.as_u64());
             ctx.add_counter("retries_handed_off", 1);
         }

@@ -671,7 +671,7 @@ impl Actor<Msg> for Replica {
             // every shard of the transaction; the coordinator drops its state.
             Msg::DecisionAck { tx } => {
                 if let Some(shards) = coord.forget_decided(tx) {
-                    for shard in shards {
+                    for shard in shards.shards() {
                         let members = member.members_of(shard).iter().copied();
                         ctx.send_to_many(members, Msg::AckDecided { tx });
                     }

@@ -4,15 +4,17 @@
 //! (`alloc_zeroed` goes through `alloc`), and the bytes they ask for, that
 //! the test's own thread makes while a seeded Sim deployment commits
 //! disjoint transactions: single-key ones, and 4-key ones whose keys span
-//! both shards (`restrict`, multi-shard progress and the fan-out to both
-//! leaders). The simulator is
+//! both shards (their placement, multi-shard progress and the fan-out to
+//! both leaders). The simulator is
 //! single-threaded and every table on the commit path hashes without a seed,
 //! so both counts are a function of the run: each case runs twice in-process
-//! and must count alike before anything else is checked. The recorded
-//! constants are a ratchet: a change may lower them, and then updates them
-//! and says so; it never raises them silently.
+//! and must count alike before anything else is checked. A second table
+//! counts the payload footprint: building a payload, and placing one on its
+//! shards. The recorded constants are a ratchet: a change may lower them,
+//! and then updates them and says so; it never raises them silently.
 //!
-//! `cargo test -p ratc-harness --test alloc -- --nocapture` prints the table.
+//! `cargo test -p ratc-harness --test alloc -- --nocapture` prints the
+//! tables.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,7 +85,12 @@ const SHARDS: u32 = 2;
 /// Transaction `n`, reading and writing keys of its own: one key, or four
 /// keys, two on each shard.
 fn disjoint(n: u64, spanning: bool) -> (TxId, Payload) {
-    let keys: Vec<Key> = if spanning {
+    (TxId::new(n + 1), payload_of(keys_of(n, spanning)))
+}
+
+/// The keys of transaction `n`: one, or four, two on each shard.
+fn keys_of(n: u64, spanning: bool) -> Vec<Key> {
+    if spanning {
         let sharding = HashSharding::new(SHARDS);
         let candidates = (0..).map(|i| Key::new(format!("alloc-{n}-{i}")));
         let on = |shard: u32| {
@@ -95,18 +102,21 @@ fn disjoint(n: u64, spanning: bool) -> (TxId, Payload) {
         on(0).chain(on(1)).collect()
     } else {
         vec![Key::new(format!("alloc-{n}"))]
-    };
+    }
+}
+
+/// A payload reading and writing `keys`.
+fn payload_of(keys: Vec<Key>) -> Payload {
     let mut payload = Payload::builder();
     for key in keys {
         payload = payload
             .read(key.clone(), Version::ZERO)
             .write(key, Value::from("v"));
     }
-    let payload = payload
+    payload
         .commit_version(Version::new(1))
         .build()
-        .expect("well-formed");
-    (TxId::new(n + 1), payload)
+        .expect("well-formed")
 }
 
 /// Allocations and bytes per committed transaction of `COUNTED` disjoint
@@ -148,30 +158,30 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
     // too, so it has one set of constants per build.
     let baseline = if cfg!(debug_assertions) {
         [
-            (39.26, 16430.0),
-            (66.67, 18298.0),
-            (59.25, 56285.0),
-            (113.87, 59793.0),
+            (37.26, 16398.0),
+            (64.67, 18266.0),
+            (54.25, 54520.0),
+            (108.87, 58028.0),
         ]
     } else {
         [
-            (36.36, 4246.0),
-            (63.74, 6114.0),
-            (53.40, 7918.0),
-            (108.01, 11431.0),
+            (34.36, 4213.0),
+            (61.74, 6082.0),
+            (48.40, 6153.0),
+            (103.01, 9666.0),
         ]
     };
     let recorded = [
-        (StackKind::Core, 32, false, 7.57, 2132.0),
-        (StackKind::Core, 1, false, 9.41, 2329.0),
-        (StackKind::Rdma, 32, false, 7.50, 2083.0),
-        (StackKind::Rdma, 1, false, 11.32, 2372.0),
+        (StackKind::Core, 32, false, 6.57, 2091.0),
+        (StackKind::Core, 1, false, 8.41, 2288.0),
+        (StackKind::Rdma, 32, false, 6.50, 2042.0),
+        (StackKind::Rdma, 1, false, 10.32, 2331.0),
         (StackKind::Baseline, 32, false, baseline[0].0, baseline[0].1),
         (StackKind::Baseline, 1, false, baseline[1].0, baseline[1].1),
-        (StackKind::Core, 32, true, 27.11, 6494.0),
-        (StackKind::Core, 1, true, 28.81, 6702.0),
-        (StackKind::Rdma, 32, true, 26.76, 6268.0),
-        (StackKind::Rdma, 1, true, 32.61, 6683.0),
+        (StackKind::Core, 32, true, 23.11, 4725.0),
+        (StackKind::Core, 1, true, 24.81, 4933.0),
+        (StackKind::Rdma, 32, true, 22.76, 4499.0),
+        (StackKind::Rdma, 1, true, 28.61, 4914.0),
         (StackKind::Baseline, 32, true, baseline[2].0, baseline[2].1),
         (StackKind::Baseline, 1, true, baseline[3].0, baseline[3].1),
     ];
@@ -201,6 +211,38 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
             (allocations * 100.0).round() / 100.0,
             bytes.round(),
         ));
+    }
+    assert_eq!(measured, recorded);
+}
+
+#[test]
+fn a_payload_and_its_placement_hold_their_recorded_footprint() {
+    // `(what, keys, allocations, bytes)`: building a payload from its keys
+    // (a value each included), and placing the 4-key one on both shards,
+    // which a coordinator does once per transaction.
+    let recorded = [
+        ("build", 1, 6, 377),
+        ("build", 4, 7, 316),
+        ("place on 2 shards", 4, 11, 404),
+    ];
+    let sharding = HashSharding::new(SHARDS);
+    let mut measured = Vec::new();
+    println!("per payload:");
+    for (what, keys, _, _) in recorded {
+        let chosen = keys_of(0, keys > 1);
+        let (mut payload, mut placement) = (None, None);
+        let counts = match what {
+            "build" => counted(|| payload = Some(payload_of(chosen))),
+            _ => {
+                let payload = payload_of(chosen);
+                counted(|| placement = Some(payload.place(&sharding)))
+            }
+        };
+        assert!(placement.is_none_or(|placed| placed.len() == 2), "{what}");
+        let (allocations, bytes) = counts;
+        let noun = if keys == 1 { "key " } else { "keys" };
+        println!("{what:>17}  {keys} {noun}  {allocations:3} allocations  {bytes:4} bytes");
+        measured.push((what, keys, allocations, bytes));
     }
     assert_eq!(measured, recorded);
 }

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::decision::{Decision, Vote};
     pub use crate::history::{HistoryAction, TcsHistory};
     pub use crate::ids::{Epoch, Key, Position, ProcessId, ShardId, TxId, Value, Version};
-    pub use crate::payload::{Payload, PayloadBuilder, PayloadError};
+    pub use crate::payload::{Payload, PayloadBuilder, PayloadError, Placement};
     pub use crate::sharding::{ExplicitSharding, HashSharding, ShardMap};
 }
 
@@ -69,5 +69,5 @@ pub use decision::{Decision, Vote};
 pub use hash::{FxHashMap, FxHasher};
 pub use history::{HistoryAction, TcsHistory};
 pub use ids::{Epoch, Key, Position, ProcessId, ShardId, TxId, Value, Version};
-pub use payload::{Payload, PayloadBuilder, PayloadError};
+pub use payload::{Payload, PayloadBuilder, PayloadError, Placement};
 pub use sharding::{ExplicitSharding, HashSharding, ShardMap};

@@ -160,6 +160,35 @@ mod tests {
         }
     }
 
+    /// `DefaultHasher`'s algorithm is unspecified across Rust releases, and
+    /// placement decides every pinned experiment and benchmark row: a
+    /// toolchain that changed it fails here first, by name.
+    #[test]
+    fn hash_sharding_places_these_keys_where_it_always_has() {
+        // (key, shard of 2, shard of 4): short names, the benchmark
+        // generator's `d{:08x}-{i}` and the allocation test's `alloc-{n}-{i}`.
+        let golden = [
+            ("x", 1, 1),
+            ("y", 1, 3),
+            ("a", 1, 3),
+            ("b", 0, 2),
+            ("far", 0, 2),
+            ("key-0", 0, 2),
+            ("key-1", 1, 1),
+            ("d00000000-0", 1, 1),
+            ("d9e3779b9-1", 0, 2),
+            ("dcafef00d-7", 1, 1),
+            ("d7f4a7c15-42", 0, 0),
+            ("alloc-0", 0, 0),
+            ("alloc-1000-0", 0, 2),
+            ("alloc-1000-1", 1, 1),
+            ("alloc-4999-3", 1, 1),
+        ];
+        let on = |n, key: &str| HashSharding::new(n).shard_of(&Key::new(key)).as_u32();
+        let placed = golden.map(|(key, ..)| (key, on(2, key), on(4, key)));
+        assert_eq!(placed, golden);
+    }
+
     #[test]
     #[should_panic(expected = "shard_count must be positive")]
     fn zero_shards_is_rejected() {
