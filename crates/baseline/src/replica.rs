@@ -306,7 +306,7 @@ impl BaselineShardReplica {
         }
         // Same flush telemetry as the other stacks' batchers (a flush of one
         // is a flush, so the milestone set does not depend on the knobs).
-        ctx.obs_gauge("obs_batch_occupancy", items.len() as f64);
+        ctx.obs_gauge("obs_batch_occupancy", items.len() as u64);
         if ctx.obs_enabled() {
             for item in &items {
                 ctx.obs_milestone(item.tx, TxMilestone::BatchFlush, items.len() as u64);

@@ -225,7 +225,7 @@ impl TransactionManager {
                     .map(|p| p.backoff.attempt)
                     .unwrap_or(0);
                 ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
+                ctx.obs_gauge("obs_backoff_attempt", u64::from(attempt));
                 self.redrive(tx, ctx);
                 let (backoff, salt) = (self.flow.backoff(), self.salt(tx));
                 if let Some(pending) = self.pending.get_mut(&tx) {
@@ -240,7 +240,7 @@ impl TransactionManager {
             // admitted the moment an in-flight transaction decides.
             self.admission.enqueue(tx, (payload, client));
             ctx.add_counter("tm_admission_queued", 1);
-            ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
+            ctx.obs_gauge("obs_admission_depth", self.admission.len() as u64);
             // New work arrived: reset the fruitless-tick budget and keep the
             // retry timer alive so the queued work is eventually driven.
             self.arm_retry_timer(ctx);
@@ -284,7 +284,7 @@ impl TransactionManager {
         // Admission and the PREPARE volley coincide on this stack: the TM
         // starts 2PC the moment a submission enters the window.
         ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
-        ctx.obs_gauge("obs_inflight_window", self.pending.len() as f64);
+        ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
         ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
         self.redrive(tx, ctx);
         self.arm_retry_timer(ctx);
@@ -376,7 +376,7 @@ impl TransactionManager {
                     .map(|p| p.backoff.attempt)
                     .unwrap_or(0);
                 ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                ctx.obs_gauge("obs_backoff_attempt", f64::from(attempt));
+                ctx.obs_gauge("obs_backoff_attempt", u64::from(attempt));
             }
             self.redrive(tx, ctx);
             if self.flow.enabled {
@@ -519,7 +519,7 @@ impl TransactionManager {
                     // durable: quorum and decision coincide on this stack.
                     ctx.obs_milestone(command.tx, TxMilestone::AcceptQuorum, 0);
                     ctx.obs_milestone(command.tx, TxMilestone::Decided, 0);
-                    ctx.obs_gauge("obs_inflight_window", self.pending.len() as f64);
+                    ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
                 }
                 self.admission.remove(command.tx);
                 // A slot was chosen: the proposer is making headway, so its

@@ -66,9 +66,17 @@ fn hunt_nemesis_config(seed: u64) -> NemesisConfig {
 fn hunt_coordinator(plan: &FaultPlan) -> (ShardId, usize) {
     plan.events
         .iter()
-        .find_map(|f| match f.event {
-            crate::plan::FaultEvent::DelayRdmaOutbound { shard, index, .. } => Some((shard, index)),
-            _ => None,
+        .find_map(|f| {
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "a lookup of the one slow-fabric event; no other fault names a coordinator"
+            )]
+            match f.event {
+                crate::plan::FaultEvent::DelayRdmaOutbound { shard, index, .. } => {
+                    Some((shard, index))
+                }
+                _ => None,
+            }
         })
         .unwrap_or((ShardId::new(0), 1))
 }

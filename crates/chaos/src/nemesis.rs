@@ -204,7 +204,7 @@ impl Nemesis {
         events.sort_by_key(|f| f.at_micros);
         let noise = match config.profile {
             Profile::Default if config.intensity > 0 => Some(LinkNoise::scaled(config.intensity)),
-            _ => None,
+            Profile::Default | Profile::NaiveHunt | Profile::Overload => None,
         };
         FaultPlan { noise, events }
     }

@@ -161,8 +161,8 @@ impl<M: ClientMsg + 'static> Actor<M> for ClientActor<M> {
             micros,
             decision,
         });
-        ctx.record_sample("client_decision_hops", f64::from(ctx.hops()));
-        ctx.record_sample("client_decision_micros", micros as f64);
+        ctx.record_sample("client_decision_hops", u64::from(ctx.hops()));
+        ctx.record_sample("client_decision_micros", micros);
         match decision {
             Decision::Commit => ctx.add_counter("client_commits", 1),
             Decision::Abort => ctx.add_counter("client_aborts", 1),

@@ -412,7 +412,7 @@ impl Coordinator {
             .backoff
             .get_or_insert_with(|| BackoffState::armed(&policy, salt, now));
         ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(backoff.attempt));
-        ctx.obs_gauge("obs_backoff_attempt", f64::from(backoff.attempt));
+        ctx.obs_gauge("obs_backoff_attempt", u64::from(backoff.attempt));
         backoff.fired(&policy, salt, now);
     }
 
@@ -496,7 +496,7 @@ impl Coordinator {
         if txs.is_empty() {
             return;
         }
-        ctx.obs_gauge("obs_batch_occupancy", txs.len() as f64);
+        ctx.obs_gauge("obs_batch_occupancy", txs.len() as u64);
         if ctx.obs_enabled() {
             for &tx in &txs {
                 ctx.obs_milestone(tx, TxMilestone::CertifySent, 0);
@@ -564,12 +564,12 @@ impl Coordinator {
             }
             self.admission.remove(tx);
             ctx.add_counter("coordinator_decisions", 1);
-            ctx.record_sample("coordinator_decision_hops", f64::from(ctx.hops()));
+            ctx.record_sample("coordinator_decision_hops", u64::from(ctx.hops()));
             // The accept quorum and the decision coincide: the last required
             // acknowledgement both completes the quorum and fixes the outcome.
             ctx.obs_milestone(tx, TxMilestone::AcceptQuorum, 0);
             ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-            ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
+            ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as u64);
             ctx.send(client, R::Msg::decision_client(tx, decision));
             for (shard, pos, floor) in targets {
                 sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
@@ -653,7 +653,7 @@ impl Coordinator {
                         // decides.
                         self.admission.enqueue(tx, (placement, client));
                         ctx.add_counter("admission_queued", 1);
-                        ctx.obs_gauge("obs_admission_depth", self.admission.len() as f64);
+                        ctx.obs_gauge("obs_admission_depth", self.admission.len() as u64);
                         self.arm_retry_timer(ctx);
                         return;
                     }
@@ -665,7 +665,7 @@ impl Coordinator {
                 coord.backoff = backoff;
                 self.coordinating.insert(tx, coord);
                 ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
-                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
+                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as u64);
             }
         }
         // Into the pending batch, which flushes when it reaches `max_batch`
@@ -690,7 +690,10 @@ impl Coordinator {
 
     /// Lines 18–20 / 91–93: records the votes of the leader of `shard` and
     /// persists them at the shard's followers.
-    #[allow(clippy::too_many_arguments)] // `PREPARE_ACK`'s sender and fields + the two handles
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`PREPARE_ACK`'s sender and fields + the two handles"
+    )]
     pub fn on_prepare_ack<R: Replication>(
         &mut self,
         from: ProcessId,
@@ -750,7 +753,10 @@ impl Coordinator {
     /// vote)` (an `ACCEPT_ACK` message does, a hardware acknowledgement does
     /// not) fills them in if the leader's own reply has not been recorded,
     /// and `frontier` is the follower's decided frontier if it gossiped one.
-    #[allow(clippy::too_many_arguments)] // `ACCEPT_ACK`'s sender and fields + the two handles
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`ACCEPT_ACK`'s sender and fields + the two handles"
+    )]
     pub fn record_acks<R, I>(
         &mut self,
         follower: ProcessId,
@@ -810,7 +816,7 @@ impl Coordinator {
                 // Decided out-of-band (the shard already truncated the
                 // transaction): no quorum was observed this incarnation.
                 ctx.obs_milestone(tx, TxMilestone::Decided, 0);
-                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as f64);
+                ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as u64);
                 for shard in coord.placement.shards() {
                     let voted = coord.progress(shard, repl.view(shard).epoch);
                     if let Some(pos) = voted.and_then(|progress| progress.pos) {

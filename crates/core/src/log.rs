@@ -183,8 +183,11 @@ impl Checkpoint {
 
     /// Iterates over the per-key newest-committed-writer residue, in no
     /// particular order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one consumer max-merges per key (`set_certifier`), which is commutative"
+    )]
     pub fn newest_writers(&self) -> impl Iterator<Item = (&Key, Version)> + '_ {
-        // analyze:allow(hash-iter): the one consumer max-merges per key (`set_certifier`), which is commutative
         self.newest_writers.iter().map(|(k, v)| (k, *v))
     }
 
@@ -304,7 +307,7 @@ impl CertificationLog {
             TxPhase::Decided if entry.dec == Some(Decision::Commit) => {
                 index.apply_committed(pos, &entry.payload);
             }
-            _ => {}
+            TxPhase::Start | TxPhase::Prepared | TxPhase::Decided => {}
         }
     }
 

@@ -253,7 +253,10 @@ impl Reconfigurer {
     /// `current` is the epoch the host holds for it, `spares` the fresh
     /// processes available per shard, `target_size` the replicas per shard
     /// and `exclude` the processes not to reuse.
-    #[allow(clippy::too_many_arguments)] // `StartReconfigure`'s fields, the host's epoch, the two handles
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`StartReconfigure`'s fields, the host's epoch, the two handles"
+    )]
     pub fn start<H: ReconHost>(
         &mut self,
         shard: ShardId,

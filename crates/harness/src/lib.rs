@@ -61,6 +61,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 pub mod spec;
 

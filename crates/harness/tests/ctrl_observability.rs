@@ -14,11 +14,14 @@
 //!    at a degrading control-plane event and closes at a transaction decided
 //!    on that shard strictly after the last degrading event: the window
 //!    nests inside its enclosing fault→heal span.
+//! 4. **Milestone parity** — over three scenarios, each stack stamps exactly
+//!    the `TxMilestone` and `CtrlMilestone` variants it claims, and a new
+//!    variant does not compile until it is classified.
 
 use std::collections::BTreeSet;
 
 use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
-use ratc_sim::{decided_times_per_shard, CtrlMilestone, ExecutionMode, SimDuration};
+use ratc_sim::{decided_times_per_shard, CtrlMilestone, ExecutionMode, SimDuration, TxMilestone};
 use ratc_types::{Key, Payload, ShardId, ShardMap, TxId, Value, Version};
 
 const STACKS: [StackKind; 3] = [StackKind::Core, StackKind::Rdma, StackKind::Baseline];
@@ -265,43 +268,49 @@ fn blackout_windows_are_bracketed_by_ctrl_events() {
     }
 }
 
+/// A lone transaction on shard 0, coordinated by a follower of shard 1 that
+/// crashes once the transaction is prepared; `retry` then makes shard 0's
+/// leader its recovery coordinator (Figure 1 line 70). Shard 0 can decide
+/// without reconfiguring. Returns the cluster, the transaction and shard 0.
+fn run_takeover(stack: StackKind) -> (Box<dyn TcsCluster>, TxId, ShardId) {
+    let mut cluster = ClusterSpec::new(stack)
+        .with_shards(2)
+        .with_seed(3)
+        .with_observability()
+        .build();
+    let (shard, other) = (ShardId::new(0), ShardId::new(1));
+    let leader = cluster
+        .shard_view(shard)
+        .leader
+        .expect("shard 0 has a leader");
+    let view = cluster.shard_view(other);
+    let coordinator = view
+        .members
+        .into_iter()
+        .find(|p| Some(*p) != view.leader)
+        .expect("shard 1 has a follower");
+    let on_shard = (1..)
+        .find(|i| cluster.sharding().shard_of(&Key::new(format!("k{i}"))) == shard)
+        .expect("some key hashes to shard 0");
+    let tx = TxId::new(1);
+    cluster.submit_via(tx, payload(on_shard), coordinator);
+    while !cluster.shard_view(shard).prepared.contains(&tx) {
+        cluster.run_for(SimDuration::from_micros(5));
+    }
+    assert_eq!(cluster.history().decision(tx), None, "{stack}: too late");
+    cluster.crash(coordinator);
+    cluster.retry(leader, tx);
+    cluster.run_to_quiescence();
+    (cluster, tx, shard)
+}
+
 /// A recovery coordinator's takeover (`retry`, Figure 1 line 70) is visible
 /// the same way on both RATC stacks: counted in `retries_started` and stamped
 /// as a `CoordinatorHandoff` carrying the shard of the member that took over.
-/// The coordinator that crashes is a follower of shard 1 driving a
-/// transaction on shard 0 only, so shard 0 can decide without reconfiguring.
 #[test]
 fn a_recovery_coordinator_takeover_is_counted_and_stamped_on_both_ratc_stacks() {
     for stack in [StackKind::Core, StackKind::Rdma] {
-        let mut cluster = ClusterSpec::new(stack)
-            .with_shards(2)
-            .with_seed(3)
-            .with_observability()
-            .build();
-        let (shard, other) = (ShardId::new(0), ShardId::new(1));
-        let leader = cluster
-            .shard_view(shard)
-            .leader
-            .expect("shard 0 has a leader");
-        let view = cluster.shard_view(other);
-        let coordinator = view
-            .members
-            .into_iter()
-            .find(|p| Some(*p) != view.leader)
-            .expect("shard 1 has a follower");
-        let on_shard = (1..)
-            .find(|i| cluster.sharding().shard_of(&Key::new(format!("k{i}"))) == shard)
-            .expect("some key hashes to shard 0");
-        let tx = TxId::new(1);
-        cluster.submit_via(tx, payload(on_shard), coordinator);
-        while !cluster.shard_view(shard).prepared.contains(&tx) {
-            cluster.run_for(SimDuration::from_micros(5));
-        }
-        assert_eq!(cluster.history().decision(tx), None, "{stack}: too late");
-        cluster.crash(coordinator);
-        cluster.retry(leader, tx);
-        cluster.run_to_quiescence();
-
+        let (cluster, tx, shard) = run_takeover(stack);
         assert!(
             cluster.history().decision(tx).is_some(),
             "{stack}: the recovery coordinator must decide {tx}"
@@ -317,5 +326,156 @@ fn a_recovery_coordinator_takeover_is_counted_and_stamped_on_both_ratc_stacks() 
             "{stack}: takeover not stamped ({:?})",
             cluster.ctrl_events()
         );
+    }
+}
+
+/// Crashes shard 0's leader under load, lets the coordinators back off and
+/// re-drive for 50 ms, reconfigures around it (where the stack supports
+/// reconfiguration, from the surviving follower, so leadership moves) and
+/// restarts it (on the baseline, its Paxos recovery then completes).
+fn run_leader_crash(stack: StackKind, seed: u64) -> Box<dyn TcsCluster> {
+    let mut cluster = ClusterSpec::new(stack)
+        .with_shards(2)
+        .with_seed(seed)
+        .with_observability()
+        .build();
+    for i in 1..=8u64 {
+        cluster.submit(TxId::new(i), payload(i));
+    }
+    cluster.run_to_quiescence();
+    let shard = ShardId::new(0);
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("shard has a leader");
+    let survivor = view
+        .members
+        .into_iter()
+        .find(|p| *p != leader)
+        .expect("shard has a follower");
+    cluster.crash(leader);
+    for i in 9..=16u64 {
+        cluster.submit(TxId::new(i), payload(i));
+    }
+    // A bounded run: with the baseline's static leader down, its TM keeps
+    // re-driving and the cluster never quiesces.
+    cluster.run_for(SimDuration::from_millis(50));
+    if cluster.stack().supports_reconfiguration() {
+        cluster.start_reconfiguration(shard, survivor, vec![leader]);
+        cluster.run_to_quiescence();
+    }
+    assert!(cluster.restart(leader), "restart of crashed leader");
+    cluster.run_to_quiescence();
+    cluster
+}
+
+/// Every `TxMilestone`, in declaration order.
+const TX_MILESTONES: [TxMilestone; 9] = [
+    TxMilestone::Submitted,
+    TxMilestone::Admitted,
+    TxMilestone::CertifySent,
+    TxMilestone::ShardVoted,
+    TxMilestone::AcceptQuorum,
+    TxMilestone::Decided,
+    TxMilestone::ClientLearned,
+    TxMilestone::Retry,
+    TxMilestone::BatchFlush,
+];
+
+/// Every `CtrlMilestone`, in declaration order.
+const CTRL_MILESTONES: [CtrlMilestone; 13] = [
+    CtrlMilestone::ReconfigInitiated,
+    CtrlMilestone::ProbeStarted,
+    CtrlMilestone::ProbeGrace,
+    CtrlMilestone::ConfigChosen,
+    CtrlMilestone::StateTransferred,
+    CtrlMilestone::ShardOperational,
+    CtrlMilestone::LeaderHandoff,
+    CtrlMilestone::Crash,
+    CtrlMilestone::Restart,
+    CtrlMilestone::Recovered,
+    CtrlMilestone::FaultInjected,
+    CtrlMilestone::FaultHealed,
+    CtrlMilestone::CoordinatorHandoff,
+];
+
+/// Whether a stack stamps `milestone` itself. Every stack claims every
+/// commit-path milestone. No wildcard arm: a new variant does not compile
+/// until it is classified here.
+fn every_stack_claims(milestone: TxMilestone) -> bool {
+    match milestone {
+        // The one client and the one deployment serve every stack.
+        TxMilestone::Submitted | TxMilestone::ClientLearned => true,
+        // The shared coordinator (`ratc_core::coord`) on the RATC stacks,
+        // the transaction manager and the shard leaders on the baseline.
+        TxMilestone::Admitted
+        | TxMilestone::CertifySent
+        | TxMilestone::ShardVoted
+        | TxMilestone::AcceptQuorum
+        | TxMilestone::Decided
+        | TxMilestone::Retry
+        | TxMilestone::BatchFlush => true,
+    }
+}
+
+/// Whether `stack` stamps `milestone` itself. No wildcard arm: a new variant
+/// does not compile until it is classified here.
+fn stack_claims(stack: StackKind, milestone: CtrlMilestone) -> bool {
+    match milestone {
+        // The reconfiguration lifecycle (§3, §5). The baseline is the
+        // paper's static-membership strawman (§2): it has no reconfiguration
+        // protocol, no probe phase, no configuration service, no state
+        // transfer and no epoch activation, and its leadership is fixed at
+        // deployment, so it never moves.
+        CtrlMilestone::ReconfigInitiated
+        | CtrlMilestone::ProbeStarted
+        | CtrlMilestone::ProbeGrace
+        | CtrlMilestone::ConfigChosen
+        | CtrlMilestone::StateTransferred
+        | CtrlMilestone::ShardOperational
+        | CtrlMilestone::LeaderHandoff => stack.supports_reconfiguration(),
+        // §4's per-transaction handoff to a recovery coordinator. In the
+        // baseline the TM group *is* the coordinator and fails over through
+        // Paxos leadership, so there is nothing to hand off.
+        CtrlMilestone::CoordinatorHandoff => stack.replicas_coordinate(),
+        // Stamped by the simulated world, whatever runs on it.
+        CtrlMilestone::Crash | CtrlMilestone::Restart => true,
+        // A restarted baseline replica or TM finishes its Paxos recovery.
+        // The RATC stacks recover by reconfiguring (`ShardOperational`);
+        // only the chaos harness stamps `Recovered` for them.
+        CtrlMilestone::Recovered => !stack.supports_reconfiguration(),
+        // Stamped by the chaos nemesis through `record_ctrl`, never by a
+        // stack.
+        CtrlMilestone::FaultInjected | CtrlMilestone::FaultHealed => false,
+    }
+}
+
+/// Milestone parity, checked on behaviour: over the suite's runs, each stack
+/// stamps exactly the milestones it claims — every claimed one on a real run,
+/// and none it disclaims.
+#[test]
+fn each_stack_stamps_exactly_the_milestones_it_claims() {
+    for stack in STACKS {
+        let mut runs = vec![
+            run_faulty(stack, 7, ExecutionMode::Sim, true),
+            run_leader_crash(stack, 7),
+        ];
+        if stack.replicas_coordinate() {
+            runs.push(run_takeover(stack).0);
+        }
+        let mut tx = BTreeSet::new();
+        let mut ctrl = BTreeSet::new();
+        for cluster in &runs {
+            tx.extend(cluster.obs_events().iter().map(|e| e.milestone));
+            ctrl.extend(milestones_of(cluster.as_ref()));
+        }
+        let claimed_tx: BTreeSet<TxMilestone> = TX_MILESTONES
+            .into_iter()
+            .filter(|m| every_stack_claims(*m))
+            .collect();
+        let claimed_ctrl: BTreeSet<CtrlMilestone> = CTRL_MILESTONES
+            .into_iter()
+            .filter(|m| stack_claims(stack, *m))
+            .collect();
+        assert_eq!(tx, claimed_tx, "{stack}: commit-path milestones");
+        assert_eq!(ctrl, claimed_ctrl, "{stack}: control-plane milestones");
     }
 }

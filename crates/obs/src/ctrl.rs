@@ -48,46 +48,33 @@ use crate::{TxMilestone, TxObsEvent};
 /// See the [module docs](self) for the mapping of the reconfiguration
 /// milestones onto the paper's protocol phases. The variants are ordered
 /// roughly by lifecycle: reconfiguration, crash/recovery, fault injection.
+/// Which stack stamps which variant is pinned, on real runs, by
+/// `crates/harness/tests/ctrl_observability.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CtrlMilestone {
     /// A reconfiguration was initiated (`reconfigure()` entered; the
     /// initiator asked the configuration service for the latest epoch).
     /// [`CtrlEvent::detail`] = the epoch the initiator currently holds.
-    // analyze:allow(milestone-parity): the baseline stack is the paper's
-    // static-membership strawman (§2) — it has no reconfiguration protocol,
-    // so the reconfiguration lifecycle structurally cannot occur there.
     ReconfigInitiated,
     /// The probe phase started: `PROBE` messages were sent to the members of
     /// every shard being reconfigured. [`CtrlEvent::detail`] = the candidate
     /// new epoch.
-    // analyze:allow(milestone-parity): no probe phase in the static-membership
-    // baseline — reconfiguration-only milestone.
     ProbeStarted,
     /// The probe grace timer was armed: the new epoch is viable, but the
     /// initiator briefly waits for stragglers so warm replicas are preferred
     /// over spares. [`CtrlEvent::detail`] = the candidate new epoch.
-    // analyze:allow(milestone-parity): no probe phase in the static-membership
-    // baseline — reconfiguration-only milestone.
     ProbeGrace,
     /// The new configuration was chosen: the initiator won the configuration
     /// service CAS. [`CtrlEvent::detail`] = the new epoch.
-    // analyze:allow(milestone-parity): the static-membership baseline has no
-    // configuration service — reconfiguration-only milestone.
     ConfigChosen,
     /// A follower installed the transferred state (`NEW_STATE`) of the new
     /// configuration. [`CtrlEvent::detail`] = the new epoch.
-    // analyze:allow(milestone-parity): no state transfer in the
-    // static-membership baseline — reconfiguration-only milestone.
     StateTransferred,
     /// A leader activated the new configuration (`NEW_CONFIG`): the shard is
     /// operational in the new epoch. [`CtrlEvent::detail`] = the new epoch.
-    // analyze:allow(milestone-parity): no epoch activation in the
-    // static-membership baseline — reconfiguration-only milestone.
     ShardOperational,
     /// The process activating `NEW_CONFIG` was not the shard's previous
     /// leader: leadership moved. [`CtrlEvent::detail`] = the new epoch.
-    // analyze:allow(milestone-parity): baseline leadership is fixed at
-    // deployment (static membership) — leadership never moves there.
     LeaderHandoff,
     /// The process crashed (lost its volatile state; RDMA permissions
     /// revoked). [`CtrlEvent::detail`] = the incarnation that crashed.
@@ -106,9 +93,6 @@ pub enum CtrlMilestone {
     /// A coordinator handoff: a stalled transaction was handed to a member
     /// of the current configuration. [`CtrlEvent::detail`] = the raw
     /// transaction id.
-    // analyze:allow(milestone-parity): in the baseline the TM group *is* the
-    // coordinator and fails over via Paxos leadership, not via the
-    // per-transaction handoff of §4 — nothing to stamp there.
     CoordinatorHandoff,
 }
 
@@ -253,6 +237,10 @@ pub fn decided_times_per_shard(events: &[TxObsEvent]) -> BTreeMap<ShardId, Vec<u
     let mut shards_of: BTreeMap<TxId, Vec<ShardId>> = BTreeMap::new();
     let mut decided_at: BTreeMap<TxId, u64> = BTreeMap::new();
     for event in events {
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "per-shard decision times read only the votes and the decisions"
+        )]
         match event.milestone {
             TxMilestone::ShardVoted => {
                 let shard = ShardId::new(event.detail as u32);

@@ -38,6 +38,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 pub mod ctrl;
 
@@ -244,7 +245,12 @@ impl fmt::Display for TxTimeline {
                 TxMilestone::ShardVoted => write!(f, "(s{})", event.detail)?,
                 TxMilestone::Retry => write!(f, "(attempt {})", event.detail)?,
                 TxMilestone::BatchFlush => write!(f, "(batch {})", event.detail)?,
-                _ => {}
+                TxMilestone::Submitted
+                | TxMilestone::Admitted
+                | TxMilestone::CertifySent
+                | TxMilestone::AcceptQuorum
+                | TxMilestone::Decided
+                | TxMilestone::ClientLearned => {}
             }
         }
         if first {

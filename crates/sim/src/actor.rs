@@ -337,8 +337,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Records a sample of the named experiment statistic (e.g. a latency).
-    pub fn record_sample(&mut self, name: &'static str, value: f64) {
-        self.metrics.record_sample(name, value);
+    pub fn record_sample(&mut self, name: &'static str, value: u64) {
+        self.metrics.record_count(name, value);
     }
 
     /// `true` if commit-path observability is recording (see
@@ -371,9 +371,9 @@ impl<'a, M> Context<'a, M> {
     /// Records a sample of a flow-control/batching gauge (queue depth,
     /// window occupancy, …), only when observability is enabled — gauges
     /// ride the observability switch so the default path records nothing.
-    pub fn obs_gauge(&mut self, name: &'static str, value: f64) {
+    pub fn obs_gauge(&mut self, name: &'static str, value: u64) {
         if self.metrics.obs_enabled() {
-            self.metrics.record_sample(name, value);
+            self.metrics.record_count(name, value);
         }
     }
 
@@ -443,7 +443,7 @@ mod tests {
         let timer = ctx.set_timer(SimDuration::from_micros(10), 7);
         ctx.cancel_timer(timer);
         ctx.add_counter("commits", 1);
-        ctx.record_sample("latency", 1.5);
+        ctx.record_sample("latency", 2);
 
         assert_eq!(ctx.effects.len(), 8);
         assert_eq!(metrics.sent(ProcessId::new(1)), 3);

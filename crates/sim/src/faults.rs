@@ -10,10 +10,6 @@
 //!   dropping, duplicating or delaying a message, configurable per directed
 //!   link or as a fabric-wide default, and scoped to the message network, the
 //!   RDMA fabric, or both;
-// analyze:allow-file(float-state): fault probabilities are f64 by contract;
-// every draw compares one sample from the seeded ChaCha stream against a
-// constant, which is bit-identical across platforms (no accumulation, no
-// platform-dependent rounding feeding back into protocol state).
 //! * **asymmetric cuts** — a [`LinkFault`] with `drop = 1.0` on one direction
 //!   only (see [`LinkFault::cut`]);
 //! * **named partitions** — groups of processes such that traffic between
@@ -31,6 +27,10 @@
 //! delay doubles as reordering. A world with no faults configured consumes no
 //! randomness for fault decisions, so fault-free runs are bit-identical to
 //! runs of a simulator without this module.
+#![expect(
+    clippy::disallowed_types,
+    reason = "fault probabilities are f64 by contract; each draw compares one seeded sample against a constant, with no accumulation feeding back into protocol state"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 

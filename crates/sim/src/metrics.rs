@@ -7,10 +7,11 @@
 //! [`Context::record_sample`](crate::actor::Context::record_sample); the world
 //! records transport-level numbers (messages sent and received per process,
 //! RDMA writes, rejected RDMA writes) automatically.
-// analyze:allow-file(float-state): this is the measurement sink itself —
-// metrics are derived FROM runs and never feed back into scheduling or
-// protocol decisions (pinned by the PR 8 obs-invisibility differential
-// tests), so float statistics here cannot perturb replay.
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "the measurement sink: metrics are derived from runs and never feed back into scheduling or protocol decisions"
+)]
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -334,6 +335,12 @@ impl Metrics {
         self.samples.entry(name).or_default().record(value);
     }
 
+    /// Records an integral sample (a count, a hop number, microseconds): the
+    /// one place a protocol actor's number becomes a float.
+    pub(crate) fn record_count(&mut self, name: &'static str, value: u64) {
+        self.record_sample(name, value as f64);
+    }
+
     /// The value of the named counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -568,7 +575,7 @@ mod tests {
     /// One message of each shape `Debug` can take: a struct variant, a tuple
     /// variant, a unit variant and (below) a newtype struct.
     #[derive(Debug)]
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "the fields are read only through `Debug`")]
     enum Msg {
         Prepare { tx: u64 },
         Vote(u64),
@@ -576,7 +583,7 @@ mod tests {
     }
 
     #[derive(Debug)]
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "the field is read only through `Debug`")]
     struct Wrapped(Vec<u64>);
 
     #[test]

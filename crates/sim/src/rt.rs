@@ -55,6 +55,10 @@
 //!   one seam (`Worker::enqueue`), where fault injection would hook in.
 //!   Crashes and restarts happen between runs, so a threaded run has no
 //!   pending crash to apply.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the Threads engine is where the wall clock and the worker threads live"
+)]
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -790,7 +794,9 @@ where
                     None => target.slot.lock().expect("slot lock").metrics.rdma_rejected += 1,
                 }
             }
-            other => seed(other),
+            other @ (EventKind::Deliver { .. }
+            | EventKind::RdmaAck { .. }
+            | EventKind::RdmaDeliver { .. }) => seed(other),
         }
     }
 

@@ -3,9 +3,11 @@
 //! The simulator measures time in abstract microseconds. Nothing in the
 //! protocol logic depends on the absolute scale; experiments report either
 //! simulated durations or message-delay (hop) counts.
-// analyze:allow-file(float-state): time is stored and compared in integer
-// microseconds; the f64 here is the one-way `as_millis_f64` conversion for
-// report output, which no protocol or scheduling decision reads back.
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "time is integer microseconds; the f64 is the one-way conversion for report output, which no protocol or scheduling decision reads back"
+)]
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

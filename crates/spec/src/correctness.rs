@@ -142,7 +142,7 @@ fn decided_before_certify(history: &TcsHistory, earlier: TxId, later: TxId) -> b
         match action {
             HistoryAction::Decide { tx, .. } if *tx == earlier => decided = true,
             HistoryAction::Certify { tx, .. } if *tx == later => return decided,
-            _ => {}
+            HistoryAction::Decide { .. } | HistoryAction::Certify { .. } => {}
         }
     }
     decided

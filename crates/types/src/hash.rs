@@ -122,6 +122,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pins that the table's iteration order is a function of its contents"
+    )]
     fn equal_keys_hash_equal_across_maps_and_handles() {
         let filled = |order: &mut dyn Iterator<Item = u64>| -> FxHashMap<Key, u64> {
             order.map(|n| (Key::new(format!("k{n}")), n)).collect()

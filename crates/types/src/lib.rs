@@ -39,6 +39,16 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod certify;
 pub mod decision;

@@ -122,14 +122,18 @@ pub fn run_counterexample(mode: ReconfigMode) -> CounterexampleOutcome {
     // The prepared slot a leader acknowledged: exactly what `ACCEPT` persists
     // at the followers.
     let prepare_ack = |shard: ShardId| {
-        acks.iter().find_map(|m| match m {
-            RdmaMsg::PrepareAckBatch {
-                shard: s, items, ..
-            } if *s == shard => items.iter().find(|item| item.tx == tx).cloned(),
-            // analyze:allow(wildcard-dispatch): extraction filter over a
-            // scripted peer's inbox, not a dispatch — non-PREPARE_ACK
-            // traffic is deliberately skipped while reconstructing Fig. 4a.
-            _ => None,
+        acks.iter().find_map(|m| {
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "an extraction filter over a scripted peer's inbox, not a dispatch: \
+                          Figure 4a's reconstruction skips all but `PREPARE_ACK`"
+            )]
+            match m {
+                RdmaMsg::PrepareAckBatch {
+                    shard: s, items, ..
+                } if *s == shard => items.iter().find(|item| item.tx == tx).cloned(),
+                _ => None,
+            }
         })
     };
     let prepared1 = prepare_ack(s1).expect("PREPARE_ACK from s1's leader");

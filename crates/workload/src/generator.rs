@@ -138,7 +138,7 @@ impl KeySampler {
                 }
                 weights
             }
-            _ => Vec::new(),
+            KeyDistribution::Uniform | KeyDistribution::Hotspot { .. } => Vec::new(),
         };
         KeySampler {
             key_count,
