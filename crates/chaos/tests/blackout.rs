@@ -47,7 +47,7 @@ fn e9_availability_under_the_nemesis() {
         (
             Stack::Rdma,
             [
-                (28, 100_000, 30_026, 30_026, 1, 80),
+                (28, 100_000, 30_018, 30_018, 1, 80),
                 (27, 200_000, 28_030, 16_307, 2, 85),
                 (27, 175_000, 39_928, 13_659, 2, 80),
                 (26, 5_400_000, 10_043_121, 1_670, 3, 68),

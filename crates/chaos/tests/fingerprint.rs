@@ -103,17 +103,19 @@ fn pinned_plans_reach_every_role_resolving_event() {
 #[test]
 fn chaos_soaks_keep_their_recorded_fingerprints() {
     // Recorded at 9d645d6, before the facade's shard queries became one
-    // snapshot.
+    // snapshot; the ratc-mp retry plan and the ratc-rdma rows re-recorded
+    // when each member began truncating its own log (no frontier messages,
+    // so fewer steps and a shifted latency stream on ratc-rdma).
     let recorded = [
         (
             Stack::Core,
             [(3376, 1631120590331463579), (3280, 9339694261167904780)],
-            (801, 10542539718539471401),
+            (789, 11362400592575635726),
         ),
         (
             Stack::Rdma,
-            [(3623, 2633556448048906617), (5513, 9233876408027017967)],
-            (4382, 78902068715725250),
+            [(3619, 1111676569279206002), (5509, 2629356766016021094)],
+            (4372, 14750703060613011515),
         ),
         (
             Stack::Baseline,

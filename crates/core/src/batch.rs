@@ -33,8 +33,8 @@
 //!
 //! Per-transaction semantics are untouched by the batch size: every item
 //! carries its own transaction, payload, vote, position and decision, so
-//! recovery coordinators, the `TxDecided` fast path, frontier gossip and
-//! checkpointed truncation all operate on individual transactions. A batch is
+//! recovery coordinators, the `TxDecided` fast path and checkpointed
+//! truncation all operate on individual transactions. A batch is
 //! pure transport-level coalescing — the certification order it produces is
 //! exactly the order the items were submitted in, which is what the
 //! `ratc-spec::batching` differential suite checks end to end (size 1 is its
@@ -210,9 +210,7 @@ impl<T> Items<T> {
 impl<K: PartialEq, V: Default> Items<(K, V)> {
     /// The value for `key` in a short association list, appended as
     /// `V::default()` if absent. Coordinators keep a transaction's per-shard
-    /// progress in one, and each shard's acknowledgements and gossiped
-    /// frontiers: a single-shard transaction at `f = 1` allocates nothing
-    /// for them.
+    /// progress in one: a single-shard transaction allocates nothing for it.
     pub fn entry(&mut self, key: K) -> &mut V {
         let found = self.iter().position(|(held, _)| *held == key);
         let index = found.unwrap_or_else(|| {
@@ -318,31 +316,6 @@ pub struct DecisionItem {
     pub decision: Decision,
 }
 
-/// What a coordinator distributes to one shard in one `DECISION_BATCH`: the
-/// decided slots and the truncation floor, which over several transactions
-/// is the minimum of theirs (always safe — receivers clamp to their own
-/// decided frontier anyway).
-#[derive(Debug, Default)]
-pub struct ShardDecisions {
-    /// Per-slot decisions, in completion order.
-    pub items: Items<DecisionItem>,
-    /// The minimum of the pushed floors.
-    pub truncate_to: Position,
-}
-
-impl ShardDecisions {
-    /// Adds the decision of the slot at `pos`, whose transaction observed
-    /// `floor` as the shard's cluster-wide decided frontier.
-    pub fn push(&mut self, pos: Position, decision: Decision, floor: Position) {
-        self.truncate_to = if self.items.is_empty() {
-            floor
-        } else {
-            self.truncate_to.min(floor)
-        };
-        self.items.push(DecisionItem { pos, decision });
-    }
-}
-
 /// The value for `key` in a short association list kept sorted by key,
 /// inserted as `V::default()` if absent. Coordinators group a flush by shard
 /// leader and a completion by shard with it: iteration is in key order, as
@@ -424,16 +397,21 @@ mod tests {
     }
 
     #[test]
-    fn sorted_entry_groups_in_key_order_and_decisions_keep_the_minimum_floor() {
-        let mut per_shard: Vec<(u32, ShardDecisions)> = Vec::new();
+    fn sorted_entry_groups_decisions_in_key_order() {
+        let mut per_shard: Vec<(u32, Items<DecisionItem>)> = Vec::new();
         let pos = Position::new;
-        sorted_entry(&mut per_shard, 2).push(pos(5), Decision::Commit, pos(4));
-        sorted_entry(&mut per_shard, 0).push(pos(9), Decision::Abort, pos(7));
-        sorted_entry(&mut per_shard, 2).push(pos(6), Decision::Abort, pos(3));
+        let decided = |pos, decision| DecisionItem { pos, decision };
+        sorted_entry(&mut per_shard, 2).push(decided(pos(5), Decision::Commit));
+        sorted_entry(&mut per_shard, 0).push(decided(pos(9), Decision::Abort));
+        sorted_entry(&mut per_shard, 2).push(decided(pos(6), Decision::Abort));
         let keys: Vec<u32> = per_shard.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![0, 2]);
-        assert_eq!(per_shard[0].1.truncate_to, pos(7));
-        assert_eq!(per_shard[1].1.truncate_to, pos(3));
-        assert_eq!(per_shard[1].1.items.len(), 2);
+        let slots = |at: usize| -> Vec<_> {
+            let items = per_shard[at].1.iter();
+            items.map(|item| (item.pos, item.decision)).collect()
+        };
+        assert_eq!(slots(0), vec![(pos(9), Decision::Abort)]);
+        let second = vec![(pos(5), Decision::Commit), (pos(6), Decision::Abort)];
+        assert_eq!(slots(1), second, "completion order within a shard");
     }
 }

@@ -34,7 +34,7 @@ use ratc_types::{
 };
 
 use crate::batch::{
-    sorted_entry, BatchingConfig, Items, PrepareBatch, PrepareItem, PreparedItem, ShardDecisions,
+    sorted_entry, BatchingConfig, DecisionItem, Items, PrepareBatch, PrepareItem, PreparedItem,
     VoteBatcher, FLUSH_DELAY,
 };
 use crate::flow::{AdmissionQueue, FlowControlConfig};
@@ -62,13 +62,8 @@ pub trait CommitMsg: Sized {
     fn tx_decided(tx: TxId, decision: Decision, client: ProcessId) -> Self;
     /// `PREPARE` to a shard leader.
     fn prepare_batch(batch: PrepareBatch) -> Self;
-    /// `PREPARE_ACK` from a shard leader: its votes and decided frontier.
-    fn prepare_ack_batch(
-        epoch: Epoch,
-        shard: ShardId,
-        items: Items<PreparedItem>,
-        frontier: Position,
-    ) -> Self;
+    /// `PREPARE_ACK` from a shard leader: its votes.
+    fn prepare_ack_batch(epoch: Epoch, shard: ShardId, items: Items<PreparedItem>) -> Self;
 }
 
 /// Implements [`CommitMsg`] for a message enum that spells the five variants
@@ -98,17 +93,11 @@ macro_rules! impl_commit_msg {
                 $msg::PrepareBatch { batch }
             }
 
-            fn prepare_ack_batch(
-                epoch: Epoch,
-                shard: ShardId,
-                items: Items<PreparedItem>,
-                frontier: Position,
-            ) -> Self {
+            fn prepare_ack_batch(epoch: Epoch, shard: ShardId, items: Items<PreparedItem>) -> Self {
                 $msg::PrepareAckBatch {
                     epoch,
                     shard,
                     items,
-                    frontier,
                 }
             }
         }
@@ -124,10 +113,6 @@ pub struct ShardView<'a> {
     pub leader: Option<ProcessId>,
     /// The shard's members (leader included).
     pub members: &'a [ProcessId],
-    /// The members that gossip their decided frontier to the coordinator on
-    /// their replies. The minimum of theirs is the position below which
-    /// every member may truncate its log; one not heard from pins it at zero.
-    pub gossipers: &'a [ProcessId],
 }
 
 impl ShardView<'_> {
@@ -163,12 +148,12 @@ pub trait Replication {
         ctx: &mut Context<'_, Self::Msg>,
     ) -> Option<ProcessId>;
 
-    /// Distributes final decisions (and their truncation floor) to every
-    /// member of `shard`.
+    /// Distributes the final decisions of slots of `shard` to every member
+    /// of it (one `DECISION` per member).
     fn distribute_decisions(
         &mut self,
         shard: ShardId,
-        decisions: ShardDecisions,
+        decisions: Items<DecisionItem>,
         ctx: &mut Context<'_, Self::Msg>,
     );
 
@@ -178,23 +163,19 @@ pub trait Replication {
 }
 
 /// The data needed to distribute a completed transaction's decision: the
-/// client, the decision, and per-shard `(position, truncation floor)` targets
-/// (inline for a single-shard transaction).
-type Completion = (ProcessId, Decision, Items<(ShardId, Position, Position)>);
+/// client, the decision, and per-shard `(shard, position)` targets (inline
+/// for a single-shard transaction).
+type Completion = (ProcessId, Decision, Items<(ShardId, Position)>);
 
-/// Progress of a coordinated transaction at one shard in one epoch. The two
-/// lists hold at most one entry per shard member (`f + 1` of them), so they
-/// are [`Items`]: the first entry inline, no tree node per transaction.
+/// Progress of a coordinated transaction at one shard in one epoch.
 #[derive(Debug, Clone, Default)]
 struct ShardProgress {
     pos: Option<Position>,
     vote: Option<Decision>,
-    /// Followers that acknowledged storing the vote.
+    /// Followers that acknowledged storing the vote: at most one entry per
+    /// follower, so an [`Items`] list (the first inline, no tree node per
+    /// transaction).
     acks: Items<ProcessId>,
-    /// The latest decided frontier each of the shard's members gossiped on
-    /// its replies (see [`ShardView::gossipers`]), as an [`Items::entry`]
-    /// list.
-    frontiers: Items<(ProcessId, Position)>,
 }
 
 impl ShardProgress {
@@ -514,7 +495,7 @@ impl Coordinator {
     /// every shard of `tx`, the coordinator has the shard's vote and an
     /// acknowledgement from every follower of the shard's current
     /// configuration, returns the client, the final decision and the
-    /// per-shard `(position, truncation floor)` targets.
+    /// per-shard `(shard, position)` targets.
     fn completion_of<R: Replication>(&self, tx: TxId, repl: &R) -> Option<Completion> {
         let coord = self.coordinating.get(&tx)?;
         let mut decision = Decision::Commit;
@@ -526,13 +507,8 @@ impl Coordinator {
             if !progress.complete(&view) {
                 return None;
             }
-            let gossiped = |m: &ProcessId| {
-                let heard = progress.frontiers.iter().find(|(from, _)| from == m);
-                heard.map_or(Position::ZERO, |(_, frontier)| *frontier)
-            };
-            let floor = view.gossipers.iter().map(gossiped).min();
             decision = decision.meet(vote);
-            targets.push((shard, pos, floor.unwrap_or(Position::ZERO)));
+            targets.push((shard, pos));
         }
         Some((coord.client, decision, targets))
     }
@@ -540,18 +516,16 @@ impl Coordinator {
     /// Lines 26–29 / 96–100: computes the final decision of every
     /// transaction of `txs` that is complete, reports it to the client and
     /// distributes it to the members of its shards, one
-    /// [`Replication::distribute_decisions`] per shard (over several
-    /// transactions the per-shard truncation floor is the minimum of theirs,
-    /// which is always safe — receivers clamp to their own decided frontier
-    /// anyway). The decisions free admission-window slots, so queued
-    /// submissions are admitted once they are all out.
+    /// [`Replication::distribute_decisions`] per shard. The decisions free
+    /// admission-window slots, so queued submissions are admitted once they
+    /// are all out.
     fn complete<R: Replication>(
         &mut self,
         txs: impl IntoIterator<Item = TxId>,
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        let mut per_shard: Vec<(ShardId, ShardDecisions)> = Vec::new();
+        let mut per_shard: Vec<(ShardId, Items<DecisionItem>)> = Vec::new();
         for tx in txs {
             // A transaction listed twice is complete only once: it is no
             // longer driven when its second `completion_of` looks for it.
@@ -571,8 +545,8 @@ impl Coordinator {
             ctx.obs_milestone(tx, TxMilestone::Decided, 0);
             ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as u64);
             ctx.send(client, R::Msg::decision_client(tx, decision));
-            for (shard, pos, floor) in targets {
-                sorted_entry(&mut per_shard, shard).push(pos, decision, floor);
+            for (shard, pos) in targets {
+                sorted_entry(&mut per_shard, shard).push(DecisionItem { pos, decision });
             }
         }
         for (shard, decisions) in per_shard {
@@ -690,17 +664,11 @@ impl Coordinator {
 
     /// Lines 18–20 / 91–93: records the votes of the leader of `shard` and
     /// persists them at the shard's followers.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "`PREPARE_ACK`'s sender and fields + the two handles"
-    )]
     pub fn on_prepare_ack<R: Replication>(
         &mut self,
-        from: ProcessId,
         epoch: Epoch,
         shard: ShardId,
         items: Items<PreparedItem>,
-        frontier: Position,
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
@@ -713,12 +681,13 @@ impl Coordinator {
         // A late re-ack for a transaction whose decision was learned
         // out-of-band (`TxDecided`): this shard still holds it prepared, and
         // the ack says where, so tell it the decision.
-        let mut adopted = ShardDecisions::default();
+        let mut adopted = Items::new();
         for item in items.iter() {
             match self.settled.get(&item.tx).map(|settled| settled.outcome) {
-                Some(Outcome::Adopted(decision)) => {
-                    adopted.push(item.pos, decision, Position::ZERO)
-                }
+                Some(Outcome::Adopted(decision)) => adopted.push(DecisionItem {
+                    pos: item.pos,
+                    decision,
+                }),
                 // A late vote must not revive what is no longer driven.
                 Some(_) => {}
                 None => {
@@ -727,7 +696,6 @@ impl Coordinator {
                         .progress_mut(shard, epoch);
                     progress.pos = Some(item.pos);
                     progress.vote = Some(item.vote);
-                    *progress.frontiers.entry(from) = frontier;
                 }
             }
             ctx.obs_milestone(item.tx, TxMilestone::ShardVoted, u64::from(shard.as_u32()));
@@ -740,7 +708,7 @@ impl Coordinator {
                 }
             }
         }
-        if !adopted.items.is_empty() {
+        if !adopted.is_empty() {
             repl.distribute_decisions(shard, adopted, ctx);
         }
         // With f = 0 (no followers) the transactions may already be complete.
@@ -751,19 +719,13 @@ impl Coordinator {
     /// the votes of `acks` in `epoch`; every transaction that is now done is
     /// completed. An acknowledgement that carries the stored `(position,
     /// vote)` (an `ACCEPT_ACK` message does, a hardware acknowledgement does
-    /// not) fills them in if the leader's own reply has not been recorded,
-    /// and `frontier` is the follower's decided frontier if it gossiped one.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "`ACCEPT_ACK`'s sender and fields + the two handles"
-    )]
+    /// not) fills them in if the leader's own reply has not been recorded.
     pub fn record_acks<R, I>(
         &mut self,
         follower: ProcessId,
         shard: ShardId,
         epoch: Epoch,
         acks: I,
-        frontier: Option<Position>,
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) where
@@ -776,9 +738,6 @@ impl Coordinator {
             };
             let progress = coord.progress_mut(shard, epoch);
             progress.acked(follower);
-            if let Some(frontier) = frontier {
-                *progress.frontiers.entry(follower) = frontier;
-            }
             if let Some((pos, vote)) = stored {
                 progress.pos.get_or_insert(pos);
                 progress.vote.get_or_insert(vote);
@@ -820,9 +779,8 @@ impl Coordinator {
                 for shard in coord.placement.shards() {
                     let voted = coord.progress(shard, repl.view(shard).epoch);
                     if let Some(pos) = voted.and_then(|progress| progress.pos) {
-                        let mut decisions = ShardDecisions::default();
-                        decisions.push(pos, decision, Position::ZERO);
-                        repl.distribute_decisions(shard, decisions, ctx);
+                        let decided = Items::one(DecisionItem { pos, decision });
+                        repl.distribute_decisions(shard, decided, ctx);
                     }
                 }
                 let settled = Settled::new(Outcome::Adopted(decision), coord.placement);
@@ -842,18 +800,21 @@ impl Coordinator {
     pub fn take_over<R: Replication>(
         &mut self,
         tx: TxId,
-        prepared: Option<(ProcessId, Vec<ShardId>)>,
+        prepared: Option<(Position, ProcessId, Vec<ShardId>)>,
         own_shard: ShardId,
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        let Some((client, shards)) = prepared else {
+        let Some((pos, client, shards)) = prepared else {
             return;
         };
         // The host holds `tx` prepared, so however it was settled here never
-        // reached the host's own log: drive it again.
+        // reached the host's own log: drive it again. Its own slot is known
+        // already, so a `TxDecided` answer reaches the host's shard too.
         self.settled.remove(&tx);
-        self.coord_entry(tx, client, &shards);
+        let epoch = repl.view(own_shard).epoch;
+        let coord = self.coord_entry(tx, client, &shards);
+        coord.progress_mut(own_shard, epoch).pos = Some(pos);
         // Line 73: send PREPARE(t, ⊥) to the leaders of all shards of t
         // (`⊥` because a recovery coordinator has no full payload).
         self.resend_prepares(tx, None, repl, ctx);
@@ -979,7 +940,6 @@ mod tests {
             epoch: Epoch,
             shard: ShardId,
             items: Items<PreparedItem>,
-            frontier: Position,
         },
         /// The sender, a follower of `shard`, acknowledged the votes of `txs`.
         Acks {
@@ -1013,7 +973,6 @@ mod tests {
                 epoch: EPOCH,
                 leader: Some(*leader),
                 members,
-                gossipers: &[],
             }
         }
 
@@ -1031,10 +990,10 @@ mod tests {
         fn distribute_decisions(
             &mut self,
             shard: ShardId,
-            decisions: ShardDecisions,
+            decisions: Items<DecisionItem>,
             _ctx: &mut Context<'_, TestMsg>,
         ) {
-            let decided = decisions.items.iter().map(|i| i.decision).collect();
+            let decided = decisions.iter().map(|i| i.decision).collect();
             self.distributed.push((shard, decided));
         }
 
@@ -1062,11 +1021,10 @@ mod tests {
                     epoch,
                     shard,
                     items,
-                    frontier,
-                } => coord.on_prepare_ack(from, epoch, shard, items, frontier, repl, ctx),
+                } => coord.on_prepare_ack(epoch, shard, items, repl, ctx),
                 TestMsg::Acks { shard, txs } => {
                     let acks = txs.iter().map(|tx| (*tx, None));
-                    coord.record_acks(from, shard, EPOCH, acks, None, repl, ctx)
+                    coord.record_acks(from, shard, EPOCH, acks, repl, ctx)
                 }
                 TestMsg::TxDecided {
                     tx,
@@ -1181,7 +1139,6 @@ mod tests {
                 epoch: EPOCH,
                 shard: shard(s),
                 items: Items::one(item),
-                frontier: Position::ZERO,
             };
             self.world.send_from(self.leaders[s], self.host, ack);
             self.settle();

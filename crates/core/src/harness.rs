@@ -1216,8 +1216,8 @@ mod tests {
                 .find(|k| cluster.sharding().shard_of(k) == shard)
                 .expect("hash sharding covers every shard")
         };
-        // Two shard-0 transactions: the second's decision floor truncates the
-        // first out of every shard-0 log.
+        // Two shard-0 transactions: at fold batch 1 every shard-0 member folds
+        // each one out of its log as soon as it records its decision.
         let k0 = key_on(s0, &cluster);
         cluster.submit(TxId::new(1), rw_payload(k0.as_str(), 0, 1));
         cluster.run_to_quiescence();
@@ -1272,17 +1272,15 @@ mod tests {
         );
 
         // Recovery: the follower re-coordinates t1. Shard 0 answers with
-        // TxDecided (slot truncated); the decision must reach shard 1.
+        // TxDecided (slot truncated); the decision must reach shard 1, whose
+        // members then fold t1 too (fold batch 1), so the slot is read
+        // through its identity.
         cluster.retry(f1, TxId::new(1));
         cluster.run_to_quiescence();
         for pid in [l1, f1] {
-            let entry = replica(&cluster, pid)
-                .log()
-                .get(pos1)
-                .expect("slot still present");
             assert_eq!(
-                entry.dec,
-                Some(Decision::Commit),
+                replica(&cluster, pid).log().slot_identity(pos1),
+                Some((TxId::new(1), Some(Decision::Commit))),
                 "{pid} still holds t1 undecided after TxDecided recovery"
             );
         }

@@ -13,16 +13,17 @@
 //! commit) and `L2` (payloads prepared with a commit vote, undecided). The
 //! set-based accessors [`CertificationLog::committed_payloads_before`] and
 //! [`CertificationLog::prepared_payloads_before`] compute them by scanning
-//! every slot — O(|log|) per call, O(n²) over a run. A log created with
-//! [`CertificationLog::with_certifier`] instead owns an
-//! [`IndexedCertifier`] and keeps it in lockstep with the slot phases:
+//! every slot — O(|log|) per call, O(n²) over a run; they remain as the
+//! reference the differential suites compare against. Every log instead owns
+//! an [`IndexedCertifier`] (given to [`CertificationLog::with_certifier`])
+//! and keeps it in lockstep with the slot phases:
 //!
 //! * *append / store-at* of a prepared entry with a commit vote →
 //!   [`IndexedCertifier::prepare`] (entry enters `L2`);
 //! * *decide* → [`IndexedCertifier::release`] (entry leaves `L2`), plus
 //!   [`IndexedCertifier::apply_committed`] when the decision is commit
 //!   (entry enters `L1`);
-//! * wholesale replacement (`NEW_STATE`) → [`CertificationLog::set_certifier`]
+//! * a restart (the index is volatile) → [`CertificationLog::set_certifier`]
 //!   rebuilds the index from the checkpoint and the slots.
 //!
 //! Decides may arrive out of order and slots may be holes; both are fine
@@ -35,7 +36,12 @@
 //! The paper (§6) assumes decided log prefixes are garbage-collected; without
 //! that, long-running histories are memory-bound rather than protocol-bound.
 //! [`CertificationLog::truncate_to`] folds a *fully-decided, hole-free*
-//! prefix into a [`Checkpoint`] and frees the physical slots. The checkpoint
+//! prefix into a [`Checkpoint`] and frees the physical slots. Truncation is
+//! each replica's own business: whenever it records decisions, a replica
+//! folds its own decided prefix once a fold batch is due
+//! ([`CertificationLog::truncate_if_due`]); nothing about its peers' logs is
+//! needed, because a truncated decision stays answerable from the checkpoint
+//! (see below) and recovery asks for it there. The checkpoint
 //! keeps exactly the certification-relevant residue:
 //!
 //! * **per-position decisions** — `(txn, dec)` of every truncated slot, so no
@@ -63,15 +69,15 @@
 //!    `base` are no-ops (stale messages for truncated slots are harmless).
 //! 4. [`CertificationLog::position_of`] answers over checkpoint + suffix in
 //!    O(1) via tx→position maps maintained on both sides of `base`.
-//! 5. State transfer (`NEW_STATE`) clones checkpoint + suffix;
+//! 5. State transfer (`NEW_STATE`) clones checkpoint, suffix and index;
 //!    [`CertificationLog::set_certifier`] rebuilds an index from the
 //!    checkpoint residue plus the retained entries, which votes identically
 //!    to an index that saw the whole history.
 //!
 //! The set-based accessor [`CertificationLog::committed_payloads_before`]
 //! *under-approximates* `L1` after truncation (the payloads are gone); it
-//! remains exact for untruncated logs, which is the only place the protocols
-//! use it as a vote fallback. `L2` ([`CertificationLog::prepared_payloads_before`])
+//! remains exact for untruncated logs, which is where the differential
+//! suites use it. `L2` ([`CertificationLog::prepared_payloads_before`])
 //! stays exact always, per the no-lock-state invariant above.
 //!
 //! # Decision-map compaction
@@ -90,8 +96,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ratc_sim::Context;
 use ratc_types::{
-    Decision, Epoch, FxHashMap, IndexedCertifier, Key, Payload, Position, ProcessId,
-    ShardCertifier, ShardId, TxId, Version,
+    Decision, Epoch, FxHashMap, IndexedCertifier, Key, Payload, Position, ProcessId, ShardId, TxId,
+    Version,
 };
 
 use crate::batch::{Items, PrepareItem, PreparedItem};
@@ -233,7 +239,7 @@ impl Checkpoint {
 /// Equality compares the paper-visible state (the checkpoint and the retained
 /// slots); the hole counter, the tx→position map and the certification index
 /// are derived caches and do not participate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CertificationLog {
     /// Folded summary of the truncated prefix `[0, base)`.
     checkpoint: Checkpoint,
@@ -250,8 +256,8 @@ pub struct CertificationLog {
     /// slots are truncated (decision-map compaction, see
     /// [`CertificationLog::ack_decided`]). Drained by `truncate_to`.
     acked: BTreeSet<TxId>,
-    /// Incremental certifier kept in lockstep with the slot phases, if any.
-    index: Option<Box<dyn IndexedCertifier>>,
+    /// Incremental certifier kept in lockstep with the slot phases.
+    index: Box<dyn IndexedCertifier>,
 }
 
 impl PartialEq for CertificationLog {
@@ -261,30 +267,23 @@ impl PartialEq for CertificationLog {
 }
 
 impl CertificationLog {
-    /// Creates an empty log without a certification index (votes fall back to
-    /// the set-based scans).
-    pub fn new() -> Self {
-        CertificationLog::default()
-    }
-
     /// Creates an empty log that maintains `index` incrementally, enabling
     /// O(|payload|) [`CertificationLog::vote_at`].
     pub fn with_certifier(index: Box<dyn IndexedCertifier>) -> Self {
         CertificationLog {
-            index: Some(index),
-            ..CertificationLog::default()
+            checkpoint: Checkpoint::default(),
+            slots: Vec::new(),
+            holes: 0,
+            frontier: Position::ZERO,
+            by_tx: FxHashMap::default(),
+            acked: BTreeSet::new(),
+            index,
         }
     }
 
-    /// Whether this log maintains a certification index.
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// Installs (or replaces) the certification index and rebuilds it from
-    /// the checkpoint residue and the current slots. Used when a follower
-    /// installs a transferred log that arrived without an index, and by
-    /// tests.
+    /// Replaces the certification index and rebuilds it from the checkpoint
+    /// residue and the current slots. Used when a replica restarts (the
+    /// index is volatile) and by tests.
     pub fn set_certifier(&mut self, mut index: Box<dyn IndexedCertifier>) {
         index.reset();
         for (key, version) in self.checkpoint.newest_writers() {
@@ -293,7 +292,7 @@ impl CertificationLog {
         for (pos, entry) in self.entries() {
             Self::index_fill(&mut index, pos, entry);
         }
-        self.index = Some(index);
+        self.index = index;
     }
 
     /// Index transition for a slot that just became filled: a commit-voted
@@ -347,7 +346,7 @@ impl CertificationLog {
 
     /// The decided frontier: the largest position such that every slot below
     /// it is decided (or already folded into the checkpoint), with no holes.
-    /// This is the replica's safe truncation point, gossiped to peers.
+    /// This is the replica's own safe truncation point.
     pub fn decided_frontier(&self) -> Position {
         self.frontier
     }
@@ -399,28 +398,25 @@ impl CertificationLog {
     /// `f_s(L1, l) ⊓ g_s(L2, l)` against the slots strictly before `pos`,
     /// answered in O(|payload|) by the certification index.
     ///
-    /// Returns `None` when the log maintains no index (callers fall back to
-    /// the set-based scans). `pos` must be [`CertificationLog::next`]: the
-    /// index summarises every filled slot, which is exactly the prefix before
-    /// `next` — votes at interior positions would need a historical snapshot.
-    /// Truncation does not affect this method: the index summarised the
-    /// truncated entries while they were live.
-    pub fn vote_at(&self, pos: Position, payload: &Payload) -> Option<Decision> {
+    /// `pos` must be [`CertificationLog::next`]: the index summarises every
+    /// filled slot, which is exactly the prefix before `next` — votes at
+    /// interior positions would need a historical snapshot. Truncation does
+    /// not affect this method: the index summarised the truncated entries
+    /// while they were live.
+    pub fn vote_at(&self, pos: Position, payload: &Payload) -> Decision {
         debug_assert_eq!(
             pos,
             self.next(),
             "vote_at only answers votes at the append position"
         );
-        self.index.as_ref().map(|index| index.vote(payload))
+        self.index.vote(payload)
     }
 
     /// Appends a new entry at the leader (lines 9–13): the slot index is the
     /// current `next`.
     pub fn append(&mut self, entry: LogEntry) -> Position {
         let pos = self.next();
-        if let Some(index) = self.index.as_mut() {
-            Self::index_fill(index, pos, &entry);
-        }
+        Self::index_fill(&mut self.index, pos, &entry);
         self.by_tx.insert(entry.tx, pos);
         self.slots.push(Some(entry));
         self.advance_frontier();
@@ -443,9 +439,7 @@ impl CertificationLog {
         } else {
             self.holes -= 1;
         }
-        if let Some(index) = self.index.as_mut() {
-            Self::index_fill(index, pos, &entry);
-        }
+        Self::index_fill(&mut self.index, pos, &entry);
         self.by_tx.insert(entry.tx, pos);
         self.slots[idx] = Some(entry);
         self.advance_frontier();
@@ -461,16 +455,11 @@ impl CertificationLog {
     ///   contradict the recorded decision);
     /// * a transaction already in the certification order is re-acked from
     ///   its stored slot (line 6; this serves recovery coordinators);
-    /// * otherwise the vote `f_s(L1, l) ⊓ g_s(L2, l)` is computed — by the
-    ///   certification index in O(|payload|), or by `fallback` over the
-    ///   set-based scans for a log without an index — and the transaction is
-    ///   appended at `next` (lines 8–16). The `⊥` payload of a recovery
-    ///   coordinator votes abort.
-    pub fn prepare(
-        &mut self,
-        item: PrepareItem,
-        fallback: &dyn ShardCertifier,
-    ) -> Result<PreparedItem, Decision> {
+    /// * otherwise the vote `f_s(L1, l) ⊓ g_s(L2, l)` is computed by the
+    ///   certification index in O(|payload|) and the transaction is appended
+    ///   at `next` (lines 8–16). The `⊥` payload of a recovery coordinator
+    ///   votes abort.
+    pub fn prepare(&mut self, item: PrepareItem) -> Result<PreparedItem, Decision> {
         // One probe of the checkpoint, then one of the retained suffix: a
         // fresh transaction (nearly every item) misses both.
         if let Some((_, decision)) = self.checkpoint.decision_of(item.tx) {
@@ -488,15 +477,7 @@ impl CertificationLog {
             });
         }
         let (vote, payload) = match item.payload {
-            Some(l) => {
-                let next = self.next();
-                let vote = self.vote_at(next, &l).unwrap_or_else(|| {
-                    let committed = self.committed_payloads_before(next);
-                    let prepared = self.prepared_payloads_before(next);
-                    fallback.vote(&committed, &prepared, &l)
-                });
-                (vote, l)
-            }
+            Some(l) => (self.vote_at(self.next(), &l), l),
             None => (Decision::Abort, Payload::empty()),
         };
         let pos = self.append(LogEntry {
@@ -530,14 +511,13 @@ impl CertificationLog {
         items: Items<PrepareItem>,
         shard: ShardId,
         epoch: Epoch,
-        fallback: &dyn ShardCertifier,
         ctx: &mut Context<'_, M>,
     ) {
         let first_fresh = self.next();
         let mut acks: Items<PreparedItem> = Items::new();
         for item in items {
             let (tx, client) = (item.tx, item.client);
-            match self.prepare(item, fallback) {
+            match self.prepare(item) {
                 Ok(ack) => acks.push(ack),
                 Err(decision) => ctx.send(from, M::tx_decided(tx, decision, client)),
             }
@@ -547,18 +527,18 @@ impl CertificationLog {
             ctx.add_counter("leader_prepared", appended);
         }
         if !acks.is_empty() {
-            let frontier = self.decided_frontier();
-            ctx.send(from, M::prepare_ack_batch(epoch, shard, acks, frontier));
+            ctx.send(from, M::prepare_ack_batch(epoch, shard, acks));
         }
     }
 
     /// The slot of `tx` if this log holds it prepared and undecided (the
-    /// line 71 / 168 precondition of `retry`): `client(t)` and `shards(t)`,
-    /// what a recovery coordinator needs to take the transaction over. A
-    /// truncated slot is decided, so it answers `None` too.
-    pub fn prepared_tx(&self, tx: TxId) -> Option<(ProcessId, Vec<ShardId>)> {
-        let entry = self.get(self.position_of(tx)?)?;
-        (entry.phase == TxPhase::Prepared).then(|| (entry.client, entry.shards.clone()))
+    /// line 71 / 168 precondition of `retry`): its position, `client(t)` and
+    /// `shards(t)`, what a recovery coordinator needs to take the transaction
+    /// over. A truncated slot is decided, so it answers `None` too.
+    pub fn prepared_tx(&self, tx: TxId) -> Option<(Position, ProcessId, Vec<ShardId>)> {
+        let pos = self.position_of(tx)?;
+        let entry = self.get(pos)?;
+        (entry.phase == TxPhase::Prepared).then(|| (pos, entry.client, entry.shards.clone()))
     }
 
     /// A follower's step for one `ACCEPT` item (lines 23–24; line 94–95 of
@@ -599,11 +579,9 @@ impl CertificationLog {
         }
         entry.dec = Some(decision);
         entry.phase = TxPhase::Decided;
-        if let Some(index) = self.index.as_mut() {
-            index.release(pos);
-            if decision == Decision::Commit {
-                index.apply_committed(pos, &entry.payload);
-            }
+        self.index.release(pos);
+        if decision == Decision::Commit {
+            self.index.apply_committed(pos, &entry.payload);
         }
         self.advance_frontier();
     }
@@ -625,9 +603,8 @@ impl CertificationLog {
     /// Folds the fully-decided, hole-free prefix below `pos` into the
     /// checkpoint and frees the physical slots. The truncation point is
     /// clamped to the [`CertificationLog::decided_frontier`], so the call is
-    /// always safe: undecided slots and holes are never lost, whatever
-    /// (possibly stale) `pos` a peer gossiped. Returns the number of slots
-    /// freed.
+    /// always safe: undecided slots and holes are never lost, whatever `pos`
+    /// is asked for. Returns the number of slots freed.
     pub fn truncate_to(&mut self, pos: Position) -> usize {
         let target = pos.min(self.frontier);
         if target <= self.checkpoint.base() {
@@ -647,17 +624,12 @@ impl CertificationLog {
         n
     }
 
-    /// Truncates the log at `floor` (clamped to the own decided frontier)
-    /// once at least a batch of slots can be freed, per `policy`.
-    pub fn truncate_if_due<M>(
-        &mut self,
-        floor: Position,
-        policy: TruncationConfig,
-        ctx: &mut Context<'_, M>,
-    ) {
-        let target = floor.min(self.decided_frontier());
-        if policy.enabled && target.as_u64() >= self.base().as_u64() + policy.batch {
-            let freed = self.truncate_to(target);
+    /// Folds the decided, hole-free prefix into the checkpoint once at least
+    /// a batch of slots can be freed, per `policy`. Replicas call it whenever
+    /// they record decisions.
+    pub fn truncate_if_due<M>(&mut self, policy: TruncationConfig, ctx: &mut Context<'_, M>) {
+        if policy.enabled && self.frontier.as_u64() >= self.base().as_u64() + policy.batch {
+            let freed = self.truncate_to(self.frontier);
             ctx.add_counter("log_slots_truncated", freed as u64);
         }
     }
@@ -716,8 +688,8 @@ impl CertificationLog {
     /// to commit in *retained* slots strictly before `before`.
     ///
     /// This is the set-based reference path — O(|log|) per call. The vote
-    /// hot path uses [`CertificationLog::vote_at`] instead; this accessor
-    /// remains for the differential tests and for logs without an index.
+    /// path uses [`CertificationLog::vote_at`] instead; this accessor
+    /// remains as the differential tests' reference.
     /// After truncation it under-approximates `L1` (truncated payloads are
     /// gone — their residue lives in the checkpoint); it is exact only for
     /// untruncated logs.
@@ -840,7 +812,7 @@ mod tests {
 
     #[test]
     fn append_assigns_consecutive_positions() {
-        let mut log = CertificationLog::new();
+        let mut log = indexed_log();
         assert!(log.is_empty());
         assert_eq!(log.append(entry(1)), Position::new(0));
         assert_eq!(log.append(entry(2)), Position::new(1));
@@ -853,7 +825,7 @@ mod tests {
 
     #[test]
     fn store_at_creates_holes_and_rejects_overwrites() {
-        let mut log = CertificationLog::new();
+        let mut log = indexed_log();
         assert!(log.store_at(Position::new(2), entry(3)));
         assert_eq!(log.len(), 3);
         assert_eq!(log.hole_count(), 2);
@@ -869,7 +841,7 @@ mod tests {
 
     #[test]
     fn decide_updates_phase_and_ignores_holes() {
-        let mut log = CertificationLog::new();
+        let mut log = indexed_log();
         log.append(entry(1));
         log.decide(Position::new(0), Decision::Abort);
         assert_eq!(log.phase(Position::new(0)), TxPhase::Decided);
@@ -890,7 +862,7 @@ mod tests {
 
     #[test]
     fn l1_and_l2_selection() {
-        let mut log = CertificationLog::new();
+        let mut log = indexed_log();
         let committed = log.append(entry(1));
         log.decide(committed, Decision::Commit);
         let aborted = log.append(entry(2));
@@ -909,22 +881,22 @@ mod tests {
 
     #[test]
     fn prefix_with_holes_relation() {
-        let mut leader = CertificationLog::new();
+        let mut leader = indexed_log();
         leader.append(entry(1));
         leader.append(entry(2));
         leader.append(entry(3));
 
-        let mut follower = CertificationLog::new();
+        let mut follower = indexed_log();
         follower.store_at(Position::new(1), entry(2));
         assert!(follower.is_prefix_with_holes_of(&leader, leader.next()));
 
         // A mismatching entry violates the relation.
-        let mut bad = CertificationLog::new();
+        let mut bad = indexed_log();
         bad.store_at(Position::new(1), entry(9));
         assert!(!bad.is_prefix_with_holes_of(&leader, leader.next()));
 
         // An entry beyond the leader's log violates it too.
-        let mut beyond = CertificationLog::new();
+        let mut beyond = indexed_log();
         beyond.store_at(Position::new(5), entry(5));
         assert!(!beyond.is_prefix_with_holes_of(&leader, Position::new(10)));
         // ... unless the comparison length excludes it.
@@ -940,7 +912,7 @@ mod tests {
         let reference = Serializability::new()
             .shard_certifier(ShardId::new(0))
             .vote(&committed, &prepared, candidate);
-        assert_eq!(log.vote_at(next, candidate), Some(reference));
+        assert_eq!(log.vote_at(next, candidate), reference);
     }
 
     fn rw_entry(tx: u64, key: &str, read_version: u64, commit_version: u64) -> LogEntry {
@@ -969,16 +941,16 @@ mod tests {
             .expect("well-formed");
 
         // Empty log: commit.
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Commit));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Commit);
 
         // Prepared writer of "a" write-locks it.
         let pos_a = log.append(rw_entry(1, "a", 0, 5));
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Abort);
         assert_vote_matches_scans(&log, &candidate);
 
         // Decided commit: lock released, but the read version 0 is now stale.
         log.decide(pos_a, Decision::Commit);
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Abort);
         assert_vote_matches_scans(&log, &candidate);
 
         // A fresh reader of the committed version passes.
@@ -986,7 +958,7 @@ mod tests {
             .read(Key::new("a"), Version::new(5))
             .build()
             .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &fresh), Some(Decision::Commit));
+        assert_eq!(log.vote_at(log.next(), &fresh), Decision::Commit);
         assert_vote_matches_scans(&log, &fresh);
     }
 
@@ -1000,30 +972,28 @@ mod tests {
 
         // Store out of order, leaving a hole at 0.
         assert!(log.store_at(Position::new(1), rw_entry(2, "b", 0, 3)));
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Abort);
         assert_vote_matches_scans(&log, &candidate);
 
         // An abort decision releases the lock without committing anything.
         log.decide(Position::new(1), Decision::Abort);
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Commit));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Commit);
         assert_vote_matches_scans(&log, &candidate);
 
         // Deciding the hole at 0 stays a no-op for the index too.
         log.decide(Position::new(0), Decision::Commit);
-        assert_eq!(log.vote_at(log.next(), &candidate), Some(Decision::Commit));
+        assert_eq!(log.vote_at(log.next(), &candidate), Decision::Commit);
         assert_vote_matches_scans(&log, &candidate);
     }
 
     #[test]
     fn set_certifier_rebuilds_from_slots() {
-        // Build un-indexed, then install the index and check it agrees.
-        let mut log = CertificationLog::new();
+        // Replace the index with a pristine one and check the rebuild agrees.
+        let mut log = indexed_log();
         let p0 = log.append(rw_entry(1, "x", 0, 4));
         log.decide(p0, Decision::Commit);
         log.append(rw_entry(2, "y", 0, 6));
-        assert!(!log.has_index());
         log.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
-        assert!(log.has_index());
         for key in ["x", "y", "z"] {
             let candidate = Payload::builder()
                 .read(Key::new(key), Version::new(0))
@@ -1042,31 +1012,22 @@ mod tests {
             .read(Key::new("x"), Version::new(0))
             .build()
             .expect("well-formed");
-        assert_eq!(
-            cloned.vote_at(cloned.next(), &candidate),
-            Some(Decision::Abort)
-        );
+        assert_eq!(cloned.vote_at(cloned.next(), &candidate), Decision::Abort);
         // Logs compare by checkpoint + slots; derived caches do not participate.
         assert_eq!(log, cloned);
         assert_eq!(log, {
-            let mut plain = CertificationLog::new();
-            plain.append(rw_entry(1, "x", 0, 4));
-            plain
+            let mut rebuilt = indexed_log();
+            rebuilt.append(rw_entry(1, "x", 0, 4));
+            rebuilt.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
+            rebuilt
         });
-    }
-
-    #[test]
-    fn unindexed_vote_at_returns_none() {
-        let log = CertificationLog::new();
-        let candidate = Payload::empty();
-        assert_eq!(log.vote_at(log.next(), &candidate), None);
     }
 
     // -- checkpointed truncation ---------------------------------------------
 
     #[test]
     fn decided_frontier_tracks_holes_and_decides() {
-        let mut log = CertificationLog::new();
+        let mut log = indexed_log();
         assert_eq!(log.decided_frontier(), Position::ZERO);
         let p0 = log.append(entry(1));
         let p1 = log.append(entry(2));
@@ -1137,14 +1098,14 @@ mod tests {
             .read(Key::new("x"), Version::new(0))
             .build()
             .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &stale), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &stale), Decision::Abort);
         // "y" was aborted: reading version 0 of it is fine, but "z" is still
         // write-locked by the prepared transaction at p2.
         let fine = Payload::builder()
             .read(Key::new("y"), Version::new(0))
             .build()
             .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &fine), Some(Decision::Commit));
+        assert_eq!(log.vote_at(log.next(), &fine), Decision::Commit);
 
         // A second truncation with nothing new decided is a no-op.
         assert_eq!(log.truncate_to(Position::new(99)), 0);
@@ -1238,12 +1199,12 @@ mod tests {
                 .expect("well-formed");
             log.vote_at(log.next(), &payload)
         };
-        let votes = |log: &CertificationLog| -> Vec<Option<Decision>> {
+        let votes = |log: &CertificationLog| -> Vec<Decision> {
             let probes = (0..41).flat_map(|key| [0, 150, 199, 200, 201].map(|v| (key, v)));
             probes.map(|(key, v)| probe(log, key, v)).collect()
         };
         let live = votes(&one);
-        assert!(live.contains(&Some(Decision::Abort)) && live.contains(&Some(Decision::Commit)));
+        assert!(live.contains(&Decision::Abort) && live.contains(&Decision::Commit));
         assert_eq!(votes(&many), live);
         for log in [&mut one, &mut many] {
             log.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
@@ -1255,7 +1216,6 @@ mod tests {
     #[test]
     fn prepare_answers_truncated_retained_and_fresh_transactions() {
         let mut log = indexed_log();
-        let fallback = Serializability::new().shard_certifier(ShardId::new(0));
         let item = |tx: u64, payload: Option<Payload>| PrepareItem {
             tx: TxId::new(tx),
             payload,
@@ -1268,21 +1228,18 @@ mod tests {
         let retained = log.append(rw_entry(2, "y", 0, 6));
 
         // Truncated: the recorded decision, and nothing is appended.
-        assert_eq!(
-            log.prepare(item(1, None), &*fallback),
-            Err(Decision::Commit)
-        );
+        assert_eq!(log.prepare(item(1, None)), Err(Decision::Commit));
         // Retained: re-acked from its slot, whatever the re-PREPARE carries.
-        let reack = log.prepare(item(2, None), &*fallback).expect("re-ack");
+        let reack = log.prepare(item(2, None)).expect("re-ack");
         assert_eq!((reack.pos, reack.vote), (retained, Decision::Commit));
         assert_eq!(reack.payload, log.get(retained).expect("retained").payload);
         assert_eq!(log.next(), Position::new(2), "neither appended a slot");
         // Fresh: certified against the residue ("x" was overwritten at
         // version 4) and the prepared set, and appended at `next`.
         let stale = rw_entry(3, "x", 0, 9).payload;
-        let ack = log.prepare(item(3, Some(stale)), &*fallback).expect("ack");
+        let ack = log.prepare(item(3, Some(stale))).expect("ack");
         assert_eq!((ack.pos, ack.vote), (Position::new(2), Decision::Abort));
-        let ack = log.prepare(item(4, None), &*fallback).expect("ack");
+        let ack = log.prepare(item(4, None)).expect("ack");
         assert_eq!((ack.pos, ack.vote), (Position::new(3), Decision::Abort));
         assert!(ack.payload.is_empty(), "⊥ is stored as ε and votes abort");
         assert_eq!(log.position_of(TxId::new(4)), Some(Position::new(3)));
@@ -1292,8 +1249,8 @@ mod tests {
     fn prefix_with_holes_is_checkpoint_aware() {
         // Leader decides and truncates; a follower that still retains the
         // prefix must remain a prefix-with-holes of it, and vice versa.
-        let mut leader = CertificationLog::new();
-        let mut follower = CertificationLog::new();
+        let mut leader = indexed_log();
+        let mut follower = indexed_log();
         for i in 1..=3u64 {
             let e = entry(i);
             let pos = leader.append(e.clone());
@@ -1315,7 +1272,7 @@ mod tests {
         assert!(leader.is_prefix_with_holes_of(&follower, leader.next()));
 
         // A diverging retained entry under the leader's checkpoint is caught.
-        let mut bad = CertificationLog::new();
+        let mut bad = indexed_log();
         bad.store_at(Position::new(0), entry(9));
         assert!(!bad.is_prefix_with_holes_of(&leader, leader.next()));
     }
@@ -1346,7 +1303,7 @@ mod tests {
             .read(Key::new("x"), Version::new(0))
             .build()
             .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &stale), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &stale), Decision::Abort);
         // Duplicate acks are idempotent.
         assert!(!log.ack_decided(TxId::new(1)));
     }
@@ -1376,13 +1333,13 @@ mod tests {
             .read(Key::new("x"), Version::new(0))
             .build()
             .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &stale), Some(Decision::Abort));
+        assert_eq!(log.vote_at(log.next(), &stale), Decision::Abort);
     }
 
     #[test]
     fn prefix_with_holes_tolerates_compacted_records() {
-        let mut full = CertificationLog::new();
-        let mut compacted = CertificationLog::new();
+        let mut full = indexed_log();
+        let mut compacted = indexed_log();
         for i in 1..=3u64 {
             let e = entry(i);
             full.append(e.clone());
@@ -1403,8 +1360,8 @@ mod tests {
 
     #[test]
     fn equality_distinguishes_checkpoints() {
-        let mut a = CertificationLog::new();
-        let mut b = CertificationLog::new();
+        let mut a = indexed_log();
+        let mut b = indexed_log();
         for i in 1..=2u64 {
             let e = entry(i);
             a.append(e.clone());

@@ -14,15 +14,13 @@
 //! lets any replica act as a recovery coordinator without a shared directory,
 //! and does not change the protocol's behaviour.
 //!
-//! For checkpointed log truncation (§6's garbage collection), replicas gossip
-//! their *decided frontier* on the existing exchanges: the leader's frontier
-//! rides on `PREPARE_ACK`, each follower's on `ACCEPT_ACK`, and the
-//! coordinator folds them into a cluster-wide minimum that rides on
-//! `DECISION` back to the shard's members — zero additional messages on the
-//! commit path.
+//! Checkpointed log truncation (§6's garbage collection) adds nothing to the
+//! vocabulary: each replica folds its own decided prefix when it records a
+//! `DECISION` (see [`crate::log`]), and a truncated transaction's decision
+//! stays answerable through `TxDecided`.
 
 use ratc_config::ShardConfiguration;
-use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, TxId};
+use ratc_types::{Decision, Epoch, Payload, ProcessId, ShardId, TxId};
 
 use crate::batch::{AcceptAckItem, DecisionItem, Items, PrepareBatch, PreparedItem};
 use crate::log::CertificationLog;
@@ -115,8 +113,6 @@ pub enum Msg {
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
         items: Items<PreparedItem>,
-        /// The leader's decided frontier, gossiped for log truncation.
-        frontier: Position,
     },
     /// `ACCEPT(e, k, t, l, d)` from the coordinator to the followers of a
     /// shard (line 20): one message per follower persisting every vote of a
@@ -138,8 +134,6 @@ pub enum Msg {
         epoch: Epoch,
         /// Per-slot acknowledgements.
         items: Items<AcceptAckItem>,
-        /// The follower's decided frontier, gossiped for log truncation.
-        frontier: Position,
     },
     /// `DECISION(e, k, d)` from the coordinator to the members of a shard
     /// (line 29): the final decisions of every transaction that completed
@@ -149,11 +143,6 @@ pub enum Msg {
         epoch: Epoch,
         /// Per-slot decisions.
         items: Items<DecisionItem>,
-        /// Cluster-wide minimum decided frontier the coordinator observed for
-        /// this shard (over a batch: the minimum of the items' floors):
-        /// members may safely truncate their log below it (each clamps to
-        /// its own decided frontier anyway).
-        truncate_to: Position,
     },
 
     // ------------------------------------------------------------------

@@ -26,13 +26,10 @@ use std::sync::Arc;
 use ratc_config::ShardConfiguration;
 use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag};
 use ratc_types::{
-    CertificationPolicy, Epoch, IndexedCertifier, Position, ProcessId, ShardCertifier, ShardId,
-    ShardMap, TxId,
+    CertificationPolicy, Epoch, IndexedCertifier, ProcessId, ShardId, ShardMap, TxId,
 };
 
-use crate::batch::{
-    AcceptAckItem, BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem, ShardDecisions,
-};
+use crate::batch::{AcceptAckItem, BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem};
 use crate::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
 use crate::flow::FlowControlConfig;
 use crate::log::CertificationLog;
@@ -41,11 +38,10 @@ use crate::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
 
 /// Policy for checkpointed log truncation (§6's garbage collection).
 ///
-/// Members truncate their certification log at the cluster-wide minimum
-/// decided frontier gossiped on the existing message exchanges (see
-/// `crate::messages`), clamped to their own decided frontier. `batch`
-/// amortises the fold: a replica truncates only once at least that many
-/// decided slots can be freed at once.
+/// Each member truncates its own certification log at its own decided
+/// frontier whenever it records decisions; no member waits for another.
+/// `batch` amortises the fold: a replica truncates only once at least that
+/// many decided slots can be freed at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruncationConfig {
     /// Whether replicas truncate at all.
@@ -139,9 +135,8 @@ struct Member {
     members: BTreeMap<ShardId, Vec<ProcessId>>,
     leader: BTreeMap<ShardId, ProcessId>,
     log: CertificationLog,
-    certifier: Arc<dyn ShardCertifier>,
-    /// Pristine (empty) incremental certifier, cloned whenever an installed
-    /// log needs an index rebuilt (see `handle_new_state`).
+    /// Pristine (empty) incremental certifier, cloned whenever the log's
+    /// index is rebuilt after a restart (see `on_restart`).
     index_factory: Box<dyn IndexedCertifier>,
     cs: ProcessId,
     truncation: TruncationConfig,
@@ -169,7 +164,6 @@ impl Replica {
                 members: BTreeMap::new(),
                 leader: BTreeMap::new(),
                 log: CertificationLog::with_certifier(policy.indexed_certifier(shard)),
-                certifier: policy.shard_certifier(shard),
                 index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
                 truncation: TruncationConfig::default(),
@@ -299,10 +293,6 @@ impl Replication for Member {
             epoch: self.epoch_of(shard),
             leader: self.leader.get(&shard).copied(),
             members: self.members_of(shard),
-            // The leader gossips its decided frontier on `PREPARE_ACK` and
-            // every follower on `ACCEPT_ACK`: the floor is the cluster-wide
-            // minimum.
-            gossipers: self.members_of(shard),
         }
     }
 
@@ -327,15 +317,14 @@ impl Replication for Member {
     fn distribute_decisions(
         &mut self,
         shard: ShardId,
-        decisions: ShardDecisions,
+        items: Items<DecisionItem>,
         ctx: &mut Context<'_, Msg>,
     ) {
         ctx.send_to_many(
             self.members_of(shard).iter().copied(),
             Msg::DecisionBatch {
                 epoch: self.epoch_of(shard),
-                items: decisions.items,
-                truncate_to: decisions.truncate_to,
+                items,
             },
         );
     }
@@ -430,8 +419,7 @@ impl Member {
             return; // line 5 precondition
         }
         let epoch = self.epoch_of(self.shard);
-        self.log
-            .serve_prepare(from, items, self.shard, epoch, self.certifier.as_ref(), ctx);
+        self.log.serve_prepare(from, items, self.shard, epoch, ctx);
     }
 
     /// Lines 21–25: a follower stores the votes of an `ACCEPT`
@@ -468,19 +456,16 @@ impl Member {
                 shard: self.shard,
                 epoch,
                 items: acks,
-                frontier: self.log.decided_frontier(),
             },
         );
     }
 
     /// Lines 30–32: record the final decisions of a `DECISION`, then fold the
-    /// decided prefix below the gossiped cluster-wide floor into the
-    /// checkpoint, once.
+    /// own decided prefix into the checkpoint if a fold batch is due.
     fn handle_decision_batch(
         &mut self,
         epoch: Epoch,
         items: Items<DecisionItem>,
-        truncate_to: Position,
         ctx: &mut Context<'_, Msg>,
     ) {
         if self.status == Status::Reconfiguring {
@@ -492,7 +477,7 @@ impl Member {
         for item in items.iter() {
             self.log.decide(item.pos, item.decision);
         }
-        self.log.truncate_if_due(truncate_to, self.truncation, ctx);
+        self.log.truncate_if_due(self.truncation, ctx);
     }
 
     /// Compaction leg 2 received: drop the transaction's checkpoint decision
@@ -591,12 +576,6 @@ impl Member {
             Some(self.shard),
             epoch.as_u64(),
         );
-        // State transfers normally carry the sender's index; rebuild one if
-        // the log arrived without it so votes stay O(|payload|) after a
-        // promotion of this replica.
-        if !self.log.has_index() {
-            self.log.set_certifier(self.index_factory.clone_box());
-        }
     }
 
     /// A `get_last` reply the reconfigurer was not waiting for: adopt the
@@ -689,29 +668,22 @@ impl Actor<Msg> for Replica {
                 epoch,
                 shard,
                 items,
-                frontier,
-            } => coord.on_prepare_ack(from, epoch, shard, items, frontier, member, ctx),
+            } => coord.on_prepare_ack(epoch, shard, items, member, ctx),
             Msg::AcceptBatch {
                 epoch,
                 shard,
                 items,
             } => member.handle_accept_batch(from, epoch, shard, items, ctx),
-            // Line 26 bookkeeping: an `ACCEPT_ACK` carries the stored slots
-            // and the follower's decided frontier.
+            // Line 26 bookkeeping: an `ACCEPT_ACK` carries the stored slots.
             Msg::AcceptAckBatch {
                 shard,
                 epoch,
                 items,
-                frontier,
             } => {
                 let acks = items.iter().map(|i| (i.tx, Some((i.pos, i.vote))));
-                coord.record_acks(from, shard, epoch, acks, Some(frontier), member, ctx)
+                coord.record_acks(from, shard, epoch, acks, member, ctx)
             }
-            Msg::DecisionBatch {
-                epoch,
-                items,
-                truncate_to,
-            } => member.handle_decision_batch(epoch, items, truncate_to, ctx),
+            Msg::DecisionBatch { epoch, items } => member.handle_decision_batch(epoch, items, ctx),
             Msg::StartReconfigure {
                 shard,
                 spares,

@@ -4,11 +4,12 @@
 
 use ratc_baseline::BaselineMsg;
 use ratc_core::client::{ClientActor, ClientMsg};
+use ratc_core::replica::TruncationConfig;
 use ratc_core::Msg;
 use ratc_harness::{ClusterSpec, StackKind};
 use ratc_rdma::RdmaMsg;
-use ratc_sim::{Actor, Context, SimConfig, World};
-use ratc_types::{Decision, Key, Payload, ProcessId, TxId, Value, Version};
+use ratc_sim::{Actor, Context, FaultScope, LinkFault, SimConfig, SimDuration, World};
+use ratc_types::{Decision, Key, Payload, ProcessId, ShardId, ShardMap, TxId, Value, Version};
 
 fn rw(key: &str) -> Payload {
     Payload::builder()
@@ -54,6 +55,89 @@ fn submit_with_everything_crashed_records_the_transaction_and_recovery_decides_i
             Some(Decision::Commit),
             "{stack}: the re-driven transaction must decide"
         );
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+    }
+}
+
+/// Truncation is each member's own: on both RATC stacks every member of a
+/// shard folds its decided prefix, followers included, so a sequential
+/// history leaves less than one fold batch retained anywhere.
+#[test]
+fn every_member_truncates_its_own_decided_prefix() {
+    let batch = 8;
+    for stack in [StackKind::Core, StackKind::Rdma] {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(1)
+            .with_seed(19)
+            .with_truncation(TruncationConfig::with_batch(batch))
+            .build();
+        let total = 96u64;
+        for i in 0..total {
+            cluster.submit(TxId::new(i + 1), rw(&format!("k{i}")));
+            cluster.run_to_quiescence();
+        }
+        assert_eq!(cluster.history().decide_count(), total as usize, "{stack}");
+        for pid in cluster.shard_view(ShardId::new(0)).members {
+            let retained = cluster.retained_log_slots(pid).expect("a replica");
+            assert!(
+                retained < batch as usize,
+                "{stack}: member {pid} retains {retained} slots"
+            );
+        }
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+    }
+}
+
+/// A follower that missed one `DECISION` holds that transaction prepared,
+/// but pins nobody else's log: its leader keeps folding. When the follower
+/// later re-coordinates the transaction (`retry`), the leader has truncated
+/// it and answers `TxDecided`, and the recovery coordinator must tell its
+/// own shard — here, itself — or the slot stays prepared forever.
+#[test]
+fn a_lost_decision_pins_no_log_and_a_retry_releases_the_follower() {
+    for stack in [StackKind::Core, StackKind::Rdma] {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(2)
+            .with_seed(3)
+            .with_truncation(TruncationConfig::with_batch(1))
+            .build();
+        let (s0, s1) = (ShardId::new(0), ShardId::new(1));
+        let shard0_keys: Vec<String> = (0..1_000)
+            .map(|i| format!("k{i}"))
+            .filter(|k| cluster.sharding().shard_of(&Key::new(k.as_str())) == s0)
+            .take(4)
+            .collect();
+        let view = cluster.shard_view(s0);
+        let leader = view.leader.expect("leader");
+        let follower = *view
+            .members
+            .iter()
+            .find(|p| **p != leader)
+            .expect("follower");
+        let coordinator = cluster.shard_view(s1).leader.expect("leader");
+
+        let t1 = TxId::new(1);
+        cluster.submit_via(t1, rw(&shard0_keys[0]), coordinator);
+        let mut steps = 0;
+        while cluster.logical_log_len(follower) != Some(1) {
+            cluster.run_for(SimDuration::from_micros(1));
+            steps += 1;
+            assert!(steps < 100_000, "{stack}: t1 never reached the follower");
+        }
+        cluster.set_link_fault(coordinator, follower, LinkFault::cut(FaultScope::All));
+        cluster.run_to_quiescence();
+        cluster.heal_all_faults();
+        for (i, key) in shard0_keys.iter().enumerate().skip(1) {
+            cluster.submit_via(TxId::new(i as u64 + 1), rw(key), coordinator);
+            cluster.run_to_quiescence();
+        }
+        assert_eq!(cluster.history().decide_count(), 4, "{stack}");
+        assert_eq!(cluster.retained_log_slots(leader), Some(0), "{stack}");
+        assert_eq!(cluster.retained_log_slots(follower), Some(4), "{stack}");
+
+        cluster.retry(follower, t1);
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.retained_log_slots(follower), Some(0), "{stack}");
         assert!(cluster.client_violations().is_empty(), "{stack}");
     }
 }

@@ -90,7 +90,6 @@ impl Actor<RdmaMsg> for GlobalConfigServiceActor {
             | RdmaMsg::PrepareAckBatch { .. }
             | RdmaMsg::AcceptBatch { .. }
             | RdmaMsg::DecisionBatch { .. }
-            | RdmaMsg::FrontierExchange { .. }
             | RdmaMsg::StartReconfigure { .. }
             | RdmaMsg::Probe { .. }
             | RdmaMsg::ProbeAck { .. }

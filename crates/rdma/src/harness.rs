@@ -285,48 +285,6 @@ mod tests {
         assert!(cluster.client_violations().is_empty());
     }
 
-    /// Satellite regression: the member-to-member frontier exchange lets RDMA
-    /// followers truncate at the true cluster minimum. With only the clamped
-    /// leader hint (the PR 2 behaviour), the hint gossiped on the *last*
-    /// decisions always lags the final frontier, so followers retained the
-    /// tail of the history forever.
-    #[test]
-    fn frontier_exchange_truncates_followers_at_the_cluster_minimum() {
-        use ratc_core::replica::TruncationConfig;
-        let batch = 8u64;
-        let mut cluster = deploy(
-            ClusterConfig::default()
-                .with_shards(1)
-                .with_seed(19)
-                .with_truncation(TruncationConfig::with_batch(batch)),
-        );
-        let total = 96u64;
-        for i in 0..total {
-            cluster.submit(TxId::new(i + 1), rw_payload(&format!("k{i}")));
-            cluster.run_to_quiescence();
-        }
-        assert_eq!(cluster.history().decide_count(), total as usize);
-        assert!(
-            cluster.world.metrics().counter("frontier_exchanges") > 0,
-            "members never exchanged frontiers"
-        );
-        for pid in cluster.shard_view(ShardId::new(0)).members {
-            let log = cluster
-                .world
-                .actor::<RdmaReplica>(pid)
-                .expect("replica")
-                .log();
-            let lag = log.decided_frontier().as_u64() - log.base().as_u64();
-            assert!(
-                lag < 2 * batch,
-                "member {pid} truncated only to {} with frontier {} (lag {lag})",
-                log.base(),
-                log.decided_frontier()
-            );
-        }
-        assert!(cluster.client_violations().is_empty());
-    }
-
     #[test]
     fn global_reconfiguration_recovers_from_a_follower_crash() {
         let mut cluster = deploy(ClusterConfig::default().with_seed(11));

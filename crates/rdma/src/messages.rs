@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use ratc_config::GlobalConfiguration;
 use ratc_core::batch::{DecisionItem, Items, PrepareBatch, PreparedItem};
-use ratc_types::{Decision, Epoch, Payload, Position, ProcessId, ShardId, TxId};
+use ratc_types::{Decision, Epoch, Payload, ProcessId, ShardId, TxId};
 
 use crate::replica::RdmaLog;
 
@@ -74,11 +74,6 @@ pub enum RdmaMsg {
         shard: ShardId,
         /// Per-slot positions, payloads and votes.
         items: Items<PreparedItem>,
-        /// The leader's decided frontier, gossiped for log truncation.
-        /// Followers acknowledge RDMA writes in hardware (no payload), so the
-        /// leader's frontier is the only one the coordinator learns; members
-        /// clamp the resulting truncation hint to their own decided frontier.
-        frontier: Position,
     },
     /// `ACCEPT(k, t, l, d)` written into a follower's memory by **one RDMA
     /// write** per follower (line 93). Note: no epoch and no acknowledgement
@@ -99,24 +94,6 @@ pub enum RdmaMsg {
     DecisionBatch {
         /// Per-slot decisions.
         items: Items<DecisionItem>,
-        /// Truncation hint: the shard leader's decided frontier as observed
-        /// by the coordinator. Receivers clamp to their own frontier before
-        /// folding the prefix into their checkpoint.
-        truncate_to: Position,
-    },
-
-    /// Member-to-member decided-frontier exchange for checkpointed
-    /// truncation. RDMA hardware acks carry no payload, so followers cannot
-    /// gossip their frontiers on the data path the way `ratc-core` followers
-    /// do on `ACCEPT_ACK`; instead every shard member broadcasts its frontier
-    /// to its peers whenever it has advanced by a truncation batch, and each
-    /// member truncates at the minimum over the whole membership — the true
-    /// cluster minimum instead of the clamped leader hint.
-    FrontierExchange {
-        /// The sender's shard.
-        shard: ShardId,
-        /// The sender's decided frontier.
-        frontier: Position,
     },
 
     /// External trigger for `reconfigure()` (line 103). In the correct mode
@@ -236,7 +213,6 @@ impl RdmaMsg {
             RdmaMsg::PrepareAckBatch { .. } => "prepare_ack_batch",
             RdmaMsg::AcceptBatch { .. } => "accept_batch",
             RdmaMsg::DecisionBatch { .. } => "decision_batch",
-            RdmaMsg::FrontierExchange { .. } => "frontier_exchange",
             RdmaMsg::StartReconfigure { .. } => "start_reconfigure",
             RdmaMsg::Probe { .. } => "probe",
             RdmaMsg::ProbeAck { .. } => "probe_ack",

@@ -8,8 +8,9 @@
 //!
 //! * the [`Replication`] of Figures 7–8 — votes and decisions are one-sided
 //!   RDMA writes, a follower's acknowledgement is the NIC's `ack-rdma` (which
-//!   carries no payload, hence the member-to-member frontier exchange), and a
-//!   coordinator that is itself a follower stores into its own memory;
+//!   carries no payload), and a coordinator that is itself a follower stores
+//!   into its own memory. Truncation needs nothing of it: as in `ratc-core`,
+//!   each member folds its own decided prefix when it records decisions;
 //! * the [`ReconHost`] of Figure 8 — one epoch and one configuration for the
 //!   whole system, so every shard is probed, and a chosen configuration is
 //!   disseminated with a `CONFIG_PREPARE` round before any leader activates
@@ -24,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ratc_config::GlobalConfiguration;
-use ratc_core::batch::{BatchingConfig, Items, PrepareItem, PreparedItem, ShardDecisions};
+use ratc_core::batch::{BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem};
 use ratc_core::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
 use ratc_core::flow::FlowControlConfig;
 use ratc_core::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
@@ -32,8 +33,7 @@ use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, Context, CtrlMilestone, SimDuration, TimerTag};
 use ratc_types::{
-    CertificationPolicy, Epoch, IndexedCertifier, Position, ProcessId, ShardCertifier, ShardId,
-    ShardMap, TxId,
+    CertificationPolicy, Epoch, IndexedCertifier, ProcessId, ShardId, ShardMap, TxId,
 };
 
 use crate::messages::RdmaMsg;
@@ -108,9 +108,8 @@ struct Member {
     config: Option<GlobalConfiguration>,
     connections: BTreeSet<ProcessId>,
     log: RdmaLog,
-    certifier: Arc<dyn ShardCertifier>,
-    /// Pristine (empty) incremental certifier, cloned whenever an installed
-    /// log needs an index rebuilt (see `handle_new_state`).
+    /// Pristine (empty) incremental certifier, cloned whenever the log's
+    /// index is rebuilt after a restart (see `on_restart`).
     index_factory: Box<dyn IndexedCertifier>,
     cs: ProcessId,
     /// `ACCEPT` writes whose hardware acknowledgement is outstanding.
@@ -124,13 +123,6 @@ struct Member {
     pending_connects: BTreeSet<ProcessId>,
     connect_retry_armed: bool,
     connect_attempts: u32,
-    /// Decided frontiers gossiped by the other members of this replica's
-    /// shard via `FrontierExchange` (RDMA hardware acks carry no payload, so
-    /// the data path cannot carry them).
-    peer_frontiers: BTreeMap<ProcessId, Position>,
-    /// The frontier this replica last broadcast to its peers; a new exchange
-    /// is sent once the frontier advances by a full truncation batch.
-    last_gossiped_frontier: Position,
 }
 
 impl RdmaReplica {
@@ -158,7 +150,6 @@ impl RdmaReplica {
                 config: None,
                 connections: BTreeSet::new(),
                 log: RdmaLog::with_certifier(policy.indexed_certifier(shard)),
-                certifier: policy.shard_certifier(shard),
                 index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
                 pending_writes: BTreeMap::new(),
@@ -167,8 +158,6 @@ impl RdmaReplica {
                 pending_connects: BTreeSet::new(),
                 connect_retry_armed: false,
                 connect_attempts: 0,
-                peer_frontiers: BTreeMap::new(),
-                last_gossiped_frontier: Position::ZERO,
             },
         }
     }
@@ -281,12 +270,6 @@ impl Replication for Member {
             epoch: self.epoch,
             leader: leader.copied(),
             members: self.members_of(shard),
-            // Only the leader, on `PREPARE_ACK`: RDMA hardware acks carry no
-            // payload, so followers cannot gossip their decided frontier to
-            // the coordinator (they exchange them among themselves instead,
-            // see `handle_frontier_exchange`), and members clamp the hint to
-            // their own decided frontier.
-            gossipers: leader.map(std::slice::from_ref).unwrap_or(&[]),
         }
     }
 
@@ -337,17 +320,15 @@ impl Replication for Member {
     fn distribute_decisions(
         &mut self,
         shard: ShardId,
-        decisions: ShardDecisions,
+        items: Items<DecisionItem>,
         ctx: &mut Context<'_, RdmaMsg>,
     ) {
         for member in self.members_of(shard).to_vec() {
             let write = RdmaMsg::DecisionBatch {
-                items: decisions.items.clone(),
-                truncate_to: decisions.truncate_to,
+                items: items.clone(),
             };
             if member == self.id {
                 self.apply_rdma_payload(write, ctx);
-                self.maybe_gossip_frontier(ctx);
             } else {
                 ctx.rdma_send(member, write);
             }
@@ -482,12 +463,13 @@ impl Member {
                     self.log.accept(item);
                 }
             }
-            // Line 101–102, plus checkpointed truncation at the hinted floor.
-            RdmaMsg::DecisionBatch { items, truncate_to } => {
+            // Line 101–102, then fold the own decided prefix if a fold batch
+            // is due.
+            RdmaMsg::DecisionBatch { items } => {
                 for item in items.iter() {
                     self.log.decide(item.pos, item.decision);
                 }
-                self.log.truncate_if_due(truncate_to, self.truncation, ctx);
+                self.log.truncate_if_due(self.truncation, ctx);
             }
             // Explicit no-ops: only `ACCEPT` and `DECISION` are one-sided
             // writes into follower memory; everything else in the vocabulary
@@ -499,7 +481,6 @@ impl Member {
             | RdmaMsg::TxDecided { .. }
             | RdmaMsg::PrepareBatch { .. }
             | RdmaMsg::PrepareAckBatch { .. }
-            | RdmaMsg::FrontierExchange { .. }
             | RdmaMsg::StartReconfigure { .. }
             | RdmaMsg::Probe { .. }
             | RdmaMsg::ProbeAck { .. }
@@ -519,77 +500,6 @@ impl Member {
         }
     }
 
-    // -- member-to-member frontier exchange (see `RdmaMsg::FrontierExchange`) --
-
-    /// Broadcasts this member's decided frontier to its shard peers once it
-    /// has advanced by a full truncation batch since the last broadcast.
-    /// Event-driven rather than wall-clock-periodic so a quiescent cluster
-    /// stays quiescent; "periodic" in position space.
-    fn maybe_gossip_frontier(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
-        if !self.truncation.enabled || !self.initialized || self.status == RdmaStatus::Reconfiguring
-        {
-            return;
-        }
-        let frontier = self.log.decided_frontier();
-        if frontier.as_u64() < self.last_gossiped_frontier.as_u64() + self.truncation.batch {
-            return;
-        }
-        self.last_gossiped_frontier = frontier;
-        let peers: Vec<ProcessId> = self
-            .members_of(self.shard)
-            .iter()
-            .copied()
-            .filter(|p| *p != self.id)
-            .collect();
-        ctx.add_counter("frontier_exchanges", peers.len() as u64);
-        ctx.send_to_many(
-            peers,
-            RdmaMsg::FrontierExchange {
-                shard: self.shard,
-                frontier,
-            },
-        );
-    }
-
-    /// The cluster-wide minimum decided frontier of this replica's shard:
-    /// its own frontier met with every peer's last gossiped one (a member
-    /// never heard from pins the floor at zero — safe, it just delays
-    /// truncation until everyone has gossiped).
-    fn cluster_frontier_floor(&self) -> Position {
-        self.members_of(self.shard)
-            .iter()
-            .map(|m| {
-                if *m == self.id {
-                    self.log.decided_frontier()
-                } else {
-                    self.peer_frontiers
-                        .get(m)
-                        .copied()
-                        .unwrap_or(Position::ZERO)
-                }
-            })
-            .min()
-            .unwrap_or(Position::ZERO)
-    }
-
-    /// A shard peer gossiped its decided frontier: record it and truncate at
-    /// the true cluster minimum (instead of waiting for a clamped leader
-    /// hint on the next `DECISION` write).
-    fn handle_frontier_exchange(
-        &mut self,
-        from: ProcessId,
-        shard: ShardId,
-        frontier: Position,
-        ctx: &mut Context<'_, RdmaMsg>,
-    ) {
-        if shard != self.shard {
-            return;
-        }
-        self.peer_frontiers.insert(from, frontier);
-        let floor = self.cluster_frontier_floor();
-        self.log.truncate_if_due(floor, self.truncation, ctx);
-    }
-
     /// Lines 77–90: the leader certifies the items of a `PREPARE` in order.
     /// Identical to the message-passing protocol's leader logic, so the step
     /// is shared with it (`CertificationLog::serve_prepare`).
@@ -602,14 +512,8 @@ impl Member {
         if self.status != RdmaStatus::Leader {
             return;
         }
-        self.log.serve_prepare(
-            from,
-            items,
-            self.shard,
-            self.epoch,
-            self.certifier.as_ref(),
-            ctx,
-        );
+        self.log
+            .serve_prepare(from, items, self.shard, self.epoch, ctx);
     }
 
     /// Handles a `get_last` reply the reconfigurer was not waiting for: a
@@ -733,9 +637,6 @@ impl Member {
         for (_, msg) in flushed {
             self.apply_rdma_payload(msg, ctx);
         }
-        // A new epoch: stale peer frontiers must not unlock truncation for a
-        // membership they no longer describe.
-        self.peer_frontiers.clear();
         let previous_leader = self.config.as_ref().and_then(|c| c.leader_of(self.shard));
         self.status = RdmaStatus::Leader;
         self.new_epoch = config.epoch;
@@ -786,11 +687,7 @@ impl Member {
         self.new_epoch = config.epoch;
         self.epoch = config.epoch;
         self.initialized = true;
-        self.peer_frontiers.clear();
         self.log = *log;
-        if !self.log.has_index() {
-            self.log.set_certifier(self.index_factory.clone_box());
-        }
         self.config = Some(config.clone());
         ctx.ctrl_milestone(
             CtrlMilestone::StateTransferred,
@@ -931,11 +828,7 @@ impl Actor<RdmaMsg> for RdmaReplica {
                 epoch,
                 shard,
                 items,
-                frontier,
-            } => coord.on_prepare_ack(from, epoch, shard, items, frontier, member, ctx),
-            RdmaMsg::FrontierExchange { shard, frontier } => {
-                member.handle_frontier_exchange(from, shard, frontier, ctx)
-            }
+            } => coord.on_prepare_ack(epoch, shard, items, member, ctx),
             RdmaMsg::DecisionClient { .. } => {}
             RdmaMsg::Retry { tx } => {
                 coord.take_over(tx, member.log.prepared_tx(tx), member.shard, member, ctx)
@@ -1009,9 +902,6 @@ impl Actor<RdmaMsg> for RdmaReplica {
 
     fn on_rdma_deliver(&mut self, _from: ProcessId, msg: RdmaMsg, ctx: &mut Context<'_, RdmaMsg>) {
         self.member.apply_rdma_payload(msg, ctx);
-        // Decisions may have advanced the decided frontier: gossip it to the
-        // shard peers once it has moved by a full truncation batch.
-        self.member.maybe_gossip_frontier(ctx);
     }
 
     /// Lines 96–100 bookkeeping: the NIC acknowledged an `ACCEPT` write, and
@@ -1022,15 +912,7 @@ impl Actor<RdmaMsg> for RdmaReplica {
             return; // a `DECISION` write: nothing waits on it
         };
         let acks = write.txs.iter().map(|tx| (*tx, None));
-        coord.record_acks(
-            write.follower,
-            write.shard,
-            write.epoch,
-            acks,
-            None,
-            member,
-            ctx,
-        );
+        coord.record_acks(write.follower, write.shard, write.epoch, acks, member, ctx);
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, RdmaMsg>) {
@@ -1064,7 +946,6 @@ impl Actor<RdmaMsg> for RdmaReplica {
         let member = &mut self.member;
         member.pending_writes.clear();
         member.installing = None;
-        member.peer_frontiers.clear();
         // Writes that reached the persistent region were acknowledged to
         // their senders — they count as persisted here, even across the
         // crash. Recover them before rebuilding the index (the `flush` of
@@ -1073,7 +954,6 @@ impl Actor<RdmaMsg> for RdmaReplica {
         for (_, msg) in flushed {
             member.apply_rdma_payload(msg, ctx);
         }
-        member.last_gossiped_frontier = member.log.decided_frontier();
         member.log.set_certifier(member.index_factory.clone_box());
         member.connections.clear();
         member.connect_retry_armed = false;

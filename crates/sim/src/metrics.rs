@@ -19,35 +19,6 @@ use std::fmt::{self, Write as _};
 use ratc_obs::{CtrlEvent, TxObsEvent};
 use ratc_types::ProcessId;
 
-/// Log-spaced histogram resolution: sub-buckets per octave (power of two).
-/// Eight per octave bounds the relative error of a streaming percentile by
-/// `2^(1/8) − 1 ≈ 9%`.
-const HIST_SUBDIV: f64 = 8.0;
-
-/// Number of histogram buckets: bucket 0 holds values `< 1`, the rest cover
-/// `[1, 2^32)` microseconds-scale values in `2^(1/8)` steps — wider than any
-/// latency this workspace produces.
-const HIST_BUCKETS: usize = 258;
-
-/// The log-spaced bucket index for `value`.
-fn hist_index(value: f64) -> usize {
-    if value.is_nan() || value < 1.0 {
-        // Negative, NaN and sub-unit values all land in bucket 0.
-        return 0;
-    }
-    let index = (value.log2() * HIST_SUBDIV).floor() as usize + 1;
-    index.min(HIST_BUCKETS - 1)
-}
-
-/// A representative value (the geometric midpoint) of bucket `index`.
-fn hist_value(index: usize) -> f64 {
-    if index == 0 {
-        0.0
-    } else {
-        ((index as f64 - 0.5) / HIST_SUBDIV).exp2()
-    }
-}
-
 /// Per-process transport counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessCounters {
@@ -87,12 +58,8 @@ pub struct MsgTypeCounters {
     pub delivered: u64,
 }
 
-/// A streaming summary of a named statistic.
-///
-/// Besides count/sum/min/max, the summary maintains a small fixed log-spaced
-/// histogram so tail percentiles ([`Summary::percentile`]) are available in
-/// O(1) memory per statistic — min/mean/max hides exactly the tail latency
-/// that matters at overload. No raw sample is retained.
+/// A streaming summary of a named statistic: count, sum, minimum and
+/// maximum. No raw sample is retained.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     /// Number of recorded samples.
@@ -103,9 +70,6 @@ pub struct Summary {
     pub min: f64,
     /// Maximum sample (0 if no samples).
     pub max: f64,
-    /// Log-spaced sample histogram (empty until the first sample; bucket
-    /// boundaries grow by `2^(1/8)` per bucket).
-    pub buckets: Vec<u64>,
 }
 
 impl Summary {
@@ -113,7 +77,6 @@ impl Summary {
         if self.count == 0 {
             self.min = value;
             self.max = value;
-            self.buckets = vec![0; HIST_BUCKETS];
         } else {
             if value < self.min {
                 self.min = value;
@@ -124,7 +87,6 @@ impl Summary {
         }
         self.count += 1;
         self.sum += value;
-        self.buckets[hist_index(value)] += 1;
     }
 
     /// The mean of the recorded samples, or 0 if none were recorded.
@@ -134,28 +96,6 @@ impl Summary {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// A streaming estimate of the `pct` percentile (0–100) of the recorded
-    /// samples, or 0 if none were recorded.
-    ///
-    /// The estimate is the geometric midpoint of the log-spaced histogram
-    /// bucket containing the requested rank, clamped into `[min, max]`:
-    /// relative error is bounded by the bucket width (`2^(1/8) − 1 ≈ 9%`).
-    pub fn percentile(&self, pct: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((pct.clamp(0.0, 100.0) / 100.0) * self.count as f64).ceil() as u64;
-        let rank = rank.max(1);
-        let mut seen = 0u64;
-        for (index, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return hist_value(index).clamp(self.min, self.max);
-            }
-        }
-        self.max
     }
 }
 
@@ -401,9 +341,6 @@ impl Metrics {
                 mine.max = mine.max.max(summary.max);
                 mine.count += summary.count;
                 mine.sum += summary.sum;
-                for (mine, theirs) in mine.buckets.iter_mut().zip(summary.buckets) {
-                    *mine += theirs;
-                }
             }
         }
         self.total_delivered += other.total_delivered;
@@ -439,6 +376,14 @@ mod tests {
         assert_eq!(s.max, 3.0);
         assert!((s.mean() - 2.0).abs() < f64::EPSILON);
         assert!(m.summary("none").is_none());
+
+        // Summaries merge under `absorb`: counts and sums add, extremes widen.
+        let mut other = Metrics::new();
+        other.record_sample("lat", 0.5);
+        other.record_sample("lat", 9.5);
+        m.absorb(other);
+        let s = m.summary("lat").expect("samples recorded");
+        assert_eq!((s.count, s.sum, s.min, s.max), (5, 16.0, 0.5, 9.5));
     }
 
     #[test]
@@ -468,48 +413,6 @@ mod tests {
     #[test]
     fn empty_summary_mean_is_zero() {
         assert_eq!(Summary::default().mean(), 0.0);
-        assert_eq!(Summary::default().percentile(99.0), 0.0);
-    }
-
-    #[test]
-    fn streaming_percentiles_track_the_exact_ones_within_bucket_width() {
-        let mut m = Metrics::new();
-        let input: Vec<f64> = (1..=1000).map(f64::from).collect();
-        for &value in &input {
-            m.record_sample("lat", value);
-        }
-        let s = m.summary("lat").expect("recorded");
-        for pct in [50.0, 95.0, 99.0] {
-            // Nearest-rank order statistic of the (already sorted) input.
-            let rank = (pct / 100.0 * input.len() as f64).ceil() as usize;
-            let exact = input[rank - 1];
-            let estimate = s.percentile(pct);
-            let err = (estimate - exact).abs() / exact;
-            assert!(
-                err < 0.10,
-                "p{pct}: streaming {estimate} vs exact {exact} ({err:.3} rel err)"
-            );
-        }
-        assert!(s.percentile(0.0) >= s.min && s.percentile(0.0) <= s.min * 1.10);
-        assert!(s.percentile(100.0) <= s.max);
-    }
-
-    #[test]
-    fn streaming_percentiles_survive_absorb() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        for i in 1..=500 {
-            a.record_sample("lat", i as f64);
-            b.record_sample("lat", (500 + i) as f64);
-        }
-        a.absorb(b);
-        let s = a.summary("lat").expect("recorded");
-        assert_eq!(s.count, 1000);
-        let p50 = s.percentile(50.0);
-        assert!(
-            (p50 - 500.0).abs() / 500.0 < 0.10,
-            "merged p50 {p50} not near 500"
-        );
     }
 
     #[test]
