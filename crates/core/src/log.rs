@@ -23,8 +23,10 @@
 //! * *decide* → [`IndexedCertifier::release`] (entry leaves `L2`), plus
 //!   [`IndexedCertifier::apply_committed`] when the decision is commit
 //!   (entry enters `L1`);
-//! * a restart (the index is volatile) → [`CertificationLog::set_certifier`]
-//!   rebuilds the index from the checkpoint and the slots.
+//! * a restart → [`CertificationLog::restart`]: the `L1` summary is stable
+//!   state, like the slots; the `L2` lock table is volatile, so it is
+//!   cleared ([`IndexedCertifier::clear_prepared`]) and rebuilt from the
+//!   retained slots prepared with a commit vote.
 //!
 //! Decides may arrive out of order and slots may be holes; both are fine
 //! because the index transitions are per-position, idempotent, and
@@ -41,16 +43,17 @@
 //! folds its own decided prefix once a fold batch is due
 //! ([`CertificationLog::truncate_if_due`]); nothing about its peers' logs is
 //! needed, because a truncated decision stays answerable from the checkpoint
-//! (see below) and recovery asks for it there. The checkpoint
-//! keeps exactly the certification-relevant residue:
+//! (see below) and recovery asks for it there. Folding a slot keeps exactly
+//! what recovery needs of it:
 //!
-//! * **per-position decisions** — `(txn, dec)` of every truncated slot, so no
-//!   decision recovery might still need is ever lost (recovery coordinators
-//!   that re-PREPARE a truncated transaction are answered with its final
-//!   decision instead of a re-ack);
-//! * **per-key newest committed writer** — the summary `f_s` needs for `L1`;
-//!   by distributivity (property (1) of the paper) the per-key maxima are
-//!   equivalent to the full set of truncated committed payloads;
+//! * **per-position decisions** — `(txn, dec)` of every truncated slot, in a
+//!   vector indexed by position, so no decision recovery might still need is
+//!   ever lost (recovery coordinators that re-PREPARE a truncated
+//!   transaction are answered with its final decision instead of a re-ack);
+//! * **no per-key state** — `f_s` reads `L1` only through the index, which
+//!   summarised every folded commit while its slot was live. That summary
+//!   is part of the log's stable state: a restart keeps it and `NEW_STATE`
+//!   ships it whole, so folding touches none of a slot's keys;
 //! * **no lock state** — `g_s`'s read/write locks belong to *undecided*
 //!   transactions, and undecided slots are never truncated (the truncation
 //!   point is clamped to [`CertificationLog::decided_frontier`]), so the
@@ -68,11 +71,13 @@
 //!    [`CertificationLog::decide`]/[`CertificationLog::store_at`] below
 //!    `base` are no-ops (stale messages for truncated slots are harmless).
 //! 4. [`CertificationLog::position_of`] answers over checkpoint + suffix in
-//!    O(1) via tx→position maps maintained on both sides of `base`.
-//! 5. State transfer (`NEW_STATE`) clones checkpoint, suffix and index;
-//!    [`CertificationLog::set_certifier`] rebuilds an index from the
-//!    checkpoint residue plus the retained entries, which votes identically
-//!    to an index that saw the whole history.
+//!    O(1) via one tx→position map that covers retained and folded
+//!    transactions alike, so folding a slot moves nothing.
+//! 5. State transfer (`NEW_STATE`) clones checkpoint, suffix and index; a
+//!    restart keeps all three and rebuilds only the volatile `L2` lock table
+//!    ([`CertificationLog::restart`]). No index is ever rebuilt from a
+//!    summary of the folded prefix, so truncation is exact for every
+//!    certification policy, whatever its `f_s` reads of committed payloads.
 //!
 //! The set-based accessor [`CertificationLog::committed_payloads_before`]
 //! *under-approximates* `L1` after truncation (the payloads are gone); it
@@ -82,22 +87,21 @@
 //!
 //! # Decision-map compaction
 //!
-//! The checkpoint's per-position decision map itself grows with history
+//! The checkpoint's per-position decision vector itself grows with history
 //! length — it exists only so recovery can still learn a truncated
 //! transaction's decision. Once the decision has been acknowledged end to end
 //! (client and coordinator), recovery is impossible by the TCS specification
 //! and the record is dead weight: [`CertificationLog::ack_decided`] drops it,
-//! keeping only the per-key newest-writer residue. The replica-level ack
-//! exchange that drives this is opt-in (see
+//! leaving `None` at its position; certification never read it. The
+//! replica-level ack exchange that drives this is opt-in (see
 //! `crate::replica::TruncationConfig`) so default deployments stay
 //! bit-identical to the paper's message schedule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ratc_sim::Context;
 use ratc_types::{
-    Decision, Epoch, FxHashMap, IndexedCertifier, Key, Payload, Position, ProcessId, ShardId, TxId,
-    Version,
+    Decision, Epoch, FxHashMap, IndexedCertifier, Payload, Position, ProcessId, ShardId, TxId,
 };
 
 use crate::batch::{Items, PrepareItem, PreparedItem};
@@ -139,98 +143,43 @@ pub struct LogEntry {
 /// module docs for the invariants).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
-    /// One past the last truncated position: slots in `[0, base)` are folded
-    /// into this checkpoint; physical storage starts at `base`.
-    base: Position,
-    /// Final decision of every truncated slot, by position.
-    decided: BTreeMap<Position, (TxId, Decision)>,
-    /// Position of every truncated transaction (O(1) `position_of`).
-    by_tx: FxHashMap<TxId, Position>,
-    /// Newest committed writer version per key — the `f_s` residue. Its
-    /// readers take per-key maxima or compare whole maps, so it needs no
-    /// order: folding a slot is O(1) hashed work per written key.
-    newest_writers: FxHashMap<Key, Version>,
+    /// The transaction and final decision of every truncated slot, indexed
+    /// by position: slots in `[0, base)` are folded into this checkpoint,
+    /// where `base` is the vector's length. `None` marks a record that
+    /// [`CertificationLog::ack_decided`] compacted.
+    decided: Vec<Option<(TxId, Decision)>>,
 }
 
 impl Checkpoint {
-    /// One past the last truncated position (the log's low-water mark).
+    /// One past the last truncated position (the log's low-water mark):
+    /// physical storage starts here.
     pub fn base(&self) -> Position {
-        self.base
+        Position::new(self.decided.len() as u64)
     }
 
     /// Whether `pos` has been folded into this checkpoint.
     pub fn covers(&self, pos: Position) -> bool {
-        pos < self.base
+        pos < self.base()
     }
 
-    /// The transaction and final decision folded at `pos`, if covered.
+    /// The transaction and final decision folded at `pos`, if covered and
+    /// not compacted.
     pub fn decision_at(&self, pos: Position) -> Option<(TxId, Decision)> {
-        self.decided.get(&pos).copied()
-    }
-
-    /// The folded position and final decision of `tx`, if truncated.
-    pub fn decision_of(&self, tx: TxId) -> Option<(Position, Decision)> {
-        let pos = *self.by_tx.get(&tx)?;
-        let (_, decision) = self.decided.get(&pos)?;
-        Some((pos, *decision))
+        self.decided.get(pos.as_usize()).copied().flatten()
     }
 
     /// Iterates over the folded `(position, transaction, decision)` triples.
     pub fn decisions(&self) -> impl Iterator<Item = (Position, TxId, Decision)> + '_ {
         self.decided
             .iter()
-            .map(|(pos, (tx, dec))| (*pos, *tx, *dec))
+            .enumerate()
+            .filter_map(|(i, record)| record.map(|(tx, dec)| (Position::new(i as u64), tx, dec)))
     }
 
-    /// Number of transactions folded into this checkpoint.
+    /// Number of decision records in this checkpoint (folded transactions
+    /// whose record was not compacted).
     pub fn decided_count(&self) -> usize {
-        self.decided.len()
-    }
-
-    /// Iterates over the per-key newest-committed-writer residue, in no
-    /// particular order.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the one consumer max-merges per key (`set_certifier`), which is commutative"
-    )]
-    pub fn newest_writers(&self) -> impl Iterator<Item = (&Key, Version)> + '_ {
-        self.newest_writers.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// Folds one decided slot into the summary. With `forget`, the per-key
-    /// newest-writer residue is still accumulated (certification needs it
-    /// forever) but the `(tx, position, decision)` record is dropped: the
-    /// decision has been acknowledged by its client and coordinator, so no
-    /// recovery will ever ask for it again (see
-    /// [`CertificationLog::ack_decided`]).
-    fn fold(&mut self, pos: Position, entry: LogEntry, forget: bool) {
-        let decision = entry
-            .dec
-            .expect("only decided slots are folded into a checkpoint");
-        if decision == Decision::Commit {
-            let vc = entry.payload.commit_version();
-            for (key, _) in entry.payload.writes() {
-                self.newest_writers
-                    .entry(key.clone())
-                    .and_modify(|v| *v = (*v).max(vc))
-                    .or_insert(vc);
-            }
-        }
-        if !forget {
-            self.by_tx.insert(entry.tx, pos);
-            self.decided.insert(pos, (entry.tx, decision));
-        }
-    }
-
-    /// Drops the `(tx, position, decision)` record of an acknowledged,
-    /// already-folded transaction. The newest-writer residue is untouched.
-    /// Returns `true` if a record was removed.
-    fn prune(&mut self, tx: TxId) -> bool {
-        let Some(pos) = self.by_tx.remove(&tx) else {
-            return false;
-        };
-        self.decided.remove(&pos);
-        true
+        self.decided.iter().flatten().count()
     }
 }
 
@@ -249,7 +198,8 @@ pub struct CertificationLog {
     holes: usize,
     /// The decided frontier: every position below it is folded or decided.
     frontier: Position,
-    /// Position of every retained transaction (O(1) `position_of`).
+    /// Position of every transaction in the log, retained or folded (O(1)
+    /// `position_of`). Folding moves nothing; a compacted record leaves.
     by_tx: FxHashMap<TxId, Position>,
     /// Retained transactions whose decision has been fully acknowledged
     /// (client and coordinator): folded without a decision record when their
@@ -281,23 +231,26 @@ impl CertificationLog {
         }
     }
 
-    /// Replaces the certification index and rebuilds it from the checkpoint
-    /// residue and the current slots. Used when a replica restarts (the
-    /// index is volatile) and by tests.
-    pub fn set_certifier(&mut self, mut index: Box<dyn IndexedCertifier>) {
-        index.reset();
-        for (key, version) in self.checkpoint.newest_writers() {
-            index.apply_committed_residue(key, version);
+    /// Crash-restart of the replica that owns this log. The checkpoint, the
+    /// retained slots and the index's `L1` summary are stable state and
+    /// survive; the `L2` lock table is volatile, so it is cleared and
+    /// rebuilt from the retained slots prepared with a commit vote.
+    pub fn restart(&mut self) {
+        self.index.clear_prepared();
+        let base = self.checkpoint.base().as_u64();
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(entry) = slot {
+                if entry.phase == TxPhase::Prepared && entry.vote == Decision::Commit {
+                    self.index
+                        .prepare(Position::new(base + i as u64), &entry.payload);
+                }
+            }
         }
-        for (pos, entry) in self.entries() {
-            Self::index_fill(&mut index, pos, entry);
-        }
-        self.index = index;
     }
 
     /// Index transition for a slot that just became filled: a commit-voted
-    /// prepared entry enters `L2`; an already-decided commit entry (state
-    /// transfer, rebuild) enters `L1` directly.
+    /// prepared entry enters `L2`; an already-decided commit entry enters
+    /// `L1` directly.
     fn index_fill(index: &mut Box<dyn IndexedCertifier>, pos: Position, entry: &LogEntry) {
         match entry.phase {
             TxPhase::Prepared if entry.vote == Decision::Commit => {
@@ -369,19 +322,17 @@ impl CertificationLog {
 
     /// The position of transaction `tx`, if it appears in the log — retained
     /// or folded into the checkpoint (the `∃k. t = txn[k]` test of line 6).
-    /// O(1) via the tx→position maps.
+    /// O(1) via the tx→position map.
     pub fn position_of(&self, tx: TxId) -> Option<Position> {
-        self.by_tx
-            .get(&tx)
-            .copied()
-            .or_else(|| self.checkpoint.decision_of(tx).map(|(pos, _)| pos))
+        self.by_tx.get(&tx).copied()
     }
 
     /// The final decision of `tx` if its slot has been folded into the
     /// checkpoint. Leaders answer re-PREPAREs of truncated transactions with
     /// this instead of a re-ack.
     pub fn truncated_decision(&self, tx: TxId) -> Option<Decision> {
-        self.checkpoint.decision_of(tx).map(|(_, dec)| dec)
+        let (_, decision) = self.checkpoint.decision_at(self.position_of(tx)?)?;
+        Some(decision)
     }
 
     /// The transaction and (optional) decision visible at `pos`, whether the
@@ -460,13 +411,15 @@ impl CertificationLog {
     ///   at `next` (lines 8–16). The `⊥` payload of a recovery coordinator
     ///   votes abort.
     pub fn prepare(&mut self, item: PrepareItem) -> Result<PreparedItem, Decision> {
-        // One probe of the checkpoint, then one of the retained suffix: a
-        // fresh transaction (nearly every item) misses both.
-        if let Some((_, decision)) = self.checkpoint.decision_of(item.tx) {
-            return Err(decision);
-        }
+        // One probe answers for folded and retained transactions alike; a
+        // fresh transaction (nearly every item) misses it.
         if let Some(&pos) = self.by_tx.get(&item.tx) {
-            let entry = self.get(pos).expect("`by_tx` names retained slots");
+            if let Some((_, decision)) = self.checkpoint.decision_at(pos) {
+                return Err(decision);
+            }
+            let entry = self
+                .get(pos)
+                .expect("`by_tx` names folded or retained slots");
             return Ok(PreparedItem {
                 pos,
                 tx: item.tx,
@@ -610,17 +563,21 @@ impl CertificationLog {
         if target <= self.checkpoint.base() {
             return 0;
         }
-        let base = self.checkpoint.base().as_u64();
-        let n = (target.as_u64() - base) as usize;
-        for (i, slot) in self.slots.drain(..n).enumerate() {
+        let n = (target.as_u64() - self.checkpoint.base().as_u64()) as usize;
+        for slot in self.slots.drain(..n) {
             let entry = slot.expect("the decided frontier never crosses a hole");
-            debug_assert_eq!(entry.phase, TxPhase::Decided);
-            self.by_tx.remove(&entry.tx);
-            let forget = self.acked.remove(&entry.tx);
+            let decision = entry
+                .dec
+                .expect("only decided slots are folded into a checkpoint");
+            // An acknowledged transaction is folded without a record.
+            let forget = !self.acked.is_empty() && self.acked.remove(&entry.tx);
+            if forget {
+                self.by_tx.remove(&entry.tx);
+            }
             self.checkpoint
-                .fold(Position::new(base + i as u64), entry, forget);
+                .decided
+                .push((!forget).then_some((entry.tx, decision)));
         }
-        self.checkpoint.base = target;
         n
     }
 
@@ -639,8 +596,8 @@ impl CertificationLog {
     /// re-drive it — its `(tx, position, decision)` record may be dropped.
     /// If the slot is already folded, the checkpoint record is pruned now;
     /// if it is still retained, the transaction is remembered and folded
-    /// without a record when truncation reaches it. The per-key newest-writer
-    /// residue is kept either way (certification needs it forever).
+    /// without a record when truncation reaches it. Certification never
+    /// reads the record: the index's `L1` summary is untouched either way.
     ///
     /// Returns `true` if a checkpoint record was pruned immediately.
     ///
@@ -651,13 +608,16 @@ impl CertificationLog {
     /// once the client has the decision, which is exactly when the TCS
     /// specification guarantees no such `PREPARE` will be sent.
     pub fn ack_decided(&mut self, tx: TxId) -> bool {
-        if self.checkpoint.prune(tx) {
-            return true;
-        }
-        if self.by_tx.contains_key(&tx) {
+        let Some(&pos) = self.by_tx.get(&tx) else {
+            return false;
+        };
+        if !self.checkpoint.covers(pos) {
             self.acked.insert(tx);
+            return false;
         }
-        false
+        self.by_tx.remove(&tx);
+        self.checkpoint.decided[pos.as_usize()] = None;
+        true
     }
 
     /// Number of acknowledged transactions still retained (waiting to be
@@ -789,7 +749,12 @@ impl CertificationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratc_types::{CertificationPolicy, Key, Serializability, Version};
+    use std::sync::Arc;
+
+    use ratc_types::{
+        CertificationPolicy, Key, MirrorCertifier, Serializability, ShardCertifier, Value, Version,
+        WriteConflict,
+    };
 
     fn entry(tx: u64) -> LogEntry {
         LogEntry {
@@ -987,13 +952,12 @@ mod tests {
     }
 
     #[test]
-    fn set_certifier_rebuilds_from_slots() {
-        // Replace the index with a pristine one and check the rebuild agrees.
+    fn restart_rebuilds_the_lock_table_from_slots() {
         let mut log = indexed_log();
         let p0 = log.append(rw_entry(1, "x", 0, 4));
         log.decide(p0, Decision::Commit);
         log.append(rw_entry(2, "y", 0, 6));
-        log.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
+        log.restart();
         for key in ["x", "y", "z"] {
             let candidate = Payload::builder()
                 .read(Key::new(key), Version::new(0))
@@ -1018,7 +982,7 @@ mod tests {
         assert_eq!(log, {
             let mut rebuilt = indexed_log();
             rebuilt.append(rw_entry(1, "x", 0, 4));
-            rebuilt.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
+            rebuilt.restart();
             rebuilt
         });
     }
@@ -1132,85 +1096,142 @@ mod tests {
         assert_eq!(log.checkpoint().decided_count(), 3);
     }
 
-    #[test]
-    fn set_certifier_rebuilds_from_checkpoint_and_suffix() {
-        // A truncated log whose index is rebuilt from scratch must vote like a
-        // log that never truncated.
-        let mut full = indexed_log();
-        let mut truncated = indexed_log();
-        for (i, key) in ["x", "y", "z"].iter().enumerate() {
-            let e = rw_entry(i as u64 + 1, key, 0, 4 + i as u64);
-            let p_full = full.append(e.clone());
-            let p_trunc = truncated.append(e);
-            full.decide(p_full, Decision::Commit);
-            truncated.decide(p_trunc, Decision::Commit);
-        }
-        full.append(rw_entry(4, "w", 0, 9));
-        truncated.append(rw_entry(4, "w", 0, 9));
-        truncated.truncate_to(Position::new(3));
-        assert_eq!(truncated.len(), 1);
+    /// A policy whose `f_s` reads committed values, not only versions: a
+    /// transaction that reads a key some committed transaction wrote
+    /// `"tombstone"` aborts. A per-key newest-writer summary cannot answer
+    /// it; only an index that keeps the committed payloads can.
+    #[derive(Debug)]
+    struct Tombstones;
 
-        // Rebuild the truncated log's index from checkpoint + suffix.
-        truncated.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
-        for key in ["x", "y", "z", "w", "cold"] {
-            for version in [0, 4, 5, 6] {
-                let candidate = Payload::builder()
-                    .read(Key::new(key), Version::new(version))
-                    .build()
-                    .expect("well-formed");
-                assert_eq!(
-                    truncated.vote_at(truncated.next(), &candidate),
-                    full.vote_at(full.next(), &candidate),
-                    "diverged for {key}@{version}"
-                );
+    impl ShardCertifier for Tombstones {
+        fn certify_committed(&self, committed: &[&Payload], payload: &Payload) -> Decision {
+            let tombstone = Value::from("tombstone");
+            let buried = |key: &Key| {
+                committed
+                    .iter()
+                    .any(|c| c.writes().any(|(k, v)| k == key && *v == tombstone))
+            };
+            match payload.reads().any(|(key, _)| buried(key)) {
+                true => Decision::Abort,
+                false => Decision::Commit,
+            }
+        }
+
+        fn certify_prepared(&self, prepared: &[&Payload], payload: &Payload) -> Decision {
+            let locked = |key: &Key| prepared.iter().any(|p| p.writes_key(key));
+            match payload.reads().any(|(key, _)| locked(key)) {
+                true => Decision::Abort,
+                false => Decision::Commit,
             }
         }
     }
 
-    /// The checkpoint's residue is a hashed table: what it holds, and how an
-    /// index rebuilt from it votes, must not depend on the order or the
-    /// batching in which slots were folded.
-    #[test]
-    fn the_folded_residue_does_not_depend_on_the_truncation_batching() {
-        const SLOTS: u64 = 200;
-        let mut logs = [(1u64, indexed_log()), (32, indexed_log())];
-        for (batch, log) in &mut logs {
-            for i in 0..SLOTS {
-                // 40 keys, each written by five transactions; every seventh
-                // transaction aborts and leaves no residue.
-                let pos = log.append(rw_entry(i, &format!("k{}", i % 40), i, i + 1));
-                let decision = [Decision::Abort, Decision::Commit][usize::from(i % 7 != 0)];
-                log.decide(pos, decision);
-                if (i + 1) % *batch == 0 {
-                    log.truncate_to(log.decided_frontier());
-                }
-            }
-            log.truncate_to(log.decided_frontier());
-            assert_eq!((log.len(), log.base()), (0, Position::new(SLOTS)));
-        }
-        let [(_, mut one), (_, mut many)] = logs;
-        assert_eq!(one, many, "same history, same checkpoint");
-        assert_eq!(one.checkpoint().newest_writers().count(), 40);
+    /// The policies of the restart tests: both built-in indexes, and the
+    /// mirror over [`Tombstones`].
+    const POLICIES: [&str; 3] = ["serializability", "write-conflict", "tombstones"];
 
-        let probe = |log: &CertificationLog, key: u64, version: u64| {
+    fn policy_log(policy: &str) -> CertificationLog {
+        let shard = ShardId::new(0);
+        match policy {
+            "serializability" => indexed_log(),
+            "write-conflict" => {
+                CertificationLog::with_certifier(WriteConflict::new().indexed_certifier(shard))
+            }
+            _ => CertificationLog::with_certifier(Box::new(MirrorCertifier::new(Arc::new(
+                Tombstones,
+            )))),
+        }
+    }
+
+    const SLOTS: u64 = 200;
+
+    /// Plays one history of [`SLOTS`] transactions over 40 keys, each key
+    /// written by five of them: every seventh aborts, every fifth writes a
+    /// tombstone, and the last five stay prepared. With `batch`, the log
+    /// folds its decided prefix after every `batch` transactions.
+    fn play(log: &mut CertificationLog, batch: Option<u64>) {
+        for i in 0..SLOTS {
+            let key = Key::new(format!("k{}", i % 40));
+            let value = if i % 5 == 0 { "tombstone" } else { "v" };
             let payload = Payload::builder()
-                .read(Key::new(format!("k{key}")), Version::new(version))
+                .read(key.clone(), Version::new(i))
+                .write(key, Value::from(value))
+                .commit_version(Version::new(i + 1))
                 .build()
                 .expect("well-formed");
-            log.vote_at(log.next(), &payload)
-        };
-        let votes = |log: &CertificationLog| -> Vec<Decision> {
-            let probes = (0..41).flat_map(|key| [0, 150, 199, 200, 201].map(|v| (key, v)));
-            probes.map(|(key, v)| probe(log, key, v)).collect()
-        };
-        let live = votes(&one);
-        assert!(live.contains(&Decision::Abort) && live.contains(&Decision::Commit));
-        assert_eq!(votes(&many), live);
-        for log in [&mut one, &mut many] {
-            log.set_certifier(Serializability::new().indexed_certifier(ShardId::new(0)));
+            let pos = log.append(LogEntry {
+                payload,
+                ..entry(i)
+            });
+            if i < SLOTS - 5 {
+                let decision = [Decision::Abort, Decision::Commit][usize::from(i % 7 != 0)];
+                log.decide(pos, decision);
+            }
+            if batch.is_some_and(|batch| (i + 1) % batch == 0) {
+                log.truncate_to(log.decided_frontier());
+            }
         }
-        assert_eq!(votes(&one), live, "rebuilt from the residue alone");
-        assert_eq!(votes(&many), live);
+        if batch.is_some() {
+            log.truncate_to(log.decided_frontier());
+        }
+    }
+
+    /// The log's votes on reading and writing each key (and one never
+    /// written) at versions around the history's.
+    fn votes(log: &CertificationLog) -> Vec<Decision> {
+        let probes = (0..41).flat_map(|key| [0, 150, 199, 200, 201].map(|v| (key, v)));
+        probes
+            .map(|(key, version)| {
+                let key = Key::new(format!("k{key}"));
+                let payload = Payload::builder()
+                    .read(key.clone(), Version::new(version))
+                    .write(key, Value::from("w"))
+                    .commit_version(Version::new(version + 1))
+                    .build()
+                    .expect("well-formed");
+                log.vote_at(log.next(), &payload)
+            })
+            .collect()
+    }
+
+    /// A log truncated at batch 1 or 32 and then restarted votes exactly
+    /// like one that never truncated and never restarted, whatever its
+    /// policy's `f_s` reads of committed payloads.
+    #[test]
+    fn restart_after_truncation_votes_like_a_log_that_never_truncated() {
+        for policy in POLICIES {
+            let mut untouched = policy_log(policy);
+            play(&mut untouched, None);
+            let live = votes(&untouched);
+            assert!(
+                live.contains(&Decision::Abort) && live.contains(&Decision::Commit),
+                "{policy}: the probes decide nothing"
+            );
+            for batch in [1, 32] {
+                let mut log = policy_log(policy);
+                play(&mut log, Some(batch));
+                assert_eq!((log.base(), log.len()), (Position::new(SLOTS - 5), 5));
+                log.restart();
+                assert_eq!(votes(&log), live, "{policy} at batch {batch}");
+            }
+        }
+    }
+
+    /// What the checkpoint holds does not depend on the batching in which
+    /// slots were folded: one `(tx, decision)` per folded slot, as the
+    /// untruncated log recorded it.
+    #[test]
+    fn the_checkpoint_does_not_depend_on_the_truncation_batching() {
+        let [mut untouched, mut one, mut many] = [(); 3].map(|()| indexed_log());
+        play(&mut untouched, None);
+        play(&mut one, Some(1));
+        play(&mut many, Some(32));
+        assert_eq!(one, many, "same history, same checkpoint and suffix");
+        let checkpoint = one.checkpoint();
+        assert_eq!(checkpoint.decided_count() as u64, SLOTS - 5);
+        for (pos, tx, dec) in checkpoint.decisions() {
+            assert_eq!(untouched.slot_identity(pos), Some((tx, Some(dec))));
+        }
     }
 
     #[test]
@@ -1278,7 +1299,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_decided_prunes_folded_records_and_keeps_the_residue() {
+    fn ack_decided_prunes_folded_records_and_keeps_the_committed_set() {
         let mut log = indexed_log();
         let p0 = log.append(rw_entry(1, "x", 0, 4));
         let p1 = log.append(rw_entry(2, "y", 0, 6));
@@ -1298,7 +1319,8 @@ mod tests {
         // Pruned positions still count as covered: stale messages stay no-ops.
         assert_eq!(log.phase(p0), TxPhase::Decided);
         assert!(!log.store_at(p0, rw_entry(9, "q", 0, 1)));
-        // The newest-writer residue survives: a stale read of "x" still aborts.
+        // The index's committed set is untouched: a stale read of "x" still
+        // aborts.
         let stale = Payload::builder()
             .read(Key::new("x"), Version::new(0))
             .build()
@@ -1328,7 +1350,7 @@ mod tests {
         assert_eq!(log.checkpoint().decided_count(), 1);
         assert_eq!(log.truncated_decision(TxId::new(1)), None);
         assert_eq!(log.truncated_decision(TxId::new(2)), Some(Decision::Commit));
-        // Residue is intact either way.
+        // The committed set is intact either way.
         let stale = Payload::builder()
             .read(Key::new("x"), Version::new(0))
             .build()

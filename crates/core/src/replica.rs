@@ -25,9 +25,7 @@ use std::sync::Arc;
 
 use ratc_config::ShardConfiguration;
 use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag};
-use ratc_types::{
-    CertificationPolicy, Epoch, IndexedCertifier, ProcessId, ShardId, ShardMap, TxId,
-};
+use ratc_types::{CertificationPolicy, Epoch, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::batch::{AcceptAckItem, BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem};
 use crate::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
@@ -135,9 +133,6 @@ struct Member {
     members: BTreeMap<ShardId, Vec<ProcessId>>,
     leader: BTreeMap<ShardId, ProcessId>,
     log: CertificationLog,
-    /// Pristine (empty) incremental certifier, cloned whenever the log's
-    /// index is rebuilt after a restart (see `on_restart`).
-    index_factory: Box<dyn IndexedCertifier>,
     cs: ProcessId,
     truncation: TruncationConfig,
 }
@@ -164,7 +159,6 @@ impl Replica {
                 members: BTreeMap::new(),
                 leader: BTreeMap::new(),
                 log: CertificationLog::with_certifier(policy.indexed_certifier(shard)),
-                index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
                 truncation: TruncationConfig::default(),
             },
@@ -558,7 +552,7 @@ impl Member {
         epoch: Epoch,
         members: Vec<ProcessId>,
         leader: ProcessId,
-        log: Box<CertificationLog>,
+        log: CertificationLog,
         ctx: &mut Context<'_, Msg>,
     ) {
         if epoch < self.new_epoch {
@@ -570,7 +564,7 @@ impl Member {
         self.epoch.insert(self.shard, epoch);
         self.members.insert(self.shard, members);
         self.leader.insert(self.shard, leader);
-        self.log = *log;
+        self.log = log;
         ctx.ctrl_milestone(
             CtrlMilestone::StateTransferred,
             Some(self.shard),
@@ -705,7 +699,7 @@ impl Actor<Msg> for Replica {
                 members,
                 leader,
                 log,
-            } => member.handle_new_state(epoch, members, leader, log, ctx),
+            } => member.handle_new_state(epoch, members, leader, *log, ctx),
             Msg::ConfigChange {
                 shard,
                 epoch,
@@ -755,18 +749,17 @@ impl Actor<Msg> for Replica {
         }
     }
 
-    /// Crash-restart recovery (the PR 2 recovery path, now exercised by the
-    /// chaos nemesis): the certification log — checkpoint plus retained
-    /// suffix — is the replica's stable storage; everything else is volatile.
-    /// The in-memory certification index is rebuilt from the checkpoint's
-    /// committed residue and the suffix, exactly as a `NEW_STATE` transfer
-    /// would. Coordinator state is lost: clients (or recovery coordinators)
-    /// re-drive undecided transactions.
+    /// Crash-restart recovery (exercised by the chaos nemesis). Stable
+    /// storage is the certification log: its checkpoint, its retained suffix
+    /// and its index's `L1` summary of committed writers. Volatile: the
+    /// index's `L2` lock table, rebuilt from the retained prepared slots
+    /// ([`CertificationLog::restart`]), the coordinator and the reconfigurer.
+    /// Clients (or recovery coordinators) re-drive undecided transactions.
     fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
         self.coord.reset();
         self.recon.reset();
         let member = &mut self.member;
-        member.log.set_certifier(member.index_factory.clone_box());
+        member.log.restart();
         ctx.add_counter("replica_restarts", 1);
     }
 }

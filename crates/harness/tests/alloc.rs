@@ -172,16 +172,16 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
         ]
     };
     let recorded = [
-        (StackKind::Core, 32, false, 5.57, 1916.0),
-        (StackKind::Core, 1, false, 7.40, 2064.0),
-        (StackKind::Rdma, 32, false, 6.47, 1939.0),
-        (StackKind::Rdma, 1, false, 10.26, 2200.0),
+        (StackKind::Core, 32, false, 5.23, 1777.0),
+        (StackKind::Core, 1, false, 7.07, 1923.0),
+        (StackKind::Rdma, 32, false, 6.13, 1799.0),
+        (StackKind::Rdma, 1, false, 9.93, 2059.0),
         (StackKind::Baseline, 32, false, baseline[0].0, baseline[0].1),
         (StackKind::Baseline, 1, false, baseline[1].0, baseline[1].1),
-        (StackKind::Core, 32, true, 21.09, 4147.0),
-        (StackKind::Core, 1, true, 22.80, 4281.0),
-        (StackKind::Rdma, 32, true, 22.70, 4173.0),
-        (StackKind::Rdma, 1, true, 28.51, 4567.0),
+        (StackKind::Core, 32, true, 20.43, 3562.0),
+        (StackKind::Core, 1, true, 22.14, 3700.0),
+        (StackKind::Rdma, 32, true, 22.04, 3594.0),
+        (StackKind::Rdma, 1, true, 27.85, 3986.0),
         (StackKind::Baseline, 32, true, baseline[2].0, baseline[2].1),
         (StackKind::Baseline, 1, true, baseline[3].0, baseline[3].1),
     ];

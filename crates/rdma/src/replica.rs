@@ -32,9 +32,7 @@ use ratc_core::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TI
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, Context, CtrlMilestone, SimDuration, TimerTag};
-use ratc_types::{
-    CertificationPolicy, Epoch, IndexedCertifier, ProcessId, ShardId, ShardMap, TxId,
-};
+use ratc_types::{CertificationPolicy, Epoch, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::messages::RdmaMsg;
 
@@ -108,9 +106,6 @@ struct Member {
     config: Option<GlobalConfiguration>,
     connections: BTreeSet<ProcessId>,
     log: RdmaLog,
-    /// Pristine (empty) incremental certifier, cloned whenever the log's
-    /// index is rebuilt after a restart (see `on_restart`).
-    index_factory: Box<dyn IndexedCertifier>,
     cs: ProcessId,
     /// `ACCEPT` writes whose hardware acknowledgement is outstanding.
     pending_writes: BTreeMap<RdmaToken, AcceptWrite>,
@@ -150,7 +145,6 @@ impl RdmaReplica {
                 config: None,
                 connections: BTreeSet::new(),
                 log: RdmaLog::with_certifier(policy.indexed_certifier(shard)),
-                index_factory: policy.indexed_certifier(shard),
                 cs: ProcessId::new(u64::MAX),
                 pending_writes: BTreeMap::new(),
                 installing: None,
@@ -676,7 +670,7 @@ impl Member {
         &mut self,
         config: GlobalConfiguration,
         leader: ProcessId,
-        log: Box<RdmaLog>,
+        log: RdmaLog,
         ctx: &mut Context<'_, RdmaMsg>,
     ) {
         if config.epoch < self.new_epoch {
@@ -687,7 +681,7 @@ impl Member {
         self.new_epoch = config.epoch;
         self.epoch = config.epoch;
         self.initialized = true;
-        self.log = *log;
+        self.log = log;
         self.config = Some(config.clone());
         ctx.ctrl_milestone(
             CtrlMilestone::StateTransferred,
@@ -864,7 +858,7 @@ impl Actor<RdmaMsg> for RdmaReplica {
                 config,
                 leader,
                 log,
-            } => member.handle_new_state(config, leader, log, ctx),
+            } => member.handle_new_state(config, leader, *log, ctx),
             RdmaMsg::Connect { epoch } => member.handle_connect(from, epoch, ctx, false),
             RdmaMsg::ConnectAck { epoch } => member.handle_connect(from, epoch, ctx, true),
             RdmaMsg::CsGetLastReply { config } => {
@@ -934,12 +928,14 @@ impl Actor<RdmaMsg> for RdmaReplica {
         }
     }
 
-    /// Crash-restart recovery: the certification log (checkpoint + suffix)
-    /// and the configuration view are stable storage; coordinator state,
-    /// outstanding writes and the in-memory certification index are volatile.
-    /// The index is rebuilt exactly as a `NEW_STATE` transfer would, and RDMA
-    /// connections — lost with the NIC — are re-established by re-running the
-    /// `Connect` handshake with every process of the current view.
+    /// Crash-restart recovery. Stable storage is the certification log (its
+    /// checkpoint, its retained suffix and its index's `L1` summary of
+    /// committed writers) and the configuration view. Volatile: the index's
+    /// `L2` lock table, rebuilt from the retained prepared slots
+    /// (`CertificationLog::restart`), the coordinator, the reconfigurer,
+    /// outstanding writes and the RDMA connections. The connections are lost
+    /// with the NIC and re-established by re-running the `Connect` handshake
+    /// with every process of the current view.
     fn on_restart(&mut self, ctx: &mut Context<'_, RdmaMsg>) {
         self.coord.reset();
         self.recon.reset();
@@ -948,13 +944,13 @@ impl Actor<RdmaMsg> for RdmaReplica {
         member.installing = None;
         // Writes that reached the persistent region were acknowledged to
         // their senders — they count as persisted here, even across the
-        // crash. Recover them before rebuilding the index (the `flush` of
-        // §5, the same call leader promotion uses).
+        // crash. Recover them before rebuilding the lock table (the `flush`
+        // of §5, the same call leader promotion uses).
         let flushed = ctx.rdma_flush();
         for (_, msg) in flushed {
             member.apply_rdma_payload(msg, ctx);
         }
-        member.log.set_certifier(member.index_factory.clone_box());
+        member.log.restart();
         member.connections.clear();
         member.connect_retry_armed = false;
         if let Some(config) = member.config.clone() {

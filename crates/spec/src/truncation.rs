@@ -14,8 +14,15 @@
 //!
 //! The walk reuses the randomized schedule generator of [`crate::indexed`]
 //! (appends, out-of-order stores creating holes, out-of-order commit/abort
-//! decides) and additionally truncates the log at its decided frontier at
-//! random points. Every failure is reproducible from its seed.
+//! decides) and additionally, on the truncating log only, truncates at its
+//! decided frontier, restarts (`CertificationLog::restart`: the lock table
+//! is rebuilt, the committed set kept) and acknowledges decided transactions
+//! (`CertificationLog::ack_decided`) at random points. A compacted record is
+//! gone by design, so an acknowledged transaction is exempt from the
+//! `position_of` and `slot_identity` comparisons once it is folded. Every
+//! failure is reproducible from its seed.
+
+use std::collections::BTreeSet;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -39,6 +46,11 @@ pub struct TruncationReport {
     pub slots_freed: usize,
     /// Maximum retained slot count observed on the truncating log.
     pub max_retained: usize,
+    /// Restarts of the truncating log.
+    pub restarts: usize,
+    /// Decided transactions acknowledged on the truncating log (decision-map
+    /// compaction).
+    pub compactions: usize,
 }
 
 /// Replays a randomized certification schedule on a *truncating* log and an
@@ -60,6 +72,7 @@ pub fn differential_truncation_check(
     let mut mirror = CertificationLog::with_certifier(policy.indexed_certifier(shard));
     let mut undecided: Vec<Position> = Vec::new();
     let mut all_txs: Vec<TxId> = Vec::new();
+    let mut acked: BTreeSet<TxId> = BTreeSet::new();
     let mut report = TruncationReport::default();
     let mut next_tx = 1u64;
 
@@ -79,7 +92,7 @@ pub fn differential_truncation_check(
 
     for step in 0..steps {
         report.steps += 1;
-        match rng.gen_range(0..12u32) {
+        match rng.gen_range(0..14u32) {
             // Append a prepared entry to both logs.
             0..=4 => {
                 let entry = make_entry(&mut rng, next_tx);
@@ -138,6 +151,25 @@ pub fn differential_truncation_check(
                 if freed > 0 {
                     report.truncations += 1;
                     report.slots_freed += freed;
+                }
+            }
+            // Restart the truncating log: its lock table is rebuilt from
+            // the retained slots, its committed set is stable.
+            12 => {
+                truncating.restart();
+                report.restarts += 1;
+            }
+            // Acknowledge a decided transaction end to end: its checkpoint
+            // record is dropped now or when its slot is folded.
+            13 if !all_txs.is_empty() => {
+                let tx = all_txs[rng.gen_range(0..all_txs.len())];
+                let decided = truncating
+                    .position_of(tx)
+                    .is_some_and(|pos| truncating.phase(pos) == TxPhase::Decided);
+                if decided {
+                    truncating.ack_decided(tx);
+                    acked.insert(tx);
+                    report.compactions += 1;
                 }
             }
             // Decide a hole, an already-decided or a truncated slot: must be
@@ -201,6 +233,9 @@ pub fn differential_truncation_check(
             report.positions_checked += 1;
             let lhs = truncating.position_of(tx);
             let rhs = mirror.position_of(tx);
+            if acked.contains(&tx) && lhs.is_none() {
+                continue; // compacted: the record is gone by design
+            }
             if lhs != rhs {
                 return Err(format!(
                     "seed {seed} step {step}: position_of({tx}) diverged ({lhs:?} vs {rhs:?})"
@@ -239,25 +274,31 @@ mod tests {
 
     #[test]
     fn serializability_truncating_log_agrees_with_mirror() {
-        let mut truncations = 0;
+        let mut totals = TruncationReport::default();
         for seed in 0..24 {
             let report = differential_truncation_check(&Serializability::new(), seed, 150)
                 .unwrap_or_else(|e| panic!("{e}"));
             assert!(report.votes_checked >= 450);
-            truncations += report.truncations;
+            totals.truncations += report.truncations;
+            totals.restarts += report.restarts;
+            totals.compactions += report.compactions;
         }
-        assert!(truncations > 0, "the walks never truncated anything");
+        assert!(totals.truncations > 0, "the walks never truncated anything");
+        assert!(totals.restarts > 0 && totals.compactions > 0, "{totals:?}");
     }
 
     #[test]
     fn write_conflict_truncating_log_agrees_with_mirror() {
-        let mut truncations = 0;
+        let mut totals = TruncationReport::default();
         for seed in 0..24 {
             let report = differential_truncation_check(&WriteConflict::new(), seed, 150)
                 .unwrap_or_else(|e| panic!("{e}"));
-            truncations += report.truncations;
+            totals.truncations += report.truncations;
+            totals.restarts += report.restarts;
+            totals.compactions += report.compactions;
         }
-        assert!(truncations > 0, "the walks never truncated anything");
+        assert!(totals.truncations > 0, "the walks never truncated anything");
+        assert!(totals.restarts > 0 && totals.compactions > 0, "{totals:?}");
     }
 
     /// Acceptance: a 100k-transaction history with periodic truncation keeps

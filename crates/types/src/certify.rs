@@ -355,6 +355,14 @@ impl ShardCertifier for WriteConflictShard {
 /// coordinator order, not log order); the certification functions are
 /// set-based, so only membership — never arrival order — affects votes.
 ///
+/// A restart of the owner calls [`IndexedCertifier::clear_prepared`]: `L2`
+/// is volatile and is rebuilt by re-reporting every retained prepared slot,
+/// while `L1` is stable state and survives. `L1` is the only place the
+/// committed history lives once the owner truncates its log: nothing is
+/// ever rebuilt from a summary of the folded prefix, so an index may keep
+/// whatever its `f_s` needs of committed payloads (the built-in indexes keep
+/// each key's newest committed writer).
+///
 /// Implementations must agree vote-for-vote with the set-based
 /// [`ShardCertifier`] of the same policy; `ratc-spec`'s differential suite
 /// enforces this on randomized schedules with out-of-order decides and holes.
@@ -362,30 +370,6 @@ pub trait IndexedCertifier: fmt::Debug + Send + Sync {
     /// Adds the payload of the transaction decided *commit* at `pos` to the
     /// committed set `L1`.
     fn apply_committed(&mut self, pos: Position, payload: &Payload);
-
-    /// Seeds the committed summary `L1` with a checkpoint *residue* entry: the
-    /// newest committed writer `version` of `key`, without the original
-    /// payload.
-    ///
-    /// Used when a certification log installs a truncated history
-    /// (checkpoint + suffix): the payloads of truncated transactions are
-    /// gone, but by distributivity (property (1)) the per-key newest-writer
-    /// maxima are all `f_s` ever needs, so an index rebuilt from the residue
-    /// plus the retained suffix votes identically to one that saw the whole
-    /// history.
-    ///
-    /// # Soundness precondition
-    ///
-    /// This compaction is exact only for policies whose `f_s` depends on the
-    /// committed set solely through each key's *newest committed writer
-    /// version* — true for both built-in policies ([`Serializability`] and
-    /// [`WriteConflict`]), whose singleton checks compare a per-key version
-    /// with `>`. A policy whose `f_s` inspects anything else about committed
-    /// payloads (written values, read sets, writer counts, …) loses
-    /// information under this summary and must not be combined with log
-    /// truncation unless it overrides the residue handling with a faithful
-    /// summary of its own.
-    fn apply_committed_residue(&mut self, key: &Key, version: Version);
 
     /// Adds the payload of the commit-voted transaction prepared at `pos` to
     /// the prepared set `L2`.
@@ -410,9 +394,9 @@ pub trait IndexedCertifier: fmt::Debug + Send + Sync {
             .meet(self.certify_prepared(payload))
     }
 
-    /// Clears all maintained state (used when a log is rebuilt wholesale,
-    /// e.g. on `NEW_STATE` installation).
-    fn reset(&mut self);
+    /// Empties the prepared set `L2` and keeps the committed set `L1` (a
+    /// restart: the owner re-reports its retained prepared slots).
+    fn clear_prepared(&mut self);
 
     /// Clones the certifier including its maintained state.
     fn clone_box(&self) -> Box<dyn IndexedCertifier>;
@@ -453,21 +437,8 @@ impl CommittedWriterIndex {
         }
     }
 
-    /// Folds a checkpoint residue entry: `version` is already a per-key
-    /// maximum, so it merges exactly like a writer of that version.
-    fn apply_residue(&mut self, key: &Key, version: Version) {
-        self.newest_writer
-            .entry(key.clone())
-            .and_modify(|v| *v = (*v).max(version))
-            .or_insert(version);
-    }
-
     fn newest_writer(&self, key: &Key) -> Option<Version> {
         self.newest_writer.get(key).copied()
-    }
-
-    fn clear(&mut self) {
-        self.newest_writer.clear();
     }
 }
 
@@ -568,10 +539,6 @@ impl IndexedCertifier for IndexedSerializability {
         self.committed.apply(pos, payload);
     }
 
-    fn apply_committed_residue(&mut self, key: &Key, version: Version) {
-        self.committed.apply_residue(key, version);
-    }
-
     fn prepare(&mut self, pos: Position, payload: &Payload) {
         self.locks.lock(pos, payload, true);
     }
@@ -605,8 +572,7 @@ impl IndexedCertifier for IndexedSerializability {
         Decision::Commit
     }
 
-    fn reset(&mut self) {
-        self.committed.clear();
+    fn clear_prepared(&mut self) {
         self.locks.clear();
     }
 
@@ -639,10 +605,6 @@ impl IndexedCertifier for IndexedWriteConflict {
         self.committed.apply(pos, payload);
     }
 
-    fn apply_committed_residue(&mut self, key: &Key, version: Version) {
-        self.committed.apply_residue(key, version);
-    }
-
     fn prepare(&mut self, pos: Position, payload: &Payload) {
         self.locks.lock(pos, payload, false);
     }
@@ -672,8 +634,7 @@ impl IndexedCertifier for IndexedWriteConflict {
         Decision::Commit
     }
 
-    fn reset(&mut self) {
-        self.committed.clear();
+    fn clear_prepared(&mut self) {
         self.locks.clear();
     }
 
@@ -694,23 +655,14 @@ impl IndexedCertifier for IndexedWriteConflict {
 ///   policies that do not provide a true index, and
 /// * the oracle the differential tests compare the real indexes against.
 ///
-/// The "verbatim" claim holds for payloads fed through
-/// [`IndexedCertifier::apply_committed`]/[`IndexedCertifier::prepare`].
-/// Checkpoint residue ([`IndexedCertifier::apply_committed_residue`]) is
-/// necessarily lossy — it stands in one synthetic newest-writer payload per
-/// key — so it inherits that method's soundness precondition: exact for
-/// newest-writer-version policies (both built-ins), not for policies whose
-/// `f_s` inspects more of each committed payload. Such policies must not be
-/// combined with log truncation.
+/// It keeps every committed payload it is given, so it stays verbatim for
+/// every policy when its owner truncates the log: `L1` lives here, not in the
+/// log's checkpoint.
 #[derive(Debug)]
 pub struct MirrorCertifier {
     certifier: Arc<dyn ShardCertifier>,
     committed: std::collections::BTreeMap<u64, Payload>,
     prepared: std::collections::BTreeMap<u64, Payload>,
-    /// Checkpoint residue: per key, a synthetic single-writer payload carrying
-    /// the newest truncated commit version. By distributivity these stand in
-    /// for every truncated committed payload of that key.
-    residue: std::collections::BTreeMap<Key, Payload>,
 }
 
 impl MirrorCertifier {
@@ -720,7 +672,6 @@ impl MirrorCertifier {
             certifier,
             committed: std::collections::BTreeMap::new(),
             prepared: std::collections::BTreeMap::new(),
-            residue: std::collections::BTreeMap::new(),
         }
     }
 }
@@ -731,7 +682,6 @@ impl Clone for MirrorCertifier {
             certifier: Arc::clone(&self.certifier),
             committed: self.committed.clone(),
             prepared: self.prepared.clone(),
-            residue: self.residue.clone(),
         }
     }
 }
@@ -741,20 +691,6 @@ impl IndexedCertifier for MirrorCertifier {
         self.committed
             .entry(pos.as_u64())
             .or_insert_with(|| payload.clone());
-    }
-
-    fn apply_committed_residue(&mut self, key: &Key, version: Version) {
-        let stale = self
-            .residue
-            .get(key)
-            .is_some_and(|p| p.commit_version() < version);
-        if stale || !self.residue.contains_key(key) {
-            let payload = Payload::builder()
-                .write(key.clone(), crate::ids::Value::default())
-                .commit_version(version)
-                .build_unchecked();
-            self.residue.insert(key.clone(), payload);
-        }
     }
 
     fn prepare(&mut self, pos: Position, payload: &Payload) {
@@ -768,11 +704,7 @@ impl IndexedCertifier for MirrorCertifier {
     }
 
     fn certify_committed(&self, payload: &Payload) -> Decision {
-        let refs: Vec<&Payload> = self
-            .committed
-            .values()
-            .chain(self.residue.values())
-            .collect();
+        let refs: Vec<&Payload> = self.committed.values().collect();
         self.certifier.certify_committed(&refs, payload)
     }
 
@@ -781,10 +713,8 @@ impl IndexedCertifier for MirrorCertifier {
         self.certifier.certify_prepared(&refs, payload)
     }
 
-    fn reset(&mut self) {
-        self.committed.clear();
+    fn clear_prepared(&mut self) {
         self.prepared.clear();
-        self.residue.clear();
     }
 
     fn clone_box(&self) -> Box<dyn IndexedCertifier> {
@@ -1200,13 +1130,24 @@ mod tests {
     }
 
     #[test]
-    fn indexed_reset_clears_all_state() {
-        let mut indexed = WriteConflict::new().indexed_certifier(ShardId::new(0));
-        indexed.apply_committed(Position::new(0), &payload(&[("x", 0)], &[("x", "1")], 5));
-        indexed.prepare(Position::new(1), &payload(&[("y", 0)], &[("y", "1")], 6));
-        indexed.reset();
-        let candidate = payload(&[("x", 0), ("y", 0)], &[("x", "2"), ("y", "2")], 9);
-        assert_eq!(indexed.vote(&candidate), Decision::Commit);
+    fn clear_prepared_releases_every_lock_and_keeps_the_committed_set() {
+        let indexes = [
+            Serializability::new().indexed_certifier(ShardId::new(0)),
+            WriteConflict::new().indexed_certifier(ShardId::new(0)),
+            Box::new(MirrorCertifier::new(
+                Serializability::new().shard_certifier(ShardId::new(0)),
+            )),
+        ];
+        for mut indexed in indexes {
+            indexed.apply_committed(Position::new(0), &payload(&[("x", 0)], &[("x", "1")], 5));
+            indexed.prepare(Position::new(1), &payload(&[("y", 0)], &[("y", "1")], 6));
+            indexed.clear_prepared();
+            // "y" is no longer locked, while "x" still has a newer writer.
+            let fresh = payload(&[("y", 0)], &[("y", "2")], 9);
+            assert_eq!(indexed.vote(&fresh), Decision::Commit, "{indexed:?}");
+            let stale = payload(&[("x", 0)], &[("x", "2")], 9);
+            assert_eq!(indexed.vote(&stale), Decision::Abort, "{indexed:?}");
+        }
     }
 
     #[test]
@@ -1231,44 +1172,6 @@ mod tests {
         for candidate in [payload(&[("x", 2)], &[], 0), payload(&[("y", 0)], &[], 0)] {
             assert_indexed_matches_reference(&Custom, &committed, &prepared, &candidate);
         }
-    }
-
-    #[test]
-    fn committed_residue_stands_in_for_truncated_payloads() {
-        // Seeding an index with the per-key newest-writer residue must vote
-        // identically to an index that saw the full committed payload.
-        let committed = payload(&[("x", 0)], &[("x", "1")], 5);
-        let policies: Vec<Box<dyn CertificationPolicy>> = vec![
-            Box::new(Serializability::new()),
-            Box::new(WriteConflict::new()),
-        ];
-        let candidates = [
-            payload(&[("x", 3)], &[("x", "2")], 9),
-            payload(&[("x", 5)], &[], 0),
-            payload(&[("x", 5)], &[("x", "3")], 8),
-            payload(&[("y", 0)], &[("y", "2")], 2),
-        ];
-        for policy in &policies {
-            let mut full = policy.indexed_certifier(ShardId::new(0));
-            full.apply_committed(Position::new(0), &committed);
-            let mut residue = policy.indexed_certifier(ShardId::new(0));
-            residue.apply_committed_residue(&Key::new("x"), Version::new(5));
-            for candidate in &candidates {
-                assert_eq!(
-                    full.vote(candidate),
-                    residue.vote(candidate),
-                    "{}: residue diverged for {candidate}",
-                    policy.name()
-                );
-            }
-        }
-        // The mirror fallback honours residues too (and keeps per-key maxima).
-        let mut mirror =
-            MirrorCertifier::new(Serializability::new().shard_certifier(ShardId::new(0)));
-        mirror.apply_committed_residue(&Key::new("x"), Version::new(2));
-        mirror.apply_committed_residue(&Key::new("x"), Version::new(5));
-        assert_eq!(mirror.vote(&payload(&[("x", 3)], &[], 0)), Decision::Abort);
-        assert_eq!(mirror.vote(&payload(&[("x", 5)], &[], 0)), Decision::Commit);
     }
 
     #[test]

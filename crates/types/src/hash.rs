@@ -1,10 +1,9 @@
 //! The hasher of the commit path's internal tables.
 //!
-//! The certification log, its checkpoint and the certification index key
-//! tables by [`TxId`](crate::TxId), by [`Position`](crate::Position) and — the
-//! checkpoint's newest-writer residue, the index's newest writers and its
-//! read and write locks — by [`Key`](crate::Key), and probe them several
-//! times per transaction. Those keys are produced inside the
+//! The certification log and the certification index key tables by
+//! [`TxId`](crate::TxId), by [`Position`](crate::Position) and — the index's
+//! newest writers and its read and write locks — by [`Key`](crate::Key), and
+//! probe them several times per transaction. Those keys are produced inside the
 //! process (by the workload generator and the leaders' position counters),
 //! never by an adversary, so SipHash's collision resistance buys nothing
 //! there and its per-process random seed makes the tables' iteration order
