@@ -1,5 +1,7 @@
 //! Messages of the baseline 2PC-over-Paxos TCS.
 
+use std::sync::Arc;
+
 use ratc_paxos::PaxosMsg;
 use ratc_types::{Decision, Payload, ProcessId, ShardId, TxId};
 
@@ -18,14 +20,18 @@ pub struct ShardVote {
 /// votes occupying one log slot (batched log appends — the batching pipeline
 /// of `ratc_core::batch` applied to the baseline). At `max_batch = 1` every
 /// command carries exactly one vote, which is the seed behaviour.
+///
+/// A command is one shared value: the acceptors, the proposer, the learned
+/// log and every message copy hold a reference count on the same votes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardCommand {
     /// The batched votes, in certification order.
-    pub items: Vec<ShardVote>,
+    pub items: Arc<[ShardVote]>,
 }
 
 /// Command replicated in the transaction manager's Multi-Paxos log: the final
-/// decision on a transaction.
+/// decision on a transaction. Its shard list is shared, as a
+/// [`ShardCommand`]'s votes are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TmCommand {
     /// The transaction.
@@ -35,7 +41,7 @@ pub struct TmCommand {
     /// The client to notify.
     pub client: ProcessId,
     /// The shards that participated.
-    pub shards: Vec<ShardId>,
+    pub shards: Arc<[ShardId]>,
 }
 
 /// Messages of the baseline TCS.

@@ -322,7 +322,9 @@ impl BaselineShardReplica {
             self.route(ctx, out);
         }
         let proposer = self.proposer.as_mut().expect("leader has a proposer");
-        let out = proposer.propose(ShardCommand { items });
+        let out = proposer.propose(ShardCommand {
+            items: items.into(),
+        });
         self.route(ctx, out);
         // A fresh proposal is progress: retransmits return to the fast
         // schedule.
@@ -386,7 +388,7 @@ impl BaselineShardReplica {
     /// released), so for those the item only (idempotently) refreshes the
     /// committed summary.
     fn apply_chosen(&mut self, command: &ShardCommand) {
-        for item in &command.items {
+        for item in command.items.iter() {
             if let Some(decision) = self.decisions.get(&item.tx).copied() {
                 if decision == Decision::Commit {
                     self.certifier_commit(item.tx, &item.payload);
@@ -414,7 +416,7 @@ impl BaselineShardReplica {
         // Learner role.
         if let PaxosMsg::Chosen { slot, command } = &msg {
             self.log.record_chosen(*slot, command.clone());
-            self.apply_chosen(&command.clone());
+            self.apply_chosen(command);
         }
         // Proposer role (leader only).
         if let Some(proposer) = self.proposer.as_mut() {
@@ -423,7 +425,7 @@ impl BaselineShardReplica {
             for (slot, command) in chosen {
                 self.log.record_chosen(slot, command.clone());
                 let mut votes = Vec::with_capacity(command.items.len());
-                for item in &command.items {
+                for item in command.items.iter() {
                     self.in_flight.remove(&item.tx);
                     votes.push((item.tx, item.vote));
                 }

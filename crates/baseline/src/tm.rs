@@ -60,7 +60,7 @@ pub struct TransactionManager {
     decided: BTreeMap<TxId, Decision>,
     /// Clients of decided transactions, kept so a re-submitted `certify` of a
     /// decided transaction can be answered directly.
-    decided_clients: BTreeMap<TxId, (ProcessId, Vec<ShardId>)>,
+    decided_clients: BTreeMap<TxId, (ProcessId, Arc<[ShardId]>)>,
     phase1_started: bool,
     ballot_round: u64,
     retry_armed: bool,
@@ -422,17 +422,16 @@ impl TransactionManager {
         client: Option<ProcessId>,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        let (stored_client, shards) = self
-            .decided_clients
-            .get(&tx)
-            .cloned()
-            .unwrap_or((ProcessId::new(u64::MAX), Vec::new()));
+        let (stored_client, shards) = match self.decided_clients.get(&tx) {
+            Some((client, shards)) => (*client, &shards[..]),
+            None => (ProcessId::new(u64::MAX), &[][..]),
+        };
         let client = client.unwrap_or(stored_client);
         if client != ProcessId::new(u64::MAX) {
             ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
         }
         for shard in shards {
-            if let Some(leader) = self.shard_leaders.get(&shard) {
+            if let Some(leader) = self.shard_leaders.get(shard) {
                 ctx.send(*leader, BaselineMsg::Decision { tx, decision });
             }
         }
@@ -535,7 +534,7 @@ impl TransactionManager {
                         decision,
                     },
                 );
-                for shard in &command.shards {
+                for shard in command.shards.iter() {
                     if let Some(leader) = self.shard_leaders.get(shard) {
                         ctx.send(
                             *leader,

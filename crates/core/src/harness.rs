@@ -689,11 +689,13 @@ impl<S: Stack> Deployment<S> {
 
     /// What `submit` round-robins over: the TM leader where a TM group
     /// coordinates, else every initial member.
-    fn submit_pool(&self) -> Vec<ProcessId> {
-        match self.topology.tm_group.first() {
-            Some(tm_leader) => vec![*tm_leader],
-            None => self.topology.roster.values().flatten().copied().collect(),
-        }
+    fn submit_pool(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let tm_leader = self.topology.tm_group.first().copied();
+        let members = match tm_leader {
+            Some(_) => None,
+            None => Some(self.topology.roster.values().flatten().copied()),
+        };
+        tm_leader.into_iter().chain(members.into_iter().flatten())
     }
 }
 
@@ -703,13 +705,20 @@ impl<S: Stack> TcsCluster for Deployment<S> {
     }
 
     fn submit(&mut self, tx: TxId, payload: Payload) -> ProcessId {
-        let mut pool = self.submit_pool();
-        pool.retain(|p| !self.world.is_crashed(*p));
-        if pool.is_empty() {
-            // The cluster is down: the request goes to a crashed process.
-            pool = self.submit_pool();
-        }
-        let coordinator = pool[self.next_coordinator % pool.len()];
+        // The `next_coordinator`-th live member of the pool, counted round
+        // and round; or, when the cluster is down, of the whole pool (the
+        // request goes to a crashed process).
+        let live = |p: &ProcessId| !self.world.is_crashed(*p);
+        let up = self.submit_pool().filter(live).count();
+        let coordinator = if up > 0 {
+            self.submit_pool()
+                .filter(live)
+                .nth(self.next_coordinator % up)
+        } else {
+            let all = self.submit_pool().count();
+            self.submit_pool().nth(self.next_coordinator % all)
+        };
+        let coordinator = coordinator.expect("the pool has a member");
         self.next_coordinator += 1;
         self.submit_via(tx, payload, coordinator);
         coordinator

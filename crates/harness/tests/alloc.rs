@@ -158,30 +158,30 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
     // too, so it has one set of constants per build.
     let baseline = if cfg!(debug_assertions) {
         [
-            (37.26, 16398.0),
-            (64.67, 18266.0),
-            (54.25, 54520.0),
-            (108.87, 58028.0),
+            (17.64, 15667.0),
+            (29.67, 17291.0),
+            (26.23, 53063.0),
+            (49.87, 56100.0),
         ]
     } else {
         [
-            (34.36, 4213.0),
-            (61.74, 6082.0),
-            (48.40, 6153.0),
-            (103.01, 9666.0),
+            (14.74, 3483.0),
+            (26.74, 5107.0),
+            (20.38, 4696.0),
+            (44.01, 7738.0),
         ]
     };
     let recorded = [
-        (StackKind::Core, 32, false, 5.23, 1777.0),
-        (StackKind::Core, 1, false, 7.07, 1923.0),
-        (StackKind::Rdma, 32, false, 6.13, 1799.0),
-        (StackKind::Rdma, 1, false, 9.93, 2059.0),
+        (StackKind::Core, 32, false, 4.23, 1745.0),
+        (StackKind::Core, 1, false, 6.07, 1891.0),
+        (StackKind::Rdma, 32, false, 5.13, 1767.0),
+        (StackKind::Rdma, 1, false, 8.93, 2027.0),
         (StackKind::Baseline, 32, false, baseline[0].0, baseline[0].1),
         (StackKind::Baseline, 1, false, baseline[1].0, baseline[1].1),
-        (StackKind::Core, 32, true, 20.43, 3562.0),
-        (StackKind::Core, 1, true, 22.14, 3700.0),
-        (StackKind::Rdma, 32, true, 22.04, 3594.0),
-        (StackKind::Rdma, 1, true, 27.85, 3986.0),
+        (StackKind::Core, 32, true, 11.43, 3270.0),
+        (StackKind::Core, 1, true, 13.14, 3408.0),
+        (StackKind::Rdma, 32, true, 13.04, 3302.0),
+        (StackKind::Rdma, 1, true, 18.85, 3694.0),
         (StackKind::Baseline, 32, true, baseline[2].0, baseline[2].1),
         (StackKind::Baseline, 1, true, baseline[3].0, baseline[3].1),
     ];
@@ -223,7 +223,7 @@ fn a_payload_and_its_placement_hold_their_recorded_footprint() {
     let recorded = [
         ("build", 1, 6, 377),
         ("build", 4, 7, 316),
-        ("place on 2 shards", 4, 11, 404),
+        ("place on 2 shards", 4, 3, 144),
     ];
     let sharding = HashSharding::new(SHARDS);
     let mut measured = Vec::new();

@@ -5,8 +5,14 @@
 //! the values to be written) and the commit version `Vc` to be assigned to the
 //! writes. Payloads are what clients submit to the Transaction Certification
 //! Service and what shard leaders certify.
+//!
+//! A payload is stored once and shared by every holder. Its restriction
+//! `l | s` to a shard is a view of that one triple: a restriction allocates
+//! one node and copies nothing, and keeps its whole triple alive.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::ids::{Key, ShardId, Value, Version};
@@ -70,9 +76,13 @@ impl std::error::Error for PayloadError {}
 /// (nor a [`Key::ref_count`] bump), so a transaction's payload is stored once
 /// however many messages, log slots and histories hold it. The read and write
 /// sets are two arrays sorted by key, one entry per key; equality and hashing
-/// compare the contents, as for the maps they spell. Only [`PayloadBuilder`],
-/// a [`Payload::restrict`] that drops a key and a [`Payload::place`] on
-/// several shards allocate.
+/// compare the contents, as for the maps they spell. A restriction `l | s`
+/// is a view of that one triple: [`Payload::restrict`] and
+/// [`Payload::place`] allocate one node per restriction, which names the
+/// entries it keeps, and copy no entry, key or value. Only
+/// [`PayloadBuilder`] copies entries. A view keeps its whole triple alive:
+/// a holder of one shard's restriction also keeps, until it drops that
+/// handle, the entries of every other shard.
 ///
 /// # Example
 ///
@@ -88,34 +98,183 @@ impl std::error::Error for PayloadError {}
 /// assert_eq!(p.reads().count(), 1);
 /// # Ok::<(), PayloadError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Payload(Arc<Triple>);
+#[derive(Clone, Default)]
+pub struct Payload(Arc<Repr>);
+
+/// What a [`Payload`] points at: a transaction's triple, or a part of one.
+enum Repr {
+    Whole(Triple),
+    /// The entries of `of`, which is whole, whose bits are set in `keep`:
+    /// read `i` is bit `i`, write `j` is bit `reads.len() + j`. Never
+    /// empty and never all of `of`.
+    Part {
+        of: Payload,
+        keep: Mask,
+    },
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Whole(Triple::default())
+    }
+}
 
 /// The triple `⟨R, W, Vc⟩` behind a [`Payload`]. Each set is sorted by key
-/// and holds a key once, so the derived equality and hash are those of a
-/// `BTreeMap` of the same entries (a map hashes its length, then its entries
-/// in key order, exactly as a slice does).
-#[derive(PartialEq, Eq, Hash, Default)]
+/// and holds a key once.
+#[derive(Default)]
 struct Triple {
     reads: Box<[(Key, Version)]>,
     writes: Box<[(Key, Value)]>,
     commit_version: Version,
 }
 
-/// The entry of `key` in a set sorted by key.
-fn lookup<'a, T>(set: &'a [(Key, T)], key: &Key) -> Option<&'a T> {
-    let found = set.binary_search_by(|(held, _)| held.cmp(key));
-    found.ok().map(|at| &set[at].1)
+impl Triple {
+    /// The number of entries, reads and writes.
+    fn entries(&self) -> usize {
+        self.reads.len() + self.writes.len()
+    }
+
+    /// The key of entry `at`: read `at`, or write `at - reads.len()`.
+    fn key(&self, at: usize) -> &Key {
+        match self.reads.get(at) {
+            Some((key, _)) => key,
+            None => &self.writes[at - self.reads.len()].0,
+        }
+    }
 }
 
-/// Formats a sorted set as the map it spells.
-struct AsMap<'a, T>(&'a [(Key, T)]);
+/// The entries a part keeps, one bit per entry of its whole: one word up to
+/// 64 entries, a bit set beyond.
+enum Mask {
+    Word(u64),
+    Words(Box<[u64]>),
+}
 
-impl<T: fmt::Debug> fmt::Debug for AsMap<'_, T> {
+impl Mask {
+    /// The mask over `entries` entries with the bits of `kept` set.
+    fn of(entries: usize, kept: impl Iterator<Item = usize>) -> Mask {
+        if entries <= 64 {
+            return Mask::Word(kept.fold(0, |word, at| word | 1 << at));
+        }
+        let mut words = vec![0u64; entries.div_ceil(64)].into_boxed_slice();
+        for at in kept {
+            words[at / 64] |= 1 << (at % 64);
+        }
+        Mask::Words(words)
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Mask::Word(word) => std::slice::from_ref(word),
+            Mask::Words(words) => words,
+        }
+    }
+
+    /// The number of entries kept.
+    fn count(&self) -> usize {
+        self.words()
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
+    }
+}
+
+/// Whether entry `at` is held under `keep` (`None`: every entry is).
+fn holds(keep: Option<&[u64]>, at: usize) -> bool {
+    keep.is_none_or(|words| {
+        words
+            .get(at / 64)
+            .is_some_and(|word| word >> (at % 64) & 1 == 1)
+    })
+}
+
+/// The entries in a range of indices that a payload holds, ascending: the
+/// whole range, or the set bits of its mask in that range.
+enum Held<'a> {
+    All(Range<usize>),
+    Kept {
+        /// The bits not yet visited of the word at `base`, none at or
+        /// past `end`.
+        word: u64,
+        base: usize,
+        /// The words after `word`.
+        rest: &'a [u64],
+        end: usize,
+    },
+}
+
+/// The bits of a word at `base` that lie below `end`.
+fn below(end: usize, base: usize) -> u64 {
+    match end.saturating_sub(base) {
+        0 => 0,
+        bits if bits >= 64 => u64::MAX,
+        bits => u64::MAX >> (64 - bits),
+    }
+}
+
+impl<'a> Held<'a> {
+    fn new(keep: Option<&'a [u64]>, range: Range<usize>) -> Self {
+        let Some(words) = keep else {
+            return Held::All(range);
+        };
+        let (first, end) = (range.start / 64, range.end);
+        let (word, rest) = match words.get(first..) {
+            Some([word, rest @ ..]) => (word & (u64::MAX << (range.start % 64)), rest),
+            _ => (0, &[][..]),
+        };
+        let base = first * 64;
+        Held::Kept {
+            word: word & below(end, base),
+            base,
+            rest,
+            end,
+        }
+    }
+}
+
+impl Iterator for Held<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Held::All(range) => range.next(),
+            Held::Kept {
+                word,
+                base,
+                rest,
+                end,
+            } => loop {
+                if *word != 0 {
+                    let at = *base + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    return Some(at);
+                }
+                let (next, after) = rest.split_first()?;
+                *base += 64;
+                (*word, *rest) = (next & below(*end, *base), after);
+            },
+        }
+    }
+}
+
+/// The entry of `key` in a set sorted by key, by index.
+fn lookup<T>(set: &[(Key, T)], key: &Key) -> Option<usize> {
+    set.binary_search_by(|(held, _)| held.cmp(key)).ok()
+}
+
+/// Formats the entries `F` yields as the map they spell.
+struct AsMap<F>(F);
+
+impl<F, I, K, V> fmt::Debug for AsMap<F>
+where
+    F: Fn() -> I,
+    I: Iterator<Item = (K, V)>,
+    K: fmt::Debug,
+    V: fmt::Debug,
+{
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map()
-            .entries(self.0.iter().map(|(key, value)| (key, value)))
-            .finish()
+        f.debug_map().entries((self.0)()).finish()
     }
 }
 
@@ -130,51 +289,94 @@ impl Payload {
         PayloadBuilder::default()
     }
 
+    /// The whole triple this payload reads, and the mask of the entries it
+    /// keeps of it (`None`: it is the whole). A part's `of` is whole, so
+    /// the walk takes one step at most.
+    fn view(&self) -> (&Triple, Option<&[u64]>) {
+        let (mut at, mut kept) = (self, None);
+        loop {
+            match &*at.0 {
+                Repr::Whole(whole) => return (whole, kept),
+                Repr::Part { of, keep } => (at, kept) = (of, kept.or(Some(keep.words()))),
+            }
+        }
+    }
+
+    /// The part of this payload's whole that keeps the entries of `keep`,
+    /// which this payload holds: `ε` when it keeps none, this handle when
+    /// it keeps all this payload holds.
+    fn part(&self, keep: Mask, held: usize) -> Payload {
+        match keep.count() {
+            0 => Payload::empty(),
+            kept if kept == held => self.clone(),
+            _ => {
+                let of = match &*self.0 {
+                    Repr::Whole(_) => self.clone(),
+                    Repr::Part { of, .. } => of.clone(),
+                };
+                Payload(Arc::new(Repr::Part { of, keep }))
+            }
+        }
+    }
+
     /// Returns `true` if this payload is the empty payload `ε`
     /// (no reads and no writes).
     pub fn is_empty(&self) -> bool {
-        self.0.reads.is_empty() && self.0.writes.is_empty()
+        let (whole, keep) = self.view();
+        Held::new(keep, 0..whole.entries()).next().is_none()
     }
 
     /// Returns the version that this transaction's writes will carry.
     pub fn commit_version(&self) -> Version {
-        self.0.commit_version
+        self.view().0.commit_version
     }
 
     /// Iterates over the read set in key order: `(key, version read)` pairs.
     pub fn reads(&self) -> impl Iterator<Item = (&Key, Version)> + '_ {
-        self.0.reads.iter().map(|(k, v)| (k, *v))
+        let (whole, keep) = self.view();
+        Held::new(keep, 0..whole.reads.len()).map(|at| {
+            let (key, version) = &whole.reads[at];
+            (key, *version)
+        })
     }
 
     /// Iterates over the write set in key order: `(key, value written)`
     /// pairs.
     pub fn writes(&self) -> impl Iterator<Item = (&Key, &Value)> + '_ {
-        self.0.writes.iter().map(|(k, v)| (k, v))
+        let (whole, keep) = self.view();
+        let first = whole.reads.len();
+        Held::new(keep, first..whole.entries()).map(move |at| {
+            let (key, value) = &whole.writes[at - first];
+            (key, value)
+        })
     }
 
     /// Returns the version this payload read for `key`, if `key` is in the read set.
     pub fn read_version(&self, key: &Key) -> Option<Version> {
-        lookup(&self.0.reads, key).copied()
+        let (whole, keep) = self.view();
+        let at = lookup(&whole.reads, key).filter(|at| holds(keep, *at))?;
+        Some(whole.reads[at].1)
     }
 
     /// Returns `true` if `key` is in the read set.
     pub fn reads_key(&self, key: &Key) -> bool {
-        lookup(&self.0.reads, key).is_some()
+        self.read_version(key).is_some()
     }
 
     /// Returns `true` if `key` is in the write set.
     pub fn writes_key(&self, key: &Key) -> bool {
-        lookup(&self.0.writes, key).is_some()
+        let (whole, keep) = self.view();
+        lookup(&whole.writes, key).is_some_and(|at| holds(keep, whole.reads.len() + at))
     }
 
     /// Returns the number of keys in the read set.
     pub fn read_count(&self) -> usize {
-        self.0.reads.len()
+        self.reads().count()
     }
 
     /// Returns the number of keys in the write set.
     pub fn write_count(&self) -> usize {
-        self.0.writes.len()
+        self.writes().count()
     }
 
     /// All keys touched (read or written) by this payload, in key order.
@@ -183,8 +385,8 @@ impl Payload {
         // does each of its restrictions; only a `build_unchecked` payload
         // may write a key it did not read. Merging the two sorted sets
         // covers both.
-        let mut reads = self.0.reads.iter().map(|(k, _)| k).peekable();
-        let mut writes = self.0.writes.iter().map(|(k, _)| k).peekable();
+        let mut reads = self.reads().map(|(k, _)| k).peekable();
+        let mut writes = self.writes().map(|(k, _)| k).peekable();
         std::iter::from_fn(move || match (reads.peek(), writes.peek()) {
             (Some(read), Some(written)) if written < read => writes.next(),
             (Some(read), Some(written)) if written == read => {
@@ -204,21 +406,22 @@ impl Payload {
     ///
     /// Returns the first violated condition as a [`PayloadError`].
     pub fn validate(&self) -> Result<(), PayloadError> {
-        for (key, _) in self.0.writes.iter() {
+        for (key, _) in self.writes() {
             if !self.reads_key(key) {
                 return Err(PayloadError::WriteWithoutRead { key: key.clone() });
             }
         }
-        if !self.0.writes.is_empty() {
-            if self.0.commit_version == Version::ZERO {
+        if self.writes().next().is_some() {
+            let commit = self.commit_version();
+            if commit == Version::ZERO {
                 return Err(PayloadError::MissingCommitVersion);
             }
-            for (key, read) in self.0.reads.iter() {
-                if self.0.commit_version <= *read {
+            for (key, read) in self.reads() {
+                if commit <= read {
                     return Err(PayloadError::CommitVersionTooLow {
                         key: key.clone(),
-                        read: *read,
-                        commit: self.0.commit_version,
+                        read,
+                        commit,
                     });
                 }
             }
@@ -235,25 +438,13 @@ impl Payload {
     /// shards outside `shards(t)`). A payload that lives on `s` entirely is
     /// its own restriction: the shared handle is returned and nothing is
     /// allocated, so a single-shard transaction is stored once end to end.
+    /// Any other restriction is one node viewing the whole triple.
     /// [`Payload::place`] computes every shard's restriction at once.
     pub fn restrict<M: ShardMap + ?Sized>(&self, shard: ShardId, sharding: &M) -> Payload {
-        let on = |key: &Key| sharding.shard_of(key) == shard;
-        if self.keys().all(on) {
-            return self.clone();
-        }
-        fn kept<T: Clone>(set: &[(Key, T)], on: impl Fn(&Key) -> bool) -> Box<[(Key, T)]> {
-            set.iter().filter(|(key, _)| on(key)).cloned().collect()
-        }
-        let (reads, writes) = (kept(&self.0.reads, on), kept(&self.0.writes, on));
-        if reads.is_empty() && writes.is_empty() {
-            Payload::empty()
-        } else {
-            Payload(Arc::new(Triple {
-                reads,
-                writes,
-                commit_version: self.0.commit_version,
-            }))
-        }
+        let (whole, keep) = self.view();
+        let held = || Held::new(keep, 0..whole.entries());
+        let on = |at: &usize| sharding.shard_of(whole.key(*at)) == shard;
+        self.part(Mask::of(whole.entries(), held().filter(on)), held().count())
     }
 
     /// The set of shards that must certify this payload under the given shard
@@ -270,14 +461,16 @@ impl Payload {
     /// [`Payload::shards`] with [`Payload::restrict`] to each shard, and what
     /// a coordinator computes once per transaction and reuses on every send.
     /// A payload on one shard is placed there as the shared handle and
-    /// allocates nothing; `ε` is placed nowhere.
+    /// allocates nothing; `ε` is placed nowhere. On several shards, each
+    /// restriction is one node viewing the whole triple.
     pub fn place<M: ShardMap + ?Sized>(&self, sharding: &M) -> Placement {
-        let Triple { reads, writes, .. } = &*self.0;
-        // The shard of every entry, reads first: on the stack up to
-        // `INLINE_KEYS` entries.
+        let (whole, keep) = self.view();
+        let Triple { reads, writes, .. } = whole;
+        // The shard of every entry of the whole, reads first: on the stack
+        // up to `INLINE_KEYS` entries.
         let mut inline = [ShardId::default(); INLINE_KEYS];
         let mut spilled = Vec::new();
-        let homes = match reads.len() + writes.len() {
+        let homes = match whole.entries() {
             entries if entries <= INLINE_KEYS => &mut inline[..entries],
             entries => {
                 spilled.resize(entries, ShardId::default());
@@ -299,26 +492,24 @@ impl Payload {
             };
         }
         let homes = &*homes;
-        let Some(&home) = homes.first() else {
+        let held = || Held::new(keep, 0..homes.len()).map(|at| (at, homes[at]));
+        let Some((_, home)) = held().next() else {
             return Placement::default();
         };
-        if homes.iter().all(|shard| *shard == home) {
+        if held().all(|(_, shard)| shard == home) {
             return Placement(Parts::One([(home, Some(self.clone()))]));
         }
-        let (read_homes, write_homes) = homes.split_at(reads.len());
         let above = |after: Option<ShardId>| {
-            let above = homes.iter().filter(move |s| after.is_none_or(|a| **s > a));
-            above.copied().min()
+            let above = held().filter(move |(_, s)| after.is_none_or(|a| *s > a));
+            above.map(|(_, shard)| shard).min()
         };
         let ascending = || std::iter::successors(above(None), |shard| above(Some(*shard)));
         let mut parts = Vec::with_capacity(ascending().count());
+        let count = held().count();
         for shard in ascending() {
-            let part = Triple {
-                reads: pick(reads, read_homes, shard),
-                writes: pick(writes, write_homes, shard),
-                commit_version: self.0.commit_version,
-            };
-            parts.push((shard, Some(Payload(Arc::new(part)))));
+            let on = held().filter(|(_, home)| *home == shard);
+            let keep = Mask::of(homes.len(), on.map(|(at, _)| at));
+            parts.push((shard, Some(self.part(keep, count))));
         }
         Placement(Parts::Many(parts.into_boxed_slice()))
     }
@@ -327,25 +518,42 @@ impl Payload {
 /// Entries [`Payload::place`] finds the shards of without allocating.
 const INLINE_KEYS: usize = 16;
 
-/// The entries of `set` on `shard`, `homes` holding each entry's shard,
-/// allocated once at their exact size.
-fn pick<T: Clone>(set: &[(Key, T)], homes: &[ShardId], shard: ShardId) -> Box<[(Key, T)]> {
-    let on = || {
-        set.iter()
-            .zip(homes)
-            .filter(move |(_, home)| **home == shard)
-    };
-    let mut picked = Vec::with_capacity(on().count());
-    picked.extend(on().map(|(entry, _)| entry.clone()));
-    picked.into_boxed_slice()
+/// Equal contents: a restriction equals the payload built from the entries
+/// it keeps, however it is stored.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.commit_version() == other.commit_version()
+                && self.reads().eq(other.reads())
+                && self.writes().eq(other.writes()))
+    }
+}
+
+impl Eq for Payload {}
+
+/// Hashes the contents as a triple of two sorted slices would: each set's
+/// length, then its entries in key order (a `BTreeMap` of the same entries
+/// hashes alike), then the commit version.
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.read_count());
+        for (key, version) in self.reads() {
+            (key, version).hash(state);
+        }
+        state.write_usize(self.write_count());
+        for entry in self.writes() {
+            entry.hash(state);
+        }
+        self.commit_version().hash(state);
+    }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Payload")
-            .field("reads", &AsMap(&self.0.reads))
-            .field("writes", &AsMap(&self.0.writes))
-            .field("commit_version", &self.0.commit_version)
+            .field("reads", &AsMap(|| self.reads()))
+            .field("writes", &AsMap(|| self.writes()))
+            .field("commit_version", &self.commit_version())
             .finish()
     }
 }
@@ -358,9 +566,9 @@ impl fmt::Display for Payload {
         write!(
             f,
             "⟨R:{} keys, W:{} keys, Vc:{}⟩",
-            self.0.reads.len(),
-            self.0.writes.len(),
-            self.0.commit_version
+            self.read_count(),
+            self.write_count(),
+            self.commit_version()
         )
     }
 }
@@ -488,11 +696,11 @@ impl PayloadBuilder {
     /// Useful for constructing adversarial payloads in tests of the
     /// certification functions and specification checkers.
     pub fn build_unchecked(self) -> Payload {
-        Payload(Arc::new(Triple {
+        Payload(Arc::new(Repr::Whole(Triple {
             reads: sorted(self.reads),
             writes: sorted(self.writes),
             commit_version: self.commit_version,
-        }))
+        })))
     }
 }
 
@@ -714,34 +922,42 @@ mod tests {
         let parts: Vec<_> = placed.parts().collect();
         assert_eq!(parts, [(home, Some(&local))], "placed home, as the handle");
 
-        // One foreign key and the restriction is a filtered build again.
+        // One foreign key: each restriction views `spread` and copies no
+        // key, and one kept alive by its own handle still reads the whole.
+        let far = k("far");
         let spread = Payload::builder()
             .read(x.clone(), Version::new(1))
-            .read(k("far"), Version::new(1))
-            .write(k("far"), Value::from("v"))
+            .read(far.clone(), Version::new(1))
+            .write(far.clone(), Value::from("v"))
             .commit_version(Version::new(2))
             .build()
             .expect("well-formed");
+        let held = (x.ref_count(), far.ref_count());
         let at_home = spread.restrict(home, &sharding);
-        assert_eq!(x.ref_count(), held.0 + 2, "`spread` and its restriction");
+        let at_away = spread.restrict(away, &sharding);
+        let placed = spread.place(&sharding);
+        let again = at_away.restrict(away, &sharding);
+        assert_eq!((x.ref_count(), far.ref_count()), held, "no key was copied");
         let filtered = Payload::builder().read(x.clone(), Version::new(1));
         let filtered = filtered.commit_version(Version::new(2)).build_unchecked();
         assert_eq!(at_home, filtered);
-        let at_away = spread.restrict(away, &sharding);
         assert_eq!((at_away.read_count(), at_away.write_count()), (1, 1));
         assert!(!at_away.reads_key(&x));
         assert_eq!(spread.restrict(idle, &sharding), Payload::empty());
-        let before = x.ref_count();
-        let placed = spread.place(&sharding);
-        assert_eq!(x.ref_count(), before + 1, "the part placed home");
         let parts: Vec<_> = placed.parts().collect();
         assert_eq!(parts, [(home, Some(&at_home)), (away, Some(&at_away))]);
+        drop((spread, placed, at_away));
+        assert_eq!(at_home, filtered, "a view keeps its whole alive");
+        assert_eq!(again.writes().count(), 1);
+        drop((at_home, again, filtered));
+        assert_eq!((x.ref_count(), far.ref_count()), (held.0 - 1, 1));
     }
 
-    /// Payloads drawn from `seed`: up to six keys out of ten, each read,
-    /// written or both (a write without a read makes the payload one only
-    /// `build_unchecked` builds), in a scrambled order.
-    fn drawn(seed: u64) -> Payload {
+    /// Payloads drawn from `seed`: fewer than `picks` keys out of `keys`,
+    /// each read, written or both (a write without a read makes the payload
+    /// one only `build_unchecked` builds), in a scrambled order; a key
+    /// drawn twice keeps the value given last.
+    fn drawn(seed: u64, picks: u64, keys: u64) -> Payload {
         let mut state = seed;
         let mut next = move || {
             // splitmix64
@@ -752,8 +968,8 @@ mod tests {
             z ^ (z >> 31)
         };
         let mut builder = Payload::builder().commit_version(Version::new(9));
-        for _ in 0..next() % 7 {
-            let key = k(&format!("key-{}", next() % 10));
+        for _ in 0..next() % picks {
+            let key = k(&format!("key-{}", next() % keys));
             match next() % 4 {
                 0 => builder = builder.write(key, Value::from("w")),
                 1 => builder = builder.read(key, Version::new(next() % 9)),
@@ -813,7 +1029,9 @@ mod tests {
             .with(k("w"), ShardId::new(1))
             .with(k("key-3"), ShardId::new(1))
             .with(k("key-7"), ShardId::new(2));
-        let payloads = fixed.into_iter().chain((0..400).map(drawn));
+        let payloads = fixed
+            .into_iter()
+            .chain((0..400).map(|seed| drawn(seed, 7, 10)));
         for payload in payloads {
             for n in 1..=8 {
                 assert_placed_as_restricted(&payload, &HashSharding::new(n));
@@ -827,6 +1045,91 @@ mod tests {
         let unknown = Placement::unknown(&[ShardId::new(1), ShardId::new(2)]);
         let parts: Vec<_> = unknown.parts().collect();
         assert_eq!(parts, [(ShardId::new(1), None), (ShardId::new(2), None)]);
+    }
+
+    /// `payload` with the entries whose key `on` holds, as the builder
+    /// copies them: the oracle a view must be indistinguishable from.
+    fn copied(payload: &Payload, on: impl Fn(&Key) -> bool) -> Payload {
+        if !payload.keys().any(&on) {
+            return Payload::empty();
+        }
+        let mut builder = Payload::builder().commit_version(payload.commit_version());
+        for (key, version) in payload.reads().filter(|(key, _)| on(key)) {
+            builder = builder.read(key.clone(), version);
+        }
+        for (key, value) in payload.writes().filter(|(key, _)| on(key)) {
+            builder = builder.write(key.clone(), value.clone());
+        }
+        builder.build_unchecked()
+    }
+
+    /// `view` and `copy` are indistinguishable through every accessor,
+    /// `==`, the hash, `Debug` and `Display`; `probes` are the keys asked
+    /// about.
+    fn assert_indistinguishable(view: &Payload, copy: &Payload, probes: &[Key]) {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let why = format!("{view:?} viewed as {copy:?}");
+        assert_eq!(view, copy, "view == copy");
+        assert_eq!(copy, view, "copy == view");
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(hasher.hash_one(view), hasher.hash_one(copy), "{why}");
+        assert_eq!(format!("{view:?}"), format!("{copy:?}"));
+        assert_eq!(view.to_string(), copy.to_string(), "{why}");
+        assert!(view.reads().eq(copy.reads()), "{why}");
+        assert!(view.writes().eq(copy.writes()), "{why}");
+        assert!(view.keys().eq(copy.keys()), "{why}");
+        let counts = |p: &Payload| (p.read_count(), p.write_count(), p.is_empty());
+        assert_eq!(counts(view), counts(copy), "{why}");
+        assert_eq!(view.commit_version(), copy.commit_version(), "{why}");
+        assert_eq!(view.validate(), copy.validate(), "{why}");
+        for key in probes {
+            let asked = |p: &Payload| (p.read_version(key), p.reads_key(key), p.writes_key(key));
+            assert_eq!(asked(view), asked(copy), "{why}: {key}");
+        }
+    }
+
+    #[test]
+    fn every_restriction_reads_as_the_copy_of_the_entries_it_keeps() {
+        // Small payloads keep their part in one word; more than 64 entries
+        // take a bit set of several words.
+        let small = (0..300).map(|seed| drawn(seed, 9, 12));
+        let large = (0..24).map(|seed| drawn(seed, 200, 150));
+        let mut widest = 0;
+        for payload in small.chain(large) {
+            widest = widest.max(payload.read_count() + payload.write_count());
+            let mut probes: Vec<Key> = payload.keys().cloned().collect();
+            probes.push(k("key-absent"));
+            for n in 1..=4 {
+                let sharding = HashSharding::new(n);
+                let placed = payload.place(&sharding);
+                for shard in sharding.shards() {
+                    let on = |key: &Key| sharding.shard_of(key) == shard;
+                    let copy = copied(&payload, on);
+                    let restricted = payload.restrict(shard, &sharding);
+                    assert_indistinguishable(&restricted, &copy, &probes);
+                    let part = placed.parts().find(|(at, _)| *at == shard);
+                    if let Some((_, part)) = part {
+                        let part = part.expect("placed with its restriction");
+                        assert_indistinguishable(part, &copy, &probes);
+                    }
+                    // A restriction of a restriction, under another map.
+                    let other = HashSharding::new(n + 1);
+                    for inner in other.shards() {
+                        let twice = restricted.restrict(inner, &other);
+                        let on_both = |key: &Key| on(key) && other.shard_of(key) == inner;
+                        assert_indistinguishable(&twice, &copied(&payload, on_both), &probes);
+                    }
+                }
+            }
+        }
+        assert!(widest > 128, "the draw reaches a mask of three words");
+    }
+
+    #[test]
+    fn a_part_is_one_pointer_to_a_node_no_larger_than_a_whole() {
+        assert_eq!(std::mem::size_of::<Payload>(), std::mem::size_of::<usize>());
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Repr>(), std::mem::size_of::<Triple>());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Report of a sampler.c profile: `symbolize.py SAMPLES [TOP] [--thread-filter NAME]`.
+"""Report of a sampler.c or heap.c profile:
+`symbolize.py SAMPLES [TOP] [--thread-filter NAME] [--bytes]`.
 
 SAMPLES is the file sampler.so wrote ($SAMPLER_OUT); SAMPLES.maps beside it
 is the address map of the profiled process. Every address is resolved to
@@ -9,6 +10,11 @@ leaf) and by inclusive share (anywhere on the stack, counted once per
 sample). With --thread-filter, only samples with NAME somewhere on the stack
 count, so `--thread-filter Worker` restricts the report to a thread pool's
 workers.
+
+With --bytes, SAMPLES is the file heap.so wrote ($HEAP_OUT): each stack is
+weighed by the bytes it held live at the heap's peak, and the "site" table
+takes the innermost frame naming a `ratc_` function in place of the leaf
+(which is always the allocator's).
 """
 import bisect
 import subprocess
@@ -16,6 +22,9 @@ import sys
 from collections import Counter
 
 args = sys.argv[1:]
+weighed = "--bytes" in args
+if weighed:
+    args.remove("--bytes")
 only = None
 if "--thread-filter" in args:
     at = args.index("--thread-filter")
@@ -77,20 +86,32 @@ def name_of(pc):
 
 self_counts, inclusive_counts, total = Counter(), Counter(), 0
 for line in open(samples_path):
-    pcs = [int(word, 16) for word in line.split()]
-    if not pcs:
+    if line.startswith("#"):
+        print(line[1:].strip())
         continue
-    # Return addresses point after the call; step back into it.
-    stack = [name_of(pcs[0])] + [name_of(pc - 1) for pc in pcs[1:]]
+    words = line.split()
+    weight = int(words.pop(0)) if weighed else 1
+    pcs = [int(word, 16) for word in words]
+    if not pcs and not weighed:
+        continue
+    # Return addresses point after the call; step back into it. A sample's
+    # leaf is the interrupted instruction itself.
+    stack = [name_of(pc if at == 0 and not weighed else pc - 1) for at, pc in enumerate(pcs)]
     if only and not any(only in frame for frame in stack):
         continue
-    total += 1
-    self_counts[stack[0]] += 1
+    total += weight
+    if weighed:
+        site = next((frame for frame in stack if "ratc_" in frame), "(no ratc_ frame)")
+    else:
+        site = stack[0]
+    self_counts[site] += weight
     for frame in set(stack):
-        inclusive_counts[frame] += 1
+        inclusive_counts[frame] += weight
 
-print(f"{total} samples" + (f" with {only!r} on the stack" if only else ""))
-for title, counts in (("self", self_counts), ("inclusive", inclusive_counts)):
+unit = "bytes live at the peak" if weighed else "samples"
+print(f"{total} {unit}" + (f" with {only!r} on the stack" if only else ""))
+for title, counts in (("site" if weighed else "self", self_counts), ("inclusive", inclusive_counts)):
     print(f"\n-- {title} --")
     for name, count in counts.most_common(top):
-        print(f"{100 * count / max(total, 1):6.2f} %  {name[:150]}")
+        size = f"{count / 1e6:9.2f} MB  " if weighed else ""
+        print(f"{size}{100 * count / max(total, 1):6.2f} %  {name[:150]}")
