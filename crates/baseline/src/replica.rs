@@ -6,8 +6,6 @@ use ratc_core::batch::{BatchingConfig, VoteBatcher, FLUSH_DELAY};
 use ratc_core::flow::FlowControlConfig;
 use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
 use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, TimerTag, TxMilestone};
-#[cfg(debug_assertions)]
-use ratc_types::MirrorCertifier;
 use ratc_types::{
     CertificationPolicy, Decision, IndexedCertifier, Payload, Position, ProcessId, ShardId, TxId,
 };
@@ -52,19 +50,9 @@ pub struct BaselineShardReplica {
     group: Vec<ProcessId>,
     /// Incremental certifier answering votes in O(|payload|). Transitions are
     /// keyed by transaction id (transaction ids are globally unique, so they
-    /// serve as positions).
+    /// serve as positions). Its committed summary `L1` is stable state; its
+    /// lock table `L2` is volatile and rebuilt on restart.
     index: Box<dyn IndexedCertifier>,
-    /// Pristine (empty) clone of the certifier, used by crash-restart
-    /// recovery to rebuild the in-memory index from the durable Paxos log.
-    index_factory: Box<dyn IndexedCertifier>,
-    /// Debug builds keep a full set-based [`MirrorCertifier`] in lockstep and
-    /// cross-check every vote against it; release builds drop it so decided
-    /// payload memory is actually freed.
-    #[cfg(debug_assertions)]
-    mirror: MirrorCertifier,
-    /// Pristine clone of the mirror for crash-restart recovery.
-    #[cfg(debug_assertions)]
-    mirror_factory: MirrorCertifier,
     acceptor: Acceptor<ShardCommand>,
     proposer: Option<Proposer<ShardCommand>>,
     log: ReplicatedLog<ShardCommand>,
@@ -116,11 +104,6 @@ impl BaselineShardReplica {
             tm: ProcessId::new(u64::MAX),
             group: Vec::new(),
             index: policy.indexed_certifier(shard),
-            index_factory: policy.indexed_certifier(shard),
-            #[cfg(debug_assertions)]
-            mirror: MirrorCertifier::new(policy.shard_certifier(shard)),
-            #[cfg(debug_assertions)]
-            mirror_factory: MirrorCertifier::new(policy.shard_certifier(shard)),
             acceptor: Acceptor::new(ProcessId::new(u64::MAX)),
             proposer: None,
             log: ReplicatedLog::new(),
@@ -210,25 +193,18 @@ impl BaselineShardReplica {
         Position::new(tx.as_u64())
     }
 
-    // -- certifier transitions, applied to the index and (in debug builds)
-    //    the set-based mirror in lockstep -----------------------------------
+    // -- certifier transitions ----------------------------------------------
 
     fn certifier_prepare(&mut self, tx: TxId, payload: &Payload) {
         self.index.prepare(Self::index_pos(tx), payload);
-        #[cfg(debug_assertions)]
-        self.mirror.prepare(Self::index_pos(tx), payload);
     }
 
     fn certifier_release(&mut self, tx: TxId) {
         self.index.release(Self::index_pos(tx));
-        #[cfg(debug_assertions)]
-        self.mirror.release(Self::index_pos(tx));
     }
 
     fn certifier_commit(&mut self, tx: TxId, payload: &Payload) {
         self.index.apply_committed(Self::index_pos(tx), payload);
-        #[cfg(debug_assertions)]
-        self.mirror.apply_committed(Self::index_pos(tx), payload);
     }
 
     fn certify_and_propose(
@@ -270,12 +246,6 @@ impl BaselineShardReplica {
             ctx.ctrl_milestone(CtrlMilestone::Recovered, Some(self.shard), self.id.as_u64());
         }
         let vote = self.index.vote(&payload);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            vote,
-            self.mirror.vote(&payload),
-            "indexed vote diverged from the set-based mirror for {tx}"
-        );
         if vote == Decision::Commit {
             self.certifier_prepare(tx, &payload);
         }
@@ -524,11 +494,14 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
     }
 
     /// Crash-restart recovery: the Paxos acceptor state, the chosen-command
-    /// log and the decision map are durable; the certification index, the
-    /// prepared set and all proposer state are volatile and rebuilt by
-    /// replaying the durable log against the decision map. A restarted leader
-    /// re-establishes leadership under a fresh, higher ballot, which re-chooses
-    /// any value a majority had accepted (phase-1 recovery).
+    /// log, the decision map and the index's committed summary `L1` are
+    /// durable; the index's lock table, the prepared set and all proposer
+    /// state are volatile. The lock table is emptied, and replaying the
+    /// durable log against the decision map re-prepares every undecided
+    /// commit vote: the rule `CertificationLog::restart` applies on the RATC
+    /// stacks. A restarted leader re-establishes leadership under a fresh,
+    /// higher ballot, which re-chooses any value a majority had accepted
+    /// (phase-1 recovery).
     fn on_restart(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.in_flight.clear();
         self.prepared.clear();
@@ -553,11 +526,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
             self.route(ctx, out);
             self.arm_retransmit_timer(ctx);
         }
-        self.index = self.index_factory.clone_box();
-        #[cfg(debug_assertions)]
-        {
-            self.mirror = self.mirror_factory.clone();
-        }
+        self.index.clear_prepared();
         let commands: Vec<ShardCommand> = self.log.iter().map(|(_, c)| c.clone()).collect();
         for command in &commands {
             self.apply_chosen(command);
@@ -579,5 +548,139 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
             );
         }
         ctx.add_counter("replica_restarts", 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{BaselineCluster, BaselineStack};
+    use ratc_core::harness::{ClusterConfig, TcsCluster};
+    use ratc_sim::{FaultScope, LinkFault, SimDuration};
+    use ratc_types::{Key, ShardMap, Value, Version};
+
+    /// A payload reading `keys` at version 0 and writing them at version 1.
+    fn rw(keys: &[&Key]) -> Payload {
+        let mut payload = Payload::builder();
+        for key in keys {
+            payload = payload
+                .read((*key).clone(), Version::ZERO)
+                .write((*key).clone(), Value::from("v"));
+        }
+        payload
+            .commit_version(Version::new(1))
+            .build()
+            .expect("well-formed")
+    }
+
+    fn replica(cluster: &BaselineCluster, pid: ProcessId) -> &BaselineShardReplica {
+        cluster.world.actor(pid).expect("shard replica")
+    }
+
+    /// Runs until `tx` is decided, for at most ten simulated seconds.
+    fn decide(cluster: &mut BaselineCluster, tx: TxId) -> Option<Decision> {
+        for _ in 0..1_000 {
+            if cluster.history().decision(tx).is_some() {
+                break;
+            }
+            cluster.run_for(SimDuration::from_millis(10));
+        }
+        cluster.history().decision(tx)
+    }
+
+    /// A restarted shard leader keeps its committed summary `L1`, rebuilds
+    /// its locks from the chosen log alone, and re-reports its chosen votes
+    /// before Paxos recovery completes:
+    ///
+    /// * a vote chosen before the crash, whose report to the transaction
+    ///   manager was lost, decides while the followers are still down;
+    /// * a vote certified but never accepted anywhere leaves no lock behind,
+    ///   so the transaction commits when the manager retries it;
+    /// * a stale read of a write committed before the crash aborts, and so
+    ///   does a transaction conflicting with a commit vote chosen but still
+    ///   undecided.
+    #[test]
+    fn a_restarted_leader_keeps_its_commits_and_relocks_only_chosen_votes() {
+        let mut cluster = BaselineCluster::new(
+            BaselineStack,
+            ClusterConfig::default()
+                .with_seed(13)
+                .with_replicas_per_shard(3),
+        );
+        let (a, b) = (ShardId::new(0), ShardId::new(1));
+        let keys: Vec<Key> = (0..)
+            .map(|i| Key::new(format!("k{i}")))
+            .filter(|key| cluster.sharding().shard_of(key) == a)
+            .take(4)
+            .collect();
+        let [x, y, v, w] = [&keys[0], &keys[1], &keys[2], &keys[3]];
+        let u = (0..)
+            .map(|i| Key::new(format!("k{i}")))
+            .find(|key| cluster.sharding().shard_of(key) == b)
+            .expect("a key on shard 1");
+        let group = cluster.shard_view(a).roster;
+        let (leader, followers) = (group[0], &group[1..]);
+        let tm = cluster.coordinator_pool()[0];
+        let b_leader = cluster.shard_view(b).leader.expect("leader");
+        let cut = LinkFault::cut(FaultScope::All);
+        let [t1, t2, t3, t4, t5, t6] = [1, 2, 3, 4, 5, 6].map(TxId::new);
+
+        // t1 commits a write of x.
+        cluster.submit(t1, rw(&[x]));
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.history().decision(t1), Some(Decision::Commit));
+        // t4 writes v and u: shard 0's commit vote is chosen, but shard 1's
+        // never reaches the manager, so t4 stays undecided throughout.
+        cluster.set_link_fault(b_leader, tm, cut);
+        cluster.submit(t4, rw(&[v, &u]));
+        // t2 writes y: its vote is chosen, and its report is lost.
+        cluster.set_link_fault(leader, tm, cut);
+        cluster.submit(t2, rw(&[y]));
+        cluster.run_for(SimDuration::from_millis(50));
+        assert!(replica(&cluster, leader).prepared.contains_key(&t2));
+        assert!(replica(&cluster, leader).prepared.contains_key(&t4));
+        // t3 writes w: the leader certifies it, but its accepts reach no
+        // acceptor, its own included.
+        for pid in &group {
+            cluster.set_link_fault(leader, *pid, cut);
+        }
+        cluster.submit(t3, rw(&[w]));
+        cluster.run_for(SimDuration::from_millis(5));
+        assert!(replica(&cluster, leader).in_flight.contains_key(&t3));
+        assert_eq!(cluster.history().decide_count(), 1);
+
+        // The whole group crashes; the leader restarts alone, so Paxos
+        // recovery cannot complete yet.
+        for pid in &group {
+            cluster.crash(*pid);
+            cluster.set_link_fault(leader, *pid, LinkFault::none());
+        }
+        cluster.set_link_fault(leader, tm, LinkFault::none());
+        assert!(cluster.restart(leader));
+        cluster.run_for(SimDuration::from_millis(100));
+        assert_eq!(
+            cluster.history().decision(t2),
+            Some(Decision::Commit),
+            "the restarted leader re-reports its chosen votes"
+        );
+        for pid in followers {
+            assert!(cluster.restart(*pid));
+        }
+        assert_eq!(
+            decide(&mut cluster, t3),
+            Some(Decision::Commit),
+            "a vote lost with the crash leaves no lock"
+        );
+
+        cluster.submit(t5, rw(&[x]));
+        cluster.submit(t6, rw(&[v]));
+        assert_eq!(
+            decide(&mut cluster, t5),
+            Some(Decision::Abort),
+            "stale read"
+        );
+        assert_eq!(decide(&mut cluster, t6), Some(Decision::Abort), "locked");
+        assert_eq!(cluster.history().decision(t4), None);
+        assert!(cluster.client_violations().is_empty());
     }
 }

@@ -105,7 +105,11 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
     // Recorded at 9d645d6, before the facade's shard queries became one
     // snapshot; the ratc-mp retry plan and the ratc-rdma rows re-recorded
     // when each member began truncating its own log (no frontier messages,
-    // so fewer steps and a shifted latency stream on ratc-rdma).
+    // so fewer steps and a shifted latency stream on ratc-rdma). ratc-rdma
+    // seed 5 and the ratc-rdma retry plan re-recorded when peers in a newer
+    // epoch began refusing a restarted member's handshake at once: one of
+    // seed 5's two handshake rounds, and both of the retry plan's, no longer
+    // retry until the cap (3619 → 2026 and 4372 → 1178 steps).
     let recorded = [
         (
             Stack::Core,
@@ -114,8 +118,8 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
         ),
         (
             Stack::Rdma,
-            [(3619, 1111676569279206002), (5509, 2629356766016021094)],
-            (4372, 14750703060613011515),
+            [(2026, 11613910588724125864), (5509, 2629356766016021094)],
+            (1178, 1852428279556186950),
         ),
         (
             Stack::Baseline,

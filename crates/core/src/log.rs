@@ -749,12 +749,8 @@ impl CertificationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    use ratc_types::{
-        CertificationPolicy, Key, MirrorCertifier, Serializability, ShardCertifier, Value, Version,
-        WriteConflict,
-    };
+    use ratc_types::{CertificationPolicy, Key, Serializability, Value, Version, WriteConflict};
 
     fn entry(tx: u64) -> LogEntry {
         LogEntry {
@@ -1096,66 +1092,32 @@ mod tests {
         assert_eq!(log.checkpoint().decided_count(), 3);
     }
 
-    /// A policy whose `f_s` reads committed values, not only versions: a
-    /// transaction that reads a key some committed transaction wrote
-    /// `"tombstone"` aborts. A per-key newest-writer summary cannot answer
-    /// it; only an index that keeps the committed payloads can.
-    #[derive(Debug)]
-    struct Tombstones;
-
-    impl ShardCertifier for Tombstones {
-        fn certify_committed(&self, committed: &[&Payload], payload: &Payload) -> Decision {
-            let tombstone = Value::from("tombstone");
-            let buried = |key: &Key| {
-                committed
-                    .iter()
-                    .any(|c| c.writes().any(|(k, v)| k == key && *v == tombstone))
-            };
-            match payload.reads().any(|(key, _)| buried(key)) {
-                true => Decision::Abort,
-                false => Decision::Commit,
-            }
-        }
-
-        fn certify_prepared(&self, prepared: &[&Payload], payload: &Payload) -> Decision {
-            let locked = |key: &Key| prepared.iter().any(|p| p.writes_key(key));
-            match payload.reads().any(|(key, _)| locked(key)) {
-                true => Decision::Abort,
-                false => Decision::Commit,
-            }
-        }
-    }
-
-    /// The policies of the restart tests: both built-in indexes, and the
-    /// mirror over [`Tombstones`].
-    const POLICIES: [&str; 3] = ["serializability", "write-conflict", "tombstones"];
+    /// The policies of the restart tests: both built-in indexes. A policy
+    /// whose `f_s` reads committed values, over `ratc-spec`'s mirror, is
+    /// walked through truncations and restarts by `ratc-spec::truncation`.
+    const POLICIES: [&str; 2] = ["serializability", "write-conflict"];
 
     fn policy_log(policy: &str) -> CertificationLog {
-        let shard = ShardId::new(0);
         match policy {
             "serializability" => indexed_log(),
-            "write-conflict" => {
-                CertificationLog::with_certifier(WriteConflict::new().indexed_certifier(shard))
-            }
-            _ => CertificationLog::with_certifier(Box::new(MirrorCertifier::new(Arc::new(
-                Tombstones,
-            )))),
+            _ => CertificationLog::with_certifier(
+                WriteConflict::new().indexed_certifier(ShardId::new(0)),
+            ),
         }
     }
 
     const SLOTS: u64 = 200;
 
     /// Plays one history of [`SLOTS`] transactions over 40 keys, each key
-    /// written by five of them: every seventh aborts, every fifth writes a
-    /// tombstone, and the last five stay prepared. With `batch`, the log
+    /// written by five of them: every seventh aborts, and the last five stay
+    /// prepared. With `batch`, the log
     /// folds its decided prefix after every `batch` transactions.
     fn play(log: &mut CertificationLog, batch: Option<u64>) {
         for i in 0..SLOTS {
             let key = Key::new(format!("k{}", i % 40));
-            let value = if i % 5 == 0 { "tombstone" } else { "v" };
             let payload = Payload::builder()
                 .read(key.clone(), Version::new(i))
-                .write(key, Value::from(value))
+                .write(key, Value::from("v"))
                 .commit_version(Version::new(i + 1))
                 .build()
                 .expect("well-formed");
@@ -1195,8 +1157,7 @@ mod tests {
     }
 
     /// A log truncated at batch 1 or 32 and then restarted votes exactly
-    /// like one that never truncated and never restarted, whatever its
-    /// policy's `f_s` reads of committed payloads.
+    /// like one that never truncated and never restarted.
     #[test]
     fn restart_after_truncation_votes_like_a_log_that_never_truncated() {
         for policy in POLICIES {

@@ -142,6 +142,45 @@ fn a_lost_decision_pins_no_log_and_a_retry_releases_the_follower() {
     }
 }
 
+/// A ratc-rdma member restarted after a reconfiguration excluded it is in an
+/// older epoch than every peer. Its peers refuse its `Connect` handshake, and
+/// say so, so the restart quiesces at once: it does not resend its handshake
+/// every 25 ms until the retry cap gives up 10 s later.
+#[test]
+fn an_excluded_rdma_member_restarts_without_retrying_its_handshake() {
+    let mut cluster = ClusterSpec::new(StackKind::Rdma)
+        .with_shards(2)
+        .with_seed(1)
+        .build();
+    for i in 1..=12u64 {
+        cluster.submit(TxId::new(i), rw(&format!("k{i}")));
+    }
+    cluster.run_to_quiescence();
+    let shard = ShardId::new(0);
+    let view = cluster.shard_view(shard);
+    let leader = view.leader.expect("leader");
+    let follower = *view
+        .members
+        .iter()
+        .find(|p| **p != leader)
+        .expect("follower");
+    cluster.crash(follower);
+    cluster.start_reconfiguration(shard, leader, vec![follower]);
+    cluster.run_to_quiescence();
+    assert!(!cluster.shard_view(shard).members.contains(&follower));
+
+    let before = cluster.now();
+    assert!(cluster.restart(follower));
+    cluster.run_to_quiescence();
+    let took = cluster.now().as_micros() - before.as_micros();
+    assert!(
+        took <= 100_000,
+        "the restart kept the world busy for {took} µs"
+    );
+    assert_eq!(cluster.metrics().counter("connect_rounds_abandoned"), 0);
+    assert!(cluster.client_violations().is_empty());
+}
+
 /// Records what it is sent; plays the coordinator a client answers to.
 struct Recorder<M>(Vec<(ProcessId, M)>);
 

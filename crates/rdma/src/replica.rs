@@ -47,9 +47,11 @@ const CONNECT_RETRY_TICK: TimerTag = 5;
 /// Interval between `Connect` handshake retries.
 const CONNECT_RETRY: SimDuration = SimDuration::from_millis(25);
 
-/// Handshake retries after which unanswered peers are given up on (10
-/// simulated seconds): bounds the event queue when a peer is gone for good;
-/// a later restart or reconfiguration starts a fresh round.
+/// Handshake retries after which unanswered peers are given up on: 10 s of
+/// the engine's clock, virtual on Sim and real on Threads. Bounds the event
+/// queue when a peer is gone for good; a later restart or reconfiguration
+/// starts a fresh round. A peer in a newer epoch refuses at once (see
+/// `handle_connect`), so only a crashed or cut-off peer runs to the cap.
 const CONNECT_RETRY_CAP: u32 = 400;
 
 /// How reconfiguration is performed.
@@ -713,8 +715,20 @@ impl Member {
         // crux of §5's correctness), and a crash-restarted process still in
         // an old epoch must first catch up — via its configuration-service
         // poll, a probe, or `NEW_STATE` — before its handshake (sent with
-        // its then-current epoch) is accepted.
+        // its then-current epoch) is accepted. It is told so, though: an ack
+        // carrying our newer epoch, which opens nothing on either side and
+        // ends its retries to us instead of letting them run to the cap.
         if epoch < self.epoch {
+            if !is_ack {
+                ctx.send(from, RdmaMsg::ConnectAck { epoch: self.epoch });
+            }
+            return;
+        }
+        // An ack from a newer epoch than ours is such a refusal: an admitted
+        // `Connect` is acked with the acker's epoch, never above the
+        // connector's. The refuser stays pending no more, and stays closed.
+        if is_ack && epoch > self.epoch {
+            self.pending_connects.remove(&from);
             return;
         }
         // Re-open even if the peer was already believed connected: the peer

@@ -2,28 +2,106 @@
 //!
 //! `ratc-types` ships two formulations of every certification policy: the
 //! paper's *set-based* functions (`f_s`/`g_s` over explicit payload slices)
-//! and the *incremental* [`IndexedCertifier`](ratc_types::IndexedCertifier)
-//! that `ratc-core`'s `CertificationLog` maintains at phase transitions. The
-//! set-based functions are the specification; the index is an optimisation
-//! whose soundness rests on distributivity (property (1) of the paper). This
-//! module checks the two against each other *vote-for-vote* on randomized
-//! certification schedules that exercise everything the protocols can throw
-//! at a log:
+//! and the *incremental* [`IndexedCertifier`] that every stack votes
+//! through. The set-based functions are the specification; the index is an
+//! optimisation whose soundness rests on distributivity (property (1) of the
+//! paper). This module holds the oracle, [`MirrorCertifier`], which evaluates
+//! the set-based functions verbatim behind the incremental interface, and two
+//! walks that check an index against the specification *vote-for-vote*:
 //!
-//! * appends of prepared entries with commit and abort votes,
-//! * out-of-order stores that create holes (follower behaviour),
-//! * commit and abort decides in random order, including decides of holes,
-//! * adversarial decided-commit slots whose vote was abort.
+//! * [`differential_vote_check`] drives a `CertificationLog` (the RATC
+//!   stacks' owner of the index) and compares its votes with scans of the
+//!   log: appends of prepared entries with commit and abort votes,
+//!   out-of-order stores that create holes (follower behaviour), commit and
+//!   abort decides in random order, including decides of holes, and
+//!   adversarial decided-commit slots whose vote was abort;
+//! * [`differential_transition_check`] drives an index and the mirror
+//!   directly with the baseline's alphabet: `prepare`, `release` and
+//!   `apply_committed` at sparse transaction-id positions, decisions out of
+//!   order, duplicated `prepare`/`apply_committed` (a re-delivered Paxos
+//!   `Chosen`), and `clear_prepared` followed by a replay of the chosen
+//!   votes (a restart).
 //!
-//! The walk is driven by the workspace's deterministic RNG, so every failure
-//! is reproducible from its seed.
+//! Both walks are driven by the workspace's deterministic RNG, so every
+//! failure is reproducible from its seed.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use ratc_core::log::{CertificationLog, LogEntry, TxPhase};
 use ratc_types::{
-    CertificationPolicy, Decision, Key, Payload, Position, ProcessId, ShardId, TxId, Value, Version,
+    CertificationPolicy, Decision, IndexedCertifier, Key, Payload, Position, ProcessId,
+    ShardCertifier, ShardId, TxId, Value, Version,
 };
+
+/// Set-based [`IndexedCertifier`]: it keeps the maintained sets as plain
+/// payload collections and delegates every check to the policy's pure
+/// [`ShardCertifier`].
+///
+/// This is the *reference implementation* of the incremental interface and
+/// the oracle the differential walks compare the real indexes against: it
+/// evaluates the paper's functions verbatim, so it is correct for any
+/// policy, but it costs O(|log| · |payload|) per vote and keeps every
+/// committed payload it is given. No stack votes through it; a policy whose
+/// `f_s` admits no per-key summary (a test policy reading committed values,
+/// say) returns it from `CertificationPolicy::indexed_certifier`. It keeps
+/// `L1` across `clear_prepared`, so it stays verbatim when its owner
+/// truncates the log or restarts.
+#[derive(Debug, Clone)]
+pub struct MirrorCertifier {
+    certifier: Arc<dyn ShardCertifier>,
+    committed: BTreeMap<u64, Payload>,
+    prepared: BTreeMap<u64, Payload>,
+}
+
+impl MirrorCertifier {
+    /// Creates an empty mirror delegating to `certifier`.
+    pub fn new(certifier: Arc<dyn ShardCertifier>) -> Self {
+        MirrorCertifier {
+            certifier,
+            committed: BTreeMap::new(),
+            prepared: BTreeMap::new(),
+        }
+    }
+}
+
+impl IndexedCertifier for MirrorCertifier {
+    fn apply_committed(&mut self, pos: Position, payload: &Payload) {
+        self.committed
+            .entry(pos.as_u64())
+            .or_insert_with(|| payload.clone());
+    }
+
+    fn prepare(&mut self, pos: Position, payload: &Payload) {
+        self.prepared
+            .entry(pos.as_u64())
+            .or_insert_with(|| payload.clone());
+    }
+
+    fn release(&mut self, pos: Position) {
+        self.prepared.remove(&pos.as_u64());
+    }
+
+    fn certify_committed(&self, payload: &Payload) -> Decision {
+        let refs: Vec<&Payload> = self.committed.values().collect();
+        self.certifier.certify_committed(&refs, payload)
+    }
+
+    fn certify_prepared(&self, payload: &Payload) -> Decision {
+        let refs: Vec<&Payload> = self.prepared.values().collect();
+        self.certifier.certify_prepared(&refs, payload)
+    }
+
+    fn clear_prepared(&mut self) {
+        self.prepared.clear();
+    }
+
+    fn clone_box(&self) -> Box<dyn IndexedCertifier> {
+        Box::new(self.clone())
+    }
+}
 
 /// Statistics of one differential walk, for test-output visibility.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,7 +118,9 @@ pub struct DifferentialReport {
 
 /// Draws a random payload over a small key universe (so conflicts actually
 /// happen): 1–3 reads, 0–2 writes (each written key is also read), and a
-/// commit version in `1..version_bound`.
+/// commit version in `1..version_bound`. A payload whose commit version is a
+/// multiple of 5 writes the value `"tombstone"`, any other `"w"`, so a policy
+/// whose `f_s` reads committed values sees both.
 pub fn random_payload(rng: &mut ChaCha12Rng, key_universe: u32, version_bound: u64) -> Payload {
     let mut builder = Payload::builder();
     let reads = rng.gen_range(1..=3usize);
@@ -51,11 +131,17 @@ pub fn random_payload(rng: &mut ChaCha12Rng, key_universe: u32, version_bound: u
         read_keys.push(key);
     }
     let writes = rng.gen_range(0..=2usize).min(read_keys.len());
+    let commit_version = rng.gen_range(1..version_bound);
+    let value = if commit_version % 5 == 0 {
+        "tombstone"
+    } else {
+        "w"
+    };
     for key in read_keys.into_iter().take(writes) {
-        builder = builder.write(key, Value::from("w"));
+        builder = builder.write(key, Value::from(value));
     }
     builder
-        .commit_version(Version::new(rng.gen_range(1..version_bound)))
+        .commit_version(Version::new(commit_version))
         .build_unchecked()
 }
 
@@ -182,6 +268,170 @@ pub fn differential_vote_check(
     Ok(report)
 }
 
+/// Statistics of one [`differential_transition_check`] walk.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TransitionReport {
+    /// Schedule steps executed.
+    pub steps: usize,
+    /// Votes compared, each as its `f_s` and `g_s` halves.
+    pub votes_checked: usize,
+    /// Decisions applied, in random order.
+    pub decides: usize,
+    /// Chosen votes re-delivered (duplicated `prepare`/`apply_committed`).
+    pub redeliveries: usize,
+    /// Restarts: `clear_prepared` followed by a replay of the chosen votes.
+    pub restarts: usize,
+}
+
+/// One chosen vote of the walk's durable log: the transaction, its payload,
+/// its vote and, once decided, its decision.
+struct Chosen {
+    tx: TxId,
+    payload: Payload,
+    vote: Decision,
+    decision: Option<Decision>,
+}
+
+/// Drives `policy`'s index and a [`MirrorCertifier`] over the same shard
+/// certifier with the baseline replica's transitions, comparing `f_s` and
+/// `g_s` on every certified payload and on random candidates after every
+/// step.
+///
+/// A transaction's position is its id, and ids are sparse. A vote is chosen
+/// and prepared when it commits; decisions arrive in random order and
+/// release, then commit, their transaction; a re-delivered chosen vote
+/// prepares an undecided commit vote again and applies a decided commit
+/// again; a restart empties the prepared sets and replays every chosen vote
+/// the same way, keeping the committed sets.
+///
+/// # Errors
+///
+/// Returns a description of the first divergence (including the seed), or
+/// the walk's statistics on success.
+pub fn differential_transition_check(
+    policy: &dyn CertificationPolicy,
+    seed: u64,
+    steps: usize,
+) -> Result<TransitionReport, String> {
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let shard = ShardId::new(0);
+    let mut index = policy.indexed_certifier(shard);
+    let mut mirror = MirrorCertifier::new(policy.shard_certifier(shard));
+    let mut chosen: Vec<Chosen> = Vec::new();
+    let mut undecided: Vec<usize> = Vec::new();
+    let mut report = TransitionReport::default();
+    let mut next_tx = 0u64;
+
+    // The replica's `apply_chosen`: a decided commit is applied (again), an
+    // undecided commit vote is prepared (again).
+    let apply_chosen =
+        |index: &mut dyn IndexedCertifier, mirror: &mut MirrorCertifier, c: &Chosen| {
+            let pos = Position::new(c.tx.as_u64());
+            match (c.decision, c.vote) {
+                (Some(Decision::Commit), _) => {
+                    index.apply_committed(pos, &c.payload);
+                    mirror.apply_committed(pos, &c.payload);
+                }
+                (None, Decision::Commit) => {
+                    index.prepare(pos, &c.payload);
+                    mirror.prepare(pos, &c.payload);
+                }
+                (Some(Decision::Abort), _) | (None, Decision::Abort) => {}
+            }
+        };
+    let compare = |index: &dyn IndexedCertifier,
+                   mirror: &MirrorCertifier,
+                   candidate: &Payload,
+                   step: usize|
+     -> Result<Decision, String> {
+        let lhs = (
+            index.certify_committed(candidate),
+            index.certify_prepared(candidate),
+        );
+        let rhs = (
+            mirror.certify_committed(candidate),
+            mirror.certify_prepared(candidate),
+        );
+        if lhs != rhs {
+            return Err(format!(
+                "policy {} diverged at seed {seed} step {step}: index (f_s, g_s) {lhs:?} vs \
+                 mirror {rhs:?} for candidate {candidate}",
+                policy.name()
+            ));
+        }
+        Ok(lhs.0.meet(lhs.1))
+    };
+
+    for step in 0..steps {
+        report.steps += 1;
+        match rng.gen_range(0..10u32) {
+            // The leader certifies a transaction; its vote is chosen, and a
+            // commit vote is prepared.
+            0..=3 => {
+                next_tx += rng.gen_range(1..=1_000u64);
+                let payload = random_payload(&mut rng, 8, 16);
+                let vote = compare(&*index, &mirror, &payload, step)?;
+                report.votes_checked += 1;
+                let c = Chosen {
+                    tx: TxId::new(next_tx),
+                    payload,
+                    vote,
+                    decision: None,
+                };
+                apply_chosen(&mut *index, &mut mirror, &c);
+                undecided.push(chosen.len());
+                chosen.push(c);
+            }
+            // A decision arrives, out of order: the transaction leaves the
+            // prepared set, and a commit enters the committed set.
+            4..=6 if !undecided.is_empty() => {
+                let c = &mut chosen[undecided.swap_remove(rng.gen_range(0..undecided.len()))];
+                let decision = match c.vote {
+                    Decision::Commit if rng.gen_bool(0.7) => Decision::Commit,
+                    Decision::Commit | Decision::Abort => Decision::Abort,
+                };
+                let pos = Position::new(c.tx.as_u64());
+                index.release(pos);
+                mirror.release(pos);
+                if decision == Decision::Commit {
+                    index.apply_committed(pos, &c.payload);
+                    mirror.apply_committed(pos, &c.payload);
+                }
+                c.decision = Some(decision);
+                report.decides += 1;
+            }
+            // A chosen vote is re-delivered (a `Chosen` after a ballot
+            // change), or a decision is: both must be no-ops.
+            7..=8 if !chosen.is_empty() => {
+                let c = &chosen[rng.gen_range(0..chosen.len())];
+                apply_chosen(&mut *index, &mut mirror, c);
+                if c.decision.is_some() {
+                    let pos = Position::new(c.tx.as_u64());
+                    index.release(pos);
+                    mirror.release(pos);
+                }
+                report.redeliveries += 1;
+            }
+            // A restart: the lock tables go, the committed sets stay, and
+            // the durable log of chosen votes is replayed.
+            _ => {
+                index.clear_prepared();
+                mirror.clear_prepared();
+                for c in &chosen {
+                    apply_chosen(&mut *index, &mut mirror, c);
+                }
+                report.restarts += 1;
+            }
+        }
+        for _ in 0..3 {
+            let candidate = random_payload(&mut rng, 8, 16);
+            compare(&*index, &mirror, &candidate, step)?;
+            report.votes_checked += 1;
+        }
+    }
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,26 +455,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mirror_fallback_agrees_with_reference() {
-        use std::sync::Arc;
-        /// A policy that does not override `indexed_certifier`, exercising the
-        /// `MirrorCertifier` default through the same schedules.
-        #[derive(Debug)]
-        struct Plain;
-        impl CertificationPolicy for Plain {
-            fn certify(&self, committed: &[&Payload], payload: &Payload) -> Decision {
-                Serializability::new().certify(committed, payload)
-            }
-            fn shard_certifier(&self, shard: ShardId) -> Arc<dyn ratc_types::ShardCertifier> {
-                Serializability::new().shard_certifier(shard)
-            }
-            fn name(&self) -> &'static str {
-                "plain-serializability"
-            }
+    /// A policy whose index is the mirror over serializability's `f_s` and
+    /// `g_s`, returned explicitly: no policy gets it by default.
+    #[derive(Debug)]
+    struct Mirrored;
+
+    impl CertificationPolicy for Mirrored {
+        fn certify(&self, committed: &[&Payload], payload: &Payload) -> Decision {
+            Serializability::new().certify(committed, payload)
         }
+        fn shard_certifier(&self, shard: ShardId) -> Arc<dyn ShardCertifier> {
+            Serializability::new().shard_certifier(shard)
+        }
+        fn indexed_certifier(&self, shard: ShardId) -> Box<dyn IndexedCertifier> {
+            Box::new(MirrorCertifier::new(self.shard_certifier(shard)))
+        }
+        fn name(&self) -> &'static str {
+            "mirrored-serializability"
+        }
+    }
+
+    /// The mirror, owned by a certification log, votes like the scans of
+    /// that log through the same schedules as the built-in indexes.
+    #[test]
+    fn mirror_agrees_with_reference() {
         for seed in 0..8 {
-            differential_vote_check(&Plain, seed, 80).unwrap_or_else(|e| panic!("{e}"));
+            differential_vote_check(&Mirrored, seed, 80).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    fn payload(reads: &[(&str, u64)], writes: &[&str], vc: u64) -> Payload {
+        let mut b = Payload::builder();
+        for (k, v) in reads {
+            b = b.read(Key::new(*k), Version::new(*v));
+        }
+        for k in writes {
+            b = b.write(Key::new(*k), Value::from("w"));
+        }
+        b.commit_version(Version::new(vc)).build_unchecked()
+    }
+
+    /// The mirror's sets are the slices the pure functions are handed, and a
+    /// restart empties `L2` only.
+    #[test]
+    fn mirror_certifier_is_reference_equivalent() {
+        let certifier = Serializability::new().shard_certifier(ShardId::new(0));
+        let mut mirror = MirrorCertifier::new(Arc::clone(&certifier));
+        let committed = payload(&[("x", 0)], &["x"], 5);
+        let prepared = payload(&[("y", 0)], &["y"], 6);
+        mirror.apply_committed(Position::new(0), &committed);
+        mirror.prepare(Position::new(1), &prepared);
+        let candidates = [
+            payload(&[("x", 2)], &[], 0),
+            payload(&[("x", 5)], &[], 0),
+            payload(&[("y", 0)], &[], 0),
+            payload(&[("z", 0)], &["z"], 9),
+        ];
+        for candidate in &candidates {
+            assert_eq!(
+                mirror.vote(candidate),
+                certifier.vote(&[&committed], &[&prepared], candidate),
+                "{candidate}"
+            );
+        }
+        mirror.clear_prepared();
+        for candidate in &candidates {
+            assert_eq!(
+                mirror.vote(candidate),
+                certifier.vote(&[&committed], &[], candidate),
+                "{candidate} after a restart"
+            );
+        }
+    }
+
+    #[test]
+    fn both_indexes_agree_with_the_mirror_on_the_baselines_transitions() {
+        for policy in [
+            &Serializability::new() as &dyn CertificationPolicy,
+            &WriteConflict::new(),
+        ] {
+            let mut totals = TransitionReport::default();
+            for seed in 0..16 {
+                let report = differential_transition_check(policy, seed, 200)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                totals.votes_checked += report.votes_checked;
+                totals.decides += report.decides;
+                totals.redeliveries += report.redeliveries;
+                totals.restarts += report.restarts;
+            }
+            let TransitionReport {
+                votes_checked,
+                decides,
+                redeliveries,
+                restarts,
+                ..
+            } = totals;
+            assert!(votes_checked >= 16 * 600, "{totals:?}");
+            assert!(
+                decides > 0 && redeliveries > 0 && restarts > 0,
+                "{totals:?}"
+            );
         }
     }
 

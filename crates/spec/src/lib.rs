@@ -18,8 +18,10 @@
 //!   certification data;
 //! * [`serializability`] — an end-to-end conflict-serializability check over
 //!   committed read/write payloads, used by the key-value store examples;
-//! * [`indexed`] — differential testing of the incremental certification
-//!   index against the paper's set-based certification functions;
+//! * [`indexed`] — the set-based oracle [`MirrorCertifier`] and differential
+//!   testing of the incremental certification index against it and against
+//!   the paper's set-based certification functions, with the RATC logs' and
+//!   the baseline's transitions;
 //! * [`truncation`] — differential testing of checkpointed log truncation:
 //!   a truncating log must agree vote-for-vote (and position-for-position)
 //!   with an untruncated mirror on randomized schedules;
@@ -60,7 +62,10 @@ pub use batching::{differential_batching_check, BatchingReport, BatchingScenario
 pub use chaos::{check_chaos_run, check_liveness, ChaosVerdict};
 pub use conformance::{check_conformance, ConformanceReport};
 pub use correctness::{check_history, SpecViolation};
-pub use indexed::{differential_vote_check, DifferentialReport};
+pub use indexed::{
+    differential_transition_check, differential_vote_check, DifferentialReport, MirrorCertifier,
+    TransitionReport,
+};
 pub use serializability::check_conflict_serializable;
 pub use tcsll::{ShardCertificationData, TcsLlViolation};
 pub use truncation::{differential_truncation_check, TruncationReport};

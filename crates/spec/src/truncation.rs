@@ -270,7 +270,74 @@ pub fn differential_truncation_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratc_types::{Serializability, WriteConflict};
+    use std::sync::Arc;
+
+    use ratc_types::{
+        IndexedCertifier, Key, Payload, Serializability, ShardCertifier, Value, WriteConflict,
+    };
+
+    use crate::indexed::MirrorCertifier;
+
+    /// A policy whose `f_s` reads committed values, not only versions: a
+    /// transaction that reads a key some committed transaction wrote
+    /// `"tombstone"` aborts. A per-key newest-writer summary cannot answer
+    /// it; only an index that keeps the committed payloads can, so its index
+    /// is the mirror.
+    #[derive(Debug)]
+    struct Tombstones;
+
+    impl ShardCertifier for Tombstones {
+        fn certify_committed(&self, committed: &[&Payload], payload: &Payload) -> Decision {
+            let tombstone = Value::from("tombstone");
+            let buried = |key: &Key| {
+                committed
+                    .iter()
+                    .any(|c| c.writes().any(|(k, v)| k == key && *v == tombstone))
+            };
+            match payload.reads().any(|(key, _)| buried(key)) {
+                true => Decision::Abort,
+                false => Decision::Commit,
+            }
+        }
+
+        fn certify_prepared(&self, prepared: &[&Payload], payload: &Payload) -> Decision {
+            let locked = |key: &Key| prepared.iter().any(|p| p.writes_key(key));
+            match payload.reads().any(|(key, _)| locked(key)) {
+                true => Decision::Abort,
+                false => Decision::Commit,
+            }
+        }
+    }
+
+    impl CertificationPolicy for Tombstones {
+        fn certify(&self, committed: &[&Payload], payload: &Payload) -> Decision {
+            ShardCertifier::certify_committed(self, committed, payload)
+        }
+        fn shard_certifier(&self, _shard: ShardId) -> Arc<dyn ShardCertifier> {
+            Arc::new(Tombstones)
+        }
+        fn indexed_certifier(&self, shard: ShardId) -> Box<dyn IndexedCertifier> {
+            Box::new(MirrorCertifier::new(self.shard_certifier(shard)))
+        }
+        fn name(&self) -> &'static str {
+            "tombstones"
+        }
+    }
+
+    /// Truncation and restarts keep `L1` whatever a policy's `f_s` reads of
+    /// committed payloads: the truncating log restarts, and votes like the
+    /// untruncated one, over the mirror of a value-reading policy.
+    #[test]
+    fn tombstones_truncating_log_agrees_with_mirror() {
+        let mut totals = TruncationReport::default();
+        for seed in 0..24 {
+            let report = differential_truncation_check(&Tombstones, seed, 150)
+                .unwrap_or_else(|e| panic!("{e}"));
+            totals.truncations += report.truncations;
+            totals.restarts += report.restarts;
+        }
+        assert!(totals.truncations > 0 && totals.restarts > 0, "{totals:?}");
+    }
 
     #[test]
     fn serializability_truncating_log_agrees_with_mirror() {

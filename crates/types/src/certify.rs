@@ -23,7 +23,9 @@
 //!   used by the property-based test suites;
 //! * [`IndexedCertifier`] and its implementations — *incremental* certifiers
 //!   answering the per-transaction vote `f_s(L1, l) ⊓ g_s(L2, l)` in
-//!   O(|payload|) instead of rescanning the whole certification log.
+//!   O(|payload|) instead of rescanning the whole certification log. Every
+//!   stack votes through one, obtained from
+//!   [`CertificationPolicy::indexed_certifier`].
 //!
 //! # Incremental certification
 //!
@@ -49,8 +51,11 @@
 //!
 //! Commutation (5) and "`g_s` no weaker than `f_s`" (4) are properties of the
 //! per-payload checks themselves and are untouched by how the sets are
-//! summarised; the differential test-suite in `ratc-spec` checks all of this
-//! vote-for-vote against the set-based reference on randomized schedules.
+//! summarised. The set-based functions stay the specification: `ratc-spec`
+//! holds `MirrorCertifier`, an [`IndexedCertifier`] that evaluates them
+//! verbatim over the full sets, and its differential suite checks both
+//! built-in indexes against it vote-for-vote on randomized schedules,
+//! including the baseline's transition alphabet.
 
 use std::fmt;
 use std::sync::Arc;
@@ -104,17 +109,17 @@ pub trait CertificationPolicy: fmt::Debug + Send + Sync {
     /// Returns the shard-local certifier `(f_s, g_s)` for `shard`.
     fn shard_certifier(&self, shard: ShardId) -> Arc<dyn ShardCertifier>;
 
-    /// Returns an *incremental* certifier for `shard`, answering the leader's
-    /// vote in O(|payload|) (see the module docs).
+    /// Returns the *incremental* certifier for `shard`: the one vote path of
+    /// every stack, answering the leader's vote in O(|payload|) (see the
+    /// module docs).
     ///
-    /// The default implementation wraps [`CertificationPolicy::shard_certifier`]
-    /// in a [`MirrorCertifier`], which is correct for any policy but keeps the
-    /// set-based O(|log|) cost; policies whose certification functions admit a
-    /// per-key summary (both built-in policies do) override this with a true
-    /// index.
-    fn indexed_certifier(&self, shard: ShardId) -> Box<dyn IndexedCertifier> {
-        Box::new(MirrorCertifier::new(self.shard_certifier(shard)))
-    }
+    /// There is no default: a policy says how it votes. Both built-in
+    /// policies return a per-key index. A policy whose `f_s` or `g_s` admits
+    /// no such summary can return `ratc-spec`'s set-based `MirrorCertifier`
+    /// over [`CertificationPolicy::shard_certifier`], which is correct for
+    /// any policy but costs O(|log|) per vote; the workspace does so only in
+    /// tests.
+    fn indexed_certifier(&self, shard: ShardId) -> Box<dyn IndexedCertifier>;
 
     /// A short human-readable name for reports and benchmark output.
     fn name(&self) -> &'static str;
@@ -365,7 +370,8 @@ impl ShardCertifier for WriteConflictShard {
 ///
 /// Implementations must agree vote-for-vote with the set-based
 /// [`ShardCertifier`] of the same policy; `ratc-spec`'s differential suite
-/// enforces this on randomized schedules with out-of-order decides and holes.
+/// enforces this against its `MirrorCertifier` on randomized schedules with
+/// out-of-order decides, holes, duplicated transitions and restarts.
 pub trait IndexedCertifier: fmt::Debug + Send + Sync {
     /// Adds the payload of the transaction decided *commit* at `pos` to the
     /// committed set `L1`.
@@ -636,85 +642,6 @@ impl IndexedCertifier for IndexedWriteConflict {
 
     fn clear_prepared(&mut self) {
         self.locks.clear();
-    }
-
-    fn clone_box(&self) -> Box<dyn IndexedCertifier> {
-        Box::new(self.clone())
-    }
-}
-
-/// Set-based [`IndexedCertifier`] that mirrors the maintained sets as plain
-/// payload collections and delegates every check to the policy's pure
-/// [`ShardCertifier`].
-///
-/// This is the *reference implementation* of the incremental interface: it is
-/// trivially correct (it evaluates the paper's functions verbatim) but keeps
-/// the O(|log| · |payload|) cost. It serves as
-///
-/// * the default [`CertificationPolicy::indexed_certifier`] for third-party
-///   policies that do not provide a true index, and
-/// * the oracle the differential tests compare the real indexes against.
-///
-/// It keeps every committed payload it is given, so it stays verbatim for
-/// every policy when its owner truncates the log: `L1` lives here, not in the
-/// log's checkpoint.
-#[derive(Debug)]
-pub struct MirrorCertifier {
-    certifier: Arc<dyn ShardCertifier>,
-    committed: std::collections::BTreeMap<u64, Payload>,
-    prepared: std::collections::BTreeMap<u64, Payload>,
-}
-
-impl MirrorCertifier {
-    /// Creates an empty mirror delegating to `certifier`.
-    pub fn new(certifier: Arc<dyn ShardCertifier>) -> Self {
-        MirrorCertifier {
-            certifier,
-            committed: std::collections::BTreeMap::new(),
-            prepared: std::collections::BTreeMap::new(),
-        }
-    }
-}
-
-impl Clone for MirrorCertifier {
-    fn clone(&self) -> Self {
-        MirrorCertifier {
-            certifier: Arc::clone(&self.certifier),
-            committed: self.committed.clone(),
-            prepared: self.prepared.clone(),
-        }
-    }
-}
-
-impl IndexedCertifier for MirrorCertifier {
-    fn apply_committed(&mut self, pos: Position, payload: &Payload) {
-        self.committed
-            .entry(pos.as_u64())
-            .or_insert_with(|| payload.clone());
-    }
-
-    fn prepare(&mut self, pos: Position, payload: &Payload) {
-        self.prepared
-            .entry(pos.as_u64())
-            .or_insert_with(|| payload.clone());
-    }
-
-    fn release(&mut self, pos: Position) {
-        self.prepared.remove(&pos.as_u64());
-    }
-
-    fn certify_committed(&self, payload: &Payload) -> Decision {
-        let refs: Vec<&Payload> = self.committed.values().collect();
-        self.certifier.certify_committed(&refs, payload)
-    }
-
-    fn certify_prepared(&self, payload: &Payload) -> Decision {
-        let refs: Vec<&Payload> = self.prepared.values().collect();
-        self.certifier.certify_prepared(&refs, payload)
-    }
-
-    fn clear_prepared(&mut self) {
-        self.prepared.clear();
     }
 
     fn clone_box(&self) -> Box<dyn IndexedCertifier> {
@@ -1134,9 +1061,6 @@ mod tests {
         let indexes = [
             Serializability::new().indexed_certifier(ShardId::new(0)),
             WriteConflict::new().indexed_certifier(ShardId::new(0)),
-            Box::new(MirrorCertifier::new(
-                Serializability::new().shard_certifier(ShardId::new(0)),
-            )),
         ];
         for mut indexed in indexes {
             indexed.apply_committed(Position::new(0), &payload(&[("x", 0)], &[("x", "1")], 5));
@@ -1147,30 +1071,6 @@ mod tests {
             assert_eq!(indexed.vote(&fresh), Decision::Commit, "{indexed:?}");
             let stale = payload(&[("x", 0)], &[("x", "2")], 9);
             assert_eq!(indexed.vote(&stale), Decision::Abort, "{indexed:?}");
-        }
-    }
-
-    #[test]
-    fn mirror_certifier_is_reference_equivalent() {
-        #[derive(Debug)]
-        struct Custom;
-        impl CertificationPolicy for Custom {
-            fn certify(&self, committed: &[&Payload], payload: &Payload) -> Decision {
-                Serializability::new().certify(committed, payload)
-            }
-            fn shard_certifier(&self, _shard: ShardId) -> Arc<dyn ShardCertifier> {
-                Arc::new(SerializabilityShard)
-            }
-            fn name(&self) -> &'static str {
-                "custom"
-            }
-        }
-        // A policy without an override gets the mirror, which must agree with
-        // the pure functions.
-        let committed = vec![payload(&[("x", 0)], &[("x", "1")], 5)];
-        let prepared = vec![payload(&[("y", 0)], &[("y", "1")], 6)];
-        for candidate in [payload(&[("x", 2)], &[], 0), payload(&[("y", 0)], &[], 0)] {
-            assert_indexed_matches_reference(&Custom, &committed, &prepared, &candidate);
         }
     }
 

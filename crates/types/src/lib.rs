@@ -62,7 +62,7 @@ pub mod sharding;
 pub mod prelude {
     pub use crate::certify::{
         CertificationPolicy, IndexedCertifier, IndexedSerializability, IndexedWriteConflict,
-        MirrorCertifier, Serializability, ShardCertifier, WriteConflict,
+        Serializability, ShardCertifier, WriteConflict,
     };
     pub use crate::decision::{Decision, Vote};
     pub use crate::history::{HistoryAction, TcsHistory};
@@ -73,7 +73,7 @@ pub mod prelude {
 
 pub use certify::{
     CertificationPolicy, IndexedCertifier, IndexedSerializability, IndexedWriteConflict,
-    MirrorCertifier, Serializability, ShardCertifier, WriteConflict,
+    Serializability, ShardCertifier, WriteConflict,
 };
 pub use decision::{Decision, Vote};
 pub use hash::{FxHashMap, FxHasher};
