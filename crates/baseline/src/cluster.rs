@@ -58,7 +58,6 @@ impl Stack for BaselineStack {
                     .expect("replica");
                 replica.install(*pid, group.clone(), *pid == group[0], tm_leader);
                 replica.set_batching(config.batching);
-                replica.set_flow(config.flow);
             }
         }
         for pid in &topology.tm_group {
@@ -136,7 +135,6 @@ impl Stack for BaselineStack {
 mod tests {
     use super::*;
     use ratc_core::batch::BatchingConfig;
-    use ratc_core::flow::FlowControlConfig;
     use ratc_core::harness::TcsCluster;
     use ratc_sim::{SimDuration, SimTime};
     use ratc_types::{Decision, Key, Payload, Value, Version};
@@ -316,46 +314,34 @@ mod tests {
         assert!(cluster.client_violations().is_empty());
     }
 
-    /// Deterministic reproduction of the PR 6 congestive collapse, entirely
-    /// in virtual time. The simulator's default zero-cost handlers masked the
-    /// collapse (retries were free), so the world is given a per-message
-    /// service time, making every process a single-server queue. Under a
-    /// deep open-loop flood the legacy fixed-interval retry tick re-drives
-    /// every pending transaction every 20 ms — more work per tick than the
-    /// shard leader can serve per tick — and transactions stay undecided for
-    /// the whole (bounded) virtual-time budget. The same flood under the
-    /// flow-control layer (admission window + retry backoff) fully decides.
+    /// The congestive-collapse flood, entirely in virtual time. The
+    /// simulator's default zero-cost handlers make retries free, so the
+    /// world is given a per-message service time, making every process a
+    /// single-server queue. Re-driving every pending transaction on every
+    /// 20 ms tick would then cost the shard leader more work per tick than
+    /// it can serve; under the admission window and retry backoff the same
+    /// deep open-loop flood fully decides within the virtual-time budget.
     #[test]
     fn flow_control_fixes_the_simulated_congestive_collapse() {
-        let run = |flow: FlowControlConfig| {
-            let mut config = ClusterConfig::default()
-                .with_shards(1)
-                .with_seed(41)
-                .with_flow(flow)
-                .with_batching(BatchingConfig::disabled());
-            config.sim = config.sim.with_service_micros(200);
-            let mut cluster = deploy(1, config);
-            // Supercritical: re-driving every pending transaction costs the
-            // shard leader `total * service` = 200 ms of work per 20 ms tick.
-            let total = 1000u64;
-            for i in 0..total {
-                cluster.submit(TxId::new(i + 1), rw(&format!("k{i}")));
-            }
-            // Bounded virtual-time budget: ample for a healthy cluster, far
-            // past the point where a collapsing one would have recovered.
-            cluster.run_until(SimTime::ZERO + SimDuration::from_millis(5_000));
-            assert!(cluster.client_violations().is_empty());
-            total as usize - cluster.history().decide_count()
-        };
-        let undecided_legacy = run(FlowControlConfig::legacy());
-        assert!(
-            undecided_legacy > 0,
-            "pre-fix configuration must reproduce the collapse (all decided?)"
-        );
-        let undecided_fixed = run(FlowControlConfig::default());
+        let mut config = ClusterConfig::default()
+            .with_shards(1)
+            .with_seed(41)
+            .with_batching(BatchingConfig::disabled());
+        config.sim = config.sim.with_service_micros(200);
+        let mut cluster = deploy(1, config);
+        // Supercritical: re-driving every pending transaction would cost the
+        // shard leader `total * service` = 200 ms of work per 20 ms tick.
+        let total = 1000u64;
+        for i in 0..total {
+            cluster.submit(TxId::new(i + 1), rw(&format!("k{i}")));
+        }
+        // Bounded virtual-time budget: ample for a healthy cluster.
+        cluster.run_until(SimTime::ZERO + SimDuration::from_millis(5_000));
+        assert!(cluster.client_violations().is_empty());
         assert_eq!(
-            undecided_fixed, 0,
-            "flow control must fully decide the same flood"
+            cluster.history().decide_count(),
+            total as usize,
+            "flow control must fully decide the flood"
         );
     }
 

@@ -17,6 +17,10 @@
 //!   protocols, but every prepared vote is committed to the shard's
 //!   Multi-Paxos log (2 extra message delays) before it is reported back to
 //!   the transaction manager;
+//! * [`PaxosMember`] — one process's membership in a Paxos group: every
+//!   shard replica and every transaction-manager member holds one, so both
+//!   groups share the acceptor, learner, proposer, recovery and retransmit
+//!   code;
 //! * [`BaselineStack`] — this protocol's side of the deployment harness
 //!   (`ratc_core::harness::Deployment`); [`BaselineCluster`] is it deployed.
 //!
@@ -39,11 +43,13 @@
 )]
 
 pub mod cluster;
+pub mod group;
 pub mod messages;
 pub mod replica;
 pub mod tm;
 
 pub use cluster::{BaselineCluster, BaselineStack};
+pub use group::PaxosMember;
 pub use messages::{BaselineMsg, ShardCommand, TmCommand};
 pub use replica::BaselineShardReplica;
 pub use tm::TransactionManager;

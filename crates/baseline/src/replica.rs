@@ -3,13 +3,13 @@
 use std::collections::BTreeMap;
 
 use ratc_core::batch::{BatchingConfig, VoteBatcher, FLUSH_DELAY};
-use ratc_core::flow::FlowControlConfig;
-use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, TimerTag, TxMilestone};
+use ratc_paxos::{Outgoing, PaxosMsg};
+use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag, TxMilestone};
 use ratc_types::{
     CertificationPolicy, Decision, IndexedCertifier, Payload, Position, ProcessId, ShardId, TxId,
 };
 
+use crate::group::PaxosMember;
 use crate::messages::{BaselineMsg, ShardCommand, ShardVote};
 
 /// Timer tag used to flush a partially filled proposal batch.
@@ -27,6 +27,12 @@ const RETRANSMIT: ratc_sim::SimDuration = ratc_sim::SimDuration::from_millis(20)
 /// new proposal re-arms the timer.
 const RETRANSMIT_CAP: u32 = 1000;
 
+/// The position under which a transaction's index transitions are keyed:
+/// transaction ids are globally unique, so they stand in for log slots.
+fn pos(tx: TxId) -> Position {
+    Position::new(tx.as_u64())
+}
+
 /// A replica of one shard in the baseline design.
 ///
 /// Every replica is a Paxos acceptor of its shard's group; the distinguished
@@ -43,19 +49,20 @@ const RETRANSMIT_CAP: u32 = 1000;
 /// still needs) is retained. `prepared`/`in_flight` therefore hold payloads
 /// only for the undecided window, not the whole history.
 pub struct BaselineShardReplica {
-    id: ProcessId,
     shard: ShardId,
-    is_leader: bool,
     tm: ProcessId,
-    group: Vec<ProcessId>,
     /// Incremental certifier answering votes in O(|payload|). Transitions are
     /// keyed by transaction id (transaction ids are globally unique, so they
     /// serve as positions). Its committed summary `L1` is stable state; its
     /// lock table `L2` is volatile and rebuilt on restart.
     index: Box<dyn IndexedCertifier>,
-    acceptor: Acceptor<ShardCommand>,
-    proposer: Option<Proposer<ShardCommand>>,
-    log: ReplicatedLog<ShardCommand>,
+    /// This replica's membership in the shard's Paxos group. While a
+    /// restarted leader recovers, fresh certifications are deferred:
+    /// commands accepted before the crash carry votes whose certifier locks
+    /// are only re-established when the recovered slots are chosen, so
+    /// certifying against the not-yet-caught-up index could approve
+    /// conflicting transactions.
+    paxos: PaxosMember<ShardCommand>,
     /// Chosen votes of *undecided* transactions: tx -> (payload, vote).
     prepared: BTreeMap<TxId, (Payload, Decision)>,
     /// Transactions proposed but whose vote is not chosen yet.
@@ -63,17 +70,6 @@ pub struct BaselineShardReplica {
     /// Final decisions (payload-free): the only per-transaction state kept
     /// for the whole history.
     decisions: BTreeMap<TxId, Decision>,
-    phase1_started: bool,
-    /// Ballot round of the current proposer incarnation; bumped on restart so
-    /// a restarted leader re-establishes leadership with a fresh ballot.
-    ballot_round: u64,
-    /// `true` between a leader restart and the completion of Paxos log
-    /// recovery (phase 1 plus re-choosing every recovered slot). While set,
-    /// fresh certifications are deferred: commands accepted before the crash
-    /// carry votes whose certifier locks are only re-established when the
-    /// recovered slots are chosen, so certifying against the not-yet-caught-up
-    /// index could approve conflicting transactions.
-    recovering: bool,
     /// Batched log appends (see `ratc_core::batch`): certified votes are
     /// coalesced here and proposed as one Multi-Paxos command per batch.
     /// At `max_batch = 1` the batcher flushes on every push, i.e. one
@@ -83,11 +79,6 @@ pub struct BaselineShardReplica {
     retransmit_armed: bool,
     /// Consecutive retransmission ticks; capped by [`RETRANSMIT_CAP`].
     retransmit_ticks: u32,
-    /// Flow-control knobs (here: the Paxos retransmit backoff schedule).
-    flow: FlowControlConfig,
-    /// Backoff gating retransmissions; reset whenever a slot is chosen or a
-    /// fresh command is proposed.
-    retransmit_backoff: BackoffState,
 }
 
 impl BaselineShardReplica {
@@ -98,27 +89,17 @@ impl BaselineShardReplica {
         P: CertificationPolicy + ?Sized,
     {
         BaselineShardReplica {
-            id: ProcessId::new(u64::MAX),
             shard,
-            is_leader: false,
             tm: ProcessId::new(u64::MAX),
-            group: Vec::new(),
             index: policy.indexed_certifier(shard),
-            acceptor: Acceptor::new(ProcessId::new(u64::MAX)),
-            proposer: None,
-            log: ReplicatedLog::new(),
+            paxos: PaxosMember::new(ProcessId::new(u64::MAX), Vec::new(), false),
             prepared: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             decisions: BTreeMap::new(),
-            phase1_started: false,
-            ballot_round: 0,
-            recovering: false,
             batcher: VoteBatcher::new(BatchingConfig::default()),
             batch_timer_armed: false,
             retransmit_armed: false,
             retransmit_ticks: 0,
-            flow: FlowControlConfig::default(),
-            retransmit_backoff: BackoffState::default(),
         }
     }
 
@@ -127,39 +108,23 @@ impl BaselineShardReplica {
         self.batcher.set_config(batching);
     }
 
-    /// Installs the flow-control configuration (retransmit backoff).
-    pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.flow = flow;
-    }
-
     /// Installs the replica's identity, the shard's Paxos group, whether this
     /// replica is the group's leader, and the transaction manager's address.
     pub fn install(&mut self, id: ProcessId, group: Vec<ProcessId>, leader: bool, tm: ProcessId) {
-        self.id = id;
-        self.acceptor = Acceptor::new(id);
-        self.group = group.clone();
-        self.is_leader = leader;
+        self.paxos = PaxosMember::new(id, group, leader);
         self.tm = tm;
-        if leader {
-            self.proposer = Some(Proposer::new(id, group, 0));
-        }
-    }
-
-    /// This replica's shard.
-    pub fn shard(&self) -> ShardId {
-        self.shard
     }
 
     /// Whether this replica is its shard's leader.
     pub fn is_leader(&self) -> bool {
-        self.is_leader
+        self.paxos.leads()
     }
 
     /// Number of Multi-Paxos log slots chosen (replicated) at this replica's
     /// log view. With batched log appends each slot carries up to
     /// `max_batch` votes, so this counts commands, not transactions.
     pub fn chosen_slots(&self) -> usize {
-        self.log.len()
+        self.paxos.log().len()
     }
 
     /// Number of payload-bearing entries currently retained (undecided
@@ -174,11 +139,7 @@ impl BaselineShardReplica {
         self.decisions.len()
     }
 
-    fn route(
-        &self,
-        ctx: &mut Context<'_, BaselineMsg>,
-        out: Vec<(ProcessId, PaxosMsg<ShardCommand>)>,
-    ) {
+    fn route(&self, ctx: &mut Context<'_, BaselineMsg>, out: Outgoing<ShardCommand>) {
         let shard = self.shard;
         // Messages to ourselves go through the network like everyone else's,
         // keeping message accounting uniform.
@@ -187,33 +148,13 @@ impl BaselineShardReplica {
         }
     }
 
-    /// The position under which a transaction's index transitions are keyed:
-    /// transaction ids are globally unique, so they stand in for log slots.
-    fn index_pos(tx: TxId) -> Position {
-        Position::new(tx.as_u64())
-    }
-
-    // -- certifier transitions ----------------------------------------------
-
-    fn certifier_prepare(&mut self, tx: TxId, payload: &Payload) {
-        self.index.prepare(Self::index_pos(tx), payload);
-    }
-
-    fn certifier_release(&mut self, tx: TxId) {
-        self.index.release(Self::index_pos(tx));
-    }
-
-    fn certifier_commit(&mut self, tx: TxId, payload: &Payload) {
-        self.index.apply_committed(Self::index_pos(tx), payload);
-    }
-
     fn certify_and_propose(
         &mut self,
         tx: TxId,
         payload: Payload,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        if !self.is_leader {
+        if !self.paxos.leads() {
             return;
         }
         // Duplicate or re-transmitted PREPARE (lossy links, TM retries): the
@@ -236,18 +177,17 @@ impl BaselineShardReplica {
         }
         // A restarted leader must finish Paxos log recovery before certifying
         // anything new; the TM's retry tick re-delivers this PREPARE later.
-        if self.recovering {
-            let recovered = self.proposer.as_ref().map(|p| !p.has_pending()) == Some(true);
-            if !recovered {
-                self.arm_retransmit_timer(ctx);
-                return;
-            }
-            self.recovering = false;
-            ctx.ctrl_milestone(CtrlMilestone::Recovered, Some(self.shard), self.id.as_u64());
+        let Some(recovered_now) = self.paxos.recovered() else {
+            self.arm_retransmit_timer(ctx);
+            return;
+        };
+        if recovered_now {
+            let id = self.paxos.id().as_u64();
+            ctx.ctrl_milestone(CtrlMilestone::Recovered, Some(self.shard), id);
         }
         let vote = self.index.vote(&payload);
         if vote == Decision::Commit {
-            self.certifier_prepare(tx, &payload);
+            self.index.prepare(pos(tx), &payload);
         }
         self.in_flight.insert(tx, (payload.clone(), vote));
         // Batched log appends: coalesce certified votes into one Multi-Paxos
@@ -282,25 +222,11 @@ impl BaselineShardReplica {
                 ctx.obs_milestone(item.tx, TxMilestone::BatchFlush, items.len() as u64);
             }
         }
-        if !self.phase1_started {
-            self.phase1_started = true;
-            let out = self
-                .proposer
-                .as_mut()
-                .expect("leader has a proposer")
-                .start_phase1();
-            self.route(ctx, out);
-        }
-        let proposer = self.proposer.as_mut().expect("leader has a proposer");
-        let out = proposer.propose(ShardCommand {
+        let command = ShardCommand {
             items: items.into(),
-        });
+        };
+        let out = self.paxos.propose(command, ctx.now().as_micros());
         self.route(ctx, out);
-        // A fresh proposal is progress: retransmits return to the fast
-        // schedule.
-        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-        self.retransmit_backoff
-            .reset(&backoff, salt, ctx.now().as_micros());
         self.arm_retransmit_timer(ctx);
     }
 
@@ -308,16 +234,13 @@ impl BaselineShardReplica {
         // Called whenever new work arrives, which also resets the
         // fruitless-tick budget.
         self.retransmit_ticks = 0;
-        let pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retransmit_armed && pending {
+        if !self.retransmit_armed && self.paxos.has_pending() {
             ctx.set_timer(RETRANSMIT, RETRANSMIT_TICK);
             self.retransmit_armed = true;
         }
     }
 
-    /// Re-sends outstanding Paxos messages: a dropped `Prepare`/`Accept`
-    /// would otherwise strand its ballot or slot forever. Repeats are
-    /// idempotent at the acceptors.
+    /// Re-sends outstanding Paxos messages once their backoff is due.
     fn handle_retransmit_tick(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.retransmit_armed = false;
         self.retransmit_ticks += 1;
@@ -325,27 +248,15 @@ impl BaselineShardReplica {
             ctx.add_counter("retransmits_abandoned", 1);
             return;
         }
-        let now = ctx.now().as_micros();
-        let due = !self.flow.enabled || self.retransmit_backoff.due(now);
-        let pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !pending {
+        if !self.paxos.has_pending() {
             return;
         }
-        if due {
-            let proposer = self.proposer.as_mut().expect("checked above");
-            let out = proposer.retransmit();
-            self.route(ctx, out);
-            if self.flow.enabled {
-                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-                self.retransmit_backoff.fired(&backoff, salt, now);
-            }
-        }
+        let out = self.paxos.retransmit_if_due(ctx.now().as_micros());
+        self.route(ctx, out);
         // Keep ticking while work is outstanding: the backoff deadline, not
         // the tick, decides when the next retransmit actually goes out.
-        if !self.retransmit_armed {
-            ctx.set_timer(RETRANSMIT, RETRANSMIT_TICK);
-            self.retransmit_armed = true;
-        }
+        ctx.set_timer(RETRANSMIT, RETRANSMIT_TICK);
+        self.retransmit_armed = true;
     }
 
     /// Folds a chosen command (a batch of votes) into the replica state:
@@ -361,12 +272,12 @@ impl BaselineShardReplica {
         for item in command.items.iter() {
             if let Some(decision) = self.decisions.get(&item.tx).copied() {
                 if decision == Decision::Commit {
-                    self.certifier_commit(item.tx, &item.payload);
+                    self.index.apply_committed(pos(item.tx), &item.payload);
                 }
                 continue;
             }
             if item.vote == Decision::Commit {
-                self.certifier_prepare(item.tx, &item.payload);
+                self.index.prepare(pos(item.tx), &item.payload);
             }
             self.prepared
                 .entry(item.tx)
@@ -380,51 +291,30 @@ impl BaselineShardReplica {
         msg: PaxosMsg<ShardCommand>,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        // Acceptor role.
-        let out = self.acceptor.handle(from, msg.clone());
+        let (out, chosen) = self.paxos.handle(from, msg, ctx.now().as_micros());
         self.route(ctx, out);
-        // Learner role.
-        if let PaxosMsg::Chosen { slot, command } = &msg {
-            self.log.record_chosen(*slot, command.clone());
-            self.apply_chosen(command);
-        }
-        // Proposer role (leader only).
-        if let Some(proposer) = self.proposer.as_mut() {
-            let (out, chosen) = proposer.handle(msg);
-            let mut to_send = Vec::new();
-            for (slot, command) in chosen {
-                self.log.record_chosen(slot, command.clone());
-                let mut votes = Vec::with_capacity(command.items.len());
-                for item in command.items.iter() {
+        for (_, command) in chosen {
+            self.apply_chosen(&command);
+            if !self.paxos.leads() {
+                continue;
+            }
+            // The whole batch is now durable at a majority: report every
+            // vote to the TM in one message.
+            let votes = command
+                .items
+                .iter()
+                .map(|item| {
                     self.in_flight.remove(&item.tx);
-                    votes.push((item.tx, item.vote));
-                }
-                self.apply_chosen(&command);
-                // The whole batch is now durable at a majority: report every
-                // vote to the TM in one message.
-                to_send.push(BaselineMsg::VoteBatch {
-                    shard: self.shard,
-                    votes,
-                });
-            }
-            self.route(ctx, out);
-            let made_progress = !to_send.is_empty();
-            for msg in to_send {
-                ctx.send(self.tm, msg);
-            }
-            if made_progress {
-                // Slots were chosen: retransmits return to the fast schedule.
-                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-                self.retransmit_backoff
-                    .reset(&backoff, salt, ctx.now().as_micros());
-            }
+                    (item.tx, item.vote)
+                })
+                .collect();
+            let shard = self.shard;
+            ctx.send(self.tm, BaselineMsg::VoteBatch { shard, votes });
         }
     }
 }
 
 impl Actor<BaselineMsg> for BaselineShardReplica {
-    fn on_start(&mut self, _ctx: &mut Context<'_, BaselineMsg>) {}
-
     fn on_message(
         &mut self,
         from: ProcessId,
@@ -445,12 +335,10 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
                 // re-externalisation doubles as the retry for a relay lost
                 // to a faulty link; followers never relay, so there is no
                 // amplification loop.
-                if self.is_leader {
-                    for peer in self.group.clone() {
-                        if peer != self.id {
-                            ctx.send(peer, BaselineMsg::Decision { tx, decision });
-                        }
-                    }
+                if self.paxos.leads() {
+                    let id = self.paxos.id();
+                    let followers = self.paxos.group().iter().filter(|p| **p != id);
+                    ctx.send_to_many(followers.copied(), BaselineMsg::Decision { tx, decision });
                 }
                 // First decision wins; duplicates from a retrying TM are
                 // otherwise no-ops (the payload is already pruned).
@@ -462,9 +350,9 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
                     // the committed summary. Its payload is dropped — the
                     // index keeps the per-key residue, the decision map keeps
                     // the outcome.
-                    self.certifier_release(tx);
+                    self.index.release(pos(tx));
                     if decision == Decision::Commit {
-                        self.certifier_commit(tx, &payload);
+                        self.index.apply_committed(pos(tx), &payload);
                     }
                 }
                 // Recorded even if the vote is not chosen here yet: a later
@@ -508,26 +396,15 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
         self.batcher = VoteBatcher::new(self.batcher.config());
         self.batch_timer_armed = false;
         self.retransmit_armed = false;
-        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-        self.retransmit_backoff
-            .reset(&backoff, salt, ctx.now().as_micros());
-        self.phase1_started = false;
-        self.ballot_round += 1;
-        if self.is_leader {
-            let mut proposer = Proposer::new(self.id, self.group.clone(), self.ballot_round);
-            // Start log recovery immediately: phase 1 re-discovers commands
-            // accepted before the crash and re-chooses them, re-establishing
-            // their certifier locks through `apply_chosen`. Until that
-            // finishes, `certify_and_propose` defers fresh certifications.
-            let out = proposer.start_phase1();
-            self.phase1_started = true;
-            self.recovering = true;
-            self.proposer = Some(proposer);
-            self.route(ctx, out);
-            self.arm_retransmit_timer(ctx);
-        }
+        // A leader starts log recovery at once: re-chosen commands
+        // re-establish their certifier locks through `apply_chosen`, and
+        // `certify_and_propose` defers fresh certifications until it ends.
+        let out = self.paxos.restart(ctx.now().as_micros());
+        self.route(ctx, out);
+        self.arm_retransmit_timer(ctx);
         self.index.clear_prepared();
-        let commands: Vec<ShardCommand> = self.log.iter().map(|(_, c)| c.clone()).collect();
+        let log = self.paxos.log();
+        let commands: Vec<ShardCommand> = log.iter().map(|(_, c)| c.clone()).collect();
         for command in &commands {
             self.apply_chosen(command);
         }
@@ -538,7 +415,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
             .iter()
             .map(|(tx, (_, vote))| (*tx, *vote))
             .collect();
-        if self.is_leader && !votes.is_empty() {
+        if self.paxos.leads() && !votes.is_empty() {
             ctx.send(
                 self.tm,
                 BaselineMsg::VoteBatch {

@@ -4,10 +4,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
-use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
-use ratc_sim::{Actor, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_paxos::{Outgoing, PaxosMsg};
+use ratc_sim::{
+    Actor, BackoffPolicy, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone,
+};
 use ratc_types::{Decision, Payload, Placement, ProcessId, ShardId, ShardMap, TxId};
 
+use crate::group::PaxosMember;
 use crate::messages::{BaselineMsg, TmCommand};
 
 /// Timer tag re-driving in-flight transactions (re-sending `PREPARE` to
@@ -30,7 +33,7 @@ struct PendingTx {
     placement: Placement,
     votes: BTreeMap<ShardId, Decision>,
     proposed: bool,
-    /// When this transaction's next certify-retry is due (flow control only).
+    /// When this transaction's next certify-retry is due.
     backoff: BackoffState,
 }
 
@@ -44,69 +47,48 @@ struct PendingTx {
 /// the 7-message-delay critical path the paper attributes to the vanilla
 /// approach.
 pub struct TransactionManager {
-    id: ProcessId,
-    is_leader: bool,
     /// The leader of the transaction-manager group; non-leader members
     /// forward `CERTIFY` requests here, so a client (or the unified harness)
     /// may submit through any group member.
     leader: ProcessId,
-    group: Vec<ProcessId>,
     shard_leaders: BTreeMap<ShardId, ProcessId>,
     sharding: Arc<dyn ShardMap + Send + Sync>,
-    acceptor: Acceptor<TmCommand>,
-    proposer: Option<Proposer<TmCommand>>,
-    log: ReplicatedLog<TmCommand>,
+    /// This member's place in the TM group's Paxos log. Until a restarted
+    /// leader has re-chosen every decision accepted before the crash,
+    /// starting 2PC for a re-submitted transaction could commit a *second*,
+    /// possibly different decision for it.
+    paxos: PaxosMember<TmCommand>,
     pending: BTreeMap<TxId, PendingTx>,
-    decided: BTreeMap<TxId, Decision>,
-    /// Clients of decided transactions, kept so a re-submitted `certify` of a
-    /// decided transaction can be answered directly.
-    decided_clients: BTreeMap<TxId, (ProcessId, Arc<[ShardId]>)>,
-    phase1_started: bool,
-    ballot_round: u64,
+    /// The first command chosen for each decided transaction: its decision,
+    /// and the client and shards a re-submitted `certify` is answered with.
+    decided: BTreeMap<TxId, TmCommand>,
     retry_armed: bool,
     /// Consecutive retry ticks without new work; capped by [`TM_RETRY_CAP`].
     retry_ticks: u32,
-    /// `true` between a TM-leader restart and the completion of Paxos log
-    /// recovery: until every decision accepted before the crash has been
-    /// re-chosen, starting 2PC for a re-submitted transaction could commit a
-    /// *second*, possibly different decision for it.
-    recovering: bool,
-    /// Flow-control knobs: admission window and retry backoff.
+    /// Flow-control knobs: the admission window.
     flow: FlowControlConfig,
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
     admission: AdmissionQueue<(Payload, ProcessId)>,
-    /// Backoff gating Paxos retransmissions (per proposer, reset on progress).
-    paxos_backoff: BackoffState,
 }
 
 impl TransactionManager {
     /// Creates a transaction-manager group member.
     pub fn new(sharding: Arc<dyn ShardMap + Send + Sync>) -> Self {
         TransactionManager {
-            id: ProcessId::new(u64::MAX),
-            is_leader: false,
             leader: ProcessId::new(u64::MAX),
-            group: Vec::new(),
             shard_leaders: BTreeMap::new(),
             sharding,
-            acceptor: Acceptor::new(ProcessId::new(u64::MAX)),
-            proposer: None,
-            log: ReplicatedLog::new(),
+            paxos: PaxosMember::new(ProcessId::new(u64::MAX), Vec::new(), false),
             pending: BTreeMap::new(),
             decided: BTreeMap::new(),
-            decided_clients: BTreeMap::new(),
-            phase1_started: false,
-            ballot_round: 0,
             retry_armed: false,
             retry_ticks: 0,
-            recovering: false,
             flow: FlowControlConfig::default(),
             admission: AdmissionQueue::new(),
-            paxos_backoff: BackoffState::default(),
         }
     }
 
-    /// Installs the flow-control configuration (admission window, backoff).
+    /// Installs the flow-control configuration (the admission window).
     pub fn set_flow(&mut self, flow: FlowControlConfig) {
         self.flow = flow;
     }
@@ -114,7 +96,7 @@ impl TransactionManager {
     /// Per-transaction jitter salt: decorrelates this TM's retry schedule for
     /// `tx` from every other transaction's without consuming shared RNG state.
     fn salt(&self, tx: TxId) -> u64 {
-        tx.as_u64() ^ self.id.as_u64().rotate_left(17)
+        tx.as_u64() ^ self.paxos.id().as_u64().rotate_left(17)
     }
 
     /// Installs identity, group membership, the group leader and the
@@ -126,32 +108,17 @@ impl TransactionManager {
         leader: ProcessId,
         shard_leaders: BTreeMap<ShardId, ProcessId>,
     ) {
-        self.id = id;
-        self.acceptor = Acceptor::new(id);
-        self.group = group.clone();
+        self.paxos = PaxosMember::new(id, group, id == leader);
         self.leader = leader;
-        self.is_leader = id == leader;
         self.shard_leaders = shard_leaders;
-        if self.is_leader {
-            self.proposer = Some(Proposer::new(id, group, 0));
-        }
     }
 
     /// Whether this member leads the transaction-manager group.
     pub fn is_leader(&self) -> bool {
-        self.is_leader
+        self.paxos.leads()
     }
 
-    /// Number of decisions replicated in this member's view of the log.
-    pub fn decided_count(&self) -> usize {
-        self.decided.len()
-    }
-
-    fn route(
-        &self,
-        ctx: &mut Context<'_, BaselineMsg>,
-        out: Vec<(ProcessId, PaxosMsg<TmCommand>)>,
-    ) {
+    fn route(ctx: &mut Context<'_, BaselineMsg>, out: Outgoing<TmCommand>) {
         for (to, msg) in out {
             ctx.send(to, BaselineMsg::TmPaxos { msg });
         }
@@ -164,7 +131,7 @@ impl TransactionManager {
         client: ProcessId,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        if !self.is_leader {
+        if !self.paxos.leads() {
             // Any group member accepts `CERTIFY` and forwards it to the
             // leader, mirroring the RATC stacks where every replica can be
             // handed a submission.
@@ -183,54 +150,30 @@ impl TransactionManager {
         // A re-submitted `certify` of a decided transaction (the client's
         // DECISION was lost, or the TM restarted and the client retried):
         // re-externalise the durable decision instead of swallowing it.
-        if let Some(decision) = self.decided.get(&tx).copied() {
-            self.externalize(tx, decision, Some(client), ctx);
+        if let Some(first) = self.decided.get(&tx) {
+            self.externalize(tx, first.decision, client, &first.shards, ctx);
             return;
         }
         // A restarted TM leader must finish Paxos log recovery first: a
         // decision accepted before the crash may exist for this transaction,
         // and starting fresh 2PC now could commit a second, different one.
         // The client's recovery retry re-delivers the request later.
-        if self.recovering {
-            let recovered = self.proposer.as_ref().map(|p| !p.has_pending()) == Some(true);
-            if !recovered {
-                self.arm_retry_timer(ctx);
-                return;
-            }
-            self.recovering = false;
-            ctx.ctrl_milestone(CtrlMilestone::Recovered, None, self.id.as_u64());
+        let Some(recovered_now) = self.paxos.recovered() else {
+            self.arm_retry_timer(ctx);
+            return;
+        };
+        if recovered_now {
+            let id = self.paxos.id().as_u64();
+            ctx.ctrl_milestone(CtrlMilestone::Recovered, None, id);
         }
-        if self.pending.contains_key(&tx) {
-            if !self.flow.enabled {
-                // Legacy: re-drive the missing votes now instead of waiting
-                // for the retry tick. Under a flood of client retries this is
-                // exactly the duplicate-PREPARE amplification of the
-                // collapse, which is why flow control supersedes instead.
-                self.redrive(tx, ctx);
-                return;
-            }
+        if let Some(pending) = self.pending.get_mut(&tx) {
             // A retry supersedes the in-flight attempt: refresh the reply
             // address and let the scheduled backoff decide when to re-drive,
             // instead of stacking another PREPARE volley on top of it.
+            pending.client = client;
             let now = ctx.now().as_micros();
-            let due = {
-                let pending = self.pending.get_mut(&tx).expect("checked above");
-                pending.client = client;
-                !pending.proposed && pending.backoff.due(now)
-            };
-            if due {
-                let attempt = self
-                    .pending
-                    .get(&tx)
-                    .map(|p| p.backoff.attempt)
-                    .unwrap_or(0);
-                ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                ctx.obs_gauge("obs_backoff_attempt", u64::from(attempt));
-                self.redrive(tx, ctx);
-                let (backoff, salt) = (self.flow.backoff(), self.salt(tx));
-                if let Some(pending) = self.pending.get_mut(&tx) {
-                    pending.backoff.fired(&backoff, salt, now);
-                }
+            if !pending.proposed && pending.backoff.due(now) {
+                self.retry(tx, now, ctx);
             }
             return;
         }
@@ -269,8 +212,11 @@ impl TransactionManager {
             );
             return;
         }
-        let backoff =
-            BackoffState::armed(&self.flow.backoff(), self.salt(tx), ctx.now().as_micros());
+        let backoff = BackoffState::armed(
+            &BackoffPolicy::exponential(),
+            self.salt(tx),
+            ctx.now().as_micros(),
+        );
         self.pending.insert(
             tx,
             PendingTx {
@@ -296,8 +242,8 @@ impl TransactionManager {
             let Some((tx, (payload, client))) = self.admission.pop() else {
                 break;
             };
-            if let Some(decision) = self.decided.get(&tx).copied() {
-                self.externalize(tx, decision, Some(client), ctx);
+            if let Some(first) = self.decided.get(&tx) {
+                self.externalize(tx, first.decision, client, &first.shards, ctx);
                 continue;
             }
             self.start_tx(tx, payload, client, ctx);
@@ -328,14 +274,33 @@ impl TransactionManager {
         }
     }
 
+    /// Re-drives the missing votes of `tx`, whose backoff is due at `now`,
+    /// and schedules its next retry.
+    fn retry(&mut self, tx: TxId, now: u64, ctx: &mut Context<'_, BaselineMsg>) {
+        let attempt = self.pending.get(&tx).map_or(0, |p| p.backoff.attempt);
+        ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
+        ctx.obs_gauge("obs_backoff_attempt", u64::from(attempt));
+        self.redrive(tx, ctx);
+        let salt = self.salt(tx);
+        if let Some(pending) = self.pending.get_mut(&tx) {
+            pending
+                .backoff
+                .fired(&BackoffPolicy::exponential(), salt, now);
+        }
+    }
+
     fn arm_retry_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         // Called whenever new work arrives, which also resets the
         // fruitless-tick budget.
         self.retry_ticks = 0;
-        let proposer_pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retry_armed
-            && (!self.pending.is_empty() || proposer_pending || !self.admission.is_empty())
-        {
+        self.rearm_retry_timer(ctx);
+    }
+
+    /// Keeps the retry tick alive while anything is in flight or queued.
+    fn rearm_retry_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
+        let busy =
+            !self.pending.is_empty() || self.paxos.has_pending() || !self.admission.is_empty();
+        if !self.retry_armed && busy {
             ctx.set_timer(TM_RETRY, TM_RETRY_TICK);
             self.retry_armed = true;
         }
@@ -355,81 +320,40 @@ impl TransactionManager {
             ctx.add_counter("tm_retries_abandoned", 1);
             return;
         }
+        // Backoff: only transactions whose deadline has passed re-drive
+        // this tick; the rest keep waiting, so a backlog does not turn every
+        // tick into a volley of the whole pending set.
         let now = ctx.now().as_micros();
-        let txs: Vec<TxId> = if self.flow.enabled {
-            // Backoff: only transactions whose deadline has passed re-drive
-            // this tick; the rest keep waiting. This is the fix for the
-            // per-tick full-pending volley that caused the collapse.
-            self.pending
-                .iter()
-                .filter(|(_, p)| !p.proposed && p.backoff.due(now))
-                .map(|(tx, _)| *tx)
-                .collect()
-        } else {
-            self.pending.keys().copied().collect()
-        };
+        let txs: Vec<TxId> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| !p.proposed && p.backoff.due(now))
+            .map(|(tx, _)| *tx)
+            .collect();
         for tx in txs {
-            if self.flow.enabled {
-                let attempt = self
-                    .pending
-                    .get(&tx)
-                    .map(|p| p.backoff.attempt)
-                    .unwrap_or(0);
-                ctx.obs_milestone(tx, TxMilestone::Retry, u64::from(attempt));
-                ctx.obs_gauge("obs_backoff_attempt", u64::from(attempt));
-            }
-            self.redrive(tx, ctx);
-            if self.flow.enabled {
-                let (backoff, salt) = (self.flow.backoff(), self.salt(tx));
-                if let Some(pending) = self.pending.get_mut(&tx) {
-                    pending.backoff.fired(&backoff, salt, now);
-                }
-            }
+            self.retry(tx, now, ctx);
         }
-        let paxos_due = !self.flow.enabled || self.paxos_backoff.due(now);
-        if paxos_due {
-            if let Some(proposer) = self.proposer.as_mut() {
-                if proposer.has_pending() {
-                    let out = proposer.retransmit();
-                    self.route(ctx, out);
-                    if self.flow.enabled {
-                        let salt = self.id.as_u64();
-                        self.paxos_backoff.fired(&self.flow.backoff(), salt, now);
-                    }
-                }
-            }
-        }
+        let out = self.paxos.retransmit_if_due(now);
+        Self::route(ctx, out);
         // Safety net: admit queued submissions if the window has room (the
         // normal admission point is the decision path in `handle_paxos`).
         self.drain_admission(ctx);
-        // Re-arm directly (not via `arm_retry_timer`, which would reset the
-        // fruitless-tick budget this tick just spent).
-        let proposer_pending = self.proposer.as_ref().map(Proposer::has_pending) == Some(true);
-        if !self.retry_armed
-            && (!self.pending.is_empty() || proposer_pending || !self.admission.is_empty())
-        {
-            ctx.set_timer(TM_RETRY, TM_RETRY_TICK);
-            self.retry_armed = true;
-        }
+        // Not via `arm_retry_timer`, which would reset the fruitless-tick
+        // budget this tick just spent.
+        self.rearm_retry_timer(ctx);
     }
 
-    /// Sends the durable decision of `tx` to the shards and (optionally) a
-    /// client.
+    /// Sends the durable decision of `tx` to `client` and the leaders of
+    /// its `shards`.
     fn externalize(
-        &mut self,
+        &self,
         tx: TxId,
         decision: Decision,
-        client: Option<ProcessId>,
+        client: ProcessId,
+        shards: &[ShardId],
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        let (stored_client, shards) = match self.decided_clients.get(&tx) {
-            Some((client, shards)) => (*client, &shards[..]),
-            None => (ProcessId::new(u64::MAX), &[][..]),
-        };
-        let client = client.unwrap_or(stored_client);
-        if client != ProcessId::new(u64::MAX) {
-            ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
-        }
+        ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
         for shard in shards {
             if let Some(leader) = self.shard_leaders.get(shard) {
                 ctx.send(*leader, BaselineMsg::Decision { tx, decision });
@@ -444,7 +368,7 @@ impl TransactionManager {
         vote: Decision,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        if !self.is_leader {
+        if !self.paxos.leads() {
             return;
         }
         let Some(pending) = self.pending.get_mut(&tx) else {
@@ -463,26 +387,8 @@ impl TransactionManager {
             client: pending.client,
             shards: pending.placement.shards().collect(),
         };
-        if !self.phase1_started {
-            self.phase1_started = true;
-            let out = self
-                .proposer
-                .as_mut()
-                .expect("leader has a proposer")
-                .start_phase1();
-            self.route(ctx, out);
-        }
-        let out = self
-            .proposer
-            .as_mut()
-            .expect("leader has a proposer")
-            .propose(command);
-        self.route(ctx, out);
-        // A fresh proposal is progress: return retransmits to the fast
-        // schedule.
-        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-        self.paxos_backoff
-            .reset(&backoff, salt, ctx.now().as_micros());
+        let out = self.paxos.propose(command, ctx.now().as_micros());
+        Self::route(ctx, out);
         self.arm_retry_timer(ctx);
     }
 
@@ -492,60 +398,30 @@ impl TransactionManager {
         msg: PaxosMsg<TmCommand>,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        let out = self.acceptor.handle(from, msg.clone());
-        self.route(ctx, out);
-        if let PaxosMsg::Chosen { slot, command } = &msg {
-            self.log.record_chosen(*slot, command.clone());
-            self.decided.entry(command.tx).or_insert(command.decision);
-            self.decided_clients
-                .entry(command.tx)
-                .or_insert_with(|| (command.client, command.shards.clone()));
-        }
-        if let Some(proposer) = self.proposer.as_mut() {
-            let (out, chosen) = proposer.handle(msg);
-            self.route(ctx, out);
-            for (slot, command) in chosen {
-                self.log.record_chosen(slot, command.clone());
-                // First decision wins: retries around a TM restart can choose
-                // a second command for the same transaction; only the first
-                // recorded decision is ever externalised.
-                let decision = *self.decided.entry(command.tx).or_insert(command.decision);
-                self.decided_clients
-                    .entry(command.tx)
-                    .or_insert_with(|| (command.client, command.shards.clone()));
-                if self.pending.remove(&command.tx).is_some() {
-                    // The Paxos accept quorum is what makes the decision
-                    // durable: quorum and decision coincide on this stack.
-                    ctx.obs_milestone(command.tx, TxMilestone::AcceptQuorum, 0);
-                    ctx.obs_milestone(command.tx, TxMilestone::Decided, 0);
-                    ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
-                }
-                self.admission.remove(command.tx);
-                // A slot was chosen: the proposer is making headway, so its
-                // retransmit backoff returns to the fast schedule.
-                let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-                self.paxos_backoff
-                    .reset(&backoff, salt, ctx.now().as_micros());
-                // The decision is durable: externalise it.
-                ctx.send(
-                    command.client,
-                    BaselineMsg::DecisionClient {
-                        tx: command.tx,
-                        decision,
-                    },
-                );
-                for shard in command.shards.iter() {
-                    if let Some(leader) = self.shard_leaders.get(shard) {
-                        ctx.send(
-                            *leader,
-                            BaselineMsg::Decision {
-                                tx: command.tx,
-                                decision,
-                            },
-                        );
-                    }
-                }
+        let (out, chosen) = self.paxos.handle(from, msg, ctx.now().as_micros());
+        Self::route(ctx, out);
+        for (_, command) in chosen {
+            // First decision wins: retries around a TM restart can choose
+            // a second command for the same transaction; only the first
+            // recorded decision is ever externalised.
+            let first = self.decided.entry(command.tx);
+            let decision = first.or_insert_with(|| command.clone()).decision;
+            if !self.paxos.leads() {
+                continue;
             }
+            if self.pending.remove(&command.tx).is_some() {
+                // The Paxos accept quorum is what makes the decision
+                // durable: quorum and decision coincide on this stack.
+                ctx.obs_milestone(command.tx, TxMilestone::AcceptQuorum, 0);
+                ctx.obs_milestone(command.tx, TxMilestone::Decided, 0);
+                ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
+            }
+            self.admission.remove(command.tx);
+            // The decision is durable: externalise it.
+            let TmCommand {
+                tx, client, shards, ..
+            } = command;
+            self.externalize(tx, decision, client, &shards, ctx);
         }
         // Decisions freed admission-window slots: admit waiting submissions.
         self.drain_admission(ctx);
@@ -594,23 +470,99 @@ impl Actor<BaselineMsg> for TransactionManager {
     fn on_restart(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.pending.clear();
         self.admission.clear();
-        let (backoff, salt) = (self.flow.backoff(), self.id.as_u64());
-        self.paxos_backoff
-            .reset(&backoff, salt, ctx.now().as_micros());
         self.retry_armed = false;
-        self.phase1_started = false;
-        self.ballot_round += 1;
-        if self.is_leader {
-            let mut proposer = Proposer::new(self.id, self.group.clone(), self.ballot_round);
-            // Start log recovery immediately; `handle_certify` defers fresh
-            // 2PC until it completes.
-            let out = proposer.start_phase1();
-            self.phase1_started = true;
-            self.recovering = true;
-            self.proposer = Some(proposer);
-            self.route(ctx, out);
-            self.arm_retry_timer(ctx);
-        }
+        // A leader starts log recovery at once; `handle_certify` defers
+        // fresh 2PC until it completes.
+        let out = self.paxos.restart(ctx.now().as_micros());
+        Self::route(ctx, out);
+        self.arm_retry_timer(ctx);
         ctx.add_counter("tm_restarts", 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{BaselineCluster, BaselineStack};
+    use ratc_core::harness::{ClusterConfig, TcsCluster};
+    use ratc_sim::{FaultScope, LinkFault};
+    use ratc_types::{Key, Value, Version};
+
+    fn rw(key: &str) -> Payload {
+        Payload::builder()
+            .read(Key::new(key), Version::ZERO)
+            .write(Key::new(key), Value::from("v"))
+            .commit_version(Version::new(1))
+            .build()
+            .expect("well-formed")
+    }
+
+    fn prepares_sent(cluster: &BaselineCluster) -> u64 {
+        cluster.metrics().msg_type("Prepare").sent
+    }
+
+    /// A restarted TM leader starts no 2PC until Paxos recovery ends: a
+    /// decision a majority accepted before the crash, though the leader never
+    /// saw it chosen, is re-chosen and externalised instead, and no shard is
+    /// asked to vote on the transaction again.
+    #[test]
+    fn a_restarted_tm_leader_recovers_an_accepted_decision_before_fresh_2pc() {
+        let mut config = ClusterConfig::default()
+            .with_seed(13)
+            .with_replicas_per_shard(3);
+        config.sim = config.sim.with_observability();
+        let mut cluster = BaselineCluster::new(BaselineStack, config);
+        let tm = cluster.coordinator_pool();
+        let (leader, followers) = (tm[0], &tm[1..]);
+        let [t1, t2, t3] = [1, 2, 3].map(TxId::new);
+
+        // t1 commits, so the leader's phase 1 is behind it.
+        cluster.submit(t1, rw("x"));
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.history().decision(t1), Some(Decision::Commit));
+        // t2's decision reaches every acceptor, but the followers' replies
+        // are cut: the leader never learns it chosen.
+        for follower in followers {
+            cluster.set_link_fault(*follower, leader, LinkFault::cut(FaultScope::All));
+        }
+        cluster.submit(t2, rw("y"));
+        cluster.run_for(SimDuration::from_millis(50));
+        assert_eq!(cluster.history().decision(t2), None);
+
+        // The leader restarts; with the replies still cut, its recovery
+        // cannot finish, and a re-submitted t2 waits instead of starting 2PC.
+        cluster.crash(leader);
+        assert!(cluster.restart(leader));
+        let prepares = prepares_sent(&cluster);
+        cluster.resubmit(t2, rw("y"));
+        cluster.run_for(SimDuration::from_millis(200));
+        assert_eq!(
+            prepares_sent(&cluster),
+            prepares,
+            "no PREPARE while recovering"
+        );
+        assert_eq!(cluster.history().decision(t2), None);
+
+        // Healed, recovery re-chooses the accepted decision and externalises
+        // it, still without a PREPARE.
+        for follower in followers {
+            cluster.set_link_fault(*follower, leader, LinkFault::none());
+        }
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.history().decision(t2), Some(Decision::Commit));
+        assert_eq!(prepares_sent(&cluster), prepares);
+        // The next fresh transaction passes the gate, which stamps
+        // `Recovered`, and starts 2PC.
+        cluster.submit(t3, rw("z"));
+        cluster.run_to_quiescence();
+        assert_eq!(cluster.history().decision(t3), Some(Decision::Commit));
+        assert!(prepares_sent(&cluster) > prepares);
+        let recovered = cluster
+            .metrics()
+            .ctrl_events()
+            .iter()
+            .filter(|event| event.milestone == CtrlMilestone::Recovered && event.by == leader);
+        assert_eq!(recovered.count(), 1);
+        assert!(cluster.client_violations().is_empty());
     }
 }

@@ -50,8 +50,8 @@ fn e9_availability_under_the_nemesis() {
                 (28, 100_000, 30_018, 30_018, 1, 80),
                 (27, 200_000, 28_030, 16_307, 2, 85),
                 (27, 175_000, 39_928, 13_659, 2, 80),
-                (26, 5_400_000, 10_043_121, 1_670, 3, 68),
-                (27, 5_425_000, 10_077_180, 1_543, 2, 75),
+                (26, 5_400_000, 10_043_093, 1_656, 3, 69),
+                (26, 5_425_000, 10_077_161, 1_533, 2, 75),
             ],
         ),
         (

@@ -11,8 +11,8 @@
 //! unlike `std`'s randomly seeded `RandomState`.
 
 use ratc_chaos::{
-    build_harness, run_soak, FaultEvent, FaultPlan, Nemesis, NemesisConfig, SoakConfig, SoakReport,
-    Stack, TimedFault,
+    build_harness, run_soak, ChaosHarness, FaultEvent, FaultPlan, Nemesis, NemesisConfig,
+    SoakConfig, SoakReport, Stack, TimedFault,
 };
 use ratc_types::ShardId;
 
@@ -61,21 +61,18 @@ fn retry_plan() -> FaultPlan {
 }
 
 /// Runs `plan` on `stack` the way `soak.rs` does for `seed`.
-fn soak(stack: Stack, seed: u64, plan: &FaultPlan) -> SoakReport {
+fn soak(stack: Stack, seed: u64, plan: &FaultPlan) -> (SoakReport, ChaosHarness) {
     let mut harness = build_harness(stack, 2, seed, None);
-    run_soak(
-        &mut harness,
-        &SoakConfig {
-            seed,
-            ..SoakConfig::default()
-        },
-        plan,
-    )
+    let config = SoakConfig {
+        seed,
+        ..SoakConfig::default()
+    };
+    (run_soak(&mut harness, &config, plan), harness)
 }
 
 /// `(steps, hash of the report's Debug text)`.
 fn fingerprint(stack: Stack, seed: u64, plan: &FaultPlan) -> (u64, u64) {
-    let report = soak(stack, seed, plan);
+    let (report, _) = soak(stack, seed, plan);
     assert!(report.ok(), "{stack} seed={seed}: {report:?}");
     (report.steps, fnv1a(&format!("{report:?}")))
 }
@@ -109,7 +106,11 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
     // seed 5 and the ratc-rdma retry plan re-recorded when peers in a newer
     // epoch began refusing a restarted member's handshake at once: one of
     // seed 5's two handshake rounds, and both of the retry plan's, no longer
-    // retry until the cap (3619 → 2026 and 4372 → 1178 steps).
+    // retry until the cap (3619 → 2026 and 4372 → 1178 steps). Both
+    // ratc-rdma nemesis seeds re-recorded when a member began answering
+    // every handshake at once: an ack from an older epoch, or a `Connect`
+    // older than the epoch a reconfiguring member was asked to join, ends
+    // the connector's retries (2026 → 819 and 5509 → 3124 steps).
     let recorded = [
         (
             Stack::Core,
@@ -118,7 +119,7 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
         ),
         (
             Stack::Rdma,
-            [(2026, 11613910588724125864), (5509, 2629356766016021094)],
+            [(819, 2136725966141854546), (3124, 7059046283835408079)],
             (1178, 1852428279556186950),
         ),
         (
@@ -141,4 +142,20 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
             "{stack} retry plan"
         );
     }
+}
+
+/// Every `Connect` handshake round of the ratc-rdma soak at nemesis seed 5
+/// is answered. A restarted member that a reconfiguration excluded, while
+/// reconfiguring, dropped the older-epoch ack of an excluded peer that had
+/// admitted it, and retried to the cap: 10 s of virtual time.
+#[test]
+fn the_rdma_seed_5_soak_abandons_no_handshake_round() {
+    let (report, harness) = soak(Stack::Rdma, 5, &nemesis_plan(5));
+    assert!(report.ok(), "{report:?}");
+    let abandoned = harness
+        .cluster()
+        .metrics()
+        .counter("connect_rounds_abandoned");
+    assert_eq!(abandoned, 0);
+    assert!(harness.now_micros() < 1_000_000, "{}", harness.now_micros());
 }

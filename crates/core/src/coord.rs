@@ -28,7 +28,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ratc_sim::{BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone};
+use ratc_sim::{
+    BackoffPolicy, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone,
+};
 use ratc_types::{
     Decision, Epoch, Payload, Placement, Position, ProcessId, ShardId, ShardMap, TxId,
 };
@@ -288,7 +290,7 @@ pub struct Coordinator {
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated),
     /// each placed on arrival.
     admission: AdmissionQueue<(Placement, ProcessId)>,
-    /// Flow-control knobs: coordinator admission window and retry backoff.
+    /// Flow-control knobs: the coordinator's admission window.
     flow: FlowControlConfig,
     batcher: VoteBatcher<TxId>,
     retry_timer_armed: bool,
@@ -315,8 +317,7 @@ impl Coordinator {
         self.batcher.set_config(batching);
     }
 
-    /// Sets the flow-control knobs (default: enabled, window 64, exponential
-    /// backoff).
+    /// Sets the flow-control knobs (default: window 64).
     pub fn set_flow(&mut self, flow: FlowControlConfig) {
         self.flow = flow;
     }
@@ -375,10 +376,10 @@ impl Coordinator {
         tx.as_u64() ^ coordinator.as_u64().rotate_left(17)
     }
 
-    /// Whether the next retry of `coord` is due at `now` (always true without
-    /// flow control, or before the first deadline is armed).
-    fn backoff_due(&self, coord: &CoordState, now: u64) -> bool {
-        !self.flow.enabled || coord.backoff.is_none_or(|b| b.due(now))
+    /// Whether the next retry of `coord` is due at `now` (always true before
+    /// the first deadline is armed).
+    fn backoff_due(coord: &CoordState, now: u64) -> bool {
+        coord.backoff.is_none_or(|b| b.due(now))
     }
 
     /// Stamps a flow-controlled re-drive of `tx` (the `Retry` milestone and
@@ -388,7 +389,10 @@ impl Coordinator {
             return;
         };
         let now = ctx.now().as_micros();
-        let (policy, salt) = (self.flow.backoff(), Self::backoff_salt(tx, ctx.self_id()));
+        let (policy, salt) = (
+            BackoffPolicy::exponential(),
+            Self::backoff_salt(tx, ctx.self_id()),
+        );
         let backoff = coord
             .backoff
             .get_or_insert_with(|| BackoffState::armed(&policy, salt, now));
@@ -605,38 +609,35 @@ impl Coordinator {
             Some(coord) => {
                 coord.placement = placement;
                 coord.client = client;
-                if self.flow.enabled {
-                    // A retry supersedes the in-flight attempt: the reply
-                    // address and payload are refreshed and the scheduled
-                    // backoff decides when to re-drive, instead of stacking
-                    // another PREPARE volley on top of the previous one.
-                    if coord.backoff.is_none_or(|b| b.due(ctx.now().as_micros())) {
-                        self.backoff_fired(tx, ctx);
-                        self.resend_prepares(tx, None, repl, ctx);
-                    }
+                // A retry supersedes the in-flight attempt: the reply address
+                // and payload are refreshed and the scheduled backoff decides
+                // when to re-drive, instead of stacking another PREPARE volley
+                // on top of the previous one.
+                if Self::backoff_due(coord, ctx.now().as_micros()) {
+                    self.backoff_fired(tx, ctx);
+                    self.resend_prepares(tx, None, repl, ctx);
+                }
+                self.arm_retry_timer(ctx);
+                return;
+            }
+            None => {
+                if !self.flow.admits(self.undecided_coordinated()) {
+                    // Admission window full: park the submission at the edge;
+                    // it is admitted when an in-flight transaction decides.
+                    self.admission.enqueue(tx, (placement, client));
+                    ctx.add_counter("admission_queued", 1);
+                    ctx.obs_gauge("obs_admission_depth", self.admission.len() as u64);
                     self.arm_retry_timer(ctx);
                     return;
                 }
-            }
-            None => {
-                let mut backoff = None;
-                if self.flow.enabled {
-                    if !self.flow.admits(self.undecided_coordinated()) {
-                        // Admission window full: park the submission at the
-                        // edge; it is admitted when an in-flight transaction
-                        // decides.
-                        self.admission.enqueue(tx, (placement, client));
-                        ctx.add_counter("admission_queued", 1);
-                        ctx.obs_gauge("obs_admission_depth", self.admission.len() as u64);
-                        self.arm_retry_timer(ctx);
-                        return;
-                    }
-                    let salt = Self::backoff_salt(tx, ctx.self_id());
-                    let now = ctx.now().as_micros();
-                    backoff = Some(BackoffState::armed(&self.flow.backoff(), salt, now));
-                }
+                let salt = Self::backoff_salt(tx, ctx.self_id());
+                let now = ctx.now().as_micros();
                 let mut coord = CoordState::new(client, placement);
-                coord.backoff = backoff;
+                coord.backoff = Some(BackoffState::armed(
+                    &BackoffPolicy::exponential(),
+                    salt,
+                    now,
+                ));
                 self.coordinating.insert(tx, coord);
                 ctx.obs_milestone(tx, TxMilestone::Admitted, 0);
                 ctx.obs_gauge("obs_inflight_window", self.coordinating.len() as u64);
@@ -837,13 +838,11 @@ impl Coordinator {
         self.drain_admission(repl, ctx);
         let now = ctx.now().as_micros();
         // Flow control: only transactions whose backoff deadline has passed
-        // re-drive this tick — the fix for the per-tick full-pending volley
-        // of the congestive collapse. Without flow control every undecided
-        // transaction re-drives every tick (legacy).
+        // re-drive this tick, not the whole pending set every tick.
         let pending: Vec<TxId> = self
             .coordinating
             .iter()
-            .filter(|(_, c)| self.backoff_due(c, now))
+            .filter(|(_, c)| Self::backoff_due(c, now))
             .map(|(tx, _)| *tx)
             .collect();
         // A stalled coordinator may be working from a stale view: pushed
@@ -861,9 +860,7 @@ impl Coordinator {
             repl.refresh_views(&stale, ctx);
         }
         for tx in pending {
-            if self.flow.enabled {
-                self.backoff_fired(tx, ctx);
-            }
+            self.backoff_fired(tx, ctx);
             // Resend only to shards that are not yet complete in the current
             // epoch.
             let coord = &self.coordinating[&tx];
@@ -1337,10 +1334,7 @@ mod tests {
 
     #[test]
     fn the_window_admits_parked_submissions_fifo_when_a_slot_frees() {
-        let mut rig = Rig::new(FlowControlConfig {
-            window: 1,
-            ..FlowControlConfig::default()
-        });
+        let mut rig = Rig::new(FlowControlConfig { window: 1 });
         for tx in 1..=3 {
             rig.certify(tx, &["a"]);
         }

@@ -1,14 +1,13 @@
 //! Cluster-wide flow control: admission windows and retry backoff.
 //!
-//! PR 6's threaded backend surfaced a congestive collapse the simulator's
-//! free-in-virtual-time retries had been masking: under a 2000-deep open-loop
-//! flood, the unbatched 2PC-over-Paxos baseline's fixed-interval retry tick
-//! re-drove *every* pending transaction every 20 ms, the shard leaders
-//! re-reported a vote per duplicate PREPARE, and the Paxos proposers re-sent
-//! Accepts for every pending slot — so once handling the backlog took longer
-//! than one tick, each tick added more work than the cluster could absorb and
-//! goodput collapsed (1424 of 2000 left undecided). This module is the
-//! fix, applied uniformly across the three stacks:
+//! Without it, a deep open-loop flood collapses a coordinator: a
+//! fixed-interval retry tick that re-drives *every* pending transaction,
+//! shard leaders that re-report a vote per duplicate PREPARE and Paxos
+//! proposers that re-send Accepts for every pending slot add, once handling
+//! the backlog takes longer than one tick, more work per tick than the
+//! cluster can absorb (the threaded backend once left 1424 of a 2000-deep
+//! flood undecided on the unbatched baseline). Every stack applies the same
+//! two measures:
 //!
 //! * **Admission control** — a bounded in-flight window per coordinator/TM
 //!   with a FIFO [`AdmissionQueue`]: open-loop floods queue at the edge (a
@@ -17,70 +16,38 @@
 //!   transaction decides, so a window-sized pipeline stays full.
 //! * **Retry backoff** — retries and Paxos retransmissions follow a seeded,
 //!   deterministic exponential schedule with jitter
-//!   ([`ratc_sim::backoff::BackoffPolicy`]) instead of the fixed interval,
-//!   and a retry *supersedes* the previous attempt instead of stacking on
-//!   top of it. Existing fruitless-tick caps are preserved, so
-//!   `run_to_quiescence` still terminates when a shard is permanently down.
+//!   ([`ratc_sim::backoff::BackoffPolicy::exponential`]) behind a
+//!   fixed-interval tick, and a retry *supersedes* the previous attempt
+//!   instead of stacking on top of it. Fruitless-tick caps bound the ticks,
+//!   so `run_to_quiescence` still terminates when a shard is permanently
+//!   down.
 //!
-//! Flow control is **on by default** — it is a bugfix, and the collapse
-//! configuration must complete — with [`FlowControlConfig::legacy`] keeping
-//! the pre-fix behaviour reachable for the regression tests that pin the
-//! collapse itself.
+//! The window is the only knob; the schedule is a constant.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use ratc_sim::backoff::BackoffPolicy;
 use ratc_types::TxId;
 
 /// Flow-control knobs, surfaced on every harness via `ClusterSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowControlConfig {
-    /// Whether the layer is active. Disabled reproduces the pre-fix
-    /// behaviour: unbounded admission and fixed-interval full-pending
-    /// retries (kept for the collapse regression tests).
-    pub enabled: bool,
-    /// Maximum transactions a coordinator/TM keeps in flight while the layer
-    /// is enabled; further submissions wait in its FIFO admission queue.
+    /// Maximum transactions a coordinator/TM keeps in flight; further
+    /// submissions wait in its FIFO admission queue.
     pub window: usize,
 }
 
 impl Default for FlowControlConfig {
-    /// Flow control on: window 64, 20 ms → 320 ms exponential backoff with
-    /// ±25% jitter.
+    /// Window 64.
     fn default() -> Self {
-        FlowControlConfig {
-            enabled: true,
-            window: 64,
-        }
+        FlowControlConfig { window: 64 }
     }
 }
 
 impl FlowControlConfig {
-    /// The pre-fix behaviour: no admission window, fixed-interval retries.
-    /// Exists so the collapse stays reproducible (regression tests, E10's
-    /// "before" curve); never the default.
-    pub fn legacy() -> Self {
-        FlowControlConfig {
-            enabled: false,
-            ..FlowControlConfig::default()
-        }
-    }
-
-    /// The schedule of certify-retries and Paxos retransmissions: capped
-    /// exponential with jitter when the layer is enabled, the legacy fixed
-    /// 20 ms interval when it is not.
-    pub fn backoff(&self) -> BackoffPolicy {
-        if self.enabled {
-            BackoffPolicy::exponential()
-        } else {
-            BackoffPolicy::fixed(ratc_sim::SimDuration::from_millis(20))
-        }
-    }
-
     /// `true` if a coordinator already holding `in_flight` undecided
     /// transactions may start another one.
     pub fn admits(&self, in_flight: usize) -> bool {
-        !self.enabled || in_flight < self.window
+        in_flight < self.window
     }
 }
 
@@ -171,26 +138,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_enabled_and_legacy_is_not() {
+    fn the_default_window_admits_up_to_its_size() {
         let flow = FlowControlConfig::default();
-        assert!(flow.enabled);
         assert!(flow.window > 0);
         assert!(flow.admits(flow.window - 1));
         assert!(!flow.admits(flow.window));
-        let legacy = FlowControlConfig::legacy();
-        assert!(!legacy.enabled);
-        assert!(legacy.admits(usize::MAX - 1), "legacy never queues");
-        assert_eq!(legacy.backoff().multiplier, 1, "legacy retries are fixed");
-        assert_eq!(flow.backoff(), BackoffPolicy::exponential());
-    }
-
-    #[test]
-    fn a_disabled_layer_admits_past_any_window() {
-        let flow = FlowControlConfig {
-            enabled: false,
-            window: 0,
-        };
-        assert!(flow.admits(1_000_000));
     }
 
     #[test]

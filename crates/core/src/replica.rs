@@ -180,8 +180,7 @@ impl Replica {
         self.coord.set_batching(batching);
     }
 
-    /// Sets the flow-control knobs (default: enabled, window 64, exponential
-    /// backoff).
+    /// Sets the flow-control knobs (default: window 64).
     pub fn set_flow(&mut self, flow: FlowControlConfig) {
         self.coord.set_flow(flow);
     }

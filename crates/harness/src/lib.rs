@@ -24,9 +24,10 @@
 //!   likewise;
 //! * [`ClusterSpec`] — one builder that constructs any stack. Its knobs:
 //!   shards, failures tolerated, spares, certification policy, truncation
-//!   (on/off, fold batch, compaction), batch size, flow control (on/off,
-//!   window; the retry schedule follows from on/off), the simulation's seed,
-//!   observability and per-message service time, and the execution engine.
+//!   (on/off, fold batch, compaction), batch size, flow control (the
+//!   admission window; retries always back off exponentially), the
+//!   simulation's seed, observability and per-message service time, and the
+//!   execution engine.
 //!   Latencies are constants of the simulator (a LAN), and batches flush
 //!   after a fixed 1 ms. It fills in the one `ClusterConfig` every stack is
 //!   built from, with `f + 1` or `2f + 1` replicas per shard as the stack

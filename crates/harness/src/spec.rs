@@ -43,9 +43,8 @@ pub struct ClusterSpec {
     pub truncation: TruncationConfig,
     /// Batched certification pipeline (default disabled).
     pub batching: BatchingConfig,
-    /// Flow control: coordinator admission window and retry backoff
-    /// (default enabled; [`FlowControlConfig::legacy`] restores the pre-flow
-    /// immediate-retry behaviour).
+    /// Flow control: the coordinator admission window (retries always back
+    /// off exponentially).
     pub flow: FlowControlConfig,
     /// Simulation parameters (seed, observability, per-message service
     /// time).

@@ -161,14 +161,14 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
         (StackKind::Core, 1, false, 6.07, 1891.0),
         (StackKind::Rdma, 32, false, 5.13, 1767.0),
         (StackKind::Rdma, 1, false, 8.93, 2027.0),
-        (StackKind::Baseline, 32, false, 14.74, 3483.0),
-        (StackKind::Baseline, 1, false, 26.74, 5107.0),
+        (StackKind::Baseline, 32, false, 13.09, 3376.0),
+        (StackKind::Baseline, 1, false, 23.91, 4711.0),
         (StackKind::Core, 32, true, 11.43, 3270.0),
         (StackKind::Core, 1, true, 13.14, 3408.0),
         (StackKind::Rdma, 32, true, 13.04, 3302.0),
         (StackKind::Rdma, 1, true, 18.85, 3694.0),
-        (StackKind::Baseline, 32, true, 20.38, 4696.0),
-        (StackKind::Baseline, 1, true, 44.01, 7738.0),
+        (StackKind::Baseline, 32, true, 17.64, 4561.0),
+        (StackKind::Baseline, 1, true, 39.01, 7013.0),
     ];
     let mut measured = Vec::new();
     println!("per committed transaction, after {WARM_UP} warm-up, over {COUNTED}:");

@@ -79,7 +79,7 @@ pub use acceptor::Acceptor;
 pub use ballot::Ballot;
 pub use log::ReplicatedLog;
 pub use messages::PaxosMsg;
-pub use proposer::Proposer;
+pub use proposer::{Outgoing, Proposer};
 
 /// Number of replicas needed to tolerate `f` crash failures with Paxos.
 pub const fn replicas_for(f: usize) -> usize {

@@ -41,7 +41,6 @@ pub struct Proposer<C> {
     pending: BTreeMap<Slot, (C, BTreeSet<ProcessId>)>,
     /// Commands queued while phase 1 is still running.
     queued: Vec<C>,
-    chosen: BTreeMap<Slot, C>,
 }
 
 impl<C: Clone> Proposer<C> {
@@ -58,7 +57,6 @@ impl<C: Clone> Proposer<C> {
             next_slot: 0,
             pending: BTreeMap::new(),
             queued: Vec::new(),
-            chosen: BTreeMap::new(),
         }
     }
 
@@ -78,38 +76,51 @@ impl<C: Clone> Proposer<C> {
         self.phase == Phase::Leading
     }
 
-    /// Number of slots this proposer has learned to be chosen.
-    pub fn chosen_count(&self) -> usize {
-        self.chosen.len()
+    /// This ballot's `Prepare` for every acceptor.
+    fn prepares(&self) -> impl Iterator<Item = (ProcessId, PaxosMsg<C>)> + '_ {
+        let ballot = self.ballot;
+        self.acceptors
+            .iter()
+            .map(move |a| (*a, PaxosMsg::Prepare { ballot }))
+    }
+
+    /// This ballot's `Accept` of `command` at `slot` for every acceptor.
+    fn accepts<'a>(
+        &'a self,
+        slot: Slot,
+        command: &'a C,
+    ) -> impl Iterator<Item = (ProcessId, PaxosMsg<C>)> + 'a {
+        let ballot = self.ballot;
+        self.acceptors.iter().map(move |a| {
+            let command = command.clone();
+            (
+                *a,
+                PaxosMsg::Accept {
+                    ballot,
+                    slot,
+                    command,
+                },
+            )
+        })
     }
 
     /// Starts phase 1: returns `Prepare` messages for every acceptor.
-    pub fn start_phase1(&mut self) -> Vec<(ProcessId, PaxosMsg<C>)> {
+    pub fn start_phase1(&mut self) -> Outgoing<C> {
         self.phase = Phase::Preparing;
         self.promises.clear();
-        self.acceptors
-            .iter()
-            .map(|a| {
-                (
-                    *a,
-                    PaxosMsg::Prepare {
-                        ballot: self.ballot,
-                    },
-                )
-            })
-            .collect()
+        self.prepares().collect()
     }
 
     /// Abandons the current ballot and starts phase 1 again with a higher one
     /// (used after receiving a nack).
-    pub fn advance_ballot(&mut self) -> Vec<(ProcessId, PaxosMsg<C>)> {
+    pub fn advance_ballot(&mut self) -> Outgoing<C> {
         self.ballot = self.ballot.successor(self.id);
         self.start_phase1()
     }
 
     /// Submits a command for replication. If phase 1 has not completed yet the
     /// command is queued and will be proposed as soon as it does.
-    pub fn propose(&mut self, command: C) -> Vec<(ProcessId, PaxosMsg<C>)> {
+    pub fn propose(&mut self, command: C) -> Outgoing<C> {
         match self.phase {
             Phase::Preparing => {
                 self.queued.push(command);
@@ -119,24 +130,12 @@ impl<C: Clone> Proposer<C> {
         }
     }
 
-    fn send_accepts(&mut self, command: C) -> Vec<(ProcessId, PaxosMsg<C>)> {
+    fn send_accepts(&mut self, command: C) -> Outgoing<C> {
         let slot = self.next_slot;
         self.next_slot += 1;
-        self.pending
-            .insert(slot, (command.clone(), BTreeSet::new()));
-        self.acceptors
-            .iter()
-            .map(|a| {
-                (
-                    *a,
-                    PaxosMsg::Accept {
-                        ballot: self.ballot,
-                        slot,
-                        command: command.clone(),
-                    },
-                )
-            })
-            .collect()
+        let out = self.accepts(slot, &command).collect();
+        self.pending.insert(slot, (command, BTreeSet::new()));
+        out
     }
 
     /// Returns `true` while the proposer is waiting for something: phase 1
@@ -154,35 +153,15 @@ impl<C: Clone> Proposer<C> {
     /// treat repeats of the same ballot idempotently — and required for
     /// liveness on lossy links, where a single dropped `Accept` would
     /// otherwise strand its slot forever.
-    pub fn retransmit(&mut self) -> Vec<(ProcessId, PaxosMsg<C>)> {
-        let mut out = Vec::new();
+    pub fn retransmit(&self) -> Outgoing<C> {
         match self.phase {
-            Phase::Preparing => {
-                for a in &self.acceptors {
-                    out.push((
-                        *a,
-                        PaxosMsg::Prepare {
-                            ballot: self.ballot,
-                        },
-                    ));
-                }
-            }
-            Phase::Leading => {
-                for (slot, (command, _)) in &self.pending {
-                    for a in &self.acceptors {
-                        out.push((
-                            *a,
-                            PaxosMsg::Accept {
-                                ballot: self.ballot,
-                                slot: *slot,
-                                command: command.clone(),
-                            },
-                        ));
-                    }
-                }
-            }
+            Phase::Preparing => self.prepares().collect(),
+            Phase::Leading => self
+                .pending
+                .iter()
+                .flat_map(|(slot, (command, _))| self.accepts(*slot, command))
+                .collect(),
         }
-        out
     }
 
     /// Handles one message addressed to the proposer. Returns the messages to
@@ -222,18 +201,8 @@ impl<C: Clone> Proposer<C> {
                         .collect();
                     for (slot, command) in recovered {
                         self.next_slot = self.next_slot.max(slot + 1);
-                        self.pending
-                            .insert(slot, (command.clone(), BTreeSet::new()));
-                        for a in &self.acceptors {
-                            out.push((
-                                *a,
-                                PaxosMsg::Accept {
-                                    ballot: self.ballot,
-                                    slot,
-                                    command: command.clone(),
-                                },
-                            ));
-                        }
+                        out.extend(self.accepts(slot, &command));
+                        self.pending.insert(slot, (command, BTreeSet::new()));
                     }
                     // Flush commands queued while preparing.
                     let queued = std::mem::take(&mut self.queued);
@@ -262,7 +231,6 @@ impl<C: Clone> Proposer<C> {
                 }
                 if reached {
                     if let Some((command, _)) = self.pending.remove(&slot) {
-                        self.chosen.insert(slot, command.clone());
                         newly_chosen.push((slot, command));
                     }
                 }
@@ -350,7 +318,6 @@ mod tests {
         chosen.sort_unstable();
         assert_eq!(chosen, vec![(0, 10), (1, 20)]);
         assert!(proposer.is_leading());
-        assert_eq!(proposer.chosen_count(), 2);
         assert_eq!(proposer.ballot(), Ballot::new(0, pid(0)));
     }
 

@@ -50,7 +50,8 @@ const CONNECT_RETRY: SimDuration = SimDuration::from_millis(25);
 /// Handshake retries after which unanswered peers are given up on: 10 s of
 /// the engine's clock, virtual on Sim and real on Threads. Bounds the event
 /// queue when a peer is gone for good; a later restart or reconfiguration
-/// starts a fresh round. A peer in a newer epoch refuses at once (see
+/// starts a fresh round. A peer in another epoch, or one reconfiguring to a
+/// newer one, answers at once without opening anything (see
 /// `handle_connect`), so only a crashed or cut-off peer runs to the cap.
 const CONNECT_RETRY_CAP: u32 = 400;
 
@@ -168,8 +169,7 @@ impl RdmaReplica {
         self.coord.set_batching(batching);
     }
 
-    /// Sets the flow-control knobs (default: enabled, window 64,
-    /// exponential backoff).
+    /// Sets the flow-control knobs (default: window 64).
     pub fn set_flow(&mut self, flow: FlowControlConfig) {
         self.coord.set_flow(flow);
     }
@@ -707,20 +707,29 @@ impl Member {
         ctx: &mut Context<'_, RdmaMsg>,
         is_ack: bool,
     ) {
-        if self.status == RdmaStatus::Reconfiguring && epoch < self.new_epoch {
-            return;
-        }
-        // Never re-admit a peer from an *older* epoch: reconfiguration
-        // deliberately closed its connections to fence its stale writes (the
-        // crux of §5's correctness), and a crash-restarted process still in
-        // an old epoch must first catch up — via its configuration-service
-        // poll, a probe, or `NEW_STATE` — before its handshake (sent with
-        // its then-current epoch) is accepted. It is told so, though: an ack
-        // carrying our newer epoch, which opens nothing on either side and
-        // ends its retries to us instead of letting them run to the cap.
-        if epoch < self.epoch {
-            if !is_ack {
-                ctx.send(from, RdmaMsg::ConnectAck { epoch: self.epoch });
+        // Never admit a peer from an epoch older than ours, or, while
+        // reconfiguring, older than the one we have been asked to join:
+        // reconfiguration deliberately closed its connections to fence its
+        // stale writes (the crux of §5's correctness), and a crash-restarted
+        // process still in an old epoch must first catch up — via its
+        // configuration-service poll, a probe, or `NEW_STATE` — before its
+        // handshake (sent with its then-current epoch) is accepted.
+        let floor = match self.status {
+            RdmaStatus::Reconfiguring => self.new_epoch,
+            RdmaStatus::Leader | RdmaStatus::Follower => self.epoch,
+        };
+        if epoch < floor {
+            if is_ack {
+                // The peer admitted our `Connect` but is behind: our side
+                // stays closed, and it connects to us itself once it joins
+                // our epoch (`NEW_STATE` and `NEW_CONFIG` start a round), so
+                // retrying cannot help.
+                self.pending_connects.remove(&from);
+            } else {
+                // A refusal: an ack carrying the newer epoch, which opens
+                // nothing on either side and ends the peer's retries to us
+                // instead of letting them run to the cap.
+                ctx.send(from, RdmaMsg::ConnectAck { epoch: floor });
             }
             return;
         }

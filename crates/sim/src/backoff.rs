@@ -1,11 +1,11 @@
 //! Seeded, deterministic exponential backoff with jitter.
 //!
-//! The fixed-interval retry timers the stacks started with are exactly the
-//! congestive-collapse mechanism of an open-loop flood: every tick re-drives
-//! *every* pending transaction, so once the work added per tick exceeds the
-//! work the cluster can absorb per tick, the backlog grows without bound. A
-//! [`BackoffPolicy`] replaces the fixed interval with a capped exponential
-//! schedule, and decorrelates retry cohorts with deterministic jitter: the
+//! A fixed-interval retry timer that re-drives *every* pending transaction
+//! is the congestive-collapse mechanism of an open-loop flood: once the work
+//! added per tick exceeds the work the cluster can absorb per tick, the
+//! backlog grows without bound. A [`BackoffPolicy`] spaces each source's
+//! retries on a capped exponential schedule instead, and decorrelates retry
+//! cohorts with deterministic jitter: the
 //! jitter fraction is a pure hash of `(salt, attempt)`, so a simulated run is
 //! bit-identical for a given seed (no RNG is consulted) while two
 //! transactions that started together stop retrying in lockstep.
@@ -21,33 +21,21 @@ use crate::time::SimDuration;
 ///
 /// `delay(attempt, salt)` is `base * multiplier^attempt`, capped at `max`,
 /// then jittered by up to ±`jitter_pct`% using a hash of `(salt, attempt)`.
-/// Attempt 0 always returns exactly `base` (no jitter): the *first* retry of
-/// a transaction keeps the legacy fixed-interval timing, so healthy runs that
-/// retry at most once are schedule-identical to the pre-backoff code.
+/// Attempt 0 always returns exactly `base` (no jitter), so the *first* retry
+/// of a transaction falls on the stacks' fixed 20 ms tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry.
     pub base: SimDuration,
     /// Upper bound on the (pre-jitter) delay.
     pub max: SimDuration,
-    /// Growth factor per attempt (1 = fixed interval).
+    /// Growth factor per attempt.
     pub multiplier: u32,
     /// Jitter amplitude in percent of the delay (0 = none).
     pub jitter_pct: u32,
 }
 
 impl BackoffPolicy {
-    /// A fixed-interval schedule: every retry waits exactly `interval`
-    /// (the legacy behaviour, used when flow control is disabled).
-    pub fn fixed(interval: SimDuration) -> Self {
-        BackoffPolicy {
-            base: interval,
-            max: interval,
-            multiplier: 1,
-            jitter_pct: 0,
-        }
-    }
-
     /// The default retry schedule of the flow-control layer: 20 ms doubling
     /// to a 320 ms cap, ±25% jitter from the second attempt on.
     pub fn exponential() -> Self {
@@ -150,17 +138,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_policy_never_grows_or_jitters() {
-        let p = BackoffPolicy::fixed(SimDuration::from_millis(20));
-        for attempt in 0..10 {
-            assert_eq!(p.delay(attempt, 7), SimDuration::from_millis(20));
-        }
-    }
-
-    #[test]
     fn first_attempt_is_exactly_base_and_growth_is_capped() {
         let p = BackoffPolicy::exponential();
-        assert_eq!(p.delay(0, 99), p.base, "attempt 0 keeps legacy timing");
+        assert_eq!(p.delay(0, 99), p.base, "attempt 0 is not jittered");
         let mut prev = p.delay(0, 99).as_micros();
         for attempt in 1..12 {
             let d = p.delay(attempt, 99).as_micros();

@@ -524,9 +524,10 @@ pub struct OverloadResult {
 
 /// E10: 48 disjoint transactions submitted up front (open loop) to one shard
 /// on the threaded engine, with batching off and the default flow control —
-/// the configuration whose retry storm once collapsed the baseline (the
-/// legacy immediate-retry side is pinned by `ratc-baseline`'s
-/// `flow_control_fixes_the_simulated_congestive_collapse`).
+/// the configuration whose retry storm once collapsed the baseline, before
+/// its admission window and retry backoff (the Sim-mode flood of
+/// `ratc-baseline`'s `flow_control_fixes_the_simulated_congestive_collapse`
+/// pins the same fix deterministically).
 pub fn overload_experiment(stack: StackKind) -> OverloadResult {
     const DEPTH: usize = 48;
     let mut cluster = ClusterSpec::new(stack)
