@@ -71,6 +71,7 @@ impl Stack for BaselineStack {
                 shard_leaders.clone(),
             );
             tm.set_flow(config.flow);
+            tm.set_batching(config.batching);
         }
         topology
     }
@@ -266,14 +267,21 @@ mod tests {
             assert_eq!(cluster.history().committed().count(), 32);
             assert!(cluster.client_violations().is_empty());
             let leader = cluster.shard_view(ShardId::new(0)).leader.expect("leader");
-            replica(&cluster, leader).chosen_slots()
+            let tm = cluster.coordinator_pool()[0];
+            let tm = cluster.world.actor::<TransactionManager>(tm).expect("tm");
+            (replica(&cluster, leader).chosen_slots(), tm.chosen_slots())
         };
-        let unbatched_slots = run(1);
-        let batched_slots = run(8);
+        let (unbatched_slots, unbatched_tm_slots) = run(1);
+        let (batched_slots, batched_tm_slots) = run(8);
         assert_eq!(unbatched_slots, 32, "one Paxos slot per transaction");
         assert!(
             batched_slots * 4 <= unbatched_slots,
             "batched appends must occupy far fewer slots ({batched_slots} vs {unbatched_slots})"
+        );
+        assert_eq!(unbatched_tm_slots, 32, "one TM slot per decision");
+        assert!(
+            batched_tm_slots <= 8,
+            "batched decisions must occupy far fewer TM slots ({batched_tm_slots})"
         );
     }
 

@@ -2,12 +2,13 @@
 //! Commit, every participant runs the same instance: each shard replica and
 //! each transaction-manager member holds one [`PaxosMember`]. Its steps are
 //! pure; the host wraps the returned messages for its group, decides what a
-//! chosen command does, and owns the timers.
+//! chosen command does, and owns the timers. Only the recovery gate touches
+//! the host's context, to stamp `Recovered`.
 
 use ratc_paxos::messages::Slot;
 use ratc_paxos::{Acceptor, Outgoing, PaxosMsg, Proposer, ReplicatedLog};
-use ratc_sim::{BackoffPolicy, BackoffState};
-use ratc_types::ProcessId;
+use ratc_sim::{BackoffPolicy, BackoffState, Context, CtrlMilestone};
+use ratc_types::{ProcessId, ShardId};
 
 /// What one [`PaxosMember::handle`] step learned chosen: the command of a
 /// `Chosen` notification, or those the leader's proposer saw reach a quorum.
@@ -29,7 +30,7 @@ pub struct PaxosMember<C> {
     phase1_started: bool,
     /// Set from a leader restart until every slot accepted before the
     /// crash is re-chosen: the host starts no fresh work meanwhile
-    /// (see [`PaxosMember::recovered`]).
+    /// (see [`PaxosMember::recovery_gate`]).
     recovering: bool,
     /// Gates retransmissions; reset when a slot is chosen or proposed.
     backoff: BackoffState,
@@ -169,8 +170,8 @@ impl<C: Clone> PaxosMember<C> {
 
     /// The post-restart gate, recovered once the proposer has nothing
     /// pending: `None` while recovery runs and fresh work must wait, else
-    /// whether this call ended it (the host then stamps `Recovered`).
-    pub fn recovered(&mut self) -> Option<bool> {
+    /// whether this call ended it (`recovery_gate` then stamps `Recovered`).
+    fn recovered(&mut self) -> Option<bool> {
         if !self.recovering {
             Some(false)
         } else if self.has_pending() {
@@ -179,6 +180,18 @@ impl<C: Clone> PaxosMember<C> {
             self.recovering = false;
             Some(true)
         }
+    }
+
+    /// The gate as a host checks it, after every Paxos step and before
+    /// fresh work: whether recovery has ended (always, unless this leader
+    /// restarted). The call that ends it stamps `Recovered`, attributed to
+    /// `shard` when the group replicates one.
+    pub fn recovery_gate<M>(&mut self, shard: Option<ShardId>, ctx: &mut Context<'_, M>) -> bool {
+        let recovered = self.recovered();
+        if recovered == Some(true) {
+            ctx.ctrl_milestone(CtrlMilestone::Recovered, shard, self.id.as_u64());
+        }
+        recovered.is_some()
     }
 }
 

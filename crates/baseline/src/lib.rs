@@ -11,7 +11,8 @@
 //! benchmark harness (experiments E1–E3, E6):
 //!
 //! * [`TransactionManager`] — the 2PC coordinator; its decisions are committed
-//!   to its own Multi-Paxos log before being externalised;
+//!   to its own Multi-Paxos log, one batch per slot, before being
+//!   externalised, one message per shard leader per batch;
 //! * [`BaselineShardReplica`] — a shard replica: the leader certifies
 //!   transactions with the same shard-local functions `f_s`/`g_s` as the RATC
 //!   protocols, but every prepared vote is committed to the shard's
@@ -50,6 +51,6 @@ pub mod tm;
 
 pub use cluster::{BaselineCluster, BaselineStack};
 pub use group::PaxosMember;
-pub use messages::{BaselineMsg, ShardCommand, TmCommand};
+pub use messages::{BaselineMsg, ShardCommand, TmCommand, TmDecision};
 pub use replica::BaselineShardReplica;
 pub use tm::TransactionManager;

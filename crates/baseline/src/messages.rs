@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use ratc_core::batch::Items;
 use ratc_paxos::PaxosMsg;
 use ratc_types::{Decision, Payload, ProcessId, ShardId, TxId};
 
@@ -29,11 +30,10 @@ pub struct ShardCommand {
     pub items: Arc<[ShardVote]>,
 }
 
-/// Command replicated in the transaction manager's Multi-Paxos log: the final
-/// decision on a transaction. Its shard list is shared, as a
-/// [`ShardCommand`]'s votes are.
+/// One final decision inside a [`TmCommand`]. Its shard list is shared, as
+/// a [`ShardCommand`]'s votes are.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TmCommand {
+pub struct TmDecision {
     /// The transaction.
     pub tx: TxId,
     /// The final decision.
@@ -42,6 +42,16 @@ pub struct TmCommand {
     pub client: ProcessId,
     /// The shards that participated.
     pub shards: Arc<[ShardId]>,
+}
+
+/// Command replicated in the transaction manager's Multi-Paxos log: a
+/// *batch* of final decisions occupying one log slot, coalesced like a
+/// [`ShardCommand`]'s votes. At `max_batch = 1` every command carries
+/// exactly one decision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TmCommand {
+    /// The batched decisions, in the order they were computed.
+    pub decisions: Arc<[TmDecision]>,
 }
 
 /// Messages of the baseline TCS.
@@ -72,13 +82,13 @@ pub enum BaselineMsg {
         /// The replicated `(transaction, vote)` pairs.
         votes: Vec<(TxId, Decision)>,
     },
-    /// Final decision distributed to the shard leaders once it is chosen in
-    /// the transaction manager's Paxos log.
+    /// The final decisions of one chosen [`TmCommand`] that concern one
+    /// shard, sent to its leader in a single message once the command is
+    /// chosen in the transaction manager's Paxos log, and relayed by the
+    /// leader to its followers (a batch of one at `max_batch = 1`).
     Decision {
-        /// Transaction identifier.
-        tx: TxId,
-        /// The decision.
-        decision: Decision,
+        /// The `(transaction, decision)` pairs, in command order.
+        decisions: Items<(TxId, Decision)>,
     },
     /// Final decision reported to the client.
     DecisionClient {

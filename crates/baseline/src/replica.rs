@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use ratc_core::batch::{BatchingConfig, VoteBatcher, FLUSH_DELAY};
 use ratc_paxos::{Outgoing, PaxosMsg};
-use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag, TxMilestone};
+use ratc_sim::{Actor, Context, TimerTag, TxMilestone};
 use ratc_types::{
     CertificationPolicy, Decision, IndexedCertifier, Payload, Position, ProcessId, ShardId, TxId,
 };
@@ -40,14 +40,18 @@ fn pos(tx: TxId) -> Position {
 /// to the group. A vote is reported to the transaction manager only once it is
 /// chosen, i.e. durable at a majority of the `2f + 1` replicas.
 ///
-/// # Bounded memory
+/// # Memory
 ///
-/// Mirroring the checkpointed truncation of the RATC stacks, a decided
-/// transaction's *payload* is dropped as soon as its decision arrives: the
-/// incremental certifier already folded a committed payload into its per-key
-/// summary, so only the compact `decisions` map (the 2PC outcome log recovery
-/// still needs) is retained. `prepared`/`in_flight` therefore hold payloads
-/// only for the undecided window, not the whole history.
+/// The replica's own tables drop a decided transaction's *payload* as soon
+/// as its decision arrives: the incremental certifier already folded a
+/// committed payload into its per-key summary, so `prepared`/`in_flight`
+/// hold payloads only for the undecided window, and the `decisions` map one
+/// payload-free entry per transaction. The Paxos member does not forget:
+/// every member's `Acceptor` keeps each accepted command and its
+/// `ReplicatedLog` each chosen one, payloads included, for the whole run,
+/// so the group's memory grows with the history. The baseline has no
+/// analogue of the RATC stacks' checkpointed truncation yet; ROADMAP's D15
+/// (one retention rule on every stack) names it.
 pub struct BaselineShardReplica {
     shard: ShardId,
     tm: ProcessId,
@@ -177,13 +181,9 @@ impl BaselineShardReplica {
         }
         // A restarted leader must finish Paxos log recovery before certifying
         // anything new; the TM's retry tick re-delivers this PREPARE later.
-        let Some(recovered_now) = self.paxos.recovered() else {
+        if !self.paxos.recovery_gate(Some(self.shard), ctx) {
             self.arm_retransmit_timer(ctx);
             return;
-        };
-        if recovered_now {
-            let id = self.paxos.id().as_u64();
-            ctx.ctrl_milestone(CtrlMilestone::Recovered, Some(self.shard), id);
         }
         let vote = self.index.vote(&payload);
         if vote == Decision::Commit {
@@ -194,8 +194,7 @@ impl BaselineShardReplica {
         // command. At `max_batch = 1` every push flushes (one command per
         // transaction); a partially filled batch is flushed by the timer.
         if self.batcher.push(ShardVote { tx, payload, vote }) {
-            let items = self.batcher.drain_full();
-            self.flush_proposals(items, ctx);
+            self.flush_proposals(ctx);
         } else {
             self.arm_batch_timer(ctx);
         }
@@ -208,23 +207,22 @@ impl BaselineShardReplica {
         }
     }
 
-    /// Proposes a drained batch as a single command occupying one Paxos
+    /// Proposes the pending batch as a single command occupying one Paxos
     /// log slot.
-    fn flush_proposals(&mut self, items: Vec<ShardVote>, ctx: &mut Context<'_, BaselineMsg>) {
-        if items.is_empty() {
+    fn flush_proposals(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
+        if self.batcher.is_empty() {
             return;
         }
+        let items = self.batcher.drain_shared();
         // Same flush telemetry as the other stacks' batchers (a flush of one
         // is a flush, so the milestone set does not depend on the knobs).
         ctx.obs_gauge("obs_batch_occupancy", items.len() as u64);
         if ctx.obs_enabled() {
-            for item in &items {
+            for item in items.iter() {
                 ctx.obs_milestone(item.tx, TxMilestone::BatchFlush, items.len() as u64);
             }
         }
-        let command = ShardCommand {
-            items: items.into(),
-        };
+        let command = ShardCommand { items };
         let out = self.paxos.propose(command, ctx.now().as_micros());
         self.route(ctx, out);
         self.arm_retransmit_timer(ctx);
@@ -285,6 +283,27 @@ impl BaselineShardReplica {
         }
     }
 
+    /// Records the final decision on `tx`. The first decision wins;
+    /// duplicates from a retrying TM are otherwise no-ops (the payload is
+    /// already pruned).
+    fn record_decision(&mut self, tx: TxId, decision: Decision) {
+        if self.decisions.contains_key(&tx) {
+            return;
+        }
+        if let Some((payload, _vote)) = self.prepared.remove(&tx) {
+            // The transaction leaves the prepared set; a commit enters the
+            // committed summary. Its payload is dropped — the index keeps
+            // the per-key residue, the decision map keeps the outcome.
+            self.index.release(pos(tx));
+            if decision == Decision::Commit {
+                self.index.apply_committed(pos(tx), &payload);
+            }
+        }
+        // Recorded even if the vote is not chosen here yet: a later `Chosen`
+        // for a decided transaction must not re-lock it.
+        self.decisions.insert(tx, decision);
+    }
+
     fn handle_paxos(
         &mut self,
         from: ProcessId,
@@ -311,6 +330,9 @@ impl BaselineShardReplica {
             let shard = self.shard;
             ctx.send(self.tm, BaselineMsg::VoteBatch { shard, votes });
         }
+        // Recovery ends at the step whose quorum re-chose the last slot
+        // accepted before the crash: that is when `Recovered` is stamped.
+        self.paxos.recovery_gate(Some(self.shard), ctx);
     }
 }
 
@@ -326,7 +348,10 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
             BaselineMsg::ShardPaxos { shard, msg } if shard == self.shard => {
                 self.handle_paxos(from, msg, ctx)
             }
-            BaselineMsg::Decision { tx, decision } => {
+            BaselineMsg::Decision { decisions } => {
+                for (tx, decision) in decisions.iter() {
+                    self.record_decision(*tx, *decision);
+                }
                 // The TM addresses decisions to the shard leader; relay them
                 // to the followers so they prune the decided payload from
                 // their prepared sets too — otherwise learner memory grows
@@ -338,26 +363,8 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
                 if self.paxos.leads() {
                     let id = self.paxos.id();
                     let followers = self.paxos.group().iter().filter(|p| **p != id);
-                    ctx.send_to_many(followers.copied(), BaselineMsg::Decision { tx, decision });
+                    ctx.send_to_many(followers.copied(), BaselineMsg::Decision { decisions });
                 }
-                // First decision wins; duplicates from a retrying TM are
-                // otherwise no-ops (the payload is already pruned).
-                if self.decisions.contains_key(&tx) {
-                    return;
-                }
-                if let Some((payload, _vote)) = self.prepared.remove(&tx) {
-                    // The transaction leaves the prepared set; a commit enters
-                    // the committed summary. Its payload is dropped — the
-                    // index keeps the per-key residue, the decision map keeps
-                    // the outcome.
-                    self.index.release(pos(tx));
-                    if decision == Decision::Commit {
-                        self.index.apply_committed(pos(tx), &payload);
-                    }
-                }
-                // Recorded even if the vote is not chosen here yet: a later
-                // `Chosen` for a decided transaction must not re-lock it.
-                self.decisions.insert(tx, decision);
             }
             // Explicit no-ops. `Certify`/`VoteBatch`/`TmPaxos` are TM
             // traffic, `DecisionClient` is client traffic, and a
@@ -374,8 +381,7 @@ impl Actor<BaselineMsg> for BaselineShardReplica {
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, BaselineMsg>) {
         if tag == BATCH_TICK {
             self.batch_timer_armed = false;
-            let items = self.batcher.drain();
-            self.flush_proposals(items, ctx);
+            self.flush_proposals(ctx);
         } else if tag == RETRANSMIT_TICK {
             self.handle_retransmit_tick(ctx);
         }
@@ -452,6 +458,21 @@ mod tests {
 
     fn replica(cluster: &BaselineCluster, pid: ProcessId) -> &BaselineShardReplica {
         cluster.world.actor(pid).expect("shard replica")
+    }
+
+    /// What the other modules' tests read of a replica.
+    impl BaselineShardReplica {
+        /// The final decision this replica recorded for `tx`.
+        pub(crate) fn decision(&self, tx: TxId) -> Option<Decision> {
+            self.decisions.get(&tx).copied()
+        }
+
+        /// Every `(transaction, vote)` chosen in this replica's view of the
+        /// shard's log, in slot order.
+        pub(crate) fn chosen_votes(&self) -> impl Iterator<Item = (TxId, Decision)> + '_ {
+            let commands = self.paxos.log().iter().map(|(_, command)| command);
+            commands.flat_map(|command| command.items.iter().map(|item| (item.tx, item.vote)))
+        }
     }
 
     /// Runs until `tx` is decided, for at most ten simulated seconds.

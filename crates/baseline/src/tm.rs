@@ -3,19 +3,21 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ratc_core::batch::{BatchingConfig, Items, VoteBatcher, FLUSH_DELAY};
 use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
 use ratc_paxos::{Outgoing, PaxosMsg};
-use ratc_sim::{
-    Actor, BackoffPolicy, BackoffState, Context, CtrlMilestone, SimDuration, TimerTag, TxMilestone,
-};
+use ratc_sim::{Actor, BackoffPolicy, BackoffState, Context, SimDuration, TimerTag, TxMilestone};
 use ratc_types::{Decision, Payload, Placement, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::group::PaxosMember;
-use crate::messages::{BaselineMsg, TmCommand};
+use crate::messages::{BaselineMsg, TmCommand, TmDecision};
 
 /// Timer tag re-driving in-flight transactions (re-sending `PREPARE` to
 /// shards whose vote is missing and re-transmitting outstanding Paxos work).
 const TM_RETRY_TICK: TimerTag = 21;
+
+/// Timer tag flushing a partially filled batch of decisions.
+const TM_FLUSH_TICK: TimerTag = 22;
 
 /// Retry interval of the transaction manager.
 const TM_RETRY: SimDuration = SimDuration::from_millis(20);
@@ -46,6 +48,12 @@ struct PendingTx {
 /// log, and only then externalises it to the client and the shards. This is
 /// the 7-message-delay critical path the paper attributes to the vanilla
 /// approach.
+///
+/// Decisions are batched as the shards' votes are (`ratc_core::batch`): the
+/// leader coalesces computed decisions into one Paxos command per batch and,
+/// once it is chosen, sends each involved shard leader one `Decision`
+/// carrying the batch's decisions for that shard. At `max_batch = 1` every
+/// decision is proposed as it is computed, in a command of its own.
 pub struct TransactionManager {
     /// The leader of the transaction-manager group; non-leader members
     /// forward `CERTIFY` requests here, so a client (or the unified harness)
@@ -59,9 +67,13 @@ pub struct TransactionManager {
     /// possibly different decision for it.
     paxos: PaxosMember<TmCommand>,
     pending: BTreeMap<TxId, PendingTx>,
-    /// The first command chosen for each decided transaction: its decision,
-    /// and the client and shards a re-submitted `certify` is answered with.
-    decided: BTreeMap<TxId, TmCommand>,
+    /// The first decision chosen for each decided transaction, with the
+    /// shards a re-submitted `certify` is answered with.
+    decided: BTreeMap<TxId, TmDecision>,
+    /// Computed decisions waiting to be proposed as one command. Volatile:
+    /// a restart drops it with `pending`, and clients re-drive.
+    batcher: VoteBatcher<TmDecision>,
+    flush_armed: bool,
     retry_armed: bool,
     /// Consecutive retry ticks without new work; capped by [`TM_RETRY_CAP`].
     retry_ticks: u32,
@@ -81,11 +93,25 @@ impl TransactionManager {
             paxos: PaxosMember::new(ProcessId::new(u64::MAX), Vec::new(), false),
             pending: BTreeMap::new(),
             decided: BTreeMap::new(),
+            batcher: VoteBatcher::new(BatchingConfig::default()),
+            flush_armed: false,
             retry_armed: false,
             retry_ticks: 0,
             flow: FlowControlConfig::default(),
             admission: AdmissionQueue::new(),
         }
+    }
+
+    /// Sets the batching-pipeline knobs (default: disabled).
+    pub fn set_batching(&mut self, batching: BatchingConfig) {
+        self.batcher.set_config(batching);
+    }
+
+    /// Number of Multi-Paxos log slots chosen at this member's log view.
+    /// With batched decisions each slot carries up to `max_batch` of them,
+    /// so this counts commands, not transactions.
+    pub fn chosen_slots(&self) -> usize {
+        self.paxos.log().len()
     }
 
     /// Installs the flow-control configuration (the admission window).
@@ -150,21 +176,16 @@ impl TransactionManager {
         // A re-submitted `certify` of a decided transaction (the client's
         // DECISION was lost, or the TM restarted and the client retried):
         // re-externalise the durable decision instead of swallowing it.
-        if let Some(first) = self.decided.get(&tx) {
-            self.externalize(tx, first.decision, client, &first.shards, ctx);
+        if self.reexternalize(tx, client, ctx) {
             return;
         }
         // A restarted TM leader must finish Paxos log recovery first: a
         // decision accepted before the crash may exist for this transaction,
         // and starting fresh 2PC now could commit a second, different one.
         // The client's recovery retry re-delivers the request later.
-        let Some(recovered_now) = self.paxos.recovered() else {
+        if !self.paxos.recovery_gate(None, ctx) {
             self.arm_retry_timer(ctx);
             return;
-        };
-        if recovered_now {
-            let id = self.paxos.id().as_u64();
-            ctx.ctrl_milestone(CtrlMilestone::Recovered, None, id);
         }
         if let Some(pending) = self.pending.get_mut(&tx) {
             // A retry supersedes the in-flight attempt: refresh the reply
@@ -242,11 +263,9 @@ impl TransactionManager {
             let Some((tx, (payload, client))) = self.admission.pop() else {
                 break;
             };
-            if let Some(first) = self.decided.get(&tx) {
-                self.externalize(tx, first.decision, client, &first.shards, ctx);
-                continue;
+            if !self.reexternalize(tx, client, ctx) {
+                self.start_tx(tx, payload, client, ctx);
             }
-            self.start_tx(tx, payload, client, ctx);
         }
     }
 
@@ -343,22 +362,62 @@ impl TransactionManager {
         self.rearm_retry_timer(ctx);
     }
 
-    /// Sends the durable decision of `tx` to `client` and the leaders of
-    /// its `shards`.
-    fn externalize(
+    /// Re-externalises the durable decision on `tx`, if there is one, to
+    /// `client` and the shards, as a batch of one. Returns whether `tx` was
+    /// decided.
+    fn reexternalize(
         &self,
         tx: TxId,
-        decision: Decision,
         client: ProcessId,
-        shards: &[ShardId],
         ctx: &mut Context<'_, BaselineMsg>,
-    ) {
-        ctx.send(client, BaselineMsg::DecisionClient { tx, decision });
-        for shard in shards {
-            if let Some(leader) = self.shard_leaders.get(shard) {
-                ctx.send(*leader, BaselineMsg::Decision { tx, decision });
+    ) -> bool {
+        let Some(first) = self.decided.get(&tx) else {
+            return false;
+        };
+        let again = TmDecision {
+            client,
+            ..first.clone()
+        };
+        self.externalize(std::slice::from_ref(&again), ctx);
+        true
+    }
+
+    /// Sends each decision of `batch` to its client, and to the leader of
+    /// every shard one message with the batch's decisions on that shard.
+    /// What is sent for a transaction is the first decision chosen for it.
+    fn externalize(&self, batch: &[TmDecision], ctx: &mut Context<'_, BaselineMsg>) {
+        let first = |item: &TmDecision| {
+            let first = self.decided.get(&item.tx).unwrap_or(item);
+            (item.tx, first.decision)
+        };
+        for item in batch {
+            let (tx, decision) = first(item);
+            ctx.send(item.client, BaselineMsg::DecisionClient { tx, decision });
+        }
+        for (shard, leader) in &self.shard_leaders {
+            let decisions: Items<(TxId, Decision)> = batch
+                .iter()
+                .filter(|item| item.shards.contains(shard))
+                .map(first)
+                .collect();
+            if !decisions.is_empty() {
+                ctx.send(*leader, BaselineMsg::Decision { decisions });
             }
         }
+    }
+
+    /// Proposes the pending decisions as one command occupying one Paxos
+    /// log slot.
+    fn flush(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
+        if self.batcher.is_empty() {
+            return;
+        }
+        let command = TmCommand {
+            decisions: self.batcher.drain_shared(),
+        };
+        let out = self.paxos.propose(command, ctx.now().as_micros());
+        Self::route(ctx, out);
+        self.arm_retry_timer(ctx);
     }
 
     fn handle_vote(
@@ -380,16 +439,19 @@ impl TransactionManager {
             return;
         }
         pending.proposed = true;
-        let decision = Decision::meet_all(pending.votes.values().copied());
-        let command = TmCommand {
+        let decision = TmDecision {
             tx,
-            decision,
+            decision: Decision::meet_all(pending.votes.values().copied()),
             client: pending.client,
             shards: pending.placement.shards().collect(),
         };
-        let out = self.paxos.propose(command, ctx.now().as_micros());
-        Self::route(ctx, out);
-        self.arm_retry_timer(ctx);
+        // At `max_batch = 1` every push flushes: one command per decision.
+        if self.batcher.push(decision) {
+            self.flush(ctx);
+        } else if !self.flush_armed {
+            ctx.set_timer(FLUSH_DELAY, TM_FLUSH_TICK);
+            self.flush_armed = true;
+        }
     }
 
     fn handle_paxos(
@@ -401,28 +463,31 @@ impl TransactionManager {
         let (out, chosen) = self.paxos.handle(from, msg, ctx.now().as_micros());
         Self::route(ctx, out);
         for (_, command) in chosen {
-            // First decision wins: retries around a TM restart can choose
-            // a second command for the same transaction; only the first
-            // recorded decision is ever externalised.
-            let first = self.decided.entry(command.tx);
-            let decision = first.or_insert_with(|| command.clone()).decision;
+            for item in command.decisions.iter() {
+                // First decision wins: retries around a TM restart can
+                // choose a second decision for the same transaction; only
+                // the first recorded one is ever externalised.
+                self.decided.entry(item.tx).or_insert_with(|| item.clone());
+            }
             if !self.paxos.leads() {
                 continue;
             }
-            if self.pending.remove(&command.tx).is_some() {
-                // The Paxos accept quorum is what makes the decision
-                // durable: quorum and decision coincide on this stack.
-                ctx.obs_milestone(command.tx, TxMilestone::AcceptQuorum, 0);
-                ctx.obs_milestone(command.tx, TxMilestone::Decided, 0);
-                ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
+            for item in command.decisions.iter() {
+                if self.pending.remove(&item.tx).is_some() {
+                    // The Paxos accept quorum is what makes the decision
+                    // durable: quorum and decision coincide on this stack.
+                    ctx.obs_milestone(item.tx, TxMilestone::AcceptQuorum, 0);
+                    ctx.obs_milestone(item.tx, TxMilestone::Decided, 0);
+                    ctx.obs_gauge("obs_inflight_window", self.pending.len() as u64);
+                }
+                self.admission.remove(item.tx);
             }
-            self.admission.remove(command.tx);
-            // The decision is durable: externalise it.
-            let TmCommand {
-                tx, client, shards, ..
-            } = command;
-            self.externalize(tx, decision, client, &shards, ctx);
+            // The decisions are durable: externalise them.
+            self.externalize(&command.decisions, ctx);
         }
+        // Recovery ends at the step whose quorum re-chose the last decision
+        // accepted before the crash: that is when `Recovered` is stamped.
+        self.paxos.recovery_gate(None, ctx);
         // Decisions freed admission-window slots: admit waiting submissions.
         self.drain_admission(ctx);
     }
@@ -459,16 +524,22 @@ impl Actor<BaselineMsg> for TransactionManager {
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, BaselineMsg>) {
         if tag == TM_RETRY_TICK {
             self.handle_retry_tick(ctx);
+        } else if tag == TM_FLUSH_TICK {
+            self.flush_armed = false;
+            self.flush(ctx);
         }
     }
 
     /// Crash-restart recovery: the Paxos acceptor, the chosen-command log and
     /// the decision map (rebuilt from the log) are durable; in-flight 2PC
-    /// state is volatile and lost — clients re-drive undecided transactions
-    /// by re-submitting, which either restarts 2PC (undecided) or
-    /// re-externalises the durable outcome (decided).
+    /// state, decisions not yet proposed included, is volatile and lost —
+    /// clients re-drive undecided transactions by re-submitting, which either
+    /// restarts 2PC (undecided) or re-externalises the durable outcome
+    /// (decided).
     fn on_restart(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
         self.pending.clear();
+        self.batcher = VoteBatcher::new(self.batcher.config());
+        self.flush_armed = false;
         self.admission.clear();
         self.retry_armed = false;
         // A leader starts log recovery at once; `handle_certify` defers
@@ -484,14 +555,24 @@ impl Actor<BaselineMsg> for TransactionManager {
 mod tests {
     use super::*;
     use crate::cluster::{BaselineCluster, BaselineStack};
+    use crate::replica::BaselineShardReplica;
     use ratc_core::harness::{ClusterConfig, TcsCluster};
-    use ratc_sim::{FaultScope, LinkFault};
+    use ratc_sim::{CtrlMilestone, FaultScope, LinkFault};
     use ratc_types::{Key, Value, Version};
 
     fn rw(key: &str) -> Payload {
-        Payload::builder()
-            .read(Key::new(key), Version::ZERO)
-            .write(Key::new(key), Value::from("v"))
+        rw_all(&[key])
+    }
+
+    /// A payload reading `keys` at version 0 and writing them at version 1.
+    fn rw_all(keys: &[&str]) -> Payload {
+        let mut payload = Payload::builder();
+        for key in keys {
+            payload = payload
+                .read(Key::new(*key), Version::ZERO)
+                .write(Key::new(*key), Value::from("v"));
+        }
+        payload
             .commit_version(Version::new(1))
             .build()
             .expect("well-formed")
@@ -544,25 +625,159 @@ mod tests {
         assert_eq!(cluster.history().decision(t2), None);
 
         // Healed, recovery re-chooses the accepted decision and externalises
-        // it, still without a PREPARE.
+        // it, still without a PREPARE. The step that ends recovery stamps
+        // `Recovered`: no later than t2's decision reaches the client.
         for follower in followers {
             cluster.set_link_fault(*follower, leader, LinkFault::none());
         }
+        while cluster.history().decision(t2).is_none() {
+            cluster.run_for(SimDuration::from_micros(1));
+        }
+        let decided_at = cluster.now().as_micros();
+        let recovered_at = |cluster: &BaselineCluster| -> Vec<u64> {
+            let events = cluster.metrics().ctrl_events().iter();
+            events
+                .filter(|event| event.milestone == CtrlMilestone::Recovered && event.by == leader)
+                .map(|event| event.at_micros)
+                .collect()
+        };
+        let stamped = recovered_at(&cluster);
+        assert!(
+            stamped.len() == 1 && stamped[0] <= decided_at,
+            "Recovered {stamped:?}, t2 decided at {decided_at}"
+        );
         cluster.run_to_quiescence();
         assert_eq!(cluster.history().decision(t2), Some(Decision::Commit));
         assert_eq!(prepares_sent(&cluster), prepares);
-        // The next fresh transaction passes the gate, which stamps
-        // `Recovered`, and starts 2PC.
+        // The next fresh transaction passes the gate and starts 2PC; the
+        // stamp is not repeated.
         cluster.submit(t3, rw("z"));
         cluster.run_to_quiescence();
         assert_eq!(cluster.history().decision(t3), Some(Decision::Commit));
         assert!(prepares_sent(&cluster) > prepares);
-        let recovered = cluster
-            .metrics()
-            .ctrl_events()
-            .iter()
-            .filter(|event| event.milestone == CtrlMilestone::Recovered && event.by == leader);
-        assert_eq!(recovered.count(), 1);
+        assert_eq!(recovered_at(&cluster), stamped);
         assert!(cluster.client_violations().is_empty());
+    }
+
+    /// A TM leader that crashes while its batcher holds decisions it has not
+    /// proposed, and while a chosen batch's `Decision` is still on its way to
+    /// a shard leader, loses neither kind: once the clients re-submit, every
+    /// transaction decides, each exactly once in the TM's log, and every
+    /// decision is the meet of the votes its shards chose.
+    #[test]
+    fn a_tm_leader_crash_with_batched_decisions_in_flight_decides_each_once() {
+        let config = ClusterConfig::default()
+            .with_seed(19)
+            .with_replicas_per_shard(3)
+            .with_batching(BatchingConfig::with_batch(4));
+        let mut cluster = BaselineCluster::new(BaselineStack, config);
+        let leader = cluster.coordinator_pool()[0];
+        // Single-key and two-key transactions over a few hot keys, so some
+        // shards vote abort and a decision is a meet of several votes.
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        let txs: Vec<(TxId, Payload)> = (0..24u64)
+            .map(|i| {
+                let first = keys[i as usize % keys.len()];
+                let payload = if i % 3 == 0 {
+                    rw_all(&[first, keys[(i as usize * 7 + 1) % keys.len()]])
+                } else {
+                    rw(first)
+                };
+                (TxId::new(i + 1), payload)
+            })
+            .collect();
+        fn tm_of(cluster: &BaselineCluster, pid: ProcessId) -> &TransactionManager {
+            cluster.world.actor(pid).expect("tm member")
+        }
+        fn leader_of(cluster: &BaselineCluster, shard: ShardId) -> &BaselineShardReplica {
+            let pid = cluster.shard_view(shard).leader.expect("leader");
+            cluster.world.actor(pid).expect("replica")
+        }
+        // A decision chosen at the TM, but not yet recorded by one of its
+        // shards' leaders: its `Decision` batch is on the wire.
+        let on_the_wire = |cluster: &BaselineCluster| {
+            tm_of(cluster, leader).decided.values().any(|first| {
+                let mut shards = first.shards.iter();
+                shards.any(|shard| leader_of(cluster, *shard).decision(first.tx).is_none())
+            })
+        };
+        // Decisions to shard 0's leader take 3 ms longer, and submissions
+        // trickle in faster than a batch fills, so a flush waits for its
+        // timer while an earlier batch is still on the wire.
+        let slow = cluster.shard_view(ShardId::new(0)).leader.expect("leader");
+        cluster.set_link_fault(leader, slow, LinkFault::delay_all(3_000, FaultScope::All));
+        let mut held = 0;
+        'trickle: for (tx, payload) in &txs {
+            cluster.submit(*tx, payload.clone());
+            for _ in 0..250 {
+                cluster.run_for(SimDuration::from_micros(1));
+                let tm = tm_of(&cluster, leader);
+                if !tm.batcher.is_empty() && on_the_wire(&cluster) {
+                    held = tm.batcher.len();
+                    break 'trickle;
+                }
+            }
+        }
+        assert!(
+            held > 0,
+            "no instant with both a held batch and one in flight"
+        );
+        cluster.crash(leader);
+        assert!(cluster.restart(leader));
+
+        // The clients re-submit whatever is undecided until it decides.
+        // Those the trickle had not reached yet are submitted now, while the
+        // restarted leader recovers.
+        let history = cluster.history();
+        for (tx, payload) in &txs {
+            if !history.certified().any(|(certified, _)| certified == *tx) {
+                cluster.submit(*tx, payload.clone());
+            }
+        }
+        for _ in 0..100 {
+            let history = cluster.history();
+            let undecided: Vec<_> = txs
+                .iter()
+                .filter(|(tx, _)| history.decision(*tx).is_none())
+                .collect();
+            if undecided.is_empty() {
+                break;
+            }
+            for (tx, payload) in undecided {
+                cluster.resubmit(*tx, payload.clone());
+            }
+            cluster.run_for(SimDuration::from_millis(20));
+        }
+        cluster.run_to_quiescence();
+        assert!(cluster.client_violations().is_empty());
+        let history = cluster.history();
+        assert!(history.is_complete(), "every transaction decides");
+
+        let in_log = |tx: TxId| {
+            let commands = tm_of(&cluster, leader).paxos.log().iter().map(|(_, c)| c);
+            let decisions = commands.flat_map(|c| c.decisions.iter());
+            decisions.filter(|item| item.tx == tx).count()
+        };
+        for (tx, payload) in &txs {
+            assert_eq!(in_log(*tx), 1, "{tx} decided once");
+            let placement = payload.place(cluster.sharding());
+            let votes: Vec<Decision> = placement
+                .shards()
+                .flat_map(|shard| leader_of(&cluster, shard).chosen_votes())
+                .filter(|(voted, _)| voted == tx)
+                .map(|(_, vote)| vote)
+                .collect();
+            assert_eq!(votes.len(), placement.len(), "{tx}: one vote per shard");
+            assert_eq!(
+                history.decision(*tx),
+                Some(Decision::meet_all(votes.iter().copied())),
+                "{tx}: the meet of its chosen votes {votes:?}"
+            );
+        }
+        let committed = history.committed().count();
+        assert!(
+            0 < committed && committed < txs.len(),
+            "{committed} commits"
+        );
     }
 }

@@ -25,9 +25,11 @@
 //!   single `PREPARE_ACK_BATCH`; the coordinator persists the batch at each
 //!   follower with a single `ACCEPT_BATCH` (one RDMA write per follower in
 //!   the RDMA stack), and distributes a single `DECISION_BATCH` per shard
-//!   once the batch completes. The baseline stack reuses the same batcher to
-//!   coalesce certified votes into one Multi-Paxos command per batch
-//!   (batched log appends);
+//!   once the batch completes. The baseline stack reuses the same batcher
+//!   twice: a shard leader coalesces certified votes, and the transaction
+//!   manager final decisions, into one Multi-Paxos command per batch
+//!   (batched log appends), and the manager sends each shard leader one
+//!   `Decision` per chosen batch;
 //! * [`Items`] — the item list of a batch message, which stores a batch of
 //!   one inline so the degenerate case allocates nothing.
 //!
@@ -39,6 +41,8 @@
 //! exactly the order the items were submitted in, which is what the
 //! `ratc-spec::batching` differential suite checks end to end (size 1 is its
 //! reference run).
+
+use std::sync::Arc;
 
 use ratc_sim::SimDuration;
 use ratc_types::{Decision, Payload, Position, ProcessId, ShardId, TxId};
@@ -86,8 +90,9 @@ impl BatchingConfig {
 /// The coalescing buffer of the batching pipeline.
 ///
 /// Generic in the item type: the RATC stacks buffer transaction identifiers
-/// (the payloads live in the coordinator state), the baseline buffers whole
-/// certified votes destined for one Multi-Paxos command.
+/// (the payloads live in the coordinator state); the baseline's shard
+/// leaders buffer whole certified votes, and its transaction manager final
+/// decisions, each batch destined for one Multi-Paxos command.
 #[derive(Debug, Clone)]
 pub struct VoteBatcher<T> {
     config: BatchingConfig,
@@ -123,6 +128,13 @@ impl<T> VoteBatcher<T> {
     /// Drains and returns the pending batch (in push order).
     pub fn drain(&mut self) -> Vec<T> {
         std::mem::take(&mut self.pending)
+    }
+
+    /// Drains the pending batch (in push order) into one exactly sized shared
+    /// block, the value a replicated log command holds. The items are moved,
+    /// not copied, and the buffer keeps its capacity for the next batch.
+    pub fn drain_shared(&mut self) -> Arc<[T]> {
+        self.pending.drain(..).collect()
     }
 
     /// Drains a batch that filled to `max_batch`: the same as
@@ -354,6 +366,18 @@ mod tests {
         assert_eq!(batcher.len(), 2);
         assert!(batcher.push(3), "third push reaches max_batch");
         assert_eq!(batcher.drain_full(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_shared_drain_moves_the_batch_and_keeps_the_buffer() {
+        let mut batcher: VoteBatcher<String> = VoteBatcher::new(BatchingConfig::with_batch(2));
+        batcher.push("a".into());
+        assert!(batcher.push("b".into()));
+        let capacity = batcher.pending.capacity();
+        let batch = batcher.drain_shared();
+        assert_eq!(&batch[..], ["a", "b"]);
+        assert!(batcher.is_empty());
+        assert_eq!(batcher.pending.capacity(), capacity, "the buffer is kept");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   phase 1 once and then assigns commands to consecutive slots with
 //!   phase 2 only;
 //! * [`ReplicatedLog`] — a learner that assembles chosen commands into a log
-//!   and hands out the contiguous prefix for execution.
+//!   indexed by slot.
 //!
 //! The state machines are *pure*: each input returns the set of messages to
 //! send, so they can be embedded into any transport — the deterministic
@@ -53,7 +53,8 @@
 //!         }
 //!     }
 //! }
-//! assert_eq!(log.executable_prefix(), vec![&"deposit"]);
+//! assert_eq!(log.get(0), Some(&"deposit"));
+//! assert_eq!(log.len(), 1);
 //! ```
 
 #![deny(missing_docs)]

@@ -4,19 +4,16 @@ use std::collections::BTreeMap;
 
 use crate::messages::Slot;
 
-/// A learner's view of the replicated log: chosen commands indexed by slot,
-/// with a cursor over the contiguous executable prefix.
+/// A learner's view of the replicated log: chosen commands indexed by slot.
 #[derive(Debug, Clone)]
 pub struct ReplicatedLog<C> {
     chosen: BTreeMap<Slot, C>,
-    executed_up_to: Slot,
 }
 
 impl<C> Default for ReplicatedLog<C> {
     fn default() -> Self {
         ReplicatedLog {
             chosen: BTreeMap::new(),
-            executed_up_to: 0,
         }
     }
 }
@@ -55,34 +52,6 @@ impl<C> ReplicatedLog<C> {
     pub fn is_empty(&self) -> bool {
         self.chosen.is_empty()
     }
-
-    /// The contiguous prefix of chosen commands starting at slot 0, in slot
-    /// order. Commands beyond the first gap are not included.
-    pub fn executable_prefix(&self) -> Vec<&C> {
-        let mut prefix = Vec::new();
-        let mut next = 0;
-        while let Some(c) = self.chosen.get(&next) {
-            prefix.push(c);
-            next += 1;
-        }
-        prefix
-    }
-
-    /// Pops the next commands that are chosen, contiguous and not yet handed
-    /// out by a previous call (an execution cursor over
-    /// [`ReplicatedLog::executable_prefix`]).
-    pub fn take_newly_executable(&mut self) -> Vec<(Slot, &C)> {
-        let mut newly = Vec::new();
-        let mut next = self.executed_up_to;
-        while self.chosen.contains_key(&next) {
-            next += 1;
-        }
-        for slot in self.executed_up_to..next {
-            newly.push((slot, self.chosen.get(&slot).expect("checked contiguous")));
-        }
-        self.executed_up_to = next;
-        newly
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +59,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prefix_stops_at_gaps() {
+    fn slots_are_held_across_gaps_and_iterated_in_order() {
         let mut log = ReplicatedLog::new();
-        log.record_chosen(0, "a");
         log.record_chosen(2, "c");
-        assert_eq!(log.executable_prefix(), vec![&"a"]);
+        log.record_chosen(0, "a");
+        assert_eq!(log.get(1), None, "a gap");
         log.record_chosen(1, "b");
-        assert_eq!(log.executable_prefix(), vec![&"a", &"b", &"c"]);
+        let slots: Vec<(Slot, &&str)> = log.iter().collect();
+        assert_eq!(slots, vec![(0, &"a"), (1, &"b"), (2, &"c")]);
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.get(2), Some(&"c"));
@@ -112,24 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn execution_cursor_hands_out_each_slot_once() {
-        let mut log = ReplicatedLog::new();
-        log.record_chosen(0, "a");
-        log.record_chosen(1, "b");
-        let first: Vec<(Slot, &&str)> = log.take_newly_executable();
-        assert_eq!(first.len(), 2);
-        assert!(log.take_newly_executable().is_empty());
-        log.record_chosen(3, "d");
-        assert!(log.take_newly_executable().is_empty(), "gap at slot 2");
-        log.record_chosen(2, "c");
-        let next = log.take_newly_executable();
-        assert_eq!(next.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
     fn empty_log() {
         let log: ReplicatedLog<u8> = ReplicatedLog::new();
         assert!(log.is_empty());
-        assert!(log.executable_prefix().is_empty());
+        assert_eq!(log.iter().count(), 0);
     }
 }
