@@ -40,8 +40,8 @@ fn e9_availability_under_the_nemesis() {
                 (29, 100_000, 30_696, 30_696, 1, 7),
                 (29, 225_000, 26_443, 14_658, 2, 10),
                 (27, 200_000, 25_358, 13_577, 3, 14),
-                (29, 5_525_000, 5_041_493, 13_887, 3, 24),
-                (26, 225_000, 54_613, 13_513, 4, 24),
+                (28, 5_175_000, 5_040_358, 13_900, 3, 24),
+                (25, 225_000, 49_992, 13_589, 5, 24),
             ],
         ),
         (
@@ -50,8 +50,8 @@ fn e9_availability_under_the_nemesis() {
                 (28, 100_000, 30_018, 30_018, 1, 80),
                 (27, 200_000, 28_030, 16_307, 2, 85),
                 (27, 175_000, 39_928, 13_659, 2, 80),
-                (26, 5_400_000, 10_043_093, 1_656, 3, 69),
-                (26, 5_425_000, 10_077_161, 1_533, 2, 75),
+                (28, 5_175_000, 10_041_019, 1_327, 3, 69),
+                (28, 5_175_000, 10_075_318, 628, 2, 75),
             ],
         ),
         (
@@ -92,8 +92,8 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
             Stack::Core,
             [
                 (28, 150_000, 27_886, 27_886, 1, 5),
-                (29, 150_000, 895, 895, 1, 8),
-                (29, 175_000, 1_684, 902, 2, 14),
+                (29, 75_000, 895, 895, 1, 8),
+                (29, 75_000, 1_684, 902, 2, 14),
                 (29, 100_000, 10_255, 10_255, 1, 4),
             ],
         ),
@@ -101,8 +101,8 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
             Stack::Rdma,
             [
                 (26, 225_000, 29_532, 29_532, 1, 70),
-                (28, 100_000, 826, 826, 1, 83),
-                (28, 100_000, 826, 826, 1, 83),
+                (28, 75_000, 826, 826, 1, 83),
+                (28, 75_000, 826, 826, 1, 83),
                 (28, 200_000, 11_141, 11_141, 1, 66),
             ],
         ),

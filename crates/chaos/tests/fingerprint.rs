@@ -110,17 +110,24 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
     // ratc-rdma nemesis seeds re-recorded when a member began answering
     // every handshake at once: an ack from an older epoch, or a `Connect`
     // older than the epoch a reconfiguring member was asked to join, ends
-    // the connector's retries (2026 → 819 and 5509 → 3124 steps).
+    // the connector's retries (2026 → 819 and 5509 → 3124 steps). Every
+    // ratc-mp and ratc-rdma row re-recorded when a coordinator began
+    // re-driving its stalled transactions on learning a shard's newer
+    // configuration, and ratc-mp's `CONFIG_CHANGE` moved from the
+    // configuration service to the installed leader: stalled transactions
+    // decide before the next retry tick, so the soaks settle sooner (ratc-mp
+    // 3376 → 3134, 3280 → 500 and 789 → 553 steps; ratc-rdma 819 → 795,
+    // 3124 → 2919 and 1178 → 905).
     let recorded = [
         (
             Stack::Core,
-            [(3376, 1631120590331463579), (3280, 9339694261167904780)],
-            (789, 11362400592575635726),
+            [(3134, 11893253034178117348), (500, 2735204903290835965)],
+            (553, 12117762329292491481),
         ),
         (
             Stack::Rdma,
-            [(819, 2136725966141854546), (3124, 7059046283835408079)],
-            (1178, 1852428279556186950),
+            [(795, 4791233407904472628), (2919, 9042728992135844753)],
+            (905, 13395675265583782835),
         ),
         (
             Stack::Baseline,

@@ -7,13 +7,18 @@
 //! must finish with zero safety violations and full liveness once faults
 //! lift.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use ratc_chaos::{
     build_harness, run_soak, ChaosHarness, FaultEvent, FaultPlan, LinkNoise, Nemesis,
     NemesisConfig, Profile, SoakConfig, SoakReport, Stack, TimedFault,
 };
 use ratc_core::batch::BatchingConfig;
 use ratc_core::replica::TruncationConfig;
+use ratc_core::Msg;
 use ratc_harness::ClusterSpec;
+use ratc_sim::CtrlMilestone;
 
 fn soak(stack: Stack, seed: u64, intensity: u8) -> SoakReport {
     let nemesis = NemesisConfig {
@@ -184,6 +189,62 @@ fn batched_soaks_are_safe_and_live_on_all_stacks() {
             );
         }
     }
+}
+
+/// Line 67's `CONFIG_CHANGE` comes from the leader that installed the
+/// configuration it names: on ratc-mp soaks, no `CONFIG_CHANGE` for a
+/// `(shard, epoch)` is delivered before that epoch's `ShardOperational`, so a
+/// coordinator that re-drives on learning it finds a leader that serves.
+#[test]
+fn no_config_change_is_delivered_before_its_configuration_serves() {
+    let mut delivered = 0;
+    for seed in 0..10u64 {
+        let cluster_spec = ClusterSpec::new(Stack::Core)
+            .with_shards(2)
+            .with_seed(seed)
+            .with_truncation(TruncationConfig::with_batch(8))
+            .with_observability();
+        let mut cluster = cluster_spec.build_core();
+        let changes = Arc::new(Mutex::new(Vec::new()));
+        let seen = changes.clone();
+        cluster.world.observe_deliveries(move |at, _, _, msg| {
+            if let Msg::ConfigChange { shard, epoch, .. } = msg {
+                let change = (at.as_micros(), *shard, epoch.as_u64());
+                seen.lock().expect("observer").push(change);
+            }
+        });
+        let mut harness = ChaosHarness::from_cluster(Box::new(cluster), None);
+        let plan = Nemesis::generate(&NemesisConfig {
+            seed,
+            intensity: 40,
+            events: 10,
+            ..NemesisConfig::default()
+        });
+        let config = SoakConfig {
+            seed,
+            ..SoakConfig::default()
+        };
+        let report = run_soak(&mut harness, &config, &plan);
+        assert!(report.ok(), "seed={seed}: {report:?}");
+        let mut operational = BTreeMap::new();
+        for event in harness.ctrl_events() {
+            if event.milestone == CtrlMilestone::ShardOperational {
+                let at = (event.shard.expect("a shard's milestone"), event.detail);
+                operational.entry(at).or_insert(event.at_micros);
+            }
+        }
+        let changes = changes.lock().expect("observer");
+        for &(at, shard, epoch) in changes.iter() {
+            let serving = operational.get(&(shard, epoch));
+            assert!(
+                serving.is_some_and(|since| *since < at),
+                "seed={seed}: CONFIG_CHANGE of {shard} epoch {epoch} delivered at {at} µs, \
+                 operational at {serving:?}"
+            );
+        }
+        delivered += changes.len();
+    }
+    assert!(delivered > 0, "the soaks reconfigure");
 }
 
 /// A short smoke variant for CI: three seeds per stack at high intensity.

@@ -219,21 +219,6 @@ impl ShardConfigRegistry {
         history.push(config);
         Ok(())
     }
-
-    /// All current members of shards other than `shard` — the recipients of a
-    /// `CONFIG_CHANGE` notification about `shard`'s new configuration.
-    pub fn other_shard_members(&self, shard: ShardId) -> Vec<ProcessId> {
-        let mut members: Vec<ProcessId> = self
-            .shards
-            .iter()
-            .filter(|(s, _)| **s != shard)
-            .filter_map(|(_, history)| history.last())
-            .flat_map(|c| c.members.iter().copied())
-            .collect();
-        members.sort_unstable();
-        members.dedup();
-        members
-    }
 }
 
 #[cfg(test)]
@@ -358,18 +343,5 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CasError::UnknownShard(ShardId::new(9)));
         assert!(err.to_string().contains("unknown shard"));
-    }
-
-    #[test]
-    fn other_shard_members_excludes_the_reconfigured_shard() {
-        let cs = initial();
-        assert_eq!(
-            cs.other_shard_members(ShardId::new(0)),
-            vec![pid(3), pid(4)]
-        );
-        assert_eq!(
-            cs.other_shard_members(ShardId::new(1)),
-            vec![pid(1), pid(2)]
-        );
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The paper models the configuration service (CS) as a reliable process
 //! storing every shard's sequence of configurations and answering
-//! `get_last`, `get` and `compare_and_swap` (§3). After a successful
-//! compare-and-swap it pushes `CONFIG_CHANGE` notifications to the members of
-//! the *other* shards (line 67). This actor wraps the pure
-//! [`ShardConfigRegistry`] from `ratc-config` behind the protocol's message
-//! vocabulary.
+//! `get_last`, `get` and `compare_and_swap` (§3). It only answers: line 67's
+//! `CONFIG_CHANGE` to the other shards is sent by the leader that installs
+//! the chosen configuration (see `crate::replica`).
+//! This actor wraps the pure [`ShardConfigRegistry`] from `ratc-config`
+//! behind the protocol's message vocabulary.
 
 use ratc_config::{ShardConfigRegistry, ShardConfiguration};
 use ratc_sim::{Actor, Context};
@@ -72,32 +72,12 @@ impl Actor<Msg> for ConfigServiceActor {
                     .registry
                     .compare_and_swap(shard, expected, config.clone())
                     .is_ok();
-                ctx.send(
-                    from,
-                    Msg::CsCasReply {
-                        shard,
-                        ok,
-                        config: config.clone(),
-                    },
-                );
-                if ok {
-                    // Line 67: notify the members of the other shards.
-                    let others = self.registry.other_shard_members(shard);
-                    ctx.send_to_many(
-                        others,
-                        Msg::ConfigChange {
-                            shard,
-                            epoch: config.epoch,
-                            members: config.members.clone(),
-                            leader: config.leader,
-                        },
-                    );
-                }
+                ctx.send(from, Msg::CsCasReply { shard, ok, config });
             }
             // Explicit no-ops: the CS answers only its own vocabulary
             // (`CsGetLast`/`CsGet`/`CsCas`); commit-protocol and
             // reconfiguration traffic is never addressed to it, and the
-            // reply/notification variants below are messages *it* sends.
+            // reply variants below are messages *it* sends.
             Msg::Certify { .. }
             | Msg::DecisionClient { .. }
             | Msg::Retry { .. }
@@ -144,11 +124,15 @@ mod tests {
         ProcessId::new(raw)
     }
 
+    /// The service answers its three operations and pushes nothing: line
+    /// 67's `CONFIG_CHANGE` is the installed leader's to send (see
+    /// `replica::tests`).
     #[test]
     fn get_last_get_and_cas_round_trip() {
         let mut world: World<Msg> = World::new(SimConfig::default());
-        // Actor 0 and 1 are probes standing in for replicas of shard 1 (so we
-        // can observe CONFIG_CHANGE); actor 2 is the requester.
+        // Actor 0 and 1 are probes standing in for replicas of shard 1, to
+        // observe that a CAS of shard 0 tells them nothing; actor 2 is the
+        // requester.
         let other_a = world.add_actor(Probe::default());
         let other_b = world.add_actor(Probe::default());
         let requester = world.add_actor(Probe::default());
@@ -203,15 +187,10 @@ mod tests {
             .iter()
             .any(|m| matches!(m, Msg::CsCasReply { ok: true, .. })));
 
-        // Members of the *other* shard received CONFIG_CHANGE.
+        // Members of the *other* shard heard nothing from the service.
         for probe in [other_a, other_b] {
             let received = &world.actor::<Probe>(probe).expect("probe").received;
-            assert!(
-                received.iter().any(
-                    |m| matches!(m, Msg::ConfigChange { shard, .. } if *shard == ShardId::new(0))
-                ),
-                "probe {probe} did not receive CONFIG_CHANGE"
-            );
+            assert!(received.is_empty(), "probe {probe} got {received:?}");
         }
 
         // A losing CAS is reported as such.

@@ -16,6 +16,7 @@
 //! | [`Coordinator::on_prepare_ack`] | lines 18–20 (`ACCEPT` via [`Replication::persist_votes`]) | lines 91–93 (one write per follower) |
 //! | [`Coordinator::record_acks`] + completion | lines 26–29 (`ACCEPT_ACK` received) | lines 96–100 (`ack-rdma` received) |
 //! | [`Coordinator::take_over`] | lines 70–73 (`retry`) | lines 167–170 |
+//! | [`Coordinator::on_view_change`] | `retry` of what stalled on a shard, on `NEW_CONFIG`, `NEW_STATE` or `CONFIG_CHANGE` (lines 56–69) | the same, on `NEW_CONFIG` or `NEW_STATE` (lines 141–153) |
 //!
 //! Beyond the paper's pseudocode the coordinator also owns the policies every
 //! deployment needs and the two stacks used to spell separately: the
@@ -23,7 +24,11 @@
 //! retry backoff, the batching pipeline ([`crate::batch`]), adoption of a
 //! decision a leader already truncated (`TxDecided`), the re-transmission
 //! tick, and the hand-off of stalled transactions by a coordinator that was
-//! excluded from the configuration.
+//! excluded from the configuration. A view change re-drives: when a process
+//! learns a shard's newer configuration, its coordinator re-sends `PREPARE`
+//! at once to the leader it names for every transaction still incomplete on
+//! that shard, instead of waiting for the tick; a vote from a newer epoch
+//! than the view makes it ask the configuration service first.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -676,7 +681,14 @@ impl Coordinator {
         // Line 19 / 92 precondition, once for the whole message (every item
         // was certified by the same leader in the same epoch): the
         // coordinator's view of the shard's epoch matches the leader's.
-        if repl.view(shard).epoch != epoch {
+        let known = repl.view(shard).epoch;
+        if known != epoch {
+            // A vote from a newer epoch proves the view stale: the leader
+            // serves a configuration this process has not learned. Ask for
+            // it; the reply re-drives through `on_view_change`.
+            if known < epoch {
+                repl.refresh_views(&BTreeSet::from([shard]), ctx);
+            }
             return;
         }
         // A late re-ack for a transaction whose decision was learned
@@ -828,6 +840,36 @@ impl Coordinator {
         );
     }
 
+    /// This process's view of `shard` moved to a newer epoch: re-sends
+    /// `PREPARE` to the shard's leader in that view for every coordinated
+    /// transaction that is incomplete on `shard` in it, as one
+    /// `PREPARE_BATCH` restricted to `shard` (the extended version's `retry`,
+    /// which any process may run at any time). Without it a stalled
+    /// transaction waits for its backoff deadline and the next
+    /// re-transmission tick; its backoff is left as it is, and the tick stays
+    /// the fallback for anything this re-drive loses.
+    pub fn on_view_change<R: Replication>(
+        &mut self,
+        shard: ShardId,
+        repl: &mut R,
+        ctx: &mut Context<'_, R::Msg>,
+    ) {
+        let view = repl.view(shard);
+        let stalled: Vec<TxId> = self
+            .coordinating
+            .iter()
+            .filter(|(_, coord)| {
+                coord.placement.shards().any(|s| s == shard) && !coord.shard_complete(shard, &view)
+            })
+            .map(|(tx, _)| *tx)
+            .collect();
+        if stalled.is_empty() {
+            return;
+        }
+        ctx.add_counter("prepares_redriven_on_view_change", stalled.len() as u64);
+        self.send_prepares(&stalled, Some(&[shard]), repl, ctx);
+    }
+
     /// Coordinator re-transmission: re-sends `PREPARE` for coordinated
     /// transactions that have not completed (e.g. because a shard
     /// reconfigured mid-flight or a message raced with an epoch change).
@@ -945,6 +987,12 @@ mod tests {
         },
         /// The host learned it is excluded from the configuration.
         Excluded,
+        /// The host learned a newer configuration of `shard`, led by
+        /// `leader` with the shard's old follower.
+        NewView {
+            shard: ShardId,
+            leader: ProcessId,
+        },
     }
 
     crate::impl_commit_msg!(TestMsg);
@@ -954,6 +1002,8 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         views: BTreeMap<ShardId, (ProcessId, Vec<ProcessId>)>,
+        /// Shards whose view moved past [`EPOCH`].
+        epochs: BTreeMap<ShardId, Epoch>,
         persisted: Vec<(ShardId, Vec<TxId>)>,
         distributed: Vec<(ShardId, Vec<Decision>)>,
         refreshed: Vec<BTreeSet<ShardId>>,
@@ -967,7 +1017,7 @@ mod tests {
         fn view(&self, shard: ShardId) -> ShardView<'_> {
             let (leader, members) = &self.views[&shard];
             ShardView {
-                epoch: EPOCH,
+                epoch: self.epochs.get(&shard).copied().unwrap_or(EPOCH),
                 leader: Some(*leader),
                 members,
             }
@@ -1029,6 +1079,15 @@ mod tests {
                     client,
                 } => coord.on_tx_decided(tx, decision, client, repl, ctx),
                 TestMsg::Excluded => coord.hand_off(repl, ctx),
+                TestMsg::NewView { shard, leader } => {
+                    let epoch = repl.view(shard).epoch.next();
+                    repl.epochs.insert(shard, epoch);
+                    let (old_leader, members) = repl.views.get_mut(&shard).expect("known shard");
+                    members.retain(|p| p != old_leader);
+                    members.insert(0, leader);
+                    *old_leader = leader;
+                    coord.on_view_change(shard, repl, ctx);
+                }
                 TestMsg::DecisionClient { .. }
                 | TestMsg::Retry { .. }
                 | TestMsg::PrepareBatch { .. } => {}
@@ -1124,6 +1183,11 @@ mod tests {
 
         /// The leader of shard `s` votes commit on `tx`.
         fn vote(&mut self, s: usize, tx: u64) {
+            self.vote_in(EPOCH, s, tx);
+        }
+
+        /// The leader of shard `s` votes commit on `tx` in `epoch`.
+        fn vote_in(&mut self, epoch: Epoch, s: usize, tx: u64) {
             let item = PreparedItem {
                 pos: Position::new(tx),
                 tx: TxId::new(tx),
@@ -1133,7 +1197,7 @@ mod tests {
                 client: self.client,
             };
             let ack = TestMsg::PrepareAckBatch {
-                epoch: EPOCH,
+                epoch,
                 shard: shard(s),
                 items: Items::one(item),
             };
@@ -1162,16 +1226,18 @@ mod tests {
 
         /// The transactions `pid` was sent a `PREPARE` for, in order.
         fn prepares_at(&self, pid: ProcessId) -> Vec<u64> {
+            let batches = self.prepare_batches_at(pid).into_iter().flatten();
+            batches.map(|item| item.tx.as_u64()).collect()
+        }
+
+        /// The `PREPARE_BATCH`es `pid` was sent, in order.
+        fn prepare_batches_at(&self, pid: ProcessId) -> Vec<Vec<PrepareItem>> {
             let sink = self.world.actor::<Sink>(pid).expect("sink");
-            sink.0
-                .iter()
-                .filter_map(|msg| match msg {
-                    TestMsg::PrepareBatch { batch } => Some(batch.items.iter()),
-                    _ => None,
-                })
-                .flatten()
-                .map(|item| item.tx.as_u64())
-                .collect()
+            let batches = sink.0.iter().filter_map(|msg| match msg {
+                TestMsg::PrepareBatch { batch } => Some(batch.items.iter().cloned().collect()),
+                _ => None,
+            });
+            batches.collect()
         }
     }
 
@@ -1391,5 +1457,82 @@ mod tests {
         assert_eq!(rig.host().repl.refreshed.first(), Some(&both));
         assert!(rig.host().repl.distributed.is_empty(), "nothing decided");
         assert_eq!(rig.host().repl.persisted.len(), 3, "one per vote");
+    }
+
+    /// A view change re-drives at once what stalled on the shard, and only
+    /// that: one `PREPARE_BATCH` to the shard's new leader, restricted to
+    /// the shard, with exactly the driven transactions incomplete on it in
+    /// the new view. A decided transaction and one on the other shard are
+    /// not sent, and the old leaders hear nothing more.
+    #[test]
+    fn a_view_change_re_prepares_at_the_new_leader_what_is_incomplete_on_the_shard() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        // 1: both shards, shard 1 complete; 2: shard 0, decided; 3: shard 1
+        // only; 4: shard 0, voted but not acknowledged.
+        for (tx, keys) in [(1, &["a", "b"][..]), (2, &["a"]), (3, &["b"]), (4, &["a"])] {
+            rig.certify(tx, keys);
+        }
+        rig.vote(1, 1);
+        rig.ack(1, 1);
+        rig.vote(0, 2);
+        rig.ack(0, 2);
+        rig.vote(0, 4);
+        let before = [0, 1].map(|s| rig.prepares_at(rig.leaders[s]));
+        let leader = rig.world.add_actor(Sink::default());
+        rig.send(TestMsg::NewView {
+            shard: shard(0),
+            leader,
+        });
+        let batches = rig.prepare_batches_at(leader);
+        assert_eq!(batches.len(), 1, "one batch per new leader");
+        let txs: Vec<u64> = batches[0].iter().map(|item| item.tx.as_u64()).collect();
+        assert_eq!(txs, vec![1, 4]);
+        let only_a = Payload::builder().read(Key::new("a"), Version::ZERO);
+        let only_a = only_a.build().expect("well-formed");
+        for item in &batches[0] {
+            assert_eq!(
+                item.payload.as_ref(),
+                Some(&only_a),
+                "restricted to shard 0"
+            );
+        }
+        let after = [0, 1].map(|s| rig.prepares_at(rig.leaders[s]));
+        assert_eq!(after, before, "nothing to the old leaders");
+        let redriven = rig
+            .world
+            .metrics()
+            .counter("prepares_redriven_on_view_change");
+        assert_eq!(redriven, 2);
+        // The tick would have re-driven nothing yet: its backoff is untouched.
+        assert!(rig.world.now().as_micros() < 15_000);
+        // Shard 1 moves too: a vote of its old epoch no longer counts, so
+        // transaction 1 is incomplete there again, beside transaction 3.
+        let other = rig.world.add_actor(Sink::default());
+        rig.send(TestMsg::NewView {
+            shard: shard(1),
+            leader: other,
+        });
+        assert_eq!(rig.prepares_at(other), vec![1, 3]);
+        assert_eq!(rig.prepares_at(leader), vec![1, 4], "shard 0 is not sent");
+    }
+
+    /// A vote from a newer epoch than the view is dropped (line 19), and
+    /// asks for the shard's configuration once, so the reply re-drives.
+    #[test]
+    fn a_vote_from_a_newer_epoch_is_dropped_and_refreshes_the_view() {
+        let mut rig = Rig::new(FlowControlConfig::default());
+        rig.certify(1, &["a"]);
+        rig.vote_in(EPOCH.next(), 0, 1);
+        let expected: Vec<BTreeSet<ShardId>> = vec![[shard(0)].into()];
+        assert_eq!(rig.host().repl.refreshed, expected);
+        assert!(rig.host().repl.persisted.is_empty(), "the vote is dropped");
+        // An older epoch's vote is dropped without a poll.
+        rig.send(TestMsg::NewView {
+            shard: shard(0),
+            leader: rig.leaders[0],
+        });
+        rig.vote_in(EPOCH, 0, 1);
+        assert_eq!(rig.host().repl.refreshed, expected);
+        assert!(rig.host().repl.persisted.is_empty());
     }
 }

@@ -44,7 +44,7 @@
 //! * [`replica`] — the replica state machine: shard member, and host of a
 //!   coordinator and of a reconfigurer;
 //! * [`config_service`] — the configuration-service actor (wrapping
-//!   `ratc-config`'s registry) that also pushes `CONFIG_CHANGE` notifications;
+//!   `ratc-config`'s registry);
 //! * [`client`] — the one client actor of all three stacks, recording a TCS
 //!   history and latency samples;
 //! * [`harness`] — the one deployment harness of all three stacks:

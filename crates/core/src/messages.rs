@@ -195,8 +195,8 @@ pub enum Msg {
         /// size of its largest variant.
         log: Box<CertificationLog>,
     },
-    /// `CONFIG_CHANGE(s, e, M, pl)` pushed by the configuration service to the
-    /// members of other shards (line 67).
+    /// `CONFIG_CHANGE(s, e, M, pl)` sent by the leader that installed the
+    /// configuration to the members of other shards (line 67).
     ConfigChange {
         /// The reconfigured shard.
         shard: ShardId,

@@ -500,16 +500,19 @@ impl Member {
         );
     }
 
-    /// Lines 56–60: this replica becomes the new leader of its shard.
+    /// Lines 56–60: this replica becomes the new leader of its shard, then
+    /// announces the configuration to the other shards (line 67). Returns
+    /// whether its view of its shard moved to a newer epoch.
     fn handle_new_config(
         &mut self,
         epoch: Epoch,
         members: Vec<ProcessId>,
         ctx: &mut Context<'_, Msg>,
-    ) {
+    ) -> bool {
         if epoch < self.new_epoch {
-            return;
+            return false;
         }
+        let advanced = self.epoch_of(self.shard) < epoch;
         let previous_leader = self.leader.get(&self.shard).copied();
         self.status = Status::Leader;
         self.new_epoch = epoch;
@@ -543,9 +546,31 @@ impl Member {
             );
         }
         ctx.add_counter("became_leader", 1);
+        // Line 67: notify the members of the other shards, in process order.
+        // The installed leader sends it, not the configuration service at
+        // CAS time, so a coordinator that re-drives on learning the
+        // configuration (`Coordinator::on_view_change`) finds a leader that
+        // already serves it.
+        let mut others: Vec<ProcessId> = self
+            .members
+            .iter()
+            .filter(|(shard, _)| **shard != self.shard)
+            .flat_map(|(_, members)| members.iter().copied())
+            .collect();
+        others.sort_unstable();
+        others.dedup();
+        let change = Msg::ConfigChange {
+            shard: self.shard,
+            epoch,
+            members,
+            leader: self.id,
+        };
+        ctx.send_to_many(others, change);
+        advanced
     }
 
-    /// Lines 61–66: a new follower installs the leader's state.
+    /// Lines 61–66: a new follower installs the leader's state. Returns
+    /// whether its view of its shard moved to a newer epoch.
     fn handle_new_state(
         &mut self,
         epoch: Epoch,
@@ -553,10 +578,11 @@ impl Member {
         leader: ProcessId,
         log: CertificationLog,
         ctx: &mut Context<'_, Msg>,
-    ) {
+    ) -> bool {
         if epoch < self.new_epoch {
-            return; // line 62 precondition
+            return false; // line 62 precondition
         }
+        let advanced = self.epoch_of(self.shard) < epoch;
         self.initialized = true;
         self.status = Status::Follower;
         self.new_epoch = epoch;
@@ -569,6 +595,7 @@ impl Member {
             Some(self.shard),
             epoch.as_u64(),
         );
+        advanced
     }
 
     /// A `get_last` reply the reconfigurer was not waiting for: adopt the
@@ -583,16 +610,17 @@ impl Member {
     /// membership would be unsafe — so it retires into `Reconfiguring` until
     /// some future configuration re-drafts it. Its coordinated transactions
     /// keep completing through the (now refreshed) view of the new members.
-    fn handle_stale_view_refresh(&mut self, shard: ShardId, config: ShardConfiguration) {
+    /// Returns whether the view of `shard` moved to a newer epoch.
+    fn handle_stale_view_refresh(&mut self, shard: ShardId, config: ShardConfiguration) -> bool {
         if config.epoch <= self.epoch_of(shard) {
-            return;
+            return false;
         }
         if shard == self.shard {
             if config.members.contains(&self.id) {
                 // We are a member of the newer epoch: NEW_STATE/NEW_CONFIG is
                 // in flight (or was lost and a re-reconfiguration will supply
                 // it); the epoch switch happens there, not here.
-                return;
+                return false;
             }
             self.status = Status::Reconfiguring;
             if self.new_epoch < config.epoch {
@@ -602,22 +630,26 @@ impl Member {
         self.epoch.insert(shard, config.epoch);
         self.members.insert(shard, config.members.clone());
         self.leader.insert(shard, config.leader);
+        true
     }
 
-    /// Lines 67–69: learn about another shard's new configuration.
+    /// Lines 67–69: learn about another shard's new configuration from its
+    /// installed leader. Returns whether the view of `shard` moved to a
+    /// newer epoch.
     fn handle_config_change(
         &mut self,
         shard: ShardId,
         epoch: Epoch,
         members: Vec<ProcessId>,
         leader: ProcessId,
-    ) {
+    ) -> bool {
         if shard == self.shard || self.epoch_of(shard) >= epoch {
-            return; // line 68 precondition
+            return false; // line 68 precondition
         }
         self.epoch.insert(shard, epoch);
         self.members.insert(shard, members);
         self.leader.insert(shard, leader);
+        true
     }
 }
 
@@ -692,27 +724,40 @@ impl Actor<Msg> for Replica {
                 epoch,
                 shard,
             } => recon.on_probe_ack(from, initialized, epoch, shard, member, ctx),
-            Msg::NewConfig { epoch, members } => member.handle_new_config(epoch, members, ctx),
+            // Each view change re-drives what stalled on the shard.
+            Msg::NewConfig { epoch, members } => {
+                if member.handle_new_config(epoch, members, ctx) {
+                    coord.on_view_change(member.shard, member, ctx);
+                }
+            }
             Msg::NewState {
                 epoch,
                 members,
                 leader,
                 log,
-            } => member.handle_new_state(epoch, members, leader, *log, ctx),
+            } => {
+                if member.handle_new_state(epoch, members, leader, *log, ctx) {
+                    coord.on_view_change(member.shard, member, ctx);
+                }
+            }
             Msg::ConfigChange {
                 shard,
                 epoch,
                 members,
                 leader,
-            } => member.handle_config_change(shard, epoch, members, leader),
+            } => {
+                if member.handle_config_change(shard, epoch, members, leader) {
+                    coord.on_view_change(shard, member, ctx);
+                }
+            }
             // Line 36 continued, if this is the reconfigurer's `get_last`;
             // otherwise a stalled coordinator's `Replication::refresh_views`.
             Msg::CsGetLastReply { shard, config } => {
                 if recon.awaiting_latest() == Some(shard) {
                     let probed = [(shard, config.members, Some(config.leader))];
                     recon.on_latest(config.epoch, probed, member, ctx)
-                } else {
-                    member.handle_stale_view_refresh(shard, config)
+                } else if member.handle_stale_view_refresh(shard, config) {
+                    coord.on_view_change(shard, member, ctx);
                 }
             }
             Msg::CsGetReply {
@@ -760,5 +805,83 @@ impl Actor<Msg> for Replica {
         let member = &mut self.member;
         member.log.restart();
         ctx.add_counter("replica_restarts", 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ratc_sim::{SimConfig, World};
+    use ratc_types::{HashSharding, Serializability};
+
+    use super::*;
+
+    /// Records every message it receives.
+    #[derive(Default)]
+    struct Sink(Vec<Msg>);
+
+    impl Actor<Msg> for Sink {
+        fn on_message(&mut self, _from: ProcessId, msg: Msg, _ctx: &mut Context<'_, Msg>) {
+            self.0.push(msg);
+        }
+    }
+
+    /// Line 67 is the installed leader's: on `NEW_CONFIG` the new leader of
+    /// shard 0 sends `NEW_STATE` to its follower, then `CONFIG_CHANGE` with
+    /// the configuration it serves to every member of the other shards in
+    /// its view, and to nobody else.
+    #[test]
+    fn the_installed_leader_announces_its_configuration_to_the_other_shards() {
+        let mut world: World<Msg> = World::new(SimConfig::default());
+        let mut sink = || world.add_actor(Sink::default());
+        let (old_leader, follower, cs, reconfigurer) = (sink(), sink(), sink(), sink());
+        let other = [sink(), sink()];
+        let (s0, s1) = (ShardId::new(0), ShardId::new(1));
+        let sharding = Arc::new(HashSharding::new(2));
+        let leader = world.add_actor(Replica::new(s0, &Serializability::new(), sharding));
+        let configs = BTreeMap::from([
+            (
+                s0,
+                ShardConfiguration::new(Epoch::ZERO, vec![old_leader, leader], old_leader),
+            ),
+            (
+                s1,
+                ShardConfiguration::new(Epoch::ZERO, other.to_vec(), other[0]),
+            ),
+        ]);
+        let replica = world.actor_mut::<Replica>(leader).expect("replica");
+        replica.install_initial_config(leader, cs, &configs, true);
+
+        let (epoch, members) = (Epoch::new(1), vec![leader, follower]);
+        let new_config = Msg::NewConfig {
+            epoch,
+            members: members.clone(),
+        };
+        world.send_from(reconfigurer, leader, new_config);
+        world.run();
+
+        let replica = world.actor::<Replica>(leader).expect("replica");
+        assert_eq!(replica.status(), Status::Leader);
+        assert_eq!(replica.epoch_of(s0), epoch);
+        let received = |pid: ProcessId| &world.actor::<Sink>(pid).expect("sink").0;
+        for pid in other {
+            match &received(pid)[..] {
+                [Msg::ConfigChange {
+                    shard,
+                    epoch: announced,
+                    members: announced_members,
+                    leader: announced_leader,
+                }] => {
+                    assert_eq!(
+                        (*shard, *announced, announced_members, *announced_leader),
+                        (s0, epoch, &members, leader)
+                    );
+                }
+                got => panic!("{pid} got {got:?}"),
+            }
+        }
+        assert!(matches!(&received(follower)[..], [Msg::NewState { .. }]));
+        for pid in [old_leader, cs, reconfigurer] {
+            assert!(received(pid).is_empty(), "{pid} got {:?}", received(pid));
+        }
     }
 }

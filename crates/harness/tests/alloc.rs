@@ -7,8 +7,9 @@
 //! both shards (their placement, multi-shard progress and the fan-out to
 //! both leaders). The simulator is
 //! single-threaded and every table on the commit path hashes without a seed,
-//! so both counts are a function of the run: each case runs twice in-process
-//! and must count alike before anything else is checked. A second table
+//! so both counts are a function of the run: each case runs twice in-process,
+//! on a thread of its own (the cases run in parallel), and must count alike
+//! before anything else is checked. A second table
 //! counts the payload footprint: building a payload, and placing one on its
 //! shards. The recorded constants are a ratchet: a change may lower them,
 //! and then updates them and says so; it never raises them silently.
@@ -170,16 +171,30 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
         (StackKind::Baseline, 32, true, 9.84, 2867.0),
         (StackKind::Baseline, 1, true, 38.01, 6313.0),
     ];
+    // The counters are per thread, so each case runs on a thread of its own,
+    // both of its deployments one after the other, and the cases in parallel.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each case's Sim deployments run whole on one test thread; the threads only run cases side by side"
+    )]
+    let counts = std::thread::scope(|scope| {
+        let cases = recorded.map(|(stack, batch, spanning, _, _)| {
+            scope.spawn(move || {
+                let first = per_committed_tx(stack, batch, spanning);
+                assert_eq!(
+                    first,
+                    per_committed_tx(stack, batch, spanning),
+                    "{stack}, batch {batch}, spanning {spanning}"
+                );
+                first
+            })
+        });
+        let joined = cases.map(|case| case.join());
+        joined.map(|case| case.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+    });
     let mut measured = Vec::new();
     println!("per committed transaction, after {WARM_UP} warm-up, over {COUNTED}:");
-    for (stack, batch, spanning, _, _) in recorded {
-        let first = per_committed_tx(stack, batch, spanning);
-        assert_eq!(
-            first,
-            per_committed_tx(stack, batch, spanning),
-            "{stack}, batch {batch}, spanning {spanning}"
-        );
-        let (allocations, bytes) = first;
+    for ((stack, batch, spanning, _, _), (allocations, bytes)) in recorded.into_iter().zip(counts) {
         let name = stack.to_string();
         let keys = if spanning {
             "4 keys, 2 shards"

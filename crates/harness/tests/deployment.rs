@@ -8,7 +8,9 @@ use ratc_core::replica::TruncationConfig;
 use ratc_core::Msg;
 use ratc_harness::{ClusterSpec, StackKind};
 use ratc_rdma::RdmaMsg;
-use ratc_sim::{Actor, Context, FaultScope, LinkFault, SimConfig, SimDuration, World};
+use ratc_sim::{
+    Actor, Context, CtrlMilestone, FaultScope, LinkFault, SimConfig, SimDuration, World,
+};
 use ratc_types::{Decision, Key, Payload, ProcessId, ShardId, ShardMap, TxId, Value, Version};
 
 fn rw(key: &str) -> Payload {
@@ -179,6 +181,76 @@ fn an_excluded_rdma_member_restarts_without_retrying_its_handshake() {
     );
     assert_eq!(cluster.metrics().counter("connect_rounds_abandoned"), 0);
     assert!(cluster.client_violations().is_empty());
+}
+
+/// A coordinator re-drives what stalled on a shard when it learns the
+/// shard's newer configuration, not at its next retry tick. Shard 1's
+/// members coordinate transactions on shard 0 whose `PREPARE`s are in flight
+/// to shard 0's leader when it crashes; shard 0 is reconfigured at once and
+/// nobody re-submits. Each transaction decides within 2 ms of shard 0's
+/// `ShardOperational`: the retry tick's 20 ms interval (the backoff's first
+/// deadline is at least 15 ms after admission) cannot have done it.
+#[test]
+fn transactions_stalled_on_a_reconfigured_shard_decide_once_its_new_leader_serves() {
+    for stack in [StackKind::Core, StackKind::Rdma] {
+        let mut cluster = ClusterSpec::new(stack)
+            .with_shards(2)
+            .with_spares_per_shard(1)
+            .with_seed(3)
+            .with_observability()
+            .build();
+        let (s0, s1) = (ShardId::new(0), ShardId::new(1));
+        for i in 1..=4u64 {
+            cluster.submit(TxId::new(i), rw(&format!("warm-{i}")));
+        }
+        cluster.run_to_quiescence();
+        let view = cluster.shard_view(s0);
+        let leader = view.leader.expect("leader");
+        let survivor = *view
+            .members
+            .iter()
+            .find(|p| **p != leader)
+            .expect("follower");
+        let coordinators = cluster.shard_view(s1).members;
+        let sharding = *cluster.sharding();
+        let on_shard_0 = (0..)
+            .map(|i| format!("stalled-{i}"))
+            .filter(|key| sharding.shard_of(&Key::new(key.as_str())) == s0);
+        let stalled: Vec<TxId> = (100..108).map(TxId::new).collect();
+        let coordinated = on_shard_0.zip(coordinators.iter().cycle());
+        let submitted = cluster.now().as_micros();
+        for (tx, (key, coordinator)) in stalled.iter().zip(coordinated) {
+            cluster.submit_via(*tx, rw(&key), *coordinator);
+        }
+        // The submissions reach their coordinators after one hop, and their
+        // `PREPARE`s reach shard 0's leader one hop later: it is gone by then.
+        cluster.crash(leader);
+        cluster.start_reconfiguration(s0, survivor, vec![leader]);
+        cluster.run_to_quiescence();
+
+        let operational = cluster
+            .ctrl_events()
+            .into_iter()
+            .find(|e| e.milestone == CtrlMilestone::ShardOperational && e.shard == Some(s0))
+            .expect("shard 0 turns operational")
+            .at_micros;
+        assert!(operational < submitted + 5_000, "{stack}: at {operational}");
+        let latencies = cluster.latencies();
+        for tx in &stalled {
+            let decided = submitted + latencies[tx].micros;
+            assert!(
+                decided <= operational + 2_000,
+                "{stack}: {tx} decided at {decided} µs, shard 0 operational at {operational} µs"
+            );
+        }
+        assert!(
+            cluster
+                .metrics()
+                .counter("prepares_redriven_on_view_change")
+                > 0
+        );
+        assert!(cluster.client_violations().is_empty(), "{stack}");
+    }
 }
 
 /// Records what it is sent; plays the coordinator a client answers to.

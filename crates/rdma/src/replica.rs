@@ -401,8 +401,9 @@ impl ReconHost for Member {
         if let Some(config) = chosen {
             if self.mode == ReconfigMode::NaivePerShard {
                 // Skip CONFIG_PREPARE entirely; notify the new leader of the
-                // suspected shard only, and let other shards learn lazily (as
-                // in §3's CONFIG_CHANGE, sent by the CS).
+                // suspected shard only, and let other shards learn lazily
+                // from the CS's `NaiveConfigChange` (§3's CONFIG_CHANGE, sent
+                // at compare-and-swap time).
                 if let Some(leader) = config.leader_of(suspected) {
                     ctx.send(leader, RdmaMsg::NewConfig { config });
                 }
@@ -624,11 +625,16 @@ impl Member {
 
     /// Lines 141–147: become a leader of the new configuration. `flush`
     /// guarantees every acknowledged write is reflected in the transferred
-    /// state.
-    fn handle_new_config(&mut self, config: GlobalConfiguration, ctx: &mut Context<'_, RdmaMsg>) {
+    /// state. Returns whether the view moved to a newer epoch.
+    fn handle_new_config(
+        &mut self,
+        config: GlobalConfiguration,
+        ctx: &mut Context<'_, RdmaMsg>,
+    ) -> bool {
         if config.epoch < self.new_epoch {
-            return;
+            return false;
         }
+        let advanced = self.epoch < config.epoch;
         let flushed = ctx.rdma_flush();
         for (_, msg) in flushed {
             self.apply_rdma_payload(msg, ctx);
@@ -665,19 +671,21 @@ impl Member {
         // retrying the handshake until everyone has answered.
         self.begin_connect_round(config.all_processes(), ctx);
         ctx.add_counter("became_leader", 1);
+        advanced
     }
 
-    /// Lines 148–153.
+    /// Lines 148–153. Returns whether the view moved to a newer epoch.
     fn handle_new_state(
         &mut self,
         config: GlobalConfiguration,
         leader: ProcessId,
         log: RdmaLog,
         ctx: &mut Context<'_, RdmaMsg>,
-    ) {
+    ) -> bool {
         if config.epoch < self.new_epoch {
-            return;
+            return false;
         }
+        let advanced = self.epoch < config.epoch;
         let _ = leader;
         self.status = RdmaStatus::Follower;
         self.new_epoch = config.epoch;
@@ -694,6 +702,26 @@ impl Member {
         // leader initiates in-shard connections too; the handshake is
         // idempotent and retried until everyone has answered).
         self.begin_connect_round(config.all_processes(), ctx);
+        advanced
+    }
+
+    /// The view moved to a newer epoch, and with it every shard's: re-drive
+    /// what stalled on each ([`Coordinator::on_view_change`]). The connect
+    /// round to every peer has just been sent, ahead of these `PREPARE`s,
+    /// and the first `ACCEPT` write leaves only after a `PREPARE_ACK` round
+    /// trip, so it reaches a follower after this process's `Connect`. A
+    /// write that lands first anyway is rejected, and the retry tick
+    /// re-drives.
+    fn redrive(&mut self, coord: &mut Coordinator, ctx: &mut Context<'_, RdmaMsg>) {
+        let shards: Vec<ShardId> = self
+            .config
+            .iter()
+            .flat_map(|c| c.members.keys())
+            .copied()
+            .collect();
+        for shard in shards {
+            coord.on_view_change(shard, self, ctx);
+        }
     }
 
     /// Lines 154–162. A connection request for an epoch at least as high as
@@ -876,12 +904,20 @@ impl Actor<RdmaMsg> for RdmaReplica {
                     recon.installed();
                 }
             }
-            RdmaMsg::NewConfig { config } => member.handle_new_config(config, ctx),
+            RdmaMsg::NewConfig { config } => {
+                if member.handle_new_config(config, ctx) {
+                    member.redrive(coord, ctx);
+                }
+            }
             RdmaMsg::NewState {
                 config,
                 leader,
                 log,
-            } => member.handle_new_state(config, leader, *log, ctx),
+            } => {
+                if member.handle_new_state(config, leader, *log, ctx) {
+                    member.redrive(coord, ctx);
+                }
+            }
             RdmaMsg::Connect { epoch } => member.handle_connect(from, epoch, ctx, false),
             RdmaMsg::ConnectAck { epoch } => member.handle_connect(from, epoch, ctx, true),
             RdmaMsg::CsGetLastReply { config } => {

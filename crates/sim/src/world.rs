@@ -119,6 +119,10 @@ impl SimConfig {
     }
 }
 
+/// A test's view of each delivery: the time, the sender, the receiver and
+/// the message (see [`World::observe_deliveries`]).
+type DeliveryObserver<M> = Box<dyn FnMut(SimTime, ProcessId, ProcessId, &M) + Send>;
+
 /// The deterministic discrete-event simulation world.
 ///
 /// See the [crate-level documentation](crate) for an overview and an example.
@@ -148,6 +152,8 @@ pub struct World<M> {
     /// delivery, indexed by raw process id (`add_actor` numbers processes
     /// densely). Unused when the service time is zero.
     busy_until: Vec<SimTime>,
+    /// Called with every delivery, see [`World::observe_deliveries`].
+    delivery_observer: Option<DeliveryObserver<M>>,
     /// The effect buffer the next handler's [`Context`] borrows: drained
     /// after each handler and kept, so a handler that sends allocates
     /// nothing for its effects.
@@ -194,6 +200,7 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
             faults: FaultPlane::default(),
             incarnations: BTreeMap::new(),
             busy_until: Vec::new(),
+            delivery_observer: None,
             spare_effects: Vec::new(),
         }
     }
@@ -292,6 +299,19 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 note: String::new(),
             });
         }
+    }
+
+    /// Calls `observe` with the time, the sender, the receiver and the
+    /// message of every message delivered from now on, just before its
+    /// receiver handles it; a message to a crashed process is not delivered.
+    /// For tests that check in which order protocol steps reach their
+    /// receivers. It sees the simulator's deliveries only (not the Threads
+    /// engine's, nor RDMA writes), and changes nothing in the run.
+    pub fn observe_deliveries(
+        &mut self,
+        observe: impl FnMut(SimTime, ProcessId, ProcessId, &M) + Send + 'static,
+    ) {
+        self.delivery_observer = Some(Box::new(observe));
     }
 
     /// Total RDMA writes rejected because the target had closed the connection.
@@ -686,6 +706,9 @@ impl<M: Clone + fmt::Debug + 'static> World<M> {
                 }
                 self.metrics.on_receive(to);
                 self.metrics.on_msg_delivered(&msg);
+                if let Some(observe) = &mut self.delivery_observer {
+                    observe(self.now, from, to, &msg);
+                }
                 self.with_actor(to, hops, Upcall::Message { from, msg });
             }
             EventKind::Timer {
@@ -987,6 +1010,35 @@ mod tests {
         // The send was scheduled and its delivery executed, but dropped.
         assert_eq!(w.steps(), 1);
         assert_eq!(w.metrics().total_delivered, 0);
+    }
+
+    /// The observer sees each delivery as its receiver does, in order, and
+    /// not a message dropped at a crashed receiver.
+    #[test]
+    fn the_delivery_observer_sees_what_receivers_handle() {
+        let mut w = world();
+        let a = w.add_actor(Recorder::default());
+        let b = w.add_actor(Recorder::default());
+        let c = w.add_actor(Recorder::default());
+        let observed = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = observed.clone();
+        w.observe_deliveries(move |at, from, to, msg: &Msg| {
+            sink.lock()
+                .expect("observer")
+                .push((from, msg.clone(), at, to));
+        });
+        w.crash(c);
+        w.send_from(a, b, Msg::Ping);
+        w.send_from(a, c, Msg::Note(1));
+        w.run();
+        let observed = observed.lock().expect("observer").clone();
+        let handled: Vec<_> = [b, a]
+            .into_iter()
+            .flat_map(|pid| seen(&w, pid).into_iter().map(move |s| (s, pid)))
+            .map(|((from, msg, at, _), to)| (from, msg, at, to))
+            .collect();
+        assert_eq!(observed, handled);
+        assert_eq!(observed.len(), 2, "the ping and its pong, not the note");
     }
 
     #[test]

@@ -777,8 +777,8 @@ mod tests {
     #[test]
     fn e6_reconfiguration_blocks_ratc_but_not_baseline() {
         let expected = [
-            (StackKind::Core, [10249, 10254, 10242]),
-            (StackKind::Rdma, [10200, 10199, 10179]),
+            (StackKind::Core, [10266, 10252, 10243]),
+            (StackKind::Rdma, [10192, 10172, 10199]),
             (StackKind::Baseline, [346, 347, 371]),
         ];
         for (stack, recovery) in expected {
