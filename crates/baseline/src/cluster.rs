@@ -15,7 +15,7 @@ use crate::tm::TransactionManager;
 pub type BaselineCluster = Deployment<BaselineStack>;
 
 /// The baseline's side of a [`Deployment`]: a static Paxos group of
-/// [`ClusterConfig::replicas_per_shard`] (`2f + 1`) replicas per shard and a
+/// [`StackKind::group_size`] (`2f + 1`) replicas per shard and a
 /// transaction-manager group of the same size. The first process of each
 /// group leads it.
 #[derive(Debug)]
@@ -30,14 +30,15 @@ impl Stack for BaselineStack {
         config: &ClusterConfig,
         sharding: &Arc<HashSharding>,
     ) -> Topology {
+        let size = self.kind().group_size(config.failures);
         let mut topology = Topology::default();
         for shard in sharding.shards() {
-            let group = (0..config.replicas_per_shard)
+            let group = (0..size)
                 .map(|_| world.add_actor(BaselineShardReplica::new(shard, config.policy.as_ref())))
                 .collect();
             topology.roster.insert(shard, group);
         }
-        topology.tm_group = (0..config.replicas_per_shard)
+        topology.tm_group = (0..size)
             .map(|_| {
                 world.add_actor(TransactionManager::new(
                     sharding.clone() as Arc<dyn ShardMap + Send + Sync>
@@ -70,7 +71,6 @@ impl Stack for BaselineStack {
                 tm_leader,
                 shard_leaders.clone(),
             );
-            tm.set_flow(config.flow);
             tm.set_batching(config.batching);
         }
         topology
@@ -142,7 +142,7 @@ mod tests {
 
     /// A baseline deployment tolerating `f` failures per group.
     fn deploy(f: usize, config: ClusterConfig) -> BaselineCluster {
-        BaselineCluster::new(BaselineStack, config.with_replicas_per_shard(2 * f + 1))
+        BaselineCluster::new(BaselineStack, config.with_failures(f))
     }
 
     fn replica(cluster: &BaselineCluster, pid: ProcessId) -> &BaselineShardReplica {

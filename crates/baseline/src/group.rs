@@ -5,10 +5,11 @@
 //! chosen command does, and owns the timers. Only the recovery gate touches
 //! the host's context, to stamp `Recovered`.
 
-use ratc_paxos::messages::Slot;
-use ratc_paxos::{Acceptor, Outgoing, PaxosMsg, Proposer, ReplicatedLog};
 use ratc_sim::{BackoffPolicy, BackoffState, Context, CtrlMilestone};
 use ratc_types::{ProcessId, ShardId};
+
+use crate::paxos::messages::Slot;
+use crate::paxos::{Acceptor, Outgoing, PaxosMsg, Proposer, ReplicatedLog};
 
 /// What one [`PaxosMember::handle`] step learned chosen: the command of a
 /// `Chosen` notification, or those the leader's proposer saw reach a quorum.

@@ -18,6 +18,8 @@
 //!   protocols, but every prepared vote is committed to the shard's
 //!   Multi-Paxos log (2 extra message delays) before it is reported back to
 //!   the transaction manager;
+//! * [`paxos`] — the Multi-Paxos substrate: ballots, acceptor, proposer and
+//!   learner log, as pure state machines;
 //! * [`PaxosMember`] — one process's membership in a Paxos group: every
 //!   shard replica and every transaction-manager member holds one, so both
 //!   groups share the acceptor, learner, proposer, recovery and retransmit
@@ -28,7 +30,7 @@
 //! Failure handling: with `2f + 1` replicas a single failure is *masked* (the
 //! Paxos quorum still exists), which is the availability advantage the paper
 //! concedes to this design (§6); leader fail-over itself is provided by the
-//! underlying `ratc-paxos` ballots but is not needed for the experiments.
+//! [`paxos`] ballots but is not needed for the experiments.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -46,6 +48,7 @@
 pub mod cluster;
 pub mod group;
 pub mod messages;
+pub mod paxos;
 pub mod replica;
 pub mod tm;
 

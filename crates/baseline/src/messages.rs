@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use ratc_core::batch::Items;
-use ratc_paxos::PaxosMsg;
 use ratc_types::{Decision, Payload, ProcessId, ShardId, TxId};
+
+use crate::paxos::PaxosMsg;
 
 /// One certified vote inside a [`ShardCommand`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 //! that are each replicated with a black-box Paxos-style protocol (§1, §6):
 //! every 2PC action is committed to a per-shard replicated log before it takes
 //! effect, which costs 7 message delays to learn a decision and places a heavy
-//! load on the shard leaders. This crate provides that substrate:
+//! load on the shard leaders. This module provides that substrate:
 //!
 //! * [`Ballot`] — totally ordered ballot numbers (round, proposer);
 //! * [`PaxosMsg`] — the message vocabulary (phase-1 prepare/promise, phase-2
@@ -17,16 +17,14 @@
 //!   indexed by slot.
 //!
 //! The state machines are *pure*: each input returns the set of messages to
-//! send, so they can be embedded into any transport — the deterministic
-//! simulator (`ratc-sim`), threads, or a real network. The baseline TCS
-//! (`ratc-baseline`) wraps them into simulation actors; the same machinery can
-//! also back a Paxos-replicated configuration service, which is how the paper
-//! suggests realising its reliable CS.
+//! send, so they can be embedded into any transport.
+//! [`PaxosMember`](crate::PaxosMember) wraps them for the baseline's shard
+//! and transaction-manager groups.
 //!
 //! # Example
 //!
 //! ```
-//! use ratc_paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
+//! use ratc_baseline::paxos::{Acceptor, PaxosMsg, Proposer, ReplicatedLog};
 //! use ratc_types::ProcessId;
 //!
 //! let leader_id = ProcessId::new(0);
@@ -57,19 +55,6 @@
 //! assert_eq!(log.len(), 1);
 //! ```
 
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-#![cfg_attr(
-    not(test),
-    warn(
-        clippy::disallowed_types,
-        clippy::float_arithmetic,
-        clippy::iter_over_hash_type,
-        clippy::unwrap_used,
-        clippy::wildcard_enum_match_arm
-    )
-)]
-
 pub mod acceptor;
 pub mod ballot;
 pub mod log;
@@ -82,11 +67,6 @@ pub use log::ReplicatedLog;
 pub use messages::PaxosMsg;
 pub use proposer::{Outgoing, Proposer};
 
-/// Number of replicas needed to tolerate `f` crash failures with Paxos.
-pub const fn replicas_for(f: usize) -> usize {
-    2 * f + 1
-}
-
 /// Majority quorum size among `n` replicas.
 pub const fn quorum(n: usize) -> usize {
     n / 2 + 1
@@ -95,13 +75,15 @@ pub const fn quorum(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratc_core::harness::StackKind;
 
     #[test]
     fn replica_arithmetic() {
-        assert_eq!(replicas_for(1), 3);
-        assert_eq!(replicas_for(2), 5);
-        assert_eq!(quorum(3), 2);
-        assert_eq!(quorum(5), 3);
+        for f in [1, 2] {
+            let group = StackKind::Baseline.group_size(f);
+            assert_eq!(group, 2 * f + 1);
+            assert_eq!(quorum(group), f + 1);
+        }
         assert_eq!(quorum(4), 3);
     }
 }

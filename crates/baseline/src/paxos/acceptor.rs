@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use ratc_types::ProcessId;
 
-use crate::ballot::Ballot;
-use crate::messages::{PaxosMsg, Slot};
+use super::ballot::Ballot;
+use super::messages::{PaxosMsg, Slot};
 
 /// An acceptor: promises ballots and accepts commands per slot.
 ///

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::messages::Slot;
+use super::messages::Slot;
 
 /// A learner's view of the replicated log: chosen commands indexed by slot.
 #[derive(Debug, Clone)]

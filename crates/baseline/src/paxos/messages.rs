@@ -2,7 +2,7 @@
 
 use ratc_types::ProcessId;
 
-use crate::ballot::Ballot;
+use super::ballot::Ballot;
 
 /// A slot (position) in the replicated log.
 pub type Slot = u64;

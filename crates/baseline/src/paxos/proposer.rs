@@ -4,9 +4,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ratc_types::ProcessId;
 
-use crate::ballot::Ballot;
-use crate::messages::{PaxosMsg, Slot};
-use crate::quorum;
+use super::ballot::Ballot;
+use super::messages::{PaxosMsg, Slot};
+use super::quorum;
 
 /// Phase of the proposer's ballot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub type Outgoing<C> = Vec<(ProcessId, PaxosMsg<C>)>;
 /// commands to consecutive slots using phase 2 only (the standard stable
 /// leader optimisation).
 ///
-/// Like [`Acceptor`](crate::acceptor::Acceptor), the proposer is a pure state
+/// Like [`Acceptor`](super::acceptor::Acceptor), the proposer is a pure state
 /// machine: every input returns the messages to send, plus (from
 /// [`Proposer::handle`]) the commands that became chosen as a result.
 #[derive(Debug, Clone)]
@@ -270,7 +270,7 @@ impl<C: Clone> Proposer<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acceptor::Acceptor;
+    use crate::paxos::acceptor::Acceptor;
 
     fn pid(raw: u64) -> ProcessId {
         ProcessId::new(raw)

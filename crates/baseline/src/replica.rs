@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use ratc_core::batch::{BatchingConfig, VoteBatcher, FLUSH_DELAY};
-use ratc_paxos::{Outgoing, PaxosMsg};
 use ratc_sim::{Actor, Context, TimerTag, TxMilestone};
 use ratc_types::{
     CertificationPolicy, Decision, IndexedCertifier, Payload, Position, ProcessId, ShardId, TxId,
@@ -11,6 +10,7 @@ use ratc_types::{
 
 use crate::group::PaxosMember;
 use crate::messages::{BaselineMsg, ShardCommand, ShardVote};
+use crate::paxos::{Outgoing, PaxosMsg};
 
 /// Timer tag used to flush a partially filled proposal batch.
 const BATCH_TICK: TimerTag = 11;
@@ -499,12 +499,8 @@ mod tests {
     ///   undecided.
     #[test]
     fn a_restarted_leader_keeps_its_commits_and_relocks_only_chosen_votes() {
-        let mut cluster = BaselineCluster::new(
-            BaselineStack,
-            ClusterConfig::default()
-                .with_seed(13)
-                .with_replicas_per_shard(3),
-        );
+        let mut cluster =
+            BaselineCluster::new(BaselineStack, ClusterConfig::default().with_seed(13));
         let (a, b) = (ShardId::new(0), ShardId::new(1));
         let keys: Vec<Key> = (0..)
             .map(|i| Key::new(format!("k{i}")))

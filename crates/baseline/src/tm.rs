@@ -4,13 +4,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ratc_core::batch::{BatchingConfig, Items, VoteBatcher, FLUSH_DELAY};
-use ratc_core::flow::{AdmissionQueue, FlowControlConfig};
-use ratc_paxos::{Outgoing, PaxosMsg};
+use ratc_core::flow::{self, AdmissionQueue};
 use ratc_sim::{Actor, BackoffPolicy, BackoffState, Context, SimDuration, TimerTag, TxMilestone};
 use ratc_types::{Decision, Payload, Placement, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::group::PaxosMember;
 use crate::messages::{BaselineMsg, TmCommand, TmDecision};
+use crate::paxos::{Outgoing, PaxosMsg};
 
 /// Timer tag re-driving in-flight transactions (re-sending `PREPARE` to
 /// shards whose vote is missing and re-transmitting outstanding Paxos work).
@@ -77,8 +77,6 @@ pub struct TransactionManager {
     retry_armed: bool,
     /// Consecutive retry ticks without new work; capped by [`TM_RETRY_CAP`].
     retry_ticks: u32,
-    /// Flow-control knobs: the admission window.
-    flow: FlowControlConfig,
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated).
     admission: AdmissionQueue<(Payload, ProcessId)>,
 }
@@ -97,7 +95,6 @@ impl TransactionManager {
             flush_armed: false,
             retry_armed: false,
             retry_ticks: 0,
-            flow: FlowControlConfig::default(),
             admission: AdmissionQueue::new(),
         }
     }
@@ -112,11 +109,6 @@ impl TransactionManager {
     /// so this counts commands, not transactions.
     pub fn chosen_slots(&self) -> usize {
         self.paxos.log().len()
-    }
-
-    /// Installs the flow-control configuration (the admission window).
-    pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.flow = flow;
     }
 
     /// Per-transaction jitter salt: decorrelates this TM's retry schedule for
@@ -198,7 +190,7 @@ impl TransactionManager {
             }
             return;
         }
-        if !self.flow.admits(self.pending.len()) {
+        if !flow::admits(self.pending.len()) {
             // Admission window full: park the submission at the edge. A
             // queued transaction costs memory, not certification work; it is
             // admitted the moment an in-flight transaction decides.
@@ -259,7 +251,7 @@ impl TransactionManager {
 
     /// Admits queued submissions into freed window slots (oldest first).
     fn drain_admission(&mut self, ctx: &mut Context<'_, BaselineMsg>) {
-        while self.flow.admits(self.pending.len()) {
+        while flow::admits(self.pending.len()) {
             let Some((tx, (payload, client))) = self.admission.pop() else {
                 break;
             };
@@ -588,10 +580,7 @@ mod tests {
     /// asked to vote on the transaction again.
     #[test]
     fn a_restarted_tm_leader_recovers_an_accepted_decision_before_fresh_2pc() {
-        let mut config = ClusterConfig::default()
-            .with_seed(13)
-            .with_replicas_per_shard(3);
-        config.sim = config.sim.with_observability();
+        let config = ClusterConfig::default().with_seed(13).with_observability();
         let mut cluster = BaselineCluster::new(BaselineStack, config);
         let tm = cluster.coordinator_pool();
         let (leader, followers) = (tm[0], &tm[1..]);
@@ -668,7 +657,6 @@ mod tests {
     fn a_tm_leader_crash_with_batched_decisions_in_flight_decides_each_once() {
         let config = ClusterConfig::default()
             .with_seed(19)
-            .with_replicas_per_shard(3)
             .with_batching(BatchingConfig::with_batch(4));
         let mut cluster = BaselineCluster::new(BaselineStack, config);
         let leader = cluster.coordinator_pool()[0];

@@ -5,11 +5,12 @@
 //! soak of the same paced workload (seed 42) and differ only in the fault
 //! plan; `tests/blackout.rs` pins every cell.
 
+use ratc_harness::StackKind;
 use ratc_sim::{Blackout, CtrlEvent};
 use ratc_types::ShardId;
 
 use crate::driver::{run_soak, SoakConfig};
-use crate::harness::{build_harness, Stack};
+use crate::harness::build_harness;
 use crate::nemesis::{Nemesis, NemesisConfig, Profile};
 use crate::plan::{FaultEvent, FaultPlan, TimedFault};
 
@@ -59,7 +60,7 @@ pub struct AvailabilityResult {
 /// Soaks `stack` under `plan` and summarises the run; the raw control-plane
 /// stream and its windows are returned alongside for span-bracketing checks.
 fn soak_cell(
-    stack: Stack,
+    stack: StackKind,
     plan: &FaultPlan,
 ) -> (AvailabilityResult, Vec<CtrlEvent>, Vec<Blackout>) {
     let mut harness = build_harness(stack, 2, SEED, None);
@@ -89,7 +90,7 @@ fn soak_cell(
 
 /// Runs one E9 cell: `stack` under the seed-driven nemesis at `intensity`
 /// (in `[0, 100]`, scaling noise and event count).
-pub fn availability_experiment(stack: Stack, intensity: u8) -> AvailabilityResult {
+pub fn availability_experiment(stack: StackKind, intensity: u8) -> AvailabilityResult {
     let plan = Nemesis::generate(&NemesisConfig {
         seed: SEED,
         shards: 2,
@@ -137,7 +138,7 @@ impl BlackoutScenario {
 /// soak driver. Returns the summary with the raw control-plane stream and
 /// availability windows it was derived from.
 pub fn blackout_experiment(
-    stack: Stack,
+    stack: StackKind,
     scenario: BlackoutScenario,
 ) -> (AvailabilityResult, Vec<CtrlEvent>, Vec<Blackout>) {
     let shard = ShardId::new(0);

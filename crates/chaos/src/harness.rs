@@ -9,7 +9,7 @@
 //! a fixed or round-robin coordinator, and drives post-fault recovery
 //! ([`ChaosHarness::heal`] / [`ChaosHarness::stabilize`]). The real semantic
 //! differences between the stacks are the capabilities of their
-//! [`Stack`] kind: the baseline ignores reconfiguration events, the §5 RDMA
+//! [`StackKind`]: the baseline ignores reconfiguration events, the §5 RDMA
 //! protocol reconfigures globally, and only the RATC stacks let arbitrary
 //! replicas coordinate.
 //!
@@ -21,15 +21,12 @@
 use std::collections::BTreeMap;
 
 use ratc_core::replica::TruncationConfig;
-use ratc_harness::{ClusterSpec, TcsCluster};
+use ratc_harness::{ClusterSpec, StackKind, TcsCluster};
 use ratc_sim::faults::{FaultScope, LinkFault};
 use ratc_sim::{Blackout, CtrlEvent, CtrlMilestone, SimDuration};
 use ratc_types::{Key, Payload, ProcessId, ShardId, TcsHistory, TxId, Value, Version};
 
 use crate::plan::{FaultEvent, LinkNoise};
-
-/// Which TCS stack a harness drives (the facade's stack selector).
-pub use ratc_harness::StackKind as Stack;
 
 /// Cap on how many prepared transactions one `RetryPrepared` event re-drives.
 const RETRY_CAP: usize = 64;
@@ -113,7 +110,7 @@ impl ChaosHarness {
     }
 
     /// The stack under test.
-    pub fn stack(&self) -> Stack {
+    pub fn stack(&self) -> StackKind {
         self.cluster.stack()
     }
 
@@ -468,7 +465,7 @@ impl ChaosHarness {
 /// batch 8 (so soaks exercise the truncation/fault interplay), default
 /// batching, and an optional fixed submission coordinator.
 pub fn build_harness(
-    stack: Stack,
+    stack: StackKind,
     shards: u32,
     seed: u64,
     coordinator: Option<(ShardId, usize)>,

@@ -5,8 +5,9 @@
 //! fault→heal span of the merged control-plane event log.
 
 use ratc_chaos::{
-    availability_experiment, blackout_experiment, AvailabilityResult, BlackoutScenario, Stack,
+    availability_experiment, blackout_experiment, AvailabilityResult, BlackoutScenario,
 };
+use ratc_harness::StackKind;
 use ratc_sim::CtrlMilestone;
 
 /// A recovered cell: all 60 transactions decided, every window closed, the
@@ -35,7 +36,7 @@ fn recovered(pinned: (usize, u64, u64, u64, usize, usize)) -> AvailabilityResult
 fn e9_availability_under_the_nemesis() {
     let expected = [
         (
-            Stack::Core,
+            StackKind::Core,
             [
                 (29, 100_000, 30_696, 30_696, 1, 7),
                 (29, 225_000, 26_443, 14_658, 2, 10),
@@ -45,7 +46,7 @@ fn e9_availability_under_the_nemesis() {
             ],
         ),
         (
-            Stack::Rdma,
+            StackKind::Rdma,
             [
                 (28, 100_000, 30_018, 30_018, 1, 80),
                 (27, 200_000, 28_030, 16_307, 2, 85),
@@ -55,7 +56,7 @@ fn e9_availability_under_the_nemesis() {
             ],
         ),
         (
-            Stack::Baseline,
+            StackKind::Baseline,
             [
                 (29, 75_000, 1_264, 1_264, 1, 7),
                 (28, 175_000, 16_384, 11_152, 2, 11),
@@ -89,7 +90,7 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
     // shard reconfiguration, global reconfiguration, partition + heal.
     let expected = [
         (
-            Stack::Core,
+            StackKind::Core,
             [
                 (28, 150_000, 27_886, 27_886, 1, 5),
                 (29, 75_000, 895, 895, 1, 8),
@@ -98,7 +99,7 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
             ],
         ),
         (
-            Stack::Rdma,
+            StackKind::Rdma,
             [
                 (26, 225_000, 29_532, 29_532, 1, 70),
                 (28, 75_000, 826, 826, 1, 83),
@@ -107,7 +108,7 @@ fn blackout_windows_nest_inside_their_fault_heal_span() {
             ],
         ),
         (
-            Stack::Baseline,
+            StackKind::Baseline,
             [
                 (28, 150_000, 77, 77, 1, 6),
                 (29, 75_000, 0, 0, 0, 2),

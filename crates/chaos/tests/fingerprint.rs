@@ -12,8 +12,9 @@
 
 use ratc_chaos::{
     build_harness, run_soak, ChaosHarness, FaultEvent, FaultPlan, Nemesis, NemesisConfig,
-    SoakConfig, SoakReport, Stack, TimedFault,
+    SoakConfig, SoakReport, TimedFault,
 };
+use ratc_harness::StackKind;
 use ratc_types::ShardId;
 
 fn fnv1a(text: &str) -> u64 {
@@ -61,7 +62,7 @@ fn retry_plan() -> FaultPlan {
 }
 
 /// Runs `plan` on `stack` the way `soak.rs` does for `seed`.
-fn soak(stack: Stack, seed: u64, plan: &FaultPlan) -> (SoakReport, ChaosHarness) {
+fn soak(stack: StackKind, seed: u64, plan: &FaultPlan) -> (SoakReport, ChaosHarness) {
     let mut harness = build_harness(stack, 2, seed, None);
     let config = SoakConfig {
         seed,
@@ -71,7 +72,7 @@ fn soak(stack: Stack, seed: u64, plan: &FaultPlan) -> (SoakReport, ChaosHarness)
 }
 
 /// `(steps, hash of the report's Debug text)`.
-fn fingerprint(stack: Stack, seed: u64, plan: &FaultPlan) -> (u64, u64) {
+fn fingerprint(stack: StackKind, seed: u64, plan: &FaultPlan) -> (u64, u64) {
     let (report, _) = soak(stack, seed, plan);
     assert!(report.ok(), "{stack} seed={seed}: {report:?}");
     (report.steps, fnv1a(&format!("{report:?}")))
@@ -120,17 +121,17 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
     // 3124 → 2919 and 1178 → 905).
     let recorded = [
         (
-            Stack::Core,
+            StackKind::Core,
             [(3134, 11893253034178117348), (500, 2735204903290835965)],
             (553, 12117762329292491481),
         ),
         (
-            Stack::Rdma,
+            StackKind::Rdma,
             [(795, 4791233407904472628), (2919, 9042728992135844753)],
             (905, 13395675265583782835),
         ),
         (
-            Stack::Baseline,
+            StackKind::Baseline,
             [(1357, 1126185302426777958), (1487, 14577961479422179092)],
             (1339, 4061232007668273076),
         ),
@@ -157,7 +158,7 @@ fn chaos_soaks_keep_their_recorded_fingerprints() {
 /// admitted it, and retried to the cap: 10 s of virtual time.
 #[test]
 fn the_rdma_seed_5_soak_abandons_no_handshake_round() {
-    let (report, harness) = soak(Stack::Rdma, 5, &nemesis_plan(5));
+    let (report, harness) = soak(StackKind::Rdma, 5, &nemesis_plan(5));
     assert!(report.ok(), "{report:?}");
     let abandoned = harness
         .cluster()

@@ -12,15 +12,15 @@ use std::sync::{Arc, Mutex};
 
 use ratc_chaos::{
     build_harness, run_soak, ChaosHarness, FaultEvent, FaultPlan, LinkNoise, Nemesis,
-    NemesisConfig, Profile, SoakConfig, SoakReport, Stack, TimedFault,
+    NemesisConfig, Profile, SoakConfig, SoakReport, TimedFault,
 };
 use ratc_core::batch::BatchingConfig;
 use ratc_core::replica::TruncationConfig;
 use ratc_core::Msg;
-use ratc_harness::ClusterSpec;
+use ratc_harness::{ClusterSpec, StackKind};
 use ratc_sim::CtrlMilestone;
 
-fn soak(stack: Stack, seed: u64, intensity: u8) -> SoakReport {
+fn soak(stack: StackKind, seed: u64, intensity: u8) -> SoakReport {
     let nemesis = NemesisConfig {
         seed,
         intensity,
@@ -45,7 +45,7 @@ fn soak(stack: Stack, seed: u64, intensity: u8) -> SoakReport {
 #[test]
 fn fixed_seed_soaks_are_safe_and_live_on_all_stacks() {
     let mut failures = Vec::new();
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..10u64 {
             let report = soak(stack, seed, 40);
             assert_eq!(report.submitted, 40, "{stack} seed={seed} lost submissions");
@@ -70,7 +70,7 @@ fn fixed_seed_soaks_are_safe_and_live_on_all_stacks() {
 /// including the step count, which fingerprints the whole event order.
 #[test]
 fn same_seed_reproduces_the_identical_soak() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         let a = soak(stack, 3, 40);
         let b = soak(stack, 3, 40);
         assert_eq!(a, b, "{stack}: same seed must replay identically");
@@ -120,7 +120,7 @@ fn duplicate_and_reorder_storms_are_harmless() {
             },
         ),
     ];
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for (name, noise) in storms {
             let plan = FaultPlan {
                 noise: Some(noise),
@@ -153,7 +153,7 @@ fn duplicate_and_reorder_storms_are_harmless() {
 /// certifies actually coalesce into batches.
 #[test]
 fn batched_soaks_are_safe_and_live_on_all_stacks() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..3u64 {
             let nemesis = NemesisConfig {
                 seed,
@@ -167,7 +167,7 @@ fn batched_soaks_are_safe_and_live_on_all_stacks() {
                 .with_seed(seed)
                 .with_truncation(TruncationConfig::with_batch(8))
                 .with_batching(BatchingConfig::with_batch(8));
-            let coordinator = if stack == Stack::Baseline {
+            let coordinator = if stack == StackKind::Baseline {
                 None
             } else {
                 Some((ratc_types::ShardId::new(1), 1))
@@ -199,7 +199,7 @@ fn batched_soaks_are_safe_and_live_on_all_stacks() {
 fn no_config_change_is_delivered_before_its_configuration_serves() {
     let mut delivered = 0;
     for seed in 0..10u64 {
-        let cluster_spec = ClusterSpec::new(Stack::Core)
+        let cluster_spec = ClusterSpec::new(StackKind::Core)
             .with_shards(2)
             .with_seed(seed)
             .with_truncation(TruncationConfig::with_batch(8))
@@ -250,7 +250,7 @@ fn no_config_change_is_delivered_before_its_configuration_serves() {
 /// A short smoke variant for CI: three seeds per stack at high intensity.
 #[test]
 fn high_intensity_smoke() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 20..23u64 {
             let report = soak(stack, seed, 80);
             assert!(
@@ -295,7 +295,7 @@ fn overload_bursts_under_crashes_stay_safe_and_live() {
             },
         ],
     };
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         let mut harness = build_harness(stack, 2, 11, None);
         let report = run_soak(
             &mut harness,
@@ -323,7 +323,7 @@ fn overload_bursts_under_crashes_stay_safe_and_live() {
 /// with crashes, restarts and partitions) across seeds and stacks.
 #[test]
 fn overload_profile_soaks_are_safe_and_live() {
-    for stack in [Stack::Core, Stack::Rdma, Stack::Baseline] {
+    for stack in [StackKind::Core, StackKind::Rdma, StackKind::Baseline] {
         for seed in 0..3u64 {
             let nemesis = NemesisConfig {
                 seed,

@@ -11,7 +11,7 @@ use std::fmt;
 
 use ratc_types::{Epoch, ProcessId, ShardId};
 
-use crate::shard::CasError;
+use super::shard::CasError;
 
 /// A system-wide configuration: for each shard, its members and leader, all
 /// tagged by one global epoch.
@@ -154,7 +154,7 @@ impl GlobalConfigRegistry {
     /// # Errors
     ///
     /// Same conditions as
-    /// [`ShardConfigRegistry::compare_and_swap`](crate::shard::ShardConfigRegistry::compare_and_swap),
+    /// [`ShardConfigRegistry::compare_and_swap`](super::shard::ShardConfigRegistry::compare_and_swap),
     /// minus the unknown-shard case.
     pub fn compare_and_swap(
         &mut self,

@@ -115,7 +115,7 @@ impl std::error::Error for CasError {}
 /// # Example
 ///
 /// ```
-/// use ratc_config::{ShardConfigRegistry, ShardConfiguration};
+/// use ratc_core::config::{ShardConfigRegistry, ShardConfiguration};
 /// use ratc_types::{Epoch, ProcessId, ShardId};
 ///
 /// let s0 = ShardId::new(0);

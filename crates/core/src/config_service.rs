@@ -5,13 +5,13 @@
 //! `get_last`, `get` and `compare_and_swap` (§3). It only answers: line 67's
 //! `CONFIG_CHANGE` to the other shards is sent by the leader that installs
 //! the chosen configuration (see `crate::replica`).
-//! This actor wraps the pure [`ShardConfigRegistry`] from `ratc-config`
+//! This actor wraps the pure [`ShardConfigRegistry`] of [`crate::config`]
 //! behind the protocol's message vocabulary.
 
-use ratc_config::{ShardConfigRegistry, ShardConfiguration};
 use ratc_sim::{Actor, Context};
 use ratc_types::{ProcessId, ShardId};
 
+use crate::config::{ShardConfigRegistry, ShardConfiguration};
 use crate::messages::Msg;
 
 /// The configuration-service actor of the message-passing protocol.

@@ -44,7 +44,7 @@ use crate::batch::{
     sorted_entry, BatchingConfig, DecisionItem, Items, PrepareBatch, PrepareItem, PreparedItem,
     VoteBatcher, FLUSH_DELAY,
 };
-use crate::flow::{AdmissionQueue, FlowControlConfig};
+use crate::flow::{self, AdmissionQueue};
 
 /// Timer tag of the coordinator's re-transmission tick
 /// ([`Coordinator::retry_tick`]).
@@ -295,8 +295,6 @@ pub struct Coordinator {
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated),
     /// each placed on arrival.
     admission: AdmissionQueue<(Placement, ProcessId)>,
-    /// Flow-control knobs: the coordinator's admission window.
-    flow: FlowControlConfig,
     batcher: VoteBatcher<TxId>,
     retry_timer_armed: bool,
     batch_timer_armed: bool,
@@ -310,7 +308,6 @@ impl Coordinator {
             coordinating: BTreeMap::new(),
             settled: BTreeMap::new(),
             admission: AdmissionQueue::new(),
-            flow: FlowControlConfig::default(),
             batcher: VoteBatcher::new(BatchingConfig::default()),
             retry_timer_armed: false,
             batch_timer_armed: false,
@@ -320,16 +317,6 @@ impl Coordinator {
     /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
         self.batcher.set_config(batching);
-    }
-
-    /// Sets the flow-control knobs (default: window 64).
-    pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.flow = flow;
-    }
-
-    /// The flow-control knobs.
-    pub fn flow(&self) -> FlowControlConfig {
-        self.flow
     }
 
     /// Number of transactions currently coordinated without a final decision.
@@ -408,7 +395,7 @@ impl Coordinator {
 
     /// Admits queued submissions into freed window slots (oldest first).
     fn drain_admission<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
-        while self.flow.admits(self.undecided_coordinated()) {
+        while flow::admits(self.undecided_coordinated()) {
             let Some((tx, (placement, client))) = self.admission.pop() else {
                 break;
             };
@@ -626,7 +613,7 @@ impl Coordinator {
                 return;
             }
             None => {
-                if !self.flow.admits(self.undecided_coordinated()) {
+                if !flow::admits(self.undecided_coordinated()) {
                     // Admission window full: park the submission at the edge;
                     // it is admitted when an in-flight transaction decides.
                     self.admission.enqueue(tx, (placement, client));
@@ -949,7 +936,6 @@ mod tests {
     use ratc_types::{ExplicitSharding, Key, Version};
 
     use super::*;
-    use crate::flow::FlowControlConfig;
 
     /// The test vocabulary: the five shared variants plus the upcalls a
     /// hosting replica would translate from its own messages.
@@ -1128,13 +1114,12 @@ mod tests {
     }
 
     impl Rig {
-        fn new(flow: FlowControlConfig) -> Rig {
+        fn new() -> Rig {
             let mut world = World::new(SimConfig::default());
             let mut sink = || world.add_actor(Sink::default());
             let (leaders, followers, client) = ([sink(), sink()], [sink(), sink()], sink());
             let sharding = ExplicitSharding::new(2, shard(0)).with(Key::new("b"), shard(1));
-            let mut coord = Coordinator::new(Arc::new(sharding));
-            coord.set_flow(flow);
+            let coord = Coordinator::new(Arc::new(sharding));
             let views = (0..2)
                 .map(|s| (shard(s), (leaders[s], vec![leaders[s], followers[s]])))
                 .collect();
@@ -1249,7 +1234,7 @@ mod tests {
     #[test]
     fn exactly_the_driven_transactions_are_coordinated_after_every_exit() {
         use Decision::{Abort, Commit};
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         for tx in 1..=3 {
             rig.certify(tx, &["a"]);
         }
@@ -1380,7 +1365,7 @@ mod tests {
 
     #[test]
     fn a_decided_coordination_releases_its_payload() {
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         let key = Key::new("a");
         let payload = Payload::builder().read(key.clone(), Version::ZERO);
         rig.certify_payload(1, payload.build().expect("well-formed"));
@@ -1400,37 +1385,45 @@ mod tests {
 
     #[test]
     fn the_window_admits_parked_submissions_fifo_when_a_slot_frees() {
-        let mut rig = Rig::new(FlowControlConfig { window: 1 });
-        for tx in 1..=3 {
-            rig.certify(tx, &["a"]);
+        let mut rig = Rig::new();
+        let window = flow::WINDOW as u64;
+        // All at once: one by one, the first would reach its retry tick.
+        let payload = Payload::builder().read(Key::new("a"), Version::ZERO);
+        for tx in 1..=window + 2 {
+            let certify = TestMsg::Certify {
+                tx: TxId::new(tx),
+                payload: payload.clone().build().expect("well-formed"),
+                client: rig.client,
+            };
+            rig.world.send_from(rig.client, rig.host, certify);
         }
+        rig.settle();
+        let mut admitted: Vec<u64> = (1..=window).collect();
         assert_eq!(
             rig.prepares_at(rig.leaders[0]),
-            vec![1],
-            "2 and 3 are parked"
+            admitted,
+            "the last two are parked"
         );
         assert_eq!(rig.world.metrics().counter("admission_queued"), 2);
-        for (decided, admitted) in [(1, vec![1, 2]), (2, vec![1, 2, 3])] {
-            // The second, late round of replies frees no second slot.
-            for _ in 0..2 {
-                rig.vote(0, decided);
-                rig.ack(0, decided);
-                assert_eq!(rig.prepares_at(rig.leaders[0]), admitted);
-                assert_eq!(rig.host().coord.undecided_coordinated(), 1);
-            }
+        admitted.push(window + 1);
+        // The second, late round of replies frees no second slot.
+        for _ in 0..2 {
+            rig.vote(0, 1);
+            rig.ack(0, 1);
+            assert_eq!(rig.prepares_at(rig.leaders[0]), admitted);
+            assert_eq!(rig.host().coord.undecided_coordinated(), flow::WINDOW);
         }
         let client = rig.world.actor::<Sink>(rig.client).expect("client");
         let decided = client.0.iter().map(|msg| match msg {
             TestMsg::DecisionClient { tx, decision } => (tx.as_u64(), *decision),
             other => panic!("the client only hears decisions, got {other:?}"),
         });
-        let commits = vec![(1, Decision::Commit), (2, Decision::Commit)];
-        assert_eq!(decided.collect::<Vec<_>>(), commits);
+        assert_eq!(decided.collect::<Vec<_>>(), vec![(1, Decision::Commit)]);
     }
 
     #[test]
     fn a_superseding_certify_before_its_backoff_deadline_sends_no_second_volley() {
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         rig.certify(1, &["a", "b"]);
         rig.certify(1, &["a", "b"]);
         assert_eq!(rig.prepares_at(rig.leaders[0]), vec![1]);
@@ -1440,7 +1433,7 @@ mod tests {
 
     #[test]
     fn the_retry_tick_re_prepares_only_shards_lacking_a_vote_or_an_ack() {
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         // Shard 0 is complete; shard 1 of transaction 1 has a vote but no
         // acknowledgement, shard 1 of transaction 2 has neither.
         for tx in [1, 2] {
@@ -1466,7 +1459,7 @@ mod tests {
     /// not sent, and the old leaders hear nothing more.
     #[test]
     fn a_view_change_re_prepares_at_the_new_leader_what_is_incomplete_on_the_shard() {
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         // 1: both shards, shard 1 complete; 2: shard 0, decided; 3: shard 1
         // only; 4: shard 0, voted but not acknowledged.
         for (tx, keys) in [(1, &["a", "b"][..]), (2, &["a"]), (3, &["b"]), (4, &["a"])] {
@@ -1520,7 +1513,7 @@ mod tests {
     /// asks for the shard's configuration once, so the reply re-drives.
     #[test]
     fn a_vote_from_a_newer_epoch_is_dropped_and_refreshes_the_view() {
-        let mut rig = Rig::new(FlowControlConfig::default());
+        let mut rig = Rig::new();
         rig.certify(1, &["a"]);
         rig.vote_in(EPOCH.next(), 0, 1);
         let expected: Vec<BTreeSet<ShardId>> = vec![[shard(0)].into()];

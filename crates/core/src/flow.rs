@@ -22,32 +22,32 @@
 //!   so `run_to_quiescence` still terminates when a shard is permanently
 //!   down.
 //!
-//! The window is the only knob; the schedule is a constant.
+//! Both are constants: the window is [`WINDOW`], and the schedule is fixed.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use ratc_types::TxId;
 
-/// Flow-control knobs, surfaced on every harness via `ClusterSpec`.
+/// Maximum transactions a coordinator/TM keeps in flight; further
+/// submissions wait in its FIFO admission queue.
+pub const WINDOW: usize = 64;
+
+/// `true` if a coordinator already holding `in_flight` undecided
+/// transactions may start another one.
+pub fn admits(in_flight: usize) -> bool {
+    in_flight < WINDOW
+}
+
+/// The admission window as a value, for reports that read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowControlConfig {
-    /// Maximum transactions a coordinator/TM keeps in flight; further
-    /// submissions wait in its FIFO admission queue.
+    /// [`WINDOW`].
     pub window: usize,
 }
 
 impl Default for FlowControlConfig {
-    /// Window 64.
     fn default() -> Self {
-        FlowControlConfig { window: 64 }
-    }
-}
-
-impl FlowControlConfig {
-    /// `true` if a coordinator already holding `in_flight` undecided
-    /// transactions may start another one.
-    pub fn admits(&self, in_flight: usize) -> bool {
-        in_flight < self.window
+        FlowControlConfig { window: WINDOW }
     }
 }
 
@@ -139,10 +139,9 @@ mod tests {
 
     #[test]
     fn the_default_window_admits_up_to_its_size() {
-        let flow = FlowControlConfig::default();
-        assert!(flow.window > 0);
-        assert!(flow.admits(flow.window - 1));
-        assert!(!flow.admits(flow.window));
+        assert_eq!(FlowControlConfig::default().window, WINDOW);
+        assert!(admits(WINDOW - 1));
+        assert!(!admits(WINDOW));
     }
 
     #[test]

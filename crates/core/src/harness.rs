@@ -56,7 +56,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use ratc_config::{ShardConfigRegistry, ShardConfiguration};
 use ratc_sim::faults::LinkFault;
 use ratc_sim::{
     fold_timelines, Actor, Blackout, CtrlEvent, CtrlMilestone, ExecutionMode, LatencyUnit, Metrics,
@@ -69,20 +68,19 @@ use ratc_types::{
 
 use crate::batch::BatchingConfig;
 use crate::client::{ClientActor, ClientMsg, DecisionLatency};
+use crate::config::{ShardConfigRegistry, ShardConfiguration};
 use crate::config_service::ConfigServiceActor;
-use crate::flow::FlowControlConfig;
 use crate::messages::Msg;
 use crate::replica::{Replica, Status, TruncationConfig};
 
 /// Configuration of a simulated deployment, shared by every [`Stack`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of shards.
     pub shards: u32,
-    /// Replicas per shard: `f + 1` on the RATC stacks to tolerate `f`
-    /// failures between reconfigurations, `2f + 1` on the baseline (whose
-    /// transaction-manager group gets as many).
-    pub replicas_per_shard: usize,
+    /// Failures tolerated per shard (`f`); each stack sizes its groups from
+    /// it through [`StackKind::group_size`].
+    pub failures: usize,
     /// Spare (fresh) replicas per shard available to reconfiguration (none
     /// are deployed on the baseline).
     pub spares_per_shard: usize,
@@ -95,9 +93,6 @@ pub struct ClusterConfig {
     /// Batched certification pipeline (default: disabled), applied to every
     /// replica and spare.
     pub batching: BatchingConfig,
-    /// Flow control (default: on): coordinator admission window and retry
-    /// backoff, applied to every replica and spare.
-    pub flow: FlowControlConfig,
     /// Simulation parameters (seed, observability, per-message service
     /// time).
     pub sim: SimConfig,
@@ -110,26 +105,14 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             shards: 2,
-            replicas_per_shard: 2,
+            failures: 1,
             spares_per_shard: 2,
             policy: Arc::new(Serializability::new()),
             truncation: TruncationConfig::default(),
             batching: BatchingConfig::default(),
-            flow: FlowControlConfig::default(),
             sim: SimConfig::default(),
             execution: ExecutionMode::default(),
         }
-    }
-}
-
-impl fmt::Debug for ClusterConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClusterConfig")
-            .field("shards", &self.shards)
-            .field("replicas_per_shard", &self.replicas_per_shard)
-            .field("spares_per_shard", &self.spares_per_shard)
-            .field("policy", &self.policy.name())
-            .finish()
     }
 }
 
@@ -140,9 +123,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Returns a copy with the given number of replicas per shard.
-    pub fn with_replicas_per_shard(mut self, replicas: usize) -> Self {
-        self.replicas_per_shard = replicas;
+    /// Returns a copy tolerating `f` failures per shard.
+    pub fn with_failures(mut self, f: usize) -> Self {
+        self.failures = f;
         self
     }
 
@@ -170,12 +153,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Returns a copy with the given flow-control knobs.
-    pub fn with_flow(mut self, flow: FlowControlConfig) -> Self {
-        self.flow = flow;
-        self
-    }
-
     /// Returns a copy with the given simulation configuration.
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
@@ -185,6 +162,15 @@ impl ClusterConfig {
     /// Returns a copy with the given random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.sim.seed = seed;
+        self
+    }
+
+    /// Returns a copy with commit-path observability enabled: the cluster
+    /// records per-transaction lifecycle milestones and flow-control gauges
+    /// (see [`TcsCluster::obs_events`]). Recording never perturbs a seeded
+    /// schedule.
+    pub fn with_observability(mut self) -> Self {
+        self.sim = self.sim.with_observability();
         self
     }
 
@@ -263,6 +249,17 @@ impl StackKind {
             StackKind::Baseline => false,
         }
     }
+
+    /// Processes in one group tolerating `failures` crashes: `f + 1`
+    /// replicas per shard on the RATC stacks (reconfiguration replaces a
+    /// failed member), `2f + 1` per shard and in the transaction-manager
+    /// group on the baseline (a Paxos majority masks failures).
+    pub fn group_size(self, failures: usize) -> usize {
+        match self {
+            StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => failures + 1,
+            StackKind::Baseline => 2 * failures + 1,
+        }
+    }
 }
 
 /// What a [`Stack`] deployed, as [`Stack::build`] reports it: the processes
@@ -282,13 +279,13 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The replicas of a RATC stack: per shard, the
-    /// [`ClusterConfig::replicas_per_shard`] members of its initial
-    /// configuration, then [`ClusterConfig::spares_per_shard`] spares, each
-    /// added to `world` as `replica(shard)`. The stack adds its configuration
-    /// service.
+    /// The replicas of a RATC stack of `kind`: per shard, the
+    /// [`StackKind::group_size`] members of its initial configuration, then
+    /// [`ClusterConfig::spares_per_shard`] spares, each added to `world` as
+    /// `replica(shard)`. The stack adds its configuration service.
     pub fn replicas<M, A>(
         world: &mut World<M>,
+        kind: StackKind,
         config: &ClusterConfig,
         sharding: &HashSharding,
         replica: impl Fn(ShardId) -> A,
@@ -300,7 +297,7 @@ impl Topology {
         let mut topology = Topology::default();
         for shard in sharding.shards() {
             for (pool, count) in [
-                (&mut topology.roster, config.replicas_per_shard),
+                (&mut topology.roster, kind.group_size(config.failures)),
                 (&mut topology.spares, config.spares_per_shard),
             ] {
                 let pids = (0..count).map(|_| world.add_actor(replica(shard)));
@@ -945,7 +942,7 @@ impl Stack for CoreStack {
         sharding: &Arc<HashSharding>,
     ) -> Topology {
         let shard_map = sharding.clone() as Arc<dyn ShardMap + Send + Sync>;
-        let mut topology = Topology::replicas(world, config, sharding, |shard| {
+        let mut topology = Topology::replicas(world, self.kind(), config, sharding, |shard| {
             Replica::new(shard, config.policy.as_ref(), shard_map.clone())
         });
 
@@ -972,7 +969,6 @@ impl Stack for CoreStack {
                 replica.install_initial_config(*pid, cs, &initial, is_member);
                 replica.set_truncation(config.truncation);
                 replica.set_batching(config.batching);
-                replica.set_flow(config.flow);
             }
         }
         topology

@@ -43,8 +43,10 @@
 //!   between the stacks;
 //! * [`replica`] — the replica state machine: shard member, and host of a
 //!   coordinator and of a reconfigurer;
+//! * [`config`] — the configuration service's state machines: per-shard and
+//!   global configuration registries and the membership planner;
 //! * [`config_service`] — the configuration-service actor (wrapping
-//!   `ratc-config`'s registry);
+//!   [`config`]'s per-shard registry);
 //! * [`client`] — the one client actor of all three stacks, recording a TCS
 //!   history and latency samples;
 //! * [`harness`] — the one deployment harness of all three stacks:
@@ -90,6 +92,7 @@
 
 pub mod batch;
 pub mod client;
+pub mod config;
 pub mod config_service;
 pub mod coord;
 pub mod flow;
@@ -103,7 +106,7 @@ pub mod replica;
 pub use batch::{BatchingConfig, PrepareBatch, VoteBatcher};
 pub use client::ClientActor;
 pub use config_service::ConfigServiceActor;
-pub use flow::{AdmissionQueue, FlowControlConfig};
+pub use flow::AdmissionQueue;
 pub use harness::{Cluster, ClusterConfig, Deployment, Stack, StackKind, TcsCluster};
 pub use log::{CertificationLog, LogEntry, TxPhase};
 pub use messages::Msg;

@@ -19,10 +19,10 @@
 //! `DECISION` (see [`crate::log`]), and a truncated transaction's decision
 //! stays answerable through `TxDecided`.
 
-use ratc_config::ShardConfiguration;
 use ratc_types::{Decision, Epoch, Payload, ProcessId, ShardId, TxId};
 
 use crate::batch::{AcceptAckItem, DecisionItem, Items, PrepareBatch, PreparedItem};
+use crate::config::ShardConfiguration;
 use crate::log::CertificationLog;
 
 /// Messages of the message-passing atomic commit protocol.

@@ -33,10 +33,11 @@
 
 use std::collections::BTreeMap;
 
-use ratc_config::MembershipPlanner;
 use ratc_sim::actor::TimerId;
 use ratc_sim::{Context, CtrlMilestone, SimDuration, TimerTag};
 use ratc_types::{Epoch, ProcessId, ShardId};
+
+use crate::config::MembershipPlanner;
 
 /// Timer tag ending the probe grace period
 /// ([`Reconfigurer::on_grace_tick`]).

@@ -23,13 +23,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ratc_config::ShardConfiguration;
 use ratc_sim::{Actor, Context, CtrlMilestone, TimerTag};
 use ratc_types::{CertificationPolicy, Epoch, ProcessId, ShardId, ShardMap, TxId};
 
 use crate::batch::{AcceptAckItem, BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem};
+use crate::config::ShardConfiguration;
 use crate::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
-use crate::flow::FlowControlConfig;
 use crate::log::CertificationLog;
 use crate::messages::Msg;
 use crate::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
@@ -178,16 +177,6 @@ impl Replica {
     /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
         self.coord.set_batching(batching);
-    }
-
-    /// Sets the flow-control knobs (default: window 64).
-    pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.coord.set_flow(flow);
-    }
-
-    /// The replica's flow-control knobs.
-    pub fn flow(&self) -> FlowControlConfig {
-        self.coord.flow()
     }
 
     /// Installs the initial configuration view at this replica: its own

@@ -22,16 +22,15 @@
 //!   cluster realises, and what it can do (`supports_reconfiguration`,
 //!   `reconfiguration_is_global`, `replicas_coordinate`); re-exported
 //!   likewise;
-//! * [`ClusterSpec`] — one builder that constructs any stack. Its knobs:
-//!   shards, failures tolerated, spares, certification policy, truncation
-//!   (on/off, fold batch, compaction), batch size, flow control (the
-//!   admission window; retries always back off exponentially), the
+//! * [`ClusterSpec`] — one builder that constructs any stack: a
+//!   [`StackKind`] and the one `ClusterConfig` every stack is built from.
+//!   Its knobs: shards, failures tolerated, spares, certification policy,
+//!   truncation (on/off, fold batch, compaction), batch size, the
 //!   simulation's seed, observability and per-message service time, and the
-//!   execution engine.
-//!   Latencies are constants of the simulator (a LAN), and batches flush
-//!   after a fixed 1 ms. It fills in the one `ClusterConfig` every stack is
-//!   built from, with `f + 1` or `2f + 1` replicas per shard as the stack
-//!   requires.
+//!   execution engine. Latencies are constants of the simulator (a LAN),
+//!   batches flush after a fixed 1 ms, the admission window is 64 and
+//!   retries always back off exponentially. Each stack deploys `f + 1` or
+//!   `2f + 1` replicas per shard, by [`StackKind::group_size`].
 //!
 //! Consumers that need exactly one concrete stack (white-box invariant
 //! checkers, log-differential suites) can still reach it through

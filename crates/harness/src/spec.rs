@@ -1,22 +1,20 @@
 //! [`ClusterSpec`]: one builder that deploys any of the three stacks.
 
-use std::sync::Arc;
-
 use ratc_baseline::{BaselineCluster, BaselineStack};
 use ratc_core::batch::BatchingConfig;
-use ratc_core::flow::FlowControlConfig;
 use ratc_core::harness::{Cluster, ClusterConfig, CoreStack, StackKind, TcsCluster};
 use ratc_core::replica::TruncationConfig;
 use ratc_rdma::{RdmaCluster, RdmaStack, ReconfigMode};
 use ratc_sim::{ExecutionMode, SimConfig};
-use ratc_types::{CertificationPolicy, Serializability};
 
-/// A stack-agnostic deployment specification.
+/// A stack-agnostic deployment specification: a stack and the one
+/// [`ClusterConfig`] every stack is built from.
 ///
-/// One spec describes a TCS deployment in protocol-neutral terms — number of
-/// shards, failures to tolerate per shard (`f`), spare replicas, the
-/// certification policy, the truncation/batching knobs and the simulation
-/// seed — and [`ClusterSpec::build`] turns it into any of the three stacks:
+/// The configuration describes the deployment in protocol-neutral terms —
+/// shards, failures to tolerate per shard (`f`), spares, the certification
+/// policy, the truncation/batching knobs and the simulation — and
+/// [`ClusterSpec::build`] turns it into any of the three stacks, each sizing
+/// its groups by [`StackKind::group_size`]:
 ///
 /// * [`StackKind::Core`] / [`StackKind::Rdma`] / [`StackKind::RdmaNaive`]
 ///   deploy `f + 1` replicas per shard (the paper's replication-cost
@@ -27,69 +25,31 @@ use ratc_types::{CertificationPolicy, Serializability};
 /// Knobs a stack does not have are ignored where they are meaningless: the
 /// baseline has no spares (no reconfiguration) and prunes decided payloads
 /// unconditionally instead of using [`TruncationConfig`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// The stack to deploy.
     pub stack: StackKind,
-    /// Number of shards.
-    pub shards: u32,
-    /// Failures tolerated per shard (`f`).
-    pub failures: usize,
-    /// Spare (fresh) replicas per shard available to reconfiguration.
-    pub spares_per_shard: usize,
-    /// The certification policy (isolation level).
-    pub policy: Arc<dyn CertificationPolicy>,
-    /// Checkpointed log truncation (RATC stacks; default enabled, batch 32).
-    pub truncation: TruncationConfig,
-    /// Batched certification pipeline (default disabled).
-    pub batching: BatchingConfig,
-    /// Flow control: the coordinator admission window (retries always back
-    /// off exponentially).
-    pub flow: FlowControlConfig,
-    /// Simulation parameters (seed, observability, per-message service
-    /// time).
-    pub sim: SimConfig,
-    /// Which engine drives the cluster's actors: the deterministic simulator
-    /// (default) or a pool of worker threads over per-process mailboxes (see
-    /// [`ExecutionMode`]).
-    pub execution: ExecutionMode,
+    /// The deployment (default: 2 shards, `f = 1`, 2 spares per shard).
+    pub config: ClusterConfig,
 }
 
-impl Default for ClusterSpec {
-    fn default() -> Self {
-        ClusterSpec {
-            stack: StackKind::Core,
-            shards: 2,
-            failures: 1,
-            spares_per_shard: 2,
-            policy: Arc::new(Serializability::new()),
-            truncation: TruncationConfig::default(),
-            batching: BatchingConfig::default(),
-            flow: FlowControlConfig::default(),
-            sim: SimConfig::default(),
-            execution: ExecutionMode::default(),
+/// Builder methods that set one value of [`ClusterSpec::config`].
+macro_rules! config_setters {
+    ($($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty)?);)*) => {$(
+        $(#[$doc])*
+        pub fn $name(mut self $(, $arg: $ty)?) -> Self {
+            self.config = self.config.$name($($arg)?);
+            self
         }
-    }
-}
-
-impl std::fmt::Debug for ClusterSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterSpec")
-            .field("stack", &self.stack)
-            .field("shards", &self.shards)
-            .field("failures", &self.failures)
-            .field("spares_per_shard", &self.spares_per_shard)
-            .field("policy", &self.policy.name())
-            .finish()
-    }
+    )*};
 }
 
 impl ClusterSpec {
-    /// A default spec for the given stack.
+    /// The default deployment of the given stack.
     pub fn new(stack: StackKind) -> Self {
         ClusterSpec {
             stack,
-            ..ClusterSpec::default()
+            config: ClusterConfig::default(),
         }
     }
 
@@ -99,82 +59,25 @@ impl ClusterSpec {
         self
     }
 
-    /// Returns a copy with the given number of shards.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Returns a copy tolerating `f` failures per shard (`f + 1` replicas on
-    /// the RATC stacks, `2f + 1` on the baseline).
-    pub fn with_failures(mut self, f: usize) -> Self {
-        self.failures = f;
-        self
-    }
-
-    /// Returns a copy with the given number of spares per shard.
-    pub fn with_spares_per_shard(mut self, spares: usize) -> Self {
-        self.spares_per_shard = spares;
-        self
-    }
-
-    /// Returns a copy with the given certification policy.
-    pub fn with_policy(mut self, policy: Arc<dyn CertificationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Returns a copy with the given checkpointed-truncation policy.
-    pub fn with_truncation(mut self, truncation: TruncationConfig) -> Self {
-        self.truncation = truncation;
-        self
-    }
-
-    /// Returns a copy with the given batching-pipeline knobs.
-    pub fn with_batching(mut self, batching: BatchingConfig) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Returns a copy with the given flow-control knobs.
-    pub fn with_flow_control(mut self, flow: FlowControlConfig) -> Self {
-        self.flow = flow;
-        self
-    }
-
-    /// Returns a copy with the given simulation configuration.
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
-    /// Returns a copy with the given random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.sim.seed = seed;
-        self
-    }
-
-    /// Returns a copy with commit-path observability enabled: the cluster
-    /// records per-transaction lifecycle milestones and flow-control gauges
-    /// (see [`TcsCluster::obs_events`]).
-    /// Recording never perturbs a seeded schedule.
-    pub fn with_observability(mut self) -> Self {
-        self.sim.obs = true;
-        self
-    }
-
-    /// Returns a copy with the given execution mode (simulated or threaded).
-    pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Replicas this spec deploys per shard on its stack.
-    pub fn replicas_per_shard(&self) -> usize {
-        match self.stack {
-            StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => self.failures + 1,
-            StackKind::Baseline => 2 * self.failures + 1,
-        }
+    config_setters! {
+        /// See [`ClusterConfig::with_shards`].
+        with_shards(shards: u32);
+        /// See [`ClusterConfig::with_failures`].
+        with_failures(f: usize);
+        /// See [`ClusterConfig::with_spares_per_shard`].
+        with_spares_per_shard(spares: usize);
+        /// See [`ClusterConfig::with_truncation`].
+        with_truncation(truncation: TruncationConfig);
+        /// See [`ClusterConfig::with_batching`].
+        with_batching(batching: BatchingConfig);
+        /// See [`ClusterConfig::with_sim`].
+        with_sim(sim: SimConfig);
+        /// See [`ClusterConfig::with_seed`].
+        with_seed(seed: u64);
+        /// See [`ClusterConfig::with_observability`].
+        with_observability();
+        /// See [`ClusterConfig::with_execution`].
+        with_execution(execution: ExecutionMode);
     }
 
     /// Builds the spec's stack behind the unified [`TcsCluster`] facade.
@@ -186,27 +89,11 @@ impl ClusterSpec {
         }
     }
 
-    /// The shared per-stack configuration this spec describes, at the given
-    /// group size.
-    fn config(&self, replicas_per_shard: usize) -> ClusterConfig {
-        ClusterConfig {
-            shards: self.shards,
-            replicas_per_shard,
-            spares_per_shard: self.spares_per_shard,
-            policy: self.policy.clone(),
-            truncation: self.truncation,
-            batching: self.batching,
-            flow: self.flow,
-            sim: self.sim.clone(),
-            execution: self.execution,
-        }
-    }
-
     /// Builds a concrete message-passing cluster from this spec (for
     /// white-box consumers such as the invariant checkers and the
     /// log-differential suites). Ignores [`ClusterSpec::stack`].
     pub fn build_core(&self) -> Cluster {
-        Cluster::new(CoreStack, self.config(self.failures + 1))
+        Cluster::new(CoreStack, self.config.clone())
     }
 
     /// Builds a concrete RDMA cluster from this spec, in naive per-shard
@@ -218,14 +105,14 @@ impl ClusterSpec {
         } else {
             ReconfigMode::GlobalCorrect
         };
-        RdmaCluster::new(RdmaStack::new(mode), self.config(self.failures + 1))
+        RdmaCluster::new(RdmaStack::new(mode), self.config.clone())
     }
 
     /// Builds a concrete baseline cluster from this spec. Ignores
     /// [`ClusterSpec::stack`], the spare pool and the truncation knob (the
     /// baseline prunes decided payloads unconditionally).
     pub fn build_baseline(&self) -> BaselineCluster {
-        BaselineCluster::new(BaselineStack, self.config(2 * self.failures + 1))
+        BaselineCluster::new(BaselineStack, self.config.clone())
     }
 }
 
@@ -270,12 +157,42 @@ mod tests {
 
     #[test]
     fn replica_counts_follow_the_paper() {
-        let ratc = ClusterSpec::new(StackKind::Core).with_failures(2);
-        assert_eq!(ratc.replicas_per_shard(), 3);
-        let baseline = ratc.clone().with_stack(StackKind::Baseline);
-        assert_eq!(baseline.replicas_per_shard(), 5);
-        let cluster = baseline.build();
-        assert_eq!(cluster.shard_view(ShardId::new(0)).members.len(), 5);
+        for f in [1, 2] {
+            for stack in [
+                StackKind::Core,
+                StackKind::Rdma,
+                StackKind::RdmaNaive,
+                StackKind::Baseline,
+            ] {
+                let group = match stack {
+                    StackKind::Baseline => 2 * f + 1,
+                    StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => f + 1,
+                };
+                let spec = ClusterSpec::new(stack).with_failures(f);
+                // A concrete build sizes its groups by its own kind, not by
+                // the spec's `stack`.
+                let other = match stack {
+                    StackKind::Baseline => StackKind::Core,
+                    StackKind::Core | StackKind::Rdma | StackKind::RdmaNaive => StackKind::Baseline,
+                };
+                let foreign = spec.clone().with_stack(other);
+                let concrete: Box<dyn TcsCluster> = match stack {
+                    StackKind::Core => Box::new(foreign.build_core()),
+                    StackKind::Rdma | StackKind::RdmaNaive => Box::new(foreign.build_rdma()),
+                    StackKind::Baseline => Box::new(foreign.build_baseline()),
+                };
+                for cluster in [spec.build(), concrete] {
+                    for shard in cluster.shards() {
+                        let roster = cluster.shard_view(shard).roster;
+                        assert_eq!(roster.len(), group, "{stack}, f = {f}");
+                    }
+                    if stack == StackKind::Baseline {
+                        let tm_group = cluster.coordinator_pool();
+                        assert_eq!(tm_group.len(), group, "{stack}, f = {f}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -125,8 +125,7 @@ fn payload_of(keys: Vec<Key>) -> Payload {
 /// payloads are built before counting starts: this counts the protocol, not
 /// the workload.
 fn per_committed_tx(stack: StackKind, batch: usize, spanning: bool) -> (f64, f64) {
-    let mut cluster = ClusterSpec::default()
-        .with_stack(stack)
+    let mut cluster = ClusterSpec::new(stack)
         .with_seed(7)
         .with_shards(SHARDS)
         .with_batching(BatchingConfig::with_batch(batch))

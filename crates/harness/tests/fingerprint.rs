@@ -19,7 +19,7 @@ fn fnv1a(text: &str) -> u64 {
 /// `(steps, now in µs, hash of history + latencies)` after the conformance
 /// suite's twelve disjoint transactions at seed 7.
 fn fingerprint(stack: StackKind, observability: bool) -> (u64, u64, u64) {
-    let mut spec = ClusterSpec::default().with_stack(stack).with_seed(7);
+    let mut spec = ClusterSpec::new(stack).with_seed(7);
     if observability {
         spec = spec.with_observability();
     }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ratc_config::GlobalConfiguration;
+use ratc_core::config::GlobalConfiguration;
 use ratc_core::harness::{ClusterConfig, Deployment, ShardView, Stack, StackKind, Topology};
 use ratc_sim::rdma::RdmaToken;
 use ratc_sim::{Actor, Context, World};
@@ -79,7 +79,7 @@ impl Stack for RdmaStack {
         sharding: &Arc<HashSharding>,
     ) -> Topology {
         let shard_map = sharding.clone() as Arc<dyn ShardMap + Send + Sync>;
-        let mut topology = Topology::replicas(world, config, sharding, |shard| {
+        let mut topology = Topology::replicas(world, self.kind(), config, sharding, |shard| {
             RdmaReplica::new(shard, config.policy.as_ref(), shard_map.clone(), self.mode)
         });
 
@@ -105,7 +105,6 @@ impl Stack for RdmaStack {
                 replica.install_initial_config(*pid, cs, &initial, is_member);
                 replica.set_truncation(config.truncation);
                 replica.set_batching(config.batching);
-                replica.set_flow(config.flow);
             }
         }
         let all_members = initial.all_processes();

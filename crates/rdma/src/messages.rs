@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use ratc_config::GlobalConfiguration;
 use ratc_core::batch::{DecisionItem, Items, PrepareBatch, PreparedItem};
+use ratc_core::config::GlobalConfiguration;
 use ratc_types::{Decision, Epoch, Payload, ProcessId, ShardId, TxId};
 
 use crate::replica::RdmaLog;

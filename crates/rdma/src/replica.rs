@@ -24,10 +24,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ratc_config::GlobalConfiguration;
 use ratc_core::batch::{BatchingConfig, DecisionItem, Items, PrepareItem, PreparedItem};
+use ratc_core::config::GlobalConfiguration;
 use ratc_core::coord::{Coordinator, Replication, ShardView, BATCH_TICK, RETRY_TICK};
-use ratc_core::flow::FlowControlConfig;
 use ratc_core::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
 use ratc_core::replica::TruncationConfig;
 use ratc_sim::rdma::RdmaToken;
@@ -167,16 +166,6 @@ impl RdmaReplica {
     /// Sets the batching-pipeline knobs (default: batches of one).
     pub fn set_batching(&mut self, batching: BatchingConfig) {
         self.coord.set_batching(batching);
-    }
-
-    /// Sets the flow-control knobs (default: window 64).
-    pub fn set_flow(&mut self, flow: FlowControlConfig) {
-        self.coord.set_flow(flow);
-    }
-
-    /// The flow-control configuration in force at this replica.
-    pub fn flow(&self) -> FlowControlConfig {
-        self.coord.flow()
     }
 
     /// Installs the initial configuration, own identifier and configuration

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ratc_config::GlobalConfiguration;
+use ratc_core::config::GlobalConfiguration;
 use ratc_rdma::{GlobalConfigServiceActor, RdmaMsg, RdmaReplica, ReconfigMode, ScriptedPeer};
 use ratc_sim::{SimConfig, SimDuration, World};
 use ratc_types::{Epoch, HashSharding, ProcessId, Serializability, ShardId};

@@ -12,10 +12,11 @@ use std::any::Any;
 use std::cell::Cell;
 use std::time::Instant;
 
-use ratc_obs::{CtrlEvent, CtrlMilestone, TxMilestone, TxObsEvent};
 use ratc_types::{ProcessId, ShardId, TxId};
 
+use crate::ctrl::{CtrlEvent, CtrlMilestone};
 use crate::metrics::Metrics;
+use crate::obs::{TxMilestone, TxObsEvent};
 use crate::rdma::{RdmaInbox, RdmaToken};
 use crate::time::{SimDuration, SimTime};
 

@@ -41,7 +41,7 @@ use std::fmt;
 
 use ratc_types::{ProcessId, ShardId, TxId};
 
-use crate::{TxMilestone, TxObsEvent};
+use crate::obs::{TxMilestone, TxObsEvent};
 
 /// A cluster-scope (control-plane) milestone.
 ///

@@ -29,9 +29,11 @@
 //! * Commit-path observability — [`Context`] exposes
 //!   [`obs_milestone`](actor::Context::obs_milestone) /
 //!   [`obs_gauge`](actor::Context::obs_gauge) hooks (backed by the
-//!   [`ratc_obs`] timeline model, re-exported here) that stamp transaction
+//!   [`obs`] timeline model, re-exported here) that stamp transaction
 //!   lifecycle milestones identically under both execution engines. Off by
-//!   default; enabling it never changes a seeded schedule.
+//!   default; enabling it never changes a seeded schedule. [`ctrl`] is its
+//!   control-plane mirror: reconfiguration, crash and fault milestones and
+//!   the per-shard availability windows derived from them.
 //!
 //! Determinism: given the same seed and the same sequence of API calls, a
 //! simulation produces exactly the same event order, which makes every
@@ -80,10 +82,12 @@
 
 pub mod actor;
 pub mod backoff;
+pub mod ctrl;
 pub mod event;
 pub mod faults;
 mod latency;
 pub mod metrics;
+pub mod obs;
 pub mod rdma;
 pub mod rt;
 pub mod time;
@@ -102,13 +106,11 @@ pub mod prelude {
 
 pub use actor::{Actor, Context, TimerTag};
 pub use backoff::{BackoffPolicy, BackoffState};
-// Re-exported so protocol crates can stamp milestones through their existing
-// `ratc-sim` dependency without depending on `ratc-obs` themselves.
+pub use ctrl::{blackouts, decided_times_per_shard, Blackout, CtrlEvent, CtrlMilestone};
 pub use faults::{FaultScope, LinkFault};
 pub use metrics::Metrics;
-pub use ratc_obs::{
-    blackouts, decided_times_per_shard, fold_timelines, Blackout, CtrlEvent, CtrlMilestone,
-    LatencyUnit, Phase, PhaseBreakdown, TxMilestone, TxObsEvent, TxTimeline,
+pub use obs::{
+    fold_timelines, LatencyUnit, Phase, PhaseBreakdown, TxMilestone, TxObsEvent, TxTimeline,
 };
 pub use rdma::RdmaSendOutcome;
 pub use rt::ExecutionMode;

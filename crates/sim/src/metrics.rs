@@ -16,8 +16,10 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use ratc_obs::{CtrlEvent, TxObsEvent};
 use ratc_types::ProcessId;
+
+use crate::ctrl::CtrlEvent;
+use crate::obs::TxObsEvent;
 
 /// Per-process transport counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -417,7 +419,7 @@ mod tests {
 
     #[test]
     fn obs_recording_is_gated_and_absorbed() {
-        use ratc_obs::{TxMilestone, TxObsEvent};
+        use crate::obs::{TxMilestone, TxObsEvent};
         use ratc_types::TxId;
         let event = TxObsEvent {
             tx: TxId::new(1),
@@ -444,11 +446,11 @@ mod tests {
         assert_eq!(on.obs_events().len(), 2);
     }
 
-    fn ctrl_event(at: u64) -> ratc_obs::CtrlEvent {
-        ratc_obs::CtrlEvent {
+    fn ctrl_event(at: u64) -> crate::ctrl::CtrlEvent {
+        crate::ctrl::CtrlEvent {
             at_micros: at,
             by: ProcessId::new(1),
-            milestone: ratc_obs::CtrlMilestone::Crash,
+            milestone: crate::ctrl::CtrlMilestone::Crash,
             shard: None,
             detail: 0,
             note: String::new(),

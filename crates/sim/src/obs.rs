@@ -1,48 +1,29 @@
 //! Commit-path observability: per-transaction lifecycle spans and
 //! phase-latency attribution.
 //!
-//! The experiment harnesses can *measure outcomes* (committed tx/s, undecided
-//! counts, goodput knees) but outcomes alone cannot *explain* a latency
-//! number: how much of it was admission-queue wait, how much was
-//! certification, how much was waiting for the accept quorum, on which stack,
-//! under which engine? The paper's whole argument is about shaving commit-path
-//! message delays (5 for RATC vs 7 for 2PC-over-Paxos; §6 of Bravo & Gotsman
-//! 2019), so this crate provides the instrument that attributes an observed
-//! end-to-end latency to the protocol steps that produced it.
-//!
-//! The model is deliberately tiny and stack-agnostic:
+//! Outcomes (committed tx/s, undecided counts) cannot *explain* a latency
+//! number: how much of it was admission-queue wait, certification, or
+//! waiting for the accept quorum, on which stack and engine? The paper's
+//! argument is about commit-path message delays (5 for RATC vs 7 for
+//! 2PC-over-Paxos, §6), so this module attributes an observed end-to-end
+//! latency to the protocol steps that produced it:
 //!
 //! * [`TxMilestone`] — the protocol milestones every stack passes through on
 //!   its commit path, plus annotations (retries, batch flushes).
-//! * [`TxObsEvent`] — one timestamped milestone observation. Recorders (the
-//!   simulation substrate's metrics sink) simply append these to a vector;
-//!   this crate never records anything itself.
+//! * [`TxObsEvent`] — one timestamped milestone observation. The metrics
+//!   sink appends these to a vector; this module records nothing itself.
 //! * [`TxTimeline`] — all observations of one transaction, folded from a flat
 //!   event stream by [`fold_timelines`].
 //! * [`Phase`] / [`PhaseBreakdown`] — the attribution: consecutive milestone
 //!   pairs become six telescoping phases whose durations sum *exactly* to the
 //!   end-to-end latency (see [`PhaseBreakdown::from_timeline`]).
-//! * [`LatencyUnit`] — whether the timestamps (and hence every derived
-//!   duration) are virtual simulated microseconds or wall-clock microseconds,
-//!   so reports can label their numbers unambiguously.
+//! * [`LatencyUnit`] — whether the timestamps are virtual simulated or
+//!   wall-clock microseconds, so reports can label their numbers.
 //!
-//! Timestamps are plain `u64` microseconds since the time origin of whatever
-//! clock the recorder used; this crate only ever subtracts them, so it works
-//! identically under the deterministic simulator (virtual time) and the
-//! threaded runtime (wall time).
-//!
-//! The [`ctrl`] module is the control-plane mirror of this commit-path layer:
-//! cluster-scope [`CtrlEvent`] milestones (reconfiguration, crash/recovery,
-//! injected faults) and the per-shard availability windows ([`Blackout`])
-//! derived from them.
-
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
-
-pub mod ctrl;
-
-pub use ctrl::{blackouts, decided_times_per_shard, Blackout, CtrlEvent, CtrlMilestone};
+//! Timestamps are plain `u64` microseconds since the recorder's time origin;
+//! this module only subtracts them, so it works identically under the
+//! simulator (virtual time) and the threaded runtime (wall time). Its
+//! control-plane mirror is [`ctrl`](crate::ctrl).
 
 use std::collections::BTreeMap;
 use std::fmt;

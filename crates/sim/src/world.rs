@@ -8,14 +8,15 @@ use std::fmt;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use ratc_obs::{CtrlEvent, CtrlMilestone, TxMilestone, TxObsEvent};
 use ratc_types::{ProcessId, ShardId, TxId};
 
 use crate::actor::{dispatch, Actor, Clock, Context, Effect, TimerId, Upcall};
+use crate::ctrl::{CtrlEvent, CtrlMilestone};
 use crate::event::{EventKind, QueuedEvent};
 use crate::faults::{FaultDecision, FaultPlane, LinkFault};
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
+use crate::obs::{TxMilestone, TxObsEvent};
 use crate::rdma::{RdmaFabric, RdmaToken};
 use crate::time::{SimDuration, SimTime};
 

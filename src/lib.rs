@@ -5,14 +5,13 @@
 //! Transaction Commit* (PODC 2019):
 //!
 //! * [`types`] — payloads, decisions and certification policies;
-//! * [`obs`] — commit-path observability: transaction lifecycle timelines
-//!   and per-phase latency attribution;
-//! * [`sim`] — the deterministic simulation substrate;
-//! * [`config`] — the configuration service;
-//! * [`paxos`] — the Multi-Paxos substrate used by the baseline;
-//! * [`core`] — the message-passing RATC protocol (§3, Figure 1);
+//! * [`sim`] — the deterministic simulation substrate, with commit-path and
+//!   control-plane observability ([`sim::obs`], [`sim::ctrl`]);
+//! * [`core`] — the message-passing RATC protocol (§3, Figure 1), with the
+//!   configuration service's state machines ([`core::config`]);
 //! * [`rdma`] — the RDMA-based RATC protocol (§5, Figures 7–8);
-//! * [`baseline`] — the vanilla 2PC-over-Paxos baseline;
+//! * [`baseline`] — the vanilla 2PC-over-Paxos baseline, over its own
+//!   Multi-Paxos ([`baseline::paxos`]);
 //! * [`harness`] — the **unified cluster API**: the stack-agnostic
 //!   [`TcsCluster`](harness::TcsCluster) trait and the
 //!   [`ClusterSpec`](harness::ClusterSpec) builder that deploys any of the
@@ -55,11 +54,8 @@
 
 pub use ratc_baseline as baseline;
 pub use ratc_chaos as chaos;
-pub use ratc_config as config;
 pub use ratc_core as core;
 pub use ratc_harness as harness;
-pub use ratc_obs as obs;
-pub use ratc_paxos as paxos;
 pub use ratc_rdma as rdma;
 pub use ratc_sim as sim;
 pub use ratc_spec as spec;
