@@ -143,10 +143,4 @@ impl ratc_core::client::ClientMsg for BaselineMsg {
             None
         }
     }
-
-    fn decision_ack(_tx: TxId) -> Option<Self> {
-        // Decisions live in the transaction manager's Paxos log; nothing is
-        // compacted on an acknowledgement.
-        None
-    }
 }

@@ -8,7 +8,7 @@
 //! delays and the simulated time since submission.
 //!
 //! There is one client, [`ClientActor<M>`], for every stack: it is generic
-//! over the stack's message enum through [`ClientMsg`], the three places
+//! over the stack's message enum through [`ClientMsg`], the two places
 //! where a client touches the message vocabulary.
 
 use std::collections::BTreeMap;
@@ -38,16 +38,12 @@ pub struct DecisionLatency {
 }
 
 /// What a client needs of a stack's message enum: how to ask for a
-/// certification, how to recognise the answer, and whether the answer is
-/// acknowledged.
+/// certification and how to recognise the answer.
 pub trait ClientMsg: Sized {
     /// `certify(t, l)`, to be answered to `client`.
     fn certify(tx: TxId, payload: Payload, client: ProcessId) -> Self;
     /// `Some` if this message is `DECISION(t, d)` to the client.
     fn as_decision(&self) -> Option<(TxId, Decision)>;
-    /// The acknowledgement of a received decision, on a stack whose
-    /// vocabulary has one (decision-map compaction, leg 1: [`Msg`] only).
-    fn decision_ack(tx: TxId) -> Option<Self>;
 }
 
 impl ClientMsg for Msg {
@@ -66,10 +62,6 @@ impl ClientMsg for Msg {
             None
         }
     }
-
-    fn decision_ack(tx: TxId) -> Option<Self> {
-        Some(Msg::DecisionAck { tx })
-    }
 }
 
 /// A client process recording a TCS history and latency samples.
@@ -79,28 +71,23 @@ pub struct ClientActor<M> {
     submit_times: BTreeMap<TxId, SimTime>,
     latencies: BTreeMap<TxId, DecisionLatency>,
     violations: Vec<String>,
-    /// Acknowledge received decisions back to their sender (decision-map
-    /// compaction, leg 1). Off by default: the ack is not part of the paper's
-    /// message vocabulary and must not perturb default schedules.
-    ack_decisions: bool,
     _msg: PhantomData<fn(M)>,
 }
 
-impl<M> ClientActor<M> {
-    /// Creates a client with an empty history. `ack_decisions` makes it
-    /// acknowledge every decision to its sender, on a stack that has such a
-    /// message (see [`crate::replica::TruncationConfig::compaction`]).
-    pub fn new(ack_decisions: bool) -> Self {
+impl<M> Default for ClientActor<M> {
+    /// A client with an empty history.
+    fn default() -> Self {
         ClientActor {
             history: TcsHistory::default(),
             submit_times: BTreeMap::new(),
             latencies: BTreeMap::new(),
             violations: Vec::new(),
-            ack_decisions,
             _msg: PhantomData,
         }
     }
+}
 
+impl<M> ClientActor<M> {
     /// Records the `certify(t, l)` action. Called by the deployment harness at
     /// the moment it injects the request into the coordinator.
     pub fn record_certify(&mut self, tx: TxId, payload: Payload, now: SimTime) {
@@ -129,21 +116,13 @@ impl<M> ClientActor<M> {
 }
 
 impl<M: ClientMsg + 'static> Actor<M> for ClientActor<M> {
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<'_, M>) {
+    fn on_message(&mut self, _from: ProcessId, msg: M, ctx: &mut Context<'_, M>) {
         let Some((tx, decision)) = msg.as_decision() else {
             return;
         };
         if let Err(err) = self.history.record_decide(tx, decision) {
             self.violations.push(err.to_string());
             return;
-        }
-        if self.ack_decisions {
-            // Compaction leg 1: tell the sender (original or recovery
-            // coordinator — whoever delivered this copy) the decision
-            // arrived. Idempotent at the receiver, so duplicates are fine.
-            if let Some(ack) = M::decision_ack(tx) {
-                ctx.send(from, ack);
-            }
         }
         let micros = self
             .submit_times

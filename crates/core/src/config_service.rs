@@ -81,8 +81,6 @@ impl Actor<Msg> for ConfigServiceActor {
             Msg::Certify { .. }
             | Msg::DecisionClient { .. }
             | Msg::Retry { .. }
-            | Msg::DecisionAck { .. }
-            | Msg::AckDecided { .. }
             | Msg::TxDecided { .. }
             | Msg::PrepareBatch { .. }
             | Msg::PrepareAckBatch { .. }

@@ -266,23 +266,6 @@ impl Outcome {
     }
 }
 
-/// What is kept of a transaction this coordinator no longer drives: the
-/// outcome, so a re-submitted `certify` (the client's `DECISION` was lost to
-/// a fault) is answered instead of swallowed, and the shards
-/// [`Coordinator::forget_decided`] hands back, without their restrictions.
-#[derive(Debug, Clone)]
-struct Settled {
-    outcome: Outcome,
-    shards: Placement,
-}
-
-impl Settled {
-    fn new(outcome: Outcome, placement: Placement) -> Self {
-        let shards = placement.shards_only();
-        Settled { outcome, shards }
-    }
-}
-
 /// Everything a process needs to coordinate transactions (see the module
 /// documentation).
 pub struct Coordinator {
@@ -290,8 +273,10 @@ pub struct Coordinator {
     /// Exactly the transactions this process is driving: the admission
     /// window counts them and the re-transmission tick walks them.
     coordinating: BTreeMap<TxId, CoordState>,
-    /// The transactions it stopped driving, until they are forgotten.
-    settled: BTreeMap<TxId, Settled>,
+    /// The transactions it stopped driving, each with its outcome, so a
+    /// re-submitted `certify` (the client's `DECISION` was lost to a fault)
+    /// is answered instead of swallowed.
+    settled: BTreeMap<TxId, Outcome>,
     /// Submissions waiting for an admission-window slot (FIFO, deduplicated),
     /// each placed on arrival.
     admission: AdmissionQueue<(Placement, ProcessId)>,
@@ -341,21 +326,10 @@ impl Coordinator {
         self.batch_timer_armed = false;
     }
 
-    /// Drops the record of a decided transaction and returns its shards
-    /// (a placement without restrictions); `None` (and nothing dropped)
-    /// while the transaction is unknown or in flight. Neither the client (it
-    /// has the decision) nor a recovery coordinator will ask about it again
-    /// once the decision is acknowledged end to end.
-    pub fn forget_decided(&mut self, tx: TxId) -> Option<Placement> {
-        self.settled.remove(&tx).map(|settled| settled.shards)
-    }
-
     // -- helpers -------------------------------------------------------------
 
     fn arm_retry_timer<M>(&mut self, ctx: &mut Context<'_, M>) {
-        if !self.retry_timer_armed
-            && (self.undecided_coordinated() > 0 || !self.admission.is_empty())
-        {
+        if !self.retry_timer_armed && self.undecided_coordinated() > 0 {
             ctx.set_timer(RETRY_INTERVAL, RETRY_TICK);
             self.retry_timer_armed = true;
         }
@@ -394,6 +368,8 @@ impl Coordinator {
     }
 
     /// Admits queued submissions into freed window slots (oldest first).
+    /// Every path that stops driving a transaction ends with this drain, so
+    /// a submission is parked only while the window is full.
     fn drain_admission<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         while flow::admits(self.undecided_coordinated()) {
             let Some((tx, (placement, client))) = self.admission.pop() else {
@@ -528,9 +504,8 @@ impl Coordinator {
             let Some((client, decision, targets)) = self.completion_of(tx, repl) else {
                 continue;
             };
-            if let Some(CoordState { placement, .. }) = self.coordinating.remove(&tx) {
-                let settled = Settled::new(Outcome::Decided(decision), placement);
-                self.settled.insert(tx, settled);
+            if self.coordinating.remove(&tx).is_some() {
+                self.settled.insert(tx, Outcome::Decided(decision));
             }
             self.admission.remove(tx);
             ctx.add_counter("coordinator_decisions", 1);
@@ -580,13 +555,13 @@ impl Coordinator {
             ctx.send(client, R::Msg::decision_client(tx, Decision::Commit));
             return;
         }
-        if let Some(settled) = self.settled.get(&tx) {
+        if let Some(outcome) = self.settled.get(&tx) {
             // A re-submitted `certify` of a transaction this coordinator
             // already decided (the client's `DECISION` was lost to a fault,
             // or the client retried against the same coordinator): answer
             // with the recorded decision instead of silently swallowing the
             // request.
-            if let Some(decision) = settled.outcome.decision() {
+            if let Some(decision) = outcome.decision() {
                 ctx.send(client, R::Msg::decision_client(tx, decision));
                 return;
             }
@@ -683,7 +658,7 @@ impl Coordinator {
         // the ack says where, so tell it the decision.
         let mut adopted = Items::new();
         for item in items.iter() {
-            match self.settled.get(&item.tx).map(|settled| settled.outcome) {
+            match self.settled.get(&item.tx).copied() {
                 Some(Outcome::Adopted(decision)) => adopted.push(DecisionItem {
                     pos: item.pos,
                     decision,
@@ -762,14 +737,13 @@ impl Coordinator {
         repl: &mut R,
         ctx: &mut Context<'_, R::Msg>,
     ) {
-        if let Some(settled) = self.settled.get_mut(&tx) {
+        if let Some(outcome) = self.settled.get_mut(&tx) {
             // No longer driven here, so whoever drives it answers the
             // client; only remember that some shard truncated it.
-            if matches!(settled.outcome, Outcome::Adopted(_)) {
+            if matches!(outcome, Outcome::Adopted(_)) {
                 return;
             }
-            let known = settled.outcome.decision().unwrap_or(decision);
-            settled.outcome = Outcome::Adopted(known);
+            *outcome = Outcome::Adopted(outcome.decision().unwrap_or(decision));
         } else {
             if let Some(coord) = self.coordinating.remove(&tx) {
                 // Decided out-of-band (the shard already truncated the
@@ -783,8 +757,7 @@ impl Coordinator {
                         repl.distribute_decisions(shard, decided, ctx);
                     }
                 }
-                let settled = Settled::new(Outcome::Adopted(decision), coord.placement);
-                self.settled.insert(tx, settled);
+                self.settled.insert(tx, Outcome::Adopted(decision));
             }
             ctx.send(client, R::Msg::decision_client(tx, decision));
         }
@@ -862,9 +835,6 @@ impl Coordinator {
     /// reconfigured mid-flight or a message raced with an epoch change).
     pub fn retry_tick<R: Replication>(&mut self, repl: &mut R, ctx: &mut Context<'_, R::Msg>) {
         self.retry_timer_armed = false;
-        // Safety net: admit parked submissions even if a decision path was
-        // missed.
-        self.drain_admission(repl, ctx);
         let now = ctx.now().as_micros();
         // Flow control: only transactions whose backoff deadline has passed
         // re-drive this tick, not the whole pending set every tick.
@@ -920,8 +890,7 @@ impl Coordinator {
             }
             // Stop retrying locally; the client's decision now comes from the
             // member that takes the transaction over.
-            let settled = Settled::new(Outcome::HandedOff, coord.placement);
-            self.settled.insert(tx, settled);
+            self.settled.insert(tx, Outcome::HandedOff);
             ctx.ctrl_milestone(CtrlMilestone::CoordinatorHandoff, None, tx.as_u64());
             ctx.add_counter("retries_handed_off", 1);
         }
@@ -1200,6 +1169,21 @@ mod tests {
             self.settle();
         }
 
+        /// `certify` of transactions `1..=count`, each reading "a", sent all
+        /// at once: one by one, the first would reach its retry tick.
+        fn flood(&mut self, count: u64) {
+            let payload = Payload::builder().read(Key::new("a"), Version::ZERO);
+            for tx in 1..=count {
+                let certify = TestMsg::Certify {
+                    tx: TxId::new(tx),
+                    payload: payload.clone().build().expect("well-formed"),
+                    client: self.client,
+                };
+                self.world.send_from(self.client, self.host, certify);
+            }
+            self.settle();
+        }
+
         fn send(&mut self, msg: TestMsg) {
             self.world.send_from(self.leaders[0], self.host, msg);
             self.settle();
@@ -1387,17 +1371,7 @@ mod tests {
     fn the_window_admits_parked_submissions_fifo_when_a_slot_frees() {
         let mut rig = Rig::new();
         let window = flow::WINDOW as u64;
-        // All at once: one by one, the first would reach its retry tick.
-        let payload = Payload::builder().read(Key::new("a"), Version::ZERO);
-        for tx in 1..=window + 2 {
-            let certify = TestMsg::Certify {
-                tx: TxId::new(tx),
-                payload: payload.clone().build().expect("well-formed"),
-                client: rig.client,
-            };
-            rig.world.send_from(rig.client, rig.host, certify);
-        }
-        rig.settle();
+        rig.flood(window + 2);
         let mut admitted: Vec<u64> = (1..=window).collect();
         assert_eq!(
             rig.prepares_at(rig.leaders[0]),
@@ -1419,6 +1393,23 @@ mod tests {
             other => panic!("the client only hears decisions, got {other:?}"),
         });
         assert_eq!(decided.collect::<Vec<_>>(), vec![(1, Decision::Commit)]);
+    }
+
+    /// A hand-off empties the window, so the submissions parked behind it
+    /// are prepared at once, not at the next retry tick.
+    #[test]
+    fn a_hand_off_admits_the_parked_submissions_at_once() {
+        let mut rig = Rig::new();
+        let window = flow::WINDOW as u64;
+        rig.flood(window + 2);
+        let admitted: Vec<u64> = (1..=window).collect();
+        assert_eq!(rig.prepares_at(rig.leaders[0]), admitted, "two parked");
+        rig.send(TestMsg::Excluded);
+        let all: Vec<u64> = (1..=window + 2).collect();
+        assert_eq!(rig.prepares_at(rig.leaders[0]), all);
+        let parked = [window + 1, window + 2].map(TxId::new);
+        assert_eq!(rig.host().coord.undecided_transactions(), parked);
+        assert!(rig.world.now().as_micros() < RETRY_INTERVAL.as_micros());
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub struct ClusterConfig {
     pub spares_per_shard: usize,
     /// The certification policy (isolation level).
     pub policy: Arc<dyn CertificationPolicy>,
-    /// Checkpointed log truncation (default: enabled, batch 32), applied to
+    /// Checkpointed log truncation (default: fold batch 32), applied to
     /// every replica and spare (the baseline prunes decided payloads
     /// unconditionally instead).
     pub truncation: TruncationConfig,
@@ -665,9 +665,7 @@ impl<S: Stack> Deployment<S> {
         let sharding = Arc::new(HashSharding::new(config.shards));
         let mut world = World::new(config.sim.clone());
         let topology = stack.build(&mut world, &config, &sharding);
-        // Decision acknowledgements are leg 1 of decision-map compaction;
-        // only a stack whose vocabulary has the message ever sends one.
-        let client = world.add_actor(ClientActor::<S::Msg>::new(config.truncation.compaction));
+        let client = world.add_actor(ClientActor::<S::Msg>::default());
         world.mark_fault_exempt(client);
         Deployment {
             world,
@@ -1402,64 +1400,6 @@ mod tests {
             assert!(log.len() < 64, "member {pid} retains {} slots", log.len());
         }
         assert!(cluster.client_violations().is_empty());
-    }
-
-    /// Decision-map compaction regression: on a 10k-transaction history the
-    /// checkpoint's per-position decision map must stay bounded (without
-    /// compaction it grows linearly — one record per truncated transaction).
-    #[test]
-    fn compaction_bounds_the_checkpoint_on_a_10k_tx_history() {
-        let mut cluster = Cluster::new(
-            CoreStack,
-            ClusterConfig::default()
-                .with_shards(1)
-                .with_seed(37)
-                .with_truncation(TruncationConfig::with_batch(8).with_compaction())
-                .with_batching(BatchingConfig::with_batch(32)),
-        );
-        let coordinator = cluster.shard_view(ShardId::new(0)).roster[1];
-        let total = 10_000u64;
-        let wave = 100u64;
-        for w in 0..(total / wave) {
-            for i in 0..wave {
-                let n = w * wave + i;
-                cluster.submit_via(
-                    TxId::new(n + 1),
-                    rw_payload(&format!("k{n}"), 0, 1),
-                    coordinator,
-                );
-            }
-            cluster.run_to_quiescence();
-        }
-        assert_eq!(cluster.history().decide_count(), total as usize);
-        assert!(cluster.client_violations().is_empty());
-        for pid in cluster.shard_view(ShardId::new(0)).roster {
-            let log = replica(&cluster, pid).log();
-            assert!(
-                log.base().as_u64() > total - 256,
-                "member {pid} truncated only to {}",
-                log.base()
-            );
-            assert!(log.len() < 256, "member {pid} retains {} slots", log.len());
-            // The point of the satellite: the decision map does not scale
-            // with history length once every decision has been acked.
-            assert!(
-                log.checkpoint().decided_count() < 64,
-                "member {pid} retains {} checkpoint records of a {total}-tx history",
-                log.checkpoint().decided_count()
-            );
-            assert!(
-                log.acked_pending() < 256,
-                "member {pid} holds {} pending acks",
-                log.acked_pending()
-            );
-        }
-        // Every decision was acknowledged end to end exactly once, and the
-        // coordinator dropped its per-transaction state on the way.
-        assert_eq!(cluster.world.metrics().counter("decisions_acked"), total);
-        assert_eq!(replica(&cluster, coordinator).undecided_coordinated(), 0);
-        let violations = crate::invariants::check_cluster(&cluster);
-        assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]

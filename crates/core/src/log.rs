@@ -84,20 +84,6 @@
 //! remains exact for untruncated logs, which is where the differential
 //! suites use it. `L2` ([`CertificationLog::prepared_payloads_before`])
 //! stays exact always, per the no-lock-state invariant above.
-//!
-//! # Decision-map compaction
-//!
-//! The checkpoint's per-position decision vector itself grows with history
-//! length — it exists only so recovery can still learn a truncated
-//! transaction's decision. Once the decision has been acknowledged end to end
-//! (client and coordinator), recovery is impossible by the TCS specification
-//! and the record is dead weight: [`CertificationLog::ack_decided`] drops it,
-//! leaving `None` at its position; certification never read it. The
-//! replica-level ack exchange that drives this is opt-in (see
-//! `crate::replica::TruncationConfig`) so default deployments stay
-//! bit-identical to the paper's message schedule.
-
-use std::collections::BTreeSet;
 
 use ratc_sim::Context;
 use ratc_types::{
@@ -145,9 +131,8 @@ pub struct LogEntry {
 pub struct Checkpoint {
     /// The transaction and final decision of every truncated slot, indexed
     /// by position: slots in `[0, base)` are folded into this checkpoint,
-    /// where `base` is the vector's length. `None` marks a record that
-    /// [`CertificationLog::ack_decided`] compacted.
-    decided: Vec<Option<(TxId, Decision)>>,
+    /// where `base` is the vector's length.
+    decided: Vec<(TxId, Decision)>,
 }
 
 impl Checkpoint {
@@ -162,10 +147,9 @@ impl Checkpoint {
         pos < self.base()
     }
 
-    /// The transaction and final decision folded at `pos`, if covered and
-    /// not compacted.
+    /// The transaction and final decision folded at `pos`, if covered.
     pub fn decision_at(&self, pos: Position) -> Option<(TxId, Decision)> {
-        self.decided.get(pos.as_usize()).copied().flatten()
+        self.decided.get(pos.as_usize()).copied()
     }
 
     /// Iterates over the folded `(position, transaction, decision)` triples.
@@ -173,13 +157,12 @@ impl Checkpoint {
         self.decided
             .iter()
             .enumerate()
-            .filter_map(|(i, record)| record.map(|(tx, dec)| (Position::new(i as u64), tx, dec)))
+            .map(|(i, &(tx, dec))| (Position::new(i as u64), tx, dec))
     }
 
-    /// Number of decision records in this checkpoint (folded transactions
-    /// whose record was not compacted).
+    /// Number of decision records in this checkpoint (folded transactions).
     pub fn decided_count(&self) -> usize {
-        self.decided.iter().flatten().count()
+        self.decided.len()
     }
 }
 
@@ -199,13 +182,8 @@ pub struct CertificationLog {
     /// The decided frontier: every position below it is folded or decided.
     frontier: Position,
     /// Position of every transaction in the log, retained or folded (O(1)
-    /// `position_of`). Folding moves nothing; a compacted record leaves.
+    /// `position_of`). Folding moves nothing.
     by_tx: FxHashMap<TxId, Position>,
-    /// Retained transactions whose decision has been fully acknowledged
-    /// (client and coordinator): folded without a decision record when their
-    /// slots are truncated (decision-map compaction, see
-    /// [`CertificationLog::ack_decided`]). Drained by `truncate_to`.
-    acked: BTreeSet<TxId>,
     /// Incremental certifier kept in lockstep with the slot phases.
     index: Box<dyn IndexedCertifier>,
 }
@@ -226,7 +204,6 @@ impl CertificationLog {
             holes: 0,
             frontier: Position::ZERO,
             by_tx: FxHashMap::default(),
-            acked: BTreeSet::new(),
             index,
         }
     }
@@ -569,61 +546,20 @@ impl CertificationLog {
             let decision = entry
                 .dec
                 .expect("only decided slots are folded into a checkpoint");
-            // An acknowledged transaction is folded without a record.
-            let forget = !self.acked.is_empty() && self.acked.remove(&entry.tx);
-            if forget {
-                self.by_tx.remove(&entry.tx);
-            }
-            self.checkpoint
-                .decided
-                .push((!forget).then_some((entry.tx, decision)));
+            self.checkpoint.decided.push((entry.tx, decision));
         }
         n
     }
 
     /// Folds the decided, hole-free prefix into the checkpoint once at least
     /// a batch of slots can be freed, per `policy`. Replicas call it whenever
-    /// they record decisions.
+    /// they record decisions. [`TruncationConfig::disabled`]'s batch of
+    /// `u64::MAX` is never due.
     pub fn truncate_if_due<M>(&mut self, policy: TruncationConfig, ctx: &mut Context<'_, M>) {
-        if policy.enabled && self.frontier.as_u64() >= self.base().as_u64() + policy.batch {
+        if self.frontier.as_u64().saturating_sub(self.base().as_u64()) >= policy.batch {
             let freed = self.truncate_to(self.frontier);
             ctx.add_counter("log_slots_truncated", freed as u64);
         }
-    }
-
-    /// Decision-map compaction: the decision of `tx` has been acknowledged by
-    /// its client and coordinator, so no recovery coordinator will ever
-    /// re-drive it — its `(tx, position, decision)` record may be dropped.
-    /// If the slot is already folded, the checkpoint record is pruned now;
-    /// if it is still retained, the transaction is remembered and folded
-    /// without a record when truncation reaches it. Certification never
-    /// reads the record: the index's `L1` summary is untouched either way.
-    ///
-    /// Returns `true` if a checkpoint record was pruned immediately.
-    ///
-    /// After pruning, [`CertificationLog::position_of`] and
-    /// [`CertificationLog::truncated_decision`] no longer answer for `tx`: a
-    /// leader receiving a `PREPARE` for it would re-certify it as new. The
-    /// compaction protocol (see `crate::replica::TruncationConfig`) only acks
-    /// once the client has the decision, which is exactly when the TCS
-    /// specification guarantees no such `PREPARE` will be sent.
-    pub fn ack_decided(&mut self, tx: TxId) -> bool {
-        let Some(&pos) = self.by_tx.get(&tx) else {
-            return false;
-        };
-        if !self.checkpoint.covers(pos) {
-            self.acked.insert(tx);
-            return false;
-        }
-        self.by_tx.remove(&tx);
-        self.checkpoint.decided[pos.as_usize()] = None;
-        true
-    }
-
-    /// Number of acknowledged transactions still retained (waiting to be
-    /// folded without a record). Bounded by the retained suffix.
-    pub fn acked_pending(&self) -> usize {
-        self.acked.len()
     }
 
     /// Iterates over the retained filled slots with their positions.
@@ -713,14 +649,7 @@ impl CertificationLog {
                             return false;
                         }
                     }
-                    // A folded position without a record was compacted away
-                    // after full acknowledgement (see `ack_decided`): decided
-                    // and agreed, nothing left to compare.
-                    None => {
-                        if !other.checkpoint.covers(pos) {
-                            return false;
-                        }
-                    }
+                    None => return false,
                 },
             }
         }
@@ -734,12 +663,7 @@ impl CertificationLog {
                         return false;
                     }
                 }
-                // Compacted on the other side (see above): compatible.
-                None => {
-                    if !other.checkpoint.covers(pos) {
-                        return false;
-                    }
-                }
+                None => return false,
             }
         }
         true
@@ -1259,86 +1183,48 @@ mod tests {
         assert!(!bad.is_prefix_with_holes_of(&leader, leader.next()));
     }
 
-    #[test]
-    fn ack_decided_prunes_folded_records_and_keeps_the_committed_set() {
-        let mut log = indexed_log();
-        let p0 = log.append(rw_entry(1, "x", 0, 4));
-        let p1 = log.append(rw_entry(2, "y", 0, 6));
-        log.decide(p0, Decision::Commit);
-        log.decide(p1, Decision::Commit);
-        log.truncate_to(Position::new(2));
-        assert_eq!(log.checkpoint().decided_count(), 2);
+    /// A log that folds per `policy` whenever it is poked.
+    struct Folder {
+        log: CertificationLog,
+        policy: TruncationConfig,
+    }
 
-        // Ack after the fold: the record is pruned immediately.
-        assert!(log.ack_decided(TxId::new(1)));
-        assert_eq!(log.checkpoint().decided_count(), 1);
-        assert_eq!(log.position_of(TxId::new(1)), None);
-        assert_eq!(log.truncated_decision(TxId::new(1)), None);
-        // The unacked record and the base are untouched.
-        assert_eq!(log.truncated_decision(TxId::new(2)), Some(Decision::Commit));
-        assert_eq!(log.base(), Position::new(2));
-        // Pruned positions still count as covered: stale messages stay no-ops.
-        assert_eq!(log.phase(p0), TxPhase::Decided);
-        assert!(!log.store_at(p0, rw_entry(9, "q", 0, 1)));
-        // The index's committed set is untouched: a stale read of "x" still
-        // aborts.
-        let stale = Payload::builder()
-            .read(Key::new("x"), Version::new(0))
-            .build()
-            .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &stale), Decision::Abort);
-        // Duplicate acks are idempotent.
-        assert!(!log.ack_decided(TxId::new(1)));
+    impl ratc_sim::Actor<()> for Folder {
+        fn on_message(&mut self, _from: ProcessId, _msg: (), ctx: &mut Context<'_, ()>) {
+            self.log.truncate_if_due(self.policy, ctx);
+        }
     }
 
     #[test]
-    fn ack_decided_before_truncation_folds_without_a_record() {
+    fn a_disabled_policy_never_folds_even_far_above_position_zero() {
+        use ratc_sim::{SimConfig, World};
+        const BASE: u64 = 1_000;
         let mut log = indexed_log();
-        let p0 = log.append(rw_entry(1, "x", 0, 4));
-        let p1 = log.append(rw_entry(2, "y", 0, 6));
-        log.decide(p0, Decision::Commit);
-        log.decide(p1, Decision::Commit);
-        // Ack while the slots are still retained: remembered, not yet pruned.
-        assert!(!log.ack_decided(TxId::new(1)));
-        assert_eq!(log.acked_pending(), 1);
-        // Unknown transactions are ignored entirely.
-        assert!(!log.ack_decided(TxId::new(77)));
-        assert_eq!(log.acked_pending(), 1);
-
-        log.truncate_to(Position::new(2));
-        // The acked slot was folded without a record, the other with one.
-        assert_eq!(log.acked_pending(), 0);
-        assert_eq!(log.checkpoint().decided_count(), 1);
-        assert_eq!(log.truncated_decision(TxId::new(1)), None);
-        assert_eq!(log.truncated_decision(TxId::new(2)), Some(Decision::Commit));
-        // The committed set is intact either way.
-        let stale = Payload::builder()
-            .read(Key::new("x"), Version::new(0))
-            .build()
-            .expect("well-formed");
-        assert_eq!(log.vote_at(log.next(), &stale), Decision::Abort);
-    }
-
-    #[test]
-    fn prefix_with_holes_tolerates_compacted_records() {
-        let mut full = indexed_log();
-        let mut compacted = indexed_log();
-        for i in 1..=3u64 {
-            let e = entry(i);
-            full.append(e.clone());
-            compacted.append(e);
+        for i in 0..BASE + 5 {
+            let pos = log.append(entry(i + 1));
+            log.decide(pos, Decision::Commit);
         }
-        for i in 0..3u64 {
-            full.decide(Position::new(i), Decision::Commit);
-            compacted.decide(Position::new(i), Decision::Commit);
-        }
-        full.truncate_to(Position::new(2));
-        compacted.truncate_to(Position::new(2));
-        compacted.ack_decided(TxId::new(1));
-        // A pruned record on either side compares as compatible (it was
-        // decided and fully acknowledged), in both directions.
-        assert!(full.is_prefix_with_holes_of(&compacted, full.next()));
-        assert!(compacted.is_prefix_with_holes_of(&full, full.next()));
+        log.truncate_to(Position::new(BASE));
+        let mut world = World::new(SimConfig::default());
+        let policy = TruncationConfig::disabled();
+        let folder = world.add_actor(Folder { log, policy });
+        let base = |world: &World<()>| world.actor::<Folder>(folder).expect("folder").log.base();
+        // `base + batch` would overflow here; the due test must not.
+        world.send_external(folder, ());
+        world.run();
+        assert_eq!(base(&world), Position::new(BASE));
+        assert_eq!(world.metrics().counter("log_slots_truncated"), 0);
+
+        // A batch of 0 is clamped to 1, which folds the five decided slots.
+        assert_eq!(
+            TruncationConfig::with_batch(0),
+            TruncationConfig::with_batch(1)
+        );
+        world.actor_mut::<Folder>(folder).expect("folder").policy = TruncationConfig::with_batch(0);
+        world.send_external(folder, ());
+        world.run();
+        assert_eq!(base(&world), Position::new(BASE + 5));
+        assert_eq!(world.metrics().counter("log_slots_truncated"), 5);
     }
 
     #[test]

@@ -55,24 +55,6 @@ pub enum Msg {
         /// Transaction to re-coordinate.
         tx: TxId,
     },
-    /// Decision-map compaction, leg 1 (opt-in, see
-    /// [`crate::replica::TruncationConfig::compaction`]): the client
-    /// acknowledges a received `DECISION(t, d)` back to the coordinator that
-    /// sent it. Not part of the paper's vocabulary; absent unless compaction
-    /// is enabled, so default schedules are untouched.
-    DecisionAck {
-        /// The acknowledged transaction.
-        tx: TxId,
-    },
-    /// Decision-map compaction, leg 2: the coordinator, having seen the
-    /// client's [`Msg::DecisionAck`], tells every member of every shard of
-    /// `tx` that the decision is fully acknowledged — its checkpoint record
-    /// can never be asked for again and may be dropped
-    /// ([`crate::log::CertificationLog::ack_decided`]).
-    AckDecided {
-        /// The fully acknowledged transaction.
-        tx: TxId,
-    },
     /// Reply to `PREPARE` for a transaction already folded into the leader's
     /// checkpoint: it is decided and its slot was truncated, so the final
     /// decision is returned directly (nothing remains to re-ack). Gray &
@@ -266,8 +248,6 @@ impl Msg {
             Msg::Certify { .. } => "certify",
             Msg::DecisionClient { .. } => "decision_client",
             Msg::Retry { .. } => "retry",
-            Msg::DecisionAck { .. } => "decision_ack",
-            Msg::AckDecided { .. } => "ack_decided",
             Msg::TxDecided { .. } => "tx_decided",
             Msg::PrepareBatch { .. } => "prepare_batch",
             Msg::PrepareAckBatch { .. } => "prepare_ack_batch",

@@ -38,66 +38,32 @@ use crate::recon::{ReconHost, Reconfigurer, PROBE_GRACE_TICK, RECON_RETRY_TICK};
 /// Each member truncates its own certification log at its own decided
 /// frontier whenever it records decisions; no member waits for another.
 /// `batch` amortises the fold: a replica truncates only once at least that
-/// many decided slots can be freed at once.
+/// many decided slots can be freed at once. [`TruncationConfig::disabled`]
+/// is the batch `u64::MAX`, which no log ever reaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruncationConfig {
-    /// Whether replicas truncate at all.
-    pub enabled: bool,
     /// Minimum number of slots to fold per truncation.
     pub batch: u64,
-    /// Checkpoint decision-map compaction (**opt-in, default off**). When
-    /// enabled, clients acknowledge each received `DECISION` back to its
-    /// sender (`DECISION_ACK`), and the coordinator relays the full
-    /// acknowledgement to every member of every shard of the transaction
-    /// (`ACK_DECIDED`), which then drops the transaction's
-    /// `(tx, position, decision)` checkpoint record — the decision can never
-    /// be asked for again once the client has it, so the record is dead
-    /// weight (see [`crate::log::CertificationLog::ack_decided`]). The
-    /// coordinator also drops its own per-transaction state, bounding
-    /// coordinator memory the same way.
-    ///
-    /// Off by default because the two extra message legs are not part of the
-    /// paper's vocabulary: enabling them perturbs the simulated schedule, and
-    /// same-seed runs must stay bit-identical to the paper's protocol unless
-    /// a deployment explicitly asks for compaction. Only the message-passing
-    /// stack implements the ack exchange; the flag is inert elsewhere.
-    pub compaction: bool,
 }
 
 impl Default for TruncationConfig {
     fn default() -> Self {
-        TruncationConfig {
-            enabled: true,
-            batch: 32,
-            compaction: false,
-        }
+        TruncationConfig { batch: 32 }
     }
 }
 
 impl TruncationConfig {
     /// Truncation switched off: the log grows without bound (the seed
-    /// behaviour; useful for A/B benchmarks and the differential suites).
+    /// behaviour; useful for the differential suites).
     pub fn disabled() -> Self {
-        TruncationConfig {
-            enabled: false,
-            batch: u64::MAX,
-            compaction: false,
-        }
+        TruncationConfig { batch: u64::MAX }
     }
 
     /// Truncation with the given fold batch.
     pub fn with_batch(batch: u64) -> Self {
         TruncationConfig {
-            enabled: true,
             batch: batch.max(1),
-            compaction: false,
         }
-    }
-
-    /// Returns a copy with decision-map compaction switched on.
-    pub fn with_compaction(mut self) -> Self {
-        self.compaction = true;
-        self
     }
 }
 
@@ -164,14 +130,9 @@ impl Replica {
         }
     }
 
-    /// Sets the checkpointed-truncation policy (default: enabled, batch 32).
+    /// Sets the checkpointed-truncation policy (default: fold batch 32).
     pub fn set_truncation(&mut self, truncation: TruncationConfig) {
         self.member.truncation = truncation;
-    }
-
-    /// The replica's checkpointed-truncation policy.
-    pub fn truncation(&self) -> TruncationConfig {
-        self.member.truncation
     }
 
     /// Sets the batching-pipeline knobs (default: batches of one).
@@ -462,14 +423,6 @@ impl Member {
         self.log.truncate_if_due(self.truncation, ctx);
     }
 
-    /// Compaction leg 2 received: drop the transaction's checkpoint decision
-    /// record (or mark it to be folded without one).
-    fn handle_ack_decided(&mut self, tx: TxId, ctx: &mut Context<'_, Msg>) {
-        if self.log.ack_decided(tx) {
-            ctx.add_counter("checkpoint_records_pruned", 1);
-        }
-    }
-
     // -- reconfiguration, probed side (the reconfigurer is `crate::recon`) ----
 
     /// Lines 40–44: a probed process joins the new epoch and stops processing.
@@ -659,19 +612,6 @@ impl Actor<Msg> for Replica {
             Msg::Retry { tx } => {
                 coord.take_over(tx, member.log.prepared_tx(tx), member.shard, member, ctx)
             }
-            // Compaction leg 1 received: the client acknowledged the decision
-            // of `tx`. Relay the full acknowledgement to every member of
-            // every shard of the transaction; the coordinator drops its state.
-            Msg::DecisionAck { tx } => {
-                if let Some(shards) = coord.forget_decided(tx) {
-                    for shard in shards.shards() {
-                        let members = member.members_of(shard).iter().copied();
-                        ctx.send_to_many(members, Msg::AckDecided { tx });
-                    }
-                    ctx.add_counter("decisions_acked", 1);
-                }
-            }
-            Msg::AckDecided { tx } => member.handle_ack_decided(tx, ctx),
             Msg::TxDecided {
                 tx,
                 decision,

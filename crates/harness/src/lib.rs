@@ -25,7 +25,7 @@
 //! * [`ClusterSpec`] — one builder that constructs any stack: a
 //!   [`StackKind`] and the one `ClusterConfig` every stack is built from.
 //!   Its knobs: shards, failures tolerated, spares, certification policy,
-//!   truncation (on/off, fold batch, compaction), batch size, the
+//!   truncation's fold batch, batch size, the
 //!   simulation's seed, observability and per-message service time, and the
 //!   execution engine. Latencies are constants of the simulator (a LAN),
 //!   batches flush after a fixed 1 ms, the admission window is 64 and

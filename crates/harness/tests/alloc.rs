@@ -157,16 +157,16 @@ fn allocations_per_committed_transaction_hold_their_recorded_constants() {
     // unit. Every stack votes through its index alone, so one table holds in
     // debug and release builds.
     let recorded = [
-        (StackKind::Core, 32, false, 4.23, 1745.0),
-        (StackKind::Core, 1, false, 6.07, 1891.0),
-        (StackKind::Rdma, 32, false, 5.13, 1767.0),
-        (StackKind::Rdma, 1, false, 8.93, 2027.0),
+        (StackKind::Core, 32, false, 4.23, 1695.0),
+        (StackKind::Core, 1, false, 6.07, 1837.0),
+        (StackKind::Rdma, 32, false, 5.13, 1719.0),
+        (StackKind::Rdma, 1, false, 8.93, 1977.0),
         (StackKind::Baseline, 32, false, 5.45, 1700.0),
         (StackKind::Baseline, 1, false, 23.91, 4100.0),
-        (StackKind::Core, 32, true, 11.43, 3270.0),
-        (StackKind::Core, 1, true, 13.14, 3408.0),
-        (StackKind::Rdma, 32, true, 13.04, 3302.0),
-        (StackKind::Rdma, 1, true, 18.85, 3694.0),
+        (StackKind::Core, 32, true, 11.43, 3216.0),
+        (StackKind::Core, 1, true, 13.14, 3354.0),
+        (StackKind::Rdma, 32, true, 13.04, 3247.0),
+        (StackKind::Rdma, 1, true, 18.85, 3640.0),
         (StackKind::Baseline, 32, true, 9.84, 2867.0),
         (StackKind::Baseline, 1, true, 38.01, 6313.0),
     ];

@@ -254,25 +254,24 @@ fn transactions_stalled_on_a_reconfigured_shard_decide_once_its_new_leader_serve
 }
 
 /// Records what it is sent; plays the coordinator a client answers to.
-struct Recorder<M>(Vec<(ProcessId, M)>);
+struct Recorder<M>(Vec<M>);
 
 impl<M: Send + 'static> Actor<M> for Recorder<M> {
-    fn on_message(&mut self, from: ProcessId, msg: M, _ctx: &mut Context<'_, M>) {
-        self.0.push((from, msg));
+    fn on_message(&mut self, _from: ProcessId, msg: M, _ctx: &mut Context<'_, M>) {
+        self.0.push(msg);
     }
 }
 
 /// The client's contract, over any stack's messages. `decision` builds the
-/// stack's `DECISION(t, d)`; `acks` is whether its vocabulary has the
-/// decision acknowledgement of compaction.
-fn client_contract<M>(decision: fn(TxId, Decision) -> M, acks: bool)
+/// stack's `DECISION(t, d)`.
+fn client_contract<M>(decision: fn(TxId, Decision) -> M)
 where
     M: ClientMsg + Clone + std::fmt::Debug + Send + 'static,
 {
-    let world_with_client = |ack_decisions: bool| {
+    let world_with_client = || {
         let mut world: World<M> = World::new(SimConfig::default());
         let coordinator = world.add_actor(Recorder(Vec::new()));
-        let client = world.add_actor(ClientActor::<M>::new(ack_decisions));
+        let client = world.add_actor(ClientActor::<M>::default());
         (world, coordinator, client)
     };
     let certify = |world: &mut World<M>, client: ProcessId, tx: TxId| {
@@ -285,7 +284,7 @@ where
     let (t1, t2) = (TxId::new(1), TxId::new(2));
 
     // Records history and latency.
-    let (mut world, coordinator, client) = world_with_client(false);
+    let (mut world, coordinator, client) = world_with_client();
     certify(&mut world, client, t1);
     world.send_from(coordinator, client, decision(t1, Decision::Commit));
     world.run();
@@ -296,12 +295,13 @@ where
     assert_eq!(actor.history().decision(t1), Some(Decision::Commit));
     assert_eq!(actor.latencies()[&t1].decision, Decision::Commit);
     assert_eq!(world.metrics().counter("client_commits"), 1);
-    // Without compaction no stack acknowledges a decision.
+    // The client answers no decision: the paper's protocol has no
+    // acknowledgement.
     let sent = &world.actor::<Recorder<M>>(coordinator).expect("peer").0;
     assert!(sent.is_empty(), "{sent:?}");
 
     // Contradictory decisions are reported as violations.
-    let (mut world, coordinator, client) = world_with_client(false);
+    let (mut world, coordinator, client) = world_with_client();
     certify(&mut world, client, t1);
     world.send_from(coordinator, client, decision(t1, Decision::Commit));
     world.send_from(coordinator, client, decision(t1, Decision::Abort));
@@ -310,7 +310,7 @@ where
     assert_eq!(actor.violations().len(), 1);
 
     // Duplicate identical decisions are benign.
-    let (mut world, coordinator, client) = world_with_client(false);
+    let (mut world, coordinator, client) = world_with_client();
     certify(&mut world, client, t2);
     for _ in 0..3 {
         world.send_from(coordinator, client, decision(t2, Decision::Abort));
@@ -320,41 +320,11 @@ where
     assert!(actor.violations().is_empty());
     assert_eq!(actor.history().aborted().count(), 1);
     assert_eq!(world.metrics().counter("client_aborts"), 3);
-
-    // With acknowledgements asked for, a decision is answered with exactly
-    // one ack, to its sender — on a stack that has the message.
-    let (mut world, coordinator, client) = world_with_client(true);
-    certify(&mut world, client, t1);
-    world.send_from(coordinator, client, decision(t1, Decision::Commit));
-    world.run();
-    let sent = &world.actor::<Recorder<M>>(coordinator).expect("peer").0;
-    if acks {
-        assert_eq!(sent.len(), 1, "{sent:?}");
-        assert_eq!(sent[0].0, client);
-        assert!(sent[0].1.as_decision().is_none(), "{sent:?}");
-    } else {
-        assert!(sent.is_empty(), "{sent:?}");
-    }
 }
 
 #[test]
 fn the_client_keeps_its_contract_on_every_stacks_messages() {
-    client_contract::<Msg>(|tx, decision| Msg::DecisionClient { tx, decision }, true);
-    client_contract::<RdmaMsg>(
-        |tx, decision| RdmaMsg::DecisionClient { tx, decision },
-        false,
-    );
-    client_contract::<BaselineMsg>(
-        |tx, decision| BaselineMsg::DecisionClient { tx, decision },
-        false,
-    );
-}
-
-/// The acknowledgement a `Msg` client sends is the compaction one.
-#[test]
-fn the_message_passing_clients_acknowledgement_is_decision_ack() {
-    assert!(matches!(
-        Msg::decision_ack(TxId::new(7)),
-        Some(Msg::DecisionAck { tx }) if tx == TxId::new(7)
-    ));
+    client_contract::<Msg>(|tx, decision| Msg::DecisionClient { tx, decision });
+    client_contract::<RdmaMsg>(|tx, decision| RdmaMsg::DecisionClient { tx, decision });
+    client_contract::<BaselineMsg>(|tx, decision| BaselineMsg::DecisionClient { tx, decision });
 }

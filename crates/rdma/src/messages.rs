@@ -251,9 +251,4 @@ impl ratc_core::client::ClientMsg for RdmaMsg {
             None
         }
     }
-
-    fn decision_ack(_tx: TxId) -> Option<Self> {
-        // Decision-map compaction is a `ratc-core` extension.
-        None
-    }
 }

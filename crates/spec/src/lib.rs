@@ -40,10 +40,15 @@
 //!   submit/decide, coordinator handoff, crash/restart and reconfiguration
 //!   on a fixed seeded workload.
 //!
-//! These are runtime checkers, not proofs: they are run over every simulated
-//! execution produced by the test suites, the property-based tests and the
-//! experiment harnesses, including executions with crashes and
-//! reconfigurations.
+//! These are runtime checkers, not proofs, and only some runs call them:
+//! the [`conformance`] suite, the workspace's integration and property-based
+//! tests and the randomized E8 experiment, on executions with crashes and
+//! reconfigurations included; the chaos nemesis's verdict
+//! ([`check_chaos_run`]) on every soak; and the repository benchmark's
+//! correctness gate, which checks each round's first committed transactions
+//! for conflict serializability and runs [`check_history`] in full on one
+//! short verification round only. No run checks TCS-LL
+//! ([`tcsll::check_tcsll`]) outside this crate's own tests.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -15,14 +15,9 @@
 //! The walk reuses the randomized schedule generator of [`crate::indexed`]
 //! (appends, out-of-order stores creating holes, out-of-order commit/abort
 //! decides) and additionally, on the truncating log only, truncates at its
-//! decided frontier, restarts (`CertificationLog::restart`: the lock table
-//! is rebuilt, the committed set kept) and acknowledges decided transactions
-//! (`CertificationLog::ack_decided`) at random points. A compacted record is
-//! gone by design, so an acknowledged transaction is exempt from the
-//! `position_of` and `slot_identity` comparisons once it is folded. Every
-//! failure is reproducible from its seed.
-
-use std::collections::BTreeSet;
+//! decided frontier and restarts (`CertificationLog::restart`: the lock
+//! table is rebuilt, the committed set kept) at random points. Every failure
+//! is reproducible from its seed.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -48,9 +43,6 @@ pub struct TruncationReport {
     pub max_retained: usize,
     /// Restarts of the truncating log.
     pub restarts: usize,
-    /// Decided transactions acknowledged on the truncating log (decision-map
-    /// compaction).
-    pub compactions: usize,
 }
 
 /// Replays a randomized certification schedule on a *truncating* log and an
@@ -72,7 +64,6 @@ pub fn differential_truncation_check(
     let mut mirror = CertificationLog::with_certifier(policy.indexed_certifier(shard));
     let mut undecided: Vec<Position> = Vec::new();
     let mut all_txs: Vec<TxId> = Vec::new();
-    let mut acked: BTreeSet<TxId> = BTreeSet::new();
     let mut report = TruncationReport::default();
     let mut next_tx = 1u64;
 
@@ -92,7 +83,7 @@ pub fn differential_truncation_check(
 
     for step in 0..steps {
         report.steps += 1;
-        match rng.gen_range(0..14u32) {
+        match rng.gen_range(0..13u32) {
             // Append a prepared entry to both logs.
             0..=4 => {
                 let entry = make_entry(&mut rng, next_tx);
@@ -159,19 +150,6 @@ pub fn differential_truncation_check(
                 truncating.restart();
                 report.restarts += 1;
             }
-            // Acknowledge a decided transaction end to end: its checkpoint
-            // record is dropped now or when its slot is folded.
-            13 if !all_txs.is_empty() => {
-                let tx = all_txs[rng.gen_range(0..all_txs.len())];
-                let decided = truncating
-                    .position_of(tx)
-                    .is_some_and(|pos| truncating.phase(pos) == TxPhase::Decided);
-                if decided {
-                    truncating.ack_decided(tx);
-                    acked.insert(tx);
-                    report.compactions += 1;
-                }
-            }
             // Decide a hole, an already-decided or a truncated slot: must be
             // a no-op on both logs.
             _ => {
@@ -233,9 +211,6 @@ pub fn differential_truncation_check(
             report.positions_checked += 1;
             let lhs = truncating.position_of(tx);
             let rhs = mirror.position_of(tx);
-            if acked.contains(&tx) && lhs.is_none() {
-                continue; // compacted: the record is gone by design
-            }
             if lhs != rhs {
                 return Err(format!(
                     "seed {seed} step {step}: position_of({tx}) diverged ({lhs:?} vs {rhs:?})"
@@ -348,10 +323,9 @@ mod tests {
             assert!(report.votes_checked >= 450);
             totals.truncations += report.truncations;
             totals.restarts += report.restarts;
-            totals.compactions += report.compactions;
         }
         assert!(totals.truncations > 0, "the walks never truncated anything");
-        assert!(totals.restarts > 0 && totals.compactions > 0, "{totals:?}");
+        assert!(totals.restarts > 0, "{totals:?}");
     }
 
     #[test]
@@ -362,10 +336,9 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{e}"));
             totals.truncations += report.truncations;
             totals.restarts += report.restarts;
-            totals.compactions += report.compactions;
         }
         assert!(totals.truncations > 0, "the walks never truncated anything");
-        assert!(totals.restarts > 0 && totals.compactions > 0, "{totals:?}");
+        assert!(totals.restarts > 0, "{totals:?}");
     }
 
     /// Acceptance: a 100k-transaction history with periodic truncation keeps

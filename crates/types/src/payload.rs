@@ -631,19 +631,6 @@ impl Placement {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The same shards with every restriction dropped: what is kept of a
-    /// decided transaction, without holding its payload.
-    pub fn shards_only(mut self) -> Placement {
-        let parts = match &mut self.0 {
-            Parts::One(one) => &mut one[..],
-            Parts::Many(many) => &mut many[..],
-        };
-        for (_, part) in parts {
-            *part = None;
-        }
-        self
-    }
 }
 
 /// Builder for [`Payload`] values.
@@ -1130,29 +1117,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Payload>(), std::mem::size_of::<usize>());
         #[cfg(target_pointer_width = "64")]
         assert_eq!(std::mem::size_of::<Repr>(), std::mem::size_of::<Triple>());
-    }
-
-    #[test]
-    fn a_placement_without_its_restrictions_keeps_the_shards_and_no_key() {
-        let sharding = ExplicitSharding::new(2, ShardId::new(0)).with(k("b"), ShardId::new(1));
-        let (a, b) = (k("a"), k("b"));
-        for keys in [vec![a.clone()], vec![a.clone(), b.clone()]] {
-            let held = (a.ref_count(), b.ref_count());
-            let payload = keys
-                .iter()
-                .fold(Payload::builder(), |p, key| {
-                    p.read(key.clone(), Version::ZERO)
-                })
-                .build()
-                .expect("well-formed");
-            let placed = payload.place(&sharding);
-            drop(payload);
-            let shards: Vec<ShardId> = placed.shards().collect();
-            let kept = placed.shards_only();
-            assert_eq!(kept.shards().collect::<Vec<_>>(), shards);
-            assert!(kept.parts().all(|(_, part)| part.is_none()));
-            assert_eq!((a.ref_count(), b.ref_count()), held, "{shards:?}");
-        }
     }
 
     #[test]

@@ -389,11 +389,11 @@ pub struct TruncationResult {
 
 /// E7: drives a paced history of 300 uniform 2-key transactions through the
 /// given stack on 2 shards and reports how much certification-log memory
-/// the shard members retain. With `truncation` (fold batch 8) the retained
-/// slot count is bounded by the undecided window plus the fold batch;
-/// without, it equals the whole history. The baseline reports its
-/// unconditional decided-payload pruning through the same probe.
-pub fn truncation_experiment(stack: StackKind, truncation: bool) -> TruncationResult {
+/// the shard members retain. At fold batch 8 the retained slot count is
+/// bounded by the undecided window plus the fold batch; `max_log_next` is
+/// what an untruncated member would retain, the whole history. The baseline
+/// reports its unconditional decided-payload pruning through the same probe.
+pub fn truncation_experiment(stack: StackKind) -> TruncationResult {
     use ratc_core::replica::TruncationConfig;
     let spec = WorkloadSpec {
         key_count: 10_000,
@@ -406,11 +406,7 @@ pub fn truncation_experiment(stack: StackKind, truncation: bool) -> TruncationRe
     let mut cluster = ClusterSpec::new(stack)
         .with_shards(2)
         .with_seed(SEED)
-        .with_truncation(if truncation {
-            TruncationConfig::with_batch(8)
-        } else {
-            TruncationConfig::disabled()
-        })
+        .with_truncation(TruncationConfig::with_batch(8))
         .build();
     // Pace submissions in small waves so decisions (and each member's folds
     // of its decided prefix) interleave with new transactions, as in a live
@@ -797,27 +793,23 @@ mod tests {
     }
 
     /// Checkpointed truncation bounds the retained log far below the
-    /// logical history on every stack; disabled, the members retain it all.
+    /// logical history (`max_log_next`, what an untruncated member retains)
+    /// on every stack.
     #[test]
     fn e7_truncation_bounds_log_memory() {
         let expected = [
-            (StackKind::Core, true, 6, 899),
-            (StackKind::Rdma, true, 4, 898),
-            (StackKind::Baseline, true, 0, 0),
-            (StackKind::Core, false, 227, 0),
+            (StackKind::Core, 6, 899),
+            (StackKind::Rdma, 4, 898),
+            (StackKind::Baseline, 0, 0),
         ];
-        for (stack, truncation, max_retained_slots, slots_truncated) in expected {
+        for (stack, max_retained_slots, slots_truncated) in expected {
             let want = TruncationResult {
                 decided: 300,
                 max_retained_slots,
                 max_log_next: 227,
                 slots_truncated,
             };
-            assert_eq!(
-                truncation_experiment(stack, truncation),
-                want,
-                "{stack}, truncation {truncation}"
-            );
+            assert_eq!(truncation_experiment(stack), want, "{stack}");
         }
     }
 
